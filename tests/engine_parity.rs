@@ -162,26 +162,72 @@ fn in_memory_engine_matches_pre_refactor_golden_digest() {
 
 const GOLDEN_DIGEST: u64 = 0xa147_b46a_ce24_2a96;
 
-/// Runs the golden-digest scenario on an explicitly configured dispatch
-/// pool and returns the run digest.
-fn digest_with_dispatch(dispatch: DispatchConfig) -> u64 {
+/// Runs the golden-digest scenario (9 clients, seed 93, non-IID shards, 4
+/// rounds, wire path pinned off) for `algorithm` on an explicitly configured
+/// dispatch pool and returns the run digest.
+fn scenario_digest<A: Algorithm>(algorithm: A, dispatch: DispatchConfig) -> u64 {
     let num_clients = 9;
     let cfg = config(num_clients, 93, true);
     let (train, test) = data(num_clients, 93);
     let partition = DataDistribution::NonIidShards.partition(&train, num_clients, 93);
-    let mut engine = RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        FedAdmm::paper_default(),
-        SyncRounds,
-    )
-    .unwrap()
-    .with_dispatch(dispatch)
-    .with_wire_path(WirePathConfig::disabled());
+    let mut engine = RoundEngine::new(cfg, train, test, partition, algorithm, SyncRounds)
+        .unwrap()
+        .with_dispatch(dispatch)
+        .with_wire_path(WirePathConfig::disabled());
     engine.run_rounds(4).unwrap();
     run_digest(engine.history(), engine.global_model())
+}
+
+fn digest_with_dispatch(dispatch: DispatchConfig) -> u64 {
+    scenario_digest(FedAdmm::paper_default(), dispatch)
+}
+
+/// The eight non-FedADMM algorithms on the golden scenario, with the digest
+/// each produced on the per-job `local_sgd` path (a fresh `Network` and
+/// `TrainScratch` per client update) before the scratch form became the only
+/// local-update implementation. FedPD runs under full participation, which
+/// the engine selects on its own.
+fn baseline_goldens() -> Vec<(Box<dyn Algorithm>, u64)> {
+    let inexact = FedAdmmInexact::new(
+        0.3,
+        ServerStepSize::Constant(1.0),
+        LocalSolver::GradientDescent {
+            steps: 5,
+            learning_rate: 0.1,
+        },
+    );
+    vec![
+        (Box::new(FedAvg::new()), 0x0b16_97d3_3777_5669),
+        (Box::new(FedProx::new(0.1)), 0x93c8_c907_dbe6_bdc0),
+        (Box::new(Scaffold::new()), 0xa524_780f_f1d6_30e4),
+        (Box::new(FedDyn::new(0.1)), 0x69ae_eb64_4d3e_5c42),
+        (Box::new(FedPd::new(0.3, 0.5)), 0x899f_1673_69e4_406e),
+        (Box::new(FedOpt::adam()), 0x4f6a_8b16_73d3_d03b),
+        (Box::new(FedSgd::new(0.5)), 0xbd4c_cbfa_c3b0_60d4),
+        (Box::new(inexact), 0xeaa2_7c70_355f_1f65),
+    ]
+}
+
+#[test]
+fn baseline_algorithms_match_their_pre_switch_golden_digests() {
+    let pools = [
+        DispatchConfig::default(),
+        DispatchConfig {
+            workers: Some(3),
+            chunk_size: Some(1),
+            ..DispatchConfig::default()
+        },
+    ];
+    for dispatch in pools {
+        for (algorithm, golden) in baseline_goldens() {
+            let name = algorithm.name();
+            let digest = scenario_digest(algorithm, dispatch);
+            assert_eq!(
+                digest, golden,
+                "{name} diverged from its golden digest under {dispatch:?} (digest {digest:#018x})"
+            );
+        }
+    }
 }
 
 #[test]
