@@ -8,7 +8,7 @@
 //! (ε_i) for work — the system-heterogeneity mechanism of Section III-A.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fedadmm_core::algorithms::{Algorithm, FedAdmm, FedAdmmInexact, ServerStepSize};
+use fedadmm_core::algorithms::{Algorithm, FedAdmm, FedAdmmInexact, ServerStepSize, UpdateScratch};
 use fedadmm_core::client::ClientState;
 use fedadmm_core::param::ParamVector;
 use fedadmm_core::solver::LocalSolver;
@@ -65,9 +65,11 @@ fn bench_local_solvers(c: &mut Criterion) {
     group.bench_function("sgd_3_epochs_algorithm_1", |b| {
         let alg = FedAdmm::new(RHO, ServerStepSize::Constant(1.0));
         let env = bench_data.env(3);
+        let mut scratch = UpdateScratch::default();
         b.iter(|| {
             let (mut client, theta) = bench_data.fresh_client();
-            alg.client_update(&mut client, &theta, &env).unwrap()
+            alg.client_update_scratch(&mut client, &theta, &env, &mut scratch)
+                .unwrap()
         });
     });
 
@@ -100,9 +102,11 @@ fn bench_local_solvers(c: &mut Criterion) {
         group.bench_function(label, |b| {
             let alg = FedAdmmInexact::new(RHO, ServerStepSize::Constant(1.0), solver);
             let env = bench_data.env(1);
+            let mut scratch = UpdateScratch::default();
             b.iter(|| {
                 let (mut client, theta) = bench_data.fresh_client();
-                alg.client_update(&mut client, &theta, &env).unwrap()
+                alg.client_update_scratch(&mut client, &theta, &env, &mut scratch)
+                    .unwrap()
             });
         });
     }

@@ -1,10 +1,11 @@
 //! Benchmarks of one client's local update — the unit of work every
 //! federated round is built from — for each algorithm's local objective
-//! (plain, proximal, augmented-Lagrangian, control-variate-corrected).
+//! (plain, proximal, augmented-Lagrangian, control-variate-corrected), on a
+//! warm worker scratch as the dispatch pool runs it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fedadmm_bench::small_mlp;
-use fedadmm_core::algorithms::{Algorithm, FedAdmm, FedAvg, FedProx, Scaffold};
+use fedadmm_core::algorithms::{Algorithm, FedAdmm, FedAvg, FedProx, Scaffold, UpdateScratch};
 use fedadmm_core::client::ClientState;
 use fedadmm_core::param::ParamVector;
 use fedadmm_core::trainer::LocalEnv;
@@ -38,11 +39,17 @@ fn bench_client_update(c: &mut Criterion) {
         ("SCAFFOLD", Box::new(scaffold)),
     ];
     for (name, algorithm) in algorithms {
+        let mut scratch = UpdateScratch::default();
         group.bench_function(name, |bench| {
             bench.iter(|| {
                 let mut client = ClientState::new(0, indices.clone(), &theta);
                 algorithm
-                    .client_update(black_box(&mut client), black_box(&theta), &env)
+                    .client_update_scratch(
+                        black_box(&mut client),
+                        black_box(&theta),
+                        &env,
+                        &mut scratch,
+                    )
                     .unwrap()
             })
         });

@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the tensor kernels behind local training: matrix
 //! multiplication, 2-D convolution (the paper's 5×5 'same' convolutions)
-//! and max pooling.
+//! and max pooling — each timed the way the training arena drives it, into
+//! buffers held across iterations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fedadmm_tensor::{init, ops, Tensor};
@@ -14,8 +15,9 @@ fn bench_matmul(c: &mut Criterion) {
     for &n in &[32usize, 64, 128] {
         let a = init::randn(&[n, n], 0.0, 1.0, &mut rng);
         let b = init::randn(&[n, n], 0.0, 1.0, &mut rng);
+        let mut out = Tensor::zeros(&[0]);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| ops::matmul(black_box(&a), black_box(&b)).unwrap())
+            bench.iter(|| ops::gemm_into(black_box(&a), black_box(&b), &mut out).unwrap())
         });
     }
     group.finish();
@@ -35,15 +37,39 @@ fn bench_conv2d(c: &mut Criterion) {
         let input = init::randn(&[batch, in_c, hw, hw], 0.0, 1.0, &mut rng);
         let weight = init::randn(&[out_c, in_c, 5, 5], 0.0, 0.1, &mut rng);
         let bias = Tensor::zeros(&[out_c]);
+        let mut scratch = ops::Conv2dScratch::default();
+        let mut out = Tensor::zeros(&[0]);
         group.bench_function(format!("forward_{name}"), |bench| {
             bench.iter(|| {
-                ops::conv2d_forward(black_box(&input), black_box(&weight), &bias, 1, 2).unwrap()
+                ops::conv2d_forward_into(
+                    black_box(&input),
+                    black_box(&weight),
+                    &bias,
+                    1,
+                    2,
+                    &mut scratch,
+                    &mut out,
+                )
+                .unwrap()
             })
         });
-        let out = ops::conv2d_forward(&input, &weight, &bias, 1, 2).unwrap();
+        let mut grad_weight = Tensor::zeros(weight.dims());
+        let mut grad_bias = Tensor::zeros(&[out_c]);
+        let mut grad_input = Tensor::zeros(&[0]);
         group.bench_function(format!("backward_{name}"), |bench| {
             bench.iter(|| {
-                ops::conv2d_backward(black_box(&input), black_box(&weight), &out, 1, 2).unwrap()
+                ops::conv2d_backward_into(
+                    black_box(&input),
+                    black_box(&weight),
+                    &out,
+                    1,
+                    2,
+                    &mut scratch,
+                    &mut grad_weight,
+                    &mut grad_bias,
+                    &mut grad_input,
+                )
+                .unwrap()
             })
         });
     }
@@ -53,8 +79,12 @@ fn bench_conv2d(c: &mut Criterion) {
 fn bench_pooling(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(2);
     let input = init::randn(&[8, 32, 28, 28], 0.0, 1.0, &mut rng);
+    let mut out = Tensor::zeros(&[0]);
+    let mut argmax = Vec::new();
     c.bench_function("max_pool2d_2x2_batch8x32x28x28", |bench| {
-        bench.iter(|| ops::max_pool2d_forward(black_box(&input), 2, 2).unwrap())
+        bench.iter(|| {
+            ops::max_pool2d_forward_into(black_box(&input), 2, 2, &mut out, &mut argmax).unwrap()
+        })
     });
 }
 

@@ -173,14 +173,6 @@ fn upload_fields(rec: &Recorder) -> (u64, u64, f64) {
     (dense, wire, ratio)
 }
 
-/// The stable label of a dispatch mode in snapshot JSON.
-pub fn dispatch_mode_label(mode: DispatchMode) -> &'static str {
-    match mode {
-        DispatchMode::WorkStealing => "steal",
-        DispatchMode::Static => "static",
-    }
-}
-
 /// The dispatch counters of a finished run: `(chunks, steals, imbalance)`.
 /// The imbalance gauge holds the last round's max/mean busy-seconds ratio
 /// across workers (1.0 = perfectly balanced; 0.0 when never timed).
@@ -283,8 +275,7 @@ pub const STRAGGLER_EPOCHS: usize = 16;
 /// run one — the paper's system-heterogeneity protocol pushed to a skew
 /// extreme. Because per-job compute is tiny, the scenario is dominated by
 /// the dispatch path itself (scheduling, scratch reuse, allocation churn);
-/// it is the row the work-stealing-pool roadmap item is judged against,
-/// A/B-comparable via `FEDADMM_DISPATCH_MODE=static`.
+/// it is the row the work-stealing pool is judged against.
 pub fn run_straggler_scenario(scale: Scale, rounds: usize) -> TensorResult<Value> {
     const SAMPLES_PER_CLIENT: usize = 4;
     const SEED: u64 = 4242;
@@ -794,7 +785,9 @@ pub fn build_snapshot(scale: Scale, rounds: usize) -> TensorResult<Value> {
         "peak_rss_bytes": peak_rss_bytes(),
         "dispatch": {
             "workers": dispatch_config.resolved_workers(),
-            "mode": dispatch_mode_label(dispatch_config.resolved_mode()),
+            // The work-stealing pool is the only schedule; the field stays
+            // so committed snapshots and fresh ones share a schema.
+            "mode": "steal",
         },
         "scenarios": Value::Array(scenario_values),
         "overhead": overhead,

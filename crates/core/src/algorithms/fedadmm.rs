@@ -30,7 +30,7 @@
 use super::{total_upload, Algorithm, ClientMessage, FoldPlan, ServerOutcome, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
-use crate::trainer::{local_sgd, local_sgd_cached, LocalEnv};
+use crate::trainer::{local_sgd_cached, LocalEnv};
 use fedadmm_tensor::{vecops, TensorResult};
 use serde::{Deserialize, Serialize};
 
@@ -134,67 +134,13 @@ impl Algorithm for FedAdmm {
         "FedADMM"
     }
 
-    fn client_update(
-        &self,
-        client: &mut ClientState,
-        global: &ParamVector,
-        env: &LocalEnv<'_>,
-    ) -> TensorResult<ClientMessage> {
-        let rho = self.rho;
-        let theta = global.as_slice();
-
-        // Augmented model before the update: u_i^t = w_i^t + y_i^t / ρ.
-        let old_augmented = client.augmented_model(rho);
-
-        // Local training on the augmented Lagrangian (Alg. 1 lines 14–19):
-        //   ∇_w L_i(w) = ∇f_i(w, b) + y_i + ρ(w − θ).
-        let init: &[f32] = match self.local_init {
-            LocalInit::LocalModel => client.local_model.as_slice(),
-            LocalInit::GlobalModel => theta,
-        };
-        let dual = client.dual.as_slice().to_vec();
-        let result = local_sgd(env, init, |w, g| {
-            for (((gi, &wi), &ti), &yi) in g
-                .iter_mut()
-                .zip(w.iter())
-                .zip(theta.iter())
-                .zip(dual.iter())
-            {
-                *gi += yi + rho * (wi - ti);
-            }
-        })?;
-
-        // Dual update (Alg. 1 line 20): y_i ← y_i + ρ(w_i^{t+1} − θ^t).
-        let new_local = ParamVector::from_vec(result.params);
-        let mut new_dual = client.dual.clone();
-        new_dual.axpy(rho, &new_local);
-        new_dual.axpy(-rho, global);
-
-        client.local_model = new_local;
-        client.dual = new_dual;
-        client.times_selected += 1;
-
-        // Update message (eq. 4): Δ_i = u_i^{t+1} − u_i^t.
-        let delta = client.augmented_model(rho).sub(&old_augmented);
-        Ok(ClientMessage {
-            client_id: client.id,
-            num_samples: client.num_samples(),
-            payload: vec![delta],
-            epochs_run: env.epochs,
-            samples_processed: result.samples_processed,
-            wire: None,
-        })
-    }
-
-    /// The allocation-free variant the dispatch pool drives: the augmented
-    /// model and the dual snapshot live in the worker's reusable scratch,
-    /// the local-training network is cached across jobs (skipping the
-    /// discarded random init that `client_update` pays per call), the dual
-    /// update runs in place, and the uploaded Δ is fused into a single
-    /// pass — the only per-job allocation left is the payload itself.
-    /// Every elementary f32 operation matches [`FedAdmm::client_update`]
-    /// in kind and order, so results are bit-identical (pinned by the
-    /// engine-parity golden digest).
+    /// Algorithm 1, lines 14–20 and equation (4). The augmented model and
+    /// the dual snapshot live in the worker's reusable scratch, the
+    /// local-training network is cached across jobs, the dual update runs
+    /// in place, and the uploaded Δ is fused into a single pass — the only
+    /// per-job allocations are the new local model and the payload. The
+    /// kind and order of every elementary f32 operation is pinned by the
+    /// engine-parity golden digest.
     fn client_update_scratch(
         &self,
         client: &mut ClientState,
@@ -217,6 +163,8 @@ impl Algorithm for FedAdmm {
         old_augmented.extend_from_slice(client.local_model.as_slice());
         vecops::axpy(1.0 / rho, client.dual.as_slice(), old_augmented);
 
+        // Local training on the augmented Lagrangian (Alg. 1 lines 14–19):
+        //   ∇_w L_i(w) = ∇f_i(w, b) + y_i + ρ(w − θ).
         let init: &[f32] = match self.local_init {
             LocalInit::LocalModel => client.local_model.as_slice(),
             LocalInit::GlobalModel => theta,
@@ -235,7 +183,7 @@ impl Algorithm for FedAdmm {
             }
         })?;
 
-        // Dual update in place: y_i ← y_i + ρ(w_i^{t+1} − θ^t).
+        // Dual update in place (Alg. 1 line 20): y_i ← y_i + ρ(w_i^{t+1} − θ^t).
         let new_local = ParamVector::from_vec(result.params);
         client.dual.axpy(rho, &new_local);
         client.dual.axpy(-rho, global);
@@ -243,9 +191,9 @@ impl Algorithm for FedAdmm {
         client.local_model = new_local;
         client.times_selected += 1;
 
-        // Δ_i = u_i^{t+1} − u_i^t, with u^{t+1} formed on the fly: each
-        // element is w + (1/ρ)·y − old, the same mul/add/sub sequence the
-        // unfused path performs via augmented_model + sub.
+        // Update message (eq. 4): Δ_i = u_i^{t+1} − u_i^t, with u^{t+1}
+        // formed on the fly: each element is w + (1/ρ)·y − old, the same
+        // mul/add/sub sequence as `augmented_model` followed by `sub`.
         let inv_rho = 1.0 / rho;
         let delta: Vec<f32> = client
             .local_model
@@ -441,9 +389,10 @@ mod tests {
     }
 
     #[test]
-    fn scratch_client_update_is_bit_identical_to_plain_path() {
-        // Two clients updated through both entry points over two rounds —
-        // the second round exercises scratch reuse with dirty buffers.
+    fn warm_scratch_client_update_is_bit_identical_to_a_cold_one() {
+        // Two clients updated over two rounds, once through a fresh scratch
+        // per job (`client_update`) and once through one shared scratch —
+        // every job after the first runs on dirty buffers.
         let fixture = Fixture::new(2, 30, 11);
         let alg = FedAdmm::new(0.05, ServerStepSize::Constant(1.0));
         let theta0 = ParamVector::zeros(fixture.dim());

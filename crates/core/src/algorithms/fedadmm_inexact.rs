@@ -16,7 +16,7 @@
 //! subproblem accurately, and the convergence guarantee degrades gracefully
 //! with `ε_max = max_i ε_i` (Theorem 1, equation 8).
 
-use super::{total_upload, Algorithm, ClientMessage, ServerOutcome};
+use super::{total_upload, Algorithm, ClientMessage, ServerOutcome, UpdateScratch};
 use super::{LocalInit, ServerStepSize};
 use crate::client::ClientState;
 use crate::param::ParamVector;
@@ -78,11 +78,12 @@ impl Algorithm for FedAdmmInexact {
         "FedADMM-inexact"
     }
 
-    fn client_update(
+    fn client_update_scratch(
         &self,
         client: &mut ClientState,
         global: &ParamVector,
         env: &LocalEnv<'_>,
+        _scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
         let rho = self.rho;
         let theta = global.as_slice();

@@ -9,10 +9,10 @@
 //! dissimilarity bound `B` and gradient bound `G` — the dependence FedADMM
 //! removes.
 
-use super::{total_upload, Algorithm, ClientMessage, FoldPlan, ServerOutcome};
+use super::{total_upload, Algorithm, ClientMessage, FoldPlan, ServerOutcome, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
-use crate::trainer::{local_sgd, LocalEnv};
+use crate::trainer::{local_sgd_cached, LocalEnv};
 use fedadmm_tensor::TensorResult;
 
 /// The FedAvg algorithm.
@@ -51,14 +51,21 @@ impl Algorithm for FedAvg {
         false
     }
 
-    fn client_update(
+    fn client_update_scratch(
         &self,
         client: &mut ClientState,
         global: &ParamVector,
         env: &LocalEnv<'_>,
+        scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
         // Local training always starts from the downloaded global model.
-        let result = local_sgd(env, global.as_slice(), |_, _| {})?;
+        let result = local_sgd_cached(
+            env,
+            global.as_slice(),
+            &mut scratch.net,
+            &mut scratch.train,
+            |_, _| {},
+        )?;
         client.times_selected += 1;
         Ok(ClientMessage {
             client_id: client.id,

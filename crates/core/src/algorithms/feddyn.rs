@@ -23,10 +23,10 @@
 //! state with FedADMM within one simulation, which the [`crate::simulation`]
 //! engine never does.
 
-use super::{total_upload, Algorithm, ClientMessage, ServerOutcome};
+use super::{total_upload, Algorithm, ClientMessage, ServerOutcome, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
-use crate::trainer::{local_sgd, LocalEnv};
+use crate::trainer::{local_sgd_cached, LocalEnv};
 use fedadmm_tensor::TensorResult;
 
 /// The FedDyn algorithm.
@@ -73,18 +73,19 @@ impl Algorithm for FedDyn {
         self.num_clients = num_clients.max(1);
     }
 
-    fn client_update(
+    fn client_update_scratch(
         &self,
         client: &mut ClientState,
         global: &ParamVector,
         env: &LocalEnv<'_>,
+        scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
         let alpha = self.alpha;
         let theta = global.as_slice();
         // h_i is stored in the dual slot; the FedDyn gradient correction is
         //   ∇R_i(w) = ∇f_i(w, b) − h_i + α(w − θ).
         let h = client.dual.as_slice().to_vec();
-        let result = local_sgd(env, theta, |w, g| {
+        let result = local_sgd_cached(env, theta, &mut scratch.net, &mut scratch.train, |w, g| {
             for (((gi, &wi), &ti), &hi) in
                 g.iter_mut().zip(w.iter()).zip(theta.iter()).zip(h.iter())
             {

@@ -18,10 +18,10 @@
 //! the ablation benches use it to quantify that computation/communication
 //! overhead.
 
-use super::{Algorithm, ClientMessage, ServerOutcome};
+use super::{Algorithm, ClientMessage, ServerOutcome, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
-use crate::trainer::{local_sgd, LocalEnv};
+use crate::trainer::{local_sgd_cached, LocalEnv};
 use fedadmm_tensor::TensorResult;
 use rand::Rng;
 
@@ -64,27 +64,34 @@ impl Algorithm for FedPd {
         true
     }
 
-    fn client_update(
+    fn client_update_scratch(
         &self,
         client: &mut ClientState,
         global: &ParamVector,
         env: &LocalEnv<'_>,
+        scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
         let rho = self.rho;
         let theta = global.as_slice();
         let dual = client.dual.as_slice().to_vec();
         // Same local problem as FedADMM: minimise the augmented Lagrangian,
         // warm-started from the stored local model.
-        let result = local_sgd(env, client.local_model.as_slice(), |w, g| {
-            for (((gi, &wi), &ti), &yi) in g
-                .iter_mut()
-                .zip(w.iter())
-                .zip(theta.iter())
-                .zip(dual.iter())
-            {
-                *gi += yi + rho * (wi - ti);
-            }
-        })?;
+        let result = local_sgd_cached(
+            env,
+            client.local_model.as_slice(),
+            &mut scratch.net,
+            &mut scratch.train,
+            |w, g| {
+                for (((gi, &wi), &ti), &yi) in g
+                    .iter_mut()
+                    .zip(w.iter())
+                    .zip(theta.iter())
+                    .zip(dual.iter())
+                {
+                    *gi += yi + rho * (wi - ti);
+                }
+            },
+        )?;
         let new_local = ParamVector::from_vec(result.params);
         let mut new_dual = client.dual.clone();
         new_dual.axpy(rho, &new_local);

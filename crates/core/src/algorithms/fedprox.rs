@@ -9,10 +9,10 @@
 //! dual variable pinned to zero (Section III-B), which the
 //! `fedadmm_with_zero_dual_matches_fedprox_local_step` test exercises.
 
-use super::{total_upload, Algorithm, ClientMessage, FoldPlan, ServerOutcome};
+use super::{total_upload, Algorithm, ClientMessage, FoldPlan, ServerOutcome, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
-use crate::trainer::{local_sgd, LocalEnv};
+use crate::trainer::{local_sgd_cached, LocalEnv};
 use fedadmm_tensor::TensorResult;
 
 /// The FedProx algorithm.
@@ -40,15 +40,16 @@ impl Algorithm for FedProx {
         "FedProx"
     }
 
-    fn client_update(
+    fn client_update_scratch(
         &self,
         client: &mut ClientState,
         global: &ParamVector,
         env: &LocalEnv<'_>,
+        scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
         let rho = self.rho;
         let theta = global.as_slice();
-        let result = local_sgd(env, theta, |w, g| {
+        let result = local_sgd_cached(env, theta, &mut scratch.net, &mut scratch.train, |w, g| {
             // ∇ of the proximal term (ρ/2)‖w − θ‖² is ρ(w − θ).
             for ((gi, &wi), &ti) in g.iter_mut().zip(w.iter()).zip(theta.iter()) {
                 *gi += rho * (wi - ti);

@@ -7,7 +7,7 @@
 //! column in Table III: every other method is measured by how many times
 //! fewer rounds it needs than FedSGD.
 
-use super::{total_upload, Algorithm, ClientMessage, FoldPlan, ServerOutcome};
+use super::{total_upload, Algorithm, ClientMessage, FoldPlan, ServerOutcome, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::trainer::{full_gradient, LocalEnv};
@@ -41,11 +41,12 @@ impl Algorithm for FedSgd {
         false
     }
 
-    fn client_update(
+    fn client_update_scratch(
         &self,
         client: &mut ClientState,
         global: &ParamVector,
         env: &LocalEnv<'_>,
+        _scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
         let (grad, _loss) = full_gradient(env, global.as_slice())?;
         client.times_selected += 1;

@@ -2,7 +2,11 @@
 //!
 //! [`FedAdmm`] is the paper's contribution (Algorithm 1). The baselines it
 //! is evaluated against are implemented with the same interface so that the
-//! simulation engine and experiment harness can treat them uniformly:
+//! simulation engine and experiment harness can treat them uniformly — and
+//! on the same local solver: an algorithm has exactly one local-update
+//! method, [`Algorithm::client_update_scratch`], so every method trains
+//! through the worker's cached network and reusable buffers and wall-clock
+//! comparisons between them are like for like:
 //!
 //! | Algorithm    | Local objective                     | Upload per client | Notes |
 //! |--------------|-------------------------------------|------------------:|-------|
@@ -96,10 +100,10 @@ pub struct ServerOutcome {
 /// Reusable per-worker buffers for [`Algorithm::client_update_scratch`].
 ///
 /// The dispatch pool keeps one of these per worker thread and hands it to
-/// every job the worker runs, so algorithms that override the scratch entry
-/// point allocate their O(d) temporaries once per worker instead of once
-/// per job. Buffers carry arbitrary leftover contents between jobs — users
-/// must `clear()` before filling.
+/// every job the worker runs, so O(d) temporaries, the local-training
+/// network and the per-batch SGD buffers are allocated once per worker
+/// instead of once per job. Buffers carry arbitrary leftover contents
+/// between jobs — users must `clear()` before filling.
 #[derive(Debug, Default)]
 pub struct UpdateScratch {
     /// Parameter-sized buffer (FedADMM: the pre-update augmented model).
@@ -145,9 +149,10 @@ impl FoldPlan {
 ///
 /// The simulation engine drives each round as:
 /// 1. select `S_t` (respecting [`Algorithm::requires_full_participation`]),
-/// 2. call [`Algorithm::client_update`] for every selected client (in
-///    parallel — the method takes `&self` so algorithm-global state is
-///    read-only during local training),
+/// 2. call [`Algorithm::client_update_scratch`] for every selected client
+///    (in parallel, each worker passing its own [`UpdateScratch`] — the
+///    method takes `&self` so algorithm-global state is read-only during
+///    local training),
 /// 3. call [`Algorithm::server_update`] with the collected messages.
 pub trait Algorithm: Send + Sync {
     /// Algorithm name as used in the paper's tables ("FedADMM", "FedAvg"…).
@@ -180,30 +185,31 @@ pub trait Algorithm: Send + Sync {
     /// Local update of one selected client: trains on the client's data
     /// starting from (its view of) the global model `global`, mutates the
     /// client's persistent state, and returns the upload message.
-    fn client_update(
-        &self,
-        client: &mut ClientState,
-        global: &ParamVector,
-        env: &LocalEnv<'_>,
-    ) -> TensorResult<ClientMessage>;
-
-    /// Scratch-aware variant of [`Algorithm::client_update`], called by the
-    /// dispatch pool with the worker's reusable [`UpdateScratch`].
     ///
-    /// The default ignores the scratch and delegates, so algorithms only
-    /// override this when per-job temporaries are worth recycling.
-    /// Overrides MUST be bit-identical to `client_update` — the engine's
-    /// byte-identity pins (golden digests, parity tests) run through this
-    /// entry point.
+    /// This is the only local-update method an algorithm implements, and
+    /// the only one the engine calls. SGD-based algorithms pass
+    /// `scratch.net` / `scratch.train` to
+    /// [`local_sgd_cached`](crate::trainer::local_sgd_cached) and may park
+    /// O(d) temporaries in `scratch.param` / `scratch.dual`; the result
+    /// must not depend on what earlier jobs left in `scratch`.
     fn client_update_scratch(
         &self,
         client: &mut ClientState,
         global: &ParamVector,
         env: &LocalEnv<'_>,
         scratch: &mut UpdateScratch,
+    ) -> TensorResult<ClientMessage>;
+
+    /// [`Algorithm::client_update_scratch`] on a fresh scratch — a
+    /// convenience for tests, benches and one-off calls. Not meant to be
+    /// overridden.
+    fn client_update(
+        &self,
+        client: &mut ClientState,
+        global: &ParamVector,
+        env: &LocalEnv<'_>,
     ) -> TensorResult<ClientMessage> {
-        let _ = scratch;
-        self.client_update(client, global, env)
+        self.client_update_scratch(client, global, env, &mut UpdateScratch::default())
     }
 
     /// Server aggregation: consumes the round's messages and updates the
@@ -243,14 +249,6 @@ impl Algorithm for Box<dyn Algorithm> {
     }
     fn upload_floats_per_client(&self, dim: usize) -> usize {
         self.as_ref().upload_floats_per_client(dim)
-    }
-    fn client_update(
-        &self,
-        client: &mut ClientState,
-        global: &ParamVector,
-        env: &LocalEnv<'_>,
-    ) -> TensorResult<ClientMessage> {
-        self.as_ref().client_update(client, global, env)
     }
     fn client_update_scratch(
         &self,

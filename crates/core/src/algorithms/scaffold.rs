@@ -8,10 +8,10 @@
 //! which is why its per-round upload cost is `2d` — double that of
 //! FedAvg/FedProx/FedADMM (a point the paper emphasises repeatedly).
 
-use super::{total_upload, Algorithm, ClientMessage, ServerOutcome};
+use super::{total_upload, Algorithm, ClientMessage, ServerOutcome, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
-use crate::trainer::{local_sgd, LocalEnv};
+use crate::trainer::{local_sgd_cached, LocalEnv};
 use fedadmm_tensor::TensorResult;
 use parking_lot::RwLock;
 
@@ -72,26 +72,28 @@ impl Algorithm for Scaffold {
         2 * dim
     }
 
-    fn client_update(
+    fn client_update_scratch(
         &self,
         client: &mut ClientState,
         global: &ParamVector,
         env: &LocalEnv<'_>,
+        scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
         let c_global = self.control.read().clone();
         let c_local = client.control.clone();
         let theta = global.as_slice();
 
         // Local steps use the drift-corrected gradient g − c_i + c.
-        let result = local_sgd(env, theta, |_w, g| {
-            for ((gi, &cg), &cl) in g
-                .iter_mut()
-                .zip(c_global.as_slice().iter())
-                .zip(c_local.as_slice().iter())
-            {
-                *gi += cg - cl;
-            }
-        })?;
+        let result =
+            local_sgd_cached(env, theta, &mut scratch.net, &mut scratch.train, |_w, g| {
+                for ((gi, &cg), &cl) in g
+                    .iter_mut()
+                    .zip(c_global.as_slice().iter())
+                    .zip(c_local.as_slice().iter())
+                {
+                    *gi += cg - cl;
+                }
+            })?;
         let steps = result.steps.max(1);
         let new_local = ParamVector::from_vec(result.params);
 

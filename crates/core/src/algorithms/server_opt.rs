@@ -18,10 +18,10 @@
 //! the server aggregation, so its communication cost per round is identical
 //! to FedAvg/Prox/ADMM.
 
-use super::{total_upload, Algorithm, ClientMessage, ServerOutcome};
+use super::{total_upload, Algorithm, ClientMessage, ServerOutcome, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
-use crate::trainer::{local_sgd, LocalEnv};
+use crate::trainer::{local_sgd_cached, LocalEnv};
 use fedadmm_tensor::TensorResult;
 use serde::{Deserialize, Serialize};
 
@@ -270,15 +270,22 @@ impl Algorithm for FedOpt {
         false
     }
 
-    fn client_update(
+    fn client_update_scratch(
         &self,
         client: &mut ClientState,
         global: &ParamVector,
         env: &LocalEnv<'_>,
+        scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
         // FedAvg-style local training from the downloaded global model; the
         // upload is the *delta* w_i^{t+1} − θ^t (the pseudo-gradient share).
-        let result = local_sgd(env, global.as_slice(), |_, _| {})?;
+        let result = local_sgd_cached(
+            env,
+            global.as_slice(),
+            &mut scratch.net,
+            &mut scratch.train,
+            |_, _| {},
+        )?;
         client.times_selected += 1;
         let mut delta = ParamVector::from_vec(result.params);
         delta.axpy(-1.0, global);

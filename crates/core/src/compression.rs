@@ -19,7 +19,7 @@
 //!   (the `ClientMessage` float counters keep reporting the uncompressed
 //!   `d`, since they count model *coordinates* communicated).
 
-use crate::algorithms::{Algorithm, ClientMessage, ServerOutcome};
+use crate::algorithms::{Algorithm, ClientMessage, ServerOutcome, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::trainer::LocalEnv;
@@ -248,13 +248,16 @@ impl<A: Algorithm> Algorithm for QuantizedAlgorithm<A> {
         self.inner.upload_floats_per_client(dim)
     }
 
-    fn client_update(
+    fn client_update_scratch(
         &self,
         client: &mut ClientState,
         global: &ParamVector,
         env: &LocalEnv<'_>,
+        scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
-        let mut message = self.inner.client_update(client, global, env)?;
+        let mut message = self
+            .inner
+            .client_update_scratch(client, global, env, scratch)?;
         for (k, payload) in message.payload.iter_mut().enumerate() {
             let raw = payload.as_slice();
             let quantized = self.quantizer.quantize(raw, env.seed ^ (k as u64) << 48);

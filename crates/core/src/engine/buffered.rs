@@ -37,9 +37,8 @@ pub struct AsyncConfig {
     /// (evaluation is the expensive part of the simulation).
     pub eval_every: usize,
     /// Aggregate once this many weighted updates have arrived. `1` (the
-    /// default) applies every arrival immediately — the legacy
-    /// `AsyncSimulation` semantics; larger values give FedBuff-style
-    /// buffered aggregation.
+    /// default) applies every arrival immediately — fully asynchronous
+    /// aggregation; larger values give FedBuff-style buffered aggregation.
     pub aggregate_after: usize,
 }
 
@@ -135,9 +134,7 @@ impl Ord for InFlight {
 }
 
 /// Event-driven asynchronous scheduling with staleness weighting and an
-/// aggregation buffer — the legacy
-/// [`AsyncSimulation`](crate::async_sim::AsyncSimulation) semantics when
-/// `aggregate_after == 1`.
+/// aggregation buffer (fully asynchronous when `aggregate_after == 1`).
 ///
 /// The schedule keeps `max_concurrency` clients computing at all times.
 /// Each tick pops the earliest completion, runs that client's local update

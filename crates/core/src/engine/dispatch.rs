@@ -1,10 +1,10 @@
-//! The work-stealing dispatch pool behind [`EngineCore::dispatch`].
+//! The work-stealing dispatch pool behind
+//! [`EngineCore::dispatch`](super::EngineCore::dispatch).
 //!
-//! PR 1 carried an open ROADMAP item: the engine's parallel dispatch used
-//! *static round-robin* partitioning over freshly spawned scoped threads —
-//! under FedADMM's heterogeneous-epochs workloads (the paper's system-
-//! heterogeneity protocol) a single 16×-epoch straggler serializes its
-//! whole partition while other cores idle. [`DispatchPool`] replaces that
+//! Under FedADMM's heterogeneous-epochs workloads (the paper's system-
+//! heterogeneity protocol) a static partition of the cohort lets a single
+//! 16×-epoch straggler serialize its whole share while other cores idle.
+//! [`DispatchPool`] is the engine's one way to go parallel over clients,
 //! with self-scheduling workers:
 //!
 //! * a **persistent** set of parked worker threads (spawned once per
@@ -24,11 +24,8 @@
 //! by the golden-digest parity tests.
 //!
 //! Configuration resolves from [`DispatchConfig`] builders first, then the
-//! environment (`FEDADMM_DISPATCH_WORKERS`, `FEDADMM_DISPATCH_CHUNK`,
-//! `FEDADMM_DISPATCH_MODE=static|steal`), then hardware defaults.
-//! [`DispatchMode::Static`] keeps the legacy scoped-thread round-robin
-//! path alive for A/B benchmarking (the `bench-snapshot` before/after
-//! pairs) and for the parity tests that prove both schedules agree.
+//! environment (`FEDADMM_DISPATCH_WORKERS`, `FEDADMM_DISPATCH_CHUNK`), then
+//! hardware defaults.
 
 use crate::algorithms::UpdateScratch;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,18 +33,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// How [`EngineCore::dispatch`](super::EngineCore::dispatch) schedules a
-/// batch over its workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Self-scheduling over the pool's shared chunk cursor (the default).
-    #[default]
-    WorkStealing,
-    /// The legacy static round-robin partitioning over scoped threads,
-    /// kept for A/B benchmarks and schedule-independence tests.
-    Static,
-}
 
 /// Dispatch-pool configuration. Unset fields fall back to the
 /// `FEDADMM_DISPATCH_*` environment variables, then to hardware defaults.
@@ -60,9 +45,6 @@ pub struct DispatchConfig {
     /// Jobs claimed per cursor fetch (default: `FEDADMM_DISPATCH_CHUNK`,
     /// else adaptive in the batch size).
     pub chunk_size: Option<usize>,
-    /// Scheduling mode (default: `FEDADMM_DISPATCH_MODE`, else
-    /// [`DispatchMode::WorkStealing`]).
-    pub mode: Option<DispatchMode>,
 }
 
 fn env_usize(name: &str) -> Option<usize> {
@@ -96,22 +78,6 @@ impl DispatchConfig {
             .max(1)
     }
 
-    /// The effective scheduling mode: builder, then environment, then
-    /// work-stealing.
-    pub fn resolved_mode(&self) -> DispatchMode {
-        self.mode.unwrap_or_else(|| {
-            match std::env::var("FEDADMM_DISPATCH_MODE")
-                .unwrap_or_default()
-                .trim()
-                .to_ascii_lowercase()
-                .as_str()
-            {
-                "static" => DispatchMode::Static,
-                _ => DispatchMode::WorkStealing,
-            }
-        })
-    }
-
     /// The chunk size for a batch of `num_jobs` over `workers` workers:
     /// builder, then environment, then `clamp(jobs / (4·workers), 1, 8)` —
     /// about four claims per worker on balanced loads, small enough to
@@ -127,8 +93,7 @@ impl DispatchConfig {
 /// serial path). Sized once on first use and recycled for every later job.
 #[derive(Debug, Default)]
 pub struct DispatchScratch {
-    /// Reusable copy of the client's sample indices (the per-job
-    /// `indices.clone()` of the legacy path, without the allocation).
+    /// Reusable copy of the client's sample indices.
     pub indices: Vec<usize>,
     /// The algorithm's reusable O(d) buffers.
     pub update: UpdateScratch,
@@ -202,7 +167,6 @@ struct Shared {
 /// A persistent self-scheduling worker pool (see [module docs](self)).
 pub struct DispatchPool {
     config: DispatchConfig,
-    mode: DispatchMode,
     workers: usize,
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -215,7 +179,6 @@ impl DispatchPool {
     /// threads (a single-worker pool spawns none and runs inline).
     pub fn new(config: DispatchConfig) -> Self {
         let workers = config.resolved_workers();
-        let mode = config.resolved_mode();
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
                 seq: 0,
@@ -229,8 +192,7 @@ impl DispatchPool {
             cursor: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
         });
-        // Static mode never calls `run`, so its pool spawns no threads.
-        let handles = if workers > 1 && mode == DispatchMode::WorkStealing {
+        let handles = if workers > 1 {
             (0..workers)
                 .map(|w| {
                     let shared = Arc::clone(&shared);
@@ -245,7 +207,6 @@ impl DispatchPool {
         };
         DispatchPool {
             config,
-            mode,
             workers,
             shared,
             handles,
@@ -256,11 +217,6 @@ impl DispatchPool {
     /// The configuration the pool was built from.
     pub fn config(&self) -> DispatchConfig {
         self.config
-    }
-
-    /// The resolved scheduling mode.
-    pub fn mode(&self) -> DispatchMode {
-        self.mode
     }
 
     /// The resolved worker count.
@@ -435,7 +391,6 @@ mod tests {
         DispatchConfig {
             workers: Some(workers),
             chunk_size: chunk,
-            mode: Some(DispatchMode::WorkStealing),
         }
     }
 

@@ -1,12 +1,10 @@
-//! The unified federated simulation engine.
+//! The federated simulation engine.
 //!
-//! Historically this crate had two disjoint engines — a synchronous
-//! round-based `Simulation` and an event-driven `AsyncSimulation` — that
-//! duplicated client selection, model broadcast, local-update dispatch and
-//! server aggregation. [`RoundEngine`] unifies them: it owns all the
-//! federated plumbing (datasets, per-client state, the global model, the
-//! algorithm, metrics) and drives rounds through a pluggable
-//! [`Scheduler`]:
+//! [`RoundEngine`] is the one way to run a federated experiment: it owns
+//! all the federated plumbing (client selection, model broadcast,
+//! local-update dispatch, server aggregation, datasets, per-client state,
+//! the global model, the algorithm, metrics) and drives rounds through a
+//! pluggable [`Scheduler`]:
 //!
 //! | Scheduler | Protocol | Paper connection |
 //! |-----------|----------|------------------|
@@ -27,9 +25,8 @@
 //!   stragglers never serialize a partition) and reuse per-thread scratch
 //!   arenas (so steady-state dispatch allocates nothing). Every job's RNG
 //!   stream is derived from `(seed, round, client_id)`, so results are
-//!   byte-identical across worker counts, chunk sizes, the legacy
-//!   [`DispatchMode::Static`] schedule *and* the scheduler that issued
-//!   the work.
+//!   byte-identical across worker counts, chunk sizes *and* the scheduler
+//!   that issued the work.
 //! * **Single-pass aggregation.** Algorithms fold all payloads into θ with
 //!   one fused accumulator pass
 //!   ([`ParamVector::accumulate`](crate::param::ParamVector::accumulate))
@@ -42,10 +39,6 @@
 //!   sharded, or LRU spill-to-disk under a memory budget
 //!   ([`RoundEngine::new_with_store`]) — which makes million-client
 //!   populations simulable on a workstation.
-//!
-//! The legacy [`Simulation`](crate::simulation::Simulation) and
-//! [`AsyncSimulation`](crate::async_sim::AsyncSimulation) types survive as
-//! thin deprecated wrappers over this engine.
 //!
 //! ## Example
 //!
@@ -82,7 +75,7 @@ pub mod sync;
 pub mod wire;
 
 pub use buffered::{AsyncConfig, BufferedAsync};
-pub use dispatch::{DispatchBatchStats, DispatchConfig, DispatchMode, DispatchPool};
+pub use dispatch::{DispatchBatchStats, DispatchConfig, DispatchPool};
 pub use scheduler::{
     AggregationMode, AsyncRecord, DispatchOrder, EngineCore, RoundStats, Scheduler,
     StalenessWeight, TickReport,
@@ -110,10 +103,9 @@ use std::sync::Arc;
 
 /// A federated run driven by a pluggable [`Scheduler`].
 ///
-/// See the [module docs](self) for the architecture; the API mirrors the
-/// legacy `Simulation` (`run_round`, `run_rounds`, `run_until_accuracy`,
-/// accessors) plus scheduler access and the event stream of event-driven
-/// schedules.
+/// See the [module docs](self) for the architecture; the API is round
+/// drivers (`run_round`, `run_rounds`, `run_until_accuracy`), accessors,
+/// scheduler access and the event stream of event-driven schedules.
 pub struct RoundEngine<A: Algorithm, S: Scheduler> {
     config: FedConfig,
     train: Dataset,
@@ -280,7 +272,7 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
     }
 
     /// Rebuilds the dispatch pool from an explicit [`DispatchConfig`]
-    /// (worker count, chunk size, scheduling mode). The default pool
+    /// (worker count, chunk size). The default pool
     /// resolves everything from `FEDADMM_DISPATCH_*` environment variables
     /// and the hardware. Dispatch results are byte-identical for every
     /// configuration; only the schedule (and the wall clock) changes.
@@ -601,7 +593,7 @@ pub type SyncEngine<A> = RoundEngine<A, SyncRounds>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{FedAdmm, FedAvg};
+    use crate::algorithms::{FedAdmm, FedAvg, FedProx, FedSgd, Scaffold, ServerStepSize};
     use crate::config::{DataDistribution, Participation};
     use fedadmm_data::batching::BatchSize;
     use fedadmm_data::synthetic::SyntheticDataset;
@@ -643,6 +635,7 @@ mod tests {
         let record = engine.run_round().unwrap();
         assert_eq!(record.round, 0);
         assert_eq!(record.num_selected, 2); // 30% of 6, rounded
+        assert!(record.test_accuracy >= 0.0 && record.test_accuracy <= 1.0);
         assert!(record.upload_floats > 0);
         assert_eq!(record.cumulative_upload_floats, record.upload_floats);
         assert_eq!(engine.rounds_completed(), 1);
@@ -650,6 +643,143 @@ mod tests {
             engine.events().is_empty(),
             "sync schedules record no events"
         );
+        let record2 = engine.run_round().unwrap();
+        assert_eq!(
+            record2.cumulative_upload_floats,
+            record.upload_floats + record2.upload_floats
+        );
+    }
+
+    #[test]
+    fn new_validates_partition_and_model() {
+        let config = small_config(10, 0);
+        let (train, test) = SyntheticDataset::Mnist.generate(100, 20, 0);
+        let bad_partition = DataDistribution::Iid.partition(&train, 5, 0);
+        assert!(RoundEngine::new(
+            config,
+            train.clone(),
+            test.clone(),
+            bad_partition,
+            FedAvg::new(),
+            SyncRounds
+        )
+        .is_err());
+
+        let mut bad_model = small_config(10, 0);
+        bad_model.model = ModelSpec::Logistic {
+            input_dim: 100,
+            num_classes: 10,
+        };
+        let partition = DataDistribution::Iid.partition(&train, 10, 0);
+        assert!(
+            RoundEngine::new(bad_model, train, test, partition, FedAvg::new(), SyncRounds).is_err()
+        );
+    }
+
+    #[test]
+    fn buffered_construction_validates_the_device_pool() {
+        let (train, test) = SyntheticDataset::Mnist.generate(80, 20, 0);
+        let partition = DataDistribution::Iid.partition(&train, 4, 0);
+        // Wrong seconds_per_epoch length.
+        let bad = AsyncConfig::homogeneous(3, 2, 1.0);
+        assert!(RoundEngine::new(
+            small_config(4, 0),
+            train.clone(),
+            test.clone(),
+            partition.clone(),
+            FedAvg::new(),
+            BufferedAsync::new(bad)
+        )
+        .is_err());
+        // Zero concurrency.
+        let mut zero = AsyncConfig::homogeneous(4, 2, 1.0);
+        zero.max_concurrency = 0;
+        assert!(RoundEngine::new(
+            small_config(4, 0),
+            train,
+            test,
+            partition,
+            FedAvg::new(),
+            BufferedAsync::new(zero)
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn initial_state_matches_paper_initialisation() {
+        let engine = make_engine(FedAdmm::paper_default(), SyncRounds, 6, 120, 3);
+        // Every client starts at the global model with zero dual variables.
+        for client in engine.clients() {
+            assert_eq!(client.local_model, *engine.global_model());
+            assert_eq!(client.dual.norm(), 0.0);
+            assert_eq!(client.control.norm(), 0.0);
+        }
+        assert_eq!(engine.rounds_completed(), 0);
+        assert!(engine.history().is_empty());
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let mut a = make_engine(FedAvg::new(), SyncRounds, 6, 120, 6);
+        let mut b = make_engine(FedAvg::new(), SyncRounds, 6, 120, 7);
+        a.run_rounds(2).unwrap();
+        b.run_rounds(2).unwrap();
+        assert_ne!(a.global_model(), b.global_model());
+    }
+
+    #[test]
+    fn all_algorithms_run_one_round() {
+        // Smoke test: every algorithm completes a round and uploads the
+        // expected number of floats.
+        let d = ModelSpec::Logistic {
+            input_dim: 784,
+            num_classes: 10,
+        }
+        .num_params();
+        let algorithms: Vec<(Box<dyn Algorithm>, usize)> = vec![
+            (Box::new(FedAvg::new()), d * 2),
+            (Box::new(FedProx::new(0.1)), d * 2),
+            (Box::new(FedSgd::new(0.1)), d * 2),
+            (Box::new(Scaffold::new()), 2 * d * 2),
+            (
+                Box::new(FedAdmm::new(0.01, ServerStepSize::ParticipationRatio)),
+                d * 2,
+            ),
+        ];
+        for (algorithm, expected_upload) in algorithms {
+            let name = algorithm.name();
+            let mut engine = make_engine(algorithm, SyncRounds, 5, 100, 9);
+            let record = engine.run_round().unwrap();
+            assert_eq!(record.upload_floats, expected_upload, "{name}");
+            // A boxed algorithm reports the name of what is in the box.
+            assert_eq!(engine.history().algorithm, name);
+        }
+    }
+
+    #[test]
+    fn run_until_accuracy_stops_early() {
+        let admm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
+        let mut engine = make_engine(admm, SyncRounds, 8, 400, 10);
+        let rounds = engine.run_until_accuracy(0.35, 30).unwrap();
+        assert!(rounds.is_some(), "never reached 35% accuracy");
+        assert_eq!(rounds.unwrap(), engine.rounds_completed());
+        // An unreachable target exhausts the budget and returns None.
+        let mut engine2 = make_engine(FedSgd::new(0.01), SyncRounds, 5, 100, 10);
+        assert_eq!(engine2.run_until_accuracy(0.999, 2).unwrap(), None);
+        assert_eq!(engine2.rounds_completed(), 2);
+    }
+
+    #[test]
+    fn algorithm_mut_allows_mid_run_adjustment() {
+        let mut engine = make_engine(FedAdmm::paper_default(), SyncRounds, 6, 120, 11);
+        engine.run_rounds(2).unwrap();
+        engine
+            .algorithm_mut()
+            .set_server_step(ServerStepSize::Constant(0.5));
+        engine.algorithm_mut().set_rho(0.1);
+        engine.run_rounds(2).unwrap();
+        assert_eq!(engine.history().len(), 4);
+        assert_eq!(engine.algorithm().rho, 0.1);
     }
 
     #[test]
@@ -680,6 +810,87 @@ mod tests {
             assert!(pair[1].sim_time >= pair[0].sim_time);
         }
         assert_eq!(engine.scheduler().updates_applied(), 12);
+    }
+
+    #[test]
+    fn staleness_weights() {
+        assert_eq!(StalenessWeight::Constant.weight(100), 1.0);
+        let poly = StalenessWeight::Polynomial { exponent: 1.0 };
+        assert_eq!(poly.weight(0), 1.0);
+        assert!((poly.weight(1) - 0.5).abs() < 1e-6);
+        assert!(poly.weight(9) < poly.weight(1));
+        let bounded = StalenessWeight::BoundedDelay { max_staleness: 2 };
+        assert_eq!(bounded.weight(2), 1.0);
+        assert_eq!(bounded.weight(3), 0.0);
+    }
+
+    #[test]
+    fn buffered_staleness_comes_from_concurrency() {
+        // With identical devices and unit concurrency, updates are applied
+        // in dispatch order and nothing is ever stale.
+        let serial = AsyncConfig::homogeneous(4, 1, 1.0);
+        let mut engine = make_engine(FedAvg::new(), BufferedAsync::new(serial), 4, 80, 1);
+        for _ in 0..8 {
+            engine.step().unwrap();
+        }
+        assert_eq!(engine.staleness_stats(), (0.0, 0));
+        // With many concurrent clients every snapshot but the first is
+        // taken before the preceding updates are applied.
+        let concurrent =
+            AsyncConfig::homogeneous(8, 4, 1.0).with_staleness(StalenessWeight::Constant);
+        let mut engine = make_engine(FedAvg::new(), BufferedAsync::new(concurrent), 8, 160, 2);
+        for _ in 0..12 {
+            engine.step().unwrap();
+        }
+        let (_, max) = engine.staleness_stats();
+        assert!(max > 0, "expected some staleness with 4 concurrent clients");
+    }
+
+    #[test]
+    fn bounded_delay_drops_stale_updates() {
+        let pool = AsyncConfig::two_tier(8, 4, 1.0, 0.5, 10.0, 3)
+            .with_staleness(StalenessWeight::BoundedDelay { max_staleness: 0 });
+        let mut engine = make_engine(FedAvg::new(), BufferedAsync::new(pool), 8, 160, 3);
+        // Run by events rather than applied updates to observe drops.
+        for _ in 0..20 {
+            engine.step().unwrap();
+        }
+        let dropped = engine.events().iter().filter(|r| r.weight == 0.0).count();
+        assert!(
+            dropped > 0,
+            "the straggler tier should produce dropped (stale) updates"
+        );
+        // Applied updates still counted correctly.
+        let applied = engine.events().iter().filter(|r| r.weight > 0.0).count();
+        assert_eq!(applied, engine.scheduler().updates_applied());
+    }
+
+    #[test]
+    fn stepping_while_the_next_arrival_is_due_respects_a_deadline() {
+        let pool = AsyncConfig::homogeneous(4, 2, 1.5);
+        let mut engine = make_engine(FedAvg::new(), BufferedAsync::new(pool), 4, 80, 5);
+        while engine.scheduler().next_arrival().is_some_and(|t| t <= 10.0) {
+            engine.step().unwrap();
+        }
+        assert!(!engine.events().is_empty());
+        assert!(engine.events().iter().all(|r| r.sim_time <= 10.0));
+        assert!(engine.now() <= 10.0);
+    }
+
+    #[test]
+    fn buffered_engine_is_deterministic_in_seed() {
+        let pool = AsyncConfig::two_tier(6, 3, 1.0, 0.3, 3.0, 11);
+        let mut a = make_engine(FedAvg::new(), BufferedAsync::new(pool.clone()), 6, 120, 11);
+        let mut b = make_engine(FedAvg::new(), BufferedAsync::new(pool), 6, 120, 11);
+        for _ in 0..10 {
+            a.step().unwrap();
+            b.step().unwrap();
+        }
+        assert_eq!(a.global_model(), b.global_model());
+        assert_eq!(
+            a.scheduler().updates_applied(),
+            b.scheduler().updates_applied()
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!    RNG stream from `(seed, tick, client_id)`, so results do not depend
 //!    on thread interleaving or on which scheduler issued the work.
 
-use super::dispatch::{DispatchBatchStats, DispatchMode, DispatchPool, DispatchScratch};
+use super::dispatch::{DispatchBatchStats, DispatchPool, DispatchScratch};
 use super::wire::{decode_message, WirePath};
 use crate::algorithms::{total_upload, Algorithm, ClientMessage, FoldPlan, ServerOutcome};
 use crate::client::ClientState;
@@ -232,6 +232,58 @@ struct JobSlot<'o, 's> {
     output: Option<(usize, TensorResult<ClientMessage>, f64)>,
 }
 
+/// What every job of one dispatch shares, read-only.
+#[derive(Clone, Copy)]
+struct JobContext<'a> {
+    algorithm: &'a dyn Algorithm,
+    train: &'a Dataset,
+    config: &'a FedConfig,
+    wire: Option<&'a WirePath>,
+    /// Whether jobs read the clock. Gated on `Telemetry::enabled`, so with
+    /// the no-op hook the hot path is identical to an uninstrumented build.
+    timed: bool,
+}
+
+impl JobContext<'_> {
+    /// Runs one client's local update on a worker's scratch arena — the
+    /// single job body behind [`EngineCore::dispatch_one`] and
+    /// [`EngineCore::dispatch`] — and returns the result with the seconds
+    /// it took (0.0 when untimed).
+    fn run(
+        &self,
+        order: &DispatchOrder,
+        client: &mut ClientState,
+        scratch: &mut DispatchScratch,
+    ) -> (TensorResult<ClientMessage>, f64) {
+        let DispatchScratch {
+            indices,
+            update,
+            wire_codes,
+        } = scratch;
+        indices.clear();
+        indices.extend_from_slice(&client.indices);
+        let env = LocalEnv {
+            dataset: self.train,
+            indices,
+            model: self.config.model,
+            epochs: order.epochs,
+            batch_size: self.config.batch_size,
+            learning_rate: self.config.local_learning_rate,
+            seed: order.seed,
+        };
+        let start = self.timed.then(Instant::now);
+        let mut result =
+            self.algorithm
+                .client_update_scratch(client, &order.snapshot, &env, update);
+        if let (Some(wire), Ok(message)) = (self.wire, result.as_mut()) {
+            // Privatize + quantize on the worker, through its reusable
+            // code buffer — the fused client edge.
+            wire.encode(message, order.seed, wire_codes);
+        }
+        (result, start.map_or(0.0, |s| s.elapsed().as_secs_f64()))
+    }
+}
+
 impl EngineCore<'_> {
     /// The current virtual time.
     pub fn now(&self) -> f64 {
@@ -311,66 +363,18 @@ impl EngineCore<'_> {
                 order.client_id
             )));
         }
-        let algorithm: &dyn Algorithm = &*self.algorithm;
-        let (train, config) = (self.train, self.config);
-        let wire = self.wire;
-        // Timing is gated on `enabled()` so the no-op hook costs nothing.
         let timed = self.telemetry.enabled();
-        // Static mode reproduces the legacy per-call clone + plain
-        // `client_update` path exactly (the A/B baseline).
-        let use_scratch = self.pool.mode() == DispatchMode::WorkStealing;
+        let job = JobContext {
+            algorithm: &*self.algorithm,
+            train: self.train,
+            config: self.config,
+            wire: self.wire,
+            timed,
+        };
         let pool = self.pool;
         let mut out: Option<(TensorResult<ClientMessage>, f64)> = None;
         self.store.with_states(&[order.client_id], &mut |states| {
-            let client = &mut *states[0];
-            if use_scratch {
-                pool.with_scratch(|scratch| {
-                    let DispatchScratch {
-                        indices,
-                        update,
-                        wire_codes,
-                    } = scratch;
-                    indices.clear();
-                    indices.extend_from_slice(&client.indices);
-                    let env = LocalEnv {
-                        dataset: train,
-                        indices,
-                        model: config.model,
-                        epochs: order.epochs,
-                        batch_size: config.batch_size,
-                        learning_rate: config.local_learning_rate,
-                        seed: order.seed,
-                    };
-                    let start = timed.then(Instant::now);
-                    let mut result =
-                        algorithm.client_update_scratch(client, &order.snapshot, &env, update);
-                    if let (Some(wire), Ok(message)) = (wire, result.as_mut()) {
-                        wire.encode(message, order.seed, wire_codes);
-                    }
-                    let seconds = start.map_or(0.0, |s| s.elapsed().as_secs_f64());
-                    out = Some((result, seconds));
-                });
-            } else {
-                let indices = client.indices.clone();
-                let env = LocalEnv {
-                    dataset: train,
-                    indices: &indices,
-                    model: config.model,
-                    epochs: order.epochs,
-                    batch_size: config.batch_size,
-                    learning_rate: config.local_learning_rate,
-                    seed: order.seed,
-                };
-                let start = timed.then(Instant::now);
-                let mut result = algorithm.client_update(client, &order.snapshot, &env);
-                if let (Some(wire), Ok(message)) = (wire, result.as_mut()) {
-                    // The legacy path allocates per job anyway; a local
-                    // codes buffer keeps its semantics unchanged.
-                    wire.encode(message, order.seed, &mut Vec::new());
-                }
-                let seconds = start.map_or(0.0, |s| s.elapsed().as_secs_f64());
-                out = Some((result, seconds));
-            }
+            out = Some(pool.with_scratch(|scratch| job.run(order, &mut *states[0], scratch)));
             Ok(())
         })?;
         let (result, seconds) = out.expect("with_states runs the closure");
@@ -392,12 +396,10 @@ impl EngineCore<'_> {
     /// Runs a batch of orders through the shared parallel dispatch path.
     ///
     /// Work is self-scheduled over the engine's persistent
-    /// [`DispatchPool`] (or, under [`DispatchMode::Static`], the legacy
-    /// round-robin scoped-thread partitioning); because each order carries
-    /// its own derived seed, the outcome is independent of the thread
-    /// schedule, the worker count and the chunk size. Messages are
-    /// returned sorted by client id, and the first error (in client-id
-    /// order) is propagated.
+    /// [`DispatchPool`]; because each order carries its own derived seed,
+    /// the outcome is independent of the thread schedule, the worker count
+    /// and the chunk size. Messages are returned sorted by client id, and
+    /// the first error (in client-id order) is propagated.
     ///
     /// # Panics
     /// Panics if two orders target the same client (a scheduler bug: a
@@ -430,37 +432,27 @@ impl EngineCore<'_> {
         // The ascending cohort the store materializes — O(selected) work
         // even when most of the population has never been touched.
         let ids: Vec<usize> = by_id.iter().map(|&k| orders[k].client_id).collect();
-        match self.pool.mode() {
-            DispatchMode::WorkStealing => self.dispatch_pooled(orders, &by_id, &ids),
-            DispatchMode::Static => self.dispatch_static(orders, &by_id, &ids),
-        }
-    }
 
-    /// The default batch path: jobs are claimed chunk-wise from the pool's
-    /// shared cursor, each worker reusing its own scratch arena. Job slots
-    /// are built (and drained) in ascending client-id order, so the result
-    /// order is schedule-independent by construction.
-    fn dispatch_pooled(
-        &mut self,
-        orders: &[DispatchOrder],
-        by_id: &[usize],
-        ids: &[usize],
-    ) -> TensorResult<Vec<ClientMessage>> {
-        let algorithm: &dyn Algorithm = &*self.algorithm;
-        let (train, config) = (self.train, self.config);
-        let wire = self.wire;
-        // When telemetry is off no worker reads the clock: the job tuple
-        // carries 0.0 and the hot path is identical to an uninstrumented
-        // build.
+        // Jobs are claimed chunk-wise from the pool's shared cursor, each
+        // worker reusing its own scratch arena. Job slots are built (and
+        // drained) in ascending client-id order, so the result order is
+        // schedule-independent by construction.
         let timed = self.telemetry.enabled();
+        let job = JobContext {
+            algorithm: &*self.algorithm,
+            train: self.train,
+            config: self.config,
+            wire: self.wire,
+            timed,
+        };
         let pool = self.pool;
         let mut results: Vec<(usize, TensorResult<ClientMessage>, f64)> =
             Vec::with_capacity(orders.len());
         let mut batch = DispatchBatchStats::default();
-        self.store.with_states(ids, &mut |states| {
+        self.store.with_states(&ids, &mut |states| {
             let slots: Vec<std::sync::Mutex<JobSlot<'_, '_>>> = states
                 .iter_mut()
-                .zip(by_id)
+                .zip(&by_id)
                 .map(|(client, &k)| {
                     std::sync::Mutex::new(JobSlot {
                         input: Some((&orders[k], &mut **client)),
@@ -468,34 +460,10 @@ impl EngineCore<'_> {
                     })
                 })
                 .collect();
-            batch = pool.run(slots.len(), timed, &|_worker, job, scratch| {
-                let mut slot = slots[job].lock().expect("job slot lock");
+            batch = pool.run(slots.len(), timed, &|_worker, index, scratch| {
+                let mut slot = slots[index].lock().expect("job slot lock");
                 let (order, client) = slot.input.take().expect("each job claimed once");
-                let DispatchScratch {
-                    indices,
-                    update,
-                    wire_codes,
-                } = scratch;
-                indices.clear();
-                indices.extend_from_slice(&client.indices);
-                let env = LocalEnv {
-                    dataset: train,
-                    indices,
-                    model: config.model,
-                    epochs: order.epochs,
-                    batch_size: config.batch_size,
-                    learning_rate: config.local_learning_rate,
-                    seed: order.seed,
-                };
-                let start = timed.then(Instant::now);
-                let mut result =
-                    algorithm.client_update_scratch(client, &order.snapshot, &env, update);
-                if let (Some(wire), Ok(message)) = (wire, result.as_mut()) {
-                    // Privatize + quantize on the worker, through its
-                    // reusable code buffer — the fused client edge.
-                    wire.encode(message, order.seed, wire_codes);
-                }
-                let seconds = start.map_or(0.0, |s| s.elapsed().as_secs_f64());
+                let (result, seconds) = job.run(order, client, scratch);
                 slot.output = Some((client.id, result, seconds));
             });
             for slot in slots {
@@ -508,113 +476,7 @@ impl EngineCore<'_> {
         self.collect_messages(orders, results, batch)
     }
 
-    /// The legacy static round-robin partitioning over freshly spawned
-    /// scoped threads, kept verbatim behind [`DispatchMode::Static`] as the
-    /// A/B baseline: per-job `indices.clone()`, plain (allocating)
-    /// `client_update`, one thread per partition.
-    fn dispatch_static(
-        &mut self,
-        orders: &[DispatchOrder],
-        by_id: &[usize],
-        ids: &[usize],
-    ) -> TensorResult<Vec<ClientMessage>> {
-        let algorithm: &dyn Algorithm = &*self.algorithm;
-        let (train, config) = (self.train, self.config);
-        let wire = self.wire;
-        let timed = self.telemetry.enabled();
-        let run_job = move |order: &DispatchOrder, client: &mut ClientState| {
-            let indices = client.indices.clone();
-            let env = LocalEnv {
-                dataset: train,
-                indices: &indices,
-                model: config.model,
-                epochs: order.epochs,
-                batch_size: config.batch_size,
-                learning_rate: config.local_learning_rate,
-                seed: order.seed,
-            };
-            let start = timed.then(Instant::now);
-            let mut result = algorithm.client_update(client, &order.snapshot, &env);
-            if let (Some(wire), Ok(message)) = (wire, result.as_mut()) {
-                // The legacy baseline allocates per job by design.
-                wire.encode(message, order.seed, &mut Vec::new());
-            }
-            let seconds = start.map_or(0.0, |s| s.elapsed().as_secs_f64());
-            (client.id, result, seconds)
-        };
-
-        let configured_workers = self.pool.workers();
-        let mut results: Vec<(usize, TensorResult<ClientMessage>, f64)> =
-            Vec::with_capacity(orders.len());
-        // Per-partition busy seconds (sum of that partition's job times),
-        // so the imbalance gauge is comparable across the two modes.
-        let mut busy_seconds: Vec<f64> = Vec::new();
-        let mut used_workers = 1;
-        self.store.with_states(ids, &mut |states| {
-            // Pair every borrowed state (aligned with `ids`, ascending by
-            // client id — the same job order as the legacy dense walk) with
-            // its order.
-            let mut jobs: Vec<(&DispatchOrder, &mut ClientState)> = states
-                .iter_mut()
-                .zip(by_id)
-                .map(|(client, &k)| (&orders[k], &mut **client))
-                .collect();
-            let workers = configured_workers.min(jobs.len());
-            used_workers = workers.max(1);
-            results = if workers <= 1 {
-                jobs.into_iter()
-                    .map(|(order, client)| run_job(order, client))
-                    .collect()
-            } else {
-                // Static round-robin partitioning over scoped threads.
-                let mut parts: Vec<Vec<(&DispatchOrder, &mut ClientState)>> =
-                    (0..workers).map(|_| Vec::new()).collect();
-                for (k, job) in jobs.drain(..).enumerate() {
-                    parts[k % workers].push(job);
-                }
-                let run_job = &run_job;
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = parts
-                        .into_iter()
-                        .map(|part| {
-                            scope.spawn(move || {
-                                part.into_iter()
-                                    .map(|(order, client)| run_job(order, client))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    let mut all = Vec::with_capacity(orders.len());
-                    for handle in handles {
-                        let part = handle.join().expect("dispatch worker panicked");
-                        if timed {
-                            busy_seconds.push(part.iter().map(|r| r.2).sum());
-                        }
-                        all.extend(part);
-                    }
-                    all
-                })
-            };
-            Ok(())
-        })?;
-        // Deterministic aggregation order regardless of the thread schedule.
-        results.sort_by_key(|(id, _, _)| *id);
-        if timed && busy_seconds.is_empty() {
-            busy_seconds.push(results.iter().map(|r| r.2).sum());
-        }
-        let batch = DispatchBatchStats {
-            workers: used_workers,
-            // 0 marks "static partition" in the dispatch telemetry.
-            chunk_size: 0,
-            jobs: results.len() as u64,
-            chunks: used_workers as u64,
-            steals: 0,
-            busy_seconds,
-        };
-        self.collect_messages(orders, results, batch)
-    }
-
-    /// Shared dispatch tail: accounts downloads, emits the batch summary,
+    /// The tail of [`EngineCore::dispatch`]: accounts downloads, emits the batch summary,
     /// propagates the first error in client-id order and unwraps messages.
     fn collect_messages(
         &mut self,

@@ -10,8 +10,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
-/// Synchronous federated rounds, reproducing the legacy
-/// [`Simulation`](crate::simulation::Simulation) semantics exactly:
+/// Synchronous federated rounds — the paper's evaluation protocol:
 ///
 /// 1. the server selects `S_t` (full participation if the algorithm
 ///    requires it),
@@ -26,8 +25,9 @@ use std::time::Instant;
 ///    model is evaluated.
 ///
 /// RNG streams (selection, per-client epoch draws, per-client local
-/// training) are derived exactly as the legacy engine derived them, so a
-/// seeded run produces a byte-identical [`RunHistory`](crate::metrics::RunHistory).
+/// training) are derived from the run seed alone, so a seeded run produces
+/// a byte-identical [`RunHistory`](crate::metrics::RunHistory) (pinned by
+/// the engine-parity golden digests).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SyncRounds;
 

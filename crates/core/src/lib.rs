@@ -18,13 +18,13 @@
 //! * [`heterogeneity`] — system-heterogeneity models (the paper draws each
 //!   client's local epoch count uniformly from `{1..E}`);
 //! * [`trainer`] — the shared local SGD solver with pluggable gradient
-//!   corrections (proximal term, dual variable, control variates);
+//!   corrections (proximal term, dual variable, control variates), running
+//!   on a cached network and reusable buffers — the one local-update path
+//!   every algorithm takes;
 //! * [`engine`] — the unified simulation engine: one [`engine::RoundEngine`]
 //!   drives rounds through a pluggable [`engine::Scheduler`]
 //!   ([`engine::SyncRounds`], [`engine::BufferedAsync`],
 //!   [`engine::SemiAsync`]);
-//! * [`simulation`] / [`async_sim`] — deprecated thin wrappers over the
-//!   engine, kept for the legacy API;
 //! * [`metrics`] — per-round records, communication accounting and
 //!   rounds-to-target-accuracy summaries;
 //! * [`diagnostics`] — the V_t optimality-gap function of equation (7),
@@ -63,7 +63,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod algorithms;
-pub mod async_sim;
 pub mod client;
 pub mod compression;
 pub mod config;
@@ -76,7 +75,6 @@ pub mod param;
 pub mod quadratic;
 pub mod schedule;
 pub mod selection;
-pub mod simulation;
 pub mod solver;
 pub mod theory;
 pub mod trainer;
@@ -87,24 +85,20 @@ pub mod prelude {
         Algorithm, FedAdmm, FedAdmmInexact, FedAvg, FedDyn, FedOpt, FedPd, FedProx, FedSgd,
         FoldPlan, LocalInit, Scaffold, ServerOptimizer, ServerStepSize,
     };
-    #[allow(deprecated)]
-    pub use crate::async_sim::AsyncSimulation;
     pub use crate::client::ClientState;
     pub use crate::compression::{QuantizedAlgorithm, Quantizer};
     pub use crate::config::{DataDistribution, FedConfig, Participation};
     pub use crate::drift::DriftReport;
     pub use crate::engine::{
-        AggregationMode, AsyncConfig, AsyncRecord, BufferedAsync, DispatchConfig, DispatchMode,
-        RoundEngine, Scheduler, SemiAsync, SemiAsyncConfig, StalenessWeight, SyncEngine,
-        SyncRounds, WireGuard, WirePath, WirePathConfig,
+        AggregationMode, AsyncConfig, AsyncRecord, BufferedAsync, DispatchConfig, RoundEngine,
+        Scheduler, SemiAsync, SemiAsyncConfig, StalenessWeight, SyncEngine, SyncRounds, WireGuard,
+        WirePath, WirePathConfig,
     };
     pub use crate::heterogeneity::LocalWorkSchedule;
     pub use crate::metrics::{RoundRecord, RunHistory};
     pub use crate::param::ParamVector;
     pub use crate::schedule::Schedule;
     pub use crate::selection::ClientSelector;
-    #[allow(deprecated)]
-    pub use crate::simulation::Simulation;
     pub use crate::solver::LocalSolver;
     pub use fedadmm_clientstore::{
         ClientStateStore, InMemoryStore, ShardMap, ShardedStore, SpillStore, StoreConfig,

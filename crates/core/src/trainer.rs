@@ -9,11 +9,16 @@
 //! * FedADMM:  `∇f_i(w, b) + y_i + ρ(w − θ)`  (Algorithm 1, line 17)
 //! * SCAFFOLD: `∇f_i(w, b) − c_i + c`
 //!
-//! [`local_sgd`] implements the common loop and takes the correction as a
-//! closure over the current parameters, so each algorithm contributes only
-//! its own term. [`full_gradient`] computes the exact local gradient
-//! (FedSGD), and [`evaluate`] measures loss/accuracy of a parameter vector
-//! on a dataset.
+//! [`local_sgd_cached`] implements the common loop and takes the correction
+//! as a closure over the current parameters, so each algorithm contributes
+//! only its own term. It is the only SGD entry point: the network comes
+//! from a [`NetCache`] and every per-batch temporary from a
+//! [`TrainScratch`], both held by the caller (the dispatch pool keeps one
+//! pair per worker inside its
+//! [`UpdateScratch`](crate::algorithms::UpdateScratch)), so a baseline and
+//! FedADMM pay exactly the same trainer cost. [`full_gradient`] computes the
+//! exact local gradient (FedSGD), and [`evaluate`] measures loss/accuracy of
+//! a parameter vector on a dataset.
 
 use fedadmm_data::batching::{shuffle_epoch_into, BatchSize};
 use fedadmm_data::Dataset;
@@ -58,42 +63,17 @@ pub struct LocalSgdResult {
     pub final_epoch_loss: f32,
 }
 
-/// Runs `env.epochs` epochs of mini-batch SGD starting from `init`.
-///
-/// For every batch `b` the update is
-/// `w ← w − η_i · (∇f_i(w, b) + correction(w))`, where `correction`
-/// receives the current parameters and *adds* its terms into the gradient
-/// buffer (second argument). Passing a no-op closure recovers FedAvg's
-/// local problem.
-pub fn local_sgd(
-    env: &LocalEnv<'_>,
-    init: &[f32],
-    correction: impl FnMut(&[f32], &mut [f32]),
-) -> TensorResult<LocalSgdResult> {
-    let mut model_rng = SmallRng::seed_from_u64(env.seed ^ 0xA5A5_5A5A);
-    let mut net = env.model.build(&mut model_rng);
-    sgd_epochs(
-        env,
-        init,
-        &mut net,
-        &mut TrainScratch::default(),
-        correction,
-    )
-}
-
 /// Reusable buffers for the per-batch temporaries of the SGD loop: the
 /// flattened gradient, the gathered mini-batch (features + labels), the
 /// epoch shuffle order, the input tensor, and the activation arena that the
 /// forward/backward sweep writes through.
 ///
-/// Without scratch every SGD step allocates fresh vectors for each of these
-/// (plus one tensor per layer per pass); with it the same buffers are
-/// recycled across steps, epochs, *and* jobs — the dispatch pool keeps one
-/// `TrainScratch` per worker inside its
+/// The same buffers are recycled across steps, epochs, *and* jobs — the
+/// dispatch pool keeps one `TrainScratch` per worker inside its
 /// [`UpdateScratch`](crate::algorithms::UpdateScratch), so the steady-state
 /// SGD step performs **zero** heap allocations (pinned by
-/// `tests/alloc_regression.rs`). Reuse is bit-identical to allocating
-/// fresh: every buffer is fully overwritten before it is read.
+/// `tests/alloc_regression.rs`). A warm scratch is bit-identical to a cold
+/// one: every buffer is fully overwritten before it is read.
 #[derive(Debug)]
 pub struct TrainScratch {
     /// Flat gradient buffer (`d` floats), refilled by
@@ -130,15 +110,14 @@ impl Default for TrainScratch {
 
 /// A reusable [`Network`] instance keyed by the [`ModelSpec`] that built it.
 ///
-/// [`local_sgd`] instantiates a fresh network per call and then overwrites
-/// *every* parameter from `init` before touching it, so the randomly
-/// initialised weights (a full `d` draws from the model RNG) are pure
-/// warm-up waste on the hot dispatch path. The dispatch pool keeps one
-/// cache per worker inside its `UpdateScratch`, and
-/// [`local_sgd_cached`] reuses the network across jobs — bit-identical to
-/// building fresh, because `set_params_flat` replaces all parameters,
-/// `zero_grads` runs before every backward pass, and activation caches are
-/// overwritten by each forward pass.
+/// Local training overwrites *every* parameter from `init` before touching
+/// the network, so building one per job (a full `d` draws from the model
+/// RNG) would be pure waste. The dispatch pool keeps one cache per worker
+/// inside its `UpdateScratch`, and [`local_sgd_cached`] reuses the network
+/// across jobs — bit-identical to building fresh, because
+/// `set_params_flat` replaces all parameters, `zero_grads` runs before
+/// every backward pass, and activation caches are overwritten by each
+/// forward pass.
 #[derive(Debug, Default)]
 pub struct NetCache {
     slot: Option<(ModelSpec, Network)>,
@@ -158,29 +137,25 @@ impl NetCache {
     }
 }
 
-/// [`local_sgd`] against a cached network (see [`NetCache`]) and reusable
-/// per-batch buffers (see [`TrainScratch`]): identical arithmetic, minus
-/// the per-call model construction and the per-step allocations.
+/// Runs `env.epochs` epochs of mini-batch SGD starting from `init`, on the
+/// cached network (see [`NetCache`]) and the reusable per-batch buffers
+/// (see [`TrainScratch`]).
+///
+/// For every batch `b` the update is
+/// `w ← w − η_i · (∇f_i(w, b) + correction(w))`, where `correction`
+/// receives the current parameters and *adds* its terms into the gradient
+/// buffer (second argument). Passing a no-op closure recovers FedAvg's
+/// local problem. The network's parameters are overwritten from `init`
+/// before the first step and every `scratch` buffer is overwritten before
+/// it is read, so leftover state from earlier jobs never leaks in.
 pub fn local_sgd_cached(
     env: &LocalEnv<'_>,
     init: &[f32],
     cache: &mut NetCache,
     scratch: &mut TrainScratch,
-    correction: impl FnMut(&[f32], &mut [f32]),
-) -> TensorResult<LocalSgdResult> {
-    sgd_epochs(env, init, cache.get(env.model), scratch, correction)
-}
-
-/// The shared epoch/batch loop of [`local_sgd`] and [`local_sgd_cached`];
-/// `net`'s parameters are overwritten from `init` before the first step and
-/// every `scratch` buffer is overwritten before it is read.
-fn sgd_epochs(
-    env: &LocalEnv<'_>,
-    init: &[f32],
-    net: &mut Network,
-    scratch: &mut TrainScratch,
     mut correction: impl FnMut(&[f32], &mut [f32]),
 ) -> TensorResult<LocalSgdResult> {
+    let net = cache.get(env.model);
     let TrainScratch {
         grads,
         batch_data,
@@ -202,8 +177,8 @@ fn sgd_epochs(
     for epoch in 0..env.epochs.max(1) {
         let mut epoch_loss = 0.0f32;
         let mut epoch_batches = 0usize;
-        // Same RNG consumption (and therefore the same batch order) as the
-        // allocating `BatchIterator` path this loop replaced.
+        // Same RNG consumption (and therefore the same batch order) as
+        // `BatchIterator`.
         shuffle_epoch_into(env.indices, &mut batch_rng, perm);
         for batch in perm.chunks(batch_len) {
             env.dataset.gather_into(batch, batch_data, batch_labels)?;
@@ -340,6 +315,16 @@ mod tests {
     use fedadmm_data::synthetic::SyntheticDataset;
     use fedadmm_tensor::vecops;
 
+    /// One job on a cold worker: fresh network cache, fresh scratch.
+    fn cold_sgd(
+        env: &LocalEnv<'_>,
+        init: &[f32],
+        correction: impl FnMut(&[f32], &mut [f32]),
+    ) -> TensorResult<LocalSgdResult> {
+        let (mut cache, mut scratch) = (NetCache::default(), TrainScratch::default());
+        local_sgd_cached(env, init, &mut cache, &mut scratch, correction)
+    }
+
     fn small_env<'a>(dataset: &'a Dataset, indices: &'a [usize]) -> LocalEnv<'a> {
         LocalEnv {
             dataset,
@@ -363,7 +348,7 @@ mod tests {
         let d = env.model.num_params();
         let init = vec![0.0f32; d];
         let (_, loss_before) = full_gradient(&env, &init).unwrap();
-        let result = local_sgd(&env, &init, |_, _| {}).unwrap();
+        let result = cold_sgd(&env, &init, |_, _| {}).unwrap();
         let (_, loss_after) = full_gradient(&env, &result.params).unwrap();
         assert!(loss_after < loss_before, "{loss_after} !< {loss_before}");
         assert_eq!(result.steps, 3 * (120usize.div_ceil(16)));
@@ -377,36 +362,39 @@ mod tests {
         let indices: Vec<usize> = (0..60).collect();
         let env = small_env(&train, &indices);
         let init = vec![0.01f32; env.model.num_params()];
-        let a = local_sgd(&env, &init, |_, _| {}).unwrap();
-        let b = local_sgd(&env, &init, |_, _| {}).unwrap();
+        let a = cold_sgd(&env, &init, |_, _| {}).unwrap();
+        let b = cold_sgd(&env, &init, |_, _| {}).unwrap();
         assert_eq!(a.params, b.params);
         let env2 = LocalEnv { seed: 43, ..env };
-        let c = local_sgd(&env2, &init, |_, _| {}).unwrap();
+        let c = cold_sgd(&env2, &init, |_, _| {}).unwrap();
         assert_ne!(a.params, c.params);
     }
 
     #[test]
-    fn cached_scratch_path_is_bit_identical_to_local_sgd() {
+    fn second_job_on_a_warm_scratch_matches_the_first_on_a_cold_one() {
         let (train, _) = SyntheticDataset::Mnist.generate(90, 10, 8);
         let indices: Vec<usize> = (0..90).collect();
         let env = small_env(&train, &indices);
         let init = vec![0.02f32; env.model.num_params()];
-        let fresh = local_sgd(&env, &init, |_, _| {}).unwrap();
 
         let mut cache = NetCache::default();
         let mut scratch = TrainScratch::default();
-        let a = local_sgd_cached(&env, &init, &mut cache, &mut scratch, |_, _| {}).unwrap();
-        assert_eq!(fresh.params, a.params);
-        assert_eq!(fresh.final_epoch_loss, a.final_epoch_loss);
+        let cold = local_sgd_cached(&env, &init, &mut cache, &mut scratch, |_, _| {}).unwrap();
 
-        // A second job on the same worker reuses every buffer — both the
-        // network cache and the per-batch scratch — with identical results
-        // and no capacity churn.
+        // A different job in between leaves the network parameters, the
+        // gradient accumulators and every scratch buffer dirty.
+        let other = LocalEnv { seed: 7, ..env };
+        local_sgd_cached(&other, &cold.params, &mut cache, &mut scratch, |_, _| {}).unwrap();
+
+        // Re-running the first job on the warm worker reuses every buffer —
+        // both the network cache and the per-batch scratch — with identical
+        // results and no capacity churn.
         let grads_cap = scratch.grads.capacity();
         let data_cap = scratch.batch_data.capacity();
         let labels_cap = scratch.batch_labels.capacity();
-        let b = local_sgd_cached(&env, &init, &mut cache, &mut scratch, |_, _| {}).unwrap();
-        assert_eq!(fresh.params, b.params);
+        let warm = local_sgd_cached(&env, &init, &mut cache, &mut scratch, |_, _| {}).unwrap();
+        assert_eq!(cold.params, warm.params);
+        assert_eq!(cold.final_epoch_loss, warm.final_epoch_loss);
         assert_eq!(scratch.grads.capacity(), grads_cap);
         assert_eq!(scratch.batch_data.capacity(), data_cap);
         assert_eq!(scratch.batch_labels.capacity(), labels_cap);
@@ -422,9 +410,9 @@ mod tests {
         let env = small_env(&train, &indices);
         let d = env.model.num_params();
         let theta = vec![0.0f32; d];
-        let free = local_sgd(&env, &theta, |_, _| {}).unwrap();
+        let free = cold_sgd(&env, &theta, |_, _| {}).unwrap();
         let rho = 10.0f32;
-        let prox = local_sgd(&env, &theta, |w, g| {
+        let prox = cold_sgd(&env, &theta, |w, g| {
             for ((gi, &wi), &ti) in g.iter_mut().zip(w.iter()).zip(theta.iter()) {
                 *gi += rho * (wi - ti);
             }
@@ -494,7 +482,7 @@ mod tests {
         let mut env = small_env(&train, &indices);
         env.epochs = 5;
         let init = vec![0.0f32; env.model.num_params()];
-        let result = local_sgd(&env, &init, |_, _| {}).unwrap();
+        let result = cold_sgd(&env, &init, |_, _| {}).unwrap();
         let (_, acc) = evaluate(env.model, &result.params, &test, usize::MAX).unwrap();
         assert!(acc > 0.3, "accuracy only {acc} (chance level is 0.1)");
     }

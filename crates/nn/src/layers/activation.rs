@@ -28,12 +28,6 @@ impl Layer for Tanh {
         "Tanh"
     }
 
-    fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_into(input, &mut out)?;
-        Ok(out)
-    }
-
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         out.resize_in_place(input.dims());
         let cache = self.output.get_or_insert_with(Vec::new);
@@ -44,12 +38,6 @@ impl Layer for Tanh {
             cache.push(y);
         }
         Ok(())
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.backward_into(grad_output, &mut out)?;
-        Ok(out)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {
@@ -97,12 +85,6 @@ impl Layer for Sigmoid {
         "Sigmoid"
     }
 
-    fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_into(input, &mut out)?;
-        Ok(out)
-    }
-
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         out.resize_in_place(input.dims());
         let cache = self.output.get_or_insert_with(Vec::new);
@@ -113,12 +95,6 @@ impl Layer for Sigmoid {
             cache.push(y);
         }
         Ok(())
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.backward_into(grad_output, &mut out)?;
-        Ok(out)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {

@@ -74,18 +74,6 @@ impl Layer for Conv2d {
         "Conv2d"
     }
 
-    fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor> {
-        if input.rank() != 4 || input.dims()[1] != self.in_channels {
-            return Err(TensorError::ShapeMismatch {
-                left: input.dims().to_vec(),
-                right: vec![0, self.in_channels, 0, 0],
-            });
-        }
-        let out = ops::conv2d_forward(input, &self.weight, &self.bias, self.stride, self.padding)?;
-        self.cached_input = Some(input.clone());
-        Ok(out)
-    }
-
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         if input.rank() != 4 || input.dims()[1] != self.in_channels {
             return Err(TensorError::ShapeMismatch {
@@ -104,17 +92,6 @@ impl Layer for Conv2d {
         )?;
         self.cache_input(input);
         Ok(())
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
-        let input = self.cached_input.as_ref().ok_or_else(|| {
-            TensorError::InvalidArgument("Conv2d::backward called before forward".into())
-        })?;
-        let grads =
-            ops::conv2d_backward(input, &self.weight, grad_output, self.stride, self.padding)?;
-        self.grad_weight.add_assign(&grads.grad_weight)?;
-        self.grad_bias.add_assign(&grads.grad_bias)?;
-        Ok(grads.grad_input)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {

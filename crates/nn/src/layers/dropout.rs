@@ -67,12 +67,6 @@ impl Layer for Dropout {
         "Dropout"
     }
 
-    fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_into(input, &mut out)?;
-        Ok(out)
-    }
-
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         out.resize_in_place(input.dims());
         let mask = self.mask.get_or_insert_with(Vec::new);
@@ -94,12 +88,6 @@ impl Layer for Dropout {
             *o = x * m;
         }
         Ok(())
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.backward_into(grad_output, &mut out)?;
-        Ok(out)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {

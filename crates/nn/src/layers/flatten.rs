@@ -21,12 +21,6 @@ impl Layer for Flatten {
         "Flatten"
     }
 
-    fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_into(input, &mut out)?;
-        Ok(out)
-    }
-
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         if input.rank() < 2 {
             return Err(TensorError::RankMismatch {
@@ -42,12 +36,6 @@ impl Layer for Flatten {
         out.resize_in_place(&[batch, rest]);
         out.data_mut().copy_from_slice(input.data());
         Ok(())
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.backward_into(grad_output, &mut out)?;
-        Ok(out)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {

@@ -103,12 +103,6 @@ impl Layer for Linear {
         }
     }
 
-    fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_into(input, &mut out)?;
-        Ok(out)
-    }
-
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         if input.rank() != 2 || input.dims()[1] != self.in_features {
             return Err(TensorError::ShapeMismatch {
@@ -128,12 +122,6 @@ impl Layer for Linear {
         }
         self.cache_input(input);
         Ok(())
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
-        let mut grad_input = Tensor::zeros(&[0]);
-        self.backward_into(grad_output, &mut grad_input)?;
-        Ok(grad_input)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {
@@ -321,16 +309,16 @@ mod tests {
         }
     }
 
-    /// `forward_into`/`backward_into` reuse caller buffers and match the
-    /// allocating path.
+    /// `forward_into`/`backward_into` into reused caller buffers (wrong
+    /// shape, stale contents) match the fresh-tensor wrappers.
     #[test]
-    fn into_path_matches_allocating_path() {
+    fn reused_buffers_match_fresh_tensors() {
         let mut rng = SmallRng::seed_from_u64(9);
         let mut l = Linear::new(4, 3, &mut rng);
         let x = fedadmm_tensor::init::randn(&[2, 4], 0.0, 1.0, &mut rng);
         let go = fedadmm_tensor::init::randn(&[2, 3], 0.0, 1.0, &mut rng);
-        let mut out = Tensor::zeros(&[0]);
-        let mut gi = Tensor::zeros(&[0]);
+        let mut out = Tensor::ones(&[5, 5]);
+        let mut gi = Tensor::ones(&[7]);
         l.forward_into(&x, &mut out).unwrap();
         l.zero_grads();
         l.backward_into(&go, &mut gi).unwrap();

@@ -1,7 +1,10 @@
 //! Layers with explicit forward/backward passes.
 //!
 //! Every layer owns its parameters and their gradient accumulators and
-//! caches whatever activations its backward pass needs. Layers expose their
+//! caches whatever activations its backward pass needs. A layer implements
+//! each pass exactly once, in the buffer-reusing `_into` form the training
+//! arena drives; the tensor-returning `forward` / `backward` are provided
+//! by the [`Layer`] trait on top of it. Layers expose their
 //! parameters through a *flat* serialisation protocol
 //! ([`Layer::write_params`] / [`Layer::read_params`]) because the federated
 //! algorithms in `fedadmm-core` treat model parameters as a single vector
@@ -30,46 +33,45 @@ use fedadmm_tensor::{Tensor, TensorResult};
 /// A differentiable layer.
 ///
 /// The contract mirrors classic layer-based backprop:
-/// 1. `forward` consumes a batch and caches what the backward pass needs;
-/// 2. `backward` consumes the gradient of the loss with respect to the
+/// 1. `forward_into` consumes a batch and caches what the backward pass
+///    needs;
+/// 2. `backward_into` consumes the gradient of the loss with respect to the
 ///    layer's output, *accumulates* gradients for the layer's own
-///    parameters, and returns the gradient with respect to the input.
+///    parameters, and writes the gradient with respect to the input.
 ///
-/// `backward` must be called after `forward` on the same batch.
+/// `backward_into` must be called after `forward_into` on the same batch.
+/// Both write into caller-owned tensors that they resize in place, so a
+/// training loop that re-presents the same batch shape (see
+/// [`Network::forward_arena`](crate::Network::forward_arena)) performs no
+/// allocation. These two are the only pass implementations a layer
+/// provides; [`Layer::forward`] / [`Layer::backward`] are derived from them
+/// here, once.
 pub trait Layer: Send {
     /// Human-readable layer name (used in `Network` summaries).
     fn name(&self) -> &'static str;
 
-    /// Forward pass over a batch.
-    fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor>;
+    /// Forward pass over a batch, writing into a caller-owned output
+    /// tensor: `out` is resized (reusing its capacity) and fully
+    /// overwritten.
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()>;
 
-    /// Backward pass: accumulates parameter gradients, returns `dL/d(input)`.
-    fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor>;
+    /// Backward pass: accumulates parameter gradients and writes
+    /// `dL/d(input)` into `grad_input`, resized in place and fully
+    /// overwritten.
+    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()>;
 
-    /// Forward pass writing into a caller-owned output tensor.
-    ///
-    /// `out` is resized (reusing its capacity) and fully overwritten, so a
-    /// training loop that re-presents the same batch shape performs no
-    /// allocation. Values are bit-identical to [`Layer::forward`]. The
-    /// default implementation falls back to the allocating forward pass.
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
-        let result = self.forward(input)?;
-        out.resize_in_place(result.dims());
-        out.data_mut().copy_from_slice(result.data());
-        Ok(())
+    /// [`Layer::forward_into`] a fresh tensor (tests, one-off calls).
+    fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor> {
+        let mut out = Tensor::zeros(&[0]);
+        self.forward_into(input, &mut out)?;
+        Ok(out)
     }
 
-    /// Backward pass writing `dL/d(input)` into a caller-owned tensor.
-    ///
-    /// Same contract as [`Layer::backward`] (parameter gradients are
-    /// *accumulated*), but the input gradient lands in `grad_input`, resized
-    /// in place. The default implementation falls back to the allocating
-    /// backward pass.
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {
-        let result = self.backward(grad_output)?;
-        grad_input.resize_in_place(result.dims());
-        grad_input.data_mut().copy_from_slice(result.data());
-        Ok(())
+    /// [`Layer::backward_into`] a fresh tensor (tests, one-off calls).
+    fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
+        let mut grad_input = Tensor::zeros(&[0]);
+        self.backward_into(grad_output, &mut grad_input)?;
+        Ok(grad_input)
     }
 
     /// Number of trainable parameters in this layer.

@@ -29,12 +29,6 @@ impl Layer for MaxPool2d {
         "MaxPool2d"
     }
 
-    fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_into(input, &mut out)?;
-        Ok(out)
-    }
-
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         let argmax = self.cached_argmax.get_or_insert_with(Vec::new);
         ops::max_pool2d_forward_into(input, self.size, self.stride, out, argmax)?;
@@ -42,12 +36,6 @@ impl Layer for MaxPool2d {
         dims.clear();
         dims.extend_from_slice(input.dims());
         Ok(())
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.backward_into(grad_output, &mut out)?;
-        Ok(out)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {

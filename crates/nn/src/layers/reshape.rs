@@ -33,12 +33,6 @@ impl Layer for Reshape {
         "Reshape"
     }
 
-    fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_into(input, &mut out)?;
-        Ok(out)
-    }
-
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         if input.rank() < 1 {
             return Err(TensorError::RankMismatch {
@@ -64,12 +58,6 @@ impl Layer for Reshape {
         out.resize_in_place(&self.full_dims);
         out.data_mut().copy_from_slice(input.data());
         Ok(())
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.backward_into(grad_output, &mut out)?;
-        Ok(out)
     }
 
     fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {

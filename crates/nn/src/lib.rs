@@ -12,8 +12,9 @@
 //!
 //! ```
 //! use fedadmm_nn::models::ModelSpec;
-//! use fedadmm_nn::loss::softmax_cross_entropy;
+//! use fedadmm_nn::loss::softmax_cross_entropy_into;
 //! use fedadmm_nn::optimizer::Sgd;
+//! use fedadmm_nn::ActivationArena;
 //! use fedadmm_tensor::Tensor;
 //! use rand::rngs::SmallRng;
 //! use rand::SeedableRng;
@@ -26,9 +27,16 @@
 //! let x = Tensor::zeros(&[2, 16]);
 //! let labels = [0usize, 3];
 //!
-//! let logits = net.forward(&x).unwrap();
-//! let (loss, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
-//! net.backward(&grad).unwrap();
+//! // Activations and gradients live in an arena the caller keeps across
+//! // steps, so repeated steps at one batch shape allocate nothing.
+//! let mut arena = ActivationArena::new();
+//! net.forward_arena(&x, &mut arena).unwrap();
+//! let loss = {
+//!     let (logits, loss_grad) = arena.output_and_loss_grad();
+//!     softmax_cross_entropy_into(logits, &labels, loss_grad).unwrap()
+//! };
+//! net.zero_grads();
+//! net.backward_arena(&mut arena).unwrap();
 //! let mut params = net.params_flat();
 //! Sgd::new(0.1).step(&mut params, &net.grads_flat());
 //! net.set_params_flat(&params).unwrap();

@@ -2,8 +2,9 @@
 //!
 //! The paper trains ten-class image classifiers with the standard softmax
 //! cross-entropy loss; [`softmax_cross_entropy`] returns both the mean loss
-//! over the batch and the gradient with respect to the logits, which is fed
-//! straight into [`crate::Network::backward`].
+//! over the batch and the gradient with respect to the logits;
+//! [`softmax_cross_entropy_into`] writes that gradient straight into the
+//! arena slot [`crate::Network::backward_arena`] starts from.
 
 use fedadmm_tensor::{Tensor, TensorError, TensorResult};
 

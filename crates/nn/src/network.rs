@@ -41,8 +41,10 @@ impl Network {
             .join(" -> ")
     }
 
-    /// Forward pass through all layers.
-    pub fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor> {
+    /// Layer-by-layer forward pass through fresh tensors: the reference the
+    /// arena-routing tests compare [`Network::forward_arena`] against.
+    #[cfg(test)]
+    pub(crate) fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor> {
         let mut x = input.clone();
         for layer in &mut self.layers {
             x = layer.forward(&x)?;
@@ -50,9 +52,11 @@ impl Network {
         Ok(x)
     }
 
-    /// Backward pass through all layers (in reverse), accumulating parameter
-    /// gradients. Returns the gradient with respect to the network input.
-    pub fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
+    /// Layer-by-layer backward pass (in reverse) through fresh tensors,
+    /// accumulating parameter gradients; returns the gradient with respect
+    /// to the network input. Test reference for [`Network::backward_arena`].
+    #[cfg(test)]
+    pub(crate) fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
         let mut g = grad_output.clone();
         for layer in self.layers.iter_mut().rev() {
             g = layer.backward(&g)?;
@@ -60,11 +64,11 @@ impl Network {
         Ok(g)
     }
 
-    /// Forward pass routing every layer's output through `arena` slots.
+    /// Forward pass through all layers, routing every layer's output
+    /// through `arena` slots.
     ///
-    /// Bit-identical to [`Network::forward`]; the output lands in
-    /// [`ActivationArena::output`]. After the first call at a given batch
-    /// shape, repeated calls allocate nothing.
+    /// The output lands in [`ActivationArena::output`]. After the first
+    /// call at a given batch shape, repeated calls allocate nothing.
     pub fn forward_arena(
         &mut self,
         input: &Tensor,
@@ -84,12 +88,12 @@ impl Network {
         Ok(())
     }
 
-    /// Backward pass seeded from [`ActivationArena`]'s loss-gradient slot
-    /// (fill it via `loss::softmax_cross_entropy_into` after the forward
-    /// pass), accumulating parameter gradients.
+    /// Backward pass through all layers (in reverse), seeded from
+    /// [`ActivationArena`]'s loss-gradient slot (fill it via
+    /// `loss::softmax_cross_entropy_into` after the forward pass) and
+    /// accumulating parameter gradients.
     ///
-    /// Bit-identical to [`Network::backward`]; the input gradient lands in
-    /// [`ActivationArena::input_grad`].
+    /// The input gradient lands in [`ActivationArena::input_grad`].
     pub fn backward_arena(&mut self, arena: &mut ActivationArena) -> TensorResult<()> {
         let n = self.layers.len();
         if arena.acts.len() < n || n == 0 {
@@ -256,10 +260,11 @@ mod tests {
         assert!(net.grads_flat().iter().all(|&g| g == 0.0));
     }
 
-    /// The arena-routed forward/backward must be bit-identical to the
-    /// allocating path, and repeat passes must reuse the arena slots.
+    /// The arena-routed forward/backward must be bit-identical to running
+    /// the layers one by one through fresh tensors, and repeat passes must
+    /// reuse the arena slots.
     #[test]
-    fn arena_path_matches_allocating_path() {
+    fn arena_path_matches_layer_by_layer_reference() {
         let mut rng = SmallRng::seed_from_u64(17);
         let mut net = small_net(17);
         let mut reference = net.clone();

@@ -1,9 +1,9 @@
 //! [`PrivateAlgorithm`]: differential privacy as an algorithm adapter.
 //!
 //! Wrapping keeps the underlying algorithm untouched: `PrivateAlgorithm`
-//! forwards [`Algorithm::client_update`] to the inner method and then clips
-//! and noises every vector of the returned payload, exactly as a real
-//! client would before uploading. Because the FedADMM/FedAvg/FedProx server
+//! forwards [`Algorithm::client_update_scratch`] — worker scratch included
+//! — to the inner method and then clips and noises every vector of the
+//! returned payload, exactly as a real client would before uploading. Because the FedADMM/FedAvg/FedProx server
 //! updates only consume averages of the payloads, the added noise averages
 //! down with `|S_t|` while each individual upload enjoys the Gaussian
 //! mechanism's guarantee.
@@ -13,7 +13,7 @@
 //! exactly reproducible.
 
 use crate::dp::GaussianMechanism;
-use fedadmm_core::algorithms::{Algorithm, ClientMessage, ServerOutcome};
+use fedadmm_core::algorithms::{Algorithm, ClientMessage, ServerOutcome, UpdateScratch};
 use fedadmm_core::client::ClientState;
 use fedadmm_core::param::ParamVector;
 use fedadmm_core::trainer::LocalEnv;
@@ -68,13 +68,16 @@ impl<A: Algorithm> Algorithm for PrivateAlgorithm<A> {
         self.inner.upload_floats_per_client(dim)
     }
 
-    fn client_update(
+    fn client_update_scratch(
         &self,
         client: &mut ClientState,
         global: &ParamVector,
         env: &LocalEnv<'_>,
+        scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
-        let mut message = self.inner.client_update(client, global, env)?;
+        let mut message = self
+            .inner
+            .client_update_scratch(client, global, env, scratch)?;
         for (k, payload) in message.payload.iter_mut().enumerate() {
             let mut raw = std::mem::replace(payload, ParamVector::zeros(0)).into_vec();
             // One noise stream per (round, client, payload index); env.seed

@@ -52,7 +52,7 @@ pub struct DispatchSummary<'a> {
     pub jobs: u64,
     /// Workers the pool ran the batch on (1 = the serial inline path).
     pub workers: usize,
-    /// Chunk size jobs were claimed in (0 = static partitioning).
+    /// Chunk size jobs were claimed in.
     pub chunk_size: usize,
     /// Chunks claimed from the shared cursor across all workers.
     pub chunks: u64,

@@ -8,12 +8,17 @@
 //!   shape/stride bookkeeping ([`Shape`]) and checked indexing,
 //! * elementwise arithmetic, scalar ops, reductions, and in-place BLAS-1
 //!   style helpers (`axpy`, `scale`, dot products, norms),
-//! * batched matrix multiplication ([`ops::matmul`]),
-//! * 2-D convolution with 'same' padding via im2col ([`ops::conv2d`]) and
-//!   its input/weight gradients,
+//! * batched matrix multiplication ([`ops::gemm_into`] and its
+//!   transposed-operand variants),
+//! * 2-D convolution with 'same' padding via im2col
+//!   ([`ops::conv2d_forward_into`]) and its input/weight gradients,
 //! * 2×2 max pooling with argmax bookkeeping for the backward pass
-//!   ([`ops::max_pool2d`]),
+//!   ([`ops::max_pool2d_forward_into`]),
 //! * random initialisation helpers used by the network layers ([`init`]).
+//!
+//! Every compute kernel writes into caller-owned buffers that it resizes in
+//! place, so a training loop re-presenting the same shapes allocates
+//! nothing; there is no separate allocating form.
 //!
 //! The library intentionally avoids external BLAS so that the whole
 //! reproduction builds offline from vendored crates only; the inner matmul
@@ -27,7 +32,8 @@
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
 //! let b = Tensor::eye(2);
-//! let c = ops::matmul(&a, &b).unwrap();
+//! let mut c = Tensor::zeros(&[0]);
+//! ops::gemm_into(&a, &b, &mut c).unwrap();
 //! assert_eq!(c.data(), a.data());
 //! ```
 

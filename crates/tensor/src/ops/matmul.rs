@@ -4,13 +4,15 @@
 //! products with one transposed operand, and materialising the transpose of
 //! a large activation matrix would double memory traffic:
 //!
-//! * [`matmul`]     — `C = A·B`
-//! * [`matmul_at_b`] — `C = Aᵀ·B`
-//! * [`matmul_a_bt`] — `C = A·Bᵀ`
+//! * [`gemm_into`]      — `C = A·B`
+//! * [`gemm_at_b_into`] — `C = Aᵀ·B`
+//! * [`gemm_a_bt_into`] — `C = A·Bᵀ`
 //!
-//! Each has a `gemm_*_into` twin writing into a caller-owned tensor (the
-//! zero-allocation training path), and [`linear_forward_into`] fuses the
-//! dense-layer bias add (and optionally ReLU) into the `A·Bᵀ` sweep.
+//! Every kernel writes into a caller-owned tensor, resized in place, so a
+//! training loop that re-presents the same shapes allocates nothing; a
+//! caller that wants a fresh result passes an empty `Tensor`.
+//! [`linear_forward_into`] fuses the dense-layer bias add (and optionally
+//! ReLU) into the `A·Bᵀ` sweep.
 //!
 //! The kernels are blocked and register-tiled: inner loops keep a small
 //! tile of output accumulators in registers and stream the operands once
@@ -32,7 +34,13 @@ use crate::tensor::Tensor;
 use rayon::prelude::*;
 
 /// Below this many multiply-adds the kernels stay single-threaded.
-const PARALLEL_THRESHOLD: usize = 64 * 64 * 64;
+///
+/// A fork/join through the vendored rayon shim spawns OS threads per call,
+/// which costs about as much as a whole 16×784×64 training-step GEMM
+/// (0.8 M multiply-adds) and, nested under busy dispatch-pool workers, buys
+/// nothing. At 128³ the per-step products stay serial and the
+/// evaluation-sized ones (256×784×64 and up) still fork.
+const PARALLEL_THRESHOLD: usize = 128 * 128 * 128;
 
 /// Register-tile width of the blocked kernels: 8 accumulators per tile,
 /// matching the `vecops` lane count.
@@ -42,22 +50,8 @@ const TILE: usize = 8;
 /// accumulators streamed against one `A` row.
 const BT_TILE: usize = 4;
 
-/// Computes `C = A·B` for rank-2 tensors `A: (m,k)` and `B: (k,n)`.
-pub fn matmul(a: &Tensor, b: &Tensor) -> TensorResult<Tensor> {
-    let (m, k) = a.shape().as_matrix()?;
-    let (k2, n) = b.shape().as_matrix()?;
-    if k != k2 {
-        return Err(TensorError::MatmulDimMismatch {
-            left: (m, k),
-            right: (k2, n),
-        });
-    }
-    let mut out = vec![0.0f32; m * n];
-    matmul_into(a.data(), b.data(), &mut out, m, k, n);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Computes `C = A·B` into a caller-owned tensor, resizing it to `(m,n)`.
+/// Computes `C = A·B` for rank-2 tensors `A: (m,k)` and `B: (k,n)` into a
+/// caller-owned tensor, resizing it to `(m,n)`.
 ///
 /// Allocation-free once `out` has capacity for the result.
 pub fn gemm_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> TensorResult<()> {
@@ -74,22 +68,8 @@ pub fn gemm_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> TensorResult<()> {
     Ok(())
 }
 
-/// Computes `C = Aᵀ·B` for `A: (k,m)` and `B: (k,n)`, yielding `(m,n)`.
-pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> TensorResult<Tensor> {
-    let (k, m) = a.shape().as_matrix()?;
-    let (k2, n) = b.shape().as_matrix()?;
-    if k != k2 {
-        return Err(TensorError::MatmulDimMismatch {
-            left: (m, k),
-            right: (k2, n),
-        });
-    }
-    let mut out = vec![0.0f32; m * n];
-    matmul_at_b_into(a.data(), b.data(), &mut out, k, m, n);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Computes `C = Aᵀ·B` into a caller-owned tensor, resizing it to `(m,n)`.
+/// Computes `C = Aᵀ·B` for `A: (k,m)` and `B: (k,n)` into a caller-owned
+/// tensor, resizing it to `(m,n)`.
 pub fn gemm_at_b_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> TensorResult<()> {
     let (k, m) = a.shape().as_matrix()?;
     let (k2, n) = b.shape().as_matrix()?;
@@ -104,22 +84,8 @@ pub fn gemm_at_b_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> TensorResult<
     Ok(())
 }
 
-/// Computes `C = A·Bᵀ` for `A: (m,k)` and `B: (n,k)`, yielding `(m,n)`.
-pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> TensorResult<Tensor> {
-    let (m, k) = a.shape().as_matrix()?;
-    let (n, k2) = b.shape().as_matrix()?;
-    if k != k2 {
-        return Err(TensorError::MatmulDimMismatch {
-            left: (m, k),
-            right: (n, k2),
-        });
-    }
-    let mut out = vec![0.0f32; m * n];
-    matmul_a_bt_into(a.data(), b.data(), &mut out, m, k, n);
-    Tensor::from_vec(out, &[m, n])
-}
-
-/// Computes `C = A·Bᵀ` into a caller-owned tensor, resizing it to `(m,n)`.
+/// Computes `C = A·Bᵀ` for `A: (m,k)` and `B: (n,k)` into a caller-owned
+/// tensor, resizing it to `(m,n)`.
 pub fn gemm_a_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> TensorResult<()> {
     let (m, k) = a.shape().as_matrix()?;
     let (n, k2) = b.shape().as_matrix()?;
@@ -139,7 +105,7 @@ pub fn gemm_a_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> TensorResult<
 ///
 /// `input: (m,k)`, `weight: (n,k)` (PyTorch `[out_features, in_features]`
 /// layout), `bias: (n)`; `out` is resized to `(m,n)`. Bit-identical to
-/// `matmul_a_bt` followed by a row-wise bias add (and a separate ReLU map):
+/// [`gemm_a_bt_into`] followed by a row-wise bias add (and a separate ReLU map):
 /// each output's dot product accumulates in the same order, the bias is a
 /// single add after it, and the ReLU mask test is the same `v > 0.0`.
 pub fn linear_forward_into(
@@ -419,6 +385,29 @@ mod tests {
         Tensor::from_vec(data.to_vec(), dims).unwrap()
     }
 
+    /// Runs a `gemm_*_into` kernel into a fresh output tensor.
+    fn fresh(
+        kernel: fn(&Tensor, &Tensor, &mut Tensor) -> TensorResult<()>,
+        a: &Tensor,
+        b: &Tensor,
+    ) -> TensorResult<Tensor> {
+        let mut out = Tensor::zeros(&[0]);
+        kernel(a, b, &mut out)?;
+        Ok(out)
+    }
+
+    fn matmul(a: &Tensor, b: &Tensor) -> TensorResult<Tensor> {
+        fresh(gemm_into, a, b)
+    }
+
+    fn matmul_at_b(a: &Tensor, b: &Tensor) -> TensorResult<Tensor> {
+        fresh(gemm_at_b_into, a, b)
+    }
+
+    fn matmul_a_bt(a: &Tensor, b: &Tensor) -> TensorResult<Tensor> {
+        fresh(gemm_a_bt_into, a, b)
+    }
+
     #[test]
     fn matmul_small() {
         let a = t(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
@@ -480,8 +469,8 @@ mod tests {
         gemm_into(&a, &b, &mut out).unwrap();
         assert_eq!(out.dims(), &[2, 2]);
         assert_eq!(out.data(), &[58.0, 64.0, 139.0, 154.0]);
-        // Shrinking reuses the same buffer; the result is identical to the
-        // allocating kernel.
+        // Shrinking reuses the same buffer; the result is identical to a
+        // fresh output tensor.
         gemm_a_bt_into(&a, &a, &mut out).unwrap();
         assert_eq!(out, matmul_a_bt(&a, &a).unwrap());
         gemm_at_b_into(&a, &a, &mut out).unwrap();

@@ -1,23 +1,16 @@
 //! Tensor operations: matrix multiplication, 2-D convolution, max pooling.
 //!
 //! These free functions are the compute kernels behind the layers in
-//! `fedadmm-nn`. They are written against contiguous row-major buffers and
-//! validated by unit tests against hand-computed values and by gradient
-//! checks in the `fedadmm-nn` crate.
+//! `fedadmm-nn`. Every kernel writes into caller-owned buffers (`_into`),
+//! resized in place, so a training step that re-presents the same shapes
+//! allocates nothing. They are written against contiguous row-major
+//! buffers and validated by unit tests against hand-computed values and by
+//! gradient checks in the `fedadmm-nn` crate.
 
 mod conv;
 mod matmul;
 mod pool;
 
-pub use conv::{
-    conv2d_backward, conv2d_backward_into, conv2d_forward, conv2d_forward_into, conv2d_output_size,
-    Conv2dGrads, Conv2dScratch,
-};
-pub use matmul::{
-    gemm_a_bt_into, gemm_at_b_into, gemm_into, linear_forward_into, matmul, matmul_a_bt,
-    matmul_at_b, reference,
-};
-pub use pool::{
-    max_pool2d_backward, max_pool2d_backward_into, max_pool2d_forward, max_pool2d_forward_into,
-    MaxPoolOutput,
-};
+pub use conv::{conv2d_backward_into, conv2d_forward_into, conv2d_output_size, Conv2dScratch};
+pub use matmul::{gemm_a_bt_into, gemm_at_b_into, gemm_into, linear_forward_into, reference};
+pub use pool::{max_pool2d_backward_into, max_pool2d_forward_into};

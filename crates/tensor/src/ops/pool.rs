@@ -8,37 +8,15 @@
 use crate::error::{TensorError, TensorResult};
 use crate::tensor::Tensor;
 
-/// Output of [`max_pool2d_forward`]: pooled values plus argmax bookkeeping.
-#[derive(Debug, Clone)]
-pub struct MaxPoolOutput {
-    /// Pooled output, shape `[batch, channels, out_h, out_w]`.
-    pub output: Tensor,
-    /// For every output element, the flat index (within the *input* buffer)
-    /// of the element that achieved the maximum.
-    pub argmax: Vec<usize>,
-}
-
-/// Forward pass of batched 2-D max pooling.
+/// Forward pass of batched 2-D max pooling into caller-owned buffers.
 ///
 /// Input shape `[batch, channels, h, w]`; output spatial size is
 /// `(h - size) / stride + 1` (no padding — the paper's models pool even
-/// spatial sizes exactly).
-pub fn max_pool2d_forward(
-    input: &Tensor,
-    size: usize,
-    stride: usize,
-) -> TensorResult<MaxPoolOutput> {
-    let mut output = Tensor::zeros(&[0]);
-    let mut argmax = Vec::new();
-    max_pool2d_forward_into(input, size, stride, &mut output, &mut argmax)?;
-    Ok(MaxPoolOutput { output, argmax })
-}
-
-/// Forward pass of batched 2-D max pooling into caller-owned buffers.
-///
-/// `out` is resized to the pooled shape and `argmax` to the output element
-/// count; both reuse their existing capacity, so steady-state calls are
-/// allocation-free. Identical values to [`max_pool2d_forward`].
+/// spatial sizes exactly). `out` is resized to the pooled shape and
+/// `argmax` to the output element count — for every output element, the
+/// flat index (within the *input* buffer) of the element that achieved the
+/// maximum. Both reuse their existing capacity, so steady-state calls are
+/// allocation-free.
 pub fn max_pool2d_forward_into(
     input: &Tensor,
     size: usize,
@@ -106,24 +84,11 @@ pub fn max_pool2d_forward_into(
     Ok(())
 }
 
-/// Backward pass of batched 2-D max pooling.
-///
-/// Routes each output gradient to the input position that produced the
-/// maximum in the forward pass.
-pub fn max_pool2d_backward(
-    grad_output: &Tensor,
-    argmax: &[usize],
-    input_dims: &[usize],
-) -> TensorResult<Tensor> {
-    let mut grad_input = Tensor::zeros(&[0]);
-    max_pool2d_backward_into(grad_output, argmax, input_dims, &mut grad_input)?;
-    Ok(grad_input)
-}
-
 /// Backward pass of batched 2-D max pooling into a caller-owned tensor.
 ///
-/// `grad_input` is resized to `input_dims` (reusing capacity) and fully
-/// overwritten. Identical values to [`max_pool2d_backward`].
+/// Routes each output gradient to the input position that produced the
+/// maximum in the forward pass. `grad_input` is resized to `input_dims`
+/// (reusing capacity) and fully overwritten.
 pub fn max_pool2d_backward_into(
     grad_output: &Tensor,
     argmax: &[usize],
@@ -155,6 +120,33 @@ pub fn max_pool2d_backward_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pooled values plus argmax bookkeeping, in fresh buffers.
+    struct MaxPoolOutput {
+        output: Tensor,
+        argmax: Vec<usize>,
+    }
+
+    fn max_pool2d_forward(
+        input: &Tensor,
+        size: usize,
+        stride: usize,
+    ) -> TensorResult<MaxPoolOutput> {
+        let mut output = Tensor::zeros(&[0]);
+        let mut argmax = Vec::new();
+        max_pool2d_forward_into(input, size, stride, &mut output, &mut argmax)?;
+        Ok(MaxPoolOutput { output, argmax })
+    }
+
+    fn max_pool2d_backward(
+        grad_output: &Tensor,
+        argmax: &[usize],
+        input_dims: &[usize],
+    ) -> TensorResult<Tensor> {
+        let mut grad_input = Tensor::zeros(&[0]);
+        max_pool2d_backward_into(grad_output, argmax, input_dims, &mut grad_input)?;
+        Ok(grad_input)
+    }
 
     #[test]
     fn pool_2x2_known_values() {
@@ -218,10 +210,10 @@ mod tests {
         assert!(max_pool2d_forward(&rank3, 2, 2).is_err());
     }
 
-    /// The `_into` variants must match the allocating path exactly and reuse
-    /// their buffers across differently shaped calls.
+    /// Buffers reused across differently shaped calls (stale contents,
+    /// grown capacity) must give exactly what fresh buffers give.
     #[test]
-    fn into_variants_match_allocating_path() {
+    fn reused_buffers_match_fresh_buffers() {
         let mut out = Tensor::zeros(&[0]);
         let mut argmax = Vec::new();
         let mut grad_in = Tensor::zeros(&[0]);

@@ -13,9 +13,9 @@
 //! cargo run --release --example custom_algorithm
 //! ```
 
-use fedadmm::core::algorithms::{Algorithm, ClientMessage, ServerOutcome};
+use fedadmm::core::algorithms::{Algorithm, ClientMessage, ServerOutcome, UpdateScratch};
 use fedadmm::core::client::ClientState;
-use fedadmm::core::trainer::{local_sgd, LocalEnv};
+use fedadmm::core::trainer::{local_sgd_cached, LocalEnv};
 use fedadmm::prelude::*;
 use fedadmm::tensor::TensorResult;
 
@@ -52,15 +52,23 @@ impl Algorithm for FedAvgM {
         false // like FedAvg, clients run the full E epochs
     }
 
-    fn client_update(
+    fn client_update_scratch(
         &self,
         client: &mut ClientState,
         global: &ParamVector,
         env: &LocalEnv<'_>,
+        scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
-        // Same local problem as FedAvg; upload the model *difference* so the
-        // server can treat it as a pseudo-gradient.
-        let result = local_sgd(env, global.as_slice(), |_, _| {})?;
+        // Same local problem as FedAvg, trained on the worker's cached
+        // network and reusable buffers; upload the model *difference* so
+        // the server can treat it as a pseudo-gradient.
+        let result = local_sgd_cached(
+            env,
+            global.as_slice(),
+            &mut scratch.net,
+            &mut scratch.train,
+            |_, _| {},
+        )?;
         client.times_selected += 1;
         let delta = ParamVector::from_vec(result.params).sub(global);
         Ok(ClientMessage {
@@ -147,7 +155,7 @@ fn main() {
         );
     }
     println!(
-        "\nThe custom algorithm used the same Simulation, selectors, metrics and data \
+        "\nThe custom algorithm used the same engine, selectors, metrics and data \
          partitioners as the built-ins — only the Algorithm trait impl is new."
     );
 }

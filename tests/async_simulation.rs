@@ -7,8 +7,7 @@
 //! asynchronous ADMM; these tests pin down its core invariants: virtual
 //! time advances monotonically, stragglers produce stale updates, the
 //! staleness policy is respected, and asynchronous FedADMM still learns on
-//! heterogeneous pools. The legacy `AsyncSimulation` wrapper is exercised
-//! once at the end to pin the facade to the engine.
+//! heterogeneous pools.
 
 use fedadmm::prelude::*;
 use fedadmm_core::engine::RoundEngine;
@@ -193,45 +192,4 @@ fn async_and_sync_reach_comparable_accuracy_on_homogeneous_pools() {
 
     assert!(async_acc > 0.25, "async accuracy {async_acc}");
     assert!(sync_acc > 0.25, "sync accuracy {sync_acc}");
-}
-
-#[test]
-#[allow(deprecated)]
-fn legacy_async_simulation_wrapper_matches_the_engine() {
-    // The deprecated facade must behave identically to driving the engine
-    // directly with a BufferedAsync scheduler (buffer size 1).
-    let pool = AsyncConfig::two_tier(6, 3, 1.0, 0.3, 3.0, 11);
-    let cfg = config(6, 11);
-    let (train, test) = SyntheticDataset::Mnist.generate(240, 200, 11);
-    let partition = DataDistribution::NonIidShards.partition(&train, 6, 11);
-
-    let mut wrapper = AsyncSimulation::new(
-        cfg,
-        pool.clone(),
-        train.clone(),
-        test.clone(),
-        partition.clone(),
-        FedAvg::new(),
-    )
-    .unwrap();
-    wrapper.run_updates(10).unwrap();
-
-    let mut engine = RoundEngine::new(
-        config(6, 11),
-        train,
-        test,
-        partition,
-        FedAvg::new(),
-        BufferedAsync::new(pool),
-    )
-    .unwrap();
-    run_updates(&mut engine, 10);
-
-    assert_eq!(
-        wrapper.updates_applied(),
-        engine.scheduler().updates_applied()
-    );
-    assert_eq!(wrapper.global_model(), engine.global_model());
-    assert_eq!(wrapper.records().len(), engine.events().len());
-    assert_eq!(wrapper.now(), engine.now());
 }

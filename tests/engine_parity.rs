@@ -1,13 +1,12 @@
-//! Engine-refactor parity and robustness tests.
+//! Engine parity and robustness tests.
 //!
 //! Two pins:
 //!
-//! 1. **Parity** — the legacy `Simulation` facade and the unified
-//!    `RoundEngine` + `SyncRounds` scheduler produce *identical*
-//!    `RunHistory` values (and global models) for the same seed, for both
-//!    FedADMM and FedAvg. This is the refactor's contract: the wrapper is
-//!    thin and the engine reproduces the legacy synchronous semantics
-//!    byte for byte.
+//! 1. **Parity** — a seeded `RoundEngine` + `SyncRounds` run reproduces
+//!    golden digests of its full `RunHistory` and final global model, for
+//!    FedADMM and for each of the eight baselines, on every dispatch-pool
+//!    geometry. This is every refactor's contract: selection, RNG streams
+//!    and float-op order do not move.
 //! 2. **Robustness** — under the `SemiAsync` deadline scheduler on a
 //!    straggler fleet, FedADMM keeps learning from staleness-damped late
 //!    arrivals (its uploads are *deltas*, so damping merely shrinks a
@@ -16,11 +15,9 @@
 //!    paper's system-heterogeneity robustness claim transported to the
 //!    deadline regime.
 
-#![allow(deprecated)] // the parity tests exercise the legacy facade on purpose
-
 use fedadmm::prelude::*;
 use fedadmm::telemetry::names;
-use fedadmm_core::engine::{DispatchConfig, DispatchMode, RoundEngine, WirePathConfig};
+use fedadmm_core::engine::{DispatchConfig, RoundEngine, WirePathConfig};
 use proptest::prelude::*;
 
 fn config(num_clients: usize, seed: u64, system_heterogeneity: bool) -> FedConfig {
@@ -42,60 +39,6 @@ fn config(num_clients: usize, seed: u64, system_heterogeneity: bool) -> FedConfi
 
 fn data(num_clients: usize, seed: u64) -> (fedadmm::data::Dataset, fedadmm::data::Dataset) {
     SyntheticDataset::Mnist.generate(num_clients * 30, 120, seed)
-}
-
-/// Runs both paths with the same seed and asserts identical histories.
-fn assert_parity<A: Algorithm + Clone>(algorithm: A, seed: u64, rounds: usize) {
-    let num_clients = 8;
-    let cfg = config(num_clients, seed, true);
-    let (train, test) = data(num_clients, seed);
-    let partition = DataDistribution::Iid.partition(&train, num_clients, seed);
-
-    let mut legacy = Simulation::new(
-        cfg,
-        train.clone(),
-        test.clone(),
-        partition.clone(),
-        algorithm.clone(),
-    )
-    .unwrap();
-    legacy.run_rounds(rounds).unwrap();
-
-    let mut engine = RoundEngine::new(
-        config(num_clients, seed, true),
-        train,
-        test,
-        partition,
-        algorithm,
-        SyncRounds,
-    )
-    .unwrap();
-    engine.run_rounds(rounds).unwrap();
-
-    assert_eq!(
-        legacy.global_model(),
-        engine.global_model(),
-        "global models diverged between the legacy facade and the engine"
-    );
-    // Histories must agree exactly, modulo the wall-clock timing field.
-    let (lh, eh) = (legacy.history(), engine.history());
-    assert_eq!(lh.algorithm, eh.algorithm);
-    assert_eq!(lh.setting, eh.setting);
-    assert_eq!(lh.len(), eh.len());
-    for (a, b) in lh.records.iter().zip(eh.records.iter()) {
-        assert_eq!(a.round, b.round);
-        assert_eq!(
-            a.test_accuracy, b.test_accuracy,
-            "accuracy diverged at round {}",
-            a.round
-        );
-        assert_eq!(a.test_loss, b.test_loss);
-        assert_eq!(a.num_selected, b.num_selected);
-        assert_eq!(a.upload_floats, b.upload_floats);
-        assert_eq!(a.cumulative_upload_floats, b.cumulative_upload_floats);
-        assert_eq!(a.total_local_epochs, b.total_local_epochs);
-        assert_eq!(a.samples_processed, b.samples_processed);
-    }
 }
 
 /// FNV-1a digest over every schedule-independent field of a run: the full
@@ -135,25 +78,7 @@ fn in_memory_engine_matches_pre_refactor_golden_digest() {
     // trajectory (selection, RNG streams, float-op order) of the engine
     // that owned a dense `Vec<ClientState>`. Any reordering of the
     // aggregation arithmetic or the dispatch seeding changes this digest.
-    let num_clients = 9;
-    let cfg = config(num_clients, 93, true);
-    let (train, test) = data(num_clients, 93);
-    let partition = DataDistribution::NonIidShards.partition(&train, num_clients, 93);
-    // The digest is compared against a constant, so the wire path is
-    // pinned off regardless of FEDADMM_WIRE_PATH (CI re-runs this suite
-    // with the wire path forced on).
-    let mut engine = RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        FedAdmm::paper_default(),
-        SyncRounds,
-    )
-    .unwrap()
-    .with_wire_path(WirePathConfig::disabled());
-    engine.run_rounds(4).unwrap();
-    let digest = run_digest(engine.history(), engine.global_model());
+    let digest = scenario_digest(FedAdmm::paper_default(), DispatchConfig::default());
     assert_eq!(
         digest, GOLDEN_DIGEST,
         "seeded run diverged from the pre-refactor engine (digest {digest:#018x})"
@@ -163,8 +88,10 @@ fn in_memory_engine_matches_pre_refactor_golden_digest() {
 const GOLDEN_DIGEST: u64 = 0xa147_b46a_ce24_2a96;
 
 /// Runs the golden-digest scenario (9 clients, seed 93, non-IID shards, 4
-/// rounds, wire path pinned off) for `algorithm` on an explicitly configured
-/// dispatch pool and returns the run digest.
+/// rounds) for `algorithm` on an explicitly configured dispatch pool and
+/// returns the run digest. The digest is compared against constants, so the
+/// wire path is pinned off regardless of FEDADMM_WIRE_PATH (CI re-runs this
+/// suite with the wire path forced on).
 fn scenario_digest<A: Algorithm>(algorithm: A, dispatch: DispatchConfig) -> u64 {
     let num_clients = 9;
     let cfg = config(num_clients, 93, true);
@@ -178,15 +105,11 @@ fn scenario_digest<A: Algorithm>(algorithm: A, dispatch: DispatchConfig) -> u64 
     run_digest(engine.history(), engine.global_model())
 }
 
-fn digest_with_dispatch(dispatch: DispatchConfig) -> u64 {
-    scenario_digest(FedAdmm::paper_default(), dispatch)
-}
-
 /// The eight non-FedADMM algorithms on the golden scenario, with the digest
-/// each produced on the per-job `local_sgd` path (a fresh `Network` and
-/// `TrainScratch` per client update) before the scratch form became the only
-/// local-update implementation. FedPD runs under full participation, which
-/// the engine selects on its own.
+/// each produced on the former per-job path (a fresh `Network` and
+/// `TrainScratch` per client update), captured before the scratch form
+/// became the only local-update implementation. FedPD runs under full
+/// participation, which the engine selects on its own.
 fn baseline_goldens() -> Vec<(Box<dyn Algorithm>, u64)> {
     let inexact = FedAdmmInexact::new(
         0.3,
@@ -215,7 +138,6 @@ fn baseline_algorithms_match_their_pre_switch_golden_digests() {
         DispatchConfig {
             workers: Some(3),
             chunk_size: Some(1),
-            ..DispatchConfig::default()
         },
     ];
     for dispatch in pools {
@@ -240,26 +162,14 @@ fn dispatch_is_byte_identical_across_worker_counts_and_chunk_sizes() {
             let dispatch = DispatchConfig {
                 workers: Some(workers),
                 chunk_size: Some(chunk),
-                mode: Some(DispatchMode::WorkStealing),
             };
             assert_eq!(
-                digest_with_dispatch(dispatch),
+                scenario_digest(FedAdmm::paper_default(), dispatch),
                 GOLDEN_DIGEST,
                 "digest moved with {workers} workers, chunk {chunk}"
             );
         }
     }
-    // The preserved legacy static round-robin schedule agrees too.
-    let legacy = DispatchConfig {
-        workers: Some(3),
-        chunk_size: None,
-        mode: Some(DispatchMode::Static),
-    };
-    assert_eq!(
-        digest_with_dispatch(legacy),
-        GOLDEN_DIGEST,
-        "digest moved under the legacy static schedule"
-    );
 }
 
 proptest! {
@@ -276,92 +186,9 @@ proptest! {
         let dispatch = DispatchConfig {
             workers: Some(workers),
             chunk_size: Some(chunk),
-            mode: Some(DispatchMode::WorkStealing),
         };
-        prop_assert_eq!(digest_with_dispatch(dispatch), GOLDEN_DIGEST);
+        prop_assert_eq!(scenario_digest(FedAdmm::paper_default(), dispatch), GOLDEN_DIGEST);
     }
-}
-
-#[test]
-fn work_stealing_beats_static_partitioning_under_straggler_skew() {
-    // One client runs 32 local epochs while 47 run one. Under static
-    // round-robin the straggler's partition serializes its whole share
-    // behind the slow job; the pool rebalances it across workers. Needs
-    // real parallelism to measure, so the test is a no-op on 1-CPU hosts.
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if parallelism < 2 {
-        eprintln!("skipping straggler wall-clock test: 1 CPU available");
-        return;
-    }
-    let workers = parallelism.min(4);
-    let num_clients = 48;
-    let run = |mode: DispatchMode| -> f64 {
-        let cfg = FedConfig {
-            num_clients,
-            participation: Participation::Fraction(1.0),
-            local_epochs: 1,
-            system_heterogeneity: false,
-            batch_size: BatchSize::Size(8),
-            local_learning_rate: 0.05,
-            model: ModelSpec::Logistic {
-                input_dim: 784,
-                num_classes: 10,
-            },
-            seed: 7,
-            eval_subset: usize::MAX,
-        };
-        let (train, test) = SyntheticDataset::Mnist.generate(num_clients * 8, 60, 7);
-        let partition = DataDistribution::Iid.partition(&train, num_clients, 7);
-        let epochs: Vec<usize> = (0..num_clients)
-            .map(|c| if c == 0 { 32 } else { 1 })
-            .collect();
-        let mut engine = RoundEngine::new(
-            cfg,
-            train,
-            test,
-            partition,
-            FedAdmm::paper_default(),
-            SyncRounds,
-        )
-        .unwrap()
-        .with_work_schedule(LocalWorkSchedule::PerClient(epochs))
-        .eval_subset(0.25)
-        .with_dispatch(DispatchConfig {
-            workers: Some(workers),
-            chunk_size: None,
-            mode: Some(mode),
-        });
-        // Warm-up round (thread spawn, cache fill), then the timed window.
-        engine.run_rounds(1).unwrap();
-        let start = std::time::Instant::now();
-        engine.run_rounds(3).unwrap();
-        start.elapsed().as_secs_f64()
-    };
-    // Min-of-two per mode bounds scheduler noise.
-    let static_secs = run(DispatchMode::Static).min(run(DispatchMode::Static));
-    let steal_secs = run(DispatchMode::WorkStealing).min(run(DispatchMode::WorkStealing));
-    assert!(
-        steal_secs < static_secs,
-        "work-stealing ({steal_secs:.3}s) should beat static partitioning \
-         ({static_secs:.3}s) on a straggler-skewed cohort with {workers} workers"
-    );
-}
-
-#[test]
-fn sync_engine_reproduces_legacy_simulation_for_fedadmm() {
-    assert_parity(FedAdmm::new(0.3, ServerStepSize::Constant(1.0)), 21, 5);
-}
-
-#[test]
-fn sync_engine_reproduces_legacy_simulation_for_fedavg() {
-    assert_parity(FedAvg::new(), 22, 5);
-}
-
-#[test]
-fn sync_engine_parity_holds_under_participation_ratio_step() {
-    assert_parity(FedAdmm::new(0.3, ServerStepSize::ParticipationRatio), 23, 4);
 }
 
 #[test]

@@ -118,6 +118,55 @@ fn clipping_alone_preserves_learning_when_the_threshold_is_loose() {
 }
 
 #[test]
+fn wrapped_fedadmm_trains_on_the_workers_scratch_and_uploads_the_same_message() {
+    use fedadmm::core::algorithms::UpdateScratch;
+    use fedadmm::core::trainer::LocalEnv;
+
+    let (train, _) = SyntheticDataset::Mnist.generate(40, 10, 17);
+    let indices: Vec<usize> = (0..40).collect();
+    let env = LocalEnv {
+        dataset: &train,
+        indices: &indices,
+        model: config(1, 17).model,
+        epochs: 2,
+        batch_size: BatchSize::Size(16),
+        learning_rate: 0.1,
+        seed: 99,
+    };
+    let d = env.model.num_params();
+    let theta = ParamVector::from_vec(vec![0.01; d]);
+    let inner = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
+    let quantizer = Quantizer::new(8, true);
+    let mechanism = GaussianMechanism::new(5.0, 0.01);
+    let wrapped = PrivateAlgorithm::new(QuantizedAlgorithm::new(inner, quantizer), mechanism);
+
+    // Both wrappers hand the worker's scratch down to FedADMM, which parks
+    // its augmented model there and trains on the cached network.
+    let mut scratch = UpdateScratch::default();
+    let mut client = ClientState::new(0, indices.clone(), &theta);
+    let message = wrapped
+        .client_update_scratch(&mut client, &theta, &env, &mut scratch)
+        .unwrap();
+    assert!(
+        scratch.param.capacity() >= d,
+        "the worker scratch stayed cold"
+    );
+
+    // The upload is what it always was: FedADMM's message, quantized, then
+    // clipped and noised, each on its own seed stream.
+    let mut twin = ClientState::new(0, indices.clone(), &theta);
+    let plain = inner.client_update(&mut twin, &theta, &env).unwrap();
+    let mut expected = quantizer
+        .quantize(plain.payload[0].as_slice(), env.seed)
+        .dequantize();
+    mechanism.privatize(&mut expected, env.seed ^ 0xD1FF_BEEF);
+    assert_eq!(message.payload.len(), 1);
+    assert_eq!(message.payload[0].as_slice(), expected.as_slice());
+    assert_eq!(client.local_model, twin.local_model);
+    assert_eq!(client.dual, twin.dual);
+}
+
+#[test]
 fn secure_aggregation_recovers_the_exact_fedadmm_server_update() {
     // Simulate the server-side of equation (5) under pairwise masking: the
     // sum of masked Δ_i equals the sum of raw Δ_i, so the resulting global
