@@ -104,6 +104,12 @@ fn main() -> ExitCode {
         }
     }
 
+    // Before the run, not after it: a snapshot takes minutes and must not be
+    // lost to a missing directory.
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        eprintln!("cannot create {}: {e}", out_dir.display());
+        return ExitCode::FAILURE;
+    }
     let rounds = rounds.unwrap_or_else(|| rounds_for(scale));
     eprintln!("running {scale:?} snapshot ({rounds} rounds per scenario)...");
     let snapshot = match build_snapshot(scale, rounds) {

@@ -4,17 +4,22 @@
 //! bit-exact legacy semantics. At million-client scale the fold itself
 //! becomes the serial bottleneck, so this module provides the opt-in
 //! alternative: payloads are grouped by the shard of their sender, each
-//! shard folds its terms into one partial `ParamVector` **in parallel**
-//! (scoped OS threads, deterministic outputs regardless of the thread
-//! schedule), and a log-depth pairwise combine reduces the partials to the
-//! round update. Floating-point addition is not associative, so the tree
+//! shard folds its terms into one partial `ParamVector`, and a log-depth
+//! pairwise combine reduces the partials to the round update.
+//!
+//! This crate creates no threads: [`hierarchical_fold`] hands the per-shard
+//! jobs to a `run_shards` callback. The engine passes its dispatch pool;
+//! [`hierarchical_weighted_sum`] / [`hierarchical_dequant_sum`] run them
+//! inline. Every shard writes its own slot and the combine walks the slots
+//! in shard order, so the result is bit-identical however the jobs are
+//! scheduled. Floating-point addition is not associative, so the tree
 //! result differs from the fused pass in the last bits — which is exactly
-//! why the engine keeps it opt-in
-//! (`AggregationMode::Hierarchical`) rather than tying it to the store
-//! backend.
+//! why the engine keeps it opt-in (`AggregationMode::Hierarchical`) rather
+//! than tying it to the store backend.
 
 use crate::param::ParamVector;
 use fedadmm_tensor::vecops::{self, DequantTerm};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Timing/shape of one shard's partial fold (for telemetry spans).
@@ -28,54 +33,38 @@ pub struct ShardFoldStat {
     pub seconds: f64,
 }
 
-/// Folds `groups` — per-shard `(shard, [(coeff, payload)])` term lists —
-/// into `Σ coeff·payload` by parallel per-shard partial sums and a
-/// log-depth pairwise combine. Deterministic for a fixed `groups` order.
-/// Per-shard timings are measured only when `timed` is set.
-pub fn hierarchical_weighted_sum(
+/// The tree fold behind both public sums: `fold_terms` turns one shard's
+/// term list into its partial (overwriting a zeroed vector), and a
+/// log-depth pairwise combine reduces the partials in `groups` order.
+///
+/// `run_shards(n, job)` must call `job(i)` exactly once for every
+/// `i in 0..n`, on whatever threads it likes, and return once all calls
+/// have finished. Per-shard timings are measured only when `timed` is set.
+pub fn hierarchical_fold<T: Sync>(
     dim: usize,
-    groups: &[(usize, Vec<(f32, &ParamVector)>)],
+    groups: &[(usize, Vec<T>)],
     timed: bool,
+    fold_terms: impl Fn(&[T], &mut ParamVector) + Sync,
+    run_shards: impl FnOnce(usize, &(dyn Fn(usize) + Sync)),
 ) -> (ParamVector, Vec<ShardFoldStat>) {
-    if groups.is_empty() {
-        return (ParamVector::zeros(dim), Vec::new());
-    }
-    let fold_group = |(shard, terms): &(usize, Vec<(f32, &ParamVector)>)| {
+    let slots: Vec<OnceLock<(ParamVector, ShardFoldStat)>> =
+        groups.iter().map(|_| OnceLock::new()).collect();
+    run_shards(groups.len(), &|i| {
+        let (shard, terms) = &groups[i];
         let start = timed.then(Instant::now);
         let mut partial = ParamVector::zeros(dim);
-        partial.assign_weighted_sum(terms);
+        fold_terms(terms, &mut partial);
         let stat = ShardFoldStat {
             shard: *shard,
             messages: terms.len(),
             seconds: start.map_or(0.0, |s| s.elapsed().as_secs_f64()),
         };
-        (partial, stat)
-    };
-
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(groups.len());
-    let folded: Vec<(ParamVector, ShardFoldStat)> = if workers <= 1 {
-        groups.iter().map(fold_group).collect()
-    } else {
-        // Contiguous chunks, joined in order: the output order (and hence
-        // the combine tree) is independent of the thread schedule.
-        let chunk = groups.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let fold_group = &fold_group;
-            let handles: Vec<_> = groups
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || part.iter().map(fold_group).collect::<Vec<_>>()))
-                .collect();
-            let mut all = Vec::with_capacity(groups.len());
-            for handle in handles {
-                all.extend(handle.join().expect("shard fold worker panicked"));
-            }
-            all
-        })
-    };
-    let (mut partials, stats): (Vec<ParamVector>, Vec<ShardFoldStat>) = folded.into_iter().unzip();
+        assert!(slots[i].set((partial, stat)).is_ok(), "shard {i} ran twice");
+    });
+    let (mut partials, stats): (Vec<ParamVector>, Vec<ShardFoldStat>) = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every shard job ran"))
+        .unzip();
 
     // Log-depth pairwise combine: (((p0+p1)+(p2+p3))+…); each level halves
     // the population, each sum is one fused pass.
@@ -90,71 +79,51 @@ pub fn hierarchical_weighted_sum(
         }
         partials = next;
     }
-    (partials.pop().expect("non-empty by construction"), stats)
+    let sum = partials.pop().unwrap_or_else(|| ParamVector::zeros(dim));
+    (sum, stats)
+}
+
+/// Runs the shard jobs one after another on the calling thread.
+fn run_inline(jobs: usize, job: &(dyn Fn(usize) + Sync)) {
+    (0..jobs).for_each(job);
+}
+
+/// Folds `groups` — per-shard `(shard, [(coeff, payload)])` term lists —
+/// into `Σ coeff·payload` by per-shard partial sums and a log-depth
+/// pairwise combine, on the calling thread. Deterministic for a fixed
+/// `groups` order.
+pub fn hierarchical_weighted_sum(
+    dim: usize,
+    groups: &[(usize, Vec<(f32, &ParamVector)>)],
+    timed: bool,
+) -> (ParamVector, Vec<ShardFoldStat>) {
+    hierarchical_fold(
+        dim,
+        groups,
+        timed,
+        |terms, partial| partial.assign_weighted_sum(terms),
+        run_inline,
+    )
 }
 
 /// The compressed twin of [`hierarchical_weighted_sum`]: folds per-shard
 /// [`DequantTerm`] lists — quantized wire payloads with their fold
 /// coefficient baked into `alpha` — into `Σ αᵢ·(minᵢ + codeᵢ·stepᵢ)`
 /// without ever materializing a dense decode. Each shard's partial is one
-/// fused [`vecops::dequant_sum_into`] sweep; the combine is the same
-/// log-depth pairwise tree, so determinism and telemetry semantics match
-/// the dense fold exactly.
+/// fused [`vecops::dequant_sum_into`] sweep through the same tree, so
+/// determinism and telemetry semantics match the dense fold exactly.
 pub fn hierarchical_dequant_sum(
     dim: usize,
     groups: &[(usize, Vec<DequantTerm<'_>>)],
     timed: bool,
 ) -> (ParamVector, Vec<ShardFoldStat>) {
-    if groups.is_empty() {
-        return (ParamVector::zeros(dim), Vec::new());
-    }
-    let fold_group = |(shard, terms): &(usize, Vec<DequantTerm<'_>>)| {
-        let start = timed.then(Instant::now);
-        let mut partial = ParamVector::zeros(dim);
-        vecops::dequant_sum_into(terms, partial.as_mut_slice());
-        let stat = ShardFoldStat {
-            shard: *shard,
-            messages: terms.len(),
-            seconds: start.map_or(0.0, |s| s.elapsed().as_secs_f64()),
-        };
-        (partial, stat)
-    };
-
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(groups.len());
-    let folded: Vec<(ParamVector, ShardFoldStat)> = if workers <= 1 {
-        groups.iter().map(fold_group).collect()
-    } else {
-        let chunk = groups.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let fold_group = &fold_group;
-            let handles: Vec<_> = groups
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || part.iter().map(fold_group).collect::<Vec<_>>()))
-                .collect();
-            let mut all = Vec::with_capacity(groups.len());
-            for handle in handles {
-                all.extend(handle.join().expect("shard fold worker panicked"));
-            }
-            all
-        })
-    };
-    let (mut partials, stats): (Vec<ParamVector>, Vec<ShardFoldStat>) = folded.into_iter().unzip();
-
-    while partials.len() > 1 {
-        let mut next = Vec::with_capacity(partials.len().div_ceil(2));
-        let mut iter = partials.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => next.push(a.add(&b)),
-                None => next.push(a),
-            }
-        }
-        partials = next;
-    }
-    (partials.pop().expect("non-empty by construction"), stats)
+    hierarchical_fold(
+        dim,
+        groups,
+        timed,
+        |terms, partial| vecops::dequant_sum_into(terms, partial.as_mut_slice()),
+        run_inline,
+    )
 }
 
 #[cfg(test)]

@@ -35,7 +35,9 @@ pub mod spill;
 pub mod state;
 pub mod store;
 
-pub use agg::{hierarchical_dequant_sum, hierarchical_weighted_sum, ShardFoldStat};
+pub use agg::{
+    hierarchical_dequant_sum, hierarchical_fold, hierarchical_weighted_sum, ShardFoldStat,
+};
 pub use param::ParamVector;
 pub use shard::{ClientIndices, ShardMap};
 pub use sharded::ShardedStore;

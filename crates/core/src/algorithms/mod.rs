@@ -124,9 +124,9 @@ pub struct UpdateScratch {
 /// When [`Algorithm::server_update`] is a *linear* function of the round's
 /// first payloads — `θ ← θ + Σ_k c_k·p_k` or `θ ← Σ_k c_k·p_k` — the
 /// algorithm can expose the coefficients here and the engine may compute
-/// the sum as parallel per-shard partial folds plus a log-depth combine
-/// instead of one sequential fused pass. Coefficients are aligned with the
-/// message slice they were derived from.
+/// the sum as per-shard partial folds on the dispatch pool plus a log-depth
+/// combine instead of one sequential fused pass. Coefficients are aligned
+/// with the message slice they were derived from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FoldPlan {
     /// `θ ← θ + Σ_k coeff_k · payload_k` (FedADMM's tracking update,

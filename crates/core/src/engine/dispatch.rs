@@ -4,7 +4,8 @@
 //! Under FedADMM's heterogeneous-epochs workloads (the paper's system-
 //! heterogeneity protocol) a static partition of the cohort lets a single
 //! 16×-epoch straggler serialize its whole share while other cores idle.
-//! [`DispatchPool`] is the engine's one way to go parallel over clients,
+//! [`DispatchPool`] is the one place in the workspace that creates threads
+//! and reads the host's core count — the engine's one way to go parallel —
 //! with self-scheduling workers:
 //!
 //! * a **persistent** set of parked worker threads (spawned once per
@@ -18,14 +19,21 @@
 //!   [`UpdateScratch`](crate::algorithms::UpdateScratch) buffers), so the
 //!   steady-state dispatch path performs no per-job allocations.
 //!
+//! The pool owns the cores: it runs client updates during a dispatch and,
+//! between dispatches, evaluation chunks and the per-shard folds of
+//! hierarchical aggregation — all submitted from the tick thread while the
+//! pool is idle. Tensor kernels and store folds are serial loops, so the
+//! worker count is the single parallelism control and a one-worker pool
+//! makes the whole run single-threaded.
+//!
 //! Determinism: job results depend only on `(seed, round, client)`-derived
 //! RNG streams and jobs are collected in ascending client-id order, so the
 //! outcome is byte-identical for every worker count and chunk size — pinned
 //! by the golden-digest parity tests.
 //!
 //! Configuration resolves from [`DispatchConfig`] builders first, then the
-//! environment (`FEDADMM_DISPATCH_WORKERS`, `FEDADMM_DISPATCH_CHUNK`), then
-//! hardware defaults.
+//! environment (`FEDADMM_DISPATCH_WORKERS`, `FEDADMM_DISPATCH_CHUNK`; a
+//! value that is not a positive integer panics), then hardware defaults.
 
 use crate::algorithms::UpdateScratch;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,13 +55,20 @@ pub struct DispatchConfig {
     pub chunk_size: Option<usize>,
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name)
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
+/// Parses a worker-count or chunk-size override: `None` when unset; panics,
+/// naming the variable and the value, on anything but a positive integer —
+/// the worker count is the only parallelism control, so a typo must not
+/// silently become the default.
+fn parse_count(name: &str, raw: Option<&str>) -> Option<usize> {
+    let raw = raw?;
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Some(n),
+        _ => panic!("{name}={raw:?} is not a positive integer"),
+    }
+}
+
+fn env_count(name: &str) -> Option<usize> {
+    parse_count(name, std::env::var(name).ok().as_deref())
 }
 
 impl DispatchConfig {
@@ -69,7 +84,7 @@ impl DispatchConfig {
     /// available parallelism.
     pub fn resolved_workers(&self) -> usize {
         self.workers
-            .or_else(|| env_usize("FEDADMM_DISPATCH_WORKERS"))
+            .or_else(|| env_count("FEDADMM_DISPATCH_WORKERS"))
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
@@ -84,7 +99,7 @@ impl DispatchConfig {
     /// rebalance behind a straggler.
     pub fn resolved_chunk(&self, num_jobs: usize, workers: usize) -> usize {
         self.chunk_size
-            .or_else(|| env_usize("FEDADMM_DISPATCH_CHUNK"))
+            .or_else(|| env_count("FEDADMM_DISPATCH_CHUNK"))
             .unwrap_or_else(|| (num_jobs / (workers.max(1) * 4)).clamp(1, 8))
     }
 }
@@ -233,6 +248,12 @@ impl DispatchPool {
     /// Runs a batch of `num_jobs` jobs to completion and returns the batch
     /// stats. `task(worker, job, scratch)` must tolerate any assignment of
     /// jobs to workers; each job index in `0..num_jobs` runs exactly once.
+    /// A one-job batch runs inline on the serial scratch, like every batch
+    /// of a one-worker pool: waking the workers costs more than it can win.
+    ///
+    /// Not re-entrant: a job that calls `run` or `with_scratch` on its own
+    /// pool waits on the batch it is part of. Concurrent callers are served
+    /// one batch at a time.
     ///
     /// # Panics
     /// Panics with `"dispatch worker panicked"` if any job panicked (all
@@ -241,7 +262,7 @@ impl DispatchPool {
         if num_jobs == 0 {
             return DispatchBatchStats::default();
         }
-        if self.handles.is_empty() {
+        if self.handles.is_empty() || num_jobs == 1 {
             return self.run_serial(num_jobs, timed, task);
         }
         let chunk = self.config.resolved_chunk(num_jobs, self.workers);
@@ -253,6 +274,12 @@ impl DispatchPool {
         let task: &'static (dyn Fn(usize, usize, &mut DispatchScratch) + Sync) =
             unsafe { std::mem::transmute(task) };
         let mut st = self.shared.state.lock().expect("dispatch pool lock");
+        // One batch at a time: publishing over a batch still in flight would
+        // reset `remaining` under its workers and let either caller return
+        // (and free its task) early.
+        while st.batch.is_some() {
+            st = self.shared.done_cv.wait(st).expect("dispatch pool wait");
+        }
         self.shared.cursor.store(0, Ordering::SeqCst);
         self.shared.panicked.store(false, Ordering::SeqCst);
         st.seq = st.seq.wrapping_add(1);
@@ -271,6 +298,8 @@ impl DispatchPool {
             st = self.shared.done_cv.wait(st).expect("dispatch pool wait");
         }
         st.batch = None;
+        self.shared.done_cv.notify_all();
+        let panicked = self.shared.panicked.load(Ordering::SeqCst);
         let mut stats = DispatchBatchStats {
             workers: self.handles.len(),
             chunk_size: chunk,
@@ -291,7 +320,7 @@ impl DispatchPool {
             }
         }
         drop(st);
-        if self.shared.panicked.load(Ordering::SeqCst) {
+        if panicked {
             panic!("dispatch worker panicked");
         }
         stats
@@ -487,6 +516,65 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 5);
         assert_eq!(stats.workers, 1);
         assert_eq!(stats.steals, 0);
+    }
+
+    #[test]
+    fn one_job_batch_runs_inline_without_waking_the_workers() {
+        let pool = DispatchPool::new(config(3, None));
+        let main_thread = std::thread::current().id();
+        let stats = pool.run(1, true, &|worker, job, _| {
+            assert_eq!((worker, job), (0, 0));
+            assert_eq!(std::thread::current().id(), main_thread);
+        });
+        assert_eq!((stats.workers, stats.jobs, stats.chunks), (1, 1, 1));
+        assert_eq!(stats.busy_seconds.len(), 1);
+        // Two jobs are a real batch again.
+        assert_eq!(pool.run(2, false, &|_, _, _| {}).workers, 3);
+    }
+
+    #[test]
+    fn concurrent_callers_are_served_one_batch_at_a_time() {
+        let pool = Arc::new(DispatchPool::new(config(3, Some(1))));
+        let callers: Vec<JoinHandle<()>> = (0..4)
+            .map(|_| {
+                let pool = Arc::clone(&pool);
+                let caller = move || {
+                    for _ in 0..50 {
+                        let counts: Vec<AtomicU64> = (0..9).map(|_| AtomicU64::new(0)).collect();
+                        let stats = pool.run(counts.len(), false, &|_, job, _| {
+                            counts[job].fetch_add(1, Ordering::SeqCst);
+                        });
+                        assert_eq!(stats.jobs, 9);
+                        assert!(counts.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+                    }
+                };
+                std::thread::Builder::new()
+                    .spawn(caller)
+                    .expect("spawn caller")
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("caller saw every job exactly once");
+        }
+    }
+
+    #[test]
+    fn count_overrides_parse_or_panic_naming_the_variable() {
+        assert_eq!(parse_count("FEDADMM_DISPATCH_WORKERS", None), None);
+        assert_eq!(parse_count("FEDADMM_DISPATCH_WORKERS", Some("3")), Some(3));
+        assert_eq!(
+            parse_count("FEDADMM_DISPATCH_CHUNK", Some(" 16 ")),
+            Some(16)
+        );
+        for bad in ["", "0", "-1", "two", "2.5", "4 workers"] {
+            let err =
+                catch_unwind(|| parse_count("FEDADMM_DISPATCH_WORKERS", Some(bad))).expect_err(bad);
+            let text = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                text.contains("FEDADMM_DISPATCH_WORKERS") && text.contains(&format!("{bad:?}")),
+                "{text}"
+            );
+        }
     }
 
     #[test]

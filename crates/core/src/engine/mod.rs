@@ -19,20 +19,24 @@
 //!   copy-on-write ([`Arc::make_mut`](std::sync::Arc::make_mut)), so the
 //!   synchronous path never copies the model at all and the asynchronous
 //!   paths copy at most once per aggregation.
-//! * **One parallel dispatch path.** All local updates run through
+//! * **One threading substrate.** All local updates run through
 //!   [`EngineCore::dispatch`], backed by a persistent work-stealing
 //!   [`DispatchPool`]: workers claim job chunks from a shared cursor (so
 //!   stragglers never serialize a partition) and reuse per-thread scratch
-//!   arenas (so steady-state dispatch allocates nothing). Every job's RNG
-//!   stream is derived from `(seed, round, client_id)`, so results are
-//!   byte-identical across worker counts, chunk sizes *and* the scheduler
-//!   that issued the work.
+//!   arenas (so steady-state dispatch allocates nothing). Between
+//!   dispatches the same workers run the evaluation chunks of
+//!   [`EngineCore::evaluate_global`] and the per-shard folds of
+//!   hierarchical aggregation; nothing else in the workspace creates a
+//!   thread. Every job's RNG stream is derived from
+//!   `(seed, round, client_id)` and chunk and shard results are reduced in
+//!   index order, so results are byte-identical across worker counts,
+//!   chunk sizes *and* the scheduler that issued the work.
 //! * **Single-pass aggregation.** Algorithms fold all payloads into θ with
 //!   one fused accumulator pass
 //!   ([`ParamVector::accumulate`](crate::param::ParamVector::accumulate))
 //!   instead of one full `axpy` sweep per message. Large cohorts can opt
-//!   into [`AggregationMode::Hierarchical`]: per-shard partial folds in
-//!   parallel plus a log-depth combine.
+//!   into [`AggregationMode::Hierarchical`]: per-shard partial folds on
+//!   the dispatch pool plus a log-depth combine.
 //! * **Pluggable client-state storage.** Per-client state lives behind a
 //!   [`ClientStateStore`](fedadmm_clientstore::ClientStateStore): dense
 //!   in-memory (the default, byte-identical to the legacy engine), lazily
@@ -91,7 +95,6 @@ use crate::heterogeneity::LocalWorkSchedule;
 use crate::metrics::{RoundRecord, RunHistory};
 use crate::param::ParamVector;
 use crate::selection::{ClientSelector, FullParticipation, UniformFraction};
-use crate::trainer::evaluate;
 use fedadmm_clientstore::{ClientStateStore, StoreConfig};
 use fedadmm_data::partition::Partition;
 use fedadmm_data::Dataset;
@@ -263,9 +266,9 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
     /// Selects the server aggregation strategy.
     /// [`AggregationMode::SinglePass`] (the default) is byte-identical to
     /// the legacy engine; [`AggregationMode::Hierarchical`] folds per shard
-    /// in parallel with a log-depth combine, for large cohorts. Algorithms
-    /// without a [`FoldPlan`](crate::algorithms::FoldPlan) always use the
-    /// sequential path.
+    /// on the dispatch pool with a log-depth combine, for large cohorts.
+    /// Algorithms without a [`FoldPlan`](crate::algorithms::FoldPlan) always
+    /// use the sequential path.
     pub fn with_aggregation(mut self, mode: AggregationMode) -> Self {
         self.aggregation = mode;
         self
@@ -461,14 +464,10 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
     }
 
     /// Evaluates the current global model on the test set, returning
-    /// `(loss, accuracy)`.
+    /// `(loss, accuracy)`. Runs on the dispatch pool, like
+    /// [`EngineCore::evaluate_global`].
     pub fn evaluate_global(&self) -> TensorResult<(f32, f32)> {
-        evaluate(
-            self.config.model,
-            self.global.as_slice(),
-            &self.test,
-            self.config.eval_subset,
-        )
+        scheduler::evaluate_on_pool(&self.pool, &self.config, &self.global, &self.test)
     }
 
     /// Observed staleness of recorded arrivals: `(mean, max)`.

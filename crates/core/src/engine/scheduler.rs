@@ -35,14 +35,15 @@ use crate::heterogeneity::LocalWorkSchedule;
 use crate::metrics::{RoundRecord, RunHistory};
 use crate::param::ParamVector;
 use crate::selection::ClientSelector;
-use crate::trainer::{evaluate, LocalEnv};
-use fedadmm_clientstore::{hierarchical_dequant_sum, hierarchical_weighted_sum, ClientStateStore};
+use crate::trainer::{eval_chunk, evaluate_chunk, mean_of_chunks, LocalEnv, EVAL_CHUNK};
+use fedadmm_clientstore::{hierarchical_fold, ClientStateStore};
 use fedadmm_data::Dataset;
 use fedadmm_telemetry::{names, DispatchSummary, RoundSummary, Telemetry};
+use fedadmm_tensor::vecops::{self, DequantTerm};
 use fedadmm_tensor::{TensorError, TensorResult};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// How the server folds a round's payloads into θ.
@@ -57,8 +58,8 @@ pub enum AggregationMode {
     /// behavior; byte-identical to the pre-store engine).
     #[default]
     SinglePass,
-    /// Per-shard partial folds in parallel, then a log-depth pairwise
-    /// combine. Requires the algorithm to expose a
+    /// Per-shard partial folds on the dispatch pool, then a log-depth
+    /// pairwise combine. Requires the algorithm to expose a
     /// [`FoldPlan`](crate::algorithms::FoldPlan); falls back to
     /// [`SinglePass`](AggregationMode::SinglePass) when it does not.
     Hierarchical,
@@ -284,6 +285,41 @@ impl JobContext<'_> {
     }
 }
 
+/// Evaluates `global` on the first `config.eval_subset` test samples as one
+/// pool job per chunk, each on its worker's cached network and training
+/// scratch. The per-chunk sums are added in chunk order on the caller, so
+/// the result has the bits of [`evaluate`](crate::trainer::evaluate) for
+/// every worker count.
+pub(super) fn evaluate_on_pool(
+    pool: &DispatchPool,
+    config: &FedConfig,
+    global: &ParamVector,
+    test: &Dataset,
+) -> TensorResult<(f32, f32)> {
+    let n = test.len().min(config.eval_subset);
+    let slots: Vec<OnceLock<TensorResult<(f32, f32)>>> = (0..n.div_ceil(EVAL_CHUNK))
+        .map(|_| OnceLock::new())
+        .collect();
+    pool.run(slots.len(), false, &|_worker, chunk, scratch| {
+        let sums = evaluate_chunk(
+            config.model,
+            global.as_slice(),
+            test,
+            eval_chunk(chunk, n),
+            &mut scratch.update.net,
+            &mut scratch.update.train,
+        );
+        assert!(
+            slots[chunk].set(sums).is_ok(),
+            "eval chunk {chunk} ran twice"
+        );
+    });
+    let chunk_sums = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every eval chunk ran"));
+    mean_of_chunks(chunk_sums, n)
+}
+
 impl EngineCore<'_> {
     /// The current virtual time.
     pub fn now(&self) -> f64 {
@@ -343,14 +379,10 @@ impl EngineCore<'_> {
         Arc::clone(self.global)
     }
 
-    /// Evaluates the global model on the test set: `(loss, accuracy)`.
+    /// Evaluates the global model on the test set: `(loss, accuracy)`, one
+    /// pool job per [`EVAL_CHUNK`] samples.
     pub fn evaluate_global(&self) -> TensorResult<(f32, f32)> {
-        evaluate(
-            self.config.model,
-            self.global.as_slice(),
-            self.test,
-            self.config.eval_subset,
-        )
+        evaluate_on_pool(self.pool, self.config, self.global, self.test)
     }
 
     /// Runs one order synchronously on the calling thread (on the pool's
@@ -528,10 +560,10 @@ impl EngineCore<'_> {
     /// otherwise the update happens in place.
     ///
     /// Under [`AggregationMode::Hierarchical`], algorithms that expose a
-    /// [`FoldPlan`] are folded as parallel per-shard partial sums plus a
-    /// log-depth combine instead of one sequential fused pass; algorithms
-    /// without a plan (stateful or non-linear server updates) silently use
-    /// the sequential path.
+    /// [`FoldPlan`] are folded as per-shard partial sums on the dispatch
+    /// pool plus a log-depth combine instead of one sequential fused pass;
+    /// algorithms without a plan (stateful or non-linear server updates)
+    /// silently use the sequential path.
     pub fn aggregate(
         &mut self,
         messages: &[ClientMessage],
@@ -570,7 +602,7 @@ impl EngineCore<'_> {
     /// and `sᵢ` the staleness scale the scheduler folded into the payload —
     /// no dense decompression is ever materialized. Under
     /// [`AggregationMode::Hierarchical`] the same terms are folded per
-    /// shard ([`hierarchical_dequant_sum`]) with a log-depth combine.
+    /// shard on the dispatch pool, with a log-depth combine.
     ///
     /// Batches the fused pass cannot express — algorithms without a plan
     /// (stateful server updates), multi-vector uploads (SCAFFOLD), or a mix
@@ -600,7 +632,6 @@ impl EngineCore<'_> {
         rng: &mut dyn rand::RngCore,
         timed: bool,
     ) -> ServerOutcome {
-        use fedadmm_tensor::vecops::DequantTerm;
         let fusable = messages
             .iter()
             .all(|m| m.wire.as_ref().is_some_and(|w| w.vectors.len() == 1));
@@ -620,54 +651,25 @@ impl EngineCore<'_> {
         };
         // One affine term per message; the staleness scale folds into the
         // plan coefficient, exactly as it would multiply a dense payload.
-        let terms: Vec<(usize, DequantTerm<'_>)> = messages
+        let terms = messages
             .iter()
             .zip(plan.coefficients())
             .map(|(msg, &coeff)| {
                 let wire = msg.wire.as_ref().expect("fusable batch");
                 let v = &wire.vectors[0];
-                (
-                    msg.client_id,
-                    DequantTerm {
-                        alpha: coeff * wire.scale,
-                        min: v.min,
-                        step: v.step,
-                        codes: &v.codes,
-                    },
-                )
-            })
-            .collect();
-        if self.aggregation == AggregationMode::Hierarchical {
-            let map = self.store.shard_map();
-            let mut group_of: HashMap<usize, usize> = HashMap::new();
-            let mut groups: Vec<(usize, Vec<DequantTerm<'_>>)> = Vec::new();
-            for (client_id, term) in terms {
-                let shard = map.shard_of(client_id);
-                let gi = *group_of.entry(shard).or_insert_with(|| {
-                    groups.push((shard, Vec::new()));
-                    groups.len() - 1
-                });
-                groups[gi].1.push(term);
-            }
-            groups.sort_by_key(|(shard, _)| *shard);
-            let (delta, shard_stats) = hierarchical_dequant_sum(self.global.len(), &groups, timed);
-            if timed {
-                for stat in &shard_stats {
-                    self.telemetry.on_shard_fold(
-                        *self.round,
-                        stat.shard,
-                        stat.messages,
-                        stat.seconds,
-                    );
+                DequantTerm {
+                    alpha: coeff * wire.scale,
+                    min: v.min,
+                    step: v.step,
+                    codes: &v.codes,
                 }
-            }
-            let global = Arc::make_mut(self.global);
-            match plan {
-                FoldPlan::Accumulate(_) => global.axpy(1.0, &delta),
-                FoldPlan::Assign(_) => global.copy_from(&delta),
-            }
+            });
+        if self.aggregation == AggregationMode::Hierarchical {
+            self.fold_by_shard(&plan, messages, terms, timed, |terms, partial| {
+                vecops::dequant_sum_into(terms, partial.as_mut_slice())
+            });
         } else {
-            let terms: Vec<DequantTerm<'_>> = terms.into_iter().map(|(_, t)| t).collect();
+            let terms: Vec<DequantTerm<'_>> = terms.collect();
             let global = Arc::make_mut(self.global);
             match plan {
                 FoldPlan::Accumulate(_) => global.dequant_accumulate(&terms),
@@ -679,11 +681,10 @@ impl EngineCore<'_> {
         }
     }
 
-    /// The hierarchical aggregation path: groups the round's first payloads
-    /// by the store's shard geometry, folds each shard's group in parallel
-    /// and combines the partials pairwise. Returns `None` when hierarchical
-    /// mode is off, the batch is empty, or the algorithm exposes no
-    /// [`FoldPlan`] — the caller then falls back to `server_update`.
+    /// The dense hierarchical aggregation path. Returns `None` when
+    /// hierarchical mode is off, the batch is empty, or the algorithm
+    /// exposes no [`FoldPlan`] — the caller then falls back to
+    /// `server_update`.
     fn try_hierarchical_fold(
         &mut self,
         messages: &[ClientMessage],
@@ -695,20 +696,50 @@ impl EngineCore<'_> {
         let plan = self
             .algorithm
             .fold_plan(messages, self.config.num_clients)?;
+        let terms = messages
+            .iter()
+            .zip(plan.coefficients())
+            .map(|(msg, &coeff)| (coeff, &msg.payload[0]));
+        self.fold_by_shard(&plan, messages, terms, timed, |terms, partial| {
+            partial.assign_weighted_sum(terms)
+        });
+        Some(ServerOutcome {
+            upload_floats: total_upload(messages),
+        })
+    }
+
+    /// The tree fold both hierarchical paths share: groups one term per
+    /// message by the sender's shard (ascending shard order, whatever the
+    /// arrival order), folds every shard's group as a job on the dispatch
+    /// pool, combines the partials pairwise and applies the sum to θ as
+    /// `plan` says.
+    fn fold_by_shard<T: Sync>(
+        &mut self,
+        plan: &FoldPlan,
+        messages: &[ClientMessage],
+        terms: impl Iterator<Item = T>,
+        timed: bool,
+        fold_terms: impl Fn(&[T], &mut ParamVector) + Sync,
+    ) {
         let map = self.store.shard_map();
-        let mut group_of: HashMap<usize, usize> = HashMap::new();
-        let mut groups: Vec<(usize, Vec<(f32, &ParamVector)>)> = Vec::new();
-        for (msg, &coeff) in messages.iter().zip(plan.coefficients()) {
-            let shard = map.shard_of(msg.client_id);
-            let gi = *group_of.entry(shard).or_insert_with(|| {
-                groups.push((shard, Vec::new()));
-                groups.len() - 1
-            });
-            groups[gi].1.push((coeff, &msg.payload[0]));
+        let mut by_shard: BTreeMap<usize, Vec<T>> = BTreeMap::new();
+        for (msg, term) in messages.iter().zip(terms) {
+            by_shard
+                .entry(map.shard_of(msg.client_id))
+                .or_default()
+                .push(term);
         }
-        // Deterministic shard order regardless of message arrival order.
-        groups.sort_by_key(|(shard, _)| *shard);
-        let (delta, shard_stats) = hierarchical_weighted_sum(self.global.len(), &groups, timed);
+        let groups: Vec<(usize, Vec<T>)> = by_shard.into_iter().collect();
+        let pool = self.pool;
+        let (delta, shard_stats) = hierarchical_fold(
+            self.global.len(),
+            &groups,
+            timed,
+            fold_terms,
+            |shards, fold_shard| {
+                pool.run(shards, false, &|_worker, shard, _scratch| fold_shard(shard));
+            },
+        );
         if timed {
             for stat in &shard_stats {
                 self.telemetry
@@ -720,9 +751,6 @@ impl EngineCore<'_> {
             FoldPlan::Accumulate(_) => global.axpy(1.0, &delta),
             FoldPlan::Assign(_) => global.copy_from(&delta),
         }
-        Some(ServerOutcome {
-            upload_floats: total_upload(messages),
-        })
     }
 
     /// Evaluates θ, pushes a [`RoundRecord`] built from `stats` and returns

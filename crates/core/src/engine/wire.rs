@@ -46,8 +46,9 @@
 //! by the golden-digest parity tests). Resolution order mirrors the
 //! dispatch pool: [`RoundEngine::with_wire_path`](super::RoundEngine::with_wire_path)
 //! builder first, then the `FEDADMM_WIRE_PATH` environment variable
-//! (`on`/`1`/`true`; bit width via `FEDADMM_WIRE_BITS`, default 8), then
-//! off. With it enabled, correctness is *bounded-error* against the naive
+//! (`on`/`1`/`true`; bit width via `FEDADMM_WIRE_BITS`, default 8; an
+//! unknown flag word or a width outside 1..=16 panics), then off. With it
+//! enabled, correctness is *bounded-error* against the naive
 //! compress → decompress → aggregate reference ([`decode_message`]) —
 //! `tests/wire_path.rs` pins the bound.
 
@@ -127,12 +128,24 @@ impl std::fmt::Debug for WirePathConfig {
     }
 }
 
-fn env_flag(name: &str) -> Option<bool> {
-    let raw = std::env::var(name).ok()?;
+/// Parses the `FEDADMM_WIRE_PATH` switch: `None` when unset; panics, naming
+/// the variable and the value, on an unknown flag word.
+fn parse_flag(name: &str, raw: Option<&str>) -> Option<bool> {
+    let raw = raw?;
     match raw.trim().to_ascii_lowercase().as_str() {
         "1" | "on" | "true" | "yes" => Some(true),
         "0" | "off" | "false" | "no" | "" => Some(false),
-        _ => None,
+        _ => panic!("{name}={raw:?} is not one of on/off, true/false, yes/no, 1/0"),
+    }
+}
+
+/// Parses the `FEDADMM_WIRE_BITS` quantizer width: `None` when unset;
+/// panics, naming the variable and the value, on anything outside `1..=16`.
+fn parse_bits(name: &str, raw: Option<&str>) -> Option<u8> {
+    let raw = raw?;
+    match raw.trim().parse::<u8>() {
+        Ok(bits) if (1..=16).contains(&bits) => Some(bits),
+        _ => panic!("{name}={raw:?} is not a bit width in 1..=16"),
     }
 }
 
@@ -166,17 +179,17 @@ impl WirePathConfig {
     pub fn resolve(&self) -> Option<WirePath> {
         let enabled = self
             .enabled
-            .or_else(|| env_flag("FEDADMM_WIRE_PATH"))
+            .or_else(|| {
+                let name = "FEDADMM_WIRE_PATH";
+                parse_flag(name, std::env::var(name).ok().as_deref())
+            })
             .unwrap_or(false);
         if !enabled {
             return None;
         }
         let quantizer = self.quantizer.unwrap_or_else(|| {
-            let bits = std::env::var("FEDADMM_WIRE_BITS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u8>().ok())
-                .filter(|b| (1..=16).contains(b))
-                .unwrap_or(8);
+            let name = "FEDADMM_WIRE_BITS";
+            let bits = parse_bits(name, std::env::var(name).ok().as_deref()).unwrap_or(8);
             Quantizer::new(bits, true)
         });
         Some(WirePath {
@@ -297,6 +310,41 @@ mod tests {
             epochs_run: 2,
             samples_processed: 20,
             wire: None,
+        }
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_text<R: std::fmt::Debug>(f: impl FnOnce() -> R + std::panic::UnwindSafe) -> String {
+        let err = std::panic::catch_unwind(f).expect_err("must panic");
+        err.downcast_ref::<String>()
+            .expect("formatted panic")
+            .clone()
+    }
+
+    #[test]
+    fn wire_overrides_parse_or_panic_naming_the_variable() {
+        assert_eq!(parse_flag("FEDADMM_WIRE_PATH", None), None);
+        for on in ["1", "on", "TRUE", " yes "] {
+            assert_eq!(parse_flag("FEDADMM_WIRE_PATH", Some(on)), Some(true));
+        }
+        for off in ["0", "off", "False", "no", ""] {
+            assert_eq!(parse_flag("FEDADMM_WIRE_PATH", Some(off)), Some(false));
+        }
+        let text = panic_text(|| parse_flag("FEDADMM_WIRE_PATH", Some("enabled")));
+        assert!(
+            text.contains("FEDADMM_WIRE_PATH") && text.contains("\"enabled\""),
+            "{text}"
+        );
+
+        assert_eq!(parse_bits("FEDADMM_WIRE_BITS", None), None);
+        assert_eq!(parse_bits("FEDADMM_WIRE_BITS", Some("1")), Some(1));
+        assert_eq!(parse_bits("FEDADMM_WIRE_BITS", Some(" 16 ")), Some(16));
+        for bad in ["", "0", "17", "300", "-4", "eight"] {
+            let text = panic_text(|| parse_bits("FEDADMM_WIRE_BITS", Some(bad)));
+            assert!(
+                text.contains("FEDADMM_WIRE_BITS") && text.contains(&format!("{bad:?}")),
+                "{text}"
+            );
         }
     }
 

@@ -17,8 +17,13 @@
 //! pair per worker inside its
 //! [`UpdateScratch`](crate::algorithms::UpdateScratch)), so a baseline and
 //! FedADMM pay exactly the same trainer cost. [`full_gradient`] computes the
-//! exact local gradient (FedSGD), and [`evaluate`] measures loss/accuracy of
-//! a parameter vector on a dataset.
+//! exact local gradient (FedSGD).
+//!
+//! Evaluation uses the same buffers: [`evaluate_chunk`] scores one
+//! [`EVAL_CHUNK`]-sample range on a [`NetCache`] + [`TrainScratch`] and
+//! [`mean_of_chunks`] adds the chunks in order. The engine runs the chunks
+//! as dispatch-pool jobs on its workers' scratch; [`evaluate`] is the same
+//! loop on a local scratch.
 
 use fedadmm_data::batching::{shuffle_epoch_into, BatchSize};
 use fedadmm_data::Dataset;
@@ -85,7 +90,8 @@ pub struct TrainScratch {
     /// Gathered mini-batch labels.
     pub batch_labels: Vec<usize>,
     /// Shuffled sample order for the current epoch; batches are consecutive
-    /// `chunks(B)` of this permutation.
+    /// `chunks(B)` of this permutation. Evaluation fills it with the chunk's
+    /// sample range instead.
     pub perm: Vec<usize>,
     /// The forward pass's input tensor; its storage swaps with `batch_data`
     /// every step via [`Tensor::replace_data`].
@@ -262,51 +268,90 @@ pub fn full_gradient(env: &LocalEnv<'_>, at: &[f32]) -> TensorResult<(Vec<f32>, 
     Ok((grad_acc, loss_acc * inv))
 }
 
+/// Samples per evaluation chunk: one forward pass, one dispatch-pool job.
+pub const EVAL_CHUNK: usize = 256;
+
+/// The sample range of chunk `chunk` of an `n`-sample evaluation
+/// (`n.div_ceil(EVAL_CHUNK)` chunks, the last one ragged).
+pub fn eval_chunk(chunk: usize, n: usize) -> std::ops::Range<usize> {
+    let start = chunk * EVAL_CHUNK;
+    start..(start + EVAL_CHUNK).min(n)
+}
+
+/// Evaluates `params` on the samples in `range` (one chunk) and returns
+/// `(loss · len, accuracy · len)`, the chunk's share of the sums
+/// [`mean_of_chunks`] normalises. A warm `cache` + `scratch` make it
+/// allocation-free; every parameter and buffer it reads is overwritten
+/// first, so what a training job left behind is harmless.
+pub fn evaluate_chunk(
+    model: ModelSpec,
+    params: &[f32],
+    dataset: &Dataset,
+    range: std::ops::Range<usize>,
+    cache: &mut NetCache,
+    scratch: &mut TrainScratch,
+) -> TensorResult<(f32, f32)> {
+    let net = cache.get(model);
+    net.set_params_flat(params)?;
+    let len = range.len();
+    scratch.perm.clear();
+    scratch.perm.extend(range);
+    dataset.gather_into(
+        &scratch.perm,
+        &mut scratch.batch_data,
+        &mut scratch.batch_labels,
+    )?;
+    scratch.batch_data = scratch.input.replace_data(
+        std::mem::take(&mut scratch.batch_data),
+        &[len, dataset.feature_dim()],
+    )?;
+    net.forward_arena(&scratch.input, &mut scratch.arena)?;
+    let (logits, loss_grad) = scratch.arena.output_and_loss_grad();
+    let loss = softmax_cross_entropy_into(logits, &scratch.batch_labels, loss_grad)?;
+    let acc = accuracy(logits, &scratch.batch_labels)?;
+    Ok((loss * len as f32, acc * len as f32))
+}
+
+/// Adds the per-chunk sums of an `n`-sample evaluation **in chunk order** —
+/// bit-identical however the chunks were scheduled — and returns
+/// `(mean_loss, accuracy)`.
+pub fn mean_of_chunks(
+    chunk_sums: impl IntoIterator<Item = TensorResult<(f32, f32)>>,
+    n: usize,
+) -> TensorResult<(f32, f32)> {
+    if n == 0 {
+        return Ok((0.0, 0.0));
+    }
+    let (mut loss_acc, mut correct_acc) = (0.0f32, 0.0f32);
+    for sums in chunk_sums {
+        let (loss, correct) = sums?;
+        loss_acc += loss;
+        correct_acc += correct;
+    }
+    Ok((loss_acc / n as f32, correct_acc / n as f32))
+}
+
 /// Evaluates a parameter vector on (a subset of) a dataset.
 ///
 /// Returns `(mean_loss, accuracy)`. `max_samples` caps the number of
 /// evaluated samples (the first `max_samples` are used, which is unbiased
 /// because synthetic datasets interleave classes).
+///
+/// The serial reference for the engine's `evaluate_global`: the same chunk
+/// loop on a fresh network and scratch instead of the dispatch pool's.
 pub fn evaluate(
     model: ModelSpec,
     params: &[f32],
     dataset: &Dataset,
     max_samples: usize,
 ) -> TensorResult<(f32, f32)> {
-    let mut model_rng = SmallRng::seed_from_u64(0);
-    let mut net = model.build(&mut model_rng);
-    net.set_params_flat(params)?;
     let n = dataset.len().min(max_samples);
-    if n == 0 {
-        return Ok((0.0, 0.0));
-    }
-    let mut loss_acc = 0.0f32;
-    let mut correct_acc = 0.0f32;
-    let chunk = 256usize;
-    let indices: Vec<usize> = (0..n).collect();
-    // Route chunks through one arena and one reused gather buffer, so a
-    // whole evaluation pass performs O(1) allocations rather than O(chunks).
-    let mut scratch = TrainScratch::default();
-    let feature_dim = dataset.feature_dim();
-    for batch in indices.chunks(chunk) {
-        dataset.gather_into(batch, &mut scratch.batch_data, &mut scratch.batch_labels)?;
-        scratch.batch_data = scratch.input.replace_data(
-            std::mem::take(&mut scratch.batch_data),
-            &[batch.len(), feature_dim],
-        )?;
-        net.forward_arena(&scratch.input, &mut scratch.arena)?;
-        let (loss, acc) = {
-            let (logits, loss_grad) = scratch.arena.output_and_loss_grad();
-            (
-                softmax_cross_entropy_into(logits, &scratch.batch_labels, loss_grad)?,
-                accuracy(logits, &scratch.batch_labels)?,
-            )
-        };
-        let w = batch.len() as f32;
-        loss_acc += loss * w;
-        correct_acc += acc * w;
-    }
-    Ok((loss_acc / n as f32, correct_acc / n as f32))
+    let (mut cache, mut scratch) = (NetCache::default(), TrainScratch::default());
+    let chunk_sums = (0..n.div_ceil(EVAL_CHUNK)).map(|chunk| {
+        let range = eval_chunk(chunk, n);
+        evaluate_chunk(model, params, dataset, range, &mut cache, &mut scratch)
+    });
+    mean_of_chunks(chunk_sums, n)
 }
 
 #[cfg(test)]

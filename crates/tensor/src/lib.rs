@@ -22,8 +22,10 @@
 //!
 //! The library intentionally avoids external BLAS so that the whole
 //! reproduction builds offline from vendored crates only; the inner matmul
-//! kernel is cache-blocked and parallelised with rayon which is plenty for
-//! the paper's CNN 1 / CNN 2 models at simulation scale.
+//! kernel is cache-blocked, which is plenty for the paper's CNN 1 / CNN 2
+//! models at simulation scale. Every kernel is a plain serial loop: the
+//! crate creates no threads, and callers that want more cores run whole
+//! kernels side by side on the engine's dispatch pool.
 //!
 //! ## Example
 //!

@@ -26,21 +26,13 @@
 //! golden digest). Tiling may only regroup *which outputs* advance
 //! together, never the order of adds within one output.
 //!
-//! The kernels parallelise over output rows with rayon once the work is
-//! large enough to amortise the fork/join overhead.
+//! Every kernel is a serial loop over output rows. Going parallel is the
+//! dispatch pool's job, one level up: it runs whole client updates and whole
+//! evaluation chunks side by side, so a kernel never forks inside a busy
+//! worker.
 
 use crate::error::{TensorError, TensorResult};
 use crate::tensor::Tensor;
-use rayon::prelude::*;
-
-/// Below this many multiply-adds the kernels stay single-threaded.
-///
-/// A fork/join through the vendored rayon shim spawns OS threads per call,
-/// which costs about as much as a whole 16×784×64 training-step GEMM
-/// (0.8 M multiply-adds) and, nested under busy dispatch-pool workers, buys
-/// nothing. At 128³ the per-step products stay serial and the
-/// evaluation-sized ones (256×784×64 and up) still fork.
-const PARALLEL_THRESHOLD: usize = 128 * 128 * 128;
 
 /// Register-tile width of the blocked kernels: 8 accumulators per tile,
 /// matching the `vecops` lane count.
@@ -134,7 +126,7 @@ pub fn linear_forward_into(
     let b = weight.data();
     let bias = bias.data();
     let out = out.data_mut();
-    let row_job = |i: usize, out_row: &mut [f32]| {
+    for (i, out_row) in out.chunks_mut(n).enumerate() {
         a_bt_row(&a[i * k..(i + 1) * k], b, out_row, k);
         for (o, &bias_v) in out_row.iter_mut().zip(bias.iter()) {
             *o += bias_v;
@@ -148,15 +140,6 @@ pub fn linear_forward_into(
                     *o = 0.0;
                 }
             }
-        }
-    };
-    if m * n * k >= PARALLEL_THRESHOLD {
-        out.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, row)| row_job(i, row));
-    } else {
-        for (i, row) in out.chunks_mut(n).enumerate() {
-            row_job(i, row);
         }
     }
     Ok(())
@@ -176,7 +159,7 @@ pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    let row_job = |i: usize, out_row: &mut [f32]| {
+    for (i, out_row) in out.chunks_mut(n).enumerate() {
         out_row.iter_mut().for_each(|o| *o = 0.0);
         let a_row = &a[i * k..(i + 1) * k];
         for (l, &a_il) in a_row.iter().enumerate() {
@@ -184,15 +167,6 @@ pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
                 continue;
             }
             axpy_lanes(a_il, &b[l * n..(l + 1) * n], out_row);
-        }
-    };
-    if m * k * n >= PARALLEL_THRESHOLD {
-        out.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, row)| row_job(i, row));
-    } else {
-        for (i, row) in out.chunks_mut(n).enumerate() {
-            row_job(i, row);
         }
     }
 }
@@ -204,9 +178,7 @@ pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
 /// outermost (each `b` row is loaded once per `l` and folded into every
 /// output row it contributes to), preserving increasing-`l` accumulation
 /// per element and the per-element `a_li == 0` skip, so results match the
-/// naive kernel bit for bit. Stays single-threaded like its predecessor
-/// (the backward pass calls it at gradient shapes where fork/join overhead
-/// dominates).
+/// naive kernel bit for bit.
 pub(crate) fn matmul_at_b_into(
     a: &[f32],
     b: &[f32],
@@ -303,17 +275,8 @@ pub(crate) fn matmul_a_bt_into(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    let row_job = |i: usize, out_row: &mut [f32]| {
+    for (i, out_row) in out.chunks_mut(n).enumerate() {
         a_bt_row(&a[i * k..(i + 1) * k], b, out_row, k);
-    };
-    if m * n * k >= PARALLEL_THRESHOLD {
-        out.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, row)| row_job(i, row));
-    } else {
-        for (i, row) in out.chunks_mut(n).enumerate() {
-            row_job(i, row);
-        }
     }
 }
 

@@ -7,14 +7,13 @@
 //! every buffer — gathered batch, input tensor, per-layer activations and
 //! gradients, loss gradient, flat gradient — is recycled across steps and
 //! epochs. A second check pins the per-*job* cost of a baseline algorithm
-//! on a warm worker to the payload it uploads, and a third bounds a whole
+//! on a warm worker to the payload it uploads, a third bounds a whole
 //! evaluation pass to O(1) allocations regardless of how many 256-sample
-//! chunks it spans.
+//! chunks it spans, and a fourth pins a warm one-worker
+//! `RoundEngine::evaluate_global` to its result-slot vector.
 //!
-//! Every shape here stays under the kernels' fork/join threshold
-//! (`PARALLEL_THRESHOLD`, 128³ multiply-adds), so the counts are the
-//! trainer's own buffers on any host — never the rayon shim's per-call
-//! scaffolding, which depends on the core count.
+//! Tensor kernels are serial loops and a one-worker dispatch pool runs
+//! inline, so every count is this thread's own buffers on any host.
 //!
 //! This file intentionally holds a single `#[test]` so no sibling test
 //! thread pollutes the allocation counter mid-measurement.
@@ -24,11 +23,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use fedadmm_core::algorithms::{Algorithm, FedAvg, UpdateScratch};
 use fedadmm_core::client::ClientState;
+use fedadmm_core::config::{DataDistribution, FedConfig};
+use fedadmm_core::engine::{RoundEngine, SyncRounds};
 use fedadmm_core::param::ParamVector;
 use fedadmm_core::trainer::{evaluate, local_sgd_cached, LocalEnv, NetCache, TrainScratch};
 use fedadmm_data::batching::BatchSize;
 use fedadmm_data::synthetic::SyntheticDataset;
-use fedadmm_data::Dataset;
 use fedadmm_nn::models::ModelSpec;
 
 struct CountingAlloc;
@@ -137,26 +137,17 @@ fn steady_state_sgd_step_allocates_nothing() {
          trainer: bare local_sgd_cached → {bare}, client_update_scratch → {fedavg_job}"
     );
 
-    // An evaluation pass reuses one arena and one gather buffer across its
-    // 256-sample chunks. 256×64×10 multiply-adds per chunk stay under the
-    // kernels' fork/join threshold, so what is counted is the trainer's
-    // own buffers: a regression back to per-chunk tensor allocation costs
-    // 10+ calls per chunk and trips this immediately.
-    let eval_dim = 64;
-    let eval_set = Dataset::new(
-        (0..1024 * eval_dim)
-            .map(|i| (i % 17) as f32 * 0.1)
-            .collect(),
-        (0..1024).map(|i| i % 10).collect(),
-        eval_dim,
-        10,
-    )
-    .unwrap();
-    let eval_model = ModelSpec::Logistic {
-        input_dim: eval_dim,
+    // An evaluation pass reuses one network, one arena and one gather buffer
+    // across its 256-sample chunks — at the paper's own shape, on any host:
+    // a regression back to per-chunk tensor allocation costs 10+ calls per
+    // chunk and trips this immediately.
+    let eval_model = ModelSpec::Mlp {
+        input_dim: 784,
+        hidden_dim: 64,
         num_classes: 10,
     };
-    let params = vec![0.0f32; eval_model.num_params()];
+    let (eval_train, eval_set) = SyntheticDataset::Mnist.generate(64, 1024, 9);
+    let params = vec![0.01f32; eval_model.num_params()];
     evaluate(eval_model, &params, &eval_set, 256).unwrap(); // warm the allocator pools
     let before_one = alloc_count();
     evaluate(eval_model, &params, &eval_set, 256).unwrap();
@@ -169,5 +160,35 @@ fn steady_state_sgd_step_allocates_nothing() {
         four_chunks <= one_chunk + extra_chunks,
         "evaluation allocations grew with chunk count: \
          1 chunk → {one_chunk}, 4 chunks → {four_chunks}"
+    );
+
+    // The engine holds its evaluation context: a warm `evaluate_global`
+    // runs the four chunks on the pool's cached network and training
+    // scratch and allocates only the vector of per-chunk result slots — no
+    // network, no `TrainScratch`, no index list.
+    let config = FedConfig {
+        num_clients: 4,
+        model: eval_model,
+        ..FedConfig::default()
+    };
+    let partition = DataDistribution::Iid.partition(&eval_train, 4, 9);
+    let engine = RoundEngine::new(
+        config,
+        eval_train,
+        eval_set,
+        partition,
+        FedAvg::new(),
+        SyncRounds,
+    )
+    .unwrap()
+    .with_dispatch_workers(1);
+    let cold = engine.evaluate_global().unwrap();
+    let before_warm = alloc_count();
+    let warm = engine.evaluate_global().unwrap();
+    let warm_eval = alloc_count() - before_warm;
+    assert_eq!(cold, warm);
+    assert!(
+        warm_eval <= 1,
+        "a warm evaluate_global must allocate its slot vector only, saw {warm_eval}"
     );
 }

@@ -10,10 +10,11 @@
 //!
 //! Hierarchical aggregation is the one deliberate departure from
 //! bit-exactness (float addition is not associative), so it is compared
-//! under a tolerance instead.
+//! under a tolerance instead — against the single pass, that is: across
+//! dispatch worker counts the tree fold itself is bit-exact.
 
 use fedadmm::prelude::*;
-use fedadmm_core::engine::RoundEngine;
+use fedadmm_core::engine::{RoundEngine, WirePathConfig};
 use proptest::prelude::*;
 
 fn config(num_clients: usize, seed: u64) -> FedConfig {
@@ -161,34 +162,70 @@ fn spill_store_respects_budget_between_rounds() {
     }
 }
 
+/// Three FedADMM rounds over four shards under `mode`, dense or through the
+/// 8-bit wire path, on the default pool or one pinned to `workers`.
+fn sharded_run(
+    mode: AggregationMode,
+    wire: bool,
+    workers: Option<usize>,
+) -> (RunHistory, ParamVector) {
+    let cfg = config(16, 14);
+    let (train, test) = SyntheticDataset::Mnist.generate(16 * 24, 90, 14);
+    let partition = DataDistribution::NonIidShards.partition(&train, 16, 14);
+    let mut engine = RoundEngine::new_with_store(
+        cfg,
+        train,
+        test,
+        partition,
+        FedAdmm::paper_default(),
+        SyncRounds,
+        &StoreConfig::Sharded { num_shards: 4 },
+    )
+    .unwrap()
+    .with_aggregation(mode)
+    .with_wire_path(if wire {
+        WirePathConfig::enabled(Quantizer::new(8, true))
+    } else {
+        WirePathConfig::disabled()
+    });
+    if let Some(workers) = workers {
+        engine = engine.with_dispatch_workers(workers);
+    }
+    engine.run_rounds(3).unwrap();
+    let mut history = engine.history().clone();
+    for record in history.records.iter_mut() {
+        record.elapsed_ms = 0;
+    }
+    (history, engine.global_model().clone())
+}
+
 #[test]
 fn hierarchical_aggregation_tracks_single_pass_within_tolerance() {
-    let run = |mode: AggregationMode| {
-        let cfg = config(16, 14);
-        let (train, test) = SyntheticDataset::Mnist.generate(16 * 24, 90, 14);
-        let partition = DataDistribution::NonIidShards.partition(&train, 16, 14);
-        let mut engine = RoundEngine::new_with_store(
-            cfg,
-            train,
-            test,
-            partition,
-            FedAdmm::paper_default(),
-            SyncRounds,
-            &StoreConfig::Sharded { num_shards: 4 },
-        )
-        .unwrap()
-        .with_aggregation(mode);
-        engine.run_rounds(3).unwrap();
-        engine.global_model().clone()
-    };
-    let single = run(AggregationMode::SinglePass);
-    let tree = run(AggregationMode::Hierarchical);
+    let (_, single) = sharded_run(AggregationMode::SinglePass, false, None);
+    let (_, tree) = sharded_run(AggregationMode::Hierarchical, false, None);
     // Same mathematical sum, different association: last-ulp differences
     // only.
     let rel = single.dist(&tree) / single.norm().max(1e-12);
     assert!(rel < 1e-4, "relative deviation {rel}");
     // And not trivially equal-because-unused: the runs trained.
     assert!(single.norm() > 0.0);
+}
+
+#[test]
+fn hierarchical_runs_are_bit_identical_across_worker_counts() {
+    // Shard folds are pool jobs, each writing its own slot, and the combine
+    // walks the slots in shard order: which worker folded which shard (or
+    // the caller inline, with one worker) must not reach the result.
+    let bits = |p: &ParamVector| -> Vec<u32> { p.as_slice().iter().map(|v| v.to_bits()).collect() };
+    for wire in [false, true] {
+        let (history, model) = sharded_run(AggregationMode::Hierarchical, wire, Some(1));
+        for workers in [2usize, 3] {
+            let (h, m) = sharded_run(AggregationMode::Hierarchical, wire, Some(workers));
+            let case = format!("{workers} workers, wire {wire}");
+            assert_eq!(h, history, "history moved: {case}");
+            assert_eq!(bits(&m), bits(&model), "θ moved: {case}");
+        }
+    }
 }
 
 proptest! {

@@ -15,6 +15,7 @@
 //!    paper's system-heterogeneity robustness claim transported to the
 //!    deadline regime.
 
+use fedadmm::core::trainer::evaluate;
 use fedadmm::prelude::*;
 use fedadmm::telemetry::names;
 use fedadmm_core::engine::{DispatchConfig, RoundEngine, WirePathConfig};
@@ -188,6 +189,55 @@ proptest! {
             chunk_size: Some(chunk),
         };
         prop_assert_eq!(scenario_digest(FedAdmm::paper_default(), dispatch), GOLDEN_DIGEST);
+    }
+}
+
+#[test]
+fn evaluate_global_matches_the_serial_reference_for_every_worker_count() {
+    // 700 test samples are three chunks (256 + 256 + 188) and a 350-sample
+    // cap two (256 + 94): the chunks run as pool jobs on whichever workers
+    // claim them and are summed in chunk order, so loss and accuracy must
+    // carry the bits of the serial `evaluate` loop — the golden scenario's
+    // 120-sample test set is a single chunk and never sums anything.
+    let model = ModelSpec::Mlp {
+        input_dim: 784,
+        hidden_dim: 64,
+        num_classes: 10,
+    };
+    let num_clients = 6;
+    for (subset, evaluated) in [(1.0, 700), (0.5, 350)] {
+        let mut reference: Option<(u32, u32)> = None;
+        for workers in [1usize, 2, 3, 8] {
+            let cfg = FedConfig {
+                model,
+                ..config(num_clients, 21, true)
+            };
+            let (train, test) = SyntheticDataset::Mnist.generate(num_clients * 30, 700, 21);
+            let partition = DataDistribution::NonIidShards.partition(&train, num_clients, 21);
+            let algorithm = FedAdmm::paper_default();
+            let mut engine =
+                RoundEngine::new(cfg, train, test.clone(), partition, algorithm, SyncRounds)
+                    .unwrap()
+                    .with_dispatch_workers(workers)
+                    .with_wire_path(WirePathConfig::disabled())
+                    .eval_subset(subset);
+            let record = engine.run_round().unwrap();
+            let (loss, accuracy) = engine.evaluate_global().unwrap();
+            let serial = evaluate(model, engine.global_model().as_slice(), &test, evaluated);
+            let bits = (loss.to_bits(), accuracy.to_bits());
+            assert_eq!(
+                bits,
+                serial.map(|(l, a)| (l.to_bits(), a.to_bits())).unwrap(),
+                "{workers} workers, {evaluated} samples"
+            );
+            // The round record was evaluated by the same path, on the
+            // workers that had just trained.
+            assert_eq!(
+                (record.test_loss.to_bits(), record.test_accuracy.to_bits()),
+                bits
+            );
+            assert_eq!(*reference.get_or_insert(bits), bits, "{workers} workers");
+        }
     }
 }
 
