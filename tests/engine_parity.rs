@@ -19,6 +19,7 @@ use fedadmm::core::trainer::evaluate;
 use fedadmm::prelude::*;
 use fedadmm::telemetry::names;
 use fedadmm_core::engine::{DispatchConfig, RoundEngine, WirePathConfig};
+use std::sync::Arc;
 use proptest::prelude::*;
 
 fn config(num_clients: usize, seed: u64, system_heterogeneity: bool) -> FedConfig {
@@ -88,22 +89,80 @@ fn in_memory_engine_matches_pre_refactor_golden_digest() {
 
 const GOLDEN_DIGEST: u64 = 0xa147_b46a_ce24_2a96;
 
+/// FedADMM on the golden scenario with the 8-bit + Gaussian-DP wire path on,
+/// folded flat (in-memory store) and by shard (three shards). Captured on the commit before
+/// `EngineCore::aggregate` was restructured around one `FoldPlan` applier.
+const GOLDEN_WIRE_DIGEST: u64 = 0x22ab_5b29_a507_22b8;
+const GOLDEN_WIRE_HIERARCHICAL_DIGEST: u64 = 0xbe34_0c59_3198_871b;
+
 /// Runs the golden-digest scenario (9 clients, seed 93, non-IID shards, 4
-/// rounds) for `algorithm` on an explicitly configured dispatch pool and
-/// returns the run digest. The digest is compared against constants, so the
-/// wire path is pinned off regardless of FEDADMM_WIRE_PATH (CI re-runs this
-/// suite with the wire path forced on).
+/// rounds) for `algorithm` on an explicitly configured dispatch pool, with
+/// dense uploads and the in-memory store, and returns the run digest.
 fn scenario_digest<A: Algorithm>(algorithm: A, dispatch: DispatchConfig) -> u64 {
+    scenario_digest_with(
+        algorithm,
+        dispatch,
+        &StoreConfig::InMemory,
+        WirePathConfig::disabled(),
+        AggregationMode::SinglePass,
+    )
+}
+
+/// The golden scenario on the given store, wire path and fold.
+fn scenario_digest_with<A: Algorithm>(
+    algorithm: A,
+    dispatch: DispatchConfig,
+    store: &StoreConfig,
+    wire: WirePathConfig,
+    aggregation: AggregationMode,
+) -> u64 {
     let num_clients = 9;
     let cfg = config(num_clients, 93, true);
     let (train, test) = data(num_clients, 93);
     let partition = DataDistribution::NonIidShards.partition(&train, num_clients, 93);
-    let mut engine = RoundEngine::new(cfg, train, test, partition, algorithm, SyncRounds)
-        .unwrap()
-        .with_dispatch(dispatch)
-        .with_wire_path(WirePathConfig::disabled());
+    let mut engine =
+        RoundEngine::new_with_store(cfg, train, test, partition, algorithm, SyncRounds, store)
+            .unwrap()
+            .with_dispatch(dispatch)
+            .with_wire_path(wire)
+            .with_aggregation(aggregation);
     engine.run_rounds(4).unwrap();
     run_digest(engine.history(), engine.global_model())
+}
+
+#[test]
+fn wire_on_runs_match_their_pre_restructure_golden_digests() {
+    let wire = || {
+        WirePathConfig::enabled(Quantizer::new(8, true))
+            .with_guard(Arc::new(GaussianMechanism::new(20.0, 1e-3)))
+    };
+    let pools = [
+        DispatchConfig::default(),
+        DispatchConfig {
+            workers: Some(3),
+            chunk_size: Some(1),
+        },
+    ];
+    for dispatch in pools {
+        let flat = (
+            StoreConfig::InMemory,
+            AggregationMode::SinglePass,
+            GOLDEN_WIRE_DIGEST,
+        );
+        let by_shard = (
+            StoreConfig::Sharded { num_shards: 3 },
+            AggregationMode::Hierarchical,
+            GOLDEN_WIRE_HIERARCHICAL_DIGEST,
+        );
+        for (store, aggregation, golden) in [flat, by_shard] {
+            let algorithm = FedAdmm::paper_default();
+            let digest = scenario_digest_with(algorithm, dispatch, &store, wire(), aggregation);
+            assert_eq!(
+                digest, golden,
+                "wire-on {aggregation:?} run diverged under {dispatch:?} (digest {digest:#018x})"
+            );
+        }
+    }
 }
 
 /// The eight non-FedADMM algorithms on the golden scenario, with the digest
