@@ -14,14 +14,26 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fedadmm_bench::smoke_simulation;
 use fedadmm_core::algorithms::{Algorithm, FedAdmm, ServerStepSize};
+use fedadmm_core::engine::{SyncEngine, WirePathConfig};
 use fedadmm_core::prelude::DataDistribution;
 use fedadmm_privacy::dp::GaussianMechanism;
 use fedadmm_privacy::secure_agg::SecureAggregator;
-use fedadmm_privacy::wrapper::PrivateAlgorithm;
+use std::sync::Arc;
 
 const RHO: f32 = 0.3;
 const TARGET: f32 = 0.6;
 const BUDGET: usize = 40;
+
+/// The smoke simulation of FedADMM, its uploads clipped and noised by
+/// `mechanism` (the wire path's guard-only mode) when there is one.
+fn simulation(mechanism: Option<GaussianMechanism>, seed: u64) -> SyncEngine<Box<dyn Algorithm>> {
+    let algorithm = Box::new(FedAdmm::new(RHO, ServerStepSize::Constant(1.0)));
+    let wire = WirePathConfig {
+        quantizer: None,
+        guard: mechanism.map(|m| Arc::new(m) as _),
+    };
+    smoke_simulation(algorithm, DataDistribution::NonIidShards, seed).with_wire_path(wire)
+}
 
 fn bench_privacy(c: &mut Criterion) {
     // Accuracy impact of increasing noise.
@@ -40,14 +52,7 @@ fn bench_privacy(c: &mut Criterion) {
         ),
     ];
     for (label, mechanism) in &configs {
-        let algorithm: Box<dyn Algorithm> = match mechanism {
-            None => Box::new(FedAdmm::new(RHO, ServerStepSize::Constant(1.0))),
-            Some(m) => Box::new(PrivateAlgorithm::new(
-                FedAdmm::new(RHO, ServerStepSize::Constant(1.0)),
-                *m,
-            )),
-        };
-        let mut sim = smoke_simulation(algorithm, DataDistribution::NonIidShards, 23);
+        let mut sim = simulation(*mechanism, 23);
         let rounds = sim
             .run_until_accuracy(TARGET, BUDGET)
             .expect("run succeeds");
@@ -65,22 +70,11 @@ fn bench_privacy(c: &mut Criterion) {
     let mut group = c.benchmark_group("privacy_round_cost");
     group.sample_size(10);
     group.bench_function("fedadmm_plain_round", |b| {
-        let mut sim = smoke_simulation(
-            Box::new(FedAdmm::new(RHO, ServerStepSize::Constant(1.0))),
-            DataDistribution::NonIidShards,
-            3,
-        );
+        let mut sim = simulation(None, 3);
         b.iter(|| sim.run_round().unwrap());
     });
     group.bench_function("fedadmm_dp_round", |b| {
-        let mut sim = smoke_simulation(
-            Box::new(PrivateAlgorithm::new(
-                FedAdmm::new(RHO, ServerStepSize::Constant(1.0)),
-                GaussianMechanism::new(20.0, 1e-3),
-            )),
-            DataDistribution::NonIidShards,
-            3,
-        );
+        let mut sim = simulation(Some(GaussianMechanism::new(20.0, 1e-3)), 3);
         b.iter(|| sim.run_round().unwrap());
     });
     group.bench_function("secure_agg_mask_10_clients_cnn2", |b| {

@@ -27,7 +27,7 @@
 //! or bounded-gradient assumptions, and its ρ can be a constant independent
 //! of the system size (Theorem 1 / Remark 1).
 
-use super::{total_upload, Algorithm, ClientMessage, FoldPlan, ServerOutcome, UpdateScratch};
+use super::{Algorithm, ClientMessage, FoldPlan, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::trainer::{local_sgd_cached, LocalEnv};
@@ -213,36 +213,11 @@ impl Algorithm for FedAdmm {
         })
     }
 
-    fn server_update(
-        &mut self,
-        global: &mut ParamVector,
-        messages: &[ClientMessage],
-        num_clients: usize,
-        _rng: &mut dyn rand::RngCore,
-    ) -> ServerOutcome {
-        if messages.is_empty() {
-            return ServerOutcome { upload_floats: 0 };
-        }
-        // Tracking update (eq. 5): θ ← θ + (η / |S_t|) Σ Δ_i, folded into θ
-        // in a single fused pass over ℝ^d.
-        let eta = self.server_step.resolve(messages.len(), num_clients);
-        let scale = eta / messages.len() as f32;
-        let terms: Vec<(f32, &ParamVector)> = messages
-            .iter()
-            .map(|msg| (scale, &msg.payload[0]))
-            .collect();
-        global.accumulate(&terms);
-        ServerOutcome {
-            upload_floats: total_upload(messages),
-        }
-    }
-
     fn fold_plan(&self, messages: &[ClientMessage], num_clients: usize) -> Option<FoldPlan> {
         if messages.is_empty() {
             return None;
         }
-        // The tracking update is linear in the uploaded deltas: the same
-        // (η / |S_t|) coefficient on every Δ_i as `server_update`.
+        // Tracking update (eq. 5): θ ← θ + (η / |S_t|) Σ Δ_i.
         let eta = self.server_step.resolve(messages.len(), num_clients);
         let scale = eta / messages.len() as f32;
         Some(FoldPlan::Accumulate(vec![scale; messages.len()]))

@@ -16,7 +16,7 @@
 //! subproblem accurately, and the convergence guarantee degrades gracefully
 //! with `ε_max = max_i ε_i` (Theorem 1, equation 8).
 
-use super::{total_upload, Algorithm, ClientMessage, ServerOutcome, UpdateScratch};
+use super::{Algorithm, ClientMessage, FoldPlan, UpdateScratch};
 use super::{LocalInit, ServerStepSize};
 use crate::client::ClientState;
 use crate::param::ParamVector;
@@ -120,27 +120,14 @@ impl Algorithm for FedAdmmInexact {
         })
     }
 
-    fn server_update(
-        &mut self,
-        global: &mut ParamVector,
-        messages: &[ClientMessage],
-        num_clients: usize,
-        _rng: &mut dyn rand::RngCore,
-    ) -> ServerOutcome {
+    fn fold_plan(&self, messages: &[ClientMessage], num_clients: usize) -> Option<FoldPlan> {
         if messages.is_empty() {
-            return ServerOutcome { upload_floats: 0 };
+            return None;
         }
-        // Same eq.-5 tracking update as exact FedADMM: one fused pass.
+        // Same eq.-5 tracking update as exact FedADMM: (η / |S_t|) on every Δ_i.
         let eta = self.server_step.resolve(messages.len(), num_clients);
         let scale = eta / messages.len() as f32;
-        let terms: Vec<(f32, &ParamVector)> = messages
-            .iter()
-            .map(|msg| (scale, &msg.payload[0]))
-            .collect();
-        global.accumulate(&terms);
-        ServerOutcome {
-            upload_floats: total_upload(messages),
-        }
+        Some(FoldPlan::Accumulate(vec![scale; messages.len()]))
     }
 }
 

@@ -9,7 +9,7 @@
 //! dissimilarity bound `B` and gradient bound `G` — the dependence FedADMM
 //! removes.
 
-use super::{total_upload, Algorithm, ClientMessage, FoldPlan, ServerOutcome, UpdateScratch};
+use super::{Algorithm, ClientMessage, FoldPlan, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::trainer::{local_sgd_cached, LocalEnv};
@@ -77,44 +77,11 @@ impl Algorithm for FedAvg {
         })
     }
 
-    fn server_update(
-        &mut self,
-        global: &mut ParamVector,
-        messages: &[ClientMessage],
-        _num_clients: usize,
-        _rng: &mut dyn rand::RngCore,
-    ) -> ServerOutcome {
-        if messages.is_empty() {
-            return ServerOutcome { upload_floats: 0 };
-        }
-        let weights: Vec<f32> = if self.weighted_by_samples {
-            let total: usize = messages.iter().map(|m| m.num_samples).sum();
-            messages
-                .iter()
-                .map(|m| m.num_samples as f32 / total.max(1) as f32)
-                .collect()
-        } else {
-            vec![1.0 / messages.len() as f32; messages.len()]
-        };
-        // θ is *replaced* by the weighted average of the uploaded models —
-        // one fused pass, no zeroing sweep.
-        let terms: Vec<(f32, &ParamVector)> = weights
-            .iter()
-            .zip(messages.iter())
-            .map(|(w, msg)| (*w, &msg.payload[0]))
-            .collect();
-        global.assign_weighted_sum(&terms);
-        ServerOutcome {
-            upload_floats: total_upload(messages),
-        }
-    }
-
     fn fold_plan(&self, messages: &[ClientMessage], _num_clients: usize) -> Option<FoldPlan> {
         if messages.is_empty() {
             return None;
         }
-        // θ is replaced by the weighted model average — the same weights as
-        // `server_update`.
+        // θ is *replaced* by the weighted average of the uploaded models.
         let weights: Vec<f32> = if self.weighted_by_samples {
             let total: usize = messages.iter().map(|m| m.num_samples).sum();
             messages

@@ -9,7 +9,7 @@
 //! dual variable pinned to zero (Section III-B), which the
 //! `fedadmm_with_zero_dual_matches_fedprox_local_step` test exercises.
 
-use super::{total_upload, Algorithm, ClientMessage, FoldPlan, ServerOutcome, UpdateScratch};
+use super::{Algorithm, ClientMessage, FoldPlan, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::trainer::{local_sgd_cached, LocalEnv};
@@ -64,26 +64,6 @@ impl Algorithm for FedProx {
             samples_processed: result.samples_processed,
             wire: None,
         })
-    }
-
-    fn server_update(
-        &mut self,
-        global: &mut ParamVector,
-        messages: &[ClientMessage],
-        _num_clients: usize,
-        _rng: &mut dyn rand::RngCore,
-    ) -> ServerOutcome {
-        if messages.is_empty() {
-            return ServerOutcome { upload_floats: 0 };
-        }
-        // θ ← (1/|S|) Σ w_i in a single fused pass (no zeroing sweep).
-        let w = 1.0 / messages.len() as f32;
-        let terms: Vec<(f32, &ParamVector)> =
-            messages.iter().map(|msg| (w, &msg.payload[0])).collect();
-        global.assign_weighted_sum(&terms);
-        ServerOutcome {
-            upload_floats: total_upload(messages),
-        }
     }
 
     fn fold_plan(&self, messages: &[ClientMessage], _num_clients: usize) -> Option<FoldPlan> {

@@ -7,7 +7,7 @@
 //! column in Table III: every other method is measured by how many times
 //! fewer rounds it needs than FedSGD.
 
-use super::{total_upload, Algorithm, ClientMessage, FoldPlan, ServerOutcome, UpdateScratch};
+use super::{Algorithm, ClientMessage, FoldPlan, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::trainer::{full_gradient, LocalEnv};
@@ -59,25 +59,6 @@ impl Algorithm for FedSgd {
             samples_processed: samples,
             wire: None,
         })
-    }
-
-    fn server_update(
-        &mut self,
-        global: &mut ParamVector,
-        messages: &[ClientMessage],
-        _num_clients: usize,
-        _rng: &mut dyn rand::RngCore,
-    ) -> ServerOutcome {
-        if messages.is_empty() {
-            return ServerOutcome { upload_floats: 0 };
-        }
-        let step = -self.server_learning_rate / messages.len() as f32;
-        for msg in messages {
-            global.axpy(step, &msg.payload[0]);
-        }
-        ServerOutcome {
-            upload_floats: total_upload(messages),
-        }
     }
 
     fn fold_plan(&self, messages: &[ClientMessage], _num_clients: usize) -> Option<FoldPlan> {

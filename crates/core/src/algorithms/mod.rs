@@ -43,6 +43,7 @@ pub use server_opt::{FedOpt, ServerOptimizer};
 use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::trainer::LocalEnv;
+use fedadmm_tensor::vecops::DequantTerm;
 use fedadmm_tensor::TensorResult;
 
 /// The message a selected client uploads to the server at the end of a
@@ -64,7 +65,7 @@ pub struct ClientMessage {
     /// Compressed wire representation produced by the engine's wire path
     /// (`None` on the dense path). When present the dense `payload` is
     /// empty — the quantized codes *are* the upload — and the server folds
-    /// them directly through the engine's `fold_compressed` pass.
+    /// them directly in the coded domain.
     pub wire: Option<crate::compression::WirePayload>,
 }
 
@@ -118,15 +119,16 @@ pub struct UpdateScratch {
     pub train: crate::trainer::TrainScratch,
 }
 
-/// A linear description of an algorithm's server fold, consumed by the
-/// engine's opt-in hierarchical (tree) aggregation.
+/// The linear server update of one batch of single-vector uploads — the
+/// paper's server step (eq. 5, Algorithm 1 line 10) and every baseline that
+/// only averages.
 ///
-/// When [`Algorithm::server_update`] is a *linear* function of the round's
-/// first payloads — `θ ← θ + Σ_k c_k·p_k` or `θ ← Σ_k c_k·p_k` — the
-/// algorithm can expose the coefficients here and the engine may compute
-/// the sum as per-shard partial folds on the dispatch pool plus a log-depth
-/// combine instead of one sequential fused pass. Coefficients are aligned
-/// with the message slice they were derived from.
+/// An algorithm whose server step is `θ ← θ + Σ_k c_k·p_k` or
+/// `θ ← Σ_k c_k·p_k` describes it once, as coefficients aligned with the
+/// message slice, in [`Algorithm::fold_plan`]. The provided
+/// [`Algorithm::server_update`] applies the plan to dense payloads; the
+/// engine applies the same plan to quantized uploads without decoding them
+/// and, under hierarchical aggregation, as per-shard partial folds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FoldPlan {
     /// `θ ← θ + Σ_k coeff_k · payload_k` (FedADMM's tracking update,
@@ -142,6 +144,71 @@ impl FoldPlan {
         match self {
             FoldPlan::Accumulate(c) | FoldPlan::Assign(c) => c,
         }
+    }
+
+    /// One `(coefficient, first payload)` term per dense message.
+    pub(crate) fn dense_terms<'m>(
+        &self,
+        messages: &'m [ClientMessage],
+    ) -> Vec<(f32, &'m ParamVector)> {
+        let coefficients = self.coefficients().iter();
+        coefficients
+            .zip(messages)
+            .map(|(&coeff, msg)| (coeff, &msg.payload[0]))
+            .collect()
+    }
+
+    /// One term per coded single-vector message. The staleness scale folds
+    /// into the coefficient, exactly as it would multiply a dense payload.
+    pub(crate) fn coded_terms<'m>(&self, messages: &'m [ClientMessage]) -> Vec<DequantTerm<'m>> {
+        let coefficients = self.coefficients().iter();
+        coefficients
+            .zip(messages)
+            .map(|(&coeff, msg)| {
+                let wire = msg.wire.as_ref().expect("coded batch");
+                let v = &wire.vectors[0];
+                DequantTerm {
+                    alpha: coeff * wire.scale,
+                    min: v.min,
+                    step: v.step,
+                    codes: &v.codes,
+                }
+            })
+            .collect()
+    }
+
+    /// Folds `terms` into `global` in one fused pass, as the plan says.
+    pub(crate) fn apply<T: FoldTerm>(&self, terms: &[T], global: &mut ParamVector) {
+        match self {
+            FoldPlan::Accumulate(_) => T::accumulate(terms, global),
+            FoldPlan::Assign(_) => T::assign(terms, global),
+        }
+    }
+}
+
+/// One message's term of a linear fold: a dense payload or a coded one.
+pub(crate) trait FoldTerm: Sync + Sized {
+    /// `out += Σ terms` in one fused pass.
+    fn accumulate(terms: &[Self], out: &mut ParamVector);
+    /// `out = Σ terms` in one fused pass.
+    fn assign(terms: &[Self], out: &mut ParamVector);
+}
+
+impl FoldTerm for (f32, &ParamVector) {
+    fn accumulate(terms: &[Self], out: &mut ParamVector) {
+        out.accumulate(terms)
+    }
+    fn assign(terms: &[Self], out: &mut ParamVector) {
+        out.assign_weighted_sum(terms)
+    }
+}
+
+impl FoldTerm for DequantTerm<'_> {
+    fn accumulate(terms: &[Self], out: &mut ParamVector) {
+        out.dequant_accumulate(terms)
+    }
+    fn assign(terms: &[Self], out: &mut ParamVector) {
+        out.dequant_assign(terms)
     }
 }
 
@@ -214,20 +281,40 @@ pub trait Algorithm: Send + Sync {
 
     /// Server aggregation: consumes the round's messages and updates the
     /// global model in place.
+    ///
+    /// Provided for every algorithm with a [`FoldPlan`]: the plan's
+    /// coefficients go through one fused pass over ℝ^d. Only algorithms
+    /// whose server step is stateful or stochastic (SCAFFOLD, FedDyn,
+    /// FedOpt, FedPD) implement this themselves.
+    ///
+    /// # Panics
+    /// The provided method panics on a non-empty batch without a plan: an
+    /// algorithm defines `fold_plan` or overrides `server_update`.
     fn server_update(
         &mut self,
         global: &mut ParamVector,
         messages: &[ClientMessage],
         num_clients: usize,
         rng: &mut dyn rand::RngCore,
-    ) -> ServerOutcome;
+    ) -> ServerOutcome {
+        let _ = rng;
+        match self.fold_plan(messages, num_clients) {
+            Some(plan) => plan.apply(&plan.dense_terms(messages), global),
+            None => assert!(
+                messages.is_empty(),
+                "{} defines neither fold_plan nor server_update",
+                self.name()
+            ),
+        }
+        ServerOutcome {
+            upload_floats: total_upload(messages),
+        }
+    }
 
-    /// The linear [`FoldPlan`] equivalent to [`Algorithm::server_update`]
-    /// for this batch, if one exists. `None` (the default) means the server
-    /// update is stateful or non-linear and the engine must call
-    /// `server_update` even under hierarchical aggregation. Implementations
-    /// must keep the plan consistent with `server_update` up to
-    /// floating-point summation order.
+    /// The linear [`FoldPlan`] of this batch's server update. `None` (the
+    /// default) means the batch is empty or the server step is stateful or
+    /// non-linear — the algorithm then overrides
+    /// [`Algorithm::server_update`], which the engine calls instead.
     fn fold_plan(&self, messages: &[ClientMessage], num_clients: usize) -> Option<FoldPlan> {
         let _ = (messages, num_clients);
         None
@@ -275,8 +362,7 @@ impl Algorithm for Box<dyn Algorithm> {
     }
 }
 
-/// Sums the payload upload sizes of a round's messages (shared by the
-/// simple algorithms' `server_update` implementations).
+/// Sums the payload upload sizes of a round's messages.
 pub(crate) fn total_upload(messages: &[ClientMessage]) -> usize {
     messages.iter().map(|m| m.upload_floats()).sum()
 }

@@ -1,4 +1,4 @@
-//! Lossy upload compression (uniform quantization) as an algorithm adapter.
+//! Lossy upload compression (uniform quantization).
 //!
 //! The paper's efficiency claim is that FedADMM reduces the *number* of
 //! communication rounds while keeping the per-round upload at `d` floats.
@@ -11,19 +11,10 @@
 //! * [`Quantizer`] implements uniform `b`-bit quantization with an optional
 //!   unbiased stochastic-rounding mode (the standard QSGD-style trick:
 //!   `E[dequantize(quantize(x))] = x`);
-//! * [`QuantizedAlgorithm`] wraps any [`Algorithm`] and passes every
-//!   uploaded vector through quantize → dequantize, so a simulation
-//!   faithfully sees the *information loss* of compressed uploads while the
-//!   server-side code remains unchanged. Byte accounting for the compressed
-//!   messages is exposed through [`QuantizedAlgorithm::compressed_bytes`]
-//!   (the `ClientMessage` float counters keep reporting the uncompressed
-//!   `d`, since they count model *coordinates* communicated).
+//! * [`QuantizedVector`] / [`WirePayload`] are the coded upload the engine's
+//!   [wire path](crate::engine::wire) attaches to a `ClientMessage` and the
+//!   server folds without decoding.
 
-use crate::algorithms::{Algorithm, ClientMessage, ServerOutcome, UpdateScratch};
-use crate::client::ClientState;
-use crate::param::ParamVector;
-use crate::trainer::LocalEnv;
-use fedadmm_tensor::TensorResult;
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -31,7 +22,8 @@ use serde::{Deserialize, Serialize};
 /// Uniform `b`-bit quantizer over the range of each individual vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Quantizer {
-    /// Bits per coordinate, between 1 and 16.
+    /// Bits per coordinate, between 1 and 16 (32 marks the identity
+    /// quantizer of the wire path's guard-only mode: no codes, no error).
     pub bits: u8,
     /// Whether to use unbiased stochastic rounding instead of
     /// round-to-nearest.
@@ -99,6 +91,14 @@ impl WirePayload {
 }
 
 impl Quantizer {
+    /// The 32-bit "quantizer" that leaves a vector as the `f32`s it is: no
+    /// codes, no error, [`compression_ratio`](Quantizer::compression_ratio)
+    /// 1.0. The wire path's guard-only mode runs under it.
+    pub(crate) const IDENTITY: Quantizer = Quantizer {
+        bits: 32,
+        stochastic: false,
+    };
+
     /// Creates a quantizer.
     ///
     /// # Panics
@@ -112,7 +112,11 @@ impl Quantizer {
     }
 
     /// Number of quantization levels (`2^bits`).
+    ///
+    /// # Panics
+    /// Panics for the identity quantizer, which has no code grid.
     pub fn levels(&self) -> u32 {
+        assert!(self.bits <= 16, "the identity quantizer has no code grid");
         1u32 << self.bits
     }
 
@@ -194,98 +198,9 @@ impl Quantizer {
     }
 }
 
-/// Wraps an algorithm so that every uploaded vector is quantized (and
-/// immediately dequantized, so the rest of the pipeline is unchanged while
-/// the information loss is faithfully simulated).
-#[derive(Debug, Clone)]
-pub struct QuantizedAlgorithm<A> {
-    inner: A,
-    quantizer: Quantizer,
-}
-
-impl<A: Algorithm> QuantizedAlgorithm<A> {
-    /// Wraps `inner` with the given quantizer.
-    pub fn new(inner: A, quantizer: Quantizer) -> Self {
-        QuantizedAlgorithm { inner, quantizer }
-    }
-
-    /// The wrapped algorithm.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    /// The quantizer in use.
-    pub fn quantizer(&self) -> Quantizer {
-        self.quantizer
-    }
-
-    /// Bytes actually uploaded per client per round for a model of dimension
-    /// `dim` (compare with the uncompressed `4 · upload_floats_per_client`).
-    pub fn compressed_bytes(&self, dim: usize) -> usize {
-        let vectors = self.inner.upload_floats_per_client(dim) / dim.max(1);
-        vectors * ((self.quantizer.bits as usize * dim).div_ceil(8) + 8)
-    }
-}
-
-impl<A: Algorithm> Algorithm for QuantizedAlgorithm<A> {
-    fn name(&self) -> &'static str {
-        "quantized"
-    }
-
-    fn init(&mut self, dim: usize, num_clients: usize) {
-        self.inner.init(dim, num_clients);
-    }
-
-    fn requires_full_participation(&self) -> bool {
-        self.inner.requires_full_participation()
-    }
-
-    fn supports_variable_work(&self) -> bool {
-        self.inner.supports_variable_work()
-    }
-
-    fn upload_floats_per_client(&self, dim: usize) -> usize {
-        self.inner.upload_floats_per_client(dim)
-    }
-
-    fn client_update_scratch(
-        &self,
-        client: &mut ClientState,
-        global: &ParamVector,
-        env: &LocalEnv<'_>,
-        scratch: &mut UpdateScratch,
-    ) -> TensorResult<ClientMessage> {
-        let mut message = self
-            .inner
-            .client_update_scratch(client, global, env, scratch)?;
-        for (k, payload) in message.payload.iter_mut().enumerate() {
-            let raw = payload.as_slice();
-            let quantized = self.quantizer.quantize(raw, env.seed ^ (k as u64) << 48);
-            *payload = ParamVector::from_vec(quantized.dequantize());
-        }
-        Ok(message)
-    }
-
-    fn server_update(
-        &mut self,
-        global: &mut ParamVector,
-        messages: &[ClientMessage],
-        num_clients: usize,
-        rng: &mut dyn rand::RngCore,
-    ) -> ServerOutcome {
-        self.inner.server_update(global, messages, num_clients, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{FedAdmm, ServerStepSize};
-    use crate::config::{DataDistribution, FedConfig, Participation};
-    use crate::engine::{RoundEngine, SyncRounds};
-    use fedadmm_data::batching::BatchSize;
-    use fedadmm_data::synthetic::SyntheticDataset;
-    use fedadmm_nn::models::ModelSpec;
 
     #[test]
     fn round_trip_error_is_within_half_a_step() {
@@ -356,77 +271,5 @@ mod tests {
     #[should_panic(expected = "1–16 bits")]
     fn unsupported_bit_width_is_rejected() {
         Quantizer::new(0, false);
-    }
-
-    #[test]
-    fn quantized_fedadmm_still_learns_at_8_bits() {
-        let config = FedConfig {
-            num_clients: 8,
-            participation: Participation::Fraction(0.3),
-            local_epochs: 2,
-            system_heterogeneity: false,
-            batch_size: BatchSize::Size(16),
-            local_learning_rate: 0.1,
-            model: ModelSpec::Logistic {
-                input_dim: 784,
-                num_classes: 10,
-            },
-            seed: 4,
-            eval_subset: usize::MAX,
-        };
-        let (train, test) = SyntheticDataset::Mnist.generate(400, 100, 4);
-        let partition = DataDistribution::Iid.partition(&train, 8, 4);
-        let algorithm = QuantizedAlgorithm::new(
-            FedAdmm::new(0.3, ServerStepSize::Constant(1.0)),
-            Quantizer::new(8, true),
-        );
-        assert_eq!(algorithm.inner().name(), "FedADMM");
-        let d = config.model.num_params();
-        assert!(
-            algorithm.compressed_bytes(d) < 4 * d / 3,
-            "8-bit codes should be ~4× smaller"
-        );
-        let mut sim =
-            RoundEngine::new(config, train, test, partition, algorithm, SyncRounds).unwrap();
-        let (_, acc0) = sim.evaluate_global().unwrap();
-        sim.run_rounds(10).unwrap();
-        assert!(
-            sim.history().best_accuracy() > acc0 + 0.15,
-            "8-bit quantized uploads failed to learn: {acc0} → {}",
-            sim.history().best_accuracy()
-        );
-    }
-
-    #[test]
-    fn aggressive_quantization_degrades_but_does_not_diverge() {
-        let config = FedConfig {
-            num_clients: 6,
-            participation: Participation::Fraction(0.5),
-            local_epochs: 1,
-            system_heterogeneity: false,
-            batch_size: BatchSize::Size(16),
-            local_learning_rate: 0.1,
-            model: ModelSpec::Logistic {
-                input_dim: 784,
-                num_classes: 10,
-            },
-            seed: 6,
-            eval_subset: usize::MAX,
-        };
-        let (train, test) = SyntheticDataset::Mnist.generate(240, 60, 6);
-        let partition = DataDistribution::Iid.partition(&train, 6, 6);
-        let algorithm = QuantizedAlgorithm::new(
-            FedAdmm::new(0.3, ServerStepSize::Constant(1.0)),
-            Quantizer::new(2, true),
-        );
-        let mut sim =
-            RoundEngine::new(config, train, test, partition, algorithm, SyncRounds).unwrap();
-        sim.run_rounds(6).unwrap();
-        assert!(sim
-            .history()
-            .accuracy_series()
-            .iter()
-            .all(|a| a.is_finite()));
-        assert!(sim.global_model().as_slice().iter().all(|v| v.is_finite()));
     }
 }

@@ -31,9 +31,10 @@
 //! outcome is byte-identical for every worker count and chunk size — pinned
 //! by the golden-digest parity tests.
 //!
-//! Configuration resolves from [`DispatchConfig`] builders first, then the
-//! environment (`FEDADMM_DISPATCH_WORKERS`, `FEDADMM_DISPATCH_CHUNK`; a
-//! value that is not a positive integer panics), then hardware defaults.
+//! Configuration resolves from [`DispatchConfig`] builders first; the worker
+//! count then falls back to `FEDADMM_DISPATCH_WORKERS` — the one environment
+//! variable the workspace reads (a value that is not a positive integer
+//! panics) — then to the hardware default.
 
 use crate::algorithms::UpdateScratch;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,33 +43,29 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Dispatch-pool configuration. Unset fields fall back to the
-/// `FEDADMM_DISPATCH_*` environment variables, then to hardware defaults.
+/// Dispatch-pool configuration. Unset fields fall back to defaults.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DispatchConfig {
     /// Worker-thread count (default: `FEDADMM_DISPATCH_WORKERS`, else
     /// [`std::thread::available_parallelism`]). `1` selects the serial
     /// inline path — no threads are spawned at all.
     pub workers: Option<usize>,
-    /// Jobs claimed per cursor fetch (default: `FEDADMM_DISPATCH_CHUNK`,
-    /// else adaptive in the batch size).
+    /// Jobs claimed per cursor fetch (default: adaptive in the batch size).
     pub chunk_size: Option<usize>,
 }
 
-/// Parses a worker-count or chunk-size override: `None` when unset; panics,
-/// naming the variable and the value, on anything but a positive integer —
-/// the worker count is the only parallelism control, so a typo must not
-/// silently become the default.
-fn parse_count(name: &str, raw: Option<&str>) -> Option<usize> {
+const WORKERS_VAR: &str = "FEDADMM_DISPATCH_WORKERS";
+
+/// Parses the worker-count override: `None` when unset; panics, naming the
+/// variable and the value, on anything but a positive integer — the worker
+/// count is the only parallelism control, so a typo must not silently
+/// become the default.
+fn parse_workers(raw: Option<&str>) -> Option<usize> {
     let raw = raw?;
     match raw.trim().parse::<usize>() {
         Ok(n) if n > 0 => Some(n),
-        _ => panic!("{name}={raw:?} is not a positive integer"),
+        _ => panic!("{WORKERS_VAR}={raw:?} is not a positive integer"),
     }
-}
-
-fn env_count(name: &str) -> Option<usize> {
-    parse_count(name, std::env::var(name).ok().as_deref())
 }
 
 impl DispatchConfig {
@@ -84,7 +81,7 @@ impl DispatchConfig {
     /// available parallelism.
     pub fn resolved_workers(&self) -> usize {
         self.workers
-            .or_else(|| env_count("FEDADMM_DISPATCH_WORKERS"))
+            .or_else(|| parse_workers(std::env::var(WORKERS_VAR).ok().as_deref()))
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|n| n.get())
@@ -94,12 +91,11 @@ impl DispatchConfig {
     }
 
     /// The chunk size for a batch of `num_jobs` over `workers` workers:
-    /// builder, then environment, then `clamp(jobs / (4·workers), 1, 8)` —
-    /// about four claims per worker on balanced loads, small enough to
-    /// rebalance behind a straggler.
+    /// builder, then `clamp(jobs / (4·workers), 1, 8)` — about four claims
+    /// per worker on balanced loads, small enough to rebalance behind a
+    /// straggler.
     pub fn resolved_chunk(&self, num_jobs: usize, workers: usize) -> usize {
         self.chunk_size
-            .or_else(|| env_count("FEDADMM_DISPATCH_CHUNK"))
             .unwrap_or_else(|| (num_jobs / (workers.max(1) * 4)).clamp(1, 8))
     }
 }
@@ -559,19 +555,15 @@ mod tests {
     }
 
     #[test]
-    fn count_overrides_parse_or_panic_naming_the_variable() {
-        assert_eq!(parse_count("FEDADMM_DISPATCH_WORKERS", None), None);
-        assert_eq!(parse_count("FEDADMM_DISPATCH_WORKERS", Some("3")), Some(3));
-        assert_eq!(
-            parse_count("FEDADMM_DISPATCH_CHUNK", Some(" 16 ")),
-            Some(16)
-        );
+    fn worker_override_parses_or_panics_naming_the_variable() {
+        assert_eq!(parse_workers(None), None);
+        assert_eq!(parse_workers(Some("3")), Some(3));
+        assert_eq!(parse_workers(Some(" 16 ")), Some(16));
         for bad in ["", "0", "-1", "two", "2.5", "4 workers"] {
-            let err =
-                catch_unwind(|| parse_count("FEDADMM_DISPATCH_WORKERS", Some(bad))).expect_err(bad);
+            let err = catch_unwind(|| parse_workers(Some(bad))).expect_err(bad);
             let text = err.downcast_ref::<String>().expect("formatted panic");
             assert!(
-                text.contains("FEDADMM_DISPATCH_WORKERS") && text.contains(&format!("{bad:?}")),
+                text.contains(WORKERS_VAR) && text.contains(&format!("{bad:?}")),
                 "{text}"
             );
         }

@@ -236,7 +236,7 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
             gap_rho: None,
             aggregation: AggregationMode::SinglePass,
             pool: DispatchPool::new(DispatchConfig::default()),
-            wire: WirePathConfig::default().resolve(),
+            wire: None,
         };
         let mut core = EngineCore {
             config: &engine.config,
@@ -268,17 +268,17 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
     /// the legacy engine; [`AggregationMode::Hierarchical`] folds per shard
     /// on the dispatch pool with a log-depth combine, for large cohorts.
     /// Algorithms without a [`FoldPlan`](crate::algorithms::FoldPlan) always
-    /// use the sequential path.
+    /// run their own sequential `server_update`.
     pub fn with_aggregation(mut self, mode: AggregationMode) -> Self {
         self.aggregation = mode;
         self
     }
 
     /// Rebuilds the dispatch pool from an explicit [`DispatchConfig`]
-    /// (worker count, chunk size). The default pool
-    /// resolves everything from `FEDADMM_DISPATCH_*` environment variables
-    /// and the hardware. Dispatch results are byte-identical for every
-    /// configuration; only the schedule (and the wall clock) changes.
+    /// (worker count, chunk size). The default pool takes its worker count
+    /// from `FEDADMM_DISPATCH_WORKERS`, else the hardware. Dispatch results
+    /// are byte-identical for every configuration; only the schedule (and
+    /// the wall clock) changes.
     pub fn with_dispatch(mut self, config: DispatchConfig) -> Self {
         self.pool = DispatchPool::new(config);
         self
@@ -298,11 +298,10 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
     }
 
     /// Configures the wire path (upload compression + privacy, fused into
-    /// dispatch and aggregation — see [`wire`]). The default resolves
-    /// `FEDADMM_WIRE_PATH` / `FEDADMM_WIRE_BITS` from the environment and
-    /// is otherwise off; [`WirePathConfig::disabled`] pins it off (the
-    /// dense path is byte-identical to the pre-wire engine), and
-    /// [`WirePathConfig::enabled`] pins it on with an explicit quantizer.
+    /// dispatch and aggregation — see [`wire`]). Off unless `config` carries
+    /// a quantizer ([`WirePathConfig::enabled`]) or a guard
+    /// ([`WirePathConfig::with_guard`]; alone it privatizes uploads and
+    /// leaves them dense).
     pub fn with_wire_path(mut self, config: WirePathConfig) -> Self {
         self.wire = config.resolve();
         self

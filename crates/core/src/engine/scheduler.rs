@@ -28,7 +28,9 @@
 
 use super::dispatch::{DispatchBatchStats, DispatchPool, DispatchScratch};
 use super::wire::{decode_message, WirePath};
-use crate::algorithms::{total_upload, Algorithm, ClientMessage, FoldPlan, ServerOutcome};
+use crate::algorithms::{
+    total_upload, Algorithm, ClientMessage, FoldPlan, FoldTerm, ServerOutcome,
+};
 use crate::client::ClientState;
 use crate::config::FedConfig;
 use crate::heterogeneity::LocalWorkSchedule;
@@ -39,7 +41,6 @@ use crate::trainer::{eval_chunk, evaluate_chunk, mean_of_chunks, LocalEnv, EVAL_
 use fedadmm_clientstore::{hierarchical_fold, ClientStateStore};
 use fedadmm_data::Dataset;
 use fedadmm_telemetry::{names, DispatchSummary, RoundSummary, Telemetry};
-use fedadmm_tensor::vecops::{self, DequantTerm};
 use fedadmm_tensor::{TensorError, TensorResult};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -553,17 +554,21 @@ impl EngineCore<'_> {
         Ok(messages)
     }
 
-    /// Applies a batch of messages through the algorithm's server update.
+    /// Applies a batch of messages to θ — the server step.
     ///
     /// θ is mutated copy-on-write: if client snapshots of the current θ are
     /// still alive (in-flight stragglers), the allocation is cloned once;
     /// otherwise the update happens in place.
     ///
-    /// Under [`AggregationMode::Hierarchical`], algorithms that expose a
-    /// [`FoldPlan`] are folded as per-shard partial sums on the dispatch
-    /// pool plus a log-depth combine instead of one sequential fused pass;
-    /// algorithms without a plan (stateful or non-linear server updates)
-    /// silently use the sequential path.
+    /// The algorithm is asked for its [`FoldPlan`] once. A batch of
+    /// single-vector uploads — all dense, or all coded by the wire path —
+    /// with a plan is folded by [`EngineCore::apply_plan`]: one fused pass,
+    /// in the coded domain when the uploads are coded, per shard on the
+    /// dispatch pool under [`AggregationMode::Hierarchical`]. Every other
+    /// batch (stateful or stochastic server steps, SCAFFOLD's two-vector
+    /// uploads) goes to the algorithm's own `server_update`, coded messages
+    /// decoded first ([`decode_message`]) — correct, at one extra O(d)
+    /// sweep per message.
     pub fn aggregate(
         &mut self,
         messages: &[ClientMessage],
@@ -571,16 +576,41 @@ impl EngineCore<'_> {
     ) -> ServerOutcome {
         let timed = self.telemetry.enabled();
         let start = timed.then(Instant::now);
-        let outcome = if messages.iter().any(|m| m.wire.is_some()) {
-            self.fold_compressed(messages, rng, timed)
+        let num_clients = self.config.num_clients;
+        let dense = messages.iter().all(|m| m.wire.is_none());
+        let coded = |m: &ClientMessage| m.wire.as_ref().is_some_and(|w| w.vectors.len() == 1);
+        let plan = if dense || messages.iter().all(coded) {
+            self.algorithm.fold_plan(messages, num_clients)
         } else {
-            match self.try_hierarchical_fold(messages, timed) {
-                Some(outcome) => outcome,
-                None => {
-                    let global = Arc::make_mut(self.global);
-                    self.algorithm
-                        .server_update(global, messages, self.config.num_clients, rng)
+            None
+        };
+        let outcome = match plan {
+            Some(plan) => {
+                if dense {
+                    self.apply_plan(&plan, messages, plan.dense_terms(messages), timed);
+                } else {
+                    // The span lets instrumented runs count one fused pass
+                    // per aggregation.
+                    let round = *self.round;
+                    self.telemetry.on_phase_start("fuse_pass", round);
+                    self.apply_plan(&plan, messages, plan.coded_terms(messages), timed);
+                    self.telemetry.on_phase_end("fuse_pass", round);
                 }
+                ServerOutcome {
+                    upload_floats: total_upload(messages),
+                }
+            }
+            None => {
+                let decoded: Vec<ClientMessage>;
+                let messages = if dense {
+                    messages
+                } else {
+                    decoded = messages.iter().map(decode_message).collect();
+                    &decoded
+                };
+                let global = Arc::make_mut(self.global);
+                self.algorithm
+                    .server_update(global, messages, num_clients, rng)
             }
         };
         if let Some(start) = start {
@@ -590,137 +620,22 @@ impl EngineCore<'_> {
         outcome
     }
 
-    /// The fused compressed fold — the server half of the wire path.
-    ///
-    /// When every message of the batch carries a single-vector
-    /// [`WirePayload`](crate::compression::WirePayload) and the algorithm
-    /// exposes a [`FoldPlan`], the whole cohort is dequantize-accumulated
-    /// into θ in **one** 8-lane sweep
-    /// ([`vecops::dequant_axpy_fused`](fedadmm_tensor::vecops::dequant_axpy_fused)):
-    /// each message contributes the affine term
-    /// `cᵢ·sᵢ·(minᵢ + codeᵢ[j]·stepᵢ)`, where `cᵢ` is the plan coefficient
-    /// and `sᵢ` the staleness scale the scheduler folded into the payload —
-    /// no dense decompression is ever materialized. Under
-    /// [`AggregationMode::Hierarchical`] the same terms are folded per
-    /// shard on the dispatch pool, with a log-depth combine.
-    ///
-    /// Batches the fused pass cannot express — algorithms without a plan
-    /// (stateful server updates), multi-vector uploads (SCAFFOLD), or a mix
-    /// of dense and wire messages — fall back to decoding each message
-    /// once ([`decode_message`]) and running the algorithm's own
-    /// `server_update`; correct, but with the extra O(d) sweep the fused
-    /// path exists to avoid.
-    ///
-    /// The whole fold is bracketed by the `"fuse_pass"` telemetry span, so
-    /// instrumented runs can count exactly one span per aggregation.
-    fn fold_compressed(
-        &mut self,
-        messages: &[ClientMessage],
-        rng: &mut dyn rand::RngCore,
-        timed: bool,
-    ) -> ServerOutcome {
-        let round = *self.round;
-        self.telemetry.on_phase_start("fuse_pass", round);
-        let outcome = self.fold_compressed_inner(messages, rng, timed);
-        self.telemetry.on_phase_end("fuse_pass", round);
-        outcome
-    }
-
-    fn fold_compressed_inner(
-        &mut self,
-        messages: &[ClientMessage],
-        rng: &mut dyn rand::RngCore,
-        timed: bool,
-    ) -> ServerOutcome {
-        let fusable = messages
-            .iter()
-            .all(|m| m.wire.as_ref().is_some_and(|w| w.vectors.len() == 1));
-        let plan = if fusable {
-            self.algorithm.fold_plan(messages, self.config.num_clients)
-        } else {
-            None
-        };
-        let Some(plan) = plan else {
-            // Naive reference fallback: one dense decode per message, then
-            // the algorithm's own server update.
-            let dense: Vec<ClientMessage> = messages.iter().map(decode_message).collect();
-            let global = Arc::make_mut(self.global);
-            return self
-                .algorithm
-                .server_update(global, &dense, self.config.num_clients, rng);
-        };
-        // One affine term per message; the staleness scale folds into the
-        // plan coefficient, exactly as it would multiply a dense payload.
-        let terms = messages
-            .iter()
-            .zip(plan.coefficients())
-            .map(|(msg, &coeff)| {
-                let wire = msg.wire.as_ref().expect("fusable batch");
-                let v = &wire.vectors[0];
-                DequantTerm {
-                    alpha: coeff * wire.scale,
-                    min: v.min,
-                    step: v.step,
-                    codes: &v.codes,
-                }
-            });
-        if self.aggregation == AggregationMode::Hierarchical {
-            self.fold_by_shard(&plan, messages, terms, timed, |terms, partial| {
-                vecops::dequant_sum_into(terms, partial.as_mut_slice())
-            });
-        } else {
-            let terms: Vec<DequantTerm<'_>> = terms.collect();
-            let global = Arc::make_mut(self.global);
-            match plan {
-                FoldPlan::Accumulate(_) => global.dequant_accumulate(&terms),
-                FoldPlan::Assign(_) => global.dequant_assign(&terms),
-            }
-        }
-        ServerOutcome {
-            upload_floats: total_upload(messages),
-        }
-    }
-
-    /// The dense hierarchical aggregation path. Returns `None` when
-    /// hierarchical mode is off, the batch is empty, or the algorithm
-    /// exposes no [`FoldPlan`] — the caller then falls back to
-    /// `server_update`.
-    fn try_hierarchical_fold(
-        &mut self,
-        messages: &[ClientMessage],
-        timed: bool,
-    ) -> Option<ServerOutcome> {
-        if self.aggregation != AggregationMode::Hierarchical || messages.is_empty() {
-            return None;
-        }
-        let plan = self
-            .algorithm
-            .fold_plan(messages, self.config.num_clients)?;
-        let terms = messages
-            .iter()
-            .zip(plan.coefficients())
-            .map(|(msg, &coeff)| (coeff, &msg.payload[0]));
-        self.fold_by_shard(&plan, messages, terms, timed, |terms, partial| {
-            partial.assign_weighted_sum(terms)
-        });
-        Some(ServerOutcome {
-            upload_floats: total_upload(messages),
-        })
-    }
-
-    /// The tree fold both hierarchical paths share: groups one term per
-    /// message by the sender's shard (ascending shard order, whatever the
-    /// arrival order), folds every shard's group as a job on the dispatch
-    /// pool, combines the partials pairwise and applies the sum to θ as
-    /// `plan` says.
-    fn fold_by_shard<T: Sync>(
+    /// Folds one term per message into θ as `plan` says: in one fused pass,
+    /// or — under [`AggregationMode::Hierarchical`] — grouped by the
+    /// sender's shard (ascending shard order, whatever the arrival order),
+    /// every shard's group summed as a job on the dispatch pool, the
+    /// partials combined pairwise and the sum applied to θ.
+    fn apply_plan<T: FoldTerm>(
         &mut self,
         plan: &FoldPlan,
         messages: &[ClientMessage],
-        terms: impl Iterator<Item = T>,
+        terms: Vec<T>,
         timed: bool,
-        fold_terms: impl Fn(&[T], &mut ParamVector) + Sync,
     ) {
+        if self.aggregation != AggregationMode::Hierarchical {
+            plan.apply(&terms, Arc::make_mut(self.global));
+            return;
+        }
         let map = self.store.shard_map();
         let mut by_shard: BTreeMap<usize, Vec<T>> = BTreeMap::new();
         for (msg, term) in messages.iter().zip(terms) {
@@ -735,7 +650,7 @@ impl EngineCore<'_> {
             self.global.len(),
             &groups,
             timed,
-            fold_terms,
+            T::assign,
             |shards, fold_shard| {
                 pool.run(shards, false, &|_worker, shard, _scratch| fold_shard(shard));
             },

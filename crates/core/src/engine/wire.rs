@@ -1,14 +1,7 @@
 //! The engine's wire path: compression + privacy fused into the upload →
-//! aggregate hot path.
-//!
-//! Historically, compressed or privatized runs went through *algorithm
-//! adapters* ([`QuantizedAlgorithm`](crate::compression::QuantizedAlgorithm)
-//! and `fedadmm-privacy`'s `PrivateAlgorithm`): every client materialized a
-//! full dense `Vec<f32>` decompression of its own upload, and the server
-//! folded those dense vectors as usual — two to three extra O(d) sweeps per
-//! message on top of the fused aggregation pass PR 1 bought. The wire path
-//! moves both transforms into the engine itself, in the FedPAQ style
-//! (quantize at the client edge, accumulate in the coded domain):
+//! aggregate hot path, in the FedPAQ style (quantize at the client edge,
+//! accumulate in the coded domain). It is the only code that transforms an
+//! upload.
 //!
 //! ```text
 //!   dispatch worker (per-worker scratch, no per-job allocation)
@@ -29,28 +22,30 @@
 //!   [`Vec<u16>`] code buffer is reused across jobs, so steady-state
 //!   encoding allocates only the exact-size code vector that rides in the
 //!   message itself (half the dense payload at 16 bits, an eighth at 4).
+//!   A guard without a quantizer privatizes in place and leaves the payload
+//!   dense — DP without compression.
 //! * **Server side** — [`EngineCore::aggregate`](super::EngineCore::aggregate)
-//!   detects wire payloads and folds them through the `fold_compressed`
-//!   path: one [`vecops::dequant_axpy_fused`](fedadmm_tensor::vecops)
-//!   sweep dequantize-accumulates the whole cohort directly into θ (or one
+//!   applies the algorithm's [`FoldPlan`](crate::algorithms::FoldPlan) to
+//!   the coded cohort: one
+//!   [`vecops::dequant_axpy_fused`](fedadmm_tensor::vecops) sweep
+//!   dequantize-accumulates it directly into θ (or one
 //!   [`dequant_sum_into`](fedadmm_tensor::vecops::dequant_sum_into) per
 //!   shard under [`AggregationMode::Hierarchical`](super::AggregationMode)),
 //!   so compression-on + privacy-on costs a single pass over ℝ^d instead of
-//!   a decode pass, a privatize pass and a fold pass.
+//!   a decode pass, a privatize pass and a fold pass. Algorithms without a
+//!   plan and multi-vector uploads take [`decode_message`] + their own
+//!   `server_update`.
 //! * **Schedulers** — staleness damping multiplies
 //!   [`WirePayload::scale`](crate::compression::WirePayload::scale) (codes
 //!   cannot be scaled without decoding); the server folds the scale into
 //!   the per-message coefficient, reproducing the dense semantics.
 //!
-//! The path is **off by default** and byte-identical when disabled (pinned
-//! by the golden-digest parity tests). Resolution order mirrors the
-//! dispatch pool: [`RoundEngine::with_wire_path`](super::RoundEngine::with_wire_path)
-//! builder first, then the `FEDADMM_WIRE_PATH` environment variable
-//! (`on`/`1`/`true`; bit width via `FEDADMM_WIRE_BITS`, default 8; an
-//! unknown flag word or a width outside 1..=16 panics), then off. With it
-//! enabled, correctness is *bounded-error* against the naive
-//! compress → decompress → aggregate reference ([`decode_message`]) —
-//! `tests/wire_path.rs` pins the bound.
+//! The path is on iff
+//! [`RoundEngine::with_wire_path`](super::RoundEngine::with_wire_path) was
+//! given a quantizer or a guard; off, the engine is byte-identical to one
+//! without it (pinned by the golden-digest parity tests). On, correctness is
+//! *bounded-error* against the naive compress → decompress → aggregate
+//! reference ([`decode_message`]) — `tests/wire_path.rs` pins the bound.
 
 use crate::algorithms::ClientMessage;
 use crate::compression::{QuantizedVector, Quantizer, WirePayload};
@@ -86,9 +81,8 @@ impl<G: WireGuard + ?Sized> WireGuard for Arc<G> {
     }
 }
 
-/// Salt separating the wire path's stochastic-rounding RNG stream from the
-/// legacy [`QuantizedAlgorithm`](crate::compression::QuantizedAlgorithm)
-/// stream (which uses the raw `env.seed ^ (k << 48)`).
+/// Salt separating the stochastic-rounding stream from every other
+/// consumer of the dispatch seed.
 const QUANT_SALT: u64 = 0x00C0_DEC5_17E5_EED5;
 /// Salt separating the guard's noise stream from every other consumer of
 /// the dispatch seed.
@@ -104,96 +98,55 @@ pub fn guard_seed(order_seed: u64, k: usize) -> u64 {
     order_seed ^ GUARD_SALT.rotate_left((k as u32) & 63)
 }
 
-/// Wire-path configuration. Unset fields fall back to the
-/// `FEDADMM_WIRE_*` environment variables, then to defaults (disabled;
-/// 8-bit stochastic quantization when enabled).
+/// Wire-path configuration: the path is on iff a quantizer or a guard is
+/// set. The default is off.
 #[derive(Clone, Default)]
 pub struct WirePathConfig {
-    /// Whether uploads are encoded (default: `FEDADMM_WIRE_PATH`, else off).
-    pub enabled: Option<bool>,
-    /// The quantizer (default: `FEDADMM_WIRE_BITS`-bit stochastic, else
-    /// 8-bit stochastic).
+    /// The quantizer; `None` leaves uploads dense.
     pub quantizer: Option<Quantizer>,
-    /// Optional privatization applied before quantization (default: none).
+    /// Optional privatization applied before quantization.
     pub guard: Option<Arc<dyn WireGuard>>,
 }
 
 impl std::fmt::Debug for WirePathConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WirePathConfig")
-            .field("enabled", &self.enabled)
             .field("quantizer", &self.quantizer)
             .field("guard", &self.guard.as_ref().map(|g| g.name()))
             .finish()
     }
 }
 
-/// Parses the `FEDADMM_WIRE_PATH` switch: `None` when unset; panics, naming
-/// the variable and the value, on an unknown flag word.
-fn parse_flag(name: &str, raw: Option<&str>) -> Option<bool> {
-    let raw = raw?;
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "1" | "on" | "true" | "yes" => Some(true),
-        "0" | "off" | "false" | "no" | "" => Some(false),
-        _ => panic!("{name}={raw:?} is not one of on/off, true/false, yes/no, 1/0"),
-    }
-}
-
-/// Parses the `FEDADMM_WIRE_BITS` quantizer width: `None` when unset;
-/// panics, naming the variable and the value, on anything outside `1..=16`.
-fn parse_bits(name: &str, raw: Option<&str>) -> Option<u8> {
-    let raw = raw?;
-    match raw.trim().parse::<u8>() {
-        Ok(bits) if (1..=16).contains(&bits) => Some(bits),
-        _ => panic!("{name}={raw:?} is not a bit width in 1..=16"),
-    }
-}
-
 impl WirePathConfig {
-    /// A configuration that pins the path on with the given quantizer.
+    /// A configuration that turns the path on with the given quantizer.
     pub fn enabled(quantizer: Quantizer) -> Self {
         WirePathConfig {
-            enabled: Some(true),
             quantizer: Some(quantizer),
             guard: None,
         }
     }
 
-    /// A configuration that pins the path off regardless of the
-    /// environment — what the byte-identity tests use.
+    /// The default: uploads stay dense and untouched.
     pub fn disabled() -> Self {
-        WirePathConfig {
-            enabled: Some(false),
-            ..WirePathConfig::default()
-        }
+        WirePathConfig::default()
     }
 
-    /// Adds a privatization guard (applied before quantization).
+    /// Adds a privatization guard (applied before quantization). On
+    /// [`WirePathConfig::disabled`] this is the guard-only mode: uploads are
+    /// privatized in place and stay dense.
     pub fn with_guard(mut self, guard: Arc<dyn WireGuard>) -> Self {
         self.guard = Some(guard);
         self
     }
 
-    /// Resolves the configuration against the environment: `Some(path)`
-    /// when the wire path is on, `None` when uploads stay dense.
+    /// `Some(path)` when the wire path is on, `None` when uploads stay
+    /// dense and untouched.
     pub fn resolve(&self) -> Option<WirePath> {
-        let enabled = self
-            .enabled
-            .or_else(|| {
-                let name = "FEDADMM_WIRE_PATH";
-                parse_flag(name, std::env::var(name).ok().as_deref())
-            })
-            .unwrap_or(false);
-        if !enabled {
+        if self.quantizer.is_none() && self.guard.is_none() {
             return None;
         }
-        let quantizer = self.quantizer.unwrap_or_else(|| {
-            let name = "FEDADMM_WIRE_BITS";
-            let bits = parse_bits(name, std::env::var(name).ok().as_deref()).unwrap_or(8);
-            Quantizer::new(bits, true)
-        });
         Some(WirePath {
-            quantizer,
+            quantizer: self.quantizer.unwrap_or(Quantizer::IDENTITY),
             guard: self.guard.clone(),
         })
     }
@@ -202,7 +155,7 @@ impl WirePathConfig {
 /// The resolved, active wire path threaded through the engine core.
 #[derive(Clone)]
 pub struct WirePath {
-    /// Per-vector uniform quantizer.
+    /// Per-vector uniform quantizer (32-bit identity in guard-only mode).
     pub quantizer: Quantizer,
     /// Optional pre-quantization privatization.
     pub guard: Option<Arc<dyn WireGuard>>,
@@ -221,18 +174,21 @@ impl WirePath {
     /// Encodes a freshly computed message in place on the dispatch worker:
     /// privatize each payload vector (optional), quantize it through the
     /// worker's reusable `codes` buffer, and replace the dense payload with
-    /// the [`WirePayload`]. Messages with an empty payload (e.g. FedPD's
+    /// the [`WirePayload`]. Under the identity quantizer the privatized
+    /// payload stays dense. Messages with an empty payload (e.g. FedPD's
     /// non-communication rounds) are left untouched.
     pub fn encode(&self, message: &mut ClientMessage, order_seed: u64, codes: &mut Vec<u16>) {
-        if message.payload.is_empty() {
+        if let Some(guard) = &self.guard {
+            for (k, payload) in message.payload.iter_mut().enumerate() {
+                guard.privatize(payload.as_mut_slice(), guard_seed(order_seed, k));
+            }
+        }
+        if message.payload.is_empty() || self.quantizer == Quantizer::IDENTITY {
             return;
         }
         let mut vectors = Vec::with_capacity(message.payload.len());
-        for (k, payload) in message.payload.iter_mut().enumerate() {
-            let values = payload.as_mut_slice();
-            if let Some(guard) = &self.guard {
-                guard.privatize(values, guard_seed(order_seed, k));
-            }
+        for (k, payload) in message.payload.iter().enumerate() {
+            let values = payload.as_slice();
             let (min, step) =
                 self.quantizer
                     .quantize_into(values, quant_seed(order_seed, k), codes);
@@ -256,9 +212,9 @@ impl WirePath {
 
 /// The naive compress → decompress reference: decodes a wire message back
 /// to a dense [`ClientMessage`] (applying the staleness scale), leaving
-/// dense messages untouched. The server's `fold_compressed` fast path must
-/// agree with aggregating these within the quantizer's error bound; it is
-/// also the fallback the engine uses for algorithms without a
+/// dense messages untouched. The server's fused coded fold must agree with
+/// aggregating these within the quantizer's error bound; it is also the
+/// fallback the engine uses for algorithms without a
 /// [`FoldPlan`](crate::algorithms::FoldPlan) or with multi-vector uploads
 /// (SCAFFOLD).
 pub fn decode_message(message: &ClientMessage) -> ClientMessage {
@@ -310,41 +266,6 @@ mod tests {
             epochs_run: 2,
             samples_processed: 20,
             wire: None,
-        }
-    }
-
-    /// The panic message of `f`, which must panic.
-    fn panic_text<R: std::fmt::Debug>(f: impl FnOnce() -> R + std::panic::UnwindSafe) -> String {
-        let err = std::panic::catch_unwind(f).expect_err("must panic");
-        err.downcast_ref::<String>()
-            .expect("formatted panic")
-            .clone()
-    }
-
-    #[test]
-    fn wire_overrides_parse_or_panic_naming_the_variable() {
-        assert_eq!(parse_flag("FEDADMM_WIRE_PATH", None), None);
-        for on in ["1", "on", "TRUE", " yes "] {
-            assert_eq!(parse_flag("FEDADMM_WIRE_PATH", Some(on)), Some(true));
-        }
-        for off in ["0", "off", "False", "no", ""] {
-            assert_eq!(parse_flag("FEDADMM_WIRE_PATH", Some(off)), Some(false));
-        }
-        let text = panic_text(|| parse_flag("FEDADMM_WIRE_PATH", Some("enabled")));
-        assert!(
-            text.contains("FEDADMM_WIRE_PATH") && text.contains("\"enabled\""),
-            "{text}"
-        );
-
-        assert_eq!(parse_bits("FEDADMM_WIRE_BITS", None), None);
-        assert_eq!(parse_bits("FEDADMM_WIRE_BITS", Some("1")), Some(1));
-        assert_eq!(parse_bits("FEDADMM_WIRE_BITS", Some(" 16 ")), Some(16));
-        for bad in ["", "0", "17", "300", "-4", "eight"] {
-            let text = panic_text(|| parse_bits("FEDADMM_WIRE_BITS", Some(bad)));
-            assert!(
-                text.contains("FEDADMM_WIRE_BITS") && text.contains(&format!("{bad:?}")),
-                "{text}"
-            );
         }
     }
 
@@ -435,13 +356,30 @@ mod tests {
     }
 
     #[test]
-    fn disabled_config_resolves_to_none() {
+    fn the_path_is_on_iff_a_quantizer_or_a_guard_is_set() {
+        assert!(WirePathConfig::default().resolve().is_none());
         assert!(WirePathConfig::disabled().resolve().is_none());
-        // Builder beats the environment: even with the env var unset this
-        // stays on.
-        assert!(WirePathConfig::enabled(Quantizer::new(8, true))
+        let coded = WirePathConfig::enabled(Quantizer::new(8, true)).resolve();
+        assert_eq!(coded.unwrap().quantizer, Quantizer::new(8, true));
+        let guarded = WirePathConfig::disabled()
+            .with_guard(Arc::new(Negate))
             .resolve()
-            .is_some());
+            .unwrap();
+        assert_eq!(guarded.quantizer.compression_ratio(), 1.0);
+    }
+
+    #[test]
+    fn guard_only_privatizes_in_place_and_stays_dense() {
+        let path = WirePathConfig::disabled()
+            .with_guard(Arc::new(Negate))
+            .resolve()
+            .unwrap();
+        let mut msg = message(vec![1.0, -2.0, 3.0]);
+        let mut codes = Vec::new();
+        path.encode(&mut msg, 5, &mut codes);
+        assert!(msg.wire.is_none() && codes.is_empty());
+        assert_eq!(msg.payload[0].as_slice(), &[-1.0, 2.0, -3.0]);
+        assert_eq!(msg.wire_bytes(), 12);
     }
 
     #[test]

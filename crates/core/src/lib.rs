@@ -86,7 +86,7 @@ pub mod prelude {
         FoldPlan, LocalInit, Scaffold, ServerOptimizer, ServerStepSize,
     };
     pub use crate::client::ClientState;
-    pub use crate::compression::{QuantizedAlgorithm, Quantizer};
+    pub use crate::compression::Quantizer;
     pub use crate::config::{DataDistribution, FedConfig, Participation};
     pub use crate::drift::DriftReport;
     pub use crate::engine::{

@@ -15,11 +15,12 @@
 //!   participating clients derives a shared mask from a common seed, one
 //!   adds it and the other subtracts it, so individual updates are hidden
 //!   from the server while the *sum* — the only quantity the FedADMM server
-//!   update (equation 5) needs — is recovered exactly;
-//! * [`wrapper`] — [`wrapper::PrivateAlgorithm`], an adapter that wraps any
-//!   [`fedadmm_core::algorithms::Algorithm`] and applies clipping + noise to
-//!   every uploaded vector, so FedADMM/FedAvg/FedProx/SCAFFOLD can be made
-//!   differentially private without touching their implementations.
+//!   update (equation 5) needs — is recovered exactly.
+//!
+//! [`dp::GaussianMechanism`] is a [`fedadmm_core::engine::WireGuard`]: hand
+//! it to `RoundEngine::with_wire_path` and every dispatch worker clips and
+//! noises each uploaded vector before it leaves the client, for any
+//! algorithm, with or without quantization.
 //!
 //! The important compatibility property — and the reason these mechanisms
 //! compose cleanly with FedADMM — is that the server only ever consumes the
@@ -32,11 +33,9 @@
 
 pub mod dp;
 pub mod secure_agg;
-pub mod wrapper;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::dp::{GaussianMechanism, PrivacyAccountant, PrivacySpent};
     pub use crate::secure_agg::SecureAggregator;
-    pub use crate::wrapper::PrivateAlgorithm;
 }

@@ -6,8 +6,8 @@
 //! non-IID run:
 //!
 //! 1. each client's upload is clipped and noised by [`GaussianMechanism`]
-//!    (via the [`PrivateAlgorithm`] wrapper), and the cumulative (ε, δ)
-//!    guarantee is tracked by [`PrivacyAccountant`];
+//!    (as the wire path's guard, on the dispatch workers), and the
+//!    cumulative (ε, δ) guarantee is tracked by [`PrivacyAccountant`];
 //! 2. the uploads of one round are additionally passed through the
 //!    pairwise-mask [`SecureAggregator`], showing that the server learns
 //!    only the sum it needs for equation (5), bit-for-bit.
@@ -19,6 +19,7 @@
 //! ```
 
 use fedadmm::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     let config = FedConfig {
@@ -42,15 +43,15 @@ fn main() {
 
     // --- 1. Differentially private FedADMM -------------------------------
     let mechanism = GaussianMechanism::new(20.0, 2e-3);
-    let algorithm =
-        PrivateAlgorithm::new(FedAdmm::new(0.3, ServerStepSize::Constant(1.0)), mechanism);
+    let algorithm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
     let mut accountant = PrivacyAccountant::new(
         mechanism.noise_multiplier as f64,
         config.clients_per_round() as f64 / config.num_clients as f64,
         1e-5,
     );
     let mut sim = RoundEngine::new(config, train, test, partition, algorithm, SyncRounds)
-        .expect("configuration is consistent");
+        .expect("configuration is consistent")
+        .with_wire_path(WirePathConfig::disabled().with_guard(Arc::new(mechanism)));
 
     println!("round | accuracy | ε spent (δ = 1e-5)");
     for round in 1..=30 {

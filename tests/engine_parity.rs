@@ -4,7 +4,8 @@
 //!
 //! 1. **Parity** — a seeded `RoundEngine` + `SyncRounds` run reproduces
 //!    golden digests of its full `RunHistory` and final global model, for
-//!    FedADMM and for each of the eight baselines, on every dispatch-pool
+//!    FedADMM, for each of the eight baselines and for FedADMM under the
+//!    8-bit + DP wire path (flat and by-shard fold), on every dispatch-pool
 //!    geometry. This is every refactor's contract: selection, RNG streams
 //!    and float-op order do not move.
 //! 2. **Robustness** — under the `SemiAsync` deadline scheduler on a
@@ -19,8 +20,8 @@ use fedadmm::core::trainer::evaluate;
 use fedadmm::prelude::*;
 use fedadmm::telemetry::names;
 use fedadmm_core::engine::{DispatchConfig, RoundEngine, WirePathConfig};
-use std::sync::Arc;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn config(num_clients: usize, seed: u64, system_heterogeneity: bool) -> FedConfig {
     FedConfig {
@@ -90,8 +91,9 @@ fn in_memory_engine_matches_pre_refactor_golden_digest() {
 const GOLDEN_DIGEST: u64 = 0xa147_b46a_ce24_2a96;
 
 /// FedADMM on the golden scenario with the 8-bit + Gaussian-DP wire path on,
-/// folded flat (in-memory store) and by shard (three shards). Captured on the commit before
-/// `EngineCore::aggregate` was restructured around one `FoldPlan` applier.
+/// folded flat (in-memory store) and by shard (three shards). Captured on
+/// the commit before `EngineCore::aggregate` was restructured around one
+/// `FoldPlan` applier.
 const GOLDEN_WIRE_DIGEST: u64 = 0x22ab_5b29_a507_22b8;
 const GOLDEN_WIRE_HIERARCHICAL_DIGEST: u64 = 0xbe34_0c59_3198_871b;
 

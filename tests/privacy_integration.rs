@@ -4,6 +4,7 @@
 use fedadmm::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn config(num_clients: usize, seed: u64) -> FedConfig {
     FedConfig {
@@ -22,22 +23,16 @@ fn config(num_clients: usize, seed: u64) -> FedConfig {
     }
 }
 
-fn private_simulation(
-    mechanism: GaussianMechanism,
-    seed: u64,
-) -> SyncEngine<PrivateAlgorithm<FedAdmm>> {
+/// FedADMM whose uploads are clipped and noised by `mechanism` on the
+/// dispatch workers and stay dense (the wire path's guard-only mode).
+fn private_simulation(mechanism: GaussianMechanism, seed: u64) -> SyncEngine<FedAdmm> {
     let cfg = config(16, seed);
     let (train, test) = SyntheticDataset::Mnist.generate(1600, 200, seed);
     let partition = DataDistribution::NonIidShards.partition(&train, 16, seed);
-    RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        PrivateAlgorithm::new(FedAdmm::new(0.3, ServerStepSize::Constant(1.0)), mechanism),
-        SyncRounds,
-    )
-    .unwrap()
+    let algorithm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
+    RoundEngine::new(cfg, train, test, partition, algorithm, SyncRounds)
+        .unwrap()
+        .with_wire_path(WirePathConfig::disabled().with_guard(Arc::new(mechanism)))
 }
 
 #[test]
@@ -86,31 +81,20 @@ fn stronger_noise_costs_accuracy_but_never_breaks_the_run() {
 #[test]
 fn clipping_alone_preserves_learning_when_the_threshold_is_loose() {
     // A loose clipping norm should have virtually no effect on the
-    // trajectory compared with the unwrapped algorithm.
+    // trajectory compared with the unguarded algorithm.
     let cfg = config(16, 3);
     let (train, test) = SyntheticDataset::Mnist.generate(1600, 200, 3);
     let partition = DataDistribution::NonIidShards.partition(&train, 16, 3);
     let mut plain = RoundEngine::new(
         cfg,
-        train.clone(),
-        test.clone(),
-        partition.clone(),
+        train,
+        test,
+        partition,
         FedAdmm::new(0.3, ServerStepSize::Constant(1.0)),
         SyncRounds,
     )
     .unwrap();
-    let mut clipped = RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        PrivateAlgorithm::new(
-            FedAdmm::new(0.3, ServerStepSize::Constant(1.0)),
-            GaussianMechanism::new(1e4, 0.0),
-        ),
-        SyncRounds,
-    )
-    .unwrap();
+    let mut clipped = private_simulation(GaussianMechanism::new(1e4, 0.0), 3);
     plain.run_rounds(8).unwrap();
     clipped.run_rounds(8).unwrap();
     assert!(plain.global_model().dist(clipped.global_model()) < 1e-4);
@@ -118,8 +102,8 @@ fn clipping_alone_preserves_learning_when_the_threshold_is_loose() {
 }
 
 #[test]
-fn wrapped_fedadmm_trains_on_the_workers_scratch_and_uploads_the_same_message() {
-    use fedadmm::core::algorithms::UpdateScratch;
+fn wire_encode_is_privatize_then_quantize_on_their_own_seed_streams() {
+    use fedadmm::core::engine::wire::{guard_seed, quant_seed};
     use fedadmm::core::trainer::LocalEnv;
 
     let (train, _) = SyntheticDataset::Mnist.generate(40, 10, 17);
@@ -133,37 +117,28 @@ fn wrapped_fedadmm_trains_on_the_workers_scratch_and_uploads_the_same_message() 
         learning_rate: 0.1,
         seed: 99,
     };
-    let d = env.model.num_params();
-    let theta = ParamVector::from_vec(vec![0.01; d]);
-    let inner = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
+    let theta = ParamVector::from_vec(vec![0.01; env.model.num_params()]);
     let quantizer = Quantizer::new(8, true);
     let mechanism = GaussianMechanism::new(5.0, 0.01);
-    let wrapped = PrivateAlgorithm::new(QuantizedAlgorithm::new(inner, quantizer), mechanism);
-
-    // Both wrappers hand the worker's scratch down to FedADMM, which parks
-    // its augmented model there and trains on the cached network.
-    let mut scratch = UpdateScratch::default();
-    let mut client = ClientState::new(0, indices.clone(), &theta);
-    let message = wrapped
-        .client_update_scratch(&mut client, &theta, &env, &mut scratch)
+    let path = WirePathConfig::enabled(quantizer)
+        .with_guard(Arc::new(mechanism))
+        .resolve()
         .unwrap();
-    assert!(
-        scratch.param.capacity() >= d,
-        "the worker scratch stayed cold"
-    );
 
-    // The upload is what it always was: FedADMM's message, quantized, then
-    // clipped and noised, each on its own seed stream.
-    let mut twin = ClientState::new(0, indices.clone(), &theta);
-    let plain = inner.client_update(&mut twin, &theta, &env).unwrap();
-    let mut expected = quantizer
-        .quantize(plain.payload[0].as_slice(), env.seed)
-        .dequantize();
-    mechanism.privatize(&mut expected, env.seed ^ 0xD1FF_BEEF);
-    assert_eq!(message.payload.len(), 1);
-    assert_eq!(message.payload[0].as_slice(), expected.as_slice());
-    assert_eq!(client.local_model, twin.local_model);
-    assert_eq!(client.dual, twin.dual);
+    // A real FedADMM upload, encoded as a dispatch worker would.
+    let mut client = ClientState::new(0, indices.clone(), &theta);
+    let plain = FedAdmm::new(0.3, ServerStepSize::Constant(1.0))
+        .client_update(&mut client, &theta, &env)
+        .unwrap();
+    let mut message = plain.clone();
+    path.encode(&mut message, env.seed, &mut Vec::new());
+
+    // By hand: clip and noise the delta, then quantize what came out.
+    let mut expected = plain.payload[0].as_slice().to_vec();
+    mechanism.privatize(&mut expected, guard_seed(env.seed, 0));
+    let expected = quantizer.quantize(&expected, quant_seed(env.seed, 0));
+    assert!(message.payload.is_empty());
+    assert_eq!(message.wire.unwrap().vectors, vec![expected]);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Wire-path integration tests.
 //!
-//! Three pins on the fused compression + privacy path:
+//! Four pins on the fused compression + privacy path:
 //!
 //! 1. **Bounded error** — the server's fused dequantize-accumulate fold
 //!    agrees with the naive compress → decompress → aggregate reference up
@@ -13,6 +13,9 @@
 //! 3. **Byte-identity off** — with the wire path disabled the engine is
 //!    bit-identical to one that never heard of it (the golden digest in
 //!    `tests/engine_parity.rs` pins the same property against a constant).
+//! 4. **One pass** — every algorithm with a `FoldPlan` folds a coded cohort
+//!    in exactly one `fuse_pass` span per aggregation; the decode fallback
+//!    emits none.
 
 use fedadmm::prelude::*;
 use fedadmm_core::engine::wire::decode_message;
@@ -115,7 +118,7 @@ proptest! {
         }
 
         // Fused path: one sweep over the coded cohort, scale folded into
-        // the per-message coefficient exactly as `fold_compressed` does.
+        // the per-message coefficient exactly as `EngineCore::aggregate` does.
         let terms: Vec<DequantTerm<'_>> = encoded
             .iter()
             .map(|msg| {
@@ -187,17 +190,13 @@ fn disabled_wire_path_is_byte_identical_and_enabled_is_not() {
     off_b.run_rounds(4).unwrap();
     assert_eq!(off_a.global_model(), off_b.global_model());
 
-    // Only meaningful when the environment is not forcing the path on: the
-    // default resolution must coincide with the explicit `disabled()`.
-    if std::env::var_os("FEDADMM_WIRE_PATH").is_none() {
-        let mut default = engine_with(FedAdmm::paper_default(), 33, WirePathConfig::default());
-        default.run_rounds(4).unwrap();
-        assert_eq!(
-            off_a.global_model(),
-            default.global_model(),
-            "wire path must be off by default"
-        );
-    }
+    let mut default = engine_with(FedAdmm::paper_default(), 33, WirePathConfig::default());
+    default.run_rounds(4).unwrap();
+    assert_eq!(
+        off_a.global_model(),
+        default.global_model(),
+        "wire path must be off by default"
+    );
 
     let mut on = engine_with(
         FedAdmm::paper_default(),
@@ -231,16 +230,70 @@ fn disabled_wire_path_is_byte_identical_and_enabled_is_not() {
 
 #[test]
 fn compressed_private_run_still_learns() {
-    let wire = WirePathConfig::enabled(Quantizer::new(8, true))
+    let private = WirePathConfig::enabled(Quantizer::new(8, true))
         .with_guard(Arc::new(GaussianMechanism::new(20.0, 1e-3)));
-    let mut engine = engine_with(FedAdmm::paper_default(), 41, wire);
-    let (_, acc0) = engine.evaluate_global().unwrap();
-    engine.run_rounds(8).unwrap();
-    let best = engine.history().best_accuracy();
-    assert!(
-        best > acc0 + 0.2,
-        "compressed+private FedADMM failed to learn: {acc0} → {best}"
+    // Four levels per coordinate degrade the run but must not diverge it.
+    let aggressive = WirePathConfig::enabled(Quantizer::new(2, true));
+    for (wire, min_gain) in [(private, 0.2), (aggressive, f32::NEG_INFINITY)] {
+        let mut engine = engine_with(FedAdmm::paper_default(), 41, wire.clone());
+        let (_, acc0) = engine.evaluate_global().unwrap();
+        engine.run_rounds(8).unwrap();
+        let history = engine.history();
+        assert!(history.accuracy_series().iter().all(|a| a.is_finite()));
+        assert!(engine
+            .global_model()
+            .as_slice()
+            .iter()
+            .all(|v| v.is_finite()));
+        let best = history.best_accuracy();
+        assert!(
+            best > acc0 + min_gain,
+            "FedADMM under {wire:?} failed to learn: {acc0} → {best}"
+        );
+    }
+}
+
+/// The `fuse_pass` spans of three recorded rounds (three aggregations) of
+/// `algorithm` under `wire`.
+fn fuse_passes<A: Algorithm>(algorithm: A, wire: WirePathConfig) -> usize {
+    let mut engine = engine_with(algorithm, 29, wire).with_telemetry(Box::new(Recorder::new()));
+    engine.run_rounds(3).unwrap();
+    let telemetry = engine.take_telemetry();
+    let recorder = telemetry
+        .as_any()
+        .and_then(|a| a.downcast_ref::<Recorder>())
+        .expect("engine hands back the installed recorder");
+    let spans = recorder.tracer().records();
+    spans.iter().filter(|s| s.name == "fuse_pass").count()
+}
+
+#[test]
+fn every_fold_plan_algorithm_folds_a_coded_cohort_in_one_pass() {
+    let coded = || WirePathConfig::enabled(Quantizer::new(8, true));
+    let inexact = FedAdmmInexact::new(
+        0.3,
+        ServerStepSize::Constant(1.0),
+        LocalSolver::GradientDescent {
+            steps: 5,
+            learning_rate: 0.1,
+        },
     );
+    let planned: Vec<Box<dyn Algorithm>> = vec![
+        Box::new(FedAdmm::paper_default()),
+        Box::new(inexact),
+        Box::new(FedAvg::new()),
+        Box::new(FedProx::new(0.1)),
+        Box::new(FedSgd::new(0.5)),
+    ];
+    for algorithm in planned {
+        let name = algorithm.name();
+        assert_eq!(fuse_passes(algorithm, coded()), 3, "{name}");
+    }
+    // No plan (two vectors per upload), or nothing coded to fuse: no span.
+    assert_eq!(fuse_passes(Scaffold::new(), coded()), 0);
+    let guard_only =
+        WirePathConfig::disabled().with_guard(Arc::new(GaussianMechanism::new(20.0, 1e-3)));
+    assert_eq!(fuse_passes(FedAdmm::paper_default(), guard_only), 0);
 }
 
 #[test]
