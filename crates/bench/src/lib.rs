@@ -11,8 +11,6 @@
 //!    (typically "one communication round of algorithm X under setting Y")
 //!    with Criterion, which is what the timing numbers refer to.
 
-pub mod snapshot;
-
 use fedadmm_core::prelude::*;
 use fedadmm_data::synthetic::SyntheticDataset;
 use fedadmm_experiments::common::{Scale, Setting};

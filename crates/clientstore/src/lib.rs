@@ -11,10 +11,13 @@
 //!   to the engine before the abstraction existed;
 //! * [`ShardedStore`] — `S` contiguous shards materialized lazily on
 //!   selection; the never-selected tail is stored implicitly (local model =
-//!   initial θ, dual = control = 0) at zero bytes per client;
-//! * [`SpillStore`] — the sharded layout plus an LRU spill-to-disk budget:
-//!   resident state stays under `budget_bytes`, with evicted shards written
-//!   through a bit-exact binary codec and reloaded transparently.
+//!   initial θ, dual = control = 0) at zero bytes per client. Given a
+//!   budget it is also an LRU spill-to-disk cache: resident state stays
+//!   under `budget_bytes`, with evicted shards written through a bit-exact
+//!   binary codec and reloaded transparently.
+//!
+//! [`StoreConfig`] spells the two as three variants: `InMemory`, `Sharded`
+//! (no budget) and `Spill` (budget and directory).
 //!
 //! The crate also owns the shared value types ([`ParamVector`],
 //! [`ClientState`] — re-exported by `fedadmm-core` at their historical
@@ -30,7 +33,6 @@ pub mod agg;
 pub(crate) mod codec;
 pub mod param;
 pub mod shard;
-pub mod sharded;
 pub mod spill;
 pub mod state;
 pub mod store;
@@ -40,7 +42,6 @@ pub use agg::{
 };
 pub use param::ParamVector;
 pub use shard::{ClientIndices, ShardMap};
-pub use sharded::ShardedStore;
-pub use spill::SpillStore;
+pub use spill::ShardedStore;
 pub use state::ClientState;
 pub use store::{ClientStateStore, InMemoryStore, StoreConfig, StoreStats};

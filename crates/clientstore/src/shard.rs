@@ -59,14 +59,9 @@ impl ShardMap {
         start..((start + self.shard_size).min(self.num_clients))
     }
 
-    /// Splits a **sorted** cohort of client ids into shard-local runs: each
-    /// `(shard, range)` pair identifies the sub-slice `cohort[range]` whose
-    /// ids live in `shard`. One linear scan over the cohort — O(selected).
-    ///
-    /// Returns an error if the cohort is not strictly ascending or contains
-    /// an id outside `0..num_clients`.
-    pub fn group(&self, cohort: &[usize]) -> TensorResult<Vec<(usize, Range<usize>)>> {
-        let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
+    /// Checks that `cohort` is strictly ascending and within
+    /// `0..num_clients` — what every store requires of a borrow.
+    pub(crate) fn validate(&self, cohort: &[usize]) -> TensorResult<()> {
         for (k, &id) in cohort.iter().enumerate() {
             if id >= self.num_clients {
                 return Err(TensorError::InvalidArgument(format!(
@@ -80,6 +75,20 @@ impl ShardMap {
                     cohort[k - 1]
                 )));
             }
+        }
+        Ok(())
+    }
+
+    /// Splits a **sorted** cohort of client ids into shard-local runs: each
+    /// `(shard, range)` pair identifies the sub-slice `cohort[range]` whose
+    /// ids live in `shard`. Linear in the cohort — O(selected).
+    ///
+    /// Returns an error if the cohort is not strictly ascending or contains
+    /// an id outside `0..num_clients`.
+    pub fn group(&self, cohort: &[usize]) -> TensorResult<Vec<(usize, Range<usize>)>> {
+        self.validate(cohort)?;
+        let mut runs: Vec<(usize, Range<usize>)> = Vec::new();
+        for (k, &id) in cohort.iter().enumerate() {
             let s = self.shard_of(id);
             match runs.last_mut() {
                 Some((shard, range)) if *shard == s => range.end = k + 1,
@@ -88,6 +97,28 @@ impl ShardMap {
         }
         Ok(runs)
     }
+}
+
+/// Lends `slice[id - base]` mutably for each of the strictly ascending
+/// `ids`: one forward split walk, O(ids), whatever the slice length. Every
+/// store's cohort borrow is this walk.
+///
+/// # Panics
+/// The returned iterator panics on an id that is not above its predecessor
+/// or falls outside the slice; callers validate cohorts first.
+pub(crate) fn lend_ascending<'a, T>(
+    slice: &'a mut [T],
+    base: usize,
+    ids: impl Iterator<Item = usize> + 'a,
+) -> impl Iterator<Item = &'a mut T> + 'a {
+    let (mut tail, mut offset) = (slice, base);
+    ids.map(move |id| {
+        let (lent, rest) = std::mem::take(&mut tail)[id - offset..]
+            .split_first_mut()
+            .expect("validated cohort id");
+        (tail, offset) = (rest, id + 1);
+        lent
+    })
 }
 
 /// Per-client sample indices in CSR form: one flat array plus offsets, so a

@@ -1,21 +1,36 @@
-//! LRU spill-to-disk client state under a byte budget.
+//! Lazily-materialized sharded client state, optionally bounded by an LRU
+//! spill-to-disk budget.
 //!
-//! [`SpillStore`] keeps the sharded lazy-materialization layout of
-//! [`ShardedStore`](crate::ShardedStore) but bounds *resident* state: once
-//! materialized client bytes exceed `budget_bytes`, least-recently-borrowed
-//! shards are encoded ([bit-exact binary codec](crate::codec)) and written
-//! to disk, then reloaded transparently the next time one of their clients
-//! is selected. The budget is a soft ceiling enforced **between** borrows —
-//! the cohort currently lent out can transiently overshoot it, which is the
-//! working-set minimum anyway.
+//! Client ids are split into `S` contiguous shards. A shard allocates
+//! nothing until one of its clients is borrowed; a client allocates nothing
+//! until it is borrowed. The inactive tail — clients never selected so far
+//! — is therefore stored *implicitly*: its local model is "the initial θ"
+//! and its dual/control variates are "zero", a delta/sparse representation
+//! that costs 0 bytes per client instead of `3·d·4`. Under the paper's
+//! partial-participation regime (`C·m` clients per round, arbitrary
+//! participation is provably sound per arXiv:2203.15104) this makes
+//! resident memory proportional to the number of clients *ever touched*,
+//! not to `m`.
 //!
-//! Shards whose every resident client is untouched are dropped without a
-//! write (the implicit representation is free), so a workload that merely
-//! *reads* a pristine population never touches the disk.
+//! Built [with a spill budget](ShardedStore::with_spill), the store also
+//! bounds *resident* state: once materialized client bytes exceed
+//! `budget_bytes`, least-recently-borrowed shards are encoded ([bit-exact
+//! binary codec](crate::codec)) and written to disk, then reloaded
+//! transparently the next time one of their clients is selected. The budget
+//! is a soft ceiling enforced **between** borrows — the cohort currently
+//! lent out can transiently overshoot it, which is the working-set minimum
+//! anyway. Shards whose every resident client is untouched are dropped
+//! without a write (the implicit representation is free), so a workload
+//! that merely *reads* a pristine population never touches the disk. A
+//! store built without a budget creates no directory and touches no file.
+//!
+//! Sample-index lists are kept in CSR form ([`ClientIndices`]) — two flat
+//! arrays for the whole population — and an owned copy is handed to a
+//! client only on materialization.
 
 use crate::codec::{decode_shard, encode_shard};
 use crate::param::ParamVector;
-use crate::shard::{ClientIndices, ShardMap};
+use crate::shard::{lend_ascending, ClientIndices, ShardMap};
 use crate::state::ClientState;
 use crate::store::{state_bytes, ClientStateStore, StoreStats};
 use fedadmm_tensor::{TensorError, TensorResult};
@@ -38,8 +53,16 @@ enum Slot {
     Spilled { path: PathBuf, bytes: u64 },
 }
 
-/// Sharded client-state backend with an LRU spill-to-disk budget.
-pub struct SpillStore {
+/// The optional spill part: where evicted shards go and when.
+struct Spill {
+    budget_bytes: u64,
+    dir: PathBuf,
+    owns_dir: bool,
+}
+
+/// Sharded, lazily-materialized client-state backend; with a spill part,
+/// resident state is additionally held under an LRU spill-to-disk budget.
+pub struct ShardedStore {
     map: ShardMap,
     index: ClientIndices,
     initial: ParamVector,
@@ -47,10 +70,8 @@ pub struct SpillStore {
     /// Borrow tick at which each shard was last used (LRU clock).
     last_used: Vec<u64>,
     tick: u64,
-    budget_bytes: u64,
     resident_bytes: u64,
-    dir: PathBuf,
-    owns_dir: bool,
+    spill: Option<Spill>,
     stats: StoreStats,
 }
 
@@ -58,19 +79,36 @@ fn io_err(op: &str, path: &Path, err: std::io::Error) -> TensorError {
     TensorError::InvalidArgument(format!("spill {op} {} failed: {err}", path.display()))
 }
 
-impl SpillStore {
-    /// Creates a store of `indices.len()` implicit clients in `num_shards`
-    /// shards, spilling LRU shards to `dir` (or a unique temp directory,
-    /// removed on drop) whenever resident state exceeds `budget_bytes`.
-    pub fn new(
+impl ShardedStore {
+    /// Creates a store of `indices.len()` implicit clients split into
+    /// `num_shards` contiguous shards, each starting (on materialization)
+    /// from `initial` with zero dual/control. Nothing is ever evicted.
+    pub fn new(indices: Vec<Vec<usize>>, initial: &ParamVector, num_shards: usize) -> Self {
+        let map = ShardMap::new(indices.len(), num_shards);
+        let index = ClientIndices::from_lists(indices);
+        ShardedStore {
+            last_used: vec![0; map.num_shards()],
+            tick: 0,
+            resident_bytes: index.heap_bytes(),
+            index,
+            initial: initial.clone(),
+            slots: (0..map.num_shards()).map(|_| Slot::Cold).collect(),
+            map,
+            spill: None,
+            stats: StoreStats::default(),
+        }
+    }
+
+    /// Like [`new`](Self::new), but spilling LRU shards to `dir` (or a
+    /// unique temp directory, removed on drop) whenever resident state
+    /// exceeds `budget_bytes`.
+    pub fn with_spill(
         indices: Vec<Vec<usize>>,
         initial: &ParamVector,
         num_shards: usize,
         budget_bytes: u64,
         dir: Option<PathBuf>,
     ) -> TensorResult<Self> {
-        let map = ShardMap::new(indices.len(), num_shards);
-        let index = ClientIndices::from_lists(indices);
         let (dir, owns_dir) = match dir {
             Some(d) => (d, false),
             None => {
@@ -81,46 +119,13 @@ impl SpillStore {
             }
         };
         std::fs::create_dir_all(&dir).map_err(|e| io_err("dir create", &dir, e))?;
-        let mut slots = Vec::with_capacity(map.num_shards());
-        slots.resize_with(map.num_shards(), || Slot::Cold);
-        Ok(SpillStore {
-            last_used: vec![0; map.num_shards()],
-            tick: 0,
+        let mut store = Self::new(indices, initial, num_shards);
+        store.spill = Some(Spill {
             budget_bytes,
-            resident_bytes: index.heap_bytes(),
-            index,
-            initial: initial.clone(),
-            slots,
-            map,
             dir,
             owns_dir,
-            stats: StoreStats::default(),
-        })
-    }
-
-    /// The configured resident-state budget in bytes.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
-    }
-
-    /// Number of shards currently resident in memory.
-    pub fn resident_shards(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s, Slot::Resident { .. }))
-            .count()
-    }
-
-    /// Number of shards currently spilled to disk.
-    pub fn spilled_shards(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s, Slot::Spilled { .. }))
-            .count()
-    }
-
-    fn spill_path(&self, shard: usize) -> PathBuf {
-        self.dir.join(format!("shard-{shard}.bin"))
+        });
+        Ok(store)
     }
 
     /// Brings `shard` into memory (loading a spilled file if needed).
@@ -129,8 +134,7 @@ impl SpillStore {
         match &self.slots[shard] {
             Slot::Resident { .. } => {}
             Slot::Cold => {
-                let mut entries = Vec::with_capacity(shard_len);
-                entries.resize_with(shard_len, || None);
+                let entries = (0..shard_len).map(|_| None).collect();
                 self.slots[shard] = Slot::Resident { entries, bytes: 0 };
             }
             Slot::Spilled { path, bytes } => {
@@ -154,9 +158,12 @@ impl SpillStore {
 
     /// Evicts least-recently-borrowed shards until resident state fits the
     /// budget (or nothing evictable remains). Fully pristine shards are
-    /// dropped without a write.
+    /// dropped without a write. Without a spill part there is no budget.
     fn enforce_budget(&mut self) -> TensorResult<()> {
-        while self.resident_bytes > self.budget_bytes {
+        let Some(budget_bytes) = self.spill.as_ref().map(|s| s.budget_bytes) else {
+            return Ok(());
+        };
+        while self.resident_bytes > budget_bytes {
             let victim = self
                 .slots
                 .iter()
@@ -166,17 +173,19 @@ impl SpillStore {
                 .map(|(shard, _)| shard);
             let Some(shard) = victim else { break };
             self.evict(shard)?;
+            self.stats.evictions += 1;
         }
         Ok(())
     }
 
+    /// Moves the resident `shard` out of memory. If the write fails the
+    /// shard stays resident, so the error costs no trained state.
     fn evict(&mut self, shard: usize) -> TensorResult<()> {
-        let slot = std::mem::replace(&mut self.slots[shard], Slot::Cold);
-        let Slot::Resident { entries, bytes } = slot else {
-            self.slots[shard] = slot;
-            return Ok(());
+        let Slot::Resident { entries, bytes } =
+            std::mem::replace(&mut self.slots[shard], Slot::Cold)
+        else {
+            unreachable!("only resident shards are picked for eviction")
         };
-        self.stats.evictions += 1;
         self.resident_bytes = self.resident_bytes.saturating_sub(bytes);
         // A shard whose every materialized client is still pristine can go
         // back to the implicit representation for free.
@@ -187,38 +196,47 @@ impl SpillStore {
         if trained.iter().all(Option::is_none) {
             return Ok(()); // already Slot::Cold
         }
-        let encoded = encode_shard(&trained, self.initial.len());
-        let path = self.spill_path(shard);
-        std::fs::write(&path, &encoded).map_err(|e| io_err("write", &path, e))?;
-        // Recompute bytes for the entries that actually survive on disk, so
-        // a later load re-accounts exactly what it rehydrates.
+        // Bytes of the entries that actually leave, so a later load (or the
+        // failure path below) re-accounts exactly what it holds.
         let kept: u64 = trained
             .iter()
             .flatten()
             .map(|s| state_bytes(self.initial.len(), s.indices.len()))
             .sum();
+        let spill = self.spill.as_ref().expect("eviction needs a spill part");
+        let path = spill.dir.join(format!("shard-{shard}.bin"));
+        let encoded = encode_shard(&trained, self.initial.len());
+        if let Err(e) = std::fs::write(&path, &encoded) {
+            let _ = std::fs::remove_file(&path);
+            self.slots[shard] = Slot::Resident {
+                entries: trained,
+                bytes: kept,
+            };
+            self.resident_bytes += kept;
+            return Err(io_err("write", &path, e));
+        }
         self.slots[shard] = Slot::Spilled { path, bytes: kept };
         self.stats.spill_writes += 1;
         Ok(())
     }
 }
 
-impl Drop for SpillStore {
+impl Drop for ShardedStore {
     fn drop(&mut self) {
         for slot in &self.slots {
             if let Slot::Spilled { path, .. } = slot {
                 let _ = std::fs::remove_file(path);
             }
         }
-        if self.owns_dir {
-            let _ = std::fs::remove_dir_all(&self.dir);
+        if let Some(spill) = self.spill.as_ref().filter(|spill| spill.owns_dir) {
+            let _ = std::fs::remove_dir_all(&spill.dir);
         }
     }
 }
 
-impl ClientStateStore for SpillStore {
+impl ClientStateStore for ShardedStore {
     fn backend(&self) -> &'static str {
-        "spill"
+        self.spill.as_ref().map_or("sharded", |_| "spill")
     }
 
     fn num_clients(&self) -> usize {
@@ -244,27 +262,19 @@ impl ClientStateStore for SpillStore {
             self.ensure_resident(*shard)?;
             self.last_used[*shard] = self.tick;
         }
-        // All touched shards are now Resident; lend the cohort out with the
-        // same O(selected) split walk as the sharded backend.
+        // All touched shards are now Resident. Shards, and ids within a
+        // shard, are strictly ascending: walk the shards, and inside each
+        // its entries, lending each state mutably in O(selected).
         let mut refs: Vec<&mut ClientState> = Vec::with_capacity(ids.len());
-        let mut slots_tail: &mut [Slot] = &mut self.slots;
-        let mut shard_offset = 0usize;
-        for (shard, range) in &runs {
-            let rest = slots_tail.split_at_mut(shard - shard_offset).1;
-            let (slot, rest) = rest.split_first_mut().expect("shard index in range");
-            slots_tail = rest;
-            shard_offset = shard + 1;
+        let shards = runs.iter().map(|(shard, _)| *shard);
+        for (slot, (shard, range)) in lend_ascending(&mut self.slots, 0, shards).zip(&runs) {
             let Slot::Resident { entries, bytes } = slot else {
                 unreachable!("shard made resident above")
             };
             let shard_start = self.map.shard_range(*shard).start;
-            let mut entry_tail: &mut [Option<Box<ClientState>>] = entries;
-            let mut entry_offset = shard_start;
-            for &id in &ids[range.clone()] {
-                let rest = entry_tail.split_at_mut(id - entry_offset).1;
-                let (entry, rest) = rest.split_first_mut().expect("slot in shard range");
-                entry_tail = rest;
-                entry_offset = id + 1;
+            let cohort = &ids[range.clone()];
+            let lent = lend_ascending(entries, shard_start, cohort.iter().copied());
+            for (entry, &id) in lent.zip(cohort) {
                 if entry.is_none() {
                     let indices = self.index.get(id).to_vec();
                     let cost = state_bytes(self.initial.len(), indices.len());
@@ -273,7 +283,7 @@ impl ClientStateStore for SpillStore {
                     self.stats.materializations += 1;
                     *entry = Some(Box::new(ClientState::new(id, indices, &self.initial)));
                 }
-                refs.push(entry.as_mut().expect("just materialized"));
+                refs.push(entry.as_deref_mut().expect("just materialized"));
             }
         }
         let result = f(&mut refs);
@@ -289,12 +299,11 @@ impl ClientStateStore for SpillStore {
     ) -> TensorResult<()> {
         for shard in 0..self.map.num_shards() {
             self.ensure_resident(shard)?;
-            let range = self.map.shard_range(shard);
-            for id in range.clone() {
-                let Slot::Resident { entries, .. } = &self.slots[shard] else {
-                    unreachable!("shard made resident above")
-                };
-                match entries[id - range.start].as_deref() {
+            let Slot::Resident { entries, .. } = &self.slots[shard] else {
+                unreachable!("shard made resident above")
+            };
+            for (entry, id) in entries.iter().zip(self.map.shard_range(shard)) {
+                match entry.as_deref() {
                     Some(state) => visit(state)?,
                     None => {
                         let state =
@@ -322,21 +331,130 @@ impl ClientStateStore for SpillStore {
 mod tests {
     use super::*;
 
-    fn store(m: usize, shards: usize, budget: u64) -> SpillStore {
+    /// `m` one-sample clients of dimension 16; `budget: None` builds the
+    /// store without a spill part.
+    fn store(m: usize, shards: usize, budget: Option<u64>) -> ShardedStore {
         let initial = ParamVector::from_vec(vec![1.0; 16]);
-        SpillStore::new(
-            (0..m).map(|i| vec![i]).collect(),
-            &initial,
-            shards,
-            budget,
-            None,
-        )
-        .unwrap()
+        let indices = (0..m).map(|i| vec![i]).collect();
+        match budget {
+            None => ShardedStore::new(indices, &initial, shards),
+            Some(b) => ShardedStore::with_spill(indices, &initial, shards, b, None).unwrap(),
+        }
+    }
+
+    /// With and without a spill part that never has to evict.
+    const ROOMY: [Option<u64>; 2] = [None, Some(u64::MAX)];
+
+    fn materialized_clients(s: &ShardedStore) -> usize {
+        s.slots
+            .iter()
+            .map(|slot| match slot {
+                Slot::Resident { entries, .. } => entries.iter().flatten().count(),
+                _ => 0,
+            })
+            .sum()
+    }
+
+    fn resident_shards(s: &ShardedStore) -> usize {
+        let resident = |slot: &&Slot| matches!(slot, Slot::Resident { .. });
+        s.slots.iter().filter(resident).count()
+    }
+
+    fn spilled_shards(s: &ShardedStore) -> usize {
+        let spilled = |slot: &&Slot| matches!(slot, Slot::Spilled { .. });
+        s.slots.iter().filter(spilled).count()
+    }
+
+    #[test]
+    fn materializes_only_the_selected_cohort() {
+        for budget in ROOMY {
+            let mut s = store(100, 8, budget);
+            assert_eq!(materialized_clients(&s), 0);
+            let base = s.resident_bytes();
+            s.with_states(&[3, 40, 41, 99], &mut |states| {
+                assert_eq!(
+                    states.iter().map(|c| c.id).collect::<Vec<_>>(),
+                    vec![3, 40, 41, 99]
+                );
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(materialized_clients(&s), 4);
+            assert_eq!(s.stats().materializations, 4);
+            assert!(s.resident_bytes() > base);
+            // Re-borrowing the same clients materializes nothing new.
+            s.with_states(&[3, 99], &mut |_| Ok(())).unwrap();
+            assert_eq!(s.stats().materializations, 4);
+        }
+    }
+
+    #[test]
+    fn mutations_persist_across_borrows() {
+        for budget in ROOMY {
+            let mut s = store(20, 4, budget);
+            s.with_states(&[7], &mut |states| {
+                states[0].times_selected = 5;
+                states[0].dual = ParamVector::from_vec(vec![0.5; 16]);
+                Ok(())
+            })
+            .unwrap();
+            s.with_states(&[6, 7, 8], &mut |states| {
+                assert_eq!(states[1].times_selected, 5);
+                assert_eq!(states[1].dual.as_slice(), &[0.5; 16]);
+                assert_eq!(states[0].times_selected, 0);
+                Ok(())
+            })
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn for_each_synthesizes_implicit_states() {
+        for budget in ROOMY {
+            let mut s = store(10, 3, budget);
+            s.with_states(&[4], &mut |states| {
+                states[0].times_selected = 1;
+                Ok(())
+            })
+            .unwrap();
+            let mut ids = Vec::new();
+            let mut selected = 0;
+            s.for_each_state(&mut |c| {
+                ids.push(c.id);
+                selected += c.times_selected;
+                assert_eq!(c.indices, vec![c.id]);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(ids, (0..10).collect::<Vec<_>>());
+            assert_eq!(selected, 1);
+            // Streaming did not materialize anything new.
+            assert_eq!(materialized_clients(&s), 1);
+            // Nothing was evicted, and without a budget there is no
+            // directory that anything could have been evicted to.
+            let stats = s.stats();
+            assert_eq!(
+                (stats.spill_writes, stats.spill_loads, stats.evictions),
+                (0, 0, 0)
+            );
+            assert_eq!(s.spill.is_none(), budget.is_none());
+            assert_eq!(s.backend(), budget.map_or("sharded", |_| "spill"));
+        }
+    }
+
+    #[test]
+    fn rejects_bad_cohorts() {
+        for budget in ROOMY {
+            let mut s = store(10, 2, budget);
+            let noop = &mut |_: &mut [&mut ClientState]| Ok(());
+            assert!(s.with_states(&[5, 2], noop).is_err());
+            assert!(s.with_states(&[10], noop).is_err());
+        }
     }
 
     #[test]
     fn stays_resident_under_a_large_budget() {
-        let mut s = store(32, 4, u64::MAX);
+        let mut s = store(32, 4, Some(u64::MAX));
         s.with_states(&[0, 9, 31], &mut |states| {
             for state in states.iter_mut() {
                 state.times_selected += 1;
@@ -344,7 +462,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(s.spilled_shards(), 0);
+        assert_eq!(spilled_shards(&s), 0);
         assert_eq!(s.stats().spill_writes, 0);
         assert_eq!(s.stats().materializations, 3);
     }
@@ -352,7 +470,7 @@ mod tests {
     #[test]
     fn spills_trained_shards_and_reloads_them_bit_exactly() {
         // Budget of 0 forces every trained shard out after each borrow.
-        let mut s = store(32, 8, 0);
+        let mut s = store(32, 8, Some(0));
         s.with_states(&[1, 2], &mut |states| {
             states[0].dual = ParamVector::from_vec(vec![0.25; 16]);
             states[0].times_selected = 3;
@@ -360,8 +478,8 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        assert_eq!(s.resident_shards(), 0);
-        assert_eq!(s.spilled_shards(), 1);
+        assert_eq!(resident_shards(&s), 0);
+        assert_eq!(spilled_shards(&s), 1);
         assert!(s.stats().spill_writes >= 1);
         // Touch a different shard, then come back.
         s.with_states(&[20], &mut |states| {
@@ -381,19 +499,42 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_eviction_write_keeps_the_trained_state() {
+        let mut s = store(32, 8, Some(0));
+        // The spill directory vanishes after construction: every eviction
+        // write now fails with ENOENT.
+        std::fs::remove_dir_all(&s.spill.as_ref().unwrap().dir).unwrap();
+        let result = s.with_states(&[1], &mut |states| {
+            states[0].dual = ParamVector::from_vec(vec![0.25; 16]);
+            states[0].times_selected = 3;
+            Ok(())
+        });
+        assert!(result.is_err(), "the failed write must surface");
+        assert_eq!(s.stats().spill_writes, 0);
+        let mut seen = None;
+        let _ = s.with_states(&[1], &mut |states| {
+            seen = Some((states[0].dual.clone(), states[0].times_selected));
+            Ok(())
+        });
+        let (dual, times_selected) = seen.expect("the borrow itself still works");
+        assert_eq!(dual.as_slice(), &[0.25; 16]);
+        assert_eq!(times_selected, 3);
+    }
+
+    #[test]
     fn pristine_shards_are_dropped_without_a_write() {
-        let mut s = store(32, 8, 0);
+        let mut s = store(32, 8, Some(0));
         // Borrow without mutating: the shard is evicted but nothing needs
         // to survive, so no file is written.
         s.with_states(&[5], &mut |_| Ok(())).unwrap();
-        assert_eq!(s.spilled_shards(), 0);
+        assert_eq!(spilled_shards(&s), 0);
         assert_eq!(s.stats().spill_writes, 0);
         assert!(s.stats().evictions >= 1);
     }
 
     #[test]
     fn for_each_streams_every_client_within_budget() {
-        let mut s = store(24, 6, 0);
+        let mut s = store(24, 6, Some(0));
         s.with_states(&[3], &mut |states| {
             states[0].times_selected = 9;
             Ok(())
@@ -409,18 +550,18 @@ mod tests {
         .unwrap();
         assert_eq!(count, 24);
         assert_eq!(total, 9);
-        assert_eq!(s.resident_shards(), 0, "streaming respects the budget");
+        assert_eq!(resident_shards(&s), 0, "streaming respects the budget");
     }
 
     #[test]
     fn spill_files_are_cleaned_up_on_drop() {
-        let mut s = store(16, 4, 0);
+        let mut s = store(16, 4, Some(0));
         s.with_states(&[0], &mut |states| {
             states[0].times_selected = 1;
             Ok(())
         })
         .unwrap();
-        let dir = s.dir.clone();
+        let dir = s.spill.as_ref().unwrap().dir.clone();
         assert!(dir.exists());
         drop(s);
         assert!(!dir.exists(), "owned spill dir must be removed on drop");

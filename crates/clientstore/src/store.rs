@@ -6,16 +6,18 @@
 //! the states of the selected cohort for the duration of one dispatch, and
 //! the backend decides how the other `m − |S_t|` clients are represented.
 //!
-//! | Backend | Representation | Memory |
-//! |---------|----------------|--------|
-//! | [`InMemoryStore`] | dense `Vec<ClientState>` (the legacy layout, byte-identical) | O(m·d) |
-//! | [`ShardedStore`](crate::ShardedStore) | lazy per-shard slots; never-selected clients stay implicit | O(touched·d) |
-//! | [`SpillStore`](crate::SpillStore) | LRU-resident shards, spill-to-disk beyond a byte budget | O(budget) |
+//! Two backends sit behind the three [`StoreConfig`] spellings:
+//!
+//! | `StoreConfig` | Backend | Representation | Memory |
+//! |---------------|---------|----------------|--------|
+//! | `InMemory` | [`InMemoryStore`] | dense `Vec<ClientState>` (the legacy layout, byte-identical) | O(m·d) |
+//! | `Sharded` | [`ShardedStore`](crate::ShardedStore) | lazy per-shard slots; never-selected clients stay implicit | O(touched·d) |
+//! | `Spill` | the same, with a spill part | LRU-resident shards, spill-to-disk beyond a byte budget | O(budget) |
 
 use crate::param::ParamVector;
-use crate::shard::ShardMap;
+use crate::shard::{lend_ascending, ShardMap};
 use crate::state::ClientState;
-use fedadmm_tensor::{TensorError, TensorResult};
+use fedadmm_tensor::TensorResult;
 use std::path::PathBuf;
 
 /// Rough heap footprint of one materialized [`ClientState`]: three dense
@@ -134,7 +136,7 @@ impl StoreConfig {
                 num_shards,
                 budget_bytes,
                 dir,
-            } => Box::new(crate::SpillStore::new(
+            } => Box::new(crate::ShardedStore::with_spill(
                 indices,
                 initial,
                 *num_shards,
@@ -143,23 +145,6 @@ impl StoreConfig {
             )?),
         })
     }
-}
-
-pub(crate) fn validate_cohort(ids: &[usize], num_clients: usize) -> TensorResult<()> {
-    for (k, &id) in ids.iter().enumerate() {
-        if id >= num_clients {
-            return Err(TensorError::InvalidArgument(format!(
-                "cohort contains client {id} but the store holds {num_clients} clients"
-            )));
-        }
-        if k > 0 && ids[k - 1] >= id {
-            return Err(TensorError::InvalidArgument(format!(
-                "cohort must be strictly ascending (saw {} then {id})",
-                ids[k - 1]
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// The dense backend: every client state lives in one `Vec`, exactly as the
@@ -198,21 +183,6 @@ impl InMemoryStore {
             resident_bytes,
         }
     }
-
-    /// Wraps pre-built states (tests and adapters).
-    pub fn from_states(states: Vec<ClientState>, initial_dim: usize) -> Self {
-        let resident_bytes = states
-            .iter()
-            .map(|s| state_bytes(initial_dim, s.indices.len()))
-            .sum();
-        let num_clients = states.len();
-        let shards = (num_clients as f64).sqrt().ceil() as usize;
-        InMemoryStore {
-            states,
-            map: ShardMap::new(num_clients, shards.max(1)),
-            resident_bytes,
-        }
-    }
 }
 
 impl ClientStateStore for InMemoryStore {
@@ -237,18 +207,9 @@ impl ClientStateStore for InMemoryStore {
         ids: &[usize],
         f: &mut dyn FnMut(&mut [&mut ClientState]) -> TensorResult<()>,
     ) -> TensorResult<()> {
-        validate_cohort(ids, self.states.len())?;
-        // Strictly ascending ids ⇒ one forward split walk, O(selected).
-        let mut refs: Vec<&mut ClientState> = Vec::with_capacity(ids.len());
-        let mut tail: &mut [ClientState] = &mut self.states;
-        let mut offset = 0usize;
-        for &id in ids {
-            let rest = tail.split_at_mut(id - offset).1;
-            let (first, rest) = rest.split_first_mut().expect("id validated above");
-            refs.push(first);
-            tail = rest;
-            offset = id + 1;
-        }
+        self.map.validate(ids)?;
+        let mut refs: Vec<&mut ClientState> =
+            lend_ascending(&mut self.states, 0, ids.iter().copied()).collect();
         f(&mut refs)
     }
 

@@ -69,14 +69,6 @@ fn parse_workers(raw: Option<&str>) -> Option<usize> {
 }
 
 impl DispatchConfig {
-    /// A configuration pinning the worker count (tests, A/B runs).
-    pub fn with_workers(workers: usize) -> Self {
-        DispatchConfig {
-            workers: Some(workers),
-            ..DispatchConfig::default()
-        }
-    }
-
     /// The effective worker count: builder, then environment, then
     /// available parallelism.
     pub fn resolved_workers(&self) -> usize {

@@ -98,7 +98,7 @@ use crate::selection::{ClientSelector, FullParticipation, UniformFraction};
 use fedadmm_clientstore::{ClientStateStore, StoreConfig};
 use fedadmm_data::partition::Partition;
 use fedadmm_data::Dataset;
-use fedadmm_telemetry::{NoTelemetry, Telemetry};
+use fedadmm_telemetry::{Event, NoTelemetry, Recorder, Telemetry};
 use fedadmm_tensor::{TensorError, TensorResult};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -354,25 +354,24 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
     /// Enables the per-round optimality-gap gauge: after every completed
     /// round the engine computes `V_t` (equation (7), via
     /// [`diagnostics::optimality_gap`](crate::diagnostics::optimality_gap)
-    /// with penalty `rho`) and reports it through
-    /// [`Telemetry::on_gauge`] as `"optimality_gap"`. Opt-in because the
+    /// with penalty `rho`) and reports it as an
+    /// [`Event::Gauge`] named `"optimality_gap"`. Opt-in because the
     /// gap is an O(total samples) computation per round.
     pub fn with_optimality_gap(mut self, rho: f32) -> Self {
         self.gap_rho = Some(rho);
         self
     }
 
-    /// Mutable access to the installed telemetry hooks (e.g. to export a
-    /// recorder's metrics mid-run).
-    pub fn telemetry_mut(&mut self) -> &mut dyn Telemetry {
-        self.telemetry.as_mut()
+    /// The installed [`Recorder`], if the telemetry hooks are one — the way
+    /// to read traces and metrics during or after a run.
+    pub fn recorder(&self) -> Option<&Recorder> {
+        self.telemetry.recorder()
     }
 
-    /// Removes the installed telemetry hooks (replacing them with the
-    /// no-op default) and returns them — the usual way to export traces
-    /// and metrics once a run finishes.
-    pub fn take_telemetry(&mut self) -> Box<dyn Telemetry> {
-        std::mem::replace(&mut self.telemetry, Box::new(NoTelemetry))
+    /// Mutable form of [`recorder`](Self::recorder) (e.g. for
+    /// [`Recorder::metrics_json`], which refreshes the peak-RSS gauge).
+    pub fn recorder_mut(&mut self) -> Option<&mut Recorder> {
+        self.telemetry.recorder_mut()
     }
 
     /// The configuration this engine runs under.
@@ -394,11 +393,6 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
     /// Immutable access to the scheduler.
     pub fn scheduler(&self) -> &S {
         &self.scheduler
-    }
-
-    /// Mutable access to the scheduler.
-    pub fn scheduler_mut(&mut self) -> &mut S {
-        &mut self.scheduler
     }
 
     /// The current global model θ.
@@ -481,9 +475,9 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
 
     /// Advances the schedule by one tick and reports what happened.
     pub fn step(&mut self) -> TensorResult<TickReport> {
-        let scheduler_name = self.scheduler.name();
-        let tick_round = self.round;
-        self.telemetry.on_tick_start(scheduler_name, tick_round);
+        // A tick is the outermost telemetry span, named after the scheduler.
+        let (name, round) = (self.scheduler.name(), self.round);
+        self.telemetry.on_event(&Event::SpanStart { name, round });
         // Split-borrow: the scheduler is taken out of the struct for the
         // tick so the core can borrow the rest mutably.
         let mut core = EngineCore {
@@ -508,7 +502,7 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
             wire: self.wire.as_ref(),
         };
         let report = self.scheduler.tick(&mut core);
-        self.telemetry.on_tick_end(scheduler_name, tick_round);
+        self.telemetry.on_event(&Event::SpanEnd { name, round });
         let report = report?;
         if report.record.is_some() {
             if let Some(rho) = self.gap_rho {
@@ -524,8 +518,10 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
                     self.config.model,
                     &self.train,
                 )?;
-                self.telemetry
-                    .on_gauge("optimality_gap", gap.total() as f64);
+                self.telemetry.on_event(&Event::Gauge {
+                    name: "optimality_gap",
+                    value: gap.total() as f64,
+                });
             }
         }
         Ok(report)

@@ -40,7 +40,7 @@ use crate::selection::ClientSelector;
 use crate::trainer::{eval_chunk, evaluate_chunk, mean_of_chunks, LocalEnv, EVAL_CHUNK};
 use fedadmm_clientstore::{hierarchical_fold, ClientStateStore};
 use fedadmm_data::Dataset;
-use fedadmm_telemetry::{names, DispatchSummary, RoundSummary, Telemetry};
+use fedadmm_telemetry::{names, DispatchSummary, Event, RoundSummary, Telemetry};
 use fedadmm_tensor::{TensorError, TensorResult};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -213,7 +213,7 @@ pub struct EngineCore<'a> {
     pub(super) cumulative_wire_bytes: &'a mut usize,
     pub(super) round: &'a mut usize,
     /// Observability hooks (the engine's `with_telemetry` hook, or the
-    /// no-op default). See [`EngineCore::telemetry`].
+    /// no-op default). Schedulers mark phases with [`EngineCore::in_span`].
     pub(super) telemetry: &'a mut dyn Telemetry,
     /// Index into `events` of the first arrival not yet attributed to a
     /// round record (advanced by [`EngineCore::record_round`]).
@@ -347,14 +347,14 @@ impl EngineCore<'_> {
     /// Accounts client → server communication.
     pub fn add_upload(&mut self, floats: usize) {
         *self.cumulative_upload += floats;
-        self.telemetry.on_upload(floats);
+        self.telemetry.on_event(&Event::Upload { floats });
     }
 
     /// Accounts client → server communication in true wire bytes (the
     /// quantized size for wire-path uploads, `4 · floats` dense).
     pub fn add_wire_bytes(&mut self, bytes: usize) {
         *self.cumulative_wire_bytes += bytes;
-        self.telemetry.on_wire_upload(bytes);
+        self.telemetry.on_event(&Event::WireUpload { bytes });
     }
 
     /// Cumulative wire bytes uploaded so far.
@@ -367,11 +367,14 @@ impl EngineCore<'_> {
         self.wire
     }
 
-    /// The observability hooks installed on the engine (the no-op default
-    /// unless `RoundEngine::with_telemetry` replaced it). External
-    /// schedulers use this to emit phase markers or custom gauges.
-    pub fn telemetry(&mut self) -> &mut dyn Telemetry {
-        self.telemetry
+    /// Runs `f` as a named phase of the current round: a telemetry span
+    /// that opens before `f` and closes after it, whatever `f` returns.
+    pub fn in_span<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
+        let round = *self.round;
+        self.telemetry.on_event(&Event::SpanStart { name, round });
+        let out = f(self);
+        self.telemetry.on_event(&Event::SpanEnd { name, round });
+        out
     }
 
     /// A zero-copy broadcast handle to the current global model: clients
@@ -413,17 +416,30 @@ impl EngineCore<'_> {
         let (result, seconds) = out.expect("with_states runs the closure");
         let message = result?;
         if timed {
-            self.telemetry
-                .on_download(*self.round, order.client_id, order.snapshot.len());
-            self.telemetry.on_client_update(
-                *self.round,
-                order.client_id,
-                seconds,
-                message.epochs_run,
-                message.samples_processed,
-            );
+            self.report_download(order);
+            self.report_update(order.client_id, seconds, &message);
         }
         Ok(message)
+    }
+
+    /// Timed runs: `order` pulled one θ snapshot.
+    fn report_download(&mut self, order: &DispatchOrder) {
+        self.telemetry.on_event(&Event::Download {
+            round: *self.round,
+            client: order.client_id,
+            floats: order.snapshot.len(),
+        });
+    }
+
+    /// Timed runs: `client`'s job took `seconds` on its worker.
+    fn report_update(&mut self, client: usize, seconds: f64, message: &ClientMessage) {
+        self.telemetry.on_event(&Event::ClientUpdate {
+            round: *self.round,
+            client,
+            seconds,
+            epochs: message.epochs_run,
+            samples: message.samples_processed,
+        });
     }
 
     /// Runs a batch of orders through the shared parallel dispatch path.
@@ -519,15 +535,13 @@ impl EngineCore<'_> {
     ) -> TensorResult<Vec<ClientMessage>> {
         let timed = self.telemetry.enabled();
         if timed {
-            // Downloads are accounted at dispatch time: each order pulled
-            // one θ snapshot of `len` floats.
+            // Downloads are accounted at dispatch time.
             for order in orders {
-                self.telemetry
-                    .on_download(*self.round, order.client_id, order.snapshot.len());
+                self.report_download(order);
             }
-            self.telemetry.on_dispatch(
-                *self.round,
-                &DispatchSummary {
+            self.telemetry.on_event(&Event::Dispatch {
+                round: *self.round,
+                summary: DispatchSummary {
                     jobs: batch.jobs,
                     workers: batch.workers,
                     chunk_size: batch.chunk_size,
@@ -535,19 +549,13 @@ impl EngineCore<'_> {
                     steals: batch.steals,
                     busy_seconds: &batch.busy_seconds,
                 },
-            );
+            });
         }
         let mut messages = Vec::with_capacity(results.len());
-        for (id, result, seconds) in results {
+        for (client, result, seconds) in results {
             let message = result?;
             if timed {
-                self.telemetry.on_client_update(
-                    *self.round,
-                    id,
-                    seconds,
-                    message.epochs_run,
-                    message.samples_processed,
-                );
+                self.report_update(client, seconds, &message);
             }
             messages.push(message);
         }
@@ -591,10 +599,9 @@ impl EngineCore<'_> {
                 } else {
                     // The span lets instrumented runs count one fused pass
                     // per aggregation.
-                    let round = *self.round;
-                    self.telemetry.on_phase_start("fuse_pass", round);
-                    self.apply_plan(&plan, messages, plan.coded_terms(messages), timed);
-                    self.telemetry.on_phase_end("fuse_pass", round);
+                    self.in_span("fuse_pass", |core| {
+                        core.apply_plan(&plan, messages, plan.coded_terms(messages), timed)
+                    });
                 }
                 ServerOutcome {
                     upload_floats: total_upload(messages),
@@ -614,8 +621,11 @@ impl EngineCore<'_> {
             }
         };
         if let Some(start) = start {
-            self.telemetry
-                .on_aggregate(*self.round, messages.len(), start.elapsed().as_secs_f64());
+            self.telemetry.on_event(&Event::Aggregate {
+                round: *self.round,
+                num_messages: messages.len(),
+                seconds: start.elapsed().as_secs_f64(),
+            });
         }
         outcome
     }
@@ -657,8 +667,12 @@ impl EngineCore<'_> {
         );
         if timed {
             for stat in &shard_stats {
-                self.telemetry
-                    .on_shard_fold(*self.round, stat.shard, stat.messages, stat.seconds);
+                self.telemetry.on_event(&Event::ShardFold {
+                    round: *self.round,
+                    shard: stat.shard,
+                    messages: stat.messages,
+                    seconds: stat.seconds,
+                });
             }
         }
         let global = Arc::make_mut(self.global);
@@ -678,8 +692,10 @@ impl EngineCore<'_> {
         let eval_start = self.telemetry.enabled().then(Instant::now);
         let (test_loss, test_accuracy) = self.evaluate_global()?;
         if let Some(start) = eval_start {
-            self.telemetry
-                .on_eval(*self.round, start.elapsed().as_secs_f64());
+            self.telemetry.on_event(&Event::Eval {
+                round: *self.round,
+                seconds: start.elapsed().as_secs_f64(),
+            });
         }
         let window = &self.events[*self.event_mark..];
         let staleness_mean = if window.is_empty() {
@@ -718,7 +734,7 @@ impl EngineCore<'_> {
             staleness_mean,
             staleness_max,
         };
-        self.telemetry.on_round_end(&RoundSummary {
+        self.telemetry.on_event(&Event::RoundEnd(RoundSummary {
             round: record.round,
             wall_seconds: record.elapsed_ms as f64 / 1000.0,
             num_selected: record.num_selected,
@@ -727,19 +743,19 @@ impl EngineCore<'_> {
             test_loss: record.test_loss as f64,
             staleness_mean,
             staleness_max,
-        });
+        }));
         if self.telemetry.enabled() {
-            self.telemetry.on_gauge(
-                names::STORE_RESIDENT_BYTES,
-                self.store.resident_bytes() as f64,
-            );
+            self.telemetry.on_event(&Event::Gauge {
+                name: names::STORE_RESIDENT_BYTES,
+                value: self.store.resident_bytes() as f64,
+            });
             let stats = self.store.stats();
-            self.telemetry.on_store_stats(
-                stats.materializations,
-                stats.spill_writes,
-                stats.spill_loads,
-                stats.evictions,
-            );
+            self.telemetry.on_event(&Event::StoreStats {
+                materializations: stats.materializations,
+                spill_writes: stats.spill_writes,
+                spill_loads: stats.spill_loads,
+                evictions: stats.evictions,
+            });
         }
         self.history.push(record.clone());
         *self.round += 1;
@@ -764,7 +780,11 @@ impl EngineCore<'_> {
             test_accuracy,
             cumulative_upload_floats: *self.cumulative_upload,
         };
-        self.telemetry.on_arrival(client_id, staleness, weight);
+        self.telemetry.on_event(&Event::Arrival {
+            client: client_id,
+            staleness,
+            weight,
+        });
         self.events.push(record.clone());
         record
     }

@@ -251,9 +251,7 @@ impl Scheduler for SemiAsync {
                 seed: p.seed,
             })
             .collect();
-        core.telemetry().on_phase_start("dispatch", round);
-        let mut messages = core.dispatch(&orders)?;
-        core.telemetry().on_phase_end("dispatch", round);
+        let mut messages = core.in_span("dispatch", |core| core.dispatch(&orders))?;
         drop(orders);
 
         // 5. Staleness-weight the stragglers' payloads (τ = rounds missed),
@@ -298,9 +296,7 @@ impl Scheduler for SemiAsync {
         let upload_floats: usize = kept.iter().map(|m| m.upload_floats()).sum();
         let wire_bytes: usize = kept.iter().map(|m| m.wire_bytes()).sum();
         if !kept.is_empty() {
-            core.telemetry().on_phase_start("aggregate", round);
-            core.aggregate(&kept, &mut round_rng);
-            core.telemetry().on_phase_end("aggregate", round);
+            core.in_span("aggregate", |core| core.aggregate(&kept, &mut round_rng));
         }
         let record = core.record_round(RoundStats {
             num_selected: kept.len(),

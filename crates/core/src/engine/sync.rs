@@ -65,21 +65,20 @@ impl Scheduler for SyncRounds {
             .collect();
 
         // 3. Local updates through the shared parallel dispatch path.
-        core.telemetry().on_phase_start("dispatch", round);
-        let messages = core.dispatch(&orders)?;
-        core.telemetry().on_phase_end("dispatch", round);
+        let messages = core.in_span("dispatch", |core| core.dispatch(&orders))?;
         drop(orders);
         drop(snapshot);
 
         // 4. Server aggregation (single fused pass inside the algorithm).
-        core.telemetry().on_phase_start("aggregate", round);
-        let outcome = core.aggregate(&messages, &mut round_rng);
-        core.add_upload(outcome.upload_floats);
         // True wire bytes: the quantized size when the wire path encoded
         // the uploads, dense 4·floats otherwise.
         let wire_bytes: usize = messages.iter().map(|m| m.wire_bytes()).sum();
-        core.add_wire_bytes(wire_bytes);
-        core.telemetry().on_phase_end("aggregate", round);
+        let outcome = core.in_span("aggregate", |core| {
+            let outcome = core.aggregate(&messages, &mut round_rng);
+            core.add_upload(outcome.upload_floats);
+            core.add_wire_bytes(wire_bytes);
+            outcome
+        });
 
         // 5. Evaluation and bookkeeping.
         let record = core.record_round(RoundStats {

@@ -101,9 +101,8 @@ pub mod prelude {
     pub use crate::selection::ClientSelector;
     pub use crate::solver::LocalSolver;
     pub use fedadmm_clientstore::{
-        ClientStateStore, InMemoryStore, ShardMap, ShardedStore, SpillStore, StoreConfig,
-        StoreStats,
+        ClientStateStore, InMemoryStore, ShardMap, ShardedStore, StoreConfig, StoreStats,
     };
     pub use fedadmm_data::batching::BatchSize;
-    pub use fedadmm_telemetry::{NoTelemetry, Recorder, RoundSummary, Telemetry};
+    pub use fedadmm_telemetry::{Event, NoTelemetry, Recorder, RoundSummary, Telemetry};
 }

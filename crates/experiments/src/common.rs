@@ -223,27 +223,6 @@ impl Setting {
         )
     }
 
-    /// Builds an engine with an arbitrary [`Scheduler`] — the entry point
-    /// for semi-asynchronous and buffered-asynchronous experiment variants.
-    pub fn build_with_scheduler<A: Algorithm, S: Scheduler>(
-        &self,
-        algorithm: A,
-        scheduler: S,
-    ) -> TensorResult<RoundEngine<A, S>> {
-        let (train, test) = self.generate_data();
-        let partition = self
-            .distribution
-            .partition(&train, self.num_clients, self.seed);
-        RoundEngine::new(
-            self.fed_config(),
-            train,
-            test,
-            partition,
-            algorithm,
-            scheduler,
-        )
-    }
-
     /// Runs `algorithm` until the target accuracy or the round budget is
     /// exhausted. Returns the 1-based round count (or `None`) and the full
     /// history.

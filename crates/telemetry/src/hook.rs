@@ -1,14 +1,14 @@
 //! The [`Telemetry`] hook trait the simulation engine drives, its no-op
 //! default, and the full [`Recorder`] implementation.
 //!
-//! The engine calls these hooks at fixed points of every round — snapshot
-//! downloads, per-client local updates (timed on the scoped worker threads),
-//! uploads, the fused server-aggregation pass, arrival events and round
-//! close. [`NoTelemetry`] implements every hook as an empty default and
-//! reports `enabled() == false`, which the engine uses to skip timing
-//! altogether — the uninstrumented hot path stays allocation-free and
-//! byte-identical to the pre-telemetry engine. [`Recorder`] turns the same
-//! hooks into tracer spans and registry metrics.
+//! The engine reports one [`Event`] at fixed points of every round —
+//! snapshot downloads, per-client local updates (timed on the dispatch
+//! pool's workers), uploads, the fused server-aggregation pass, arrival
+//! events and round close. [`NoTelemetry`] ignores them all and reports
+//! `enabled() == false`, which the engine uses to skip timing altogether —
+//! the uninstrumented hot path stays allocation-free and byte-identical to
+//! the pre-telemetry engine. [`Recorder`] turns the same events into tracer
+//! spans and registry metrics.
 
 use crate::metrics::{
     exponential_buckets, linear_buckets, CounterId, GaugeId, HistogramId, MetricsRegistry,
@@ -16,7 +16,6 @@ use crate::metrics::{
 use crate::process::peak_rss_bytes;
 use crate::trace::{SpanId, Tracer};
 use serde_json::Value;
-use std::any::Any;
 
 /// Everything the engine knows about a round at close time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,7 +42,7 @@ pub struct RoundSummary {
 
 /// What one parallel dispatch batch looked like to the work-stealing pool.
 ///
-/// Emitted once per [`Telemetry::on_dispatch`] call, after the batch's
+/// Carried by [`Event::Dispatch`], emitted once per batch after its
 /// messages have been collected. `busy_seconds` is indexed by worker and
 /// only populated when [`Telemetry::enabled`] returned true for the batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,12 +62,141 @@ pub struct DispatchSummary<'a> {
     pub busy_seconds: &'a [f64],
 }
 
+/// One fact the engine reports through [`Telemetry::on_event`].
+///
+/// Variants marked *timed* are only emitted while [`Telemetry::enabled`]
+/// is true; their `seconds` are measured by the engine (per-client ones on
+/// the dispatch worker that ran the job).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Event<'a> {
+    /// A span opens: a scheduler tick (the outermost span, named after the
+    /// scheduler) or a named phase inside one (`"dispatch"`, `"aggregate"`,
+    /// `"fuse_pass"`).
+    SpanStart {
+        /// Scheduler label or phase name.
+        name: &'static str,
+        /// Round the span belongs to.
+        round: usize,
+    },
+    /// The innermost open span called `name` closes.
+    SpanEnd {
+        /// Scheduler label or phase name.
+        name: &'static str,
+        /// Round the span belongs to.
+        round: usize,
+    },
+    /// *Timed.* A client downloaded a model snapshot of `floats` parameters.
+    Download {
+        /// Round of the dispatch.
+        round: usize,
+        /// Downloading client.
+        client: usize,
+        /// Snapshot length.
+        floats: usize,
+    },
+    /// *Timed.* A client finished its local update.
+    ClientUpdate {
+        /// Round of the dispatch.
+        round: usize,
+        /// Client that trained.
+        client: usize,
+        /// Wall time of the update on its worker.
+        seconds: f64,
+        /// Local epochs run.
+        epochs: usize,
+        /// Training samples processed.
+        samples: usize,
+    },
+    /// Clients uploaded `floats` parameters to the server.
+    Upload {
+        /// Floats uploaded.
+        floats: usize,
+    },
+    /// Clients uploaded `bytes` over the wire (the quantized size when the
+    /// engine's wire path is on, the dense `4 · floats` size otherwise).
+    WireUpload {
+        /// Bytes uploaded.
+        bytes: usize,
+    },
+    /// *Timed.* The server folded `num_messages` payloads into θ (the fused
+    /// single-pass aggregation).
+    Aggregate {
+        /// Round being aggregated.
+        round: usize,
+        /// Payloads folded.
+        num_messages: usize,
+        /// Wall time of the pass.
+        seconds: f64,
+    },
+    /// *Timed.* The global model was evaluated on the test set.
+    Eval {
+        /// Round being closed.
+        round: usize,
+        /// Wall time of the evaluation.
+        seconds: f64,
+    },
+    /// An update arrived at the server with the given staleness and was
+    /// applied with `weight` (0 = dropped).
+    Arrival {
+        /// Arriving client.
+        client: usize,
+        /// Rounds since the client's snapshot was taken.
+        staleness: usize,
+        /// Weight the update was applied with.
+        weight: f32,
+    },
+    /// A round closed; the summary carries everything the history records.
+    RoundEnd(RoundSummary),
+    /// A named scalar diagnostic (e.g. the optimality gap `V_t`) was
+    /// computed for the current round.
+    Gauge {
+        /// Gauge name.
+        name: &'static str,
+        /// Latest value.
+        value: f64,
+    },
+    /// *Timed.* The client-state store's cumulative operation counters at
+    /// round close. Values are monotone totals since the store was built;
+    /// consumers that keep counters should diff against the previous report
+    /// (as [`Recorder`] does).
+    StoreStats {
+        /// Client states materialized from their implicit form.
+        materializations: u64,
+        /// Shards written to disk by an eviction.
+        spill_writes: u64,
+        /// Shards loaded back from disk.
+        spill_loads: u64,
+        /// Shards evicted from residency.
+        evictions: u64,
+    },
+    /// *Timed.* One per-shard partial fold of the hierarchical server
+    /// aggregation finished.
+    ShardFold {
+        /// Round being aggregated.
+        round: usize,
+        /// Shard folded.
+        shard: usize,
+        /// Payloads folded for the shard.
+        messages: usize,
+        /// Wall time of the partial fold.
+        seconds: f64,
+    },
+    /// *Timed.* A parallel dispatch batch finished; the summary carries the
+    /// pool's chunk/steal counters and per-worker busy times.
+    Dispatch {
+        /// Round of the dispatch.
+        round: usize,
+        /// What the batch looked like to the pool.
+        summary: DispatchSummary<'a>,
+    },
+}
+
 /// Observability hooks threaded through the engine (see [module docs](self)).
 ///
-/// Every method has an empty default body, so implementors override only
-/// what they consume. Implementations must be `Send`: per-client timings are
-/// *measured* on the dispatch worker threads but always *reported* from the
-/// engine thread, so hooks themselves never race.
+/// Both methods have defaults — disabled, and ignore the event — so an
+/// implementor overrides only what it consumes. Implementations must be
+/// `Send`: per-client timings are *measured* on the dispatch worker threads
+/// but always *reported* from the engine thread, so hooks never race.
 pub trait Telemetry: Send {
     /// Whether the expensive instrumentation (per-client `Instant` reads,
     /// span bookkeeping) should run. The engine consults this once per
@@ -78,118 +206,17 @@ pub trait Telemetry: Send {
         false
     }
 
-    /// A scheduler tick is starting (`scheduler` is [`Scheduler::name`]-style
-    /// static label).
-    fn on_tick_start(&mut self, scheduler: &'static str, round: usize) {
-        let _ = (scheduler, round);
-    }
+    /// The engine reports one [`Event`].
+    fn on_event(&mut self, _event: &Event<'_>) {}
 
-    /// The tick that started with the same arguments has finished.
-    fn on_tick_end(&mut self, scheduler: &'static str, round: usize) {
-        let _ = (scheduler, round);
-    }
-
-    /// A named phase of a tick (e.g. `"dispatch"`, `"aggregate"`) starts.
-    fn on_phase_start(&mut self, phase: &'static str, round: usize) {
-        let _ = (phase, round);
-    }
-
-    /// The named phase ends.
-    fn on_phase_end(&mut self, phase: &'static str, round: usize) {
-        let _ = (phase, round);
-    }
-
-    /// A client downloaded a model snapshot of `floats` parameters.
-    fn on_download(&mut self, round: usize, client: usize, floats: usize) {
-        let _ = (round, client, floats);
-    }
-
-    /// A client finished its local update. `seconds` is measured on the
-    /// worker thread (0 when `enabled()` is false).
-    fn on_client_update(
-        &mut self,
-        round: usize,
-        client: usize,
-        seconds: f64,
-        epochs: usize,
-        samples: usize,
-    ) {
-        let _ = (round, client, seconds, epochs, samples);
-    }
-
-    /// Clients uploaded `floats` parameters to the server.
-    fn on_upload(&mut self, floats: usize) {
-        let _ = floats;
-    }
-
-    /// Clients uploaded `bytes` over the wire (the quantized size when the
-    /// engine's wire path is on, the dense `4 · floats` size otherwise).
-    fn on_wire_upload(&mut self, bytes: usize) {
-        let _ = bytes;
-    }
-
-    /// The server folded `num_messages` payloads into θ in `seconds`
-    /// (the fused single-pass aggregation).
-    fn on_aggregate(&mut self, round: usize, num_messages: usize, seconds: f64) {
-        let _ = (round, num_messages, seconds);
-    }
-
-    /// The global model was evaluated on the test set in `seconds`.
-    fn on_eval(&mut self, round: usize, seconds: f64) {
-        let _ = (round, seconds);
-    }
-
-    /// An update arrived at the server with the given staleness and was
-    /// applied with `weight` (0 = dropped).
-    fn on_arrival(&mut self, client: usize, staleness: usize, weight: f32) {
-        let _ = (client, staleness, weight);
-    }
-
-    /// A round closed; `summary` carries everything the history records.
-    fn on_round_end(&mut self, summary: &RoundSummary) {
-        let _ = summary;
-    }
-
-    /// A named scalar diagnostic (e.g. the optimality gap `V_t`) was
-    /// computed for the current round.
-    fn on_gauge(&mut self, name: &'static str, value: f64) {
-        let _ = (name, value);
-    }
-
-    /// The client-state store's cumulative operation counters at round
-    /// close. Values are monotone totals since the store was built;
-    /// implementations that keep counters should diff against the previous
-    /// report (as [`Recorder`] does).
-    fn on_store_stats(
-        &mut self,
-        materializations: u64,
-        spill_writes: u64,
-        spill_loads: u64,
-        evictions: u64,
-    ) {
-        let _ = (materializations, spill_writes, spill_loads, evictions);
-    }
-
-    /// One per-shard partial fold of the hierarchical server aggregation
-    /// finished: `messages` payloads were folded for `shard` in `seconds`.
-    fn on_shard_fold(&mut self, round: usize, shard: usize, messages: usize, seconds: f64) {
-        let _ = (round, shard, messages, seconds);
-    }
-
-    /// A parallel dispatch batch finished; `summary` carries the pool's
-    /// chunk/steal counters and per-worker busy times.
-    fn on_dispatch(&mut self, round: usize, summary: &DispatchSummary<'_>) {
-        let _ = (round, summary);
-    }
-
-    /// Downcast support so callers can recover a concrete implementation
-    /// (e.g. a [`Recorder`]) from a `dyn Telemetry`.
-    fn as_any(&self) -> Option<&dyn Any> {
+    /// The [`Recorder`] behind these hooks, if that is what they are (what
+    /// `RoundEngine::recorder` hands out).
+    fn recorder(&self) -> Option<&Recorder> {
         None
     }
 
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+    /// Mutable form of [`recorder`](Telemetry::recorder).
+    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
         None
     }
 }
@@ -263,7 +290,7 @@ pub mod names {
     pub const DISPATCH_IMBALANCE: &str = "dispatch_imbalance";
 }
 
-/// The full-fat hook: every engine callback becomes tracer spans and
+/// The full-fat hook: every engine event becomes tracer spans and
 /// registry metrics, exportable as JSONL / JSON through the shared
 /// vendored serializer.
 #[derive(Debug)]
@@ -287,23 +314,18 @@ pub struct Recorder {
     g_accuracy: GaugeId,
     g_loss: GaugeId,
     g_peak_rss: GaugeId,
-    c_store_materializations: CounterId,
-    c_store_spill_writes: CounterId,
-    c_store_spill_loads: CounterId,
-    c_store_evictions: CounterId,
+    /// The store counters (materializations, spill writes, spill loads,
+    /// evictions — the field order of [`Event::StoreStats`]), each with the
+    /// last monotone total seen so it can advance by the delta.
+    c_store: [(CounterId, u64); 4],
     c_shard_folds: CounterId,
     h_shard_fold: HistogramId,
     c_dispatch_chunks: CounterId,
     c_dispatch_steals: CounterId,
     h_worker_busy: HistogramId,
     g_dispatch_imbalance: GaugeId,
-    /// Last monotone store totals seen by `on_store_stats`, so the counters
-    /// can be incremented by the delta.
-    last_store: [u64; 4],
-    /// Open tick span (at most one at a time; ticks never nest).
-    tick_span: Option<SpanId>,
-    /// Open phase spans, innermost last.
-    phase_spans: Vec<(SpanId, &'static str)>,
+    /// Open tick and phase spans, innermost last (a tick is the outermost).
+    open_spans: Vec<(SpanId, &'static str)>,
 }
 
 impl Default for Recorder {
@@ -321,68 +343,44 @@ impl Recorder {
     /// Creates a recorder whose trace ring keeps `capacity` records.
     pub fn with_trace_capacity(capacity: usize) -> Self {
         let mut metrics = MetricsRegistry::new();
-        let seconds_grid = exponential_buckets(1e-5, 2.0, 30); // 10 µs … ~3 h
-        let c_rounds = metrics.counter(names::ROUNDS_TOTAL);
-        let c_client_updates = metrics.counter(names::CLIENT_UPDATES_TOTAL);
-        let c_aggregations = metrics.counter(names::AGGREGATIONS_TOTAL);
-        let c_dropped = metrics.counter(names::DROPPED_ARRIVALS_TOTAL);
-        let c_upload = metrics.counter(names::UPLOAD_FLOATS_TOTAL);
-        let c_wire_bytes = metrics.counter(names::WIRE_BYTES_TOTAL);
-        let c_broadcast = metrics.counter(names::BROADCAST_FLOATS_TOTAL);
-        let c_epochs = metrics.counter(names::LOCAL_EPOCHS_TOTAL);
-        let c_samples = metrics.counter(names::SAMPLES_TOTAL);
-        let h_round_wall = metrics.histogram(names::ROUND_WALL_SECONDS, seconds_grid.clone());
-        let h_client_compute =
-            metrics.histogram(names::CLIENT_COMPUTE_SECONDS, seconds_grid.clone());
-        let h_aggregate = metrics.histogram(names::AGGREGATE_SECONDS, seconds_grid.clone());
-        let h_eval = metrics.histogram(names::EVAL_SECONDS, seconds_grid.clone());
-        let h_staleness = metrics.histogram(names::STALENESS_ROUNDS, linear_buckets(0.0, 1.0, 64));
-        let g_accuracy = metrics.gauge(names::TEST_ACCURACY);
-        let g_loss = metrics.gauge(names::TEST_LOSS);
-        let g_peak_rss = metrics.gauge(names::PEAK_RSS_BYTES);
-        let c_store_materializations = metrics.counter(names::STORE_MATERIALIZATIONS_TOTAL);
-        let c_store_spill_writes = metrics.counter(names::STORE_SPILL_WRITES_TOTAL);
-        let c_store_spill_loads = metrics.counter(names::STORE_SPILL_LOADS_TOTAL);
-        let c_store_evictions = metrics.counter(names::STORE_EVICTIONS_TOTAL);
-        let c_shard_folds = metrics.counter(names::SHARD_FOLDS_TOTAL);
-        let h_shard_fold = metrics.histogram(names::SHARD_FOLD_SECONDS, seconds_grid.clone());
-        let c_dispatch_chunks = metrics.counter(names::DISPATCH_CHUNKS_TOTAL);
-        let c_dispatch_steals = metrics.counter(names::DISPATCH_STEALS_TOTAL);
-        let h_worker_busy = metrics.histogram(names::WORKER_BUSY_SECONDS, seconds_grid);
-        let g_dispatch_imbalance = metrics.gauge(names::DISPATCH_IMBALANCE);
+        // 10 µs … ~3 h
+        let seconds_grid = || exponential_buckets(1e-5, 2.0, 30);
+        // Fields initialize in the order written, which is the order the
+        // registry (and so its JSON export) lists the metrics in.
         Recorder {
             tracer: Tracer::new(capacity),
+            c_rounds: metrics.counter(names::ROUNDS_TOTAL),
+            c_client_updates: metrics.counter(names::CLIENT_UPDATES_TOTAL),
+            c_aggregations: metrics.counter(names::AGGREGATIONS_TOTAL),
+            c_dropped: metrics.counter(names::DROPPED_ARRIVALS_TOTAL),
+            c_upload: metrics.counter(names::UPLOAD_FLOATS_TOTAL),
+            c_wire_bytes: metrics.counter(names::WIRE_BYTES_TOTAL),
+            c_broadcast: metrics.counter(names::BROADCAST_FLOATS_TOTAL),
+            c_epochs: metrics.counter(names::LOCAL_EPOCHS_TOTAL),
+            c_samples: metrics.counter(names::SAMPLES_TOTAL),
+            h_round_wall: metrics.histogram(names::ROUND_WALL_SECONDS, seconds_grid()),
+            h_client_compute: metrics.histogram(names::CLIENT_COMPUTE_SECONDS, seconds_grid()),
+            h_aggregate: metrics.histogram(names::AGGREGATE_SECONDS, seconds_grid()),
+            h_eval: metrics.histogram(names::EVAL_SECONDS, seconds_grid()),
+            h_staleness: metrics.histogram(names::STALENESS_ROUNDS, linear_buckets(0.0, 1.0, 64)),
+            g_accuracy: metrics.gauge(names::TEST_ACCURACY),
+            g_loss: metrics.gauge(names::TEST_LOSS),
+            g_peak_rss: metrics.gauge(names::PEAK_RSS_BYTES),
+            c_store: [
+                names::STORE_MATERIALIZATIONS_TOTAL,
+                names::STORE_SPILL_WRITES_TOTAL,
+                names::STORE_SPILL_LOADS_TOTAL,
+                names::STORE_EVICTIONS_TOTAL,
+            ]
+            .map(|name| (metrics.counter(name), 0)),
+            c_shard_folds: metrics.counter(names::SHARD_FOLDS_TOTAL),
+            h_shard_fold: metrics.histogram(names::SHARD_FOLD_SECONDS, seconds_grid()),
+            c_dispatch_chunks: metrics.counter(names::DISPATCH_CHUNKS_TOTAL),
+            c_dispatch_steals: metrics.counter(names::DISPATCH_STEALS_TOTAL),
+            h_worker_busy: metrics.histogram(names::WORKER_BUSY_SECONDS, seconds_grid()),
+            g_dispatch_imbalance: metrics.gauge(names::DISPATCH_IMBALANCE),
             metrics,
-            c_rounds,
-            c_client_updates,
-            c_aggregations,
-            c_dropped,
-            c_upload,
-            c_wire_bytes,
-            c_broadcast,
-            c_epochs,
-            c_samples,
-            h_round_wall,
-            h_client_compute,
-            h_aggregate,
-            h_eval,
-            h_staleness,
-            g_accuracy,
-            g_loss,
-            g_peak_rss,
-            c_store_materializations,
-            c_store_spill_writes,
-            c_store_spill_loads,
-            c_store_evictions,
-            c_shard_folds,
-            h_shard_fold,
-            c_dispatch_chunks,
-            c_dispatch_steals,
-            h_worker_busy,
-            g_dispatch_imbalance,
-            last_store: [0; 4],
-            tick_span: None,
-            phase_spans: Vec::new(),
+            open_spans: Vec::new(),
         }
     }
 
@@ -426,158 +424,133 @@ impl Telemetry for Recorder {
         true
     }
 
-    fn on_tick_start(&mut self, scheduler: &'static str, round: usize) {
-        self.tick_span = Some(self.tracer.start_with(scheduler, Some(round as u64), None));
-    }
-
-    fn on_tick_end(&mut self, _scheduler: &'static str, _round: usize) {
-        if let Some(id) = self.tick_span.take() {
-            self.tracer.end(id);
-        }
-    }
-
-    fn on_phase_start(&mut self, phase: &'static str, round: usize) {
-        let id = self.tracer.start_with(phase, Some(round as u64), None);
-        self.phase_spans.push((id, phase));
-    }
-
-    fn on_phase_end(&mut self, phase: &'static str, _round: usize) {
-        if let Some(pos) = self.phase_spans.iter().rposition(|(_, p)| *p == phase) {
-            let (id, _) = self.phase_spans.remove(pos);
-            self.tracer.end(id);
-        }
-    }
-
-    fn on_download(&mut self, _round: usize, _client: usize, floats: usize) {
-        self.metrics.inc(self.c_broadcast, floats as u64);
-    }
-
-    fn on_client_update(
-        &mut self,
-        round: usize,
-        client: usize,
-        seconds: f64,
-        epochs: usize,
-        samples: usize,
-    ) {
-        self.metrics.inc(self.c_client_updates, 1);
-        self.metrics.inc(self.c_epochs, epochs as u64);
-        self.metrics.inc(self.c_samples, samples as u64);
-        self.metrics.observe(self.h_client_compute, seconds);
-        self.tracer.complete(
-            "local_update",
-            seconds,
-            Some(round as u64),
-            Some(client as u64),
-        );
-    }
-
-    fn on_upload(&mut self, floats: usize) {
-        self.metrics.inc(self.c_upload, floats as u64);
-    }
-
-    fn on_wire_upload(&mut self, bytes: usize) {
-        self.metrics.inc(self.c_wire_bytes, bytes as u64);
-    }
-
-    fn on_aggregate(&mut self, round: usize, num_messages: usize, seconds: f64) {
-        let _ = num_messages;
-        self.metrics.inc(self.c_aggregations, 1);
-        self.metrics.observe(self.h_aggregate, seconds);
-        self.tracer
-            .complete("server_fold", seconds, Some(round as u64), None);
-    }
-
-    fn on_eval(&mut self, round: usize, seconds: f64) {
-        self.metrics.observe(self.h_eval, seconds);
-        self.tracer
-            .complete("evaluate", seconds, Some(round as u64), None);
-    }
-
-    fn on_arrival(&mut self, client: usize, staleness: usize, weight: f32) {
-        self.metrics.observe(self.h_staleness, staleness as f64);
-        if weight <= 0.0 {
-            self.metrics.inc(self.c_dropped, 1);
-        }
-        self.tracer.event("arrival", None, Some(client as u64));
-    }
-
-    fn on_round_end(&mut self, summary: &RoundSummary) {
-        self.metrics.inc(self.c_rounds, 1);
-        self.metrics
-            .observe(self.h_round_wall, summary.wall_seconds);
-        self.metrics.set(self.g_accuracy, summary.test_accuracy);
-        self.metrics.set(self.g_loss, summary.test_loss);
-        self.tracer
-            .event("round_end", Some(summary.round as u64), None);
-    }
-
-    fn on_gauge(&mut self, name: &'static str, value: f64) {
-        let id = self.metrics.gauge(name);
-        self.metrics.set(id, value);
-    }
-
-    fn on_store_stats(
-        &mut self,
-        materializations: u64,
-        spill_writes: u64,
-        spill_loads: u64,
-        evictions: u64,
-    ) {
-        // The store reports monotone totals; turn them into counter deltas.
-        let totals = [materializations, spill_writes, spill_loads, evictions];
-        let ids = [
-            self.c_store_materializations,
-            self.c_store_spill_writes,
-            self.c_store_spill_loads,
-            self.c_store_evictions,
-        ];
-        for ((total, last), id) in totals.iter().zip(self.last_store.iter_mut()).zip(ids) {
-            self.metrics.inc(id, total.saturating_sub(*last));
-            *last = *total;
-        }
-    }
-
-    fn on_shard_fold(&mut self, round: usize, shard: usize, messages: usize, seconds: f64) {
-        let _ = messages;
-        self.metrics.inc(self.c_shard_folds, 1);
-        self.metrics.observe(self.h_shard_fold, seconds);
-        self.tracer.complete(
-            "shard_fold",
-            seconds,
-            Some(round as u64),
-            Some(shard as u64),
-        );
-    }
-
-    fn on_dispatch(&mut self, round: usize, summary: &DispatchSummary<'_>) {
-        self.metrics.inc(self.c_dispatch_chunks, summary.chunks);
-        self.metrics.inc(self.c_dispatch_steals, summary.steals);
-        let busy = summary.busy_seconds;
-        if !busy.is_empty() {
-            let mut max = 0.0f64;
-            let mut sum = 0.0f64;
-            for &b in busy {
-                self.metrics.observe(self.h_worker_busy, b);
-                sum += b;
-                if b > max {
-                    max = b;
+    fn on_event(&mut self, event: &Event<'_>) {
+        match *event {
+            Event::SpanStart { name, round } => {
+                let id = self.tracer.start_with(name, Some(round as u64), None);
+                self.open_spans.push((id, name));
+            }
+            Event::SpanEnd { name, .. } => {
+                // Like `Tracer::end`, closing a span closes what it encloses.
+                if let Some(pos) = self.open_spans.iter().rposition(|(_, n)| *n == name) {
+                    self.tracer.end(self.open_spans[pos].0);
+                    self.open_spans.truncate(pos);
                 }
             }
-            let mean = sum / busy.len() as f64;
-            if mean > 0.0 {
-                self.metrics.set(self.g_dispatch_imbalance, max / mean);
+            Event::Download { floats, .. } => self.metrics.inc(self.c_broadcast, floats as u64),
+            Event::ClientUpdate {
+                round,
+                client,
+                seconds,
+                epochs,
+                samples,
+            } => {
+                self.metrics.inc(self.c_client_updates, 1);
+                self.metrics.inc(self.c_epochs, epochs as u64);
+                self.metrics.inc(self.c_samples, samples as u64);
+                self.metrics.observe(self.h_client_compute, seconds);
+                self.tracer.complete(
+                    "local_update",
+                    seconds,
+                    Some(round as u64),
+                    Some(client as u64),
+                );
+            }
+            Event::Upload { floats } => self.metrics.inc(self.c_upload, floats as u64),
+            Event::WireUpload { bytes } => self.metrics.inc(self.c_wire_bytes, bytes as u64),
+            Event::Aggregate { round, seconds, .. } => {
+                self.metrics.inc(self.c_aggregations, 1);
+                self.metrics.observe(self.h_aggregate, seconds);
+                self.tracer
+                    .complete("server_fold", seconds, Some(round as u64), None);
+            }
+            Event::Eval { round, seconds } => {
+                self.metrics.observe(self.h_eval, seconds);
+                self.tracer
+                    .complete("evaluate", seconds, Some(round as u64), None);
+            }
+            Event::Arrival {
+                client,
+                staleness,
+                weight,
+            } => {
+                self.metrics.observe(self.h_staleness, staleness as f64);
+                if weight <= 0.0 {
+                    self.metrics.inc(self.c_dropped, 1);
+                }
+                self.tracer.event("arrival", None, Some(client as u64));
+            }
+            Event::RoundEnd(summary) => {
+                self.metrics.inc(self.c_rounds, 1);
+                self.metrics
+                    .observe(self.h_round_wall, summary.wall_seconds);
+                self.metrics.set(self.g_accuracy, summary.test_accuracy);
+                self.metrics.set(self.g_loss, summary.test_loss);
+                self.tracer
+                    .event("round_end", Some(summary.round as u64), None);
+            }
+            Event::Gauge { name, value } => {
+                let id = self.metrics.gauge(name);
+                self.metrics.set(id, value);
+            }
+            Event::StoreStats {
+                materializations,
+                spill_writes,
+                spill_loads,
+                evictions,
+            } => {
+                // The store reports monotone totals; turn them into counter deltas.
+                let totals = [materializations, spill_writes, spill_loads, evictions];
+                for ((id, last), total) in self.c_store.iter_mut().zip(totals) {
+                    self.metrics.inc(*id, total.saturating_sub(*last));
+                    *last = total;
+                }
+            }
+            Event::ShardFold {
+                round,
+                shard,
+                seconds,
+                ..
+            } => {
+                self.metrics.inc(self.c_shard_folds, 1);
+                self.metrics.observe(self.h_shard_fold, seconds);
+                self.tracer.complete(
+                    "shard_fold",
+                    seconds,
+                    Some(round as u64),
+                    Some(shard as u64),
+                );
+            }
+            Event::Dispatch { round, summary } => {
+                self.metrics.inc(self.c_dispatch_chunks, summary.chunks);
+                self.metrics.inc(self.c_dispatch_steals, summary.steals);
+                let busy = summary.busy_seconds;
+                if !busy.is_empty() {
+                    let mut max = 0.0f64;
+                    let mut sum = 0.0f64;
+                    for &b in busy {
+                        self.metrics.observe(self.h_worker_busy, b);
+                        sum += b;
+                        if b > max {
+                            max = b;
+                        }
+                    }
+                    let mean = sum / busy.len() as f64;
+                    if mean > 0.0 {
+                        self.metrics.set(self.g_dispatch_imbalance, max / mean);
+                    }
+                }
+                self.tracer
+                    .event("dispatch_batch", Some(round as u64), None);
             }
         }
-        self.tracer
-            .event("dispatch_batch", Some(round as u64), None);
     }
 
-    fn as_any(&self) -> Option<&dyn Any> {
+    fn recorder(&self) -> Option<&Recorder> {
         Some(self)
     }
 
-    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+    fn recorder_mut(&mut self) -> Option<&mut Recorder> {
         Some(self)
     }
 }
@@ -599,35 +572,79 @@ mod tests {
         }
     }
 
+    fn span(name: &'static str, round: usize) -> [Event<'static>; 2] {
+        [
+            Event::SpanStart { name, round },
+            Event::SpanEnd { name, round },
+        ]
+    }
+
+    fn client_update(client: usize) -> Event<'static> {
+        Event::ClientUpdate {
+            round: 0,
+            client,
+            seconds: 0.01,
+            epochs: 2,
+            samples: 30,
+        }
+    }
+
+    fn arrival(client: usize, staleness: usize, weight: f32) -> Event<'static> {
+        Event::Arrival {
+            client,
+            staleness,
+            weight,
+        }
+    }
+
     #[test]
     fn noop_is_disabled_and_inert() {
         let mut t = NoTelemetry;
         assert!(!t.enabled());
-        t.on_tick_start("sync-rounds", 0);
-        t.on_client_update(0, 1, 0.0, 2, 30);
-        t.on_round_end(&summary(0));
-        t.on_tick_end("sync-rounds", 0);
-        assert!(t.as_any().is_none());
+        t.on_event(&client_update(1));
+        t.on_event(&Event::RoundEnd(summary(0)));
+        assert!(t.recorder().is_none());
+        assert!(t.recorder_mut().is_none());
     }
 
     #[test]
     fn recorder_accumulates_metrics_and_spans() {
         let mut r = Recorder::with_trace_capacity(64);
         assert!(r.enabled());
-        r.on_tick_start("sync-rounds", 0);
-        r.on_phase_start("dispatch", 0);
-        r.on_download(0, 4, 100);
-        r.on_client_update(0, 4, 0.01, 2, 30);
-        r.on_phase_end("dispatch", 0);
-        r.on_upload(100);
-        r.on_wire_upload(108);
-        r.on_aggregate(0, 1, 0.002);
-        r.on_eval(0, 0.003);
-        r.on_arrival(4, 2, 0.5);
-        r.on_arrival(5, 9, 0.0);
-        r.on_round_end(&summary(0));
-        r.on_tick_end("sync-rounds", 0);
-        r.on_gauge("optimality_gap", 12.5);
+        let [tick_start, tick_end] = span("sync-rounds", 0);
+        let [dispatch_start, dispatch_end] = span("dispatch", 0);
+        for event in [
+            tick_start,
+            dispatch_start,
+            Event::Download {
+                round: 0,
+                client: 4,
+                floats: 100,
+            },
+            client_update(4),
+            dispatch_end,
+            Event::Upload { floats: 100 },
+            Event::WireUpload { bytes: 108 },
+            Event::Aggregate {
+                round: 0,
+                num_messages: 1,
+                seconds: 0.002,
+            },
+            Event::Eval {
+                round: 0,
+                seconds: 0.003,
+            },
+            arrival(4, 2, 0.5),
+            arrival(5, 9, 0.0),
+            Event::RoundEnd(summary(0)),
+            tick_end,
+            Event::Gauge {
+                name: "optimality_gap",
+                value: 12.5,
+            },
+        ] {
+            r.on_event(&event);
+        }
 
         let m = r.metrics();
         assert_eq!(m.counter_by_name(names::ROUNDS_TOTAL), Some(1));
@@ -657,8 +674,16 @@ mod tests {
     fn recorder_diffs_store_totals_and_records_shard_folds() {
         let mut r = Recorder::with_trace_capacity(16);
         // The store reports monotone totals; the counters advance by deltas.
-        r.on_store_stats(10, 2, 1, 3);
-        r.on_store_stats(15, 2, 4, 5);
+        for [materializations, spill_writes, spill_loads, evictions] in
+            [[10, 2, 1, 3], [15, 2, 4, 5]]
+        {
+            r.on_event(&Event::StoreStats {
+                materializations,
+                spill_writes,
+                spill_loads,
+                evictions,
+            });
+        }
         let m = r.metrics();
         assert_eq!(
             m.counter_by_name(names::STORE_MATERIALIZATIONS_TOTAL),
@@ -668,8 +693,14 @@ mod tests {
         assert_eq!(m.counter_by_name(names::STORE_SPILL_LOADS_TOTAL), Some(4));
         assert_eq!(m.counter_by_name(names::STORE_EVICTIONS_TOTAL), Some(5));
 
-        r.on_shard_fold(3, 7, 12, 0.001);
-        r.on_shard_fold(3, 8, 4, 0.002);
+        for (shard, messages, seconds) in [(7, 12, 0.001), (8, 4, 0.002)] {
+            r.on_event(&Event::ShardFold {
+                round: 3,
+                shard,
+                messages,
+                seconds,
+            });
+        }
         let m = r.metrics();
         assert_eq!(m.counter_by_name(names::SHARD_FOLDS_TOTAL), Some(2));
         let h = m.histogram_by_name(names::SHARD_FOLD_SECONDS).unwrap();
@@ -682,9 +713,9 @@ mod tests {
     #[test]
     fn recorder_tracks_dispatch_batches_and_imbalance() {
         let mut r = Recorder::with_trace_capacity(16);
-        r.on_dispatch(
-            2,
-            &DispatchSummary {
+        r.on_event(&Event::Dispatch {
+            round: 2,
+            summary: DispatchSummary {
                 jobs: 12,
                 workers: 4,
                 chunk_size: 2,
@@ -692,7 +723,7 @@ mod tests {
                 steals: 2,
                 busy_seconds: &[0.4, 0.1, 0.1, 0.2],
             },
-        );
+        });
         let m = r.metrics();
         assert_eq!(m.counter_by_name(names::DISPATCH_CHUNKS_TOTAL), Some(6));
         assert_eq!(m.counter_by_name(names::DISPATCH_STEALS_TOTAL), Some(2));
@@ -702,9 +733,9 @@ mod tests {
         let imbalance = m.gauge_by_name(names::DISPATCH_IMBALANCE).unwrap();
         assert!((imbalance - 2.0).abs() < 1e-9);
         // No busy data (timing off) leaves the gauge untouched.
-        r.on_dispatch(
-            3,
-            &DispatchSummary {
+        r.on_event(&Event::Dispatch {
+            round: 3,
+            summary: DispatchSummary {
                 jobs: 3,
                 workers: 1,
                 chunk_size: 3,
@@ -712,7 +743,7 @@ mod tests {
                 steals: 0,
                 busy_seconds: &[],
             },
-        );
+        });
         assert_eq!(
             r.metrics().counter_by_name(names::DISPATCH_CHUNKS_TOTAL),
             Some(7)
@@ -722,14 +753,20 @@ mod tests {
     #[test]
     fn recorder_exports_json() {
         let mut r = Recorder::new();
-        r.on_round_end(&summary(0));
+        r.on_event(&Event::RoundEnd(summary(0)));
         let v = r.metrics_json();
         assert_eq!(v["counters"]["rounds_total"].as_u64(), Some(1));
         #[cfg(target_os = "linux")]
         assert!(v["gauges"]["peak_rss_bytes"].as_f64().unwrap() > 0.0);
-        // Trace JSONL parses line by line through the shared serializer.
-        r.on_tick_start("semi-async", 1);
-        r.on_tick_end("semi-async", 1);
+        // Trace JSONL parses line by line through the shared serializer; the
+        // tick's end also closes the phase an error return left open.
+        let [tick_start, tick_end] = span("semi-async", 1);
+        let [phase_start, _] = span("dispatch", 1);
+        for event in [tick_start, phase_start, tick_end] {
+            r.on_event(&event);
+        }
+        assert!(r.open_spans.is_empty());
+        assert_eq!(r.trace_json_lines().lines().count(), 3);
         for line in r.trace_json_lines().lines() {
             let _: crate::trace::SpanRecord = serde_json::from_str(line).unwrap();
         }
@@ -738,11 +775,8 @@ mod tests {
     #[test]
     fn recorder_downcasts_through_dyn_telemetry() {
         let mut boxed: Box<dyn Telemetry> = Box::new(Recorder::new());
-        boxed.on_round_end(&summary(0));
-        let recorder = boxed
-            .as_any()
-            .and_then(|a| a.downcast_ref::<Recorder>())
-            .expect("recorder downcasts");
+        boxed.on_event(&Event::RoundEnd(summary(0)));
+        let recorder = boxed.recorder().expect("the hooks are a recorder");
         assert_eq!(
             recorder.metrics().counter_by_name(names::ROUNDS_TOTAL),
             Some(1)

@@ -10,19 +10,26 @@
 //!   histograms updated through pre-registered integer handles.
 //! * [`process`] — peak/current RSS probes from `/proc/self/status`.
 //!
-//! The [`Telemetry`] trait is the seam the engine drives: every hook has a
-//! no-op default and the engine gates its own timing on
-//! [`Telemetry::enabled`], so a [`NoTelemetry`] run is byte-identical to an
+//! The [`Telemetry`] trait is the seam the engine drives: it reports every
+//! fact as one [`Event`] through [`Telemetry::on_event`] (ignored by
+//! default) and gates its own timing on [`Telemetry::enabled`], so a [`NoTelemetry`] run is byte-identical to an
 //! uninstrumented build. [`Recorder`] implements the trait on top of the
 //! tracer + registry and exports both through the vendored `serde_json`.
 //!
 //! ```
-//! use fedadmm_telemetry::{Recorder, Telemetry};
+//! use fedadmm_telemetry::{Event, Recorder, Telemetry};
 //!
 //! let mut rec = Recorder::new();
-//! rec.on_tick_start("sync-rounds", 0);
-//! rec.on_client_update(0, 3, 0.012, 2, 600);
-//! rec.on_tick_end("sync-rounds", 0);
+//! let (name, round) = ("sync-rounds", 0);
+//! rec.on_event(&Event::SpanStart { name, round });
+//! rec.on_event(&Event::ClientUpdate {
+//!     round,
+//!     client: 3,
+//!     seconds: 0.012,
+//!     epochs: 2,
+//!     samples: 600,
+//! });
+//! rec.on_event(&Event::SpanEnd { name, round });
 //! assert_eq!(
 //!     rec.metrics().counter_by_name("client_updates_total"),
 //!     Some(1)
@@ -36,7 +43,7 @@ pub mod metrics;
 pub mod process;
 pub mod trace;
 
-pub use hook::{names, DispatchSummary, NoTelemetry, Recorder, RoundSummary, Telemetry};
+pub use hook::{names, DispatchSummary, Event, NoTelemetry, Recorder, RoundSummary, Telemetry};
 pub use metrics::{
     exponential_buckets, linear_buckets, CounterId, GaugeId, Histogram, HistogramId,
     MetricsRegistry,

@@ -1,8 +1,8 @@
 //! Process-level probes: resident-set-size readings from the kernel.
 //!
-//! The bench harness records **peak RSS** alongside throughput so that
-//! memory regressions (e.g. a scheduler that starts materializing per-client
-//! state eagerly) show up in the `BENCH_*.json` trajectory, not just in
+//! The benchmark (`benchmark/`) records **peak RSS** alongside throughput so
+//! that memory regressions (e.g. a scheduler that starts materializing
+//! per-client state eagerly) show up in its reports, not just in
 //! out-of-memory kills at scale. On Linux the numbers come from
 //! `/proc/self/status` (`VmHWM` = peak, `VmRSS` = current); elsewhere the
 //! probes return `None` and the exporters record `null`.

@@ -72,11 +72,9 @@ fn main() {
 
     engine.run_rounds(ROUNDS).expect("run succeeds");
 
-    // Recover the recorder from the engine to export what it saw.
-    let mut telemetry = engine.take_telemetry();
-    let recorder = telemetry
-        .as_any_mut()
-        .and_then(|a| a.downcast_mut::<Recorder>())
+    // Borrow the recorder back from the engine to export what it saw.
+    let recorder = engine
+        .recorder_mut()
         .expect("the installed hooks are a Recorder");
 
     println!("== counters ==");
@@ -161,7 +159,7 @@ fn main() {
     println!("  … {} spans total", recorder.tracer().len());
 
     // The full registry exports as one JSON object through the vendored
-    // serializer (the same shape `bench-snapshot` embeds per scenario).
+    // serializer.
     let json = recorder.metrics_json();
     println!(
         "\npeak RSS: {:.1} MiB",

@@ -25,8 +25,8 @@
 //!   straggler simulation (`fedadmm-system`);
 //! * [`privacy`] — differential privacy and secure aggregation extensions
 //!   (`fedadmm-privacy`);
-//! * [`telemetry`] — structured tracing, metrics registry and the
-//!   `bench-snapshot` observability substrate (`fedadmm-telemetry`).
+//! * [`telemetry`] — structured tracing, a metrics registry and the event
+//!   hook the engine reports through (`fedadmm-telemetry`).
 //!
 //! ## Quickstart
 //!

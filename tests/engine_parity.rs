@@ -378,10 +378,8 @@ fn instrumented_run_is_byte_identical_to_uninstrumented() {
     assert_eq!(hp, hi, "recording telemetry changed the run history");
 
     // And the recorder actually observed the run it rode along with.
-    let telemetry = instrumented.take_telemetry();
-    let recorder = telemetry
-        .as_any()
-        .and_then(|a| a.downcast_ref::<Recorder>())
+    let recorder = instrumented
+        .recorder()
         .expect("engine hands back the installed recorder");
     assert_eq!(
         recorder.metrics().counter_by_name(names::ROUNDS_TOTAL),

@@ -98,11 +98,7 @@ fn hundred_thousand_clients_stay_under_memory_budget() {
 
     // Telemetry probe: the resident-bytes gauge is wired through and the
     // whole process stayed far below the dense footprint (~9.4 GB).
-    let telemetry = engine.take_telemetry();
-    let recorder = telemetry
-        .as_any()
-        .and_then(|a| a.downcast_ref::<Recorder>())
-        .expect("recorder installed above");
+    let recorder = engine.recorder().expect("recorder installed above");
     let resident = recorder
         .metrics()
         .gauge_by_name(names::STORE_RESIDENT_BYTES)

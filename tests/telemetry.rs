@@ -8,6 +8,7 @@ use fedadmm::data::partition::Partition;
 use fedadmm::prelude::*;
 use fedadmm::telemetry::{names, SpanRecord};
 use fedadmm_core::engine::RoundEngine;
+use std::sync::{Arc, Mutex};
 
 fn config(num_clients: usize, seed: u64) -> FedConfig {
     FedConfig {
@@ -41,15 +42,6 @@ fn engine_parts(
     (cfg, train, test, partition)
 }
 
-/// Downcasts the boxed hooks an engine hands back to the `Recorder` that
-/// was installed.
-fn recorder_of(telemetry: &dyn Telemetry) -> &Recorder {
-    telemetry
-        .as_any()
-        .and_then(|a| a.downcast_ref::<Recorder>())
-        .expect("installed telemetry is the recorder")
-}
-
 #[test]
 fn recorder_observes_a_sync_run() {
     let (cfg, train, test, partition) = engine_parts(8, 11);
@@ -66,10 +58,8 @@ fn recorder_observes_a_sync_run() {
     .with_telemetry(Box::new(Recorder::new()));
     engine.run_rounds(rounds).unwrap();
 
-    let mut telemetry = engine.take_telemetry();
-    let recorder = telemetry
-        .as_any_mut()
-        .and_then(|a| a.downcast_mut::<Recorder>())
+    let recorder = engine
+        .recorder_mut()
         .expect("installed telemetry is the recorder");
 
     let m = recorder.metrics();
@@ -157,8 +147,9 @@ fn recorder_observes_staleness_under_semi_async() {
     .with_telemetry(Box::new(Recorder::new()));
     engine.run_rounds(10).unwrap();
 
-    let telemetry = engine.take_telemetry();
-    let recorder = recorder_of(telemetry.as_ref());
+    let recorder = engine
+        .recorder()
+        .expect("installed telemetry is the recorder");
     let staleness = recorder
         .metrics()
         .histogram_by_name(names::STALENESS_ROUNDS)
@@ -210,8 +201,9 @@ fn recorder_observes_buffered_async_ticks() {
         assert!(guard < 256, "buffered scheduler never aggregated");
     }
 
-    let telemetry = engine.take_telemetry();
-    let recorder = recorder_of(telemetry.as_ref());
+    let recorder = engine
+        .recorder()
+        .expect("installed telemetry is the recorder");
     let m = recorder.metrics();
     assert!(m.counter_by_name(names::CLIENT_UPDATES_TOTAL).unwrap() > 0);
     assert!(m.counter_by_name(names::AGGREGATIONS_TOTAL).unwrap() >= 2);
@@ -242,22 +234,78 @@ fn optimality_gap_gauge_is_opt_in_and_reported_per_round() {
             engine = engine.with_optimality_gap(rho);
         }
         engine.run_rounds(2).unwrap();
-        engine.take_telemetry()
+        let recorder = engine
+            .recorder()
+            .expect("installed telemetry is the recorder");
+        recorder.metrics().gauge_by_name("optimality_gap")
     };
 
-    let telemetry = run(true);
-    let gap = recorder_of(telemetry.as_ref())
-        .metrics()
-        .gauge_by_name("optimality_gap")
-        .expect("gap gauge registered dynamically");
+    let gap = run(true).expect("gap gauge registered dynamically");
     assert!(gap.is_finite() && gap >= 0.0);
 
     // Without `with_optimality_gap` the gauge never appears.
-    let telemetry = run(false);
-    assert_eq!(
-        recorder_of(telemetry.as_ref())
-            .metrics()
-            .gauge_by_name("optimality_gap"),
-        None
-    );
+    assert_eq!(run(false), None);
+}
+
+/// The seam's fake: keeps the debug text of every event it is handed.
+struct Collect(Arc<Mutex<Vec<String>>>);
+
+impl Telemetry for Collect {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn on_event(&mut self, event: &Event<'_>) {
+        self.0.lock().unwrap().push(format!("{event:?}"));
+    }
+}
+
+/// `event` without what legitimately differs between two runs: wall-clock
+/// readings (`…seconds: <value>`) and the pool geometry of a dispatch batch.
+fn run_independent(event: &str) -> String {
+    if event.starts_with("Dispatch") {
+        return "Dispatch".to_string();
+    }
+    let mut out = String::new();
+    let mut rest = event;
+    while let Some(at) = rest.find("seconds: ") {
+        let (kept, value) = rest.split_at(at + "seconds: ".len());
+        out.push_str(kept);
+        out.push('_');
+        rest = &value[value.find([',', ' ']).unwrap_or(value.len())..];
+    }
+    out + rest
+}
+
+#[test]
+fn a_custom_hook_sees_the_same_events_at_any_worker_count() {
+    let events_at = |workers: usize| {
+        let (cfg, train, test, partition) = engine_parts(8, 15);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut engine = RoundEngine::new(
+            cfg,
+            train,
+            test,
+            partition,
+            FedAdmm::paper_default(),
+            SyncRounds,
+        )
+        .unwrap()
+        .with_dispatch_workers(workers)
+        .with_telemetry(Box::new(Collect(Arc::clone(&log))));
+        engine.run_rounds(2).unwrap();
+        assert!(engine.recorder().is_none(), "the fake is not a recorder");
+        let events = log.lock().unwrap();
+        events
+            .iter()
+            .map(|e| run_independent(e))
+            .collect::<Vec<_>>()
+    };
+    let inline = events_at(1);
+    assert_eq!(inline[0], r#"SpanStart { name: "sync-rounds", round: 0 }"#);
+    // 4 of 8 clients per round, reported in client-id order after the batch.
+    let updates = inline.iter().filter(|e| e.starts_with("ClientUpdate"));
+    assert_eq!(updates.count(), 4 * 2);
+    assert!(inline.contains(&"Eval { round: 1, seconds: _ }".to_string()));
+    assert_eq!(inline, events_at(3));
 }

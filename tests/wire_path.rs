@@ -258,10 +258,8 @@ fn compressed_private_run_still_learns() {
 fn fuse_passes<A: Algorithm>(algorithm: A, wire: WirePathConfig) -> usize {
     let mut engine = engine_with(algorithm, 29, wire).with_telemetry(Box::new(Recorder::new()));
     engine.run_rounds(3).unwrap();
-    let telemetry = engine.take_telemetry();
-    let recorder = telemetry
-        .as_any()
-        .and_then(|a| a.downcast_ref::<Recorder>())
+    let recorder = engine
+        .recorder()
         .expect("engine hands back the installed recorder");
     let spans = recorder.tracer().records();
     spans.iter().filter(|s| s.name == "fuse_pass").count()
