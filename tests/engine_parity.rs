@@ -4,9 +4,9 @@
 //!
 //! 1. **Parity** — a seeded `RoundEngine` + `SyncRounds` run reproduces
 //!    golden digests of its full `RunHistory` and final global model, for
-//!    FedADMM, for each of the eight baselines and for FedADMM under the
-//!    8-bit + DP wire path (flat and by-shard fold), on every dispatch-pool
-//!    geometry. This is every refactor's contract: selection, RNG streams
+//!    FedADMM, for each of the eight baselines, for FedADMM under the
+//!    8-bit + DP wire path (flat and by-shard fold) and for FedADMM training
+//!    the paper's CNN 1, on every dispatch-pool geometry. This is every refactor's contract: selection, RNG streams
 //!    and float-op order do not move.
 //! 2. **Robustness** — under the `SemiAsync` deadline scheduler on a
 //!    straggler fleet, FedADMM keeps learning from staleness-damped late
@@ -165,6 +165,38 @@ fn wire_on_runs_match_their_pre_restructure_golden_digests() {
             );
         }
     }
+}
+
+/// FedADMM training the paper's CNN 1 (the only `Conv2d` / `MaxPool2d` /
+/// im2col user): 4 clients × 5 samples, half the fleet per round, 1–2 local
+/// epochs in ragged batches of 4 + 1, 2 rounds. Captured on the commit
+/// before the `A·Bᵀ` panel kernel replaced the convolution's hand-rolled
+/// product nests.
+const GOLDEN_CNN_DIGEST: u64 = 0x1ce8_1295_2b96_3921;
+
+#[test]
+fn cnn_run_matches_its_pre_panel_kernel_golden_digest() {
+    let num_clients = 4;
+    let cfg = FedConfig {
+        participation: Participation::Fraction(0.5),
+        local_epochs: 2,
+        batch_size: BatchSize::Size(4),
+        local_learning_rate: 0.01,
+        model: ModelSpec::Cnn1,
+        ..config(num_clients, 57, true)
+    };
+    let (train, test) = SyntheticDataset::Mnist.generate(num_clients * 5, 12, 57);
+    let partition = DataDistribution::Iid.partition(&train, num_clients, 57);
+    let algorithm = FedAdmm::paper_default();
+    let mut engine = RoundEngine::new(cfg, train, test, partition, algorithm, SyncRounds)
+        .unwrap()
+        .with_wire_path(WirePathConfig::disabled());
+    engine.run_rounds(2).unwrap();
+    let digest = run_digest(engine.history(), engine.global_model());
+    assert_eq!(
+        digest, GOLDEN_CNN_DIGEST,
+        "CNN run diverged from its golden digest (digest {digest:#018x})"
+    );
 }
 
 /// The eight non-FedADMM algorithms on the golden scenario, with the digest
