@@ -11,8 +11,12 @@
 //! ```text
 //!        input ──▶ [layer 0] ──▶ acts[0] ──▶ [layer 1] ──▶ acts[1] ... acts[n-1]
 //!                                                                        │ loss
-//!   grads[0] ◀── [layer 0] ◀── grads[1] ◀── [layer 1] ◀── ...  ◀── loss_grad
+//!                [layer 0] ◀── grads[1] ◀── [layer 1] ◀── ...  ◀── loss_grad
 //! ```
+//!
+//! The backward sweep stops at the first layer that owns parameters: the
+//! gradient with respect to the network input is never read by training,
+//! so it is not computed and `grads[0]` stays empty.
 
 use fedadmm_tensor::Tensor;
 
@@ -23,7 +27,8 @@ use fedadmm_tensor::Tensor;
 pub struct ActivationArena {
     /// `acts[i]` holds the output of layer `i` from the last forward pass.
     pub(crate) acts: Vec<Tensor>,
-    /// `grads[i]` holds `dL/d(input of layer i)` from the last backward pass.
+    /// `grads[i]` holds `dL/d(input of layer i)` from the last backward
+    /// pass, for every layer above the first one that owns parameters.
     pub(crate) grads: Vec<Tensor>,
     /// Gradient of the loss with respect to the network output; the caller
     /// fills this (e.g. via `softmax_cross_entropy_into`) between the
@@ -80,17 +85,6 @@ impl ActivationArena {
                 .expect("ActivationArena::output_and_loss_grad before forward_arena"),
             &mut self.loss_grad,
         )
-    }
-
-    /// The gradient with respect to the network input from the last
-    /// `backward_arena` pass.
-    ///
-    /// # Panics
-    /// Panics if no backward pass has populated the arena yet.
-    pub fn input_grad(&self) -> &Tensor {
-        self.grads
-            .first()
-            .expect("ActivationArena::input_grad before backward_arena")
     }
 }
 

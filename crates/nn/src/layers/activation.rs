@@ -40,7 +40,11 @@ impl Layer for Tanh {
         Ok(())
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {
+    fn backward_into(
+        &mut self,
+        grad_output: &Tensor,
+        grad_input: Option<&mut Tensor>,
+    ) -> TensorResult<()> {
         let output = self.output.as_ref().ok_or_else(|| {
             TensorError::InvalidArgument("Tanh::backward called before forward".into())
         })?;
@@ -51,6 +55,9 @@ impl Layer for Tanh {
                 grad_output.len()
             )));
         }
+        let Some(grad_input) = grad_input else {
+            return Ok(());
+        };
         grad_input.resize_in_place(grad_output.dims());
         let data = grad_input.data_mut();
         data.copy_from_slice(grad_output.data());
@@ -97,7 +104,11 @@ impl Layer for Sigmoid {
         Ok(())
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {
+    fn backward_into(
+        &mut self,
+        grad_output: &Tensor,
+        grad_input: Option<&mut Tensor>,
+    ) -> TensorResult<()> {
         let output = self.output.as_ref().ok_or_else(|| {
             TensorError::InvalidArgument("Sigmoid::backward called before forward".into())
         })?;
@@ -108,6 +119,9 @@ impl Layer for Sigmoid {
                 grad_output.len()
             )));
         }
+        let Some(grad_input) = grad_input else {
+            return Ok(());
+        };
         grad_input.resize_in_place(grad_output.dims());
         let data = grad_input.data_mut();
         data.copy_from_slice(grad_output.data());

@@ -94,7 +94,11 @@ impl Layer for Conv2d {
         Ok(())
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {
+    fn backward_into(
+        &mut self,
+        grad_output: &Tensor,
+        grad_input: Option<&mut Tensor>,
+    ) -> TensorResult<()> {
         let input = self.cached_input.as_ref().ok_or_else(|| {
             TensorError::InvalidArgument("Conv2d::backward called before forward".into())
         })?;
@@ -218,5 +222,13 @@ mod tests {
         let x = fedadmm_tensor::init::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
         gradcheck::check_param_gradients(&mut c, &x, &[0, 10, 33, 55], 1e-1);
         gradcheck::check_input_gradients(&mut c, &x, &[0, 20, 49, 77], 1e-1);
+    }
+
+    #[test]
+    fn param_gradients_do_not_depend_on_grad_input_being_requested() {
+        let mut rng = SmallRng::seed_from_u64(15);
+        let mut c = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let x = fedadmm_tensor::init::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
+        gradcheck::check_param_gradients_ignore_grad_input(&mut c, &x);
     }
 }

@@ -90,7 +90,11 @@ impl Layer for Dropout {
         Ok(())
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {
+    fn backward_into(
+        &mut self,
+        grad_output: &Tensor,
+        grad_input: Option<&mut Tensor>,
+    ) -> TensorResult<()> {
         let mask = self.mask.as_ref().ok_or_else(|| {
             TensorError::InvalidArgument("Dropout::backward called before forward".into())
         })?;
@@ -101,6 +105,9 @@ impl Layer for Dropout {
                 grad_output.len()
             )));
         }
+        let Some(grad_input) = grad_input else {
+            return Ok(());
+        };
         grad_input.resize_in_place(grad_output.dims());
         let data = grad_input.data_mut();
         data.copy_from_slice(grad_output.data());

@@ -38,7 +38,11 @@ impl Layer for Flatten {
         Ok(())
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {
+    fn backward_into(
+        &mut self,
+        grad_output: &Tensor,
+        grad_input: Option<&mut Tensor>,
+    ) -> TensorResult<()> {
         let dims = self.cached_dims.as_ref().ok_or_else(|| {
             TensorError::InvalidArgument("Flatten::backward called before forward".into())
         })?;
@@ -49,6 +53,9 @@ impl Layer for Flatten {
                 to: expected,
             });
         }
+        let Some(grad_input) = grad_input else {
+            return Ok(());
+        };
         grad_input.resize_in_place(dims);
         grad_input.data_mut().copy_from_slice(grad_output.data());
         Ok(())

@@ -124,7 +124,11 @@ impl Layer for Linear {
         Ok(())
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {
+    fn backward_into(
+        &mut self,
+        grad_output: &Tensor,
+        grad_input: Option<&mut Tensor>,
+    ) -> TensorResult<()> {
         let input = self.cached_input.as_ref().ok_or_else(|| {
             TensorError::InvalidArgument("Linear::backward called before forward".into())
         })?;
@@ -160,7 +164,10 @@ impl Layer for Linear {
             }
         }
         // dx[batch, in] = g[batch, out] · W[out, in]
-        ops::gemm_into(g, &self.weight, grad_input)
+        match grad_input {
+            Some(grad_input) => ops::gemm_into(g, &self.weight, grad_input),
+            None => Ok(()),
+        }
     }
 
     fn num_params(&self) -> usize {
@@ -274,6 +281,16 @@ mod tests {
         gradcheck::check_input_gradients(&mut l, &x, &[0, 4, 11, 17], 5e-2);
     }
 
+    #[test]
+    fn param_gradients_do_not_depend_on_grad_input_being_requested() {
+        let mut rng = SmallRng::seed_from_u64(13);
+        let x = fedadmm_tensor::init::randn(&[5, 6], 0.0, 1.0, &mut rng);
+        let mut plain = Linear::new(6, 4, &mut rng);
+        gradcheck::check_param_gradients_ignore_grad_input(&mut plain, &x);
+        let mut fused = Linear::new_fused_relu(6, 4, &mut rng);
+        gradcheck::check_param_gradients_ignore_grad_input(&mut fused, &x);
+    }
+
     /// The fused Linear+ReLU layer must be bit-identical to a `Linear`
     /// followed by a separate `Relu`, forward and backward.
     #[test]
@@ -321,7 +338,7 @@ mod tests {
         let mut gi = Tensor::ones(&[7]);
         l.forward_into(&x, &mut out).unwrap();
         l.zero_grads();
-        l.backward_into(&go, &mut gi).unwrap();
+        l.backward_into(&go, Some(&mut gi)).unwrap();
         let grads_into = {
             let mut g = Vec::new();
             l.write_grads(&mut g);

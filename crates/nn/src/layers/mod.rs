@@ -37,7 +37,14 @@ use fedadmm_tensor::{Tensor, TensorResult};
 ///    needs;
 /// 2. `backward_into` consumes the gradient of the loss with respect to the
 ///    layer's output, *accumulates* gradients for the layer's own
-///    parameters, and writes the gradient with respect to the input.
+///    parameters, and writes the gradient with respect to the input — when
+///    the caller asks for it. `grad_input` is `None` when nobody reads
+///    `dL/d(input)`: [`Network::backward_arena`](crate::Network::backward_arena)
+///    passes `None` to the first layer that owns parameters (the gradient
+///    with respect to the data is never used by training) and does not run
+///    the parameter-free layers below it at all. A layer given `None`
+///    accumulates exactly the parameter gradients it would have with
+///    `Some`, and skips the input-gradient product.
 ///
 /// `backward_into` must be called after `forward_into` on the same batch.
 /// Both write into caller-owned tensors that they resize in place, so a
@@ -55,10 +62,15 @@ pub trait Layer: Send {
     /// overwritten.
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()>;
 
-    /// Backward pass: accumulates parameter gradients and writes
-    /// `dL/d(input)` into `grad_input`, resized in place and fully
-    /// overwritten.
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()>;
+    /// Backward pass: accumulates parameter gradients and, given
+    /// `Some(grad_input)`, writes `dL/d(input)` into it, resized in place
+    /// and fully overwritten. With `None` the input gradient is not
+    /// computed; the parameter gradients are bit-identical either way.
+    fn backward_into(
+        &mut self,
+        grad_output: &Tensor,
+        grad_input: Option<&mut Tensor>,
+    ) -> TensorResult<()>;
 
     /// [`Layer::forward_into`] a fresh tensor (tests, one-off calls).
     fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor> {
@@ -70,7 +82,7 @@ pub trait Layer: Send {
     /// [`Layer::backward_into`] a fresh tensor (tests, one-off calls).
     fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
         let mut grad_input = Tensor::zeros(&[0]);
-        self.backward_into(grad_output, &mut grad_input)?;
+        self.backward_into(grad_output, Some(&mut grad_input))?;
         Ok(grad_input)
     }
 
@@ -148,6 +160,27 @@ pub(crate) mod gradcheck {
                 "param {idx}: numeric {numeric} vs analytic {analytic}"
             );
         }
+    }
+
+    /// Asserts that `backward_into(.., None)` accumulates bit-for-bit the
+    /// parameter gradients `backward_into(.., Some(..))` does: skipping the
+    /// input gradient must not touch the parameter sweep.
+    pub fn check_param_gradients_ignore_grad_input(layer: &mut dyn Layer, input: &Tensor) {
+        let out = layer.forward(input).unwrap();
+        let grad_out = out.map(|v| 0.5 - v);
+        let mut grads = [Vec::new(), Vec::new()];
+        let mut grad_input = Tensor::zeros(&[0]);
+        for (with_input, grads) in [true, false].into_iter().zip(grads.iter_mut()) {
+            layer.zero_grads();
+            let grad_input = with_input.then_some(&mut grad_input);
+            layer.backward_into(&grad_out, grad_input).unwrap();
+            layer.write_grads(grads);
+        }
+        assert_eq!(grad_input.dims(), input.dims());
+        assert_eq!(grads[0].len(), layer.num_params());
+        assert!(grads[0].iter().any(|&g| g != 0.0));
+        let bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&grads[0]), bits(&grads[1]));
     }
 
     /// Checks `dL/dinput` of `layer` against central finite differences.

@@ -38,7 +38,11 @@ impl Layer for MaxPool2d {
         Ok(())
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {
+    fn backward_into(
+        &mut self,
+        grad_output: &Tensor,
+        grad_input: Option<&mut Tensor>,
+    ) -> TensorResult<()> {
         let argmax = self.cached_argmax.as_ref().ok_or_else(|| {
             TensorError::InvalidArgument("MaxPool2d::backward called before forward".into())
         })?;
@@ -46,6 +50,9 @@ impl Layer for MaxPool2d {
             .cached_input_dims
             .as_ref()
             .expect("dims cached with argmax");
+        let Some(grad_input) = grad_input else {
+            return Ok(());
+        };
         ops::max_pool2d_backward_into(grad_output, argmax, dims, grad_input)
     }
 

@@ -60,7 +60,11 @@ impl Layer for Reshape {
         Ok(())
     }
 
-    fn backward_into(&mut self, grad_output: &Tensor, grad_input: &mut Tensor) -> TensorResult<()> {
+    fn backward_into(
+        &mut self,
+        grad_output: &Tensor,
+        grad_input: Option<&mut Tensor>,
+    ) -> TensorResult<()> {
         let dims = self.cached_dims.as_ref().ok_or_else(|| {
             TensorError::InvalidArgument("Reshape::backward called before forward".into())
         })?;
@@ -71,6 +75,9 @@ impl Layer for Reshape {
                 to: expected,
             });
         }
+        let Some(grad_input) = grad_input else {
+            return Ok(());
+        };
         grad_input.resize_in_place(dims);
         grad_input.data_mut().copy_from_slice(grad_output.data());
         Ok(())

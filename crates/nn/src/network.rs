@@ -93,7 +93,10 @@ impl Network {
     /// `loss::softmax_cross_entropy_into` after the forward pass) and
     /// accumulating parameter gradients.
     ///
-    /// The input gradient lands in [`ActivationArena::input_grad`].
+    /// The sweep ends at the first layer that owns parameters, which is
+    /// given no `grad_input`: training never reads the gradient with
+    /// respect to the data, so that product and every parameter-free layer
+    /// below it (an input `Reshape`) are skipped.
     pub fn backward_arena(&mut self, arena: &mut ActivationArena) -> TensorResult<()> {
         let n = self.layers.len();
         if arena.acts.len() < n || n == 0 {
@@ -102,14 +105,20 @@ impl Network {
             ));
         }
         arena.ensure_layers(n);
-        for i in (0..n).rev() {
+        let first = self
+            .layers
+            .iter()
+            .position(|layer| layer.num_params() > 0)
+            .unwrap_or(n);
+        for i in (first..n).rev() {
             let (head, tail) = arena.grads.split_at_mut(i + 1);
             let g_src: &Tensor = if i == n - 1 {
                 &arena.loss_grad
             } else {
                 &tail[0]
             };
-            self.layers[i].backward_into(g_src, &mut head[i])?;
+            let grad_input = (i > first).then_some(&mut head[i]);
+            self.layers[i].backward_into(g_src, grad_input)?;
         }
         Ok(())
     }
@@ -180,7 +189,7 @@ impl std::fmt::Debug for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Linear, Relu};
+    use crate::layers::{Conv2d, Flatten, Linear, MaxPool2d, Relu, Reshape};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -260,23 +269,20 @@ mod tests {
         assert!(net.grads_flat().iter().all(|&g| g == 0.0));
     }
 
-    /// The arena-routed forward/backward must be bit-identical to running
-    /// the layers one by one through fresh tensors, and repeat passes must
-    /// reuse the arena slots.
-    #[test]
-    fn arena_path_matches_layer_by_layer_reference() {
-        let mut rng = SmallRng::seed_from_u64(17);
-        let mut net = small_net(17);
+    /// Asserts the arena-routed forward/backward of `net` bit-identical to
+    /// running its layers one by one through fresh tensors — where every
+    /// layer, the first included, is asked for its input gradient — and
+    /// that repeat passes reuse the arena slots.
+    fn assert_arena_matches_reference(mut net: Network, x: &Tensor, rng: &mut SmallRng) {
         let mut reference = net.clone();
-        let x = fedadmm_tensor::init::randn(&[3, 4], 0.0, 1.0, &mut rng);
-
-        let y_ref = reference.forward(&x).unwrap();
-        let loss_grad = fedadmm_tensor::init::randn(y_ref.dims(), 0.0, 1.0, &mut rng);
+        let y_ref = reference.forward(x).unwrap();
+        let loss_grad = fedadmm_tensor::init::randn(y_ref.dims(), 0.0, 1.0, rng);
         reference.zero_grads();
         let gx_ref = reference.backward(&loss_grad).unwrap();
+        assert_eq!(gx_ref.dims(), x.dims());
 
         let mut arena = ActivationArena::new();
-        net.forward_arena(&x, &mut arena).unwrap();
+        net.forward_arena(x, &mut arena).unwrap();
         for (a, b) in arena.output().data().iter().zip(y_ref.data().iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -287,16 +293,40 @@ mod tests {
         }
         net.zero_grads();
         net.backward_arena(&mut arena).unwrap();
-        for (a, b) in arena.input_grad().data().iter().zip(gx_ref.data().iter()) {
+        // The arena sweep asks the first parametrised layer for no input
+        // gradient; the parameter gradients must not notice.
+        let (grads, grads_ref) = (net.grads_flat(), reference.grads_flat());
+        assert_eq!(grads.len(), grads_ref.len());
+        for (a, b) in grads.iter().zip(grads_ref.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(net.grads_flat(), reference.grads_flat());
 
         // A second pass through the same arena must agree as well.
-        net.forward_arena(&x, &mut arena).unwrap();
+        net.forward_arena(x, &mut arena).unwrap();
         for (a, b) in arena.output().data().iter().zip(y_ref.data().iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn arena_path_matches_layer_by_layer_reference() {
+        let mut rng = SmallRng::seed_from_u64(17);
+        let x = fedadmm_tensor::init::randn(&[3, 4], 0.0, 1.0, &mut rng);
+        assert_arena_matches_reference(small_net(17), &x, &mut rng);
+
+        // A convolutional stack behind an input `Reshape`: the sweep stops
+        // at the first convolution and never runs the reshape's backward.
+        let conv_net = Network::new(vec![
+            Box::new(Reshape::new(&[1, 6, 6])),
+            Box::new(Conv2d::new(1, 2, 3, 1, 1, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(MaxPool2d::new(2, 2)),
+            Box::new(Conv2d::new(2, 3, 3, 1, 1, &mut rng)),
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(27, 4, &mut rng)),
+        ]);
+        let x = fedadmm_tensor::init::randn(&[2, 36], 0.0, 1.0, &mut rng);
+        assert_arena_matches_reference(conv_net, &x, &mut rng);
     }
 
     #[test]

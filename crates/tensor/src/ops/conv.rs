@@ -12,7 +12,7 @@
 //! * output:  `[batch, out_channels, out_h, out_w]`
 
 use crate::error::{TensorError, TensorResult};
-use crate::ops::matmul::matmul_into;
+use crate::ops::matmul::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
 use crate::tensor::Tensor;
 
 /// Computes the output spatial size of a convolution.
@@ -51,7 +51,6 @@ fn resize_scratch(buf: &mut Vec<f32>, len: usize) {
 fn check_shapes(
     input: &Tensor,
     weight: &Tensor,
-    bias: &Tensor,
 ) -> TensorResult<(usize, usize, usize, usize, usize, usize, usize)> {
     if input.rank() != 4 {
         return Err(TensorError::RankMismatch {
@@ -81,12 +80,6 @@ fn check_shapes(
         return Err(TensorError::ShapeMismatch {
             left: input.dims().to_vec(),
             right: weight.dims().to_vec(),
-        });
-    }
-    if bias.len() != out_c {
-        return Err(TensorError::ShapeMismatch {
-            left: vec![out_c],
-            right: bias.dims().to_vec(),
         });
     }
     Ok((batch, in_c, h, w, out_c, kh, kw))
@@ -196,7 +189,13 @@ pub fn conv2d_forward_into(
     scratch: &mut Conv2dScratch,
     out: &mut Tensor,
 ) -> TensorResult<()> {
-    let (batch, in_c, h, w, out_c, kh, kw) = check_shapes(input, weight, bias)?;
+    let (batch, in_c, h, w, out_c, kh, kw) = check_shapes(input, weight)?;
+    if bias.len() != out_c {
+        return Err(TensorError::ShapeMismatch {
+            left: vec![out_c],
+            right: bias.dims().to_vec(),
+        });
+    }
     if stride == 0 {
         return Err(TensorError::InvalidArgument(
             "stride must be positive".into(),
@@ -255,12 +254,15 @@ pub fn conv2d_forward_into(
 /// `grad_output` must have the shape [`conv2d_forward_into`] produces for
 /// the same `(input, weight, stride, padding)`. `grad_weight` / `grad_bias`
 /// are **accumulated into** (`+=`), matching the layer-level contract of a
-/// running gradient; `grad_input` is resized and fully overwritten.
+/// running gradient; `grad_input` takes a `&mut Tensor`, which is resized
+/// and fully overwritten, or `None` when nobody reads `dL/d(input)` (the
+/// network's first convolution), which skips that product and its col2im
+/// scatter altogether.
 /// Per-sample contributions are first folded into a batch total (in sample
 /// order) and the total is added to the accumulators once — the float-op
 /// order the golden digests pin.
 #[allow(clippy::too_many_arguments)]
-pub fn conv2d_backward_into(
+pub fn conv2d_backward_into<'a>(
     input: &Tensor,
     weight: &Tensor,
     grad_output: &Tensor,
@@ -269,10 +271,9 @@ pub fn conv2d_backward_into(
     scratch: &mut Conv2dScratch,
     grad_weight: &mut Tensor,
     grad_bias: &mut Tensor,
-    grad_input: &mut Tensor,
+    grad_input: impl Into<Option<&'a mut Tensor>>,
 ) -> TensorResult<()> {
-    let bias_placeholder = Tensor::zeros(&[weight.dims()[0]]);
-    let (batch, in_c, h, w, out_c, kh, kw) = check_shapes(input, weight, &bias_placeholder)?;
+    let (batch, in_c, h, w, out_c, kh, kw) = check_shapes(input, weight)?;
     let out_h = conv2d_output_size(h, kh, stride, padding);
     let out_w = conv2d_output_size(w, kw, stride, padding);
     let out_hw = out_h * out_w;
@@ -302,15 +303,20 @@ pub fn conv2d_backward_into(
     let sample_out = out_c * out_hw;
 
     resize_scratch(&mut scratch.col, col_rows * out_hw);
-    resize_scratch(&mut scratch.grad_col, col_rows * out_hw);
     resize_scratch(&mut scratch.gw_sample, out_c * col_rows);
     resize_scratch(&mut scratch.gb_sample, out_c);
     resize_scratch(&mut scratch.gw_total, out_c * col_rows);
     resize_scratch(&mut scratch.gb_total, out_c);
 
-    grad_input.resize_in_place(input.dims());
-    let gi_all = grad_input.data_mut();
-    gi_all.iter_mut().for_each(|g| *g = 0.0);
+    let mut gi_all = grad_input.into().map(|grad_input| {
+        grad_input.resize_in_place(input.dims());
+        let gi_all = grad_input.data_mut();
+        gi_all.fill(0.0);
+        gi_all
+    });
+    if gi_all.is_some() {
+        resize_scratch(&mut scratch.grad_col, col_rows * out_hw);
+    }
 
     for b in 0..batch {
         let sample = &input_data[b * sample_in..(b + 1) * sample_in];
@@ -330,18 +336,14 @@ pub fn conv2d_backward_into(
         let go = &grad_out_data[b * sample_out..(b + 1) * sample_out];
 
         // gw_sample[out_c × col_rows] = go[out_c × out_hw] · colᵀ[out_hw × col_rows]
-        for oc in 0..out_c {
-            let go_row = &go[oc * out_hw..(oc + 1) * out_hw];
-            let gw_row = &mut scratch.gw_sample[oc * col_rows..(oc + 1) * col_rows];
-            for (r, gw_v) in gw_row.iter_mut().enumerate() {
-                let col_row = &scratch.col[r * out_hw..(r + 1) * out_hw];
-                let mut acc = 0.0f32;
-                for (a, c) in go_row.iter().zip(col_row.iter()) {
-                    acc += a * c;
-                }
-                *gw_v = acc;
-            }
-        }
+        matmul_a_bt_into(
+            go,
+            &scratch.col,
+            &mut scratch.gw_sample,
+            out_c,
+            out_hw,
+            col_rows,
+        );
         for oc in 0..out_c {
             scratch.gb_sample[oc] = go[oc * out_hw..(oc + 1) * out_hw].iter().sum();
         }
@@ -352,35 +354,30 @@ pub fn conv2d_backward_into(
             *a += b;
         }
 
-        // grad_col[col_rows × out_hw] = weightᵀ[col_rows × out_c] · go[out_c × out_hw]
-        scratch.grad_col.iter_mut().for_each(|g| *g = 0.0);
-        for oc in 0..out_c {
-            let w_row = &weight_data[oc * col_rows..(oc + 1) * col_rows];
-            let go_row = &go[oc * out_hw..(oc + 1) * out_hw];
-            for (r, &w_v) in w_row.iter().enumerate() {
-                if w_v == 0.0 {
-                    continue;
-                }
-                let gc_row = &mut scratch.grad_col[r * out_hw..(r + 1) * out_hw];
-                for (g, &go_v) in gc_row.iter_mut().zip(go_row.iter()) {
-                    *g += w_v * go_v;
-                }
-            }
+        if let Some(gi_all) = gi_all.as_deref_mut() {
+            // grad_col[col_rows × out_hw] = weightᵀ[col_rows × out_c] · go[out_c × out_hw]
+            matmul_at_b_into(
+                weight_data,
+                go,
+                &mut scratch.grad_col,
+                out_c,
+                col_rows,
+                out_hw,
+            );
+            col2im(
+                &scratch.grad_col,
+                &mut gi_all[b * sample_in..(b + 1) * sample_in],
+                in_c,
+                h,
+                w,
+                kh,
+                kw,
+                stride,
+                padding,
+                out_h,
+                out_w,
+            );
         }
-        let gi = &mut gi_all[b * sample_in..(b + 1) * sample_in];
-        col2im(
-            &scratch.grad_col,
-            gi,
-            in_c,
-            h,
-            w,
-            kh,
-            kw,
-            stride,
-            padding,
-            out_h,
-            out_w,
-        );
     }
 
     for (a, b) in grad_weight

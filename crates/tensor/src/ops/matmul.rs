@@ -14,17 +14,30 @@
 //! [`linear_forward_into`] fuses the dense-layer bias add (and optionally
 //! ReLU) into the `A·Bᵀ` sweep.
 //!
-//! The kernels are blocked and register-tiled: inner loops keep a small
-//! tile of output accumulators in registers and stream the operands once
-//! per tile, in the style of the 8-lane chunked [`crate::vecops`] kernels.
-//! **Bit-identity contract:** for every output element the floating-point
-//! accumulation order is exactly the naive kernel's — contributions are
-//! added in increasing `l` (the contracted index) with a single accumulator
-//! per element, and the naive kernels' zero-skip rules are preserved — so
-//! blocked results are bit-identical to the unblocked [`reference`]
-//! kernels (pinned by exactness tests, and end-to-end by the engine-parity
-//! golden digest). Tiling may only regroup *which outputs* advance
-//! together, never the order of adds within one output.
+//! **The rule every kernel obeys:** tiling may regroup *which outputs*
+//! advance together, never the adds within one output. Each output element
+//! has a single accumulator that starts at `+0.0` and receives its
+//! contributions in increasing `l` (the contracted index), with the naive
+//! kernels' zero-skip rules preserved (`A·B` and `Aᵀ·B` skip a zero `a`;
+//! `A·Bᵀ` skips nothing, so `0·∞` is `NaN`). No FMA, no reassociation, no
+//! `unsafe`, no `std::arch`: the results are bit-identical to the unblocked
+//! [`reference`] kernels at any SIMD width the compiler picks (pinned by
+//! exactness tests here, end to end by the engine-parity golden digests,
+//! and in CI under both SSE2 and AVX2 code generation).
+//!
+//! How each product vectorises follows from which index is contiguous:
+//!
+//! * `A·B` and `Aᵀ·B` stream a contiguous row of `B` into a contiguous row
+//!   of `C` for one `l` at a time (`axpy_lanes`, in the style of the 8-lane
+//!   chunked [`crate::vecops`] kernels) — the lanes are output columns.
+//! * `A·Bᵀ` has both operands contiguous along `l`, so lanes cannot be
+//!   `l` without reassociating the sum. `a_bt_panels` instead packs a panel
+//!   of `MR` rows of `A` transposed into a small stack buffer, so the lanes
+//!   are `MR` *output rows*, and keeps an `NR × MR` tile of accumulators in
+//!   registers while it streams `NR` rows of `B` past the pack. The dense
+//!   forward ([`linear_forward_into`]), evaluation and the convolution
+//!   weight gradient all run through this one kernel, with one set of tile
+//!   constants for every shape.
 //!
 //! Every kernel is a serial loop over output rows. Going parallel is the
 //! dispatch pool's job, one level up: it runs whole client updates and whole
@@ -34,13 +47,21 @@
 use crate::error::{TensorError, TensorResult};
 use crate::tensor::Tensor;
 
-/// Register-tile width of the blocked kernels: 8 accumulators per tile,
-/// matching the `vecops` lane count.
+/// Lane-chunk width of the streaming `A·B` / `Aᵀ·B` kernels, matching the
+/// `vecops` lane count.
 const TILE: usize = 8;
 
-/// Column-tile width of the `A·Bᵀ` kernel: independent dot-product
-/// accumulators streamed against one `A` row.
-const BT_TILE: usize = 4;
+/// Rows of `A` per packed panel of the `A·Bᵀ` kernel: the SIMD lanes, each
+/// an independent output row.
+const MR: usize = 8;
+
+/// Rows of `B` (output columns) per register tile of the `A·Bᵀ` kernel, so
+/// a tile holds `NR × MR` accumulators.
+const NR: usize = 4;
+
+/// Length of the contracted axis packed per pass of the `A·Bᵀ` kernel: the
+/// on-stack pack buffer is `KC × MR` floats (16 KiB).
+const KC: usize = 512;
 
 /// Computes `C = A·B` for rank-2 tensors `A: (m,k)` and `B: (k,n)` into a
 /// caller-owned tensor, resizing it to `(m,n)`.
@@ -93,7 +114,8 @@ pub fn gemm_a_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> TensorResult<
 }
 
 /// The fused dense-layer forward kernel: `out = input·weightᵀ + bias`,
-/// optionally through ReLU, in one sweep per output row.
+/// optionally through ReLU, applied to each panel of output rows as the
+/// `A·Bᵀ` kernel finishes it.
 ///
 /// `input: (m,k)`, `weight: (n,k)` (PyTorch `[out_features, in_features]`
 /// layout), `bias: (n)`; `out` is resized to `(m,n)`. Bit-identical to
@@ -122,26 +144,24 @@ pub fn linear_forward_into(
         });
     }
     out.resize_in_place(&[m, n]);
-    let a = input.data();
-    let b = weight.data();
     let bias = bias.data();
-    let out = out.data_mut();
-    for (i, out_row) in out.chunks_mut(n).enumerate() {
-        a_bt_row(&a[i * k..(i + 1) * k], b, out_row, k);
-        for (o, &bias_v) in out_row.iter_mut().zip(bias.iter()) {
-            *o += bias_v;
-        }
-        if relu {
-            // `!(v > 0.0)` (not `v <= 0.0`): NaN must also collapse to 0.0,
-            // exactly as the standalone ReLU layer's mask test does.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            for o in out_row.iter_mut() {
-                if !(*o > 0.0) {
-                    *o = 0.0;
+    a_bt_panels(input.data(), weight.data(), out.data_mut(), k, n, |panel| {
+        for out_row in panel.chunks_exact_mut(n) {
+            for (o, &bias_v) in out_row.iter_mut().zip(bias.iter()) {
+                *o += bias_v;
+            }
+            if relu {
+                // `!(v > 0.0)` (not `v <= 0.0`): NaN must also collapse to
+                // 0.0, exactly as the standalone ReLU layer's mask test does.
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                for o in out_row.iter_mut() {
+                    if !(*o > 0.0) {
+                        *o = 0.0;
+                    }
                 }
             }
         }
-    }
+    });
     Ok(())
 }
 
@@ -159,6 +179,9 @@ pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
+    if n == 0 {
+        return;
+    }
     for (i, out_row) in out.chunks_mut(n).enumerate() {
         out_row.iter_mut().for_each(|o| *o = 0.0);
         let a_row = &a[i * k..(i + 1) * k];
@@ -228,42 +251,9 @@ fn axpy_lanes(alpha: f32, x: &[f32], out: &mut [f32]) {
     }
 }
 
-/// One output row of the `A·Bᵀ` kernel: `out_row[j] = a_row · b[j]`.
-///
-/// Tiled over `BT_TILE` columns: the tile's dot products run as independent
-/// single accumulators against one streaming pass of `a_row`, so `a_row`
-/// is read once per tile instead of once per column. Each accumulator sums
-/// in increasing `l` — the same order as a scalar dot product.
-fn a_bt_row(a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize) {
-    let n = out_row.len();
-    let mut j = 0;
-    while j + BT_TILE <= n {
-        let rows = [
-            &b[j * k..(j + 1) * k],
-            &b[(j + 1) * k..(j + 2) * k],
-            &b[(j + 2) * k..(j + 3) * k],
-            &b[(j + 3) * k..(j + 4) * k],
-        ];
-        let mut acc = [0.0f32; BT_TILE];
-        for (l, &x) in a_row.iter().enumerate() {
-            for (s, row) in acc.iter_mut().zip(rows.iter()) {
-                *s += x * row[l];
-            }
-        }
-        out_row[j..j + BT_TILE].copy_from_slice(&acc);
-        j += BT_TILE;
-    }
-    for (o, b_row) in out_row[j..].iter_mut().zip(b[j * k..].chunks_exact(k)) {
-        let mut acc = 0.0f32;
-        for (x, y) in a_row.iter().zip(b_row.iter()) {
-            acc += x * y;
-        }
-        *o = acc;
-    }
-}
-
 /// Raw kernel: `out[m×n] = a[m×k] · bᵀ[k×n]` for `b: (n,k)`, overwriting
-/// `out`.
+/// `out`. Exposed for the convolution weight gradient, which already has
+/// flat buffers.
 pub(crate) fn matmul_a_bt_into(
     a: &[f32],
     b: &[f32],
@@ -275,9 +265,96 @@ pub(crate) fn matmul_a_bt_into(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    for (i, out_row) in out.chunks_mut(n).enumerate() {
-        a_bt_row(&a[i * k..(i + 1) * k], b, out_row, k);
+    a_bt_panels(a, b, out, k, n, |_| {});
+}
+
+/// The `A·Bᵀ` panel kernel: `out[m×n] = a[m×k] · bᵀ`, then `finish` on each
+/// finished panel of up to `MR` whole output rows (the fused bias / ReLU
+/// hook of [`linear_forward_into`]).
+///
+/// `MR` rows of `A` are packed transposed (`pack[l·MR + r] = a[i0+r][l]`,
+/// lanes past the last row zero), `KC` values of `l` at a time into a stack
+/// buffer, and every `NR`-row tile of `B` is streamed against the pack with
+/// `NR × MR` accumulators in registers: lane `r` of accumulator `c` is the
+/// output `(i0+r, j0+c)` and receives `a·b` in increasing `l`. Between `KC`
+/// chunks the accumulators are carried through `out`, so each output is one
+/// running sum from `+0.0` in the naive order, whatever `MR`, `NR`, `KC` or
+/// the vector width the compiler picks.
+fn a_bt_panels(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    mut finish: impl FnMut(&mut [f32]),
+) {
+    if n == 0 {
+        return;
     }
+    let mut pack = [0.0f32; KC * MR];
+    for (p, panel) in out.chunks_mut(MR * n).enumerate() {
+        let mr = panel.len() / n;
+        let a_rows = &a[p * MR * k..][..mr * k];
+        panel.fill(0.0);
+        for l0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - l0);
+            let pack = &mut pack[..kc * MR];
+            if mr < MR {
+                // The lanes past the last row hold the previous panel's values.
+                pack.fill(0.0);
+            }
+            for (r, a_row) in a_rows.chunks_exact(k).enumerate() {
+                for (lanes, &a_v) in pack.chunks_exact_mut(MR).zip(&a_row[l0..l0 + kc]) {
+                    lanes[r] = a_v;
+                }
+            }
+            for j0 in (0..n).step_by(NR) {
+                let nr = NR.min(n - j0);
+                // A ragged last tile re-reads its last row of `B` in the
+                // unused accumulators, which are never stored.
+                let rows: [&[f32]; NR] = std::array::from_fn(|c| {
+                    let j = j0 + c.min(nr - 1);
+                    &b[j * k + l0..][..kc]
+                });
+                let mut acc = [[0.0f32; MR]; NR];
+                for (c, acc_c) in acc.iter_mut().enumerate().take(nr) {
+                    for (r, v) in acc_c.iter_mut().enumerate().take(mr) {
+                        *v = panel[r * n + j0 + c];
+                    }
+                }
+                a_bt_tile(pack, rows, &mut acc);
+                for (c, acc_c) in acc.iter().enumerate().take(nr) {
+                    for (r, &v) in acc_c.iter().enumerate().take(mr) {
+                        panel[r * n + j0 + c] = v;
+                    }
+                }
+            }
+        }
+        finish(panel);
+    }
+}
+
+/// The register tile of [`a_bt_panels`]: `acc[c][r] += pack[l·MR + r] ·
+/// rows[c][l]` for every `l`, in increasing order.
+///
+/// Kept out of line so the accumulators enter and leave as whole lane
+/// groups: the compiler then vectorises over `r` (the outputs) and holds
+/// the tile in registers across the `l` loop.
+#[inline(never)]
+fn a_bt_tile(pack: &[f32], rows: [&[f32]; NR], acc: &mut [[f32; MR]; NR]) {
+    let mut tile = *acc;
+    let kc = pack.len() / MR;
+    let rows = rows.map(|row| &row[..kc]);
+    for (l, lanes) in pack.chunks_exact(MR).enumerate() {
+        let lanes: &[f32; MR] = lanes.try_into().expect("exact lane chunk");
+        for (tile_c, row) in tile.iter_mut().zip(rows.iter()) {
+            let b_v = row[l];
+            for (v, &a_v) in tile_c.iter_mut().zip(lanes.iter()) {
+                *v += a_v * b_v;
+            }
+        }
+    }
+    *acc = tile;
 }
 
 /// The unblocked reference kernels the blocked family is pinned against.
@@ -526,6 +603,148 @@ mod tests {
                 "matmul_a_bt_into diverged at ({m},{k},{n})"
             );
         }
+    }
+
+    /// `pattern` with IEEE special values poked into a few rows, so most
+    /// outputs stay finite and the contaminated ones are known.
+    fn special_pattern(rows: usize, cols: usize, mul: i64, offset: i64) -> Vec<f32> {
+        let mut v = pattern(rows * cols, mul, offset);
+        let mut poke = |r: usize, c: usize, x: f32| v[(r % rows) * cols + c % cols] = x;
+        poke(0, 1, -0.0);
+        poke(1, cols / 3, f32::NEG_INFINITY);
+        poke(2, cols / 2, f32::INFINITY);
+        poke(5, cols - 1, f32::NAN);
+        v
+    }
+
+    /// Bit patterns, with every NaN mapped to one value: which payload and
+    /// sign a NaN carries is the one thing IEEE 754 (and Rust) leave open
+    /// when two NaNs meet, so it is not part of the kernels' contract.
+    /// Everything else — signed zeros, infinities, the last ulp — is.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
+    }
+
+    /// The `A·Bᵀ` panel kernel against the naive reference at every edge of
+    /// its tiling — partial panels (`m` around `MR`), ragged column tiles
+    /// (`n` around `NR`), and a contracted axis straddling the pack chunk —
+    /// on operands holding `NaN`, `±Inf`, `-0.0` and exact zeros. Pins that
+    /// padding lanes never leak into an output, that no zero-skip crept in
+    /// (`0·Inf` is `NaN`) and that accumulators start from `+0.0`. The
+    /// fused dense-layer kernel must equal it plus bias plus ReLU.
+    #[test]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // the kernel's own NaN-collapsing ReLU test
+    fn a_bt_panel_kernel_bit_identical_to_reference_at_tile_and_chunk_edges() {
+        let ms = [1usize, 3, 4, 7, 8, 9, 15, 16, 17, 256];
+        let ns = [1usize, 3, 4, 5, 10, 64];
+        let ks = [1usize, 2, KC - 1, KC, KC + 1, 2 * KC + 3];
+        for &m in &ms {
+            for &n in &ns {
+                for &k in &ks {
+                    let a = special_pattern(m, k, 3, 1);
+                    let b = special_pattern(n, k, 11, 4);
+                    let mut got = vec![f32::NAN; m * n];
+                    let mut want = vec![f32::NAN; m * n];
+                    matmul_a_bt_into(&a, &b, &mut got, m, k, n);
+                    reference::matmul_a_bt_into(&a, &b, &mut want, m, k, n);
+                    assert_eq!(bits(&got), bits(&want), "a_bt diverged at ({m},{k},{n})");
+
+                    let bias = pattern(n, 7, 3);
+                    for relu in [false, true] {
+                        let mut fused = Tensor::zeros(&[0]);
+                        linear_forward_into(
+                            &t(&a, &[m, k]),
+                            &t(&b, &[n, k]),
+                            &t(&bias, &[n]),
+                            &mut fused,
+                            relu,
+                        )
+                        .unwrap();
+                        let separate: Vec<f32> = want
+                            .chunks(n)
+                            .flat_map(|row| {
+                                row.iter().zip(bias.iter()).map(|(v, bias_v)| v + bias_v)
+                            })
+                            .map(|v| if relu && !(v > 0.0) { 0.0 } else { v })
+                            .collect();
+                        assert_eq!(
+                            bits(fused.data()),
+                            bits(&separate),
+                            "linear_forward (relu {relu}) diverged at ({m},{k},{n})"
+                        );
+                    }
+                }
+            }
+        }
+        // The contaminated outputs are what IEEE says they are.
+        let mut out = [0.0f32; 2];
+        matmul_a_bt_into(
+            &[0.0, 1.0],
+            &[f32::INFINITY, 1.0, -0.0, 0.0],
+            &mut out,
+            1,
+            2,
+            2,
+        );
+        assert!(out[0].is_nan(), "0·Inf was skipped: {}", out[0]);
+        assert_eq!(out[1].to_bits(), 0.0f32.to_bits(), "sum of signed zeros");
+    }
+
+    /// Empty and zero-length-contraction products are values, not panics:
+    /// runs `product(m, k, n, out)` at shapes with `m`, `n` and/or `k` zero
+    /// and asserts an `(m, n)` result — empty, or all `fill` when only `k`
+    /// is zero.
+    fn assert_degenerate_shapes_are_values(
+        fill: f32,
+        product: impl Fn(usize, usize, usize, &mut Tensor) -> TensorResult<()>,
+    ) {
+        for (m, k, n) in [(0, 3, 2), (2, 3, 0), (0, 3, 0), (2, 0, 3), (0, 0, 0)] {
+            let mut out = Tensor::ones(&[5]);
+            product(m, k, n, &mut out).unwrap();
+            assert_eq!(out.dims(), &[m, n], "at ({m},{k},{n})");
+            assert!(out.data().iter().all(|&v| v == fill), "at ({m},{k},{n})");
+        }
+    }
+
+    fn ones(rows: usize, cols: usize) -> Tensor {
+        Tensor::ones(&[rows, cols])
+    }
+
+    #[test]
+    fn gemm_handles_degenerate_shapes() {
+        assert_degenerate_shapes_are_values(0.0, |m, k, n, out| {
+            gemm_into(&ones(m, k), &ones(k, n), out)
+        });
+    }
+
+    #[test]
+    fn gemm_at_b_handles_degenerate_shapes() {
+        assert_degenerate_shapes_are_values(0.0, |m, k, n, out| {
+            gemm_at_b_into(&ones(k, m), &ones(k, n), out)
+        });
+    }
+
+    #[test]
+    fn gemm_a_bt_handles_degenerate_shapes() {
+        assert_degenerate_shapes_are_values(0.0, |m, k, n, out| {
+            gemm_a_bt_into(&ones(m, k), &ones(n, k), out)
+        });
+    }
+
+    #[test]
+    fn linear_forward_handles_degenerate_shapes() {
+        // With nothing to contract, the dense layer is its bias.
+        assert_degenerate_shapes_are_values(1.5, |m, k, n, out| {
+            linear_forward_into(
+                &ones(m, k),
+                &ones(n, k),
+                &Tensor::full(&[n], 1.5),
+                out,
+                true,
+            )
+        });
     }
 
     proptest! {

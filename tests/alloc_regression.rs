@@ -6,11 +6,12 @@
 //! Steady-state mini-batch steps must perform **zero** heap allocations:
 //! every buffer — gathered batch, input tensor, per-layer activations and
 //! gradients, loss gradient, flat gradient — is recycled across steps and
-//! epochs. A second check pins the per-*job* cost of a baseline algorithm
-//! on a warm worker to the payload it uploads, a third bounds a whole
-//! evaluation pass to O(1) allocations regardless of how many 256-sample
-//! chunks it spans, and a fourth pins a warm one-worker
-//! `RoundEngine::evaluate_global` to its result-slot vector.
+//! epochs — for the dense stack, and for the paper's CNN 1 with its im2col,
+//! pooling and convolution-gradient scratch. A further check pins the
+//! per-*job* cost of a baseline algorithm on a warm worker to the payload it
+//! uploads, another bounds a whole evaluation pass to O(1) allocations
+//! regardless of how many 256-sample chunks it spans, and the last pins a
+//! warm one-worker `RoundEngine::evaluate_global` to its result-slot vector.
 //!
 //! Tensor kernels are serial loops and a one-worker dispatch pool runs
 //! inline, so every count is this thread's own buffers on any host.
@@ -111,6 +112,38 @@ fn steady_state_sgd_step_allocates_nothing() {
         "steady-state SGD steps must not allocate: {extra_epochs} extra epochs \
          cost {} allocations",
         long_run as i64 - short_run as i64
+    );
+
+    // The same holds for the convolutional stack: a warm CNN 1 step reuses
+    // the im2col matrix, the pooling argmax and the per-sample weight-gradient
+    // buffers, and the first convolution computes no input gradient at all.
+    let cnn_indices: Vec<usize> = (0..4).collect();
+    let cnn_init = vec![0.01f32; ModelSpec::Cnn1.num_params()];
+    let cnn_env = |epochs: usize| LocalEnv {
+        indices: &cnn_indices,
+        model: ModelSpec::Cnn1,
+        batch_size: BatchSize::Size(2),
+        ..env(epochs)
+    };
+    let mut cnn_cache = NetCache::default();
+    let mut cnn_scratch = TrainScratch::default();
+    let mut cnn_run = |epochs: usize| {
+        let before = alloc_count();
+        local_sgd_cached(
+            &cnn_env(epochs),
+            &cnn_init,
+            &mut cnn_cache,
+            &mut cnn_scratch,
+            |_, _| {},
+        )
+        .unwrap();
+        alloc_count() - before
+    };
+    cnn_run(1); // warm-up
+    let (cnn_short, cnn_long) = (cnn_run(1), cnn_run(2));
+    assert_eq!(
+        cnn_long, cnn_short,
+        "steady-state CNN steps must not allocate: 1 epoch → {cnn_short}, 2 epochs → {cnn_long}"
     );
 
     // One job of a baseline on a warm worker costs what the bare trainer
