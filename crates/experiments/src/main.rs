@@ -103,6 +103,12 @@ fn main() -> ExitCode {
     } else {
         vec![name.as_str()]
     };
+    // A runtime-selected kernel is part of the host fingerprint of any timing.
+    println!(
+        "scale: {scale:?} | gemm kernels: {}",
+        fedadmm_tensor::ops::gemm_isa()
+    );
+    println!();
     let mut reports = Vec::new();
     for n in names {
         match run_one(n, scale) {

@@ -20,36 +20,62 @@
 //! contributions in increasing `l` (the contracted index), with the naive
 //! kernels' zero-skip rules preserved (`A·B` and `Aᵀ·B` skip a zero `a`;
 //! `A·Bᵀ` skips nothing, so `0·∞` is `NaN`). No FMA, no reassociation, no
-//! `unsafe`, no `std::arch`: the results are bit-identical to the unblocked
-//! [`reference`] kernels at any SIMD width the compiler picks (pinned by
-//! exactness tests here, end to end by the engine-parity golden digests,
-//! and in CI under both SSE2 and AVX2 code generation).
+//! `std::arch` intrinsics: SIMD lanes are always independent outputs, so
+//! the results are bit-identical to the unblocked [`reference`] kernels at
+//! any lane width (pinned by exactness tests here and end to end by the
+//! engine-parity golden digests).
+//!
+//! **One body per kernel, two instantiations.** Each register-tile kernel
+//! is a single `#[inline(always)]` body in plain Rust. It is compiled once
+//! for the build's baseline target and, on x86-64, once more inside a
+//! `#[target_feature(enable = "avx2")]` function that contains nothing but
+//! the call to that body, so the compiler vectorises the same loops over 8
+//! lanes instead of SSE2's 4. A CPU that reports AVX2 at run time gets the
+//! second instantiation ([`gemm_isa`] names the choice); every other CPU
+//! and architecture runs the first. The one guarded call per dispatched
+//! kernel (`ab_sweep`, `a_bt_tile`) is the only `unsafe` in the crate's
+//! library code (the exactness tests call each instantiation directly,
+//! behind the same check). There is no switch to set: the selection reads
+//! the CPU, nothing else.
 //!
 //! How each product vectorises follows from which index is contiguous:
 //!
-//! * `A·B` and `Aᵀ·B` stream a contiguous row of `B` into a contiguous row
-//!   of `C` for one `l` at a time (`axpy_lanes`, in the style of the 8-lane
-//!   chunked [`crate::vecops`] kernels) — the lanes are output columns.
+//! * `A·B` and `Aᵀ·B` have `B` and `C` contiguous along the output column
+//!   `j`, so the lanes are output columns. They differ only in how
+//!   `a(i, l)` is addressed and share one sweep (`ab_sweep`): column panels
+//!   outermost, so a `k × TC` panel of `B` stays cached while every row
+//!   tile passes over it; inside, a `TR × TC` tile of accumulators lives in
+//!   registers across the whole `l` loop, each chunk of `B` serves all `TR`
+//!   rows, a zero `a(i, l)` skips its row's adds for that `l`, and every
+//!   output is stored exactly once. Ragged edges run narrower tiles of the
+//!   same body.
 //! * `A·Bᵀ` has both operands contiguous along `l`, so lanes cannot be
 //!   `l` without reassociating the sum. `a_bt_panels` instead packs a panel
 //!   of `MR` rows of `A` transposed into a small stack buffer, so the lanes
 //!   are `MR` *output rows*, and keeps an `NR × MR` tile of accumulators in
 //!   registers while it streams `NR` rows of `B` past the pack. The dense
 //!   forward ([`linear_forward_into`]), evaluation and the convolution
-//!   weight gradient all run through this one kernel, with one set of tile
-//!   constants for every shape.
+//!   weight gradient all run through this one kernel.
 //!
-//! Every kernel is a serial loop over output rows. Going parallel is the
-//! dispatch pool's job, one level up: it runs whole client updates and whole
-//! evaluation chunks side by side, so a kernel never forks inside a busy
-//! worker.
+//! One set of tile constants serves every shape. Every kernel is a serial
+//! loop. Going parallel is the dispatch pool's job, one level up: it runs
+//! whole client updates and whole evaluation chunks side by side, so a
+//! kernel never forks inside a busy worker.
 
 use crate::error::{TensorError, TensorResult};
 use crate::tensor::Tensor;
 
-/// Lane-chunk width of the streaming `A·B` / `Aᵀ·B` kernels, matching the
-/// `vecops` lane count.
-const TILE: usize = 8;
+/// Output rows per register tile of the `A·B` / `Aᵀ·B` sweep.
+const TR: usize = 2;
+
+/// Output columns per register tile of the `A·B` / `Aᵀ·B` sweep: the SIMD
+/// lanes, each an independent output. `TR × TC` accumulators are 8 AVX2
+/// registers, which leaves room for the `B` chunk and the broadcast `a`.
+const TC: usize = 32;
+
+/// Width of the narrower tile that takes the columns left of a whole `TC`
+/// panel before single columns do.
+const TC_EDGE: usize = 4;
 
 /// Rows of `A` per packed panel of the `A·Bᵀ` kernel: the SIMD lanes, each
 /// an independent output row.
@@ -165,43 +191,17 @@ pub fn linear_forward_into(
     Ok(())
 }
 
-/// Raw kernel: `out[m×n] = a[m×k] · b[k×n]`, overwriting `out`.
-///
-/// Streaming axpy form with an explicitly 8-lane-chunked inner loop: for
-/// each `l` the whole contiguous `b` row is folded into the output row in
-/// fixed-width lane groups, so the `a_il == 0` skip is amortised over `n`
-/// multiply-adds and every memory access is sequential. (A column-tiled
-/// variant that keeps output tiles in registers was measured slower here:
-/// it moves the zero-skip branch inside the tile loop and turns the `b`
-/// stream into strided 32-byte reads.) Exposed for the im2col convolution
-/// which already has flat buffers.
+/// Raw kernel: `out[m×n] = a[m×k] · b[k×n]`, overwriting `out`. Exposed
+/// for the im2col convolution, which already has flat buffers.
 pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    if n == 0 {
-        return;
-    }
-    for (i, out_row) in out.chunks_mut(n).enumerate() {
-        out_row.iter_mut().for_each(|o| *o = 0.0);
-        let a_row = &a[i * k..(i + 1) * k];
-        for (l, &a_il) in a_row.iter().enumerate() {
-            if a_il == 0.0 {
-                continue;
-            }
-            axpy_lanes(a_il, &b[l * n..(l + 1) * n], out_row);
-        }
-    }
+    ab_sweep(LeftOperand::row_major(a, k), b, out, m, k, n);
 }
 
 /// Raw kernel: `out[m×n] = aᵀ[m×k] · b[k×n]` for `a: (k,m)`, overwriting
 /// `out`.
-///
-/// Streaming form with an explicitly 8-lane-chunked inner loop: `l` stays
-/// outermost (each `b` row is loaded once per `l` and folded into every
-/// output row it contributes to), preserving increasing-`l` accumulation
-/// per element and the per-element `a_li == 0` skip, so results match the
-/// naive kernel bit for bit.
 pub(crate) fn matmul_at_b_into(
     a: &[f32],
     b: &[f32],
@@ -213,41 +213,164 @@ pub(crate) fn matmul_at_b_into(
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    out.iter_mut().for_each(|o| *o = 0.0);
-    for l in 0..k {
-        let a_row = &a[l * m..(l + 1) * m];
-        let b_row = &b[l * n..(l + 1) * n];
-        for (i, &a_li) in a_row.iter().enumerate() {
-            if a_li == 0.0 {
-                continue;
-            }
-            axpy_lanes(a_li, b_row, &mut out[i * n..(i + 1) * n]);
+    ab_sweep(LeftOperand::transposed(a, m), b, out, m, k, n);
+}
+
+/// The left operand of [`ab_sweep`] as an `m × k` matrix over a flat buffer:
+/// `A` itself for `A·B`, the transposed view of a `(k,m)` buffer for `Aᵀ·B`.
+#[derive(Clone, Copy)]
+struct LeftOperand<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    col_stride: usize,
+}
+
+impl<'a> LeftOperand<'a> {
+    /// `a(i, l) = data[i·k + l]`: a row-major `(m,k)` buffer as it is.
+    fn row_major(data: &'a [f32], k: usize) -> Self {
+        Self {
+            data,
+            row_stride: k,
+            col_stride: 1,
         }
+    }
+
+    /// `a(i, l) = data[l·m + i]`: a row-major `(k,m)` buffer read transposed.
+    fn transposed(data: &'a [f32], m: usize) -> Self {
+        Self {
+            data,
+            row_stride: 1,
+            col_stride: m,
+        }
+    }
+
+    #[inline(always)]
+    fn at(&self, i: usize, l: usize) -> f32 {
+        self.data[i * self.row_stride + l * self.col_stride]
     }
 }
 
-/// `out += alpha * x` in explicit 8-lane chunks, scalar remainder tail.
-///
-/// The lane grouping changes neither the order nor the association of any
-/// accumulation — each output element still receives exactly one
-/// `alpha * x[j]` add — so callers stay bit-identical to a plain loop.
+/// Whether the AVX2 instantiations of the register-tile kernels run: the
+/// CPU says so (std caches the answer after the first query), never a
+/// setting.
 #[inline]
-fn axpy_lanes(alpha: f32, x: &[f32], out: &mut [f32]) {
-    let mut out_chunks = out.chunks_exact_mut(TILE);
-    let mut x_chunks = x.chunks_exact(TILE);
-    for (o, xs) in (&mut out_chunks).zip(&mut x_chunks) {
-        let o: &mut [f32; TILE] = o.try_into().expect("exact lane chunk");
-        let xs: &[f32; TILE] = xs.try_into().expect("exact lane chunk");
-        for s in 0..TILE {
-            o[s] += alpha * xs[s];
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Which instantiation of the GEMM kernels this process runs: `"avx2"` on
+/// an x86-64 CPU that reports AVX2, `"baseline"` (the build's own target
+/// features) anywhere else. The results are the same bits either way; the
+/// speed is not, so a timing is only comparable with this beside it.
+pub fn gemm_isa() -> &'static str {
+    if has_avx2() {
+        "avx2"
+    } else {
+        "baseline"
+    }
+}
+
+/// The tiled sweep behind `A·B` and `Aᵀ·B`: `out[m×n] = a · b[k×n]`,
+/// overwriting `out`, on whichever instantiation the CPU supports.
+fn ab_sweep(a: LeftOperand<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2` just reported that this CPU supports AVX2, the
+        // only requirement of calling a function compiled with it enabled.
+        return unsafe { ab_sweep_avx2(a, b, out, m, k, n) };
+    }
+    ab_sweep_baseline(a, b, out, m, k, n);
+}
+
+// The two instantiations of `ab_sweep_body`: what differs is the target
+// features they are compiled with, so nothing else belongs in them.
+#[inline(never)]
+fn ab_sweep_baseline(a: LeftOperand<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    ab_sweep_body(a, b, out, m, k, n);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn ab_sweep_avx2(a: LeftOperand<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    ab_sweep_body(a, b, out, m, k, n);
+}
+
+/// Covers the output with `TC`-column panels, then `TC_EDGE`-column ones,
+/// then single columns: the ragged edge runs narrower tiles of the same
+/// body.
+#[inline(always)]
+fn ab_sweep_body(a: LeftOperand<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    let j0 = ab_panels::<TC>(a, b, out, m, k, n, 0);
+    let j0 = ab_panels::<TC_EDGE>(a, b, out, m, k, n, j0);
+    ab_panels::<1>(a, b, out, m, k, n, j0);
+}
+
+/// Computes every whole `C`-column panel of the output from column `j0` on
+/// and returns the first column it left. Within a panel the row tiles run
+/// top to bottom, so the panel's `k × C` slice of `b` is reused `m / TR`
+/// times while it is cached.
+#[inline(always)]
+fn ab_panels<const C: usize>(
+    a: LeftOperand<'_>,
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    mut j0: usize,
+) -> usize {
+    while j0 + C <= n {
+        let mut i0 = 0;
+        while i0 + TR <= m {
+            ab_tile::<TR, C>(a, b, out, i0, j0, k, n);
+            i0 += TR;
+        }
+        while i0 < m {
+            ab_tile::<1, C>(a, b, out, i0, j0, k, n);
+            i0 += 1;
+        }
+        j0 += C;
+    }
+    j0
+}
+
+/// One `R × C` register tile: `out[i0+r][j0+c] = Σ_l a(i0+r, l) ·
+/// b[l][j0+c]` with one accumulator per output, from `+0.0`, in increasing
+/// `l`, skipping the `l` whose `a(i0+r, l)` is zero — exactly the naive
+/// kernels' arithmetic. The compiler vectorises over `c` (the outputs) and
+/// holds `acc` in registers across the `l` loop.
+#[inline(always)]
+fn ab_tile<const R: usize, const C: usize>(
+    a: LeftOperand<'_>,
+    b: &[f32],
+    out: &mut [f32],
+    i0: usize,
+    j0: usize,
+    k: usize,
+    n: usize,
+) {
+    let mut acc = [[0.0f32; C]; R];
+    for l in 0..k {
+        let b_chunk: &[f32; C] = b[l * n + j0..][..C].try_into().expect("exact lane chunk");
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let a_v = a.at(i0 + r, l);
+            if a_v == 0.0 {
+                continue;
+            }
+            for (v, &b_v) in acc_r.iter_mut().zip(b_chunk) {
+                *v += a_v * b_v;
+            }
         }
     }
-    for (o, &xv) in out_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(x_chunks.remainder().iter())
-    {
-        *o += alpha * xv;
+    for (r, acc_r) in acc.iter().enumerate() {
+        out[(i0 + r) * n + j0..][..C].copy_from_slice(acc_r);
     }
 }
 
@@ -335,13 +458,35 @@ fn a_bt_panels(
 }
 
 /// The register tile of [`a_bt_panels`]: `acc[c][r] += pack[l·MR + r] ·
-/// rows[c][l]` for every `l`, in increasing order.
-///
-/// Kept out of line so the accumulators enter and leave as whole lane
-/// groups: the compiler then vectorises over `r` (the outputs) and holds
-/// the tile in registers across the `l` loop.
-#[inline(never)]
+/// rows[c][l]` for every `l`, in increasing order, on whichever
+/// instantiation the CPU supports.
+#[inline]
 fn a_bt_tile(pack: &[f32], rows: [&[f32]; NR], acc: &mut [[f32; MR]; NR]) {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2` just reported that this CPU supports AVX2, the
+        // only requirement of calling a function compiled with it enabled.
+        return unsafe { a_bt_tile_avx2(pack, rows, acc) };
+    }
+    a_bt_tile_baseline(pack, rows, acc);
+}
+
+// Out of line so the accumulators enter and leave as whole lane groups: the
+// compiler then vectorises over `r` (the outputs) and holds the tile in
+// registers across the `l` loop.
+#[inline(never)]
+fn a_bt_tile_baseline(pack: &[f32], rows: [&[f32]; NR], acc: &mut [[f32; MR]; NR]) {
+    a_bt_tile_body(pack, rows, acc);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn a_bt_tile_avx2(pack: &[f32], rows: [&[f32]; NR], acc: &mut [[f32; MR]; NR]) {
+    a_bt_tile_body(pack, rows, acc);
+}
+
+#[inline(always)]
+fn a_bt_tile_body(pack: &[f32], rows: [&[f32]; NR], acc: &mut [[f32; MR]; NR]) {
     let mut tile = *acc;
     let kc = pack.len() / MR;
     let rows = rows.map(|row| &row[..kc]);
@@ -555,9 +700,62 @@ mod tests {
             .collect()
     }
 
-    /// The blocked kernels are *exactly* equal to the naive reference at
-    /// adversarial shapes: below, at and just past the 8-wide register
-    /// tile, odd primes, and strongly non-square m/k/n.
+    /// Every instantiation of the `A·B` / `Aᵀ·B` sweep this CPU can run: the
+    /// baseline one always and the AVX2 one when present, so an AVX2 host
+    /// still tests the path a pre-AVX2 host would take.
+    type AbSweep = for<'a> fn(LeftOperand<'a>, &[f32], &mut [f32], usize, usize, usize);
+
+    fn ab_instantiations() -> Vec<(&'static str, AbSweep)> {
+        let mut all: Vec<(&'static str, AbSweep)> = vec![("baseline", ab_sweep_baseline)];
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            all.push(("avx2", |a, b, out, m, k, n| {
+                // SAFETY: only reached on a CPU that reports AVX2.
+                unsafe { ab_sweep_avx2(a, b, out, m, k, n) }
+            }));
+        }
+        all
+    }
+
+    /// Operands `(a: (m,k), b: (k,n))` for the sweep's edge table: `pattern`
+    /// values (one in eight an exact zero) and a `-0.0` in `b`. Row `k/2` of
+    /// `b` is all `±Inf` / `NaN` and faces a column of `a` that is all `±0`,
+    /// so the zero-skip alone keeps those products out of the sums. When
+    /// there is a second row to put it in, the last row of `a` holds a
+    /// `-Inf` that is *not* skipped, whose `±Inf` / `NaN` outputs must match
+    /// the reference.
+    fn ab_edge_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
+        let mut a = pattern(m * k, 3, 1);
+        let mut b = pattern(k * n, 5, 2);
+        let poisoned = k / 2;
+        for (i, a_row) in a.chunks_exact_mut(k).enumerate() {
+            a_row[poisoned] = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        for (j, v) in b[poisoned * n..][..n].iter_mut().enumerate() {
+            *v = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY][j % 3];
+        }
+        if k > 1 {
+            // Row 0 of `b` is not the poisoned one.
+            b[n - 1] = -0.0;
+            if m > 1 {
+                a[(m - 1) * k] = f32::NEG_INFINITY;
+            }
+        }
+        (a, b)
+    }
+
+    /// The blocked kernels are *exactly* equal to the naive reference.
+    ///
+    /// First all three products through their entry points at adversarial
+    /// shapes (around the 8-lane groups, odd primes, strongly non-square).
+    /// Then the `A·B` / `Aᵀ·B` sweep at every edge of its tiling — partial
+    /// row tiles (`m` around `TR`), whole, narrow and single-column panels
+    /// (`n` around `TC` and `TC_EDGE`), short and long contractions — on
+    /// [`ab_edge_operands`], through each instantiation directly. Pins that
+    /// a zero `a(i, l)` is skipped (the outputs it guards stay finite), that
+    /// a ragged tile writes its own columns and every one of them (`out`
+    /// starts as a sentinel), and that lane width is not part of the result:
+    /// the instantiations agree with the reference and with each other.
     #[test]
     fn blocked_kernels_bit_identical_to_reference() {
         let sizes = [1usize, 7, 8, 9, 17, 33];
@@ -603,6 +801,108 @@ mod tests {
                 "matmul_a_bt_into diverged at ({m},{k},{n})"
             );
         }
+
+        const SENTINEL: f32 = -12345.678;
+        let instantiations = ab_instantiations();
+        let ms = [1usize, TR - 1, TR, TR + 1, 17];
+        let ns = [
+            1usize,
+            3,
+            4,
+            5,
+            TC - 1,
+            TC,
+            TC + 1,
+            TC + TC_EDGE + 1,
+            196,
+            784,
+        ];
+        let ks = [1usize, 2, 16, 64, 800];
+        for &m in &ms {
+            for &n in &ns {
+                for &k in &ks {
+                    let (a_mk, b) = ab_edge_operands(m, k, n);
+                    let a_km: Vec<f32> = (0..k * m).map(|x| a_mk[(x % m) * k + x / m]).collect();
+                    let mut want = vec![SENTINEL; m * n];
+                    let mut want_at_b = vec![SENTINEL; m * n];
+                    reference::matmul_into(&a_mk, &b, &mut want, m, k, n);
+                    reference::matmul_at_b_into(&a_km, &b, &mut want_at_b, k, m, n);
+                    assert_eq!(bits(&want), bits(&want_at_b), "references at ({m},{k},{n})");
+                    // Only the unskipped `-Inf` row may be contaminated.
+                    let guarded = if k > 1 && m > 1 { m - 1 } else { m };
+                    assert!(
+                        want[..guarded * n].iter().all(|v| v.is_finite()),
+                        "a zero `a` met the poisoned row of `b` at ({m},{k},{n})"
+                    );
+
+                    let as_a = LeftOperand::row_major(&a_mk, k);
+                    let as_at = LeftOperand::transposed(&a_km, m);
+                    for (product, a) in [("A·B", as_a), ("Aᵀ·B", as_at)] {
+                        for &(isa, sweep) in &instantiations {
+                            let mut got = vec![SENTINEL; m * n];
+                            sweep(a, &b, &mut got, m, k, n);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{product} on {isa} diverged at ({m},{k},{n})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both instantiations of the `A·Bᵀ` register tile against the naive
+    /// loop, on a pack and rows holding `NaN`, `±Inf` and `-0.0` and
+    /// accumulators that do not start at zero (a later `KC` chunk).
+    #[test]
+    fn a_bt_tile_instantiations_match_the_naive_tile() {
+        type Tile = fn(&[f32], [&[f32]; NR], &mut [[f32; MR]; NR]);
+        let mut tiles: Vec<(&str, Tile)> = vec![("baseline", a_bt_tile_baseline)];
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            tiles.push(("avx2", |pack, rows, acc| {
+                // SAFETY: only reached on a CPU that reports AVX2.
+                unsafe { a_bt_tile_avx2(pack, rows, acc) }
+            }));
+        }
+        let kc = 37;
+        let pack = special_pattern(kc, MR, 3, 1);
+        let b = special_pattern(NR, kc, 11, 4);
+        let rows: [&[f32]; NR] = std::array::from_fn(|c| &b[c * kc..][..kc]);
+        let start: [[f32; MR]; NR] =
+            std::array::from_fn(|c| std::array::from_fn(|r| (c * MR + r) as f32 * 0.25 - 3.0));
+        let mut want = start;
+        for l in 0..kc {
+            for (want_c, row) in want.iter_mut().zip(rows) {
+                for (r, v) in want_c.iter_mut().enumerate() {
+                    *v += pack[l * MR + r] * row[l];
+                }
+            }
+        }
+        for (isa, tile) in tiles {
+            let mut acc = start;
+            tile(&pack, rows, &mut acc);
+            assert_eq!(
+                bits(acc.as_flattened()),
+                bits(want.as_flattened()),
+                "on {isa}"
+            );
+        }
+    }
+
+    /// [`gemm_isa`] reports what the dispatch does: AVX2 exactly when an
+    /// x86-64 CPU has it. Printed, so a CI log shows which instantiation
+    /// the golden digests ran on (`-- --nocapture`).
+    #[test]
+    fn gemm_isa_names_the_instantiation_the_cpu_selects() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        println!("gemm_isa: {}", gemm_isa());
+        assert_eq!(gemm_isa(), if avx2 { "avx2" } else { "baseline" });
     }
 
     /// `pattern` with IEEE special values poked into a few rows, so most
