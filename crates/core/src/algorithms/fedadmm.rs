@@ -31,7 +31,7 @@ use super::{Algorithm, ClientMessage, FoldPlan, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::trainer::{local_sgd_cached, LocalEnv};
-use fedadmm_tensor::{vecops, TensorResult};
+use fedadmm_tensor::{TensorError, TensorResult};
 use serde::{Deserialize, Serialize};
 
 /// The server gathering step size η of equation (5).
@@ -129,18 +129,80 @@ impl FedAdmm {
     }
 }
 
+/// The primal–dual bookkeeping every FedADMM variant wraps around its local
+/// solve — Algorithm 1 line 20 and equation (4), and their only
+/// implementation.
+///
+/// `solve(init, y_i)` minimises the augmented Lagrangian from `init`
+/// (`w_i^t` or θ^t, per `local_init`) and returns `w_i^{t+1}` with whatever
+/// accounting the caller wants back. Both arguments are borrowed straight
+/// from the client's state, which is only read until `solve` returns; when
+/// it returns `Err` the state is untouched. Then one pass over
+/// `(w_i^t, y_i, w_i^{t+1}, θ)` computes, per coordinate and in this order,
+///
+/// ```text
+/// u   = w_i^t + (1/ρ)·y_i
+/// y_i ← (y_i + ρ·w_i^{t+1}) + (−ρ)·θ            (line 20)
+/// Δ_i = (w_i^{t+1} + (1/ρ)·y_i) − u             (eq. 4)
+/// ```
+///
+/// — the multiply/add/subtract sequence of
+/// [`ClientState::augmented_model`], two [`ParamVector::axpy`] calls and
+/// [`ParamVector::sub`], so the result carries their bits (pinned by the
+/// engine-parity golden digests). `y_i` is updated in place and Δ is written
+/// over the retired `w_i^t`, whose buffer is returned as the upload while
+/// `w_i^{t+1}` becomes the client's local model: no d-sized temporary.
+///
+/// # Errors
+/// [`TensorError::InvalidArgument`] naming the three lengths when `w_i`,
+/// `y_i` and θ differ in length, and whatever `solve` returns; nothing is
+/// modified in either case.
+pub(super) fn primal_dual_step<T>(
+    client: &mut ClientState,
+    global: &ParamVector,
+    rho: f32,
+    local_init: LocalInit,
+    solve: impl FnOnce(&[f32], &[f32]) -> TensorResult<(Vec<f32>, T)>,
+) -> TensorResult<(ParamVector, T)> {
+    let theta = global.as_slice();
+    let d = client.local_model.len();
+    if client.dual.len() != d || theta.len() != d {
+        return Err(TensorError::InvalidArgument(format!(
+            "FedADMM step on client {}: w_i has {d} coordinates, y_i {} and θ {}",
+            client.id,
+            client.dual.len(),
+            theta.len()
+        )));
+    }
+    let init = match local_init {
+        LocalInit::LocalModel => client.local_model.as_slice(),
+        LocalInit::GlobalModel => theta,
+    };
+    let (w_new, extra) = solve(init, client.dual.as_slice())?;
+    assert_eq!(w_new.len(), d, "the local solve changed the model size");
+
+    let inv_rho = 1.0 / rho;
+    let w_old = client.local_model.as_mut_slice();
+    let dual = client.dual.as_mut_slice();
+    for (((slot, y), &w), &t) in w_old.iter_mut().zip(dual).zip(&w_new).zip(theta) {
+        let old_augmented = *slot + inv_rho * *y;
+        *y = (*y + rho * w) + (-rho) * t;
+        *slot = (w + inv_rho * *y) - old_augmented;
+    }
+    let delta = std::mem::replace(&mut client.local_model, ParamVector::from_vec(w_new));
+    client.times_selected += 1;
+    Ok((delta, extra))
+}
+
 impl Algorithm for FedAdmm {
     fn name(&self) -> &'static str {
         "FedADMM"
     }
 
-    /// Algorithm 1, lines 14–20 and equation (4). The augmented model and
-    /// the dual snapshot live in the worker's reusable scratch, the
-    /// local-training network is cached across jobs, the dual update runs
-    /// in place, and the uploaded Δ is fused into a single pass — the only
-    /// per-job allocations are the new local model and the payload. The
-    /// kind and order of every elementary f32 operation is pinned by the
-    /// engine-parity golden digest.
+    /// Algorithm 1, lines 14–20 and equation (4): `E_i` epochs of SGD on
+    /// the augmented Lagrangian inside [`primal_dual_step`], on the worker's
+    /// cached network and per-batch buffers. A warm job allocates what a
+    /// FedAvg job does: the trained parameter vector and the payload `Vec`.
     fn client_update_scratch(
         &self,
         client: &mut ClientState,
@@ -150,65 +212,28 @@ impl Algorithm for FedAdmm {
     ) -> TensorResult<ClientMessage> {
         let rho = self.rho;
         let theta = global.as_slice();
-        let UpdateScratch {
-            param: old_augmented,
-            dual: dual_snapshot,
-            net,
-            train,
-        } = scratch;
-
-        // u_i^t = w_i^t + y_i^t / ρ, built in the reusable param buffer
-        // (same copy-then-axpy as `ClientState::augmented_model`).
-        old_augmented.clear();
-        old_augmented.extend_from_slice(client.local_model.as_slice());
-        vecops::axpy(1.0 / rho, client.dual.as_slice(), old_augmented);
-
-        // Local training on the augmented Lagrangian (Alg. 1 lines 14–19):
-        //   ∇_w L_i(w) = ∇f_i(w, b) + y_i + ρ(w − θ).
-        let init: &[f32] = match self.local_init {
-            LocalInit::LocalModel => client.local_model.as_slice(),
-            LocalInit::GlobalModel => theta,
-        };
-        dual_snapshot.clear();
-        dual_snapshot.extend_from_slice(client.dual.as_slice());
-        let dual: &[f32] = dual_snapshot;
-        let result = local_sgd_cached(env, init, net, train, |w, g| {
-            for (((gi, &wi), &ti), &yi) in g
-                .iter_mut()
-                .zip(w.iter())
-                .zip(theta.iter())
-                .zip(dual.iter())
-            {
-                *gi += yi + rho * (wi - ti);
-            }
-        })?;
-
-        // Dual update in place (Alg. 1 line 20): y_i ← y_i + ρ(w_i^{t+1} − θ^t).
-        let new_local = ParamVector::from_vec(result.params);
-        client.dual.axpy(rho, &new_local);
-        client.dual.axpy(-rho, global);
-
-        client.local_model = new_local;
-        client.times_selected += 1;
-
-        // Update message (eq. 4): Δ_i = u_i^{t+1} − u_i^t, with u^{t+1}
-        // formed on the fly: each element is w + (1/ρ)·y − old, the same
-        // mul/add/sub sequence as `augmented_model` followed by `sub`.
-        let inv_rho = 1.0 / rho;
-        let delta: Vec<f32> = client
-            .local_model
-            .as_slice()
-            .iter()
-            .zip(client.dual.as_slice())
-            .zip(old_augmented.iter())
-            .map(|((&w, &y), &old)| (w + inv_rho * y) - old)
-            .collect();
+        let UpdateScratch { net, train } = scratch;
+        let (delta, samples_processed) =
+            primal_dual_step(client, global, rho, self.local_init, |init, dual| {
+                // ∇_w L_i(w) = ∇f_i(w, b) + y_i + ρ(w − θ) (Alg. 1 line 17).
+                let result = local_sgd_cached(env, init, net, train, |w, g| {
+                    for (((gi, &wi), &ti), &yi) in g
+                        .iter_mut()
+                        .zip(w.iter())
+                        .zip(theta.iter())
+                        .zip(dual.iter())
+                    {
+                        *gi += yi + rho * (wi - ti);
+                    }
+                })?;
+                Ok((result.params, result.samples_processed))
+            })?;
         Ok(ClientMessage {
             client_id: client.id,
             num_samples: client.num_samples(),
-            payload: vec![ParamVector::from_vec(delta)],
+            payload: vec![delta],
             epochs_run: env.epochs,
-            samples_processed: result.samples_processed,
+            samples_processed,
             wire: None,
         })
     }
@@ -394,6 +419,205 @@ mod tests {
                 assert_eq!(plain[c].times_selected, scratched[c].times_selected);
             }
         }
+    }
+
+    /// Deterministic test vector: ordinary values with `NaN`, `±Inf`,
+    /// `−0.0` and subnormals sprinkled in, at positions that differ per
+    /// `salt` so the four streams meet in many combinations.
+    fn awkward_vector(len: usize, salt: u32) -> Vec<f32> {
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE / 4.0,
+            -f32::MIN_POSITIVE / 64.0,
+            f32::MAX,
+        ];
+        let mut state = salt.wrapping_mul(0x9E37_79B9) | 1;
+        (0..len)
+            .map(|k| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                if (k as u32 + salt).is_multiple_of(5) {
+                    specials[(state >> 13) as usize % specials.len()]
+                } else {
+                    (state >> 8) as f32 / (1u32 << 23) as f32 - 1.0
+                }
+            })
+            .collect()
+    }
+
+    /// Same bits — or both `NaN`: which payload a `NaN` result carries is
+    /// not something Rust specifies, everything else is.
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}[{k}]: {g:e} ({:#010x}) != {w:e} ({:#010x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn fused_step_has_the_bits_of_the_naive_formula() {
+        for rho in [0.01f32, 0.3, 1.0, 7.5] {
+            for len in [0usize, 1, 7, 8, 9, 1000] {
+                for local_init in [LocalInit::LocalModel, LocalInit::GlobalModel] {
+                    let theta = ParamVector::from_vec(awkward_vector(len, 1));
+                    let mut client = ClientState::new(3, vec![0, 1], &theta);
+                    client.local_model = ParamVector::from_vec(awkward_vector(len, 2));
+                    client.dual = ParamVector::from_vec(awkward_vector(len, 3));
+                    let w_new = awkward_vector(len, 4);
+
+                    // Line 20 and eq. (4) as written: augmented model before
+                    // and after, two axpys on a copy of the dual.
+                    let u_before = client.augmented_model(rho);
+                    let mut naive = client.clone();
+                    naive.local_model = ParamVector::from_vec(w_new.clone());
+                    naive.dual.axpy(rho, &naive.local_model);
+                    naive.dual.axpy(-rho, &theta);
+                    let naive_delta = naive.augmented_model(rho).sub(&u_before);
+
+                    let before = client.clone();
+                    let (delta, tag) =
+                        primal_dual_step(&mut client, &theta, rho, local_init, |init, dual| {
+                            let expected_init = match local_init {
+                                LocalInit::LocalModel => &before.local_model,
+                                LocalInit::GlobalModel => &theta,
+                            };
+                            assert_same_bits(init, expected_init.as_slice(), "init");
+                            assert_same_bits(dual, before.dual.as_slice(), "dual during the solve");
+                            Ok((w_new.clone(), 17usize))
+                        })
+                        .unwrap();
+                    let what = format!("ρ {rho}, d {len}, {local_init:?}");
+                    assert_eq!(tag, 17);
+                    assert_same_bits(
+                        client.dual.as_slice(),
+                        naive.dual.as_slice(),
+                        &format!("y ({what})"),
+                    );
+                    assert_same_bits(
+                        delta.as_slice(),
+                        naive_delta.as_slice(),
+                        &format!("Δ ({what})"),
+                    );
+                    assert_same_bits(
+                        client.local_model.as_slice(),
+                        &w_new,
+                        &format!("w ({what})"),
+                    );
+                    assert_eq!(client.times_selected, before.times_selected + 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn payload_reuses_the_retired_local_model_allocation() {
+        // Δ is written over w_i^t: the upload's buffer is the allocation the
+        // old local model lived in, not a fresh d-sized vector.
+        let fixture = Fixture::new(1, 20, 12);
+        let theta = ParamVector::zeros(fixture.dim());
+        for local_init in [LocalInit::LocalModel, LocalInit::GlobalModel] {
+            let alg = FedAdmm::new(0.3, ServerStepSize::Constant(1.0)).with_local_init(local_init);
+            let mut clients = fixture.clients(&theta);
+            let env = fixture.env(0, 1, 3);
+            for _ in 0..2 {
+                let retired = clients[0].local_model.as_slice().as_ptr();
+                let dual = clients[0].dual.as_slice().as_ptr();
+                let msg = alg.client_update(&mut clients[0], &theta, &env).unwrap();
+                assert_eq!(msg.payload[0].as_slice().as_ptr(), retired);
+                assert_eq!(
+                    clients[0].dual.as_slice().as_ptr(),
+                    dual,
+                    "y_i updates in place"
+                );
+                assert_ne!(clients[0].local_model.as_slice().as_ptr(), retired);
+            }
+        }
+    }
+
+    /// `(w_i, y_i, times_selected)` by bit pattern.
+    fn state_bits(client: &ClientState) -> (Vec<u32>, Vec<u32>, usize) {
+        let bits = |v: &ParamVector| v.as_slice().iter().map(|x| x.to_bits()).collect();
+        (
+            bits(&client.local_model),
+            bits(&client.dual),
+            client.times_selected,
+        )
+    }
+
+    #[test]
+    fn length_mismatch_is_an_error_that_names_the_lengths_and_touches_nothing() {
+        let fixture = Fixture::new(1, 20, 13);
+        let d = fixture.dim();
+        let theta = ParamVector::zeros(d);
+        let env = fixture.env(0, 1, 3);
+        let exact = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
+        let inexact = super::super::FedAdmmInexact::to_tolerance(0.3, 1e-2, 0.2);
+        let algorithms: [&dyn Algorithm; 2] = [&exact, &inexact];
+        for alg in algorithms {
+            let mut client = fixture.clients(&theta).remove(0);
+            alg.client_update(&mut client, &theta, &env).unwrap();
+
+            // θ one coordinate short.
+            let before = state_bits(&client);
+            let short_theta = ParamVector::zeros(d - 1);
+            let err = alg
+                .client_update(&mut client, &short_theta, &env)
+                .unwrap_err();
+            let text = err.to_string();
+            assert!(
+                matches!(err, TensorError::InvalidArgument(_))
+                    && text.contains(&format!("w_i has {d}"))
+                    && text.contains(&format!("y_i {d}"))
+                    && text.contains(&format!("θ {}", d - 1)),
+                "{}: {text}",
+                alg.name()
+            );
+            assert_eq!(state_bits(&client), before, "{}", alg.name());
+
+            // y_i one coordinate long.
+            let mut long_dual = client.dual.as_slice().to_vec();
+            long_dual.push(0.5);
+            client.dual = ParamVector::from_vec(long_dual);
+            let before = state_bits(&client);
+            let err = alg.client_update(&mut client, &theta, &env).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("y_i {}", d + 1)),
+                "{}: {err}",
+                alg.name()
+            );
+            assert_eq!(state_bits(&client), before, "{}", alg.name());
+        }
+    }
+
+    #[test]
+    fn failed_local_training_leaves_the_client_state_untouched() {
+        // A label the model has no class for makes the loss — hence local
+        // training — fail on its first batch.
+        let fixture = Fixture::new(1, 20, 14);
+        let (features, mut labels) = fixture.train.gather_all().unwrap();
+        labels[5] = 11;
+        let poisoned = fedadmm_data::Dataset::new(features.into_vec(), labels, 784, 12).unwrap();
+        let theta = ParamVector::from_vec(vec![0.01; fixture.dim()]);
+        let alg = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
+        let mut client = fixture.clients(&theta).remove(0);
+        alg.client_update(&mut client, &theta, &fixture.env(0, 1, 3))
+            .unwrap();
+        let before = state_bits(&client);
+        let env = LocalEnv {
+            dataset: &poisoned,
+            ..fixture.env(0, 2, 4)
+        };
+        let err = alg.client_update(&mut client, &theta, &env).unwrap_err();
+        assert!(err.to_string().contains("label 11 out of range"), "{err}");
+        assert_eq!(state_bits(&client), before);
     }
 
     #[test]

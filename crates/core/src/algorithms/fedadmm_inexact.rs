@@ -16,8 +16,8 @@
 //! subproblem accurately, and the convergence guarantee degrades gracefully
 //! with `ε_max = max_i ε_i` (Theorem 1, equation 8).
 
-use super::{Algorithm, ClientMessage, FoldPlan, UpdateScratch};
-use super::{LocalInit, ServerStepSize};
+use super::fedadmm::primal_dual_step;
+use super::{Algorithm, ClientMessage, FoldPlan, LocalInit, ServerStepSize, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::solver::{AugmentedObjective, LocalSolver};
@@ -86,36 +86,20 @@ impl Algorithm for FedAdmmInexact {
         _scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
         let rho = self.rho;
-        let theta = global.as_slice();
-        let old_augmented = client.augmented_model(rho);
-
-        let dual = client.dual.as_slice().to_vec();
-        let objective = AugmentedObjective::new(env, theta, Some(&dual), rho);
-        let init: Vec<f32> = match self.local_init {
-            LocalInit::LocalModel => client.local_model.as_slice().to_vec(),
-            LocalInit::GlobalModel => theta.to_vec(),
-        };
-        let result = self.solver.solve(&objective, &init)?;
-
-        // Dual update (Alg. 1 line 20): y_i ← y_i + ρ(w_i^{t+1} − θ^t).
-        let new_local = ParamVector::from_vec(result.params);
-        let mut new_dual = client.dual.clone();
-        new_dual.axpy(rho, &new_local);
-        new_dual.axpy(-rho, global);
-
-        client.local_model = new_local;
-        client.dual = new_dual;
-        client.times_selected += 1;
-
-        let delta = client.augmented_model(rho).sub(&old_augmented);
+        let (delta, gradient_evals) =
+            primal_dual_step(client, global, rho, self.local_init, |init, dual| {
+                let objective = AugmentedObjective::new(env, global.as_slice(), Some(dual), rho);
+                let result = self.solver.solve(&objective, init)?;
+                Ok((result.params, result.gradient_evals))
+            })?;
         Ok(ClientMessage {
             client_id: client.id,
             num_samples: client.num_samples(),
             payload: vec![delta],
             // One full-gradient evaluation touches the whole local dataset
             // once, i.e. it costs the same as one epoch.
-            epochs_run: result.gradient_evals,
-            samples_processed: result.gradient_evals * client.num_samples(),
+            epochs_run: gradient_evals,
+            samples_processed: gradient_evals * client.num_samples(),
             wire: None,
         })
     }

@@ -101,16 +101,14 @@ pub struct ServerOutcome {
 /// Reusable per-worker buffers for [`Algorithm::client_update_scratch`].
 ///
 /// The dispatch pool keeps one of these per worker thread and hands it to
-/// every job the worker runs, so O(d) temporaries, the local-training
-/// network and the per-batch SGD buffers are allocated once per worker
-/// instead of once per job. Buffers carry arbitrary leftover contents
-/// between jobs — users must `clear()` before filling.
+/// every job the worker runs, so the local-training network and the
+/// per-batch SGD buffers are allocated once per worker instead of once per
+/// job. No algorithm needs a d-sized temporary of its own: FedADMM's
+/// primal–dual bookkeeping runs in place on the client's state. Buffers
+/// carry arbitrary leftover contents between jobs and are overwritten
+/// before they are read.
 #[derive(Debug, Default)]
 pub struct UpdateScratch {
-    /// Parameter-sized buffer (FedADMM: the pre-update augmented model).
-    pub param: Vec<f32>,
-    /// Dual-sized buffer (FedADMM: the dual snapshot read during SGD).
-    pub dual: Vec<f32>,
     /// Cached local-training network, rebuilt only when the model spec
     /// changes (see [`crate::trainer::NetCache`]).
     pub net: crate::trainer::NetCache,
@@ -256,8 +254,7 @@ pub trait Algorithm: Send + Sync {
     /// This is the only local-update method an algorithm implements, and
     /// the only one the engine calls. SGD-based algorithms pass
     /// `scratch.net` / `scratch.train` to
-    /// [`local_sgd_cached`](crate::trainer::local_sgd_cached) and may park
-    /// O(d) temporaries in `scratch.param` / `scratch.dual`; the result
+    /// [`local_sgd_cached`](crate::trainer::local_sgd_cached); the result
     /// must not depend on what earlier jobs left in `scratch`.
     fn client_update_scratch(
         &self,

@@ -20,7 +20,7 @@
 //!   steady-state dispatch path performs no per-job allocations.
 //!
 //! The pool owns the cores: it runs client updates during a dispatch and,
-//! between dispatches, evaluation chunks and the per-shard folds of
+//! between dispatches, evaluation jobs and the per-shard folds of
 //! hierarchical aggregation — all submitted from the tick thread while the
 //! pool is idle. Tensor kernels and store folds are serial loops, so the
 //! worker count is the single parallelism control and a one-worker pool
@@ -98,7 +98,7 @@ impl DispatchConfig {
 pub struct DispatchScratch {
     /// Reusable copy of the client's sample indices.
     pub indices: Vec<usize>,
-    /// The algorithm's reusable O(d) buffers.
+    /// The algorithm's cached network and per-batch training buffers.
     pub update: UpdateScratch,
     /// Staging buffer for wire-path quantization codes
     /// ([`Quantizer::quantize_into`](crate::compression::Quantizer::quantize_into)):

@@ -24,7 +24,7 @@
 //!   [`DispatchPool`]: workers claim job chunks from a shared cursor (so
 //!   stragglers never serialize a partition) and reuse per-thread scratch
 //!   arenas (so steady-state dispatch allocates nothing). Between
-//!   dispatches the same workers run the evaluation chunks of
+//!   dispatches the same workers run the forward-only evaluation jobs of
 //!   [`EngineCore::evaluate_global`] and the per-shard folds of
 //!   hierarchical aggregation; nothing else in the workspace creates a
 //!   thread. Every job's RNG stream is derived from
@@ -621,6 +621,136 @@ mod tests {
         let (train, test) = SyntheticDataset::Mnist.generate(samples, 60, seed);
         let partition = DataDistribution::Iid.partition(&train, num_clients, seed);
         RoundEngine::new(config, train, test, partition, algorithm, scheduler).unwrap()
+    }
+
+    /// A model's freshly initialised parameters: non-trivial logits.
+    fn initial_params(model: ModelSpec, seed: u64) -> ParamVector {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        ParamVector::from_vec(model.build(&mut rng).params_flat())
+    }
+
+    /// Forward passes cut to `EVAL_BATCH`, spans cut per worker, rows
+    /// reduced per `EVAL_CHUNK`: for every `n` in `sizes` — around every
+    /// pass, job and chunk boundary — and pools of 1, 2, 3 and the default
+    /// number of workers, loss and accuracy must carry the bits of the
+    /// evaluation that pushed every chunk through the network whole.
+    fn assert_evaluation_equals_the_whole_chunk_reference(model: ModelSpec, sizes: &[usize]) {
+        use crate::trainer::{evaluate, evaluate_whole_chunks};
+        let bits = |r: TensorResult<(f32, f32)>| r.map(|(l, a)| (l.to_bits(), a.to_bits()));
+        let (_, test) = SyntheticDataset::Mnist.generate(10, 1000, 17);
+        let global = initial_params(model, 5);
+        // Plus the pool an engine gets by default: `FEDADMM_DISPATCH_WORKERS`
+        // workers (CI pins 1 and 3) or the host's core count.
+        let pools: Vec<DispatchPool> = [Some(1), Some(2), Some(3), None]
+            .into_iter()
+            .map(|workers| {
+                DispatchPool::new(DispatchConfig {
+                    workers,
+                    chunk_size: None,
+                })
+            })
+            .collect();
+        for &n in sizes {
+            let reference = bits(evaluate_whole_chunks(model, global.as_slice(), &test, n));
+            assert!(reference.is_ok());
+            assert_eq!(
+                bits(evaluate(model, global.as_slice(), &test, n)),
+                reference,
+                "trainer::evaluate, {} on {n} samples",
+                model.name()
+            );
+            let config = FedConfig {
+                model,
+                eval_subset: n,
+                ..small_config(4, 17)
+            };
+            for pool in &pools {
+                assert_eq!(
+                    bits(scheduler::evaluate_on_pool(pool, &config, &global, &test)),
+                    reference,
+                    "{} workers, {} on {n} samples",
+                    pool.workers(),
+                    model.name()
+                );
+            }
+        }
+    }
+
+    const EVAL_SIZES: [usize; 13] = [0, 1, 31, 32, 33, 63, 64, 65, 100, 255, 256, 257, 1000];
+
+    #[test]
+    fn evaluation_equals_the_whole_chunk_reference_for_every_shape_and_worker_count() {
+        assert_evaluation_equals_the_whole_chunk_reference(
+            ModelSpec::Logistic {
+                input_dim: 784,
+                num_classes: 10,
+            },
+            &EVAL_SIZES,
+        );
+        assert_evaluation_equals_the_whole_chunk_reference(
+            ModelSpec::Mlp {
+                input_dim: 784,
+                hidden_dim: 64,
+                num_classes: 10,
+            },
+            &EVAL_SIZES,
+        );
+    }
+
+    /// The conv / pool / im2col layers, up to the benchmark's 100-sample
+    /// evaluation (two jobs, four passes).
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "2 300 unoptimised CNN 1 sample forwards take minutes; CI runs this in release"
+    )]
+    fn cnn_evaluation_equals_the_whole_chunk_reference_for_every_shape_and_worker_count() {
+        assert_evaluation_equals_the_whole_chunk_reference(ModelSpec::Cnn1, &EVAL_SIZES[..9]);
+    }
+
+    #[test]
+    fn evaluation_returns_the_first_error_in_sample_order() {
+        use crate::trainer::evaluate;
+        // A 12-class test set under a 10-class model: label 10 at sample 40
+        // and label 11 at sample 700 lie in different jobs' spans and
+        // different chunks; every worker count reports the earlier one, as
+        // the serial evaluation does.
+        let model = ModelSpec::Logistic {
+            input_dim: 784,
+            num_classes: 10,
+        };
+        let (_, clean) = SyntheticDataset::Mnist.generate(10, 1000, 23);
+        let (features, mut labels) = clean.gather_all().unwrap();
+        (labels[40], labels[700]) = (10, 11);
+        let test = Dataset::new(features.into_vec(), labels, 784, 12).unwrap();
+        let global = initial_params(model, 5);
+        let config = FedConfig {
+            model,
+            ..small_config(4, 23)
+        };
+        let serial = evaluate(model, global.as_slice(), &test, usize::MAX).unwrap_err();
+        assert!(
+            serial.to_string().contains("label 10 out of range"),
+            "{serial}"
+        );
+        // A parameter vector of the wrong length fails every job alike.
+        let short = ParamVector::zeros(model.num_params() - 1);
+        let short_serial = evaluate(model, short.as_slice(), &clean, usize::MAX).unwrap_err();
+        for workers in 1..=3 {
+            let pool = DispatchPool::new(DispatchConfig {
+                workers: Some(workers),
+                chunk_size: None,
+            });
+            let pooled = scheduler::evaluate_on_pool(&pool, &config, &global, &test).unwrap_err();
+            assert_eq!(pooled.to_string(), serial.to_string(), "{workers} workers");
+            let pooled = scheduler::evaluate_on_pool(&pool, &config, &short, &clean).unwrap_err();
+            assert_eq!(
+                pooled.to_string(),
+                short_serial.to_string(),
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

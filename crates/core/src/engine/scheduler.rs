@@ -37,14 +37,14 @@ use crate::heterogeneity::LocalWorkSchedule;
 use crate::metrics::{RoundRecord, RunHistory};
 use crate::param::ParamVector;
 use crate::selection::ClientSelector;
-use crate::trainer::{eval_chunk, evaluate_chunk, mean_of_chunks, LocalEnv, EVAL_CHUNK};
+use crate::trainer::{eval_jobs, eval_logits_into, eval_span, mean_of_logits, LocalEnv};
 use fedadmm_clientstore::{hierarchical_fold, ClientStateStore};
 use fedadmm_data::Dataset;
 use fedadmm_telemetry::{names, DispatchSummary, Event, RoundSummary, Telemetry};
 use fedadmm_tensor::{TensorError, TensorResult};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// How the server folds a round's payloads into θ.
@@ -286,11 +286,15 @@ impl JobContext<'_> {
     }
 }
 
-/// Evaluates `global` on the first `config.eval_subset` test samples as one
-/// pool job per chunk, each on its worker's cached network and training
-/// scratch. The per-chunk sums are added in chunk order on the caller, so
-/// the result has the bits of [`evaluate`](crate::trainer::evaluate) for
-/// every worker count.
+/// Evaluates `global` on the first `config.eval_subset` test samples: at
+/// most one [`eval_logits_into`] job per pool worker, each pushing a
+/// contiguous span of samples through its worker's cached network in
+/// training-sized forward passes and writing the logits rows into its share
+/// of one buffer; the caller then reduces the rows chunk by chunk
+/// ([`mean_of_logits`]). A sample's logits do not depend on its batch
+/// neighbours and the reduction is over fixed chunks in chunk order, so the
+/// result has the bits of [`evaluate`](crate::trainer::evaluate) for every
+/// worker count. The first failed job in sample order is the error returned.
 pub(super) fn evaluate_on_pool(
     pool: &DispatchPool,
     config: &FedConfig,
@@ -298,27 +302,42 @@ pub(super) fn evaluate_on_pool(
     test: &Dataset,
 ) -> TensorResult<(f32, f32)> {
     let n = test.len().min(config.eval_subset);
-    let slots: Vec<OnceLock<TensorResult<(f32, f32)>>> = (0..n.div_ceil(EVAL_CHUNK))
-        .map(|_| OnceLock::new())
+    let classes = config.model.num_classes();
+    let jobs = eval_jobs(n, pool.workers());
+    let mut logits = vec![0.0f32; n * classes];
+    let mut rest = logits.as_mut_slice();
+    let slots: Vec<Mutex<(&mut [f32], TensorResult<()>)>> = (0..jobs)
+        .map(|job| {
+            let (rows, tail) =
+                std::mem::take(&mut rest).split_at_mut(eval_span(job, jobs, n).len() * classes);
+            rest = tail;
+            Mutex::new((rows, Ok(())))
+        })
         .collect();
-    pool.run(slots.len(), false, &|_worker, chunk, scratch| {
-        let sums = evaluate_chunk(
+    pool.run(jobs, false, &|_worker, job, scratch| {
+        let mut slot = slots[job].lock().expect("eval slot lock");
+        let (rows, outcome) = &mut *slot;
+        *outcome = eval_logits_into(
             config.model,
             global.as_slice(),
             test,
-            eval_chunk(chunk, n),
+            eval_span(job, jobs, n),
             &mut scratch.update.net,
             &mut scratch.update.train,
-        );
-        assert!(
-            slots[chunk].set(sums).is_ok(),
-            "eval chunk {chunk} ran twice"
+            rows,
         );
     });
-    let chunk_sums = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every eval chunk ran"));
-    mean_of_chunks(chunk_sums, n)
+    for slot in slots {
+        slot.into_inner().expect("eval slot lock").1?;
+    }
+    pool.with_scratch(|scratch| {
+        mean_of_logits(
+            &logits,
+            classes,
+            &test.labels()[..n],
+            &mut scratch.update.train,
+        )
+    })
 }
 
 impl EngineCore<'_> {
@@ -383,8 +402,8 @@ impl EngineCore<'_> {
         Arc::clone(self.global)
     }
 
-    /// Evaluates the global model on the test set: `(loss, accuracy)`, one
-    /// pool job per [`EVAL_CHUNK`] samples.
+    /// Evaluates the global model on the test set: `(loss, accuracy)`, at
+    /// most one forward-only pool job per worker.
     pub fn evaluate_global(&self) -> TensorResult<(f32, f32)> {
         evaluate_on_pool(self.pool, self.config, self.global, self.test)
     }
@@ -499,11 +518,11 @@ impl EngineCore<'_> {
             Vec::with_capacity(orders.len());
         let mut batch = DispatchBatchStats::default();
         self.store.with_states(&ids, &mut |states| {
-            let slots: Vec<std::sync::Mutex<JobSlot<'_, '_>>> = states
+            let slots: Vec<Mutex<JobSlot<'_, '_>>> = states
                 .iter_mut()
                 .zip(&by_id)
                 .map(|(client, &k)| {
-                    std::sync::Mutex::new(JobSlot {
+                    Mutex::new(JobSlot {
                         input: Some((&orders[k], &mut **client)),
                         output: None,
                     })

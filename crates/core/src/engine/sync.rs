@@ -73,19 +73,24 @@ impl Scheduler for SyncRounds {
         // True wire bytes: the quantized size when the wire path encoded
         // the uploads, dense 4·floats otherwise.
         let wire_bytes: usize = messages.iter().map(|m| m.wire_bytes()).sum();
+        let total_local_epochs = messages.iter().map(|m| m.epochs_run).sum();
+        let samples_processed = messages.iter().map(|m| m.samples_processed).sum();
         let outcome = core.in_span("aggregate", |core| {
             let outcome = core.aggregate(&messages, &mut round_rng);
             core.add_upload(outcome.upload_floats);
             core.add_wire_bytes(wire_bytes);
             outcome
         });
+        // The uploads (|S_t|·d floats) are folded into θ: free them before
+        // evaluation allocates, so its buffers can reuse that memory.
+        drop(messages);
 
         // 5. Evaluation and bookkeeping.
         let record = core.record_round(RoundStats {
             num_selected: selected.len(),
             upload_floats: outcome.upload_floats,
-            total_local_epochs: messages.iter().map(|m| m.epochs_run).sum(),
-            samples_processed: messages.iter().map(|m| m.samples_processed).sum(),
+            total_local_epochs,
+            samples_processed,
             wire_bytes,
             elapsed_ms: start.elapsed().as_millis() as u64,
         })?;

@@ -19,11 +19,15 @@
 //! FedADMM pay exactly the same trainer cost. [`full_gradient`] computes the
 //! exact local gradient (FedSGD).
 //!
-//! Evaluation uses the same buffers: [`evaluate_chunk`] scores one
-//! [`EVAL_CHUNK`]-sample range on a [`NetCache`] + [`TrainScratch`] and
-//! [`mean_of_chunks`] adds the chunks in order. The engine runs the chunks
-//! as dispatch-pool jobs on its workers' scratch; [`evaluate`] is the same
-//! loop on a local scratch.
+//! Evaluation uses the same buffers, forward-only: an [`eval_logits_into`]
+//! job pushes a contiguous span of samples through a [`NetCache`] network
+//! in passes of at most [`EVAL_BATCH`] samples — training-sized, so a
+//! worker's activation arena stays the size training gave it — and leaves
+//! their logits rows; [`mean_of_logits`] then computes loss and accuracy
+//! per [`EVAL_CHUNK`] rows and adds the chunks in order, so the result does
+//! not depend on how the passes were cut. The engine runs at most one job
+//! per dispatch-pool worker ([`eval_jobs`], [`eval_span`]) on the workers'
+//! scratch; [`evaluate`] is one job on a local scratch.
 
 use fedadmm_data::batching::{shuffle_epoch_into, BatchSize};
 use fedadmm_data::Dataset;
@@ -90,8 +94,8 @@ pub struct TrainScratch {
     /// Gathered mini-batch labels.
     pub batch_labels: Vec<usize>,
     /// Shuffled sample order for the current epoch; batches are consecutive
-    /// `chunks(B)` of this permutation. Evaluation fills it with the chunk's
-    /// sample range instead.
+    /// `chunks(B)` of this permutation. Evaluation fills it with a forward
+    /// pass's sample range instead.
     pub perm: Vec<usize>,
     /// The forward pass's input tensor; its storage swaps with `batch_data`
     /// every step via [`Tensor::replace_data`].
@@ -268,8 +272,15 @@ pub fn full_gradient(env: &LocalEnv<'_>, at: &[f32]) -> TensorResult<(Vec<f32>, 
     Ok((grad_acc, loss_acc * inv))
 }
 
-/// Samples per evaluation chunk: one forward pass, one dispatch-pool job.
+/// Samples per evaluation chunk: the unit the loss and the accuracy are
+/// computed over and summed in — fixed, so the result does not depend on
+/// how the forward passes were cut or scheduled.
 pub const EVAL_CHUNK: usize = 256;
+
+/// Most samples one evaluation forward pass carries: of the order of a
+/// training batch, so evaluating never grows a worker's activation arena
+/// far past the size training gave it.
+pub const EVAL_BATCH: usize = 32;
 
 /// The sample range of chunk `chunk` of an `n`-sample evaluation
 /// (`n.div_ceil(EVAL_CHUNK)` chunks, the last one ragged).
@@ -278,21 +289,69 @@ pub fn eval_chunk(chunk: usize, n: usize) -> std::ops::Range<usize> {
     start..(start + EVAL_CHUNK).min(n)
 }
 
-/// Evaluates `params` on the samples in `range` (one chunk) and returns
-/// `(loss · len, accuracy · len)`, the chunk's share of the sums
-/// [`mean_of_chunks`] normalises. A warm `cache` + `scratch` make it
-/// allocation-free; every parameter and buffer it reads is overwritten
-/// first, so what a training job left behind is harmless.
-pub fn evaluate_chunk(
+/// How many jobs an `n`-sample evaluation is cut into on `workers` workers:
+/// at most one per worker, and none smaller than two forward passes on
+/// average — a job sets every parameter of its worker's network first, so a
+/// small evaluation stays one job (which a pool runs inline).
+pub fn eval_jobs(n: usize, workers: usize) -> usize {
+    n.div_ceil(2 * EVAL_BATCH).min(workers.max(1))
+}
+
+/// The contiguous sample span of job `job` of `jobs`: an even split of
+/// `0..n`.
+pub fn eval_span(job: usize, jobs: usize, n: usize) -> std::ops::Range<usize> {
+    job * n / jobs..(job + 1) * n / jobs
+}
+
+/// One evaluation job: sets `params` once, pushes the samples in `span`
+/// through the network in forward-only passes of at most [`EVAL_BATCH`]
+/// samples and writes their logits, `model.num_classes()` per sample, to
+/// `out`. Every layer computes a sample's output independently of its batch
+/// neighbours, so the rows do not depend on how the passes were cut. A warm
+/// `cache` + `scratch` make it allocation-free; every parameter and buffer
+/// it reads is overwritten first, so what a training job left behind is
+/// harmless.
+///
+/// # Panics
+/// Panics if `out` does not hold exactly `span.len() · classes` values.
+pub fn eval_logits_into(
     model: ModelSpec,
     params: &[f32],
     dataset: &Dataset,
-    range: std::ops::Range<usize>,
+    span: std::ops::Range<usize>,
     cache: &mut NetCache,
     scratch: &mut TrainScratch,
-) -> TensorResult<(f32, f32)> {
+    out: &mut [f32],
+) -> TensorResult<()> {
+    let classes = model.num_classes();
+    assert_eq!(
+        out.len(),
+        span.len() * classes,
+        "logits buffer does not match the span"
+    );
+    if span.is_empty() {
+        return Ok(());
+    }
     let net = cache.get(model);
     net.set_params_flat(params)?;
+    let passes = out.chunks_mut((EVAL_BATCH * classes).max(1));
+    for (pass, rows) in passes.enumerate() {
+        let start = span.start + pass * EVAL_BATCH;
+        let end = (start + EVAL_BATCH).min(span.end);
+        forward_range(net, dataset, start..end, scratch)?;
+        rows.copy_from_slice(scratch.arena.output().data());
+    }
+    Ok(())
+}
+
+/// Gathers the samples in `range` and runs one forward pass over them; the
+/// logits land in `scratch.arena`.
+fn forward_range(
+    net: &mut Network,
+    dataset: &Dataset,
+    range: std::ops::Range<usize>,
+    scratch: &mut TrainScratch,
+) -> TensorResult<()> {
     let len = range.len();
     scratch.perm.clear();
     scratch.perm.extend(range);
@@ -305,28 +364,40 @@ pub fn evaluate_chunk(
         std::mem::take(&mut scratch.batch_data),
         &[len, dataset.feature_dim()],
     )?;
-    net.forward_arena(&scratch.input, &mut scratch.arena)?;
-    let (logits, loss_grad) = scratch.arena.output_and_loss_grad();
-    let loss = softmax_cross_entropy_into(logits, &scratch.batch_labels, loss_grad)?;
-    let acc = accuracy(logits, &scratch.batch_labels)?;
-    Ok((loss * len as f32, acc * len as f32))
+    net.forward_arena(&scratch.input, &mut scratch.arena)
 }
 
-/// Adds the per-chunk sums of an `n`-sample evaluation **in chunk order** —
-/// bit-identical however the chunks were scheduled — and returns
-/// `(mean_loss, accuracy)`.
-pub fn mean_of_chunks(
-    chunk_sums: impl IntoIterator<Item = TensorResult<(f32, f32)>>,
-    n: usize,
+/// Mean loss and accuracy of the samples whose logits rows are `logits`
+/// (`classes` per sample) and whose labels are `labels`: per
+/// [`EVAL_CHUNK`], one softmax cross-entropy and one accuracy over the
+/// chunk's `[len, classes]` logits, the chunks' sums added **in chunk
+/// order** — bit-identical however the rows were produced. Uses
+/// `scratch.input` and the arena's loss-gradient slot as its two
+/// temporaries.
+pub fn mean_of_logits(
+    logits: &[f32],
+    classes: usize,
+    labels: &[usize],
+    scratch: &mut TrainScratch,
 ) -> TensorResult<(f32, f32)> {
+    let n = labels.len();
     if n == 0 {
         return Ok((0.0, 0.0));
     }
     let (mut loss_acc, mut correct_acc) = (0.0f32, 0.0f32);
-    for sums in chunk_sums {
-        let (loss, correct) = sums?;
-        loss_acc += loss;
-        correct_acc += correct;
+    for chunk in 0..n.div_ceil(EVAL_CHUNK) {
+        let range = eval_chunk(chunk, n);
+        let len = range.len();
+        let chunk_logits = &mut scratch.input;
+        chunk_logits.resize_in_place(&[len, classes]);
+        chunk_logits
+            .data_mut()
+            .copy_from_slice(&logits[range.start * classes..range.end * classes]);
+        let labels = &labels[range];
+        let loss = softmax_cross_entropy_into(chunk_logits, labels, scratch.arena.loss_grad_mut())?;
+        let acc = accuracy(chunk_logits, labels)?;
+        loss_acc += loss * len as f32;
+        correct_acc += acc * len as f32;
     }
     Ok((loss_acc / n as f32, correct_acc / n as f32))
 }
@@ -337,8 +408,9 @@ pub fn mean_of_chunks(
 /// evaluated samples (the first `max_samples` are used, which is unbiased
 /// because synthetic datasets interleave classes).
 ///
-/// The serial reference for the engine's `evaluate_global`: the same chunk
-/// loop on a fresh network and scratch instead of the dispatch pool's.
+/// The serial form of the engine's `evaluate_global`: one
+/// [`eval_logits_into`] job over all samples, then [`mean_of_logits`], on a
+/// fresh network and scratch instead of the dispatch pool's.
 pub fn evaluate(
     model: ModelSpec,
     params: &[f32],
@@ -346,12 +418,51 @@ pub fn evaluate(
     max_samples: usize,
 ) -> TensorResult<(f32, f32)> {
     let n = dataset.len().min(max_samples);
+    let classes = model.num_classes();
     let (mut cache, mut scratch) = (NetCache::default(), TrainScratch::default());
-    let chunk_sums = (0..n.div_ceil(EVAL_CHUNK)).map(|chunk| {
+    let mut logits = vec![0.0f32; n * classes];
+    eval_logits_into(
+        model,
+        params,
+        dataset,
+        0..n,
+        &mut cache,
+        &mut scratch,
+        &mut logits,
+    )?;
+    mean_of_logits(&logits, classes, &dataset.labels()[..n], &mut scratch)
+}
+
+/// The evaluation this module ran before forward passes were cut to
+/// [`EVAL_BATCH`]: every [`EVAL_CHUNK`] pushed through the network whole.
+/// Kept as the reference the split evaluation is compared against, bit for
+/// bit.
+#[cfg(test)]
+pub(crate) fn evaluate_whole_chunks(
+    model: ModelSpec,
+    params: &[f32],
+    dataset: &Dataset,
+    max_samples: usize,
+) -> TensorResult<(f32, f32)> {
+    let n = dataset.len().min(max_samples);
+    if n == 0 {
+        return Ok((0.0, 0.0));
+    }
+    let (mut cache, mut scratch) = (NetCache::default(), TrainScratch::default());
+    let net = cache.get(model);
+    net.set_params_flat(params)?;
+    let (mut loss_acc, mut correct_acc) = (0.0f32, 0.0f32);
+    for chunk in 0..n.div_ceil(EVAL_CHUNK) {
         let range = eval_chunk(chunk, n);
-        evaluate_chunk(model, params, dataset, range, &mut cache, &mut scratch)
-    });
-    mean_of_chunks(chunk_sums, n)
+        let len = range.len();
+        forward_range(net, dataset, range, &mut scratch)?;
+        let (logits, loss_grad) = scratch.arena.output_and_loss_grad();
+        let loss = softmax_cross_entropy_into(logits, &scratch.batch_labels, loss_grad)?;
+        let acc = accuracy(logits, &scratch.batch_labels)?;
+        loss_acc += loss * len as f32;
+        correct_acc += acc * len as f32;
+    }
+    Ok((loss_acc / n as f32, correct_acc / n as f32))
 }
 
 #[cfg(test)]

@@ -72,6 +72,14 @@ impl ActivationArena {
             .expect("ActivationArena::output before forward_arena")
     }
 
+    /// The loss-gradient slot on its own: scratch for a loss computed over
+    /// logits that are not this arena's last output (evaluation scores
+    /// logits gathered from several forward passes, possibly other
+    /// workers'). Usable before any forward pass.
+    pub fn loss_grad_mut(&mut self) -> &mut Tensor {
+        &mut self.loss_grad
+    }
+
     /// The last forward output together with mutable access to the
     /// loss-gradient slot, for computing a loss and seeding the backward
     /// sweep without an intermediate copy.

@@ -8,10 +8,11 @@
 //! gradients, loss gradient, flat gradient — is recycled across steps and
 //! epochs — for the dense stack, and for the paper's CNN 1 with its im2col,
 //! pooling and convolution-gradient scratch. A further check pins the
-//! per-*job* cost of a baseline algorithm on a warm worker to the payload it
-//! uploads, another bounds a whole evaluation pass to O(1) allocations
-//! regardless of how many 256-sample chunks it spans, and the last pins a
-//! warm one-worker `RoundEngine::evaluate_global` to its result-slot vector.
+//! per-*job* cost of FedAvg and of FedADMM on a warm worker to the payload
+//! they upload, another bounds a whole evaluation pass to O(1) allocations
+//! regardless of how many forward passes and 256-sample chunks it spans, and
+//! the last pins a warm one-worker `RoundEngine::evaluate_global` to its
+//! result-slot vector and its logits buffer.
 //!
 //! Tensor kernels are serial loops and a one-worker dispatch pool runs
 //! inline, so every count is this thread's own buffers on any host.
@@ -22,7 +23,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fedadmm_core::algorithms::{Algorithm, FedAvg, UpdateScratch};
+use fedadmm_core::algorithms::{Algorithm, FedAdmm, FedAvg, UpdateScratch};
 use fedadmm_core::client::ClientState;
 use fedadmm_core::config::{DataDistribution, FedConfig};
 use fedadmm_core::engine::{RoundEngine, SyncRounds};
@@ -170,10 +171,27 @@ fn steady_state_sgd_step_allocates_nothing() {
          trainer: bare local_sgd_cached → {bare}, client_update_scratch → {fedavg_job}"
     );
 
+    // FedADMM is held to the same bound: its primal–dual bookkeeping runs
+    // in place on `(w_i, y_i)` and the upload is the retired local model's
+    // buffer, so a warm job allocates no d-sized temporary of its own.
+    let admm = FedAdmm::paper_default();
+    let mut admm_client = ClientState::new(1, indices.clone(), &theta);
+    admm.client_update_scratch(&mut admm_client, &theta, &job, &mut worker)
+        .unwrap();
+    let before_job = alloc_count();
+    admm.client_update_scratch(&mut admm_client, &theta, &job, &mut worker)
+        .unwrap();
+    let fedadmm_job = alloc_count() - before_job;
+    assert!(
+        fedadmm_job <= fedavg_job,
+        "a warm FedADMM job must allocate no more than the FedAvg job beside \
+         it: FedAvg → {fedavg_job}, FedADMM → {fedadmm_job}"
+    );
+
     // An evaluation pass reuses one network, one arena and one gather buffer
-    // across its 256-sample chunks — at the paper's own shape, on any host:
-    // a regression back to per-chunk tensor allocation costs 10+ calls per
-    // chunk and trips this immediately.
+    // across its forward passes and 256-sample chunks — at the paper's own
+    // shape, on any host: a regression back to per-pass or per-chunk tensor
+    // allocation costs 10+ calls each and trips this immediately.
     let eval_model = ModelSpec::Mlp {
         input_dim: 784,
         hidden_dim: 64,
@@ -196,9 +214,12 @@ fn steady_state_sgd_step_allocates_nothing() {
     );
 
     // The engine holds its evaluation context: a warm `evaluate_global`
-    // runs the four chunks on the pool's cached network and training
-    // scratch and allocates only the vector of per-chunk result slots — no
-    // network, no `TrainScratch`, no index list.
+    // runs its 32 forward passes on the pool's cached network and training
+    // scratch and allocates two things — the vector of per-job slots and
+    // the one logits buffer the jobs fill and the chunk reduction reads (a
+    // chunk's loss is taken over logits that several passes produced, so
+    // they have to be kept somewhere) — no network, no `TrainScratch`, no
+    // index list, and no more for 32 passes than for one.
     let config = FedConfig {
         num_clients: 4,
         model: eval_model,
@@ -221,7 +242,17 @@ fn steady_state_sgd_step_allocates_nothing() {
     let warm_eval = alloc_count() - before_warm;
     assert_eq!(cold, warm);
     assert!(
-        warm_eval <= 1,
-        "a warm evaluate_global must allocate its slot vector only, saw {warm_eval}"
+        warm_eval <= 2,
+        "a warm evaluate_global must allocate its slot vector and its logits \
+         buffer only, saw {warm_eval}"
+    );
+    let engine = engine.eval_subset(32.0 / 1024.0);
+    engine.evaluate_global().unwrap();
+    let before_one_pass = alloc_count();
+    engine.evaluate_global().unwrap();
+    let one_pass_eval = alloc_count() - before_one_pass;
+    assert_eq!(
+        warm_eval, one_pass_eval,
+        "evaluate_global allocations grew with the number of forward passes"
     );
 }
