@@ -13,8 +13,8 @@
 //!   of the corrections and sets `θ ← w̄ + (1/α)·h_server`, where `w̄` is the
 //!   average of the received client models.
 //!
-//! Implementing FedDyn alongside FedADMM lets the ablation benches ask
-//! whether the paper's gains come from the dual mechanism itself or from
+//! Implementing FedDyn alongside FedADMM lets `examples/server_optimizers.rs`
+//! ask whether the paper's gains come from the dual mechanism itself or from
 //! its particular (tracking) server rule. Communication cost per round is
 //! identical to FedAvg/Prox/ADMM: one `d`-vector per selected client.
 //!

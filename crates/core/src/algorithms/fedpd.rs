@@ -14,9 +14,7 @@
 //!    global model update frequency is limited by `p`.
 //!
 //! It is included as an optional extension (the paper excludes it from the
-//! experimental comparison because of the full-participation requirement);
-//! the ablation benches use it to quantify that computation/communication
-//! overhead.
+//! experimental comparison because of the full-participation requirement).
 
 use super::{Algorithm, ClientMessage, ServerOutcome, UpdateScratch};
 use crate::client::ClientState;

@@ -265,8 +265,7 @@ pub trait Algorithm: Send + Sync {
     ) -> TensorResult<ClientMessage>;
 
     /// [`Algorithm::client_update_scratch`] on a fresh scratch — a
-    /// convenience for tests, benches and one-off calls. Not meant to be
-    /// overridden.
+    /// convenience for tests and one-off calls. Not meant to be overridden.
     fn client_update(
         &self,
         client: &mut ClientState,

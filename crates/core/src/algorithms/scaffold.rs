@@ -13,7 +13,6 @@ use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::trainer::{local_sgd_cached, LocalEnv};
 use fedadmm_tensor::TensorResult;
-use parking_lot::RwLock;
 
 /// The SCAFFOLD algorithm.
 #[derive(Debug)]
@@ -21,10 +20,9 @@ pub struct Scaffold {
     /// Server step size for the model update (1.0 in the paper's setup).
     pub server_learning_rate: f32,
     /// Global control variate `c`, zero-initialised (as recommended and as
-    /// stated in Section V-A of the paper). Wrapped in a lock because
-    /// `client_update` (which only reads it) runs concurrently across
-    /// clients.
-    control: RwLock<ParamVector>,
+    /// stated in Section V-A of the paper). Concurrent `client_update`s only
+    /// read it; `init` and `server_update` write it through `&mut self`.
+    control: ParamVector,
     /// Client population size `m` (needed for the `c` update).
     num_clients: usize,
 }
@@ -34,7 +32,7 @@ impl Scaffold {
     pub fn new() -> Self {
         Scaffold {
             server_learning_rate: 1.0,
-            control: RwLock::new(ParamVector::zeros(0)),
+            control: ParamVector::zeros(0),
             num_clients: 0,
         }
     }
@@ -42,7 +40,7 @@ impl Scaffold {
     /// Returns a copy of the current global control variate (for tests and
     /// diagnostics).
     pub fn global_control(&self) -> ParamVector {
-        self.control.read().clone()
+        self.control.clone()
     }
 }
 
@@ -58,7 +56,7 @@ impl Algorithm for Scaffold {
     }
 
     fn init(&mut self, dim: usize, num_clients: usize) {
-        *self.control.write() = ParamVector::zeros(dim);
+        self.control = ParamVector::zeros(dim);
         self.num_clients = num_clients;
     }
 
@@ -79,7 +77,7 @@ impl Algorithm for Scaffold {
         env: &LocalEnv<'_>,
         scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
-        let c_global = self.control.read().clone();
+        let c_global = &self.control;
         let c_local = client.control.clone();
         let theta = global.as_slice();
 
@@ -99,7 +97,7 @@ impl Algorithm for Scaffold {
 
         // Option II control-variate update: c_i⁺ = c_i − c + (θ − w)/(K·η_l).
         let mut new_control = client.control.clone();
-        new_control.axpy(-1.0, &c_global);
+        new_control.axpy(-1.0, c_global);
         let inv = 1.0 / (steps as f32 * env.learning_rate);
         for ((nc, &t), &w) in new_control
             .as_mut_slice()
@@ -146,15 +144,14 @@ impl Algorithm for Scaffold {
         global.accumulate(&model_terms);
         // c ← c + (1/m) Σ Δc — likewise fused.
         let m = num_clients.max(self.num_clients).max(1) as f32;
-        let mut control = self.control.write();
-        if control.len() != global.len() {
-            *control = ParamVector::zeros(global.len());
+        if self.control.len() != global.len() {
+            self.control = ParamVector::zeros(global.len());
         }
         let control_terms: Vec<(f32, &ParamVector)> = messages
             .iter()
             .map(|msg| (1.0 / m, &msg.payload[1]))
             .collect();
-        control.accumulate(&control_terms);
+        self.control.accumulate(&control_terms);
         ServerOutcome {
             upload_floats: total_upload(messages),
         }

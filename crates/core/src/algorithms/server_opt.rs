@@ -6,8 +6,8 @@
 //! (Reddi et al., ICLR 2021) — instead treats the averaged client delta
 //! `Δ̄^t = (1/|S_t|) Σ_{i∈S_t} (w_i^{t+1} − θ^t)` as a *pseudo-gradient* and
 //! applies a first-order server optimizer to it. Implementing that family
-//! here lets the ablation benches separate two effects the paper argues
-//! about:
+//! here lets `examples/server_optimizers.rs` separate two effects the paper
+//! argues about:
 //!
 //! * how much of FedADMM's speedup comes from the *dual variables* (client
 //!   side), versus

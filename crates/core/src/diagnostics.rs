@@ -10,8 +10,8 @@
 //! exactly at stationary points of the consensus problem (2), and Theorem 1
 //! bounds its running average. This module computes `V_t` for a simulation
 //! state so that experiments can monitor convergence the same way the
-//! analysis does — useful both as a debugging aid and for ablation benches
-//! that compare how quickly different configurations drive `V_t` down.
+//! analysis does — useful both as a debugging aid and for comparing how
+//! quickly different configurations drive `V_t` down.
 
 use crate::client::ClientState;
 use crate::param::ParamVector;

@@ -18,8 +18,8 @@
 //!   consensus problem (2), so its decrease tracks agreement,
 //! * participation coverage (how unevenly clients have been selected).
 //!
-//! The `dual_variables` example and the ablation benches use these to show
-//! the adaptation mechanism at work under IID vs non-IID partitions.
+//! The `dual_variables` example uses these to show the adaptation mechanism
+//! at work under IID vs non-IID partitions.
 
 use crate::client::ClientState;
 use crate::param::ParamVector;
@@ -114,36 +114,6 @@ impl DriftReport {
     }
 }
 
-/// Per-client drift detail, for experiments that want the full distribution
-/// rather than the aggregate of [`DriftReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClientDrift {
-    /// Client identifier.
-    pub client_id: usize,
-    /// `‖w_i − θ‖`.
-    pub model_drift: f32,
-    /// `‖y_i‖`.
-    pub dual_norm: f32,
-    /// Local sample count `n_i`.
-    pub num_samples: usize,
-    /// Times this client has been selected.
-    pub times_selected: usize,
-}
-
-/// Computes the per-client drift breakdown.
-pub fn per_client_drift(clients: &[ClientState], global: &ParamVector) -> Vec<ClientDrift> {
-    clients
-        .iter()
-        .map(|c| ClientDrift {
-            client_id: c.id,
-            model_drift: c.local_model.dist(global),
-            dual_norm: c.dual.norm(),
-            num_samples: c.num_samples(),
-            times_selected: c.times_selected,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,24 +162,6 @@ mod tests {
         assert_eq!(report.max_times_selected, 2);
         assert!((report.coverage() - 0.5).abs() < 1e-12);
         assert!(report.summary().contains("coverage = 50%"));
-    }
-
-    #[test]
-    fn per_client_breakdown_matches_aggregate() {
-        let global = ParamVector::zeros(2);
-        let clients = vec![
-            client(0, vec![1.0, 0.0], vec![0.5, 0.0], 1),
-            client(1, vec![0.0, 2.0], vec![0.0, 0.5], 3),
-        ];
-        let detail = per_client_drift(&clients, &global);
-        assert_eq!(detail.len(), 2);
-        assert_eq!(detail[0].client_id, 0);
-        assert_eq!(detail[0].model_drift, 1.0);
-        assert_eq!(detail[1].model_drift, 2.0);
-        assert_eq!(detail[1].times_selected, 3);
-        let report = DriftReport::compute(&clients, &global);
-        let mean: f32 = detail.iter().map(|d| d.model_drift).sum::<f32>() / detail.len() as f32;
-        assert!((report.mean_model_drift - mean).abs() < 1e-6);
     }
 
     #[test]

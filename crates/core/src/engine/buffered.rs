@@ -6,7 +6,8 @@
 //! one job per chunk for these tiny cohorts.
 
 use super::scheduler::{
-    DispatchOrder, EngineCore, RoundStats, Scheduler, StalenessWeight, TickReport,
+    check_seconds_per_epoch, DispatchOrder, EngineCore, RoundStats, Scheduler, StalenessWeight,
+    TickReport,
 };
 use crate::config::FedConfig;
 use crate::param::ParamVector;
@@ -179,11 +180,6 @@ impl BufferedAsync {
         self.version
     }
 
-    /// Virtual time at which the next in-flight client finishes, if any.
-    pub fn next_arrival(&self) -> Option<f64> {
-        self.in_flight.peek().map(|job| job.finish_time)
-    }
-
     /// Dispatches idle clients until the pool holds `max_concurrency` jobs.
     fn fill_pool(&mut self, core: &EngineCore<'_>) {
         while self.in_flight.len() < self.config.max_concurrency {
@@ -230,13 +226,7 @@ impl Scheduler for BufferedAsync {
     }
 
     fn init(&mut self, core: &mut EngineCore<'_>) -> TensorResult<()> {
-        if self.config.seconds_per_epoch.len() != core.config.num_clients {
-            return Err(TensorError::InvalidArgument(format!(
-                "seconds_per_epoch has {} entries but there are {} clients",
-                self.config.seconds_per_epoch.len(),
-                core.config.num_clients
-            )));
-        }
+        check_seconds_per_epoch(&self.config.seconds_per_epoch, core.config.num_clients)?;
         if self.config.max_concurrency == 0 {
             return Err(TensorError::InvalidArgument(
                 "max_concurrency must be at least 1".to_string(),

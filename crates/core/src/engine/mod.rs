@@ -307,11 +307,6 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
         self
     }
 
-    /// The resolved wire path, if uploads are being encoded.
-    pub fn wire_path(&self) -> Option<&WirePath> {
-        self.wire.as_ref()
-    }
-
     /// Caps evaluation at a fraction of the test set per round: a
     /// `fraction >= 1.0` keeps the current behavior (the full test set);
     /// smaller values evaluate on the first `⌈fraction·n⌉` samples (at
@@ -617,11 +612,25 @@ mod tests {
         samples: usize,
         seed: u64,
     ) -> RoundEngine<A, S> {
+        try_engine(algorithm, scheduler, num_clients, samples, seed).unwrap()
+    }
+
+    /// [`make_engine`] for a scheduler that may refuse its configuration.
+    fn try_engine<A: Algorithm, S: Scheduler>(
+        algorithm: A,
+        scheduler: S,
+        num_clients: usize,
+        samples: usize,
+        seed: u64,
+    ) -> TensorResult<RoundEngine<A, S>> {
         let config = small_config(num_clients, seed);
         let (train, test) = SyntheticDataset::Mnist.generate(samples, 60, seed);
         let partition = DataDistribution::Iid.partition(&train, num_clients, seed);
-        RoundEngine::new(config, train, test, partition, algorithm, scheduler).unwrap()
+        RoundEngine::new(config, train, test, partition, algorithm, scheduler)
     }
+
+    /// Per-epoch durations no virtual clock can run on.
+    const BAD_SECONDS: [f64; 4] = [f64::NAN, -1.0, 0.0, f64::INFINITY];
 
     /// A model's freshly initialised parameters: non-trivial logits.
     fn initial_params(model: ModelSpec, seed: u64) -> ParamVector {
@@ -802,31 +811,35 @@ mod tests {
 
     #[test]
     fn buffered_construction_validates_the_device_pool() {
-        let (train, test) = SyntheticDataset::Mnist.generate(80, 20, 0);
-        let partition = DataDistribution::Iid.partition(&train, 4, 0);
+        let build = |pool| try_engine(FedAvg::new(), BufferedAsync::new(pool), 4, 80, 0);
         // Wrong seconds_per_epoch length.
-        let bad = AsyncConfig::homogeneous(3, 2, 1.0);
-        assert!(RoundEngine::new(
-            small_config(4, 0),
-            train.clone(),
-            test.clone(),
-            partition.clone(),
-            FedAvg::new(),
-            BufferedAsync::new(bad)
-        )
-        .is_err());
+        assert!(build(AsyncConfig::homogeneous(3, 2, 1.0)).is_err());
         // Zero concurrency.
         let mut zero = AsyncConfig::homogeneous(4, 2, 1.0);
         zero.max_concurrency = 0;
-        assert!(RoundEngine::new(
-            small_config(4, 0),
-            train,
-            test,
-            partition,
-            FedAvg::new(),
-            BufferedAsync::new(zero)
-        )
-        .is_err());
+        assert!(build(zero).is_err());
+        // A per-epoch duration that is not a positive number: the error
+        // names the client.
+        for bad in BAD_SECONDS {
+            let mut pool = AsyncConfig::homogeneous(4, 2, 1.0);
+            pool.seconds_per_epoch[2] = bad;
+            let err = build(pool).err().expect("a bad duration is rejected");
+            assert!(err.to_string().contains("client 2"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn semi_async_construction_validates_the_device_pool() {
+        let build = |fleet| try_engine(FedAvg::new(), SemiAsync::new(fleet), 4, 80, 0);
+        assert!(build(SemiAsyncConfig::homogeneous(4, 1.0, 2.5)).is_ok());
+        // Wrong seconds_per_epoch length.
+        assert!(build(SemiAsyncConfig::homogeneous(3, 1.0, 2.5)).is_err());
+        for bad in BAD_SECONDS {
+            let mut fleet = SemiAsyncConfig::homogeneous(4, 1.0, 2.5);
+            fleet.seconds_per_epoch[1] = bad;
+            let err = build(fleet).err().expect("a bad duration is rejected");
+            assert!(err.to_string().contains("client 1"), "{bad}: {err}");
+        }
     }
 
     #[test]
@@ -987,18 +1000,6 @@ mod tests {
         // Applied updates still counted correctly.
         let applied = engine.events().iter().filter(|r| r.weight > 0.0).count();
         assert_eq!(applied, engine.scheduler().updates_applied());
-    }
-
-    #[test]
-    fn stepping_while_the_next_arrival_is_due_respects_a_deadline() {
-        let pool = AsyncConfig::homogeneous(4, 2, 1.5);
-        let mut engine = make_engine(FedAvg::new(), BufferedAsync::new(pool), 4, 80, 5);
-        while engine.scheduler().next_arrival().is_some_and(|t| t <= 10.0) {
-            engine.step().unwrap();
-        }
-        assert!(!engine.events().is_empty());
-        assert!(engine.events().iter().all(|r| r.sim_time <= 10.0));
-        assert!(engine.now() <= 10.0);
     }
 
     #[test]

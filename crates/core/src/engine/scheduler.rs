@@ -104,6 +104,26 @@ impl StalenessWeight {
     }
 }
 
+/// What the event-driven schedulers require of their device model: one
+/// per-epoch duration per client, each finite and positive. A `NaN` never
+/// meets a deadline and has no place in the arrival order; a negative one
+/// runs the virtual clock backwards.
+pub(super) fn check_seconds_per_epoch(seconds: &[f64], num_clients: usize) -> TensorResult<()> {
+    if seconds.len() != num_clients {
+        return Err(TensorError::InvalidArgument(format!(
+            "seconds_per_epoch has {} entries but there are {num_clients} clients",
+            seconds.len()
+        )));
+    }
+    match seconds.iter().position(|s| !(s.is_finite() && *s > 0.0)) {
+        Some(client) => Err(TensorError::InvalidArgument(format!(
+            "seconds_per_epoch of client {client} is {}; it must be finite and positive",
+            seconds[client]
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// One applied (or dropped) client arrival in an event-driven schedule.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AsyncRecord {
@@ -379,11 +399,6 @@ impl EngineCore<'_> {
     /// Cumulative wire bytes uploaded so far.
     pub fn cumulative_wire_bytes(&self) -> usize {
         *self.cumulative_wire_bytes
-    }
-
-    /// The active wire path, if uploads are being encoded.
-    pub fn wire_path(&self) -> Option<&WirePath> {
-        self.wire
     }
 
     /// Runs `f` as a named phase of the current round: a telemetry span

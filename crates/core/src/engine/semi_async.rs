@@ -35,8 +35,8 @@
 //! [`StalenessWeight::Constant`] to isolate the reordering effect.
 
 use super::scheduler::{
-    derive_client_seed, derive_round_seed, DispatchOrder, EngineCore, RoundStats, Scheduler,
-    StalenessWeight, TickReport,
+    check_seconds_per_epoch, derive_client_seed, derive_round_seed, DispatchOrder, EngineCore,
+    RoundStats, Scheduler, StalenessWeight, TickReport,
 };
 use crate::algorithms::ClientMessage;
 use crate::config::FedConfig;
@@ -160,13 +160,7 @@ impl Scheduler for SemiAsync {
     }
 
     fn init(&mut self, core: &mut EngineCore<'_>) -> TensorResult<()> {
-        if self.config.seconds_per_epoch.len() != core.config.num_clients {
-            return Err(TensorError::InvalidArgument(format!(
-                "seconds_per_epoch has {} entries but there are {} clients",
-                self.config.seconds_per_epoch.len(),
-                core.config.num_clients
-            )));
-        }
+        check_seconds_per_epoch(&self.config.seconds_per_epoch, core.config.num_clients)?;
         if !self.config.round_deadline.is_finite() || self.config.round_deadline <= 0.0 {
             return Err(TensorError::InvalidArgument(
                 "round_deadline must be positive".to_string(),

@@ -5,7 +5,7 @@
 //! and E in FedADMM as well as in FedProx. The number of local epochs for
 //! FedAvg and SCAFFOLD are fixed to be E" (Section V-A). This module
 //! expresses exactly that choice and also provides a deterministic
-//! per-client schedule used by ablations.
+//! per-client schedule for persistent stragglers.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -21,8 +21,8 @@ pub enum LocalWorkSchedule {
     /// FedProx in the paper's protocol).
     UniformRandom(usize),
     /// A fixed per-client epoch count (client `i` always runs
-    /// `epochs[i % epochs.len()]` epochs) — used by ablation benches to
-    /// model persistent speed differences between devices.
+    /// `epochs[i % epochs.len()]` epochs) — models persistent speed
+    /// differences between devices.
     PerClient(Vec<usize>),
 }
 
@@ -62,23 +62,6 @@ impl LocalWorkSchedule {
             }
         }
     }
-
-    /// Expected number of epochs per selected client (used for the
-    /// computation-cost accounting: the paper notes FedADMM/FedProx perform
-    /// ~50% of the local computation of FedAvg/SCAFFOLD under this model).
-    pub fn expected_epochs(&self) -> f64 {
-        match self {
-            LocalWorkSchedule::Fixed(e) => (*e).max(1) as f64,
-            LocalWorkSchedule::UniformRandom(e) => ((*e).max(1) as f64 + 1.0) / 2.0,
-            LocalWorkSchedule::PerClient(epochs) => {
-                if epochs.is_empty() {
-                    1.0
-                } else {
-                    epochs.iter().map(|&e| e.max(1) as f64).sum::<f64>() / epochs.len() as f64
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +78,6 @@ mod tests {
             assert_eq!(s.epochs_for(c, &mut rng), 5);
         }
         assert_eq!(s.max_epochs(), 5);
-        assert_eq!(s.expected_epochs(), 5.0);
     }
 
     #[test]
@@ -107,7 +89,6 @@ mod tests {
         assert!(draws.iter().collect::<std::collections::HashSet<_>>().len() > 10);
         let mean = draws.iter().sum::<usize>() as f64 / draws.len() as f64;
         assert!((mean - 10.5).abs() < 1.5, "mean {mean}");
-        assert!((s.expected_epochs() - 10.5).abs() < 1e-9);
     }
 
     #[test]
@@ -119,7 +100,6 @@ mod tests {
         assert_eq!(s.epochs_for(2, &mut rng), 3);
         assert_eq!(s.epochs_for(3, &mut rng), 1);
         assert_eq!(s.max_epochs(), 3);
-        assert_eq!(s.expected_epochs(), 2.0);
     }
 
     #[test]
@@ -147,15 +127,5 @@ mod tests {
             LocalWorkSchedule::from_config(20, false),
             LocalWorkSchedule::Fixed(20)
         );
-    }
-
-    #[test]
-    fn heterogeneous_work_is_half_of_fixed_on_average() {
-        // The paper: "FedADMM has 50% less training computation than FedAvg
-        // and SCAFFOLD" because of the uniform {1..E} draw.
-        let hetero = LocalWorkSchedule::from_config(20, true);
-        let fixed = LocalWorkSchedule::from_config(20, false);
-        let ratio = hetero.expected_epochs() / fixed.expected_epochs();
-        assert!((ratio - 0.525).abs() < 0.01);
     }
 }

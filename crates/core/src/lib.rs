@@ -39,7 +39,7 @@
 //! use fedadmm_nn::models::ModelSpec;
 //!
 //! // A deliberately tiny configuration so the doctest runs in milliseconds;
-//! // the examples/ and benches/ use paper-scale settings.
+//! // the examples/ use paper-scale settings.
 //! let config = FedConfig {
 //!     num_clients: 10,
 //!     participation: Participation::Fraction(0.3),
@@ -73,7 +73,6 @@ pub mod heterogeneity;
 pub mod metrics;
 pub mod param;
 pub mod quadratic;
-pub mod schedule;
 pub mod selection;
 pub mod solver;
 pub mod theory;
@@ -97,7 +96,6 @@ pub mod prelude {
     pub use crate::heterogeneity::LocalWorkSchedule;
     pub use crate::metrics::{RoundRecord, RunHistory};
     pub use crate::param::ParamVector;
-    pub use crate::schedule::Schedule;
     pub use crate::selection::ClientSelector;
     pub use crate::solver::LocalSolver;
     pub use fedadmm_clientstore::{

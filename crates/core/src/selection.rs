@@ -9,27 +9,11 @@
 //!
 //! Every selector returns its cohort sorted ascending, which is what the
 //! engine's client-state store needs to materialize shards in O(selected):
-//! [`group_cohort_by_shard`] converts a cohort into shard-local index runs
-//! without touching the `m − |S_t|` inactive clients.
+//! `ShardMap::group` converts a cohort into shard-local index runs without
+//! touching the `m − |S_t|` inactive clients.
 
-pub use fedadmm_clientstore::ShardMap;
-
-use fedadmm_tensor::TensorResult;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::ops::Range;
-
-/// Groups a strictly-ascending cohort into `(shard, range)` runs under the
-/// given shard geometry: `cohort[range]` is the slice of the cohort that
-/// lands in `shard`. Because selectors emit sorted cohorts and shards are
-/// contiguous, this is a single O(|S_t|) sweep — the store materializes
-/// exactly the shards named here and never scans the inactive tail.
-pub fn group_cohort_by_shard(
-    map: &ShardMap,
-    cohort: &[usize],
-) -> TensorResult<Vec<(usize, Range<usize>)>> {
-    map.group(cohort)
-}
 
 /// A client-selection scheme: given the population size and a round RNG,
 /// produces the set `S_t ⊆ [m]` of active clients.
@@ -186,57 +170,6 @@ impl ClientSelector for RoundRobin {
     }
 }
 
-/// Selects clients with probability proportional to their data volume
-/// (without replacement), modelling deployments where well-provisioned
-/// clients with more data are preferentially scheduled. Every client with at
-/// least one sample retains a non-zero selection probability, so the
-/// infinitely-often requirement of Remark 2 still holds.
-#[derive(Debug, Clone)]
-pub struct WeightedBySamples {
-    weights: Vec<f64>,
-    count: usize,
-}
-
-impl WeightedBySamples {
-    /// Creates a selector picking `count` clients per round with probability
-    /// proportional to `sample_counts`. Clients with zero samples are given
-    /// a tiny positive weight so they are not starved forever.
-    ///
-    /// # Panics
-    /// Panics if `sample_counts` is empty.
-    pub fn new(sample_counts: &[usize], count: usize) -> Self {
-        assert!(!sample_counts.is_empty(), "need at least one client");
-        let weights: Vec<f64> = sample_counts
-            .iter()
-            .map(|&n| (n as f64).max(1e-3))
-            .collect();
-        WeightedBySamples { weights, count }
-    }
-}
-
-impl ClientSelector for WeightedBySamples {
-    fn select(&self, num_clients: usize, rng: &mut dyn rand::RngCore) -> Vec<usize> {
-        let n = num_clients.min(self.weights.len());
-        let k = self.count.clamp(1, n.max(1));
-        // Sequential weighted sampling without replacement (Efraimidis–
-        // Spirakis keys): draw u_i^{1/w_i} and keep the k largest.
-        let mut keyed: Vec<(f64, usize)> = (0..n)
-            .map(|i| {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                (u.powf(1.0 / self.weights[i]), i)
-            })
-            .collect();
-        keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        let mut ids: Vec<usize> = keyed.into_iter().take(k).map(|(_, i)| i).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn describe(&self) -> String {
-        format!("sample-volume-weighted {} clients/round", self.count)
-    }
-}
-
 /// Time-varying participation probabilities `p_i^t = p_i / (1 + t/τ)`.
 ///
 /// Remark 2 of the paper: convergence only needs `Σ_t p_i^t = ∞` (clients
@@ -313,6 +246,7 @@ impl ClientSelector for DecayingProbabilities {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedadmm_clientstore::ShardMap;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
@@ -418,41 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_by_samples_prefers_large_clients_but_starves_none() {
-        // Client 2 holds 10× the data of the others: it must be selected far
-        // more often, but every client must still appear eventually.
-        let sel = WeightedBySamples::new(&[10, 10, 100, 10], 1);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut counts = vec![0usize; 4];
-        for _ in 0..2000 {
-            for id in sel.select(4, &mut rng) {
-                counts[id] += 1;
-            }
-        }
-        assert!(counts[2] > counts[0] * 3, "counts {counts:?}");
-        assert!(counts.iter().all(|&c| c > 0), "counts {counts:?}");
-        assert!(sel.describe().contains("weighted"));
-    }
-
-    #[test]
-    fn weighted_by_samples_returns_distinct_clients() {
-        let sel = WeightedBySamples::new(&[5, 5, 5, 5, 5], 3);
-        let mut rng = SmallRng::seed_from_u64(4);
-        for _ in 0..50 {
-            let s = sel.select(5, &mut rng);
-            assert_eq!(s.len(), 3);
-            let unique: HashSet<_> = s.iter().collect();
-            assert_eq!(unique.len(), 3);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one client")]
-    fn weighted_by_samples_rejects_empty_population() {
-        WeightedBySamples::new(&[], 1);
-    }
-
-    #[test]
     fn decaying_probabilities_decay_but_never_reach_zero() {
         let sel = DecayingProbabilities::new(vec![0.8; 4], 10.0);
         assert!((sel.probability_at(0, 0) - 0.8).abs() < 1e-12);
@@ -494,7 +393,7 @@ mod tests {
         let sel = UniformFraction::new(12);
         let mut rng = SmallRng::seed_from_u64(7);
         let cohort = sel.select(100, &mut rng);
-        let runs = group_cohort_by_shard(&map, &cohort).unwrap();
+        let runs = map.group(&cohort).unwrap();
         let mut covered = 0;
         for (shard, range) in &runs {
             assert!(!range.is_empty());
@@ -517,7 +416,6 @@ mod tests {
             Box::new(FullParticipation),
             Box::new(FixedProbabilities::new(vec![0.5; 20])),
             Box::new(RoundRobin::new(4)),
-            Box::new(WeightedBySamples::new(&[3; 20], 5)),
             Box::new(DecayingProbabilities::new(vec![0.6; 20], 50.0)),
         ];
         for sel in &selectors {

@@ -17,11 +17,10 @@ use serde_json::Value;
 /// shrinks the client population, dataset and model so that a full table
 /// regenerates on a laptop CPU in minutes while preserving the comparisons
 /// the paper makes (who wins, by roughly what factor). [`Scale::Smoke`] is
-/// the few-second configuration used by integration tests and Criterion
-/// benches.
+/// the few-second configuration used by integration tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
-    /// Seconds-scale configuration for CI and benches.
+    /// Seconds-scale configuration for CI.
     Smoke,
     /// Minutes-scale configuration (the default for the `experiments` binary).
     Scaled,
@@ -196,18 +195,10 @@ impl Setting {
         }
     }
 
-    /// Builds a ready-to-run synchronous engine for a boxed `algorithm`.
-    pub fn build_simulation(
-        &self,
-        algorithm: Box<dyn Algorithm>,
-    ) -> TensorResult<SyncEngine<Box<dyn Algorithm>>> {
-        self.build_sim(algorithm)
-    }
-
-    /// Builds a ready-to-run synchronous engine for a concrete algorithm
-    /// type, preserving access to its hyperparameter setters through
+    /// Builds a ready-to-run synchronous engine. A concrete algorithm type
+    /// keeps its hyperparameter setters reachable through
     /// [`RoundEngine::algorithm_mut`] (needed by the η / ρ mid-run
-    /// adjustments of Figures 6 and 9).
+    /// adjustments of Figures 6 and 9); a `Box<dyn Algorithm>` works too.
     pub fn build_sim<A: Algorithm>(&self, algorithm: A) -> TensorResult<SyncEngine<A>> {
         let (train, test) = self.generate_data();
         let partition = self
@@ -230,7 +221,7 @@ impl Setting {
         &self,
         algorithm: Box<dyn Algorithm>,
     ) -> TensorResult<(Option<usize>, RunHistory)> {
-        let mut sim = self.build_simulation(algorithm)?;
+        let mut sim = self.build_sim(algorithm)?;
         let rounds = sim.run_until_accuracy(self.target_accuracy, self.max_rounds)?;
         Ok((rounds, sim.into_history()))
     }
@@ -241,7 +232,7 @@ impl Setting {
         algorithm: Box<dyn Algorithm>,
         rounds: usize,
     ) -> TensorResult<RunHistory> {
-        let mut sim = self.build_simulation(algorithm)?;
+        let mut sim = self.build_sim(algorithm)?;
         sim.run_rounds(rounds)?;
         Ok(sim.into_history())
     }
@@ -416,7 +407,7 @@ mod tests {
             100,
             Scale::Smoke,
         );
-        let mut sim = s.build_simulation(Box::new(FedAvg::new())).unwrap();
+        let mut sim = s.build_sim(FedAvg::new()).unwrap();
         let record = sim.run_round().unwrap();
         assert!(record.test_accuracy >= 0.0);
     }

@@ -52,82 +52,6 @@ impl Sgd {
     }
 }
 
-/// SGD with heavy-ball momentum (and optional weight decay).
-///
-/// Not used by the paper's protocol (whose local solver is plain SGD) but
-/// provided for users who want a stronger local solver; the inexactness
-/// criterion (6) of the paper is agnostic to how the local subproblem is
-/// approximately minimised.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MomentumSgd {
-    /// Learning rate.
-    pub learning_rate: f32,
-    /// Momentum coefficient β ∈ [0, 1).
-    pub momentum: f32,
-    /// Optional decoupled weight decay coefficient (0 disables it).
-    pub weight_decay: f32,
-    /// Velocity buffer (lazily sized on the first step).
-    velocity: Vec<f32>,
-}
-
-impl MomentumSgd {
-    /// Creates a momentum-SGD optimizer.
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ momentum < 1`.
-    pub fn new(learning_rate: f32, momentum: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        MomentumSgd {
-            learning_rate,
-            momentum,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Adds decoupled weight decay.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
-    }
-
-    /// Performs one update:
-    /// `v ← β·v + g`, `params ← params − lr·v − lr·wd·params`.
-    ///
-    /// # Panics
-    /// Panics if `params.len() != grads.len()`.
-    pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
-        assert_eq!(
-            params.len(),
-            grads.len(),
-            "MomentumSgd::step length mismatch"
-        );
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        let lr = self.learning_rate;
-        let lr_wd = lr * self.weight_decay;
-        for ((v, p), &g) in self
-            .velocity
-            .iter_mut()
-            .zip(params.iter_mut())
-            .zip(grads.iter())
-        {
-            *v = self.momentum * *v + g;
-            *p -= lr * *v;
-            if lr_wd != 0.0 {
-                *p -= lr_wd * *p;
-            }
-        }
-    }
-
-    /// Clears the velocity buffer (e.g. between federated rounds, where the
-    /// local subproblem changes because θ and the duals change).
-    pub fn reset(&mut self) {
-        self.velocity.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,77 +99,5 @@ mod tests {
         for (a, t) in x.iter().zip(target.iter()) {
             assert!((a - t).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum must be in")]
-    fn momentum_out_of_range_is_rejected() {
-        MomentumSgd::new(0.1, 1.0);
-    }
-
-    #[test]
-    fn zero_momentum_matches_plain_sgd() {
-        let mut m = MomentumSgd::new(0.1, 0.0);
-        let sgd = Sgd::new(0.1);
-        let mut a = vec![1.0f32, -2.0];
-        let mut b = a.clone();
-        for _ in 0..5 {
-            let g = vec![0.5, -0.25];
-            m.step(&mut a, &g);
-            sgd.step(&mut b, &g);
-        }
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn momentum_accelerates_along_a_constant_gradient() {
-        // With a constant gradient, the velocity grows towards g/(1-β), so
-        // momentum covers more distance than plain SGD in the same steps.
-        let mut m = MomentumSgd::new(0.1, 0.9);
-        let sgd = Sgd::new(0.1);
-        let mut a = vec![0.0f32];
-        let mut b = vec![0.0f32];
-        for _ in 0..20 {
-            m.step(&mut a, &[1.0]);
-            sgd.step(&mut b, &[1.0]);
-        }
-        assert!(
-            a[0] < b[0],
-            "momentum {} should descend further than sgd {}",
-            a[0],
-            b[0]
-        );
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic() {
-        let target = [1.0f32, -2.0, 3.0];
-        let mut x = vec![0.0f32; 3];
-        let mut opt = MomentumSgd::new(0.2, 0.8);
-        for _ in 0..200 {
-            let grads: Vec<f32> = x.iter().zip(target.iter()).map(|(a, t)| a - t).collect();
-            opt.step(&mut x, &grads);
-        }
-        for (a, t) in x.iter().zip(target.iter()) {
-            assert!((a - t).abs() < 1e-2);
-        }
-    }
-
-    #[test]
-    fn reset_clears_velocity_and_decay_shrinks_params() {
-        let mut opt = MomentumSgd::new(0.1, 0.9).with_weight_decay(0.5);
-        let mut p = vec![1.0f32];
-        opt.step(&mut p, &[0.0]);
-        assert!(p[0] < 1.0);
-        opt.reset();
-        assert!(opt.velocity.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn momentum_mismatched_lengths_panic() {
-        MomentumSgd::new(0.1, 0.5).step(&mut [1.0], &[1.0, 2.0]);
     }
 }

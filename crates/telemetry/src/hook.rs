@@ -389,19 +389,9 @@ impl Recorder {
         &self.metrics
     }
 
-    /// Mutable access to the metrics registry (for custom instruments).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
     /// Read access to the tracer.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Mutable access to the tracer (for user-level [`span!`](crate::span)s).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
     }
 
     /// Exports the trace ring as JSON lines.

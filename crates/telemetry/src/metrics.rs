@@ -152,18 +152,6 @@ impl Histogram {
         self.max
     }
 
-    /// `(bound, cumulative_count)` pairs, ending with the +∞ bucket.
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let mut cumulative = 0;
-        let mut out = Vec::with_capacity(self.counts.len());
-        for (idx, &c) in self.counts.iter().enumerate() {
-            cumulative += c;
-            let bound = self.bounds.get(idx).copied().unwrap_or(f64::INFINITY);
-            out.push((bound, cumulative));
-        }
-        out
-    }
-
     fn to_json(&self) -> Value {
         json!({
             "count": self.count,
@@ -267,17 +255,6 @@ impl MetricsRegistry {
         self.histograms[id.0].1.observe(value);
     }
 
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].value
-    }
-
-    /// Current value of a gauge (`None` if never set).
-    pub fn gauge_value(&self, id: GaugeId) -> Option<f64> {
-        let g = &self.gauges[id.0];
-        g.set.then_some(g.value)
-    }
-
     /// Looks up a counter's value by name.
     pub fn counter_by_name(&self, name: &str) -> Option<u64> {
         self.counters
@@ -292,11 +269,6 @@ impl MetricsRegistry {
             .iter()
             .find(|g| g.name == name && g.set)
             .map(|g| g.value)
-    }
-
-    /// Read access to a histogram.
-    pub fn histogram_ref(&self, id: HistogramId) -> &Histogram {
-        &self.histograms[id.0].1
     }
 
     /// Looks up a histogram by name.
@@ -343,12 +315,10 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         let c = reg.counter("rounds_total");
         let g = reg.gauge("accuracy");
-        assert_eq!(reg.gauge_value(g), None);
+        assert_eq!(reg.gauge_by_name("accuracy"), None);
         reg.inc(c, 3);
         reg.inc(c, 2);
         reg.set(g, 0.91);
-        assert_eq!(reg.counter_value(c), 5);
-        assert_eq!(reg.gauge_value(g), Some(0.91));
         // Re-registration returns the same handle.
         assert_eq!(reg.counter("rounds_total"), c);
         assert_eq!(reg.counter_by_name("rounds_total"), Some(5));
@@ -362,7 +332,7 @@ mod tests {
         for v in 1..=100 {
             reg.observe(h, (v % 10) as f64 + 0.5);
         }
-        let hist = reg.histogram_ref(h);
+        let hist = reg.histogram_by_name("latency").unwrap();
         assert_eq!(hist.count(), 100);
         // Values are 0.5..9.5 uniformly; the median sits near 4.5–5.5.
         let p50 = hist.quantile(0.5);
@@ -378,13 +348,10 @@ mod tests {
         let h = reg.histogram("staleness", exponential_buckets(1.0, 2.0, 4));
         reg.observe(h, 100.0); // beyond the last bound (8.0)
         reg.observe(h, 0.0);
-        let hist = reg.histogram_ref(h);
+        let hist = reg.histogram_by_name("staleness").unwrap();
         assert_eq!(hist.quantile(0.99), 100.0);
         assert_eq!(hist.min(), 0.0);
         assert_eq!(hist.max(), 100.0);
-        let buckets = hist.cumulative_buckets();
-        assert_eq!(buckets.last().unwrap().1, 2);
-        assert!(buckets.last().unwrap().0.is_infinite());
     }
 
     #[test]

@@ -27,9 +27,6 @@ use std::time::Instant;
 pub struct SpanId(pub(crate) u64);
 
 impl SpanId {
-    /// The "no parent" sentinel.
-    pub const NONE: SpanId = SpanId(0);
-
     /// The raw identifier value.
     pub fn raw(self) -> u64 {
         self.0

@@ -39,14 +39,6 @@ pub fn kaiming_uniform(dims: &[usize], fan_in: usize, rng: &mut impl Rng) -> Ten
     rand_uniform(dims, -bound, bound, rng)
 }
 
-/// Xavier / Glorot uniform initialisation.
-///
-/// Samples `Uniform(-b, b)` with `b = sqrt(6 / (fan_in + fan_out))`.
-pub fn xavier_uniform(dims: &[usize], fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Tensor {
-    let bound = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    rand_uniform(dims, -bound, bound, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,15 +76,6 @@ mod tests {
         let fan_in = 25;
         let bound = (6.0f32 / fan_in as f32).sqrt();
         let t = kaiming_uniform(&[500], fan_in, &mut rng);
-        assert!(t.max() <= bound);
-        assert!(t.min() >= -bound);
-    }
-
-    #[test]
-    fn xavier_bound_respected() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let bound = (6.0f32 / 40.0).sqrt();
-        let t = xavier_uniform(&[500], 30, 10, &mut rng);
         assert!(t.max() <= bound);
         assert!(t.min() >= -bound);
     }

@@ -506,9 +506,7 @@ fn a_bt_tile_body(pack: &[f32], rows: [&[f32]; NR], acc: &mut [[f32; MR]; NR]) {
 ///
 /// These are the original naive loops, kept verbatim: exactness tests
 /// assert exact `f32` equality between each blocked kernel and its
-/// reference at adversarial shapes, and the `gemm_kernels` criterion group
-/// measures the blocked kernels' speedup over them. Not used on any hot
-/// path.
+/// reference at adversarial shapes. Not used on any hot path.
 pub mod reference {
     /// Naive `out[m×n] = a[m×k] · b[k×n]`.
     pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], _m: usize, k: usize, n: usize) {

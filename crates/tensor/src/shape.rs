@@ -47,14 +47,6 @@ impl Shape {
         self.dims.iter().product()
     }
 
-    /// Size of dimension `axis`.
-    ///
-    /// # Panics
-    /// Panics if `axis >= rank()`.
-    pub fn dim(&self, axis: usize) -> usize {
-        self.dims[axis]
-    }
-
     /// Row-major strides for this shape, in elements.
     pub fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1usize; self.dims.len()];

@@ -137,22 +137,6 @@ impl Tensor {
         })
     }
 
-    /// Reshapes in place (same element count required).
-    ///
-    /// Allocation-free once the shape's dimension list has capacity for
-    /// `dims`.
-    pub fn reshape_in_place(&mut self, dims: &[usize]) -> TensorResult<()> {
-        let elements: usize = dims.iter().product();
-        if elements != self.len() {
-            return Err(TensorError::InvalidReshape {
-                from: self.len(),
-                to: elements,
-            });
-        }
-        self.shape.set_dims(dims);
-        Ok(())
-    }
-
     /// Resizes the tensor to `dims`, keeping and reusing the existing
     /// buffer. New elements (if the tensor grows) are zero; existing
     /// element values are *not* meaningful after a resize — this is a
@@ -193,24 +177,9 @@ impl Tensor {
         self.zip_map(other, |a, b| a - b)
     }
 
-    /// Elementwise (Hadamard) multiplication, producing a new tensor.
-    pub fn mul(&self, other: &Tensor) -> TensorResult<Tensor> {
-        self.zip_map(other, |a, b| a * b)
-    }
-
-    /// Elementwise division, producing a new tensor.
-    pub fn div(&self, other: &Tensor) -> TensorResult<Tensor> {
-        self.zip_map(other, |a, b| a / b)
-    }
-
     /// In-place elementwise addition: `self += other`.
     pub fn add_assign(&mut self, other: &Tensor) -> TensorResult<()> {
         self.zip_assign(other, |a, b| *a += b)
-    }
-
-    /// In-place elementwise subtraction: `self -= other`.
-    pub fn sub_assign(&mut self, other: &Tensor) -> TensorResult<()> {
-        self.zip_assign(other, |a, b| *a -= b)
     }
 
     /// In-place `self += alpha * other` (BLAS `axpy`).
@@ -228,11 +197,6 @@ impl Tensor {
         for x in &mut self.data {
             *x *= alpha;
         }
-    }
-
-    /// Adds a scalar to every element, producing a new tensor.
-    pub fn add_scalar(&self, alpha: f32) -> Tensor {
-        self.map(|x| x + alpha)
     }
 
     /// Applies `f` elementwise, producing a new tensor.
@@ -335,29 +299,6 @@ impl Tensor {
         })
     }
 
-    /// Returns a slice of the buffer for the `i`-th outermost sub-tensor.
-    ///
-    /// For a tensor of shape `[n, c, h, w]`, `outer_slice(i)` returns the
-    /// contiguous `c*h*w` elements of sample `i`. This is the zero-copy path
-    /// used by batched layers.
-    pub fn outer_slice(&self, i: usize) -> TensorResult<&[f32]> {
-        if self.rank() == 0 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: 0,
-            });
-        }
-        let outer = self.shape.dim(0);
-        if i >= outer {
-            return Err(TensorError::IndexOutOfBounds {
-                index: vec![i],
-                shape: self.dims().to_vec(),
-            });
-        }
-        let inner: usize = self.dims()[1..].iter().product();
-        Ok(&self.data[i * inner..(i + 1) * inner])
-    }
-
     /// Stacks rank-`k` tensors of identical shape into a rank-`k+1` tensor.
     pub fn stack(tensors: &[Tensor]) -> TensorResult<Tensor> {
         if tensors.is_empty() {
@@ -455,8 +396,6 @@ mod tests {
         let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]).unwrap();
         assert_eq!(a.add(&b).unwrap().data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).unwrap().data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).unwrap().data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(b.div(&a).unwrap().data(), &[4.0, 2.5, 2.0]);
     }
 
     #[test]
@@ -479,7 +418,6 @@ mod tests {
         let a = Tensor::from_vec(vec![1.0, -2.0], &[2]).unwrap();
         assert_eq!(a.scale(2.0).data(), &[2.0, -4.0]);
         assert_eq!(a.map(f32::abs).data(), &[1.0, 2.0]);
-        assert_eq!(a.add_scalar(1.0).data(), &[2.0, -1.0]);
     }
 
     #[test]
@@ -522,13 +460,6 @@ mod tests {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
         assert_eq!(a.row(1).unwrap().data(), &[3.0, 4.0]);
         assert!(a.row(2).is_err());
-    }
-
-    #[test]
-    fn outer_slice_views() {
-        let a = Tensor::from_vec((0..12).map(|x| x as f32).collect(), &[3, 2, 2]).unwrap();
-        assert_eq!(a.outer_slice(1).unwrap(), &[4.0, 5.0, 6.0, 7.0]);
-        assert!(a.outer_slice(3).is_err());
     }
 
     #[test]

@@ -149,31 +149,6 @@ pub fn sub_into(x: &[f32], y: &[f32], out: &mut [f32]) {
     }
 }
 
-/// `out = x + y`, overwriting `out`.
-///
-/// # Panics
-/// Panics on any length mismatch.
-pub fn add_into(x: &[f32], y: &[f32], out: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "add_into length mismatch");
-    assert_eq!(x.len(), out.len(), "add_into output length mismatch");
-    let mut xb = x.chunks_exact(LANES);
-    let mut yb = y.chunks_exact(LANES);
-    let mut ob = out.chunks_exact_mut(LANES);
-    for ((os, xs), ys) in ob.by_ref().zip(xb.by_ref()).zip(yb.by_ref()) {
-        for k in 0..LANES {
-            os[k] = xs[k] + ys[k];
-        }
-    }
-    for ((o, a), b) in ob
-        .into_remainder()
-        .iter_mut()
-        .zip(xb.remainder())
-        .zip(yb.remainder())
-    {
-        *o = a + b;
-    }
-}
-
 /// Returns `x - y` as a freshly allocated vector, writing each element
 /// exactly once (no intermediate zero-fill).
 ///
@@ -430,41 +405,11 @@ pub fn min_max(x: &[f32]) -> (f32, f32) {
     (min, max)
 }
 
-/// `x.iter().sum()` of absolute values (L1 norm).
-pub fn norm_l1(x: &[f32]) -> f32 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// Fills `x` with zeros.
 pub fn zero(x: &mut [f32]) {
     for xi in x.iter_mut() {
         *xi = 0.0;
     }
-}
-
-/// Elementwise mean of several equally sized vectors.
-///
-/// Returns an empty vector if `vectors` is empty.
-///
-/// # Panics
-/// Panics if the vectors have differing lengths.
-pub fn mean_of(vectors: &[&[f32]]) -> Vec<f32> {
-    if vectors.is_empty() {
-        return Vec::new();
-    }
-    let d = vectors[0].len();
-    let mut out = vec![0.0f32; d];
-    for v in vectors {
-        assert_eq!(v.len(), d, "mean_of length mismatch");
-        for (o, x) in out.iter_mut().zip(v.iter()) {
-            *o += x;
-        }
-    }
-    let inv = 1.0 / vectors.len() as f32;
-    for o in out.iter_mut() {
-        *o *= inv;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -509,18 +454,15 @@ mod tests {
         assert_eq!(norm(&x), 5.0);
         assert_eq!(norm_sq(&x), 25.0);
         assert_eq!(dist(&x, &y), 5.0);
-        assert_eq!(norm_l1(&[-1.0, 2.0]), 3.0);
     }
 
     #[test]
-    fn sub_add_into() {
+    fn sub_into_basic() {
         let x = [5.0, 7.0];
         let y = [2.0, 3.0];
         let mut out = [0.0; 2];
         sub_into(&x, &y, &mut out);
         assert_eq!(out, [3.0, 4.0]);
-        add_into(&x, &y, &mut out);
-        assert_eq!(out, [7.0, 10.0]);
     }
 
     #[test]
@@ -593,15 +535,6 @@ mod tests {
         assert_eq!(y, [0.0, 0.0]);
     }
 
-    #[test]
-    fn mean_of_vectors() {
-        let a = [1.0, 2.0];
-        let b = [3.0, 6.0];
-        let m = mean_of(&[&a, &b]);
-        assert_eq!(m, vec![2.0, 4.0]);
-        assert!(mean_of(&[]).is_empty());
-    }
-
     /// Naive scalar references for the chunked kernels. On integer-valued
     /// f32 data every partial sum below 2^24 is exact, so any summation
     /// order produces the same bits — exact equality is a valid oracle even
@@ -628,11 +561,6 @@ mod tests {
         pub fn sub_into(x: &[f32], y: &[f32], out: &mut [f32]) {
             for ((o, a), b) in out.iter_mut().zip(x.iter()).zip(y.iter()) {
                 *o = a - b;
-            }
-        }
-        pub fn add_into(x: &[f32], y: &[f32], out: &mut [f32]) {
-            for ((o, a), b) in out.iter_mut().zip(x.iter()).zip(y.iter()) {
-                *o = a + b;
             }
         }
         pub fn axpy_fused(alphas: &[f32], xs: &[&[f32]], out: &mut [f32]) {
@@ -708,9 +636,6 @@ mod tests {
             sub_into(&x, &y, &mut got);
             reference::sub_into(&x, &y, &mut want);
             assert_eq!(got, want, "sub_into len {n}");
-            add_into(&x, &y, &mut got);
-            reference::add_into(&x, &y, &mut want);
-            assert_eq!(got, want, "add_into len {n}");
 
             let alphas = [2.0f32, -3.0, 5.0];
             let terms: [&[f32]; 3] = [&x, &y, &z];
@@ -848,16 +773,6 @@ mod tests {
             let lhs = dot(&x, &y).abs();
             let rhs = norm(&x) * norm(&y);
             prop_assert!(lhs <= rhs * (1.0 + 1e-4) + 1e-4);
-        }
-
-        /// The mean of identical vectors is that vector.
-        #[test]
-        fn prop_mean_of_identical(x in proptest::collection::vec(-5.0f32..5.0, 1..32), k in 1usize..5) {
-            let refs: Vec<&[f32]> = (0..k).map(|_| x.as_slice()).collect();
-            let m = mean_of(&refs);
-            for (a, b) in m.iter().zip(x.iter()) {
-                prop_assert!((a - b).abs() < 1e-4);
-            }
         }
     }
 }

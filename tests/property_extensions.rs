@@ -3,7 +3,6 @@
 //! the hand-picked cases of the unit tests.
 
 use fedadmm::core::quadratic::{QuadraticConfig, QuadraticProblem};
-use fedadmm::core::schedule::Schedule;
 use fedadmm::core::theory::{min_rho, theorem1_constants};
 use fedadmm::prelude::*;
 use proptest::prelude::*;
@@ -87,44 +86,6 @@ proptest! {
             // Masks are O(num_participants); allow generous f32 cancellation error.
             prop_assert!((m - r).abs() < 1e-3 * (num_participants as f32).max(1.0));
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Hyperparameter schedules.
-    // ------------------------------------------------------------------
-
-    /// A step schedule always evaluates to one of its declared values, and
-    /// is piecewise constant between boundaries.
-    #[test]
-    fn step_schedule_only_takes_declared_values(
-        initial in 0.001f32..10.0,
-        b1 in 1usize..50,
-        gap in 1usize..50,
-        v1 in 0.001f32..10.0,
-        v2 in 0.001f32..10.0,
-        probe in 0usize..200,
-    ) {
-        let b2 = b1 + gap;
-        let s = Schedule::Step { initial, boundaries: vec![(b1, v1), (b2, v2)] };
-        let value = s.value_at(probe);
-        prop_assert!(value == initial || value == v1 || value == v2);
-        let expected = if probe >= b2 { v2 } else if probe >= b1 { v1 } else { initial };
-        prop_assert_eq!(value, expected);
-    }
-
-    /// Decay schedules are non-increasing when the factor is ≤ 1.
-    #[test]
-    fn decay_schedule_is_monotone_non_increasing(
-        initial in 0.01f32..10.0,
-        factor in 0.1f32..1.0,
-        every in 1usize..20,
-        t in 0usize..100,
-    ) {
-        let s = Schedule::Decay { initial, factor, every };
-        prop_assert!(s.value_at(t + 1) <= s.value_at(t) + 1e-9);
-        prop_assert!(s.value_at(t) <= initial);
-        // Deep decays may underflow f32 to exactly 0, but never go negative.
-        prop_assert!(s.value_at(t) >= 0.0);
     }
 
     // ------------------------------------------------------------------
