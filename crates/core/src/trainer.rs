@@ -73,9 +73,10 @@ pub struct LocalSgdResult {
 }
 
 /// Reusable buffers for the per-batch temporaries of the SGD loop: the
-/// flattened gradient, the gathered mini-batch (features + labels), the
-/// epoch shuffle order, the input tensor, and the activation arena that the
-/// forward/backward sweep writes through.
+/// gathered mini-batch (features + labels), the epoch shuffle order, the
+/// input tensor, and the activation arena that the forward/backward sweep
+/// writes through. The parameters and their gradient are the cached
+/// [`Network`]'s own two vectors; the step works on them in place.
 ///
 /// The same buffers are recycled across steps, epochs, *and* jobs — the
 /// dispatch pool keeps one `TrainScratch` per worker inside its
@@ -85,9 +86,6 @@ pub struct LocalSgdResult {
 /// one: every buffer is fully overwritten before it is read.
 #[derive(Debug)]
 pub struct TrainScratch {
-    /// Flat gradient buffer (`d` floats), refilled by
-    /// [`Network::grads_flat_into`] every step.
-    pub grads: Vec<f32>,
     /// Gathered mini-batch feature block, ping-ponged with the `input`
     /// tensor's storage so both allocations survive across steps.
     pub batch_data: Vec<f32>,
@@ -108,7 +106,6 @@ pub struct TrainScratch {
 impl Default for TrainScratch {
     fn default() -> Self {
         TrainScratch {
-            grads: Vec::new(),
             batch_data: Vec::new(),
             batch_labels: Vec::new(),
             perm: Vec::new(),
@@ -124,10 +121,10 @@ impl Default for TrainScratch {
 /// the network, so building one per job (a full `d` draws from the model
 /// RNG) would be pure waste. The dispatch pool keeps one cache per worker
 /// inside its `UpdateScratch`, and [`local_sgd_cached`] reuses the network
-/// across jobs — bit-identical to building fresh, because
-/// `set_params_flat` replaces all parameters, `zero_grads` runs before
-/// every backward pass, and activation caches are overwritten by each
-/// forward pass.
+/// across jobs — bit-identical to building fresh, because a job loads all
+/// parameters before its first pass, every backward pass overwrites the
+/// whole gradient vector (no layer adds to what it finds there), and
+/// activation caches are overwritten by each forward pass.
 #[derive(Debug, Default)]
 pub struct NetCache {
     slot: Option<(ModelSpec, Network)>,
@@ -154,10 +151,13 @@ impl NetCache {
 /// For every batch `b` the update is
 /// `w ← w − η_i · (∇f_i(w, b) + correction(w))`, where `correction`
 /// receives the current parameters and *adds* its terms into the gradient
-/// buffer (second argument). Passing a no-op closure recovers FedAvg's
-/// local problem. The network's parameters are overwritten from `init`
-/// before the first step and every `scratch` buffer is overwritten before
-/// it is read, so leftover state from earlier jobs never leaks in.
+/// (second argument). Passing a no-op closure recovers FedAvg's local
+/// problem. `init` is loaded into the network once; from then on `w` and
+/// its gradient are the network's own vectors, so a step passes over `d`
+/// only where the algorithm does — the backward pass writes the gradient,
+/// `correction` amends it, the SGD step applies it in place. Every
+/// parameter, the whole gradient and every `scratch` buffer is overwritten
+/// before it is read, so leftover state from earlier jobs never leaks in.
 pub fn local_sgd_cached(
     env: &LocalEnv<'_>,
     init: &[f32],
@@ -167,15 +167,13 @@ pub fn local_sgd_cached(
 ) -> TensorResult<LocalSgdResult> {
     let net = cache.get(env.model);
     let TrainScratch {
-        grads,
         batch_data,
         batch_labels,
         perm,
         input,
         arena,
     } = scratch;
-    let mut params = init.to_vec();
-    net.set_params_flat(&params)?;
+    net.set_params_flat(init)?;
     let sgd = Sgd::new(env.learning_rate);
 
     let mut batch_rng = SmallRng::seed_from_u64(env.seed);
@@ -201,12 +199,10 @@ pub fn local_sgd_cached(
                 let (logits, loss_grad) = arena.output_and_loss_grad();
                 softmax_cross_entropy_into(logits, batch_labels, loss_grad)?
             };
-            net.zero_grads();
             net.backward_arena(arena)?;
-            net.grads_flat_into(grads);
-            correction(&params, grads);
-            sgd.step(&mut params, grads);
-            net.set_params_flat(&params)?;
+            let (params, grads) = net.params_grads_mut();
+            correction(params, grads);
+            sgd.step(params, grads);
             steps += 1;
             samples += batch.len();
             epoch_loss += loss;
@@ -217,7 +213,7 @@ pub fn local_sgd_cached(
         }
     }
     Ok(LocalSgdResult {
-        params,
+        params: net.params_flat(),
         steps,
         samples_processed: samples,
         final_epoch_loss,
@@ -255,11 +251,9 @@ pub fn full_gradient(env: &LocalEnv<'_>, at: &[f32]) -> TensorResult<(Vec<f32>, 
             let (logits, loss_grad) = scratch.arena.output_and_loss_grad();
             softmax_cross_entropy_into(logits, &scratch.batch_labels, loss_grad)?
         };
-        net.zero_grads();
         net.backward_arena(&mut scratch.arena)?;
-        net.grads_flat_into(&mut scratch.grads);
         let w = batch.len() as f32;
-        for (acc, gi) in grad_acc.iter_mut().zip(scratch.grads.iter()) {
+        for (acc, gi) in grad_acc.iter_mut().zip(net.grads()) {
             *acc += gi * w;
         }
         loss_acc += loss * w;
@@ -526,32 +520,47 @@ mod tests {
         assert_ne!(a.params, c.params);
     }
 
+    /// A warm worker is history-free. Client B's job right after client A's
+    /// (other data, other start, other seed) equals B's job on a cold worker
+    /// bit for bit, although nothing zeroes the gradient vector A's last
+    /// step left — on a two-layer model, so more than one layer's range of
+    /// it is at stake — and A's job run again reuses every buffer.
     #[test]
     fn second_job_on_a_warm_scratch_matches_the_first_on_a_cold_one() {
-        let (train, _) = SyntheticDataset::Mnist.generate(90, 10, 8);
-        let indices: Vec<usize> = (0..90).collect();
-        let env = small_env(&train, &indices);
-        let init = vec![0.02f32; env.model.num_params()];
+        let (train, _) = SyntheticDataset::Mnist.generate(150, 10, 8);
+        let (a_idx, b_idx): (Vec<usize>, Vec<usize>) = ((0..90).collect(), (90..150).collect());
+        let mut a = small_env(&train, &a_idx);
+        a.model = ModelSpec::Mlp {
+            input_dim: train.feature_dim(),
+            hidden_dim: 12,
+            num_classes: 10,
+        };
+        let b = LocalEnv {
+            indices: &b_idx,
+            seed: 7,
+            ..a
+        };
+        let init_a = vec![0.02f32; a.model.num_params()];
+        let init_b: Vec<f32> = (0..init_a.len()).map(|i| (i % 7) as f32 * 0.01).collect();
+        let pull = |w: &[f32], g: &mut [f32]| vecops::axpy(0.3, w, g);
+        let (cold_a, cold_b) = (
+            cold_sgd(&a, &init_a, |_, _| {}).unwrap(),
+            cold_sgd(&b, &init_b, pull).unwrap(),
+        );
 
-        let mut cache = NetCache::default();
-        let mut scratch = TrainScratch::default();
-        let cold = local_sgd_cached(&env, &init, &mut cache, &mut scratch, |_, _| {}).unwrap();
+        let (mut cache, mut scratch) = (NetCache::default(), TrainScratch::default());
+        local_sgd_cached(&a, &init_a, &mut cache, &mut scratch, |_, _| {}).unwrap();
+        let warm_b = local_sgd_cached(&b, &init_b, &mut cache, &mut scratch, pull).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&cold_b.params), bits(&warm_b.params));
+        assert_eq!(cold_b.final_epoch_loss, warm_b.final_epoch_loss);
+        assert_ne!(cold_b.params, init_b);
 
-        // A different job in between leaves the network parameters, the
-        // gradient accumulators and every scratch buffer dirty.
-        let other = LocalEnv { seed: 7, ..env };
-        local_sgd_cached(&other, &cold.params, &mut cache, &mut scratch, |_, _| {}).unwrap();
-
-        // Re-running the first job on the warm worker reuses every buffer —
-        // both the network cache and the per-batch scratch — with identical
-        // results and no capacity churn.
-        let grads_cap = scratch.grads.capacity();
         let data_cap = scratch.batch_data.capacity();
         let labels_cap = scratch.batch_labels.capacity();
-        let warm = local_sgd_cached(&env, &init, &mut cache, &mut scratch, |_, _| {}).unwrap();
-        assert_eq!(cold.params, warm.params);
-        assert_eq!(cold.final_epoch_loss, warm.final_epoch_loss);
-        assert_eq!(scratch.grads.capacity(), grads_cap);
+        let warm_a = local_sgd_cached(&a, &init_a, &mut cache, &mut scratch, |_, _| {}).unwrap();
+        assert_eq!(bits(&cold_a.params), bits(&warm_a.params));
+        assert_eq!(cold_a.final_epoch_loss, warm_a.final_epoch_loss);
         assert_eq!(scratch.batch_data.capacity(), data_cap);
         assert_eq!(scratch.batch_labels.capacity(), labels_cap);
     }

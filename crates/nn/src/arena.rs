@@ -14,7 +14,7 @@
 //!                [layer 0] ◀── grads[1] ◀── [layer 1] ◀── ...  ◀── loss_grad
 //! ```
 //!
-//! The backward sweep stops at the first layer that owns parameters: the
+//! The backward sweep stops at the first layer that has parameters: the
 //! gradient with respect to the network input is never read by training,
 //! so it is not computed and `grads[0]` stays empty.
 
@@ -28,7 +28,7 @@ pub struct ActivationArena {
     /// `acts[i]` holds the output of layer `i` from the last forward pass.
     pub(crate) acts: Vec<Tensor>,
     /// `grads[i]` holds `dL/d(input of layer i)` from the last backward
-    /// pass, for every layer above the first one that owns parameters.
+    /// pass, for every layer above the first one that has parameters.
     pub(crate) grads: Vec<Tensor>,
     /// Gradient of the loss with respect to the network output; the caller
     /// fills this (e.g. via `softmax_cross_entropy_into`) between the

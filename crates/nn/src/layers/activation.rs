@@ -28,7 +28,7 @@ impl Layer for Tanh {
         "Tanh"
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
+    fn forward_into(&mut self, _: &[f32], input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         out.resize_in_place(input.dims());
         let cache = self.output.get_or_insert_with(Vec::new);
         cache.clear();
@@ -42,6 +42,8 @@ impl Layer for Tanh {
 
     fn backward_into(
         &mut self,
+        _: &[f32],
+        _: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
@@ -92,7 +94,7 @@ impl Layer for Sigmoid {
         "Sigmoid"
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
+    fn forward_into(&mut self, _: &[f32], input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         out.resize_in_place(input.dims());
         let cache = self.output.get_or_insert_with(Vec::new);
         cache.clear();
@@ -106,6 +108,8 @@ impl Layer for Sigmoid {
 
     fn backward_into(
         &mut self,
+        _: &[f32],
+        _: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
@@ -146,7 +150,7 @@ mod tests {
     fn tanh_forward_values() {
         let mut t = Tanh::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 1.0], &[3]).unwrap();
-        let y = t.forward(&x).unwrap();
+        let y = t.forward(&[], &x).unwrap();
         assert!((y.data()[0] + 0.76159).abs() < 1e-4);
         assert_eq!(y.data()[1], 0.0);
         assert!((y.data()[2] - 0.76159).abs() < 1e-4);
@@ -156,7 +160,7 @@ mod tests {
     fn sigmoid_forward_values() {
         let mut s = Sigmoid::new();
         let x = Tensor::from_vec(vec![0.0, 100.0, -100.0], &[3]).unwrap();
-        let y = s.forward(&x).unwrap();
+        let y = s.forward(&[], &x).unwrap();
         assert_eq!(y.data()[0], 0.5);
         assert!((y.data()[1] - 1.0).abs() < 1e-6);
         assert!(y.data()[2] < 1e-6);
@@ -166,30 +170,34 @@ mod tests {
     fn tanh_gradient_matches_finite_differences() {
         let mut t = Tanh::new();
         let x = Tensor::from_vec(vec![-0.8, -0.2, 0.1, 0.7, 1.5, -1.2], &[2, 3]).unwrap();
-        gradcheck::check_input_gradients(&mut t, &x, &[0, 1, 2, 3, 4, 5], 1e-2);
+        gradcheck::check_gradients(&mut t, &[], &x, &[], &[0, 1, 2, 3, 4, 5], 1e-2);
     }
 
     #[test]
     fn sigmoid_gradient_matches_finite_differences() {
         let mut s = Sigmoid::new();
         let x = Tensor::from_vec(vec![-0.8, -0.2, 0.1, 0.7, 1.5, -1.2], &[2, 3]).unwrap();
-        gradcheck::check_input_gradients(&mut s, &x, &[0, 1, 2, 3, 4, 5], 1e-2);
+        gradcheck::check_gradients(&mut s, &[], &x, &[], &[0, 1, 2, 3, 4, 5], 1e-2);
     }
 
     #[test]
     fn backward_before_forward_errors() {
-        assert!(Tanh::new().backward(&Tensor::zeros(&[2])).is_err());
-        assert!(Sigmoid::new().backward(&Tensor::zeros(&[2])).is_err());
+        assert!(Tanh::new()
+            .backward(&[], &mut [], &Tensor::zeros(&[2]))
+            .is_err());
+        assert!(Sigmoid::new()
+            .backward(&[], &mut [], &Tensor::zeros(&[2]))
+            .is_err());
     }
 
     #[test]
     fn backward_rejects_mismatched_shape() {
         let mut t = Tanh::new();
-        t.forward(&Tensor::zeros(&[3])).unwrap();
-        assert!(t.backward(&Tensor::zeros(&[4])).is_err());
+        t.forward(&[], &Tensor::zeros(&[3])).unwrap();
+        assert!(t.backward(&[], &mut [], &Tensor::zeros(&[4])).is_err());
         let mut s = Sigmoid::new();
-        s.forward(&Tensor::zeros(&[3])).unwrap();
-        assert!(s.backward(&Tensor::zeros(&[4])).is_err());
+        s.forward(&[], &Tensor::zeros(&[3])).unwrap();
+        assert!(s.backward(&[], &mut [], &Tensor::zeros(&[4])).is_err());
     }
 
     #[test]

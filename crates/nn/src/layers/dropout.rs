@@ -67,7 +67,7 @@ impl Layer for Dropout {
         "Dropout"
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
+    fn forward_into(&mut self, _: &[f32], input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         out.resize_in_place(input.dims());
         let mask = self.mask.get_or_insert_with(Vec::new);
         mask.clear();
@@ -92,6 +92,8 @@ impl Layer for Dropout {
 
     fn backward_into(
         &mut self,
+        _: &[f32],
+        _: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
@@ -145,17 +147,17 @@ mod tests {
         d.set_training(false);
         assert!(!d.is_training());
         let x = Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]).unwrap();
-        let y = d.forward(&x).unwrap();
+        let y = d.forward(&[], &x).unwrap();
         assert_eq!(y.data(), x.data());
         let g = Tensor::from_vec(vec![0.5, 0.5, 0.5], &[3]).unwrap();
-        assert_eq!(d.backward(&g).unwrap().data(), g.data());
+        assert_eq!(d.backward(&[], &mut [], &g).unwrap().data(), g.data());
     }
 
     #[test]
     fn zero_probability_is_identity_even_in_training() {
         let mut d = Dropout::new(0.0, 0);
         let x = Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap();
-        assert_eq!(d.forward(&x).unwrap().data(), x.data());
+        assert_eq!(d.forward(&[], &x).unwrap().data(), x.data());
     }
 
     #[test]
@@ -163,7 +165,7 @@ mod tests {
         let mut d = Dropout::new(0.5, 42);
         let n = 10_000usize;
         let x = Tensor::ones(&[n]);
-        let y = d.forward(&x).unwrap();
+        let y = d.forward(&[], &x).unwrap();
         let dropped = y.data().iter().filter(|&&v| v == 0.0).count();
         let kept: Vec<f32> = y.data().iter().copied().filter(|&v| v != 0.0).collect();
         // Roughly half the units are dropped...
@@ -179,9 +181,9 @@ mod tests {
     fn backward_reuses_forward_mask() {
         let mut d = Dropout::new(0.5, 7);
         let x = Tensor::ones(&[64]);
-        let y = d.forward(&x).unwrap();
+        let y = d.forward(&[], &x).unwrap();
         let g = Tensor::ones(&[64]);
-        let gx = d.backward(&g).unwrap();
+        let gx = d.backward(&[], &mut [], &g).unwrap();
         // The gradient must be zero exactly where the activation was dropped
         // and scaled identically where it survived.
         for (yo, go) in y.data().iter().zip(gx.data().iter()) {
@@ -192,14 +194,14 @@ mod tests {
     #[test]
     fn backward_before_forward_errors() {
         let mut d = Dropout::new(0.3, 0);
-        assert!(d.backward(&Tensor::zeros(&[2])).is_err());
+        assert!(d.backward(&[], &mut [], &Tensor::zeros(&[2])).is_err());
     }
 
     #[test]
     fn backward_rejects_mismatched_shape() {
         let mut d = Dropout::new(0.3, 0);
-        d.forward(&Tensor::zeros(&[4])).unwrap();
-        assert!(d.backward(&Tensor::zeros(&[5])).is_err());
+        d.forward(&[], &Tensor::zeros(&[4])).unwrap();
+        assert!(d.backward(&[], &mut [], &Tensor::zeros(&[5])).is_err());
     }
 
     #[test]

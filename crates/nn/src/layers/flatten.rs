@@ -21,7 +21,7 @@ impl Layer for Flatten {
         "Flatten"
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
+    fn forward_into(&mut self, _: &[f32], input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         if input.rank() < 2 {
             return Err(TensorError::RankMismatch {
                 expected: 2,
@@ -40,6 +40,8 @@ impl Layer for Flatten {
 
     fn backward_into(
         &mut self,
+        _: &[f32],
+        _: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
@@ -75,21 +77,21 @@ mod tests {
     fn forward_flattens_and_backward_restores() {
         let mut f = Flatten::new();
         let x = Tensor::zeros(&[2, 3, 4, 4]);
-        let y = f.forward(&x).unwrap();
+        let y = f.forward(&[], &x).unwrap();
         assert_eq!(y.dims(), &[2, 48]);
-        let gx = f.backward(&Tensor::ones(&[2, 48])).unwrap();
+        let gx = f.backward(&[], &mut [], &Tensor::ones(&[2, 48])).unwrap();
         assert_eq!(gx.dims(), &[2, 3, 4, 4]);
     }
 
     #[test]
     fn rejects_rank1_input() {
         let mut f = Flatten::new();
-        assert!(f.forward(&Tensor::zeros(&[5])).is_err());
+        assert!(f.forward(&[], &Tensor::zeros(&[5])).is_err());
     }
 
     #[test]
     fn backward_before_forward_errors() {
         let mut f = Flatten::new();
-        assert!(f.backward(&Tensor::zeros(&[2, 2])).is_err());
+        assert!(f.backward(&[], &mut [], &Tensor::zeros(&[2, 2])).is_err());
     }
 }

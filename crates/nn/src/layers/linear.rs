@@ -2,14 +2,13 @@
 
 use super::Layer;
 use fedadmm_tensor::{init, ops, Tensor, TensorError, TensorResult};
-use rand::Rng;
+use rand::RngCore;
 
 /// A fully connected layer: `y = x·Wᵀ + b`, optionally fused with a
 /// trailing ReLU (`y = max(x·Wᵀ + b, 0)`).
 ///
 /// * input:  `[batch, in_features]`
-/// * weight: `[out_features, in_features]`
-/// * bias:   `[out_features]`
+/// * params: weight `[out_features, in_features]`, then bias `[out_features]`
 /// * output: `[batch, out_features]`
 ///
 /// The fused variant ([`Linear::new_fused_relu`]) computes matmul, bias and
@@ -20,76 +19,36 @@ pub struct Linear {
     in_features: usize,
     out_features: usize,
     fused_relu: bool,
-    weight: Tensor,
-    bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
     cached_input: Option<Tensor>,
     /// Positive-preactivation mask of the last forward pass (fused ReLU only).
     relu_mask: Vec<bool>,
-    /// Reusable buffer for `gᵀ·x` before it is accumulated into `grad_weight`.
-    dw_scratch: Tensor,
     /// Reusable buffer for the ReLU-masked upstream gradient.
     masked_grad: Tensor,
 }
 
 impl Linear {
-    /// Creates a linear layer with Kaiming-uniform weights and zero bias.
-    pub fn new(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
+    /// Creates a linear layer; [`Layer::init_params`] draws Kaiming-uniform
+    /// weights and a zero bias for it.
+    pub fn new(in_features: usize, out_features: usize) -> Self {
         Linear {
             in_features,
             out_features,
             fused_relu: false,
-            weight: init::kaiming_uniform(&[out_features, in_features], in_features, rng),
-            bias: Tensor::zeros(&[out_features]),
-            grad_weight: Tensor::zeros(&[out_features, in_features]),
-            grad_bias: Tensor::zeros(&[out_features]),
             cached_input: None,
             relu_mask: Vec::new(),
-            dw_scratch: Tensor::zeros(&[0]),
             masked_grad: Tensor::zeros(&[0]),
         }
     }
 
     /// Creates a linear layer whose forward pass applies a fused ReLU.
     ///
-    /// Draws exactly the same RNG values as [`Linear::new`] (a `Relu` layer
-    /// consumes none), so swapping a `Linear + Relu` pair for this fused
-    /// layer leaves model initialisation bit-identical.
-    pub fn new_fused_relu(in_features: usize, out_features: usize, rng: &mut impl Rng) -> Self {
-        let mut layer = Linear::new(in_features, out_features, rng);
-        layer.fused_relu = true;
-        layer
-    }
-
-    /// Number of input features.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Number of output features.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
-    /// Whether a ReLU is fused into the forward pass.
-    pub fn has_fused_relu(&self) -> bool {
-        self.fused_relu
-    }
-
-    /// Immutable access to the weight matrix (used by tests).
-    pub fn weight(&self) -> &Tensor {
-        &self.weight
-    }
-
-    /// Copies `input` into the reusable cached-input buffer.
-    fn cache_input(&mut self, input: &Tensor) {
-        match &mut self.cached_input {
-            Some(buf) => {
-                buf.resize_in_place(input.dims());
-                buf.data_mut().copy_from_slice(input.data());
-            }
-            None => self.cached_input = Some(input.clone()),
+    /// Initialises exactly as [`Linear::new`] does (a `Relu` layer draws
+    /// nothing), so swapping a `Linear + Relu` pair for this fused layer
+    /// leaves model initialisation bit-identical.
+    pub fn new_fused_relu(in_features: usize, out_features: usize) -> Self {
+        Linear {
+            fused_relu: true,
+            ..Linear::new(in_features, out_features)
         }
     }
 }
@@ -103,7 +62,12 @@ impl Layer for Linear {
         }
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
+    fn forward_into(
+        &mut self,
+        params: &[f32],
+        input: &Tensor,
+        out: &mut Tensor,
+    ) -> TensorResult<()> {
         if input.rank() != 2 || input.dims()[1] != self.in_features {
             return Err(TensorError::ShapeMismatch {
                 left: input.dims().to_vec(),
@@ -112,7 +76,8 @@ impl Layer for Linear {
         }
         // y[batch, out] = x[batch, in] · Wᵀ[in, out] + b (fused bias, and
         // fused ReLU when enabled).
-        ops::linear_forward_into(input, &self.weight, &self.bias, out, self.fused_relu)?;
+        let (weight, bias) = params.split_at(self.in_features * self.out_features);
+        ops::linear_forward_flat(input, weight, bias, out, self.fused_relu)?;
         if self.fused_relu {
             // ReLU fixes every non-positive preactivation to exactly 0.0 and
             // keeps positives unchanged, so the positive-preactivation mask
@@ -120,99 +85,76 @@ impl Layer for Linear {
             self.relu_mask.clear();
             self.relu_mask.extend(out.data().iter().map(|&v| v > 0.0));
         }
-        self.cache_input(input);
+        let cached = self.cached_input.get_or_insert_with(|| Tensor::zeros(&[0]));
+        cached.resize_in_place(input.dims());
+        cached.data_mut().copy_from_slice(input.data());
         Ok(())
     }
 
     fn backward_into(
         &mut self,
+        params: &[f32],
+        grads: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
         let input = self.cached_input.as_ref().ok_or_else(|| {
             TensorError::InvalidArgument("Linear::backward called before forward".into())
         })?;
-        let g: &Tensor = if self.fused_relu {
-            if self.relu_mask.len() != grad_output.len() {
-                return Err(TensorError::InvalidArgument(format!(
-                    "fused ReLU mask has {} elements but grad_output has {}",
-                    self.relu_mask.len(),
-                    grad_output.len()
-                )));
-            }
+        let (batch, n_in, n_out) = (input.dims()[0], self.in_features, self.out_features);
+        if grad_output.dims() != [batch, n_out] {
+            return Err(TensorError::ShapeMismatch {
+                left: vec![batch, n_out],
+                right: grad_output.dims().to_vec(),
+            });
+        }
+        let g: &[f32] = if self.fused_relu {
             self.masked_grad.resize_in_place(grad_output.dims());
             let data = self.masked_grad.data_mut();
-            data.copy_from_slice(grad_output.data());
-            for (gv, &m) in data.iter_mut().zip(self.relu_mask.iter()) {
-                if !m {
-                    *gv = 0.0;
-                }
+            for ((gv, &go), &m) in data.iter_mut().zip(grad_output.data()).zip(&self.relu_mask) {
+                *gv = if m { go } else { 0.0 };
             }
-            &self.masked_grad
+            data
         } else {
-            grad_output
+            grad_output.data()
         };
-        // dW[out, in] += gᵀ[out, batch] · x[batch, in]
-        ops::gemm_at_b_into(g, input, &mut self.dw_scratch)?;
-        self.grad_weight.add_assign(&self.dw_scratch)?;
-        // db[out] += column sums of g
-        let batch = g.dims()[0];
+        let weight = &params[..n_in * n_out];
+        let (grad_weight, grad_bias) = grads.split_at_mut(weight.len());
+        // dW[out, in] = gᵀ[out, batch] · x[batch, in], written where the
+        // optimizer reads it.
+        ops::matmul_at_b_into(g, input.data(), grad_weight, batch, n_out, n_in);
+        // db[out] = column sums of g, from +0.0 in row order.
+        grad_bias.fill(0.0);
         for b in 0..batch {
-            let row = &g.data()[b * self.out_features..(b + 1) * self.out_features];
-            for (gb, &gv) in self.grad_bias.data_mut().iter_mut().zip(row.iter()) {
+            let row = &g[b * n_out..(b + 1) * n_out];
+            for (gb, &gv) in grad_bias.iter_mut().zip(row.iter()) {
                 *gb += gv;
             }
         }
         // dx[batch, in] = g[batch, out] · W[out, in]
-        match grad_input {
-            Some(grad_input) => ops::gemm_into(g, &self.weight, grad_input),
-            None => Ok(()),
+        if let Some(grad_input) = grad_input {
+            grad_input.resize_in_place(input.dims());
+            ops::matmul_into(g, weight, grad_input.data_mut(), batch, n_out, n_in);
         }
+        Ok(())
     }
 
     fn num_params(&self) -> usize {
-        self.weight.len() + self.bias.len()
+        self.in_features * self.out_features + self.out_features
     }
 
-    fn write_params(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.weight.data());
-        out.extend_from_slice(self.bias.data());
-    }
-
-    fn read_params(&mut self, src: &[f32]) -> usize {
-        let nw = self.weight.len();
-        let nb = self.bias.len();
-        self.weight.data_mut().copy_from_slice(&src[..nw]);
-        self.bias.data_mut().copy_from_slice(&src[nw..nw + nb]);
-        nw + nb
-    }
-
-    fn write_grads(&self, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.grad_weight.data());
-        out.extend_from_slice(self.grad_bias.data());
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weight.map_in_place(|_| 0.0);
-        self.grad_bias.map_in_place(|_| 0.0);
+    fn init_params(&self, params: &mut [f32], mut rng: &mut dyn RngCore) {
+        let (weight, bias) = params.split_at_mut(self.in_features * self.out_features);
+        init::kaiming_uniform(weight, self.in_features, &mut rng);
+        bias.fill(0.0);
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
-        // Parameters and gradient accumulators are copied; activation caches
-        // and scratch buffers are transient per-step state the clone would
-        // immediately overwrite, so they start empty.
+        // Activation caches and scratch buffers are transient per-step state
+        // the clone would immediately overwrite, so they start empty.
         Box::new(Linear {
-            in_features: self.in_features,
-            out_features: self.out_features,
             fused_relu: self.fused_relu,
-            weight: self.weight.clone(),
-            bias: self.bias.clone(),
-            grad_weight: self.grad_weight.clone(),
-            grad_bias: self.grad_bias.clone(),
-            cached_input: None,
-            relu_mask: Vec::new(),
-            dw_scratch: Tensor::zeros(&[0]),
-            masked_grad: Tensor::zeros(&[0]),
+            ..Linear::new(self.in_features, self.out_features)
         })
     }
 }
@@ -226,69 +168,93 @@ mod tests {
 
     #[test]
     fn param_count() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let l = Linear::new(10, 4, &mut rng);
-        assert_eq!(l.num_params(), 44);
+        assert_eq!(Linear::new(10, 4).num_params(), 44);
     }
 
     #[test]
     fn forward_known_values() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut l = Linear::new(2, 2, &mut rng);
+        let mut l = Linear::new(2, 2);
         // W = [[1, 2], [3, 4]], b = [0.5, -0.5]
-        l.read_params(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]);
+        let params = [1.0, 2.0, 3.0, 4.0, 0.5, -0.5];
         let x = Tensor::from_vec(vec![1.0, 1.0, 2.0, 0.0], &[2, 2]).unwrap();
-        let y = l.forward(&x).unwrap();
+        let y = l.forward(&params, &x).unwrap();
         assert_eq!(y.data(), &[3.5, 6.5, 2.5, 5.5]);
     }
 
     #[test]
     fn forward_rejects_bad_shape() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut l = Linear::new(3, 2, &mut rng);
-        assert!(l.forward(&Tensor::zeros(&[2, 4])).is_err());
-        assert!(l.forward(&Tensor::zeros(&[6])).is_err());
+        let mut l = Linear::new(3, 2);
+        assert!(l.forward(&[0.0; 8], &Tensor::zeros(&[2, 4])).is_err());
+        assert!(l.forward(&[0.0; 8], &Tensor::zeros(&[6])).is_err());
     }
 
     #[test]
     fn backward_before_forward_errors() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut l = Linear::new(3, 2, &mut rng);
-        assert!(l.backward(&Tensor::zeros(&[1, 2])).is_err());
+        let mut l = Linear::new(3, 2);
+        assert!(l
+            .backward(&[0.0; 8], &mut [0.0; 8], &Tensor::zeros(&[1, 2]))
+            .is_err());
     }
 
+    /// The layer holds no parameter of its own: initialisation fills its
+    /// slice (weights, then a zero bias), and a second layer handed the
+    /// same slice computes the same bits.
     #[test]
     fn params_roundtrip() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let l = Linear::new(5, 3, &mut rng);
-        let mut buf = Vec::new();
-        l.write_params(&mut buf);
-        assert_eq!(buf.len(), l.num_params());
-        let mut l2 = Linear::new(5, 3, &mut rng);
-        let consumed = l2.read_params(&buf);
-        assert_eq!(consumed, buf.len());
-        let mut buf2 = Vec::new();
-        l2.write_params(&mut buf2);
-        assert_eq!(buf, buf2);
+        let mut l = Linear::new(5, 3);
+        let params = gradcheck::init_params(&l, &mut rng);
+        assert!(params[..15].iter().all(|&w| w != 0.0));
+        assert_eq!(params[15..], [0.0; 3]);
+        let x = fedadmm_tensor::init::randn(&[2, 5], 0.0, 1.0, &mut rng);
+        let y = l.forward(&params, &x).unwrap();
+        assert_eq!(Linear::new(5, 3).forward(&params, &x).unwrap(), y);
     }
 
     #[test]
     fn gradients_match_finite_difference() {
         let mut rng = SmallRng::seed_from_u64(7);
-        let mut l = Linear::new(6, 4, &mut rng);
+        let mut l = Linear::new(6, 4);
+        let params = gradcheck::init_params(&l, &mut rng);
         let x = fedadmm_tensor::init::randn(&[3, 6], 0.0, 1.0, &mut rng);
-        gradcheck::check_param_gradients(&mut l, &x, &[0, 5, 13, 27], 5e-2);
-        gradcheck::check_input_gradients(&mut l, &x, &[0, 4, 11, 17], 5e-2);
+        gradcheck::check_gradients(&mut l, &params, &x, &[0, 5, 13, 27], &[0, 4, 11, 17], 5e-2);
     }
 
     #[test]
     fn param_gradients_do_not_depend_on_grad_input_being_requested() {
         let mut rng = SmallRng::seed_from_u64(13);
         let x = fedadmm_tensor::init::randn(&[5, 6], 0.0, 1.0, &mut rng);
-        let mut plain = Linear::new(6, 4, &mut rng);
-        gradcheck::check_param_gradients_ignore_grad_input(&mut plain, &x);
-        let mut fused = Linear::new_fused_relu(6, 4, &mut rng);
-        gradcheck::check_param_gradients_ignore_grad_input(&mut fused, &x);
+        for mut layer in [Linear::new(6, 4), Linear::new_fused_relu(6, 4)] {
+            let params = gradcheck::init_params(&layer, &mut rng);
+            let with_input = gradcheck::grad_bits(&mut layer, &params, &x, true, 1);
+            assert_eq!(
+                with_input,
+                gradcheck::grad_bits(&mut layer, &params, &x, false, 1)
+            );
+        }
+    }
+
+    /// The gradient slice is overwritten, never added to, by every layer
+    /// that has parameters: two backward passes in a row with no zeroing in
+    /// between leave the bits of one.
+    #[test]
+    fn two_backward_passes_without_zeroing_leave_the_gradient_of_one() {
+        let mut rng = SmallRng::seed_from_u64(23);
+        let dense = fedadmm_tensor::init::randn(&[5, 6], 0.0, 1.0, &mut rng);
+        let image = fedadmm_tensor::init::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
+        let layers: [(Box<dyn Layer>, &Tensor); 3] = [
+            (Box::new(Linear::new(6, 4)), &dense),
+            (Box::new(Linear::new_fused_relu(6, 4)), &dense),
+            (Box::new(super::super::Conv2d::new(2, 3, 3, 1, 1)), &image),
+        ];
+        for (mut layer, input) in layers {
+            let params = gradcheck::init_params(layer.as_ref(), &mut rng);
+            for with_input in [true, false] {
+                let once = gradcheck::grad_bits(layer.as_mut(), &params, input, with_input, 1);
+                let twice = gradcheck::grad_bits(layer.as_mut(), &params, input, with_input, 2);
+                assert_eq!(once, twice, "{} (grad_input {with_input})", layer.name());
+            }
+        }
     }
 
     /// The fused Linear+ReLU layer must be bit-identical to a `Linear`
@@ -297,30 +263,31 @@ mod tests {
     fn fused_relu_matches_separate_layers_exactly() {
         use super::super::Relu;
         let mut rng = SmallRng::seed_from_u64(21);
-        let mut fused = Linear::new_fused_relu(6, 5, &mut rng);
-        let mut rng2 = SmallRng::seed_from_u64(21);
-        let mut plain = Linear::new(6, 5, &mut rng2);
+        let mut fused = Linear::new_fused_relu(6, 5);
+        let mut plain = Linear::new(6, 5);
         let mut relu = Relu::new();
-        assert_eq!(fused.weight().data(), plain.weight().data());
-        assert!(fused.has_fused_relu());
+        let params = gradcheck::init_params(&fused, &mut rng);
+        let same_draws = gradcheck::init_params(&plain, &mut SmallRng::seed_from_u64(21));
+        assert_eq!(params, same_draws);
+        assert_eq!(fused.name(), "Linear+ReLU");
 
         let x = fedadmm_tensor::init::randn(&[4, 6], 0.0, 1.0, &mut rng);
-        let y_fused = fused.forward(&x).unwrap();
-        let y_plain = relu.forward(&plain.forward(&x).unwrap()).unwrap();
+        let y_fused = fused.forward(&params, &x).unwrap();
+        let y_plain = relu
+            .forward(&[], &plain.forward(&params, &x).unwrap())
+            .unwrap();
         for (a, b) in y_fused.data().iter().zip(y_plain.data().iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 
         let go = fedadmm_tensor::init::randn(&[4, 5], 0.0, 1.0, &mut rng);
-        let gx_fused = fused.backward(&go).unwrap();
-        let gx_plain = plain.backward(&relu.backward(&go).unwrap()).unwrap();
+        let (mut gf, mut gp) = (vec![f32::NAN; 35], vec![f32::NAN; 35]);
+        let gx_fused = fused.backward(&params, &mut gf, &go).unwrap();
+        let go_plain = relu.backward(&[], &mut [], &go).unwrap();
+        let gx_plain = plain.backward(&params, &mut gp, &go_plain).unwrap();
         for (a, b) in gx_fused.data().iter().zip(gx_plain.data().iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        let (mut gf, mut gp) = (Vec::new(), Vec::new());
-        fused.write_grads(&mut gf);
-        plain.write_grads(&mut gp);
-        assert_eq!(gf.len(), gp.len());
         for (a, b) in gf.iter().zip(gp.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -331,49 +298,21 @@ mod tests {
     #[test]
     fn reused_buffers_match_fresh_tensors() {
         let mut rng = SmallRng::seed_from_u64(9);
-        let mut l = Linear::new(4, 3, &mut rng);
+        let mut l = Linear::new(4, 3);
+        let params = gradcheck::init_params(&l, &mut rng);
         let x = fedadmm_tensor::init::randn(&[2, 4], 0.0, 1.0, &mut rng);
         let go = fedadmm_tensor::init::randn(&[2, 3], 0.0, 1.0, &mut rng);
         let mut out = Tensor::ones(&[5, 5]);
         let mut gi = Tensor::ones(&[7]);
-        l.forward_into(&x, &mut out).unwrap();
-        l.zero_grads();
-        l.backward_into(&go, Some(&mut gi)).unwrap();
-        let grads_into = {
-            let mut g = Vec::new();
-            l.write_grads(&mut g);
-            g
-        };
-        let y = l.forward(&x).unwrap();
-        l.zero_grads();
-        let gx = l.backward(&go).unwrap();
-        let mut grads_alloc = Vec::new();
-        l.write_grads(&mut grads_alloc);
+        let mut grads_into = vec![9.9f32; 15];
+        l.forward_into(&params, &x, &mut out).unwrap();
+        l.backward_into(&params, &mut grads_into, &go, Some(&mut gi))
+            .unwrap();
+        let y = l.forward(&params, &x).unwrap();
+        let mut grads_fresh = vec![0.0f32; 15];
+        let gx = l.backward(&params, &mut grads_fresh, &go).unwrap();
         assert_eq!(out.data(), y.data());
         assert_eq!(gi.data(), gx.data());
-        assert_eq!(grads_into, grads_alloc);
-    }
-
-    #[test]
-    fn gradients_accumulate_until_zeroed() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut l = Linear::new(2, 2, &mut rng);
-        let x = Tensor::ones(&[1, 2]);
-        let go = Tensor::ones(&[1, 2]);
-        l.forward(&x).unwrap();
-        l.backward(&go).unwrap();
-        let mut g1 = Vec::new();
-        l.write_grads(&mut g1);
-        l.forward(&x).unwrap();
-        l.backward(&go).unwrap();
-        let mut g2 = Vec::new();
-        l.write_grads(&mut g2);
-        for (a, b) in g1.iter().zip(g2.iter()) {
-            assert!((2.0 * a - b).abs() < 1e-6);
-        }
-        l.zero_grads();
-        let mut g3 = Vec::new();
-        l.write_grads(&mut g3);
-        assert!(g3.iter().all(|&v| v == 0.0));
+        assert_eq!(grads_into, grads_fresh);
     }
 }

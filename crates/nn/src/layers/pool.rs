@@ -29,7 +29,7 @@ impl Layer for MaxPool2d {
         "MaxPool2d"
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
+    fn forward_into(&mut self, _: &[f32], input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         let argmax = self.cached_argmax.get_or_insert_with(Vec::new);
         ops::max_pool2d_forward_into(input, self.size, self.stride, out, argmax)?;
         let dims = self.cached_input_dims.get_or_insert_with(Vec::new);
@@ -40,6 +40,8 @@ impl Layer for MaxPool2d {
 
     fn backward_into(
         &mut self,
+        _: &[f32],
+        _: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
@@ -70,10 +72,10 @@ mod tests {
     fn forward_backward_roundtrip() {
         let mut p = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
-        let y = p.forward(&x).unwrap();
+        let y = p.forward(&[], &x).unwrap();
         assert_eq!(y.dims(), &[1, 1, 2, 2]);
         let g = Tensor::ones(&[1, 1, 2, 2]);
-        let gx = p.backward(&g).unwrap();
+        let gx = p.backward(&[], &mut [], &g).unwrap();
         assert_eq!(gx.dims(), &[1, 1, 4, 4]);
         assert_eq!(gx.sum(), 4.0);
     }
@@ -81,7 +83,9 @@ mod tests {
     #[test]
     fn backward_before_forward_errors() {
         let mut p = MaxPool2d::new(2, 2);
-        assert!(p.backward(&Tensor::zeros(&[1, 1, 2, 2])).is_err());
+        assert!(p
+            .backward(&[], &mut [], &Tensor::zeros(&[1, 1, 2, 2]))
+            .is_err());
     }
 
     #[test]

@@ -22,7 +22,7 @@ impl Layer for Relu {
         "ReLU"
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
+    fn forward_into(&mut self, _: &[f32], input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         out.resize_in_place(input.dims());
         let mask = self.mask.get_or_insert_with(Vec::new);
         mask.clear();
@@ -35,6 +35,8 @@ impl Layer for Relu {
 
     fn backward_into(
         &mut self,
+        _: &[f32],
+        _: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
@@ -77,7 +79,7 @@ mod tests {
     fn forward_clamps_negatives() {
         let mut r = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0, -3.0], &[4]).unwrap();
-        let y = r.forward(&x).unwrap();
+        let y = r.forward(&[], &x).unwrap();
         assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
     }
 
@@ -85,31 +87,27 @@ mod tests {
     fn backward_masks_gradient() {
         let mut r = Relu::new();
         let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0, -3.0], &[4]).unwrap();
-        r.forward(&x).unwrap();
+        r.forward(&[], &x).unwrap();
         let g = Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], &[4]).unwrap();
-        let gx = r.backward(&g).unwrap();
+        let gx = r.backward(&[], &mut [], &g).unwrap();
         assert_eq!(gx.data(), &[0.0, 1.0, 1.0, 0.0]);
     }
 
     #[test]
     fn backward_before_forward_errors() {
         let mut r = Relu::new();
-        assert!(r.backward(&Tensor::zeros(&[2])).is_err());
+        assert!(r.backward(&[], &mut [], &Tensor::zeros(&[2])).is_err());
     }
 
     #[test]
     fn backward_rejects_mismatched_shape() {
         let mut r = Relu::new();
-        r.forward(&Tensor::zeros(&[4])).unwrap();
-        assert!(r.backward(&Tensor::zeros(&[5])).is_err());
+        r.forward(&[], &Tensor::zeros(&[4])).unwrap();
+        assert!(r.backward(&[], &mut [], &Tensor::zeros(&[5])).is_err());
     }
 
     #[test]
     fn no_parameters() {
-        let r = Relu::new();
-        assert_eq!(r.num_params(), 0);
-        let mut buf = Vec::new();
-        r.write_params(&mut buf);
-        assert!(buf.is_empty());
+        assert_eq!(Relu::new().num_params(), 0);
     }
 }

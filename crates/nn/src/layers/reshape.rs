@@ -33,7 +33,7 @@ impl Layer for Reshape {
         "Reshape"
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
+    fn forward_into(&mut self, _: &[f32], input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
         if input.rank() < 1 {
             return Err(TensorError::RankMismatch {
                 expected: 2,
@@ -62,6 +62,8 @@ impl Layer for Reshape {
 
     fn backward_into(
         &mut self,
+        _: &[f32],
+        _: &mut [f32],
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
@@ -97,21 +99,25 @@ mod tests {
     fn reshape_flat_mnist_to_image() {
         let mut r = Reshape::new(&[1, 28, 28]);
         let x = Tensor::zeros(&[4, 784]);
-        let y = r.forward(&x).unwrap();
+        let y = r.forward(&[], &x).unwrap();
         assert_eq!(y.dims(), &[4, 1, 28, 28]);
-        let gx = r.backward(&Tensor::ones(&[4, 1, 28, 28])).unwrap();
+        let gx = r
+            .backward(&[], &mut [], &Tensor::ones(&[4, 1, 28, 28]))
+            .unwrap();
         assert_eq!(gx.dims(), &[4, 784]);
     }
 
     #[test]
     fn rejects_wrong_element_count() {
         let mut r = Reshape::new(&[3, 32, 32]);
-        assert!(r.forward(&Tensor::zeros(&[2, 784])).is_err());
+        assert!(r.forward(&[], &Tensor::zeros(&[2, 784])).is_err());
     }
 
     #[test]
     fn backward_before_forward_errors() {
         let mut r = Reshape::new(&[1, 2, 2]);
-        assert!(r.backward(&Tensor::zeros(&[1, 1, 2, 2])).is_err());
+        assert!(r
+            .backward(&[], &mut [], &Tensor::zeros(&[1, 1, 2, 2]))
+            .is_err());
     }
 }

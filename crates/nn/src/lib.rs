@@ -1,9 +1,11 @@
 //! # fedadmm-nn
 //!
 //! Neural-network training stack for the FedADMM reproduction: layers with
-//! explicit forward/backward passes, a [`Network`] container with *flat*
-//! parameter access (the federated algorithms operate on parameter vectors
-//! in ℝ^d), the softmax cross-entropy loss, plain SGD, and the paper's two
+//! explicit forward/backward passes, a [`Network`] that owns the model as
+//! one flat parameter vector and one flat gradient vector (the federated
+//! algorithms operate on parameter vectors in ℝ^d, and the layers read and
+//! write their ranges of those two), the softmax cross-entropy loss, plain
+//! SGD, and the paper's two
 //! CNN architectures ([`models::ModelSpec::Cnn1`], [`models::ModelSpec::Cnn2`])
 //! plus lighter models (MLP, multinomial logistic regression) used by the
 //! fast test/benchmark configurations.
@@ -35,11 +37,11 @@
 //!     let (logits, loss_grad) = arena.output_and_loss_grad();
 //!     softmax_cross_entropy_into(logits, &labels, loss_grad).unwrap()
 //! };
-//! net.zero_grads();
+//! // The backward sweep overwrites the network's gradient vector, and the
+//! // step is applied to its parameter vector where it lies.
 //! net.backward_arena(&mut arena).unwrap();
-//! let mut params = net.params_flat();
-//! Sgd::new(0.1).step(&mut params, &net.grads_flat());
-//! net.set_params_flat(&params).unwrap();
+//! let (params, grads) = net.params_grads_mut();
+//! Sgd::new(0.1).step(params, grads);
 //! assert!(loss > 0.0);
 //! ```
 

@@ -65,46 +65,45 @@ pub enum ModelSpec {
 impl ModelSpec {
     /// Instantiates the architecture with freshly initialised weights.
     pub fn build(&self, rng: &mut impl Rng) -> Network {
-        match *self {
-            ModelSpec::Cnn1 => Network::new(vec![
-                Box::new(Reshape::new(&[1, 28, 28])) as Box<dyn Layer>,
-                Box::new(Conv2d::new(1, 32, 5, 1, 2, rng)),
+        let layers: Vec<Box<dyn Layer>> = match *self {
+            ModelSpec::Cnn1 => vec![
+                Box::new(Reshape::new(&[1, 28, 28])),
+                Box::new(Conv2d::new(1, 32, 5, 1, 2)),
                 Box::new(Relu::new()),
                 Box::new(MaxPool2d::new(2, 2)),
-                Box::new(Conv2d::new(32, 64, 5, 1, 2, rng)),
-                Box::new(Relu::new()),
-                Box::new(MaxPool2d::new(2, 2)),
-                Box::new(Flatten::new()),
-                Box::new(Linear::new_fused_relu(64 * 7 * 7, 512, rng)),
-                Box::new(Linear::new(512, 10, rng)),
-            ]),
-            ModelSpec::Cnn2 => Network::new(vec![
-                Box::new(Reshape::new(&[3, 32, 32])) as Box<dyn Layer>,
-                Box::new(Conv2d::new(3, 32, 5, 1, 2, rng)),
-                Box::new(Relu::new()),
-                Box::new(MaxPool2d::new(2, 2)),
-                Box::new(Conv2d::new(32, 64, 5, 1, 2, rng)),
+                Box::new(Conv2d::new(32, 64, 5, 1, 2)),
                 Box::new(Relu::new()),
                 Box::new(MaxPool2d::new(2, 2)),
                 Box::new(Flatten::new()),
-                Box::new(Linear::new_fused_relu(64 * 8 * 8, 256, rng)),
-                Box::new(Linear::new(256, 10, rng)),
-            ]),
+                Box::new(Linear::new_fused_relu(64 * 7 * 7, 512)),
+                Box::new(Linear::new(512, 10)),
+            ],
+            ModelSpec::Cnn2 => vec![
+                Box::new(Reshape::new(&[3, 32, 32])),
+                Box::new(Conv2d::new(3, 32, 5, 1, 2)),
+                Box::new(Relu::new()),
+                Box::new(MaxPool2d::new(2, 2)),
+                Box::new(Conv2d::new(32, 64, 5, 1, 2)),
+                Box::new(Relu::new()),
+                Box::new(MaxPool2d::new(2, 2)),
+                Box::new(Flatten::new()),
+                Box::new(Linear::new_fused_relu(64 * 8 * 8, 256)),
+                Box::new(Linear::new(256, 10)),
+            ],
             ModelSpec::Mlp {
                 input_dim,
                 hidden_dim,
                 num_classes,
-            } => Network::new(vec![
-                Box::new(Linear::new_fused_relu(input_dim, hidden_dim, rng)) as Box<dyn Layer>,
-                Box::new(Linear::new(hidden_dim, num_classes, rng)),
-            ]),
+            } => vec![
+                Box::new(Linear::new_fused_relu(input_dim, hidden_dim)),
+                Box::new(Linear::new(hidden_dim, num_classes)),
+            ],
             ModelSpec::Logistic {
                 input_dim,
                 num_classes,
-            } => Network::new(vec![
-                Box::new(Linear::new(input_dim, num_classes, rng)) as Box<dyn Layer>
-            ]),
-        }
+            } => vec![Box::new(Linear::new(input_dim, num_classes))],
+        };
+        Network::new(layers, rng)
     }
 
     /// Flattened input dimension expected by the model.
@@ -190,6 +189,34 @@ mod tests {
         assert_eq!(y.dims(), &[2, 10]);
     }
 
+    /// The order of the flat vector, pinned directly: CNN 1's layers occupy
+    /// `832 | 51 264 | 1 606 144 | 5 130` values in layer order, each its
+    /// weights (filling that layer's own Kaiming bound) then its zero bias;
+    /// writing the vector back changes nothing.
+    #[test]
+    fn cnn1_flat_parameter_order_is_pinned() {
+        let mut net = ModelSpec::Cnn1.build(&mut SmallRng::seed_from_u64(2));
+        let flat = net.params_flat();
+        let mut start = 0;
+        // (parameters, of which bias, fan-in) per parametrised layer.
+        for (len, bias_len, fan_in) in [
+            (832, 32, 25),
+            (51_264, 64, 800),
+            (1_606_144, 512, 3136),
+            (5_130, 10, 512),
+        ] {
+            let (weight, bias) = flat[start..start + len].split_at(len - bias_len);
+            let bound = (6.0 / fan_in as f32).sqrt();
+            let widest = weight.iter().fold(0.0f32, |m, w| m.max(w.abs()));
+            assert!(0.9 * bound < widest && widest <= bound, "{len}: {widest}");
+            assert!(bias.iter().all(|&b| b == 0.0), "bias of {len}");
+            start += len;
+        }
+        assert_eq!(start, flat.len());
+        net.set_params_flat(&flat).unwrap();
+        assert_eq!(net.params(), flat);
+    }
+
     #[test]
     fn cnn2_forward_shape() {
         let mut rng = SmallRng::seed_from_u64(1);
@@ -265,11 +292,9 @@ mod tests {
         for _ in 0..30 {
             let logits = net.forward(&x).unwrap();
             let (loss, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
-            net.zero_grads();
             net.backward(&grad).unwrap();
-            let mut p = net.params_flat();
-            sgd.step(&mut p, &net.grads_flat());
-            net.set_params_flat(&p).unwrap();
+            let (params, grads) = net.params_grads_mut();
+            sgd.step(params, grads);
             first_loss.get_or_insert(loss);
             last_loss = loss;
         }

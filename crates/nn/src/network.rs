@@ -1,25 +1,44 @@
-//! A sequential network with flat parameter access.
+//! A sequential network that owns the model as one flat vector.
 
 use crate::arena::ActivationArena;
 use crate::layers::Layer;
 use fedadmm_tensor::{Tensor, TensorError, TensorResult};
+use rand::Rng;
 
-/// A feed-forward network: an ordered sequence of [`Layer`]s.
+/// A feed-forward network: an ordered sequence of [`Layer`]s over one flat
+/// parameter store.
 ///
-/// The important design point for the federated algorithms is *flat
-/// parameter access*: the entire model is read and written as a single
-/// `Vec<f32>` of length `d = num_params()`, in a stable layer order. All of
-/// the FedADMM / FedAvg / FedProx / SCAFFOLD vector arithmetic happens on
-/// those flat vectors.
+/// The model is a single `params` vector of length `d = num_params()` and
+/// its gradient a single `grads` vector, both in a stable order: layer by
+/// layer, each layer's weight then its bias. The layers hold no parameters;
+/// every pass hands each its range of the two. All of the FedADMM / FedAvg
+/// / FedProx / SCAFFOLD vector arithmetic, and the SGD step itself, happens
+/// on those vectors where they lie ([`Network::params_grads_mut`]): there
+/// is no per-layer representation to copy to or from.
 #[derive(Clone)]
 pub struct Network {
     layers: Vec<Box<dyn Layer>>,
+    params: Vec<f32>,
+    grads: Vec<f32>,
 }
 
 impl Network {
-    /// Creates a network from an ordered list of layers.
-    pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
-        Network { layers }
+    /// Creates a network from an ordered list of layers, initialising each
+    /// layer's parameters from `rng` in layer order.
+    pub fn new(layers: Vec<Box<dyn Layer>>, rng: &mut impl Rng) -> Self {
+        let d = layers.iter().map(|l| l.num_params()).sum();
+        let mut params = vec![0.0; d];
+        let mut rest = params.as_mut_slice();
+        for layer in &layers {
+            let (own, tail) = rest.split_at_mut(layer.num_params());
+            layer.init_params(own, rng);
+            rest = tail;
+        }
+        Network {
+            layers,
+            params,
+            grads: vec![0.0; d],
+        }
     }
 
     /// Number of layers.
@@ -29,7 +48,7 @@ impl Network {
 
     /// Total number of trainable parameters `d`.
     pub fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.num_params()).sum()
+        self.params.len()
     }
 
     /// Human-readable summary: one `name(params)` entry per layer.
@@ -46,20 +65,26 @@ impl Network {
     #[cfg(test)]
     pub(crate) fn forward(&mut self, input: &Tensor) -> TensorResult<Tensor> {
         let mut x = input.clone();
+        let mut rest = self.params.as_slice();
         for layer in &mut self.layers {
-            x = layer.forward(&x)?;
+            let (own, tail) = rest.split_at(layer.num_params());
+            x = layer.forward(own, &x)?;
+            rest = tail;
         }
         Ok(x)
     }
 
     /// Layer-by-layer backward pass (in reverse) through fresh tensors,
-    /// accumulating parameter gradients; returns the gradient with respect
-    /// to the network input. Test reference for [`Network::backward_arena`].
+    /// writing parameter gradients; returns the gradient with respect to
+    /// the network input. Test reference for [`Network::backward_arena`].
     #[cfg(test)]
     pub(crate) fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
         let mut g = grad_output.clone();
+        let mut end = self.params.len();
         for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
+            let own = end - layer.num_params()..end;
+            g = layer.backward(&self.params[own.clone()], &mut self.grads[own.clone()], &g)?;
+            end = own.start;
         }
         Ok(g)
     }
@@ -80,20 +105,24 @@ impl Network {
             ));
         }
         arena.ensure_layers(self.layers.len());
+        let mut rest = self.params.as_slice();
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            let (prev, rest) = arena.acts.split_at_mut(i);
+            let (own, tail) = rest.split_at(layer.num_params());
+            rest = tail;
+            let (prev, out) = arena.acts.split_at_mut(i);
             let src: &Tensor = if i == 0 { input } else { &prev[i - 1] };
-            layer.forward_into(src, &mut rest[0])?;
+            layer.forward_into(own, src, &mut out[0])?;
         }
         Ok(())
     }
 
     /// Backward pass through all layers (in reverse), seeded from
     /// [`ActivationArena`]'s loss-gradient slot (fill it via
-    /// `loss::softmax_cross_entropy_into` after the forward pass) and
-    /// accumulating parameter gradients.
+    /// `loss::softmax_cross_entropy_into` after the forward pass). Every
+    /// layer overwrites its range of the gradient vector, so afterwards
+    /// [`Network::grads`] is this batch's gradient whatever it held before.
     ///
-    /// The sweep ends at the first layer that owns parameters, which is
+    /// The sweep ends at the first layer that has parameters, which is
     /// given no `grad_input`: training never reads the gradient with
     /// respect to the data, so that product and every parameter-free layer
     /// below it (an input `Reshape`) are skipped.
@@ -110,6 +139,7 @@ impl Network {
             .iter()
             .position(|layer| layer.num_params() > 0)
             .unwrap_or(n);
+        let mut end = self.params.len();
         for i in (first..n).rev() {
             let (head, tail) = arena.grads.split_at_mut(i + 1);
             let g_src: &Tensor = if i == n - 1 {
@@ -118,65 +148,67 @@ impl Network {
                 &tail[0]
             };
             let grad_input = (i > first).then_some(&mut head[i]);
-            self.layers[i].backward_into(g_src, grad_input)?;
+            let own = end - self.layers[i].num_params()..end;
+            end = own.start;
+            self.layers[i].backward_into(
+                &self.params[own.clone()],
+                &mut self.grads[own],
+                g_src,
+                grad_input,
+            )?;
         }
         Ok(())
     }
 
-    /// Returns all parameters as a single flat vector of length
-    /// [`Network::num_params`].
-    pub fn params_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_params());
-        for layer in &self.layers {
-            layer.write_params(&mut out);
-        }
-        out
+    /// The parameter vector, in place.
+    pub fn params(&self) -> &[f32] {
+        &self.params
     }
 
-    /// Overwrites all parameters from a flat vector.
+    /// The gradient the last backward pass wrote, in the order of
+    /// [`Network::params`].
+    pub fn grads(&self) -> &[f32] {
+        &self.grads
+    }
+
+    /// The parameters and the last backward pass's gradient, both mutable:
+    /// what a training step works on (amend the gradient, apply the
+    /// optimizer to the parameters) with no copy out of or into the network.
+    pub fn params_grads_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (&mut self.params, &mut self.grads)
+    }
+
+    /// Returns a copy of all parameters as a single flat vector of length
+    /// [`Network::num_params`].
+    pub fn params_flat(&self) -> Vec<f32> {
+        self.params.clone()
+    }
+
+    /// Overwrites all parameters from a flat vector (one copy).
     ///
     /// Returns an error if `src.len() != num_params()`.
     pub fn set_params_flat(&mut self, src: &[f32]) -> TensorResult<()> {
-        if src.len() != self.num_params() {
+        if src.len() != self.params.len() {
             return Err(TensorError::InvalidArgument(format!(
                 "set_params_flat: expected {} values, got {}",
-                self.num_params(),
+                self.params.len(),
                 src.len()
             )));
         }
-        let mut offset = 0usize;
-        for layer in &mut self.layers {
-            let consumed = layer.read_params(&src[offset..]);
-            offset += consumed;
-        }
-        debug_assert_eq!(offset, src.len());
+        self.params.copy_from_slice(src);
         Ok(())
     }
 
-    /// Returns the accumulated parameter gradients as a flat vector, in the
-    /// same order as [`Network::params_flat`].
-    pub fn grads_flat(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_params());
-        self.grads_flat_into(&mut out);
-        out
-    }
-
-    /// Writes the accumulated parameter gradients into `out`, reusing its
-    /// allocation — the scratch-friendly twin of [`Network::grads_flat`]
-    /// for per-step hot loops.
+    /// Copies [`Network::grads`] into `out`, reusing its allocation.
     pub fn grads_flat_into(&self, out: &mut Vec<f32>) {
         out.clear();
-        out.reserve(self.num_params());
-        for layer in &self.layers {
-            layer.write_grads(out);
-        }
+        out.extend_from_slice(&self.grads);
     }
 
-    /// Clears all accumulated parameter gradients.
+    /// Fills the gradient vector with zeros. No pass requires it: a
+    /// backward pass overwrites every gradient.
     pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
+        self.grads.fill(0.0);
     }
 }
 
@@ -189,17 +221,17 @@ impl std::fmt::Debug for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Conv2d, Flatten, Linear, MaxPool2d, Relu, Reshape};
+    use crate::layers::{gradcheck, Conv2d, Flatten, Linear, MaxPool2d, Relu, Reshape};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn small_net(seed: u64) -> Network {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        Network::new(vec![
-            Box::new(Linear::new(4, 8, &mut rng)),
+        let layers: Vec<Box<dyn Layer>> = vec![
+            Box::new(Linear::new(4, 8)),
             Box::new(Relu::new()),
-            Box::new(Linear::new(8, 3, &mut rng)),
-        ])
+            Box::new(Linear::new(8, 3)),
+        ];
+        Network::new(layers, &mut SmallRng::seed_from_u64(seed))
     }
 
     #[test]
@@ -241,7 +273,7 @@ mod tests {
         assert_eq!(y.dims(), &[5, 3]);
         let gx = net.backward(&Tensor::ones(&[5, 3])).unwrap();
         assert_eq!(gx.dims(), &[5, 4]);
-        assert_eq!(net.grads_flat().len(), net.num_params());
+        assert_eq!(net.grads().len(), net.num_params());
     }
 
     #[test]
@@ -252,7 +284,7 @@ mod tests {
         net.backward(&Tensor::ones(y.dims())).unwrap();
         let mut buf = vec![9.9f32; 3]; // stale contents must be discarded
         net.grads_flat_into(&mut buf);
-        assert_eq!(buf, net.grads_flat());
+        assert_eq!(buf, net.grads());
         let cap = buf.capacity();
         net.grads_flat_into(&mut buf);
         assert_eq!(buf.capacity(), cap, "grads_flat_into must reuse the buffer");
@@ -264,9 +296,9 @@ mod tests {
         let x = Tensor::ones(&[2, 4]);
         let y = net.forward(&x).unwrap();
         net.backward(&Tensor::ones(y.dims())).unwrap();
-        assert!(net.grads_flat().iter().any(|&g| g != 0.0));
+        assert!(net.grads().iter().any(|&g| g != 0.0));
         net.zero_grads();
-        assert!(net.grads_flat().iter().all(|&g| g == 0.0));
+        assert!(net.grads().iter().all(|&g| g == 0.0));
     }
 
     /// Asserts the arena-routed forward/backward of `net` bit-identical to
@@ -277,7 +309,6 @@ mod tests {
         let mut reference = net.clone();
         let y_ref = reference.forward(x).unwrap();
         let loss_grad = fedadmm_tensor::init::randn(y_ref.dims(), 0.0, 1.0, rng);
-        reference.zero_grads();
         let gx_ref = reference.backward(&loss_grad).unwrap();
         assert_eq!(gx_ref.dims(), x.dims());
 
@@ -291,13 +322,13 @@ mod tests {
             lg.resize_in_place(loss_grad.dims());
             lg.data_mut().copy_from_slice(loss_grad.data());
         }
-        net.zero_grads();
+        // Whatever the gradient vector holds, the sweep overwrites all of
+        // it; and the first parametrised layer is asked for no input
+        // gradient, which the parameter gradients must not notice.
+        net.params_grads_mut().1.fill(f32::NAN);
         net.backward_arena(&mut arena).unwrap();
-        // The arena sweep asks the first parametrised layer for no input
-        // gradient; the parameter gradients must not notice.
-        let (grads, grads_ref) = (net.grads_flat(), reference.grads_flat());
-        assert_eq!(grads.len(), grads_ref.len());
-        for (a, b) in grads.iter().zip(grads_ref.iter()) {
+        assert_eq!(net.grads().len(), reference.grads().len());
+        for (a, b) in net.grads().iter().zip(reference.grads().iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 
@@ -316,15 +347,16 @@ mod tests {
 
         // A convolutional stack behind an input `Reshape`: the sweep stops
         // at the first convolution and never runs the reshape's backward.
-        let conv_net = Network::new(vec![
+        let layers: Vec<Box<dyn Layer>> = vec![
             Box::new(Reshape::new(&[1, 6, 6])),
-            Box::new(Conv2d::new(1, 2, 3, 1, 1, &mut rng)),
+            Box::new(Conv2d::new(1, 2, 3, 1, 1)),
             Box::new(Relu::new()),
             Box::new(MaxPool2d::new(2, 2)),
-            Box::new(Conv2d::new(2, 3, 3, 1, 1, &mut rng)),
+            Box::new(Conv2d::new(2, 3, 3, 1, 1)),
             Box::new(Flatten::new()),
-            Box::new(Linear::new(27, 4, &mut rng)),
-        ]);
+            Box::new(Linear::new(27, 4)),
+        ];
+        let conv_net = Network::new(layers, &mut rng);
         let x = fedadmm_tensor::init::randn(&[2, 36], 0.0, 1.0, &mut rng);
         assert_arena_matches_reference(conv_net, &x, &mut rng);
     }
@@ -355,28 +387,14 @@ mod tests {
         let mut net = small_net(11);
         let x = fedadmm_tensor::init::randn(&[3, 4], 0.0, 1.0, &mut rng);
         let y = net.forward(&x).unwrap();
-        net.zero_grads();
         net.backward(&Tensor::ones(y.dims())).unwrap();
-        let grads = net.grads_flat();
-        let mut params = net.params_flat();
-
-        let eps = 1e-2f32;
-        for &idx in &[0usize, 10, 20, 40, 50] {
-            let orig = params[idx];
-            params[idx] = orig + eps;
-            net.set_params_flat(&params).unwrap();
-            let lp = net.forward(&x).unwrap().sum();
-            params[idx] = orig - eps;
-            net.set_params_flat(&params).unwrap();
-            let lm = net.forward(&x).unwrap().sum();
-            params[idx] = orig;
-            net.set_params_flat(&params).unwrap();
-            let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = grads[idx];
-            assert!(
-                (numeric - analytic).abs() < 5e-2 * (1.0 + analytic.abs()),
-                "param {idx}: numeric {numeric} vs analytic {analytic}"
-            );
+        let (params, grads) = (net.params_flat(), net.grads().to_vec());
+        for idx in [0usize, 10, 20, 40, 50] {
+            let loss = |p: &[f32]| {
+                net.set_params_flat(p).unwrap();
+                net.forward(&x).unwrap().sum()
+            };
+            gradcheck::assert_central_difference(loss, &params, idx, grads[idx], 5e-2);
         }
     }
 }

@@ -20,23 +20,29 @@ pub fn randn(dims: &[usize], mean: f32, std: f32, rng: &mut impl Rng) -> Tensor 
 
 /// Samples a tensor with i.i.d. `Uniform(low, high)` entries.
 pub fn rand_uniform(dims: &[usize], low: f32, high: f32, rng: &mut impl Rng) -> Tensor {
-    assert!(low < high, "rand_uniform requires low < high");
-    let uniform = Uniform::new(low, high);
     let mut t = Tensor::zeros(dims);
-    for x in t.data_mut() {
-        *x = uniform.sample(rng);
-    }
+    fill_uniform(t.data_mut(), low, high, rng);
     t
 }
 
-/// Kaiming / He uniform initialisation for layers followed by ReLU.
+fn fill_uniform(out: &mut [f32], low: f32, high: f32, rng: &mut impl Rng) {
+    assert!(low < high, "rand_uniform requires low < high");
+    let uniform = Uniform::new(low, high);
+    for x in out {
+        *x = uniform.sample(rng);
+    }
+}
+
+/// Kaiming / He uniform initialisation for layers followed by ReLU, written
+/// into a weight that lives in a caller-owned slice (a layer's range of its
+/// network's parameter vector).
 ///
 /// Samples `Uniform(-b, b)` with `b = sqrt(6 / fan_in)`; this is PyTorch's
 /// default for `Conv2d`/`Linear` up to the gain constant, and is what the
 /// paper's PyTorch reference implementation uses implicitly.
-pub fn kaiming_uniform(dims: &[usize], fan_in: usize, rng: &mut impl Rng) -> Tensor {
+pub fn kaiming_uniform(weight: &mut [f32], fan_in: usize, rng: &mut impl Rng) {
     let bound = (6.0 / fan_in.max(1) as f32).sqrt();
-    rand_uniform(dims, -bound, bound, rng)
+    fill_uniform(weight, -bound, bound, rng);
 }
 
 #[cfg(test)]
@@ -75,9 +81,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let fan_in = 25;
         let bound = (6.0f32 / fan_in as f32).sqrt();
-        let t = kaiming_uniform(&[500], fan_in, &mut rng);
-        assert!(t.max() <= bound);
-        assert!(t.min() >= -bound);
+        let mut w = [0.0f32; 500];
+        kaiming_uniform(&mut w, fan_in, &mut rng);
+        assert!(w.iter().all(|v| v.abs() <= bound));
+        assert!(w.iter().any(|&v| v != 0.0));
     }
 
     #[test]

@@ -15,7 +15,9 @@ use crate::error::{TensorError, TensorResult};
 use crate::ops::matmul::{matmul_a_bt_into, matmul_at_b_into, matmul_into};
 use crate::tensor::Tensor;
 
-/// Computes the output spatial size of a convolution.
+/// Computes the output spatial size of a convolution whose geometry is
+/// valid: `stride > 0` and `kernel <= input + 2 * padding` (the passes
+/// reject anything else before they call this).
 pub fn conv2d_output_size(input: usize, kernel: usize, stride: usize, padding: usize) -> usize {
     (input + 2 * padding - kernel) / stride + 1
 }
@@ -33,13 +35,6 @@ pub struct Conv2dScratch {
     grad_col: Vec<f32>,
     /// Per-sample weight-gradient contribution, `[out_c, in_c*kh*kw]`.
     gw_sample: Vec<f32>,
-    /// Per-sample bias-gradient contribution, `[out_c]`.
-    gb_sample: Vec<f32>,
-    /// Weight gradient folded over the batch (in sample order) before it is
-    /// added to the caller's accumulator once.
-    gw_total: Vec<f32>,
-    /// Bias gradient folded over the batch.
-    gb_total: Vec<f32>,
 }
 
 fn resize_scratch(buf: &mut Vec<f32>, len: usize) {
@@ -47,21 +42,35 @@ fn resize_scratch(buf: &mut Vec<f32>, len: usize) {
     buf.resize(len, 0.0);
 }
 
-/// Validates shapes shared by the forward and backward passes.
-fn check_shapes(
+/// The sizes both passes work with, checked once.
+struct Geometry {
+    batch: usize,
+    in_c: usize,
+    h: usize,
+    w: usize,
+    out_c: usize,
+    kh: usize,
+    kw: usize,
+    out_h: usize,
+    out_w: usize,
+}
+
+/// Validates what the forward and backward passes share: the input's rank,
+/// the channel counts, the length of the flat weight, and the geometry — a
+/// zero stride, or a kernel larger than the padded input along an axis, is
+/// an `InvalidArgument` naming it (unchecked, the first divides by zero and
+/// the second underflows the output size).
+fn check_geometry(
     input: &Tensor,
-    weight: &Tensor,
-) -> TensorResult<(usize, usize, usize, usize, usize, usize, usize)> {
+    weight: &[f32],
+    weight_dims: [usize; 4],
+    stride: usize,
+    padding: usize,
+) -> TensorResult<Geometry> {
     if input.rank() != 4 {
         return Err(TensorError::RankMismatch {
             expected: 4,
             actual: input.rank(),
-        });
-    }
-    if weight.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: weight.rank(),
         });
     }
     let [batch, in_c, h, w] = [
@@ -70,19 +79,48 @@ fn check_shapes(
         input.dims()[2],
         input.dims()[3],
     ];
-    let [out_c, w_in_c, kh, kw] = [
-        weight.dims()[0],
-        weight.dims()[1],
-        weight.dims()[2],
-        weight.dims()[3],
-    ];
-    if in_c != w_in_c {
+    let [out_c, w_in_c, kh, kw] = weight_dims;
+    if in_c != w_in_c || weight.len() != out_c * w_in_c * kh * kw {
         return Err(TensorError::ShapeMismatch {
             left: input.dims().to_vec(),
-            right: weight.dims().to_vec(),
+            right: weight_dims.to_vec(),
         });
     }
-    Ok((batch, in_c, h, w, out_c, kh, kw))
+    if stride == 0 {
+        return Err(TensorError::InvalidArgument(
+            "stride must be positive".into(),
+        ));
+    }
+    for (axis, size, kernel) in [("height", h, kh), ("width", w, kw)] {
+        if kernel > size + 2 * padding {
+            return Err(TensorError::InvalidArgument(format!(
+                "kernel {axis} {kernel} exceeds the padded input {axis} {}",
+                size + 2 * padding
+            )));
+        }
+    }
+    Ok(Geometry {
+        batch,
+        in_c,
+        h,
+        w,
+        out_c,
+        kh,
+        kw,
+        out_h: conv2d_output_size(h, kh, stride, padding),
+        out_w: conv2d_output_size(w, kw, stride, padding),
+    })
+}
+
+/// The dims of a rank-4 weight tensor, for the `Tensor`-typed wrappers.
+fn kernel_dims(weight: &Tensor) -> TensorResult<[usize; 4]> {
+    weight
+        .dims()
+        .try_into()
+        .map_err(|_| TensorError::RankMismatch {
+            expected: 4,
+            actual: weight.rank(),
+        })
 }
 
 /// Unrolls one padded input sample into the im2col matrix.
@@ -189,26 +227,54 @@ pub fn conv2d_forward_into(
     scratch: &mut Conv2dScratch,
     out: &mut Tensor,
 ) -> TensorResult<()> {
-    let (batch, in_c, h, w, out_c, kh, kw) = check_shapes(input, weight)?;
+    let dims = kernel_dims(weight)?;
+    conv2d_forward_flat(
+        input,
+        weight.data(),
+        dims,
+        bias.data(),
+        stride,
+        padding,
+        scratch,
+        out,
+    )
+}
+
+/// [`conv2d_forward_into`] on parameters that live in a flat store:
+/// `weight` is the row-major `weight_dims = [out_c, in_c, kh, kw]` kernel
+/// as a slice, `bias` its `out_c` offsets.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_forward_flat(
+    input: &Tensor,
+    weight: &[f32],
+    weight_dims: [usize; 4],
+    bias: &[f32],
+    stride: usize,
+    padding: usize,
+    scratch: &mut Conv2dScratch,
+    out: &mut Tensor,
+) -> TensorResult<()> {
+    let Geometry {
+        batch,
+        in_c,
+        h,
+        w,
+        out_c,
+        kh,
+        kw,
+        out_h,
+        out_w,
+    } = check_geometry(input, weight, weight_dims, stride, padding)?;
     if bias.len() != out_c {
         return Err(TensorError::ShapeMismatch {
             left: vec![out_c],
-            right: bias.dims().to_vec(),
+            right: vec![bias.len()],
         });
     }
-    if stride == 0 {
-        return Err(TensorError::InvalidArgument(
-            "stride must be positive".into(),
-        ));
-    }
-    let out_h = conv2d_output_size(h, kh, stride, padding);
-    let out_w = conv2d_output_size(w, kw, stride, padding);
     let out_hw = out_h * out_w;
     let col_rows = in_c * kh * kw;
 
     let input_data = input.data();
-    let weight_data = weight.data();
-    let bias_data = bias.data();
     let sample_in = in_c * h * w;
     let sample_out = out_c * out_hw;
 
@@ -231,16 +297,9 @@ pub fn conv2d_forward_into(
             out_h,
             out_w,
         );
-        matmul_into(
-            weight_data,
-            &scratch.col,
-            out_sample,
-            out_c,
-            col_rows,
-            out_hw,
-        );
+        matmul_into(weight, &scratch.col, out_sample, out_c, col_rows, out_hw);
         for oc in 0..out_c {
-            let bias_v = bias_data[oc];
+            let bias_v = bias[oc];
             for v in &mut out_sample[oc * out_hw..(oc + 1) * out_hw] {
                 *v += bias_v;
             }
@@ -253,14 +312,11 @@ pub fn conv2d_forward_into(
 ///
 /// `grad_output` must have the shape [`conv2d_forward_into`] produces for
 /// the same `(input, weight, stride, padding)`. `grad_weight` / `grad_bias`
-/// are **accumulated into** (`+=`), matching the layer-level contract of a
-/// running gradient; `grad_input` takes a `&mut Tensor`, which is resized
-/// and fully overwritten, or `None` when nobody reads `dL/d(input)` (the
-/// network's first convolution), which skips that product and its col2im
-/// scatter altogether.
-/// Per-sample contributions are first folded into a batch total (in sample
-/// order) and the total is added to the accumulators once — the float-op
-/// order the golden digests pin.
+/// must have the shapes of `weight` / the bias and are **overwritten** with
+/// this batch's gradient; `grad_input` takes a `&mut Tensor`, which is
+/// resized and fully overwritten, or `None` when nobody reads
+/// `dL/d(input)` (the network's first convolution), which skips that
+/// product and its col2im scatter altogether.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward_into<'a>(
     input: &Tensor,
@@ -273,9 +329,57 @@ pub fn conv2d_backward_into<'a>(
     grad_bias: &mut Tensor,
     grad_input: impl Into<Option<&'a mut Tensor>>,
 ) -> TensorResult<()> {
-    let (batch, in_c, h, w, out_c, kh, kw) = check_shapes(input, weight)?;
-    let out_h = conv2d_output_size(h, kh, stride, padding);
-    let out_w = conv2d_output_size(w, kw, stride, padding);
+    let dims = kernel_dims(weight)?;
+    if grad_weight.dims() != weight.dims() {
+        return Err(TensorError::ShapeMismatch {
+            left: weight.dims().to_vec(),
+            right: grad_weight.dims().to_vec(),
+        });
+    }
+    conv2d_backward_flat(
+        input,
+        weight.data(),
+        dims,
+        grad_output,
+        stride,
+        padding,
+        scratch,
+        grad_weight.data_mut(),
+        grad_bias.data_mut(),
+        grad_input.into(),
+    )
+}
+
+/// [`conv2d_backward_into`] on parameters and gradients that live in a
+/// flat store: `grad_weight` (as long as `weight`) and `grad_bias` (`out_c`
+/// long) are overwritten where the optimizer reads them.
+///
+/// Per-sample contributions are folded into the slices in sample order
+/// from `+0.0` — the float-op order the golden digests pin.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_backward_flat(
+    input: &Tensor,
+    weight: &[f32],
+    weight_dims: [usize; 4],
+    grad_output: &Tensor,
+    stride: usize,
+    padding: usize,
+    scratch: &mut Conv2dScratch,
+    grad_weight: &mut [f32],
+    grad_bias: &mut [f32],
+    grad_input: Option<&mut Tensor>,
+) -> TensorResult<()> {
+    let Geometry {
+        batch,
+        in_c,
+        h,
+        w,
+        out_c,
+        kh,
+        kw,
+        out_h,
+        out_w,
+    } = check_geometry(input, weight, weight_dims, stride, padding)?;
     let out_hw = out_h * out_w;
     if grad_output.dims() != [batch, out_c, out_h, out_w] {
         return Err(TensorError::ShapeMismatch {
@@ -284,31 +388,23 @@ pub fn conv2d_backward_into<'a>(
         });
     }
     let col_rows = in_c * kh * kw;
-    if grad_weight.dims() != weight.dims() {
+    if grad_weight.len() != weight.len() || grad_bias.len() != out_c {
         return Err(TensorError::ShapeMismatch {
-            left: weight.dims().to_vec(),
-            right: grad_weight.dims().to_vec(),
-        });
-    }
-    if grad_bias.len() != out_c {
-        return Err(TensorError::ShapeMismatch {
-            left: vec![out_c],
-            right: grad_bias.dims().to_vec(),
+            left: vec![weight.len(), out_c],
+            right: vec![grad_weight.len(), grad_bias.len()],
         });
     }
     let input_data = input.data();
-    let weight_data = weight.data();
     let grad_out_data = grad_output.data();
     let sample_in = in_c * h * w;
     let sample_out = out_c * out_hw;
 
     resize_scratch(&mut scratch.col, col_rows * out_hw);
     resize_scratch(&mut scratch.gw_sample, out_c * col_rows);
-    resize_scratch(&mut scratch.gb_sample, out_c);
-    resize_scratch(&mut scratch.gw_total, out_c * col_rows);
-    resize_scratch(&mut scratch.gb_total, out_c);
+    grad_weight.fill(0.0);
+    grad_bias.fill(0.0);
 
-    let mut gi_all = grad_input.into().map(|grad_input| {
+    let mut gi_all = grad_input.map(|grad_input| {
         grad_input.resize_in_place(input.dims());
         let gi_all = grad_input.data_mut();
         gi_all.fill(0.0);
@@ -344,26 +440,16 @@ pub fn conv2d_backward_into<'a>(
             out_hw,
             col_rows,
         );
-        for oc in 0..out_c {
-            scratch.gb_sample[oc] = go[oc * out_hw..(oc + 1) * out_hw].iter().sum();
-        }
-        for (a, b) in scratch.gw_total.iter_mut().zip(scratch.gw_sample.iter()) {
+        for (a, b) in grad_weight.iter_mut().zip(scratch.gw_sample.iter()) {
             *a += b;
         }
-        for (a, b) in scratch.gb_total.iter_mut().zip(scratch.gb_sample.iter()) {
-            *a += b;
+        for (oc, gb) in grad_bias.iter_mut().enumerate() {
+            *gb += go[oc * out_hw..(oc + 1) * out_hw].iter().sum::<f32>();
         }
 
         if let Some(gi_all) = gi_all.as_deref_mut() {
             // grad_col[col_rows × out_hw] = weightᵀ[col_rows × out_c] · go[out_c × out_hw]
-            matmul_at_b_into(
-                weight_data,
-                go,
-                &mut scratch.grad_col,
-                out_c,
-                col_rows,
-                out_hw,
-            );
+            matmul_at_b_into(weight, go, &mut scratch.grad_col, out_c, col_rows, out_hw);
             col2im(
                 &scratch.grad_col,
                 &mut gi_all[b * sample_in..(b + 1) * sample_in],
@@ -379,17 +465,6 @@ pub fn conv2d_backward_into<'a>(
             );
         }
     }
-
-    for (a, b) in grad_weight
-        .data_mut()
-        .iter_mut()
-        .zip(scratch.gw_total.iter())
-    {
-        *a += b;
-    }
-    for (a, b) in grad_bias.data_mut().iter_mut().zip(scratch.gb_total.iter()) {
-        *a += b;
-    }
     Ok(())
 }
 
@@ -397,7 +472,7 @@ pub fn conv2d_backward_into<'a>(
 mod tests {
     use super::*;
 
-    /// Gradients of one backward pass from zeroed accumulators.
+    /// Gradients of one backward pass.
     struct Grads {
         grad_input: Tensor,
         grad_weight: Tensor,
@@ -418,7 +493,7 @@ mod tests {
         Ok(out)
     }
 
-    /// [`conv2d_backward_into`] with a fresh scratch and zeroed accumulators.
+    /// [`conv2d_backward_into`] with a fresh scratch and fresh gradients.
     fn conv2d_backward(
         input: &Tensor,
         weight: &Tensor,
@@ -590,11 +665,12 @@ mod tests {
         }
     }
 
-    /// One scratch and one pair of output tensors reused across differently
-    /// shaped calls must be bit-identical to fresh ones, and the parameter
-    /// gradients must land as `+=` on seeded accumulators.
+    /// One scratch and one set of output tensors reused across differently
+    /// shaped calls must be bit-identical to fresh ones: the parameter
+    /// gradients overwrite whatever the tensors held, so a second pass with
+    /// no zeroing in between leaves the bits of one.
     #[test]
-    fn reused_scratch_is_bit_identical_to_fresh_and_grads_accumulate() {
+    fn reused_scratch_is_bit_identical_to_fresh_and_grads_overwrite() {
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(77);
@@ -628,29 +704,27 @@ mod tests {
 
             let grad_out = crate::init::randn(expected.dims(), 0.0, 1.0, &mut rng);
             let grads = conv2d_backward(&input, &weight, &grad_out, stride, padding).unwrap();
-            // Seed the accumulators to verify `+=` semantics.
+            // Stale contents, then two passes in a row.
             let mut gw = crate::init::randn(weight.dims(), 0.0, 0.1, &mut rng);
             let mut gb = crate::init::randn(&[out_c], 0.0, 0.1, &mut rng);
-            let mut expected_gw = gw.clone();
-            let mut expected_gb = gb.clone();
-            expected_gw.add_assign(&grads.grad_weight).unwrap();
-            expected_gb.add_assign(&grads.grad_bias).unwrap();
-            conv2d_backward_into(
-                &input,
-                &weight,
-                &grad_out,
-                stride,
-                padding,
-                &mut scratch,
-                &mut gw,
-                &mut gb,
-                &mut gi,
-            )
-            .unwrap();
-            for (a, b) in gw.data().iter().zip(expected_gw.data().iter()) {
+            for _ in 0..2 {
+                conv2d_backward_into(
+                    &input,
+                    &weight,
+                    &grad_out,
+                    stride,
+                    padding,
+                    &mut scratch,
+                    &mut gw,
+                    &mut gb,
+                    &mut gi,
+                )
+                .unwrap();
+            }
+            for (a, b) in gw.data().iter().zip(grads.grad_weight.data().iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-            for (a, b) in gb.data().iter().zip(expected_gb.data().iter()) {
+            for (a, b) in gb.data().iter().zip(grads.grad_bias.data().iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
             assert_eq!(gi.dims(), input.dims());
@@ -670,5 +744,46 @@ mod tests {
         let bias_bad = Tensor::zeros(&[3]);
         assert!(conv2d_forward(&input, &weight_ok, &bias_bad, 1, 1).is_err());
         assert!(conv2d_forward(&input, &weight_ok, &bias, 0, 1).is_err());
+    }
+    /// A geometry neither pass can run is an `InvalidArgument` naming what
+    /// is wrong, from both passes: a zero stride (unchecked, a division by
+    /// zero) and a kernel larger than the padded input along either axis
+    /// (unchecked, the output size underflows).
+    #[test]
+    fn both_passes_reject_unusable_geometry() {
+        let bias = Tensor::zeros(&[2]);
+        // (input h, input w, kernel h, kernel w, stride, padding, named in the error)
+        for (h, w, kh, kw, stride, padding, named) in [
+            (4usize, 4usize, 3usize, 3usize, 0usize, 1usize, "stride"),
+            (2, 6, 5, 3, 1, 1, "height"),
+            (6, 2, 3, 5, 1, 1, "width"),
+            (1, 1, 2, 2, 2, 0, "height"),
+        ] {
+            let input = Tensor::zeros(&[1, 1, h, w]);
+            let weight = Tensor::zeros(&[2, 1, kh, kw]);
+            let forward = conv2d_forward(&input, &weight, &bias, stride, padding);
+            // Any grad_output shape: the geometry is rejected before it is read.
+            let backward = conv2d_backward(
+                &input,
+                &weight,
+                &Tensor::zeros(&[1, 2, 1, 1]),
+                stride,
+                padding,
+            );
+            for result in [forward.map(drop), backward.map(drop)] {
+                match result {
+                    Err(TensorError::InvalidArgument(msg)) => {
+                        assert!(msg.contains(named), "{msg:?} does not name {named}")
+                    }
+                    other => panic!("{kh}x{kw} on {h}x{w}, stride {stride}: got {other:?}"),
+                }
+            }
+        }
+        // The kernel exactly covering the padded input is the smallest valid case.
+        let input = Tensor::ones(&[1, 1, 1, 1]);
+        let weight = Tensor::ones(&[2, 1, 3, 3]);
+        let out = conv2d_forward(&input, &weight, &bias, 1, 1).unwrap();
+        assert_eq!(out.dims(), &[1, 2, 1, 1]);
+        assert!(conv2d_backward(&input, &weight, &out, 1, 1).is_ok());
     }
 }

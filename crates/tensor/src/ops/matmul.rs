@@ -12,7 +12,12 @@
 //! training loop that re-presents the same shapes allocates nothing; a
 //! caller that wants a fresh result passes an empty `Tensor`.
 //! [`linear_forward_into`] fuses the dense-layer bias add (and optionally
-//! ReLU) into the `A·Bᵀ` sweep.
+//! ReLU) into the `A·Bᵀ` sweep. Each `gemm_*_into` is a shape check around
+//! a raw kernel on slices ([`matmul_into`], [`matmul_at_b_into`],
+//! [`matmul_a_bt_into`]; [`linear_forward_flat`] for the dense forward),
+//! which is what a caller whose operands live in a flat store runs — the
+//! layers of `fedadmm-nn` write a weight gradient straight into its range
+//! of the network's gradient vector this way.
 //!
 //! **The rule every kernel obeys:** tiling may regroup *which outputs*
 //! advance together, never the adds within one output. Each output element
@@ -169,9 +174,29 @@ pub fn linear_forward_into(
             right: bias.dims().to_vec(),
         });
     }
+    linear_forward_flat(input, weight.data(), bias.data(), out, relu)
+}
+
+/// [`linear_forward_into`] on parameters that live in a flat store:
+/// `weight` is the row-major `(n,k)` matrix as a slice and `bias` its `n`
+/// offsets, with `n = bias.len()` and `k` the width of `input`.
+pub fn linear_forward_flat(
+    input: &Tensor,
+    weight: &[f32],
+    bias: &[f32],
+    out: &mut Tensor,
+    relu: bool,
+) -> TensorResult<()> {
+    let (m, k) = input.shape().as_matrix()?;
+    let n = bias.len();
+    if weight.len() != n * k {
+        return Err(TensorError::ShapeMismatch {
+            left: vec![n, k],
+            right: vec![weight.len()],
+        });
+    }
     out.resize_in_place(&[m, n]);
-    let bias = bias.data();
-    a_bt_panels(input.data(), weight.data(), out.data_mut(), k, n, |panel| {
+    a_bt_panels(input.data(), weight, out.data_mut(), k, n, |panel| {
         for out_row in panel.chunks_exact_mut(n) {
             for (o, &bias_v) in out_row.iter_mut().zip(bias.iter()) {
                 *o += bias_v;
@@ -191,28 +216,27 @@ pub fn linear_forward_into(
     Ok(())
 }
 
-/// Raw kernel: `out[m×n] = a[m×k] · b[k×n]`, overwriting `out`. Exposed
-/// for the im2col convolution, which already has flat buffers.
-pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+/// Raw kernel: `out[m×n] = a[m×k] · b[k×n]`, overwriting `out`: what the
+/// callers that already hold flat buffers run (the im2col convolution, the
+/// dense layer's input gradient).
+///
+/// # Panics
+/// Like the two raw kernels below, panics if a slice's length is not its
+/// stated shape.
+pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "matmul_into: a is not (m,k)");
+    assert_eq!(b.len(), k * n, "matmul_into: b is not (k,n)");
+    assert_eq!(out.len(), m * n, "matmul_into: out is not (m,n)");
     ab_sweep(LeftOperand::row_major(a, k), b, out, m, k, n);
 }
 
 /// Raw kernel: `out[m×n] = aᵀ[m×k] · b[k×n]` for `a: (k,m)`, overwriting
-/// `out`.
-pub(crate) fn matmul_at_b_into(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+/// `out` (the dense layer's weight gradient `gᵀ·x`, written where it is
+/// read).
+pub fn matmul_at_b_into(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
+    assert_eq!(a.len(), k * m, "matmul_at_b_into: a is not (k,m)");
+    assert_eq!(b.len(), k * n, "matmul_at_b_into: b is not (k,n)");
+    assert_eq!(out.len(), m * n, "matmul_at_b_into: out is not (m,n)");
     ab_sweep(LeftOperand::transposed(a, m), b, out, m, k, n);
 }
 
@@ -375,19 +399,11 @@ fn ab_tile<const R: usize, const C: usize>(
 }
 
 /// Raw kernel: `out[m×n] = a[m×k] · bᵀ[k×n]` for `b: (n,k)`, overwriting
-/// `out`. Exposed for the convolution weight gradient, which already has
-/// flat buffers.
-pub(crate) fn matmul_a_bt_into(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
+/// `out` (the convolution weight gradient).
+pub fn matmul_a_bt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "matmul_a_bt_into: a is not (m,k)");
+    assert_eq!(b.len(), n * k, "matmul_a_bt_into: b is not (n,k)");
+    assert_eq!(out.len(), m * n, "matmul_a_bt_into: out is not (m,n)");
     a_bt_panels(a, b, out, k, n, |_| {});
 }
 
@@ -1082,6 +1098,42 @@ mod tests {
             let got = matmul_at_b(&a, &b).unwrap();
             for (x, y) in expected.data().iter().zip(got.data().iter()) {
                 prop_assert!((x - y).abs() < 1e-4);
+            }
+        }
+
+        /// No raw kernel ever emits `-0.0`, on operands made of `-0.0`,
+        /// exact zeros, products that cancel and products that underflow to
+        /// `-0.0`: an output is a running sum from `+0.0`, `+0.0 + -0.0` is
+        /// `+0.0` and a cancelling sum rounds to `+0.0`. So `0.0 + x` has
+        /// the bits of `x` for every output `x`, which is what lets a layer
+        /// overwrite its gradient slice where it once added to a zeroed one.
+        #[test]
+        fn prop_kernels_never_emit_negative_zero(
+            m in 1usize..10,
+            k in 0usize..20,
+            n in 1usize..40,
+            picks in proptest::collection::vec(0usize..8, 9 * 19 + 19 * 39),
+        ) {
+            const PALETTE: [f32; 8] = [-0.0, 0.0, -1.0, 1.0, -1e-30, 1e-30, -2.5, 0.75];
+            let operand = |from: usize, len: usize| -> Vec<f32> {
+                picks[from..from + len].iter().map(|&i| PALETTE[i]).collect()
+            };
+            let (a, b) = (operand(0, m * k), operand(9 * 19, k * n));
+            let mut out = vec![-0.0f32; m * n];
+            type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+            // (kernel, its three size arguments): the same buffers read as
+            // (m,k)·(k,n), (k,m)ᵀ·(k,n) and (m,k)·(n,k)ᵀ.
+            let kernels: [(Kernel, [usize; 3]); 3] = [
+                (matmul_into, [m, k, n]),
+                (matmul_at_b_into, [k, m, n]),
+                (matmul_a_bt_into, [m, k, n]),
+            ];
+            for (kernel, [x, y, z]) in kernels {
+                out.fill(-0.0);
+                kernel(&a, &b, &mut out, x, y, z);
+                for &v in &out {
+                    prop_assert_eq!((0.0f32 + v).to_bits(), v.to_bits());
+                }
             }
         }
 

@@ -11,8 +11,12 @@ mod conv;
 mod matmul;
 mod pool;
 
-pub use conv::{conv2d_backward_into, conv2d_forward_into, conv2d_output_size, Conv2dScratch};
+pub use conv::{
+    conv2d_backward_flat, conv2d_backward_into, conv2d_forward_flat, conv2d_forward_into,
+    conv2d_output_size, Conv2dScratch,
+};
 pub use matmul::{
-    gemm_a_bt_into, gemm_at_b_into, gemm_into, gemm_isa, linear_forward_into, reference,
+    gemm_a_bt_into, gemm_at_b_into, gemm_into, gemm_isa, linear_forward_flat, linear_forward_into,
+    matmul_a_bt_into, matmul_at_b_into, matmul_into, reference,
 };
 pub use pool::{max_pool2d_backward_into, max_pool2d_forward_into};

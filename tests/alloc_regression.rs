@@ -5,9 +5,10 @@
 //! worker (cached network + `TrainScratch` with its activation arena).
 //! Steady-state mini-batch steps must perform **zero** heap allocations:
 //! every buffer — gathered batch, input tensor, per-layer activations and
-//! gradients, loss gradient, flat gradient — is recycled across steps and
-//! epochs — for the dense stack, and for the paper's CNN 1 with its im2col,
-//! pooling and convolution-gradient scratch. A further check pins the
+//! gradients, loss gradient — is recycled across steps and epochs, and the
+//! parameters and their gradient are the cached network's own two vectors —
+//! for the dense stack, and for the paper's CNN 1 with its im2col, pooling
+//! and convolution-gradient scratch. A further check pins the
 //! per-*job* cost of FedAvg and of FedADMM on a warm worker to the payload
 //! they upload, another bounds a whole evaluation pass to O(1) allocations
 //! regardless of how many forward passes and 256-sample chunks it spans, and
@@ -103,10 +104,10 @@ fn steady_state_sgd_step_allocates_nothing() {
     .unwrap();
     let long_run = alloc_count() - before_long;
 
-    // Both runs share the same fixed per-call cost (cloning `init` into the
-    // working parameter vector and moving it into the result); the six
-    // additional epochs — 36 additional SGD steps — must add zero
-    // allocations on top of it.
+    // Both runs share the same fixed per-call cost (copying the trained
+    // parameters out of the network into the result); the six additional
+    // epochs — 36 additional SGD steps — must add zero allocations on top
+    // of it.
     assert_eq!(
         long_run,
         short_run,
@@ -186,6 +187,14 @@ fn steady_state_sgd_step_allocates_nothing() {
         fedadmm_job <= fedavg_job,
         "a warm FedADMM job must allocate no more than the FedAvg job beside \
          it: FedAvg → {fedavg_job}, FedADMM → {fedadmm_job}"
+    );
+    // In absolute terms: the trained parameters copied out of the network
+    // (they become `w_i`) and the message's one-element payload list — what
+    // the job cost when the trainer cloned `init` into a working vector of
+    // its own, so the flat store added nothing.
+    assert!(
+        bare <= 1 && fedadmm_job <= 2,
+        "a warm job grew an allocation: bare trainer → {bare}, FedADMM → {fedadmm_job}"
     );
 
     // An evaluation pass reuses one network, one arena and one gather buffer
