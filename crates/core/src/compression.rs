@@ -202,6 +202,117 @@ impl Quantizer {
 mod tests {
     use super::*;
 
+    /// The element-at-a-time encoder [`Quantizer::quantize_into`] replaced,
+    /// kept as the definition of its codes and of its dither stream: one raw
+    /// word per pair of elements, the low half first, `next_u32` for an odd
+    /// last element.
+    mod reference {
+        use super::*;
+
+        pub fn quantize_into(
+            q: &Quantizer,
+            values: &[f32],
+            seed: u64,
+            codes: &mut Vec<u16>,
+        ) -> (f32, f32) {
+            let (min, max) = fedadmm_tensor::vecops::min_max(values);
+            let levels = q.levels() as f32;
+            let range = (max - min).max(f32::EPSILON);
+            let step = range / (levels - 1.0);
+            let inv_step = 1.0 / step;
+            codes.clear();
+            if q.stochastic {
+                const U24: f32 = 1.0 / (1u32 << 24) as f32;
+                let top = levels - 1.0;
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut pairs = values.chunks_exact(2);
+                for pair in &mut pairs {
+                    let bits = rng.next_u64();
+                    let u0 = (bits as u32 >> 8) as f32 * U24;
+                    let u1 = ((bits >> 40) as u32) as f32 * U24;
+                    codes.push(((pair[0] - min) * inv_step + u0).min(top) as u16);
+                    codes.push(((pair[1] - min) * inv_step + u1).min(top) as u16);
+                }
+                if let [last] = pairs.remainder() {
+                    let u0 = (rng.next_u32() >> 8) as f32 * U24;
+                    codes.push(((last - min) * inv_step + u0).min(top) as u16);
+                }
+            } else {
+                codes.extend(
+                    values
+                        .iter()
+                        .map(|&v| ((v - min) * inv_step).round().clamp(0.0, levels - 1.0) as u16),
+                );
+            }
+            (min, step)
+        }
+    }
+
+    /// Values spread over several quantization steps, no two lengths alike.
+    fn ramp(n: usize, seed: u64) -> Vec<f32> {
+        (0..n)
+            .map(|i| ((i as f32 + seed as f32 * 0.61) * 0.37).sin() * 3.0 - 0.5)
+            .collect()
+    }
+
+    #[test]
+    fn quantize_into_matches_the_reference_at_every_length_width_and_mode() {
+        // 1..=70 covers an empty, a partial and a full pair tail behind zero
+        // to four whole blocks; the warm buffer starts longer or shorter
+        // than the input and full of codes that must not survive.
+        for n in (1..=70).chain([127, 128, 129, 7_850]) {
+            for bits in [1u8, 4, 8, 16] {
+                for stochastic in [true, false] {
+                    let q = Quantizer::new(bits, stochastic);
+                    for seed in [0u64, 42, 0xC0DE_C517_E5EE_D5] {
+                        let values = ramp(n, seed);
+                        let mut want = Vec::new();
+                        let want_grid = reference::quantize_into(&q, &values, seed, &mut want);
+                        for warm in [0, n / 2, n + 37] {
+                            let mut got = vec![0xBEEF; warm];
+                            let got_grid = q.quantize_into(&values, seed, &mut got);
+                            let case = format!("n {n}, {bits} bits, stochastic {stochastic}, seed {seed}, warm {warm}");
+                            assert_eq!(got, want, "{case}");
+                            assert_eq!(got_grid, want_grid, "{case}");
+                        }
+                        assert_eq!(q.quantize(&values, seed).codes, want);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_inputs_get_the_codes_the_reference_gives_them() {
+        // What a NaN or ±∞ upload *should* do is a policy the engine does
+        // not have yet; until it does, the codes it gets must not move.
+        for (at, bad) in [
+            (0, f32::NAN),
+            (5, f32::NAN),
+            (16, f32::INFINITY),
+            (33, f32::NEG_INFINITY),
+            (40, f32::NAN),
+        ] {
+            for n in [41, 48] {
+                for stochastic in [true, false] {
+                    let q = Quantizer::new(8, stochastic);
+                    let mut values = ramp(n, 7);
+                    values[at] = bad;
+                    values[n - 1] = if at % 2 == 0 { bad } else { -bad };
+                    let (mut want, mut got) = (Vec::new(), Vec::new());
+                    let want_grid = reference::quantize_into(&q, &values, 9, &mut want);
+                    let got_grid = q.quantize_into(&values, 9, &mut got);
+                    assert_eq!(got, want, "{bad} at {at} of {n}, stochastic {stochastic}");
+                    // NaN ≠ NaN, so the grid is compared by bits.
+                    assert_eq!(
+                        (got_grid.0.to_bits(), got_grid.1.to_bits()),
+                        (want_grid.0.to_bits(), want_grid.1.to_bits())
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn round_trip_error_is_within_half_a_step() {
         let q = Quantizer::new(8, false);

@@ -10,7 +10,8 @@
 //! for the dense stack, and for the paper's CNN 1 with its im2col, pooling
 //! and convolution-gradient scratch. A further check pins the
 //! per-*job* cost of FedAvg and of FedADMM on a warm worker to the payload
-//! they upload, another bounds a whole evaluation pass to O(1) allocations
+//! they upload — and, with the wire path on, to that plus the coded upload
+//! that replaces it — another bounds a whole evaluation pass to O(1) allocations
 //! regardless of how many forward passes and 256-sample chunks it spans, and
 //! the last pins a warm one-worker `RoundEngine::evaluate_global` to its
 //! result-slot vector and its logits buffer.
@@ -23,16 +24,19 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use fedadmm_core::algorithms::{Algorithm, FedAdmm, FedAvg, UpdateScratch};
 use fedadmm_core::client::ClientState;
+use fedadmm_core::compression::Quantizer;
 use fedadmm_core::config::{DataDistribution, FedConfig};
-use fedadmm_core::engine::{RoundEngine, SyncRounds};
+use fedadmm_core::engine::{RoundEngine, SyncRounds, WirePathConfig};
 use fedadmm_core::param::ParamVector;
 use fedadmm_core::trainer::{evaluate, local_sgd_cached, LocalEnv, NetCache, TrainScratch};
 use fedadmm_data::batching::BatchSize;
 use fedadmm_data::synthetic::SyntheticDataset;
 use fedadmm_nn::models::ModelSpec;
+use fedadmm_privacy::dp::GaussianMechanism;
 
 struct CountingAlloc;
 
@@ -195,6 +199,36 @@ fn steady_state_sgd_step_allocates_nothing() {
     assert!(
         bare <= 1 && fedadmm_job <= 2,
         "a warm job grew an allocation: bare trainer → {bare}, FedADMM → {fedadmm_job}"
+    );
+
+    // The wire path's client edge adds what travels and nothing else: the
+    // guard clips and noises the payload in place, the quantizer fills the
+    // worker's warm staging buffer, and the message leaves with one list of
+    // coded vectors and one exact-size code vector in it.
+    let wire = WirePathConfig::enabled(Quantizer::new(8, true))
+        .with_guard(Arc::new(GaussianMechanism::new(20.0, 1e-3)))
+        .resolve()
+        .expect("a quantizer turns the wire path on");
+    let mut wire_codes = Vec::new();
+    let mut wire_job = |client: &mut ClientState, worker: &mut UpdateScratch| {
+        let before = alloc_count();
+        let mut message = admm
+            .client_update_scratch(client, &theta, &job, worker)
+            .unwrap();
+        wire.encode(&mut message, job.seed, &mut wire_codes);
+        let cost = alloc_count() - before;
+        let coded = message.wire.expect("the encoder attaches the coded upload");
+        assert!(message.payload.is_empty());
+        assert_eq!(coded.vectors[0].codes.len(), init.len());
+        assert_eq!(coded.vectors[0].codes.capacity(), init.len());
+        cost
+    };
+    wire_job(&mut admm_client, &mut worker); // sizes the staging buffer
+    let wire_on_job = wire_job(&mut admm_client, &mut worker);
+    assert!(
+        wire_on_job <= fedadmm_job + 2,
+        "a warm wire-on job must allocate its coded upload only on top of \
+         the dense job: dense → {fedadmm_job}, wire-on → {wire_on_job}"
     );
 
     // An evaluation pass reuses one network, one arena and one gather buffer
