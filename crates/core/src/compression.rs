@@ -90,6 +90,22 @@ impl WirePayload {
     }
 }
 
+/// What `x as u16` is for every `x` that is not above 65 535: `⌊x⌋`, and 0
+/// below zero and for NaN. The cast itself also saturates at the top, which
+/// costs a handful of scalar instructions per element and keeps a loop
+/// around it from vectorizing; this is five lane-wise operations. Adding
+/// 2²³ to an `x` in `[0, 2¹⁶)` lands where one ulp is 1, so the sum's low
+/// mantissa bits hold `x` rounded to the nearest integer, and one compare
+/// against `x` turns nearest into floor.
+#[inline(always)]
+fn floor_code(x: f32) -> u16 {
+    const TWO_23: f32 = 8_388_608.0;
+    let x = x.max(0.0);
+    let sum = x + TWO_23;
+    let nearest = sum.to_bits() as i32 - TWO_23.to_bits() as i32;
+    (nearest - i32::from(sum - TWO_23 > x)) as u16
+}
+
 impl Quantizer {
     /// The 32-bit "quantizer" that leaves a vector as the `f32`s it is: no
     /// codes, no error, [`compression_ratio`](Quantizer::compression_ratio)
@@ -133,12 +149,14 @@ impl Quantizer {
         }
     }
 
-    /// Quantizes `values` into a reusable code buffer (cleared and refilled,
-    /// so steady-state callers pay no allocation), returning the affine
-    /// `(min, step)` decode parameters. Produces exactly the codes
-    /// [`Quantizer::quantize`] would for the same seed — the engine's wire
-    /// path calls this from the per-worker dispatch scratch.
+    /// Quantizes `values` into a reusable code buffer (overwritten and left
+    /// at `values.len()` codes, so steady-state callers pay no allocation),
+    /// returning the affine `(min, step)` decode parameters. Produces exactly
+    /// the codes [`Quantizer::quantize`] would for the same seed — the
+    /// engine's wire path calls this from the per-worker dispatch scratch.
     pub fn quantize_into(&self, values: &[f32], seed: u64, codes: &mut Vec<u16>) -> (f32, f32) {
+        /// Coordinates the stochastic branch rounds per batch of raw words.
+        const BLOCK: usize = 16;
         assert!(!values.is_empty(), "cannot quantize an empty vector");
         let (min, max) = fedadmm_tensor::vecops::min_max(values);
         let levels = self.levels() as f32;
@@ -147,30 +165,53 @@ impl Quantizer {
         // One multiply per element instead of a divide — this loop runs per
         // upload on the wire hot path.
         let inv_step = 1.0 / step;
-        codes.clear();
         if self.stochastic {
             // Stochastic rounding as `⌊x + U⌋` with `U` uniform in [0, 1):
             // the carry fires with probability exactly frac(x), and the
             // whole dither is one add on top of the affine map. `x ≥ 0`
-            // (min subtracted), so the `u16` cast truncates = floors, and
-            // only the upper bound needs clamping. Each raw `u64` supplies
-            // the 24-bit dithers for two consecutive elements.
+            // (min subtracted), so only the upper bound needs clamping
+            // before the floor. Each raw `u64` supplies the 24-bit dithers
+            // for two consecutive elements, low half first.
             const U24: f32 = 1.0 / (1u32 << 24) as f32;
+            let dithers = |bits: u64| {
+                let low = (bits as u32 >> 8) as f32 * U24;
+                (low, ((bits >> 40) as u32) as f32 * U24)
+            };
             let top = levels - 1.0;
+            let code = |v: f32, u: f32| floor_code(((v - min) * inv_step + u).min(top));
+            // Codes are written by index into a buffer of the final length
+            // (a `push` per element pays a capacity check), in blocks of 16
+            // that draw their eight words first: the affine map, the clamp
+            // and the floor over a block are then branch-free and lane-wise.
+            // The words, and which element each half dithers, are those of
+            // a pair-at-a-time loop.
+            codes.resize(values.len(), 0);
             let mut rng = SmallRng::seed_from_u64(seed);
-            let mut pairs = values.chunks_exact(2);
-            for pair in &mut pairs {
-                let bits = rng.next_u64();
-                let u0 = (bits as u32 >> 8) as f32 * U24;
-                let u1 = ((bits >> 40) as u32) as f32 * U24;
-                codes.push(((pair[0] - min) * inv_step + u0).min(top) as u16);
-                codes.push(((pair[1] - min) * inv_step + u1).min(top) as u16);
+            let mut blocks = values.chunks_exact(BLOCK);
+            let mut coded = codes.chunks_exact_mut(BLOCK);
+            for (block, out) in (&mut blocks).zip(&mut coded) {
+                let words: [u64; BLOCK / 2] = std::array::from_fn(|_| rng.next_u64());
+                let mut u = [0.0f32; BLOCK];
+                for (pair, &bits) in u.chunks_exact_mut(2).zip(&words) {
+                    (pair[0], pair[1]) = dithers(bits);
+                }
+                for ((c, &v), &u) in out.iter_mut().zip(block).zip(&u) {
+                    *c = code(v, u);
+                }
             }
-            if let [last] = pairs.remainder() {
+            let mut pairs = blocks.remainder().chunks_exact(2);
+            let mut coded = coded.into_remainder().chunks_exact_mut(2);
+            for (pair, out) in (&mut pairs).zip(&mut coded) {
+                let (u0, u1) = dithers(rng.next_u64());
+                out[0] = code(pair[0], u0);
+                out[1] = code(pair[1], u1);
+            }
+            if let ([last], [out]) = (pairs.remainder(), coded.into_remainder()) {
                 let u0 = (rng.next_u32() >> 8) as f32 * U24;
-                codes.push(((last - min) * inv_step + u0).min(top) as u16);
+                *out = code(*last, u0);
             }
         } else {
+            codes.clear();
             codes.extend(
                 values
                     .iter()
@@ -248,6 +289,49 @@ mod tests {
         }
     }
 
+    #[test]
+    fn floor_code_is_the_saturating_cast_below_its_upper_limit() {
+        let edges = [
+            0.0f32,
+            -0.0,
+            f32::MIN_POSITIVE,
+            1e-40,
+            0.49999997,
+            0.5,
+            0.99999994,
+            1.0,
+            1.5,
+            2.5,
+            254.99998,
+            255.0,
+            32_767.998,
+            65_534.5,
+            65_534.996,
+            65_535.0,
+            -0.5,
+            -1.0,
+            -3e9,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for x in edges {
+            assert_eq!(floor_code(x), x as u16, "{x}");
+        }
+        // Every float between two neighbouring integers, at both ends of
+        // the code range, and a coarse sweep of everything between.
+        for start in [0.0f32, 1.0, 2.0, 65_533.0] {
+            let mut x = start;
+            while x <= start + 2.0 && x <= 65_535.0 {
+                assert_eq!(floor_code(x), x as u16, "{x}");
+                x = f32::from_bits(x.to_bits() + if start < 3.0 { 4_099 } else { 1 });
+            }
+        }
+        for k in 0..=655_350 {
+            let x = k as f32 * 0.1;
+            assert_eq!(floor_code(x), x as u16, "{x}");
+        }
+    }
+
     /// Values spread over several quantization steps, no two lengths alike.
     fn ramp(n: usize, seed: u64) -> Vec<f32> {
         (0..n)
@@ -264,7 +348,7 @@ mod tests {
             for bits in [1u8, 4, 8, 16] {
                 for stochastic in [true, false] {
                     let q = Quantizer::new(bits, stochastic);
-                    for seed in [0u64, 42, 0xC0DE_C517_E5EE_D5] {
+                    for seed in [0u64, 42, 0x00C0_DEC5_17E5_EED5] {
                         let values = ramp(n, seed);
                         let mut want = Vec::new();
                         let want_grid = reference::quantize_into(&q, &values, seed, &mut want);

@@ -4,7 +4,7 @@
 //! upload.
 //!
 //! ```text
-//!   dispatch worker (per-worker scratch, no per-job allocation)
+//!   dispatch worker (per-worker scratch; per job, one exact-size code vector)
 //!   ┌───────────────────────────────────────────────────────────┐
 //!   │ local SGD → Δ_i ── guard.privatize (clip+noise, in place) │
 //!   │           └─ quantize_into(worker codes buffer)           │
