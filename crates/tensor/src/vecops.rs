@@ -691,6 +691,164 @@ mod tests {
         }
     }
 
+    /// Term counts around the fold kernels' term blocks, up to the
+    /// `dispatch-skew` cohort.
+    const FOLD_TERM_COUNTS: [usize; 10] = [0, 1, 2, 15, 16, 17, 31, 32, 33, 192];
+
+    /// [`REMAINDER_LENGTHS`] plus the logistic model's d.
+    const FOLD_LENGTHS: [usize; 8] = [0, 1, 7, 8, 9, 4095, 4097, 7850];
+
+    /// Deterministic non-integer f32 values over 2^-20..2^20 of either sign
+    /// (splitmix64 bits), so nearly every partial sum rounds and a change of
+    /// summation order shows in the bits.
+    struct Values(u64);
+
+    impl Values {
+        fn bits(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn next(&mut self) -> f32 {
+            let b = self.bits();
+            let mantissa = 1.0 + (b >> 40) as f32 / (1u64 << 24) as f32;
+            let sign = if b & 1 == 0 { 1.0 } else { -1.0 };
+            sign * mantissa * 2f32.powi(((b >> 8) % 41) as i32 - 20)
+        }
+    }
+
+    /// `v`, or at sparse `(term, index)` positions a special value: NaN and
+    /// ±∞ rarely (each poisons its coordinate's sum), signed zeros and
+    /// subnormals more often.
+    fn salted(term: usize, i: usize, v: f32) -> f32 {
+        let h = i * 31 + term * 17;
+        if h % 4099 == 0 {
+            [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(term + i) % 3]
+        } else if h % 61 == 0 {
+            [-0.0, 0.0, 1e-40, -3e-42][(term + i) % 4]
+        } else {
+            v
+        }
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}[{k}]: {g:e} ({:#010x}) != {w:e} ({:#010x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// The four fold kernels against their per-element references, by bit
+    /// pattern, on values whose sums round: the per-element order of the
+    /// terms — message order, starting from `out` or from `+0.0` — is part
+    /// of the kernels' contract, so any term count and length must give
+    /// the reference's bits.
+    #[test]
+    fn fold_kernels_keep_the_reference_term_order_bit_for_bit() {
+        let mut values = Values(0x5EED);
+        for &terms in &FOLD_TERM_COUNTS {
+            for &n in &FOLD_LENGTHS {
+                let what = |kernel: &str| format!("{kernel}, {terms} terms, length {n}");
+                let alphas: Vec<f32> = (0..terms).map(|_| values.next()).collect();
+                let xs: Vec<Vec<f32>> = (0..terms)
+                    .map(|k| (0..n).map(|i| salted(k, i, values.next())).collect())
+                    .collect();
+                let xs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+                let init: Vec<f32> = (0..n).map(|i| salted(terms, i, values.next())).collect();
+
+                let (mut got, mut want) = (init.clone(), init.clone());
+                axpy_fused(&alphas, &xs, &mut got);
+                reference::axpy_fused(&alphas, &xs, &mut want);
+                assert_same_bits(&got, &want, &what("axpy_fused"));
+                weighted_sum_into(&alphas, &xs, &mut got);
+                reference::weighted_sum_into(&alphas, &xs, &mut want);
+                assert_same_bits(&got, &want, &what("weighted_sum_into"));
+
+                let codes: Vec<Vec<u16>> = (0..terms)
+                    .map(|_| (0..n).map(|_| values.bits() as u16).collect())
+                    .collect();
+                let dq: Vec<DequantTerm<'_>> = codes
+                    .iter()
+                    .enumerate()
+                    .map(|(k, codes)| DequantTerm {
+                        alpha: alphas[k],
+                        min: if k % 5 == 2 { -0.0 } else { values.next() },
+                        step: values.next().abs() * 2f32.powi(-16),
+                        codes,
+                    })
+                    .collect();
+                let (mut got, mut want) = (init.clone(), init.clone());
+                dequant_axpy_fused(&dq, &mut got);
+                reference::dequant_axpy_fused(&dq, &mut want);
+                assert_same_bits(&got, &want, &what("dequant_axpy_fused"));
+                dequant_sum_into(&dq, &mut got);
+                reference::dequant_sum_into(&dq, &mut want);
+                assert_same_bits(&got, &want, &what("dequant_sum_into"));
+            }
+        }
+    }
+
+    /// Where every product is `−0.0` an assign must still start from `+0.0`
+    /// (`0.0 + (−0.0)` is `+0.0`) and an accumulate from `out`.
+    #[test]
+    fn fold_kernels_keep_the_sign_of_zero_sums() {
+        for &terms in &FOLD_TERM_COUNTS[1..] {
+            let n = 37;
+            // Positive coefficients times −0.0, negative ones times +0.0.
+            let alphas: Vec<f32> = (0..terms)
+                .map(|k| if k % 3 == 0 { -0.75 } else { 1.25 })
+                .collect();
+            let xs: Vec<Vec<f32>> = alphas
+                .iter()
+                .map(|&a| vec![if a > 0.0 { -0.0 } else { 0.0 }; n])
+                .collect();
+            let xs: Vec<&[f32]> = xs.iter().map(Vec::as_slice).collect();
+            let codes = vec![0u16; n];
+            // A zero code on a `+0.0` grid decodes to `+0.0`; a negative
+            // coefficient turns it into `−0.0`.
+            let dq: Vec<DequantTerm<'_>> = (0..terms)
+                .map(|_| DequantTerm {
+                    alpha: -0.5,
+                    min: 0.0,
+                    step: 0.125,
+                    codes: &codes,
+                })
+                .collect();
+            for init in [0.0f32, -0.0] {
+                let what = |kernel: &str| format!("{kernel}, {terms} terms, out = {init:?}");
+                let (mut got, mut want) = (vec![init; n], vec![init; n]);
+                axpy_fused(&alphas, &xs, &mut got);
+                reference::axpy_fused(&alphas, &xs, &mut want);
+                assert_same_bits(&got, &want, &what("axpy_fused"));
+                dequant_axpy_fused(&dq, &mut got);
+                reference::dequant_axpy_fused(&dq, &mut want);
+                assert_same_bits(&got, &want, &what("dequant_axpy_fused"));
+                let mut got = vec![init; n];
+                weighted_sum_into(&alphas, &xs, &mut got);
+                assert!(
+                    got.iter().all(|v| v.to_bits() == 0),
+                    "{}",
+                    what("weighted_sum_into")
+                );
+                let mut got = vec![init; n];
+                dequant_sum_into(&dq, &mut got);
+                assert!(
+                    got.iter().all(|v| v.to_bits() == 0),
+                    "{}",
+                    what("dequant_sum_into")
+                );
+            }
+        }
+    }
+
     /// Deterministic quantization codes in [0, 13).
     fn code_ramp(n: usize, mul: u64, offset: u64) -> Vec<u16> {
         (0..n as u64)

@@ -13,8 +13,9 @@
 //! they upload — and, with the wire path on, to that plus the coded upload
 //! that replaces it — another bounds a whole evaluation pass to O(1) allocations
 //! regardless of how many forward passes and 256-sample chunks it spans, and
-//! the last pins a warm one-worker `RoundEngine::evaluate_global` to its
-//! result-slot vector and its logits buffer.
+//! another pins a warm one-worker `RoundEngine::evaluate_global` to its
+//! result-slot vector and its logits buffer, and the last bounds a warm
+//! 192-message server fold, dense and coded, on the default pool.
 //!
 //! Tensor kernels are serial loops and a one-worker dispatch pool runs
 //! inline, so every count is this thread's own buffers on any host.
@@ -26,17 +27,22 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fedadmm_core::algorithms::{Algorithm, FedAdmm, FedAvg, UpdateScratch};
+use fedadmm_core::algorithms::{Algorithm, ClientMessage, FedAdmm, FedAvg, UpdateScratch};
 use fedadmm_core::client::ClientState;
-use fedadmm_core::compression::Quantizer;
+use fedadmm_core::compression::{Quantizer, WirePayload};
 use fedadmm_core::config::{DataDistribution, FedConfig};
-use fedadmm_core::engine::{RoundEngine, SyncRounds, WirePathConfig};
+use fedadmm_core::engine::{
+    EngineCore, RoundEngine, Scheduler, SyncRounds, TickReport, WirePathConfig,
+};
 use fedadmm_core::param::ParamVector;
 use fedadmm_core::trainer::{evaluate, local_sgd_cached, LocalEnv, NetCache, TrainScratch};
 use fedadmm_data::batching::BatchSize;
 use fedadmm_data::synthetic::SyntheticDataset;
 use fedadmm_nn::models::ModelSpec;
 use fedadmm_privacy::dp::GaussianMechanism;
+use fedadmm_tensor::TensorResult;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 struct CountingAlloc;
 
@@ -298,4 +304,100 @@ fn steady_state_sgd_step_allocates_nothing() {
         warm_eval, one_pass_eval,
         "evaluate_global allocations grew with the number of forward passes"
     );
+
+    // A warm 192-message server fold allocates the plan's coefficient vector
+    // and its term list; the dense kernel call unzips the terms into two
+    // more. Counted at workers 1, 2 (this file's default on a 2-vCPU host)
+    // and 3: dense 4, coded 2 at each.
+    let (dense_fold, coded_fold) = warm_fold_allocations();
+    assert!(
+        dense_fold <= 4 && coded_fold <= 2,
+        "a warm 192-message fold grew an allocation: dense {dense_fold} (was 4), \
+         coded {coded_fold} (was 2)"
+    );
+}
+
+/// A scheduler whose tick is one `aggregate` of a fixed batch, counting
+/// what it allocates.
+struct FoldOnly {
+    messages: Vec<ClientMessage>,
+    allocations: u64,
+}
+
+impl Scheduler for FoldOnly {
+    fn name(&self) -> &'static str {
+        "fold-only"
+    }
+
+    fn tick(&mut self, core: &mut EngineCore<'_>) -> TensorResult<TickReport> {
+        let mut rng = SmallRng::seed_from_u64(0);
+        let before = alloc_count();
+        core.aggregate(&self.messages, &mut rng);
+        self.allocations = alloc_count() - before;
+        Ok(TickReport::default())
+    }
+}
+
+/// Allocations of a warm 192-message FedADMM `aggregate` on the default
+/// pool (`FEDADMM_DISPATCH_WORKERS`, else the host's cores): `(dense,
+/// coded)`.
+fn warm_fold_allocations() -> (u64, u64) {
+    const COHORT: usize = 192;
+    let model = ModelSpec::Logistic {
+        input_dim: 784,
+        num_classes: 10,
+    };
+    let d = model.num_params();
+    let quantizer = Quantizer::new(8, true);
+    let dense: Vec<ClientMessage> = (0..COHORT)
+        .map(|c| ClientMessage {
+            client_id: c,
+            num_samples: 2,
+            payload: vec![ParamVector::from_vec(
+                (0..d)
+                    .map(|i| ((i * 7 + c * 13) % 101) as f32 * 1e-3 - 0.05)
+                    .collect(),
+            )],
+            epochs_run: 1,
+            samples_processed: 2,
+            wire: None,
+        })
+        .collect();
+    let coded: Vec<ClientMessage> = dense
+        .iter()
+        .map(|m| ClientMessage {
+            payload: Vec::new(),
+            wire: Some(WirePayload {
+                scale: 1.0,
+                vectors: vec![quantizer.quantize(m.payload[0].as_slice(), m.client_id as u64)],
+            }),
+            ..m.clone()
+        })
+        .collect();
+    let mut warm_fold = |messages: Vec<ClientMessage>| {
+        let config = FedConfig {
+            num_clients: COHORT,
+            model,
+            ..FedConfig::default()
+        };
+        let (train, test) = SyntheticDataset::Mnist.generate(2 * COHORT, 8, 3);
+        let partition = DataDistribution::Iid.partition(&train, COHORT, 3);
+        let scheduler = FoldOnly {
+            messages,
+            allocations: 0,
+        };
+        let mut engine = RoundEngine::new(
+            config,
+            train,
+            test,
+            partition,
+            FedAdmm::paper_default(),
+            scheduler,
+        )
+        .unwrap();
+        engine.step().unwrap(); // warm-up
+        engine.step().unwrap();
+        engine.scheduler().allocations
+    };
+    (warm_fold(dense), warm_fold(coded))
 }
