@@ -11,7 +11,18 @@
 //! checks) with a scalar tail. Elementwise kernels (`axpy`, `sub_into`,
 //! `axpy_fused`, `weighted_sum_into`, …) perform exactly the same operation
 //! per element as the naive loop, so their results are bit-identical to the
-//! scalar reference. The reductions (`dot`, `norm_sq`, `dist`) keep
+//! scalar reference.
+//!
+//! The fold kernels (`axpy_fused`, `weighted_sum_into`, `dequant_axpy_fused`,
+//! `dequant_sum_into`) also block the *terms*: [`TERM_BLOCK`] at a time, one
+//! tile sweep over `out` per block. Each tile is loaded from `out` (from
+//! `+0.0` for the first block of an overwrite), the block's `a_k · x_k` are
+//! added in term order, and the tile is stored back for the next block. An
+//! f32 store and reload is exact, so every element sees the same operations
+//! in the same order as in the one-sweep loop — `+0.0`, then term 0, term 1,
+//! … — and the bits do not move; only the number of term buffers a sweep
+//! keeps live falls from the cohort size to [`TERM_BLOCK`]. The reductions
+//! (`dot`, `norm_sq`, `dist`) keep
 //! [`LANES`] independent accumulators, which *reassociates* the f32 sum:
 //! results are deterministic but differ from a left-to-right fold in the
 //! last ulps. Nothing on the engine's seeded training trajectory consumes
@@ -169,11 +180,22 @@ pub fn add_new(x: &[f32], y: &[f32]) -> Vec<f32> {
     x.iter().zip(y.iter()).map(|(a, b)| a + b).collect()
 }
 
-/// Fused multi-`axpy`: `out[i] += Σ_k alphas[k] · xs[k][i]` in a single
-/// pass over `out`.
+/// Terms one sweep of a fused fold kernel streams through each output tile.
 ///
-/// Compared to one `axpy` sweep per term this touches `out` once instead of
-/// `k` times — the server-aggregation hot path of the federated algorithms.
+/// The fold kernels ([`axpy_fused`], [`weighted_sum_into`],
+/// [`dequant_axpy_fused`], [`dequant_sum_into`]) walk their terms in blocks
+/// of this many, one [`LANES`]-tile sweep over `out` per block, so a sweep
+/// reads at most this many term buffers at once — few enough for the L1
+/// DTLB and the L2 prefetcher's stream table, where a 192-message cohort is
+/// not.
+pub const TERM_BLOCK: usize = 16;
+
+/// Fused multi-`axpy`: `out[i] += Σ_k alphas[k] · xs[k][i]`, term blocks of
+/// [`TERM_BLOCK`] in order, one sweep over `out` each.
+///
+/// Compared to one `axpy` sweep per term this touches `out` once per block
+/// instead of once per term — the server-aggregation hot path of the
+/// federated algorithms.
 ///
 /// # Panics
 /// Panics if `alphas.len() != xs.len()` or any `xs[k].len() != out.len()`.
@@ -182,40 +204,14 @@ pub fn axpy_fused(alphas: &[f32], xs: &[&[f32]], out: &mut [f32]) {
     for x in xs {
         assert_eq!(x.len(), out.len(), "axpy_fused length mismatch");
     }
-    match (alphas, xs) {
-        ([], []) => {}
-        ([a], [x]) => axpy(*a, x, out),
-        _ => {
-            // Blocked over LANES-wide output tiles: each tile is loaded
-            // once, every term streams through it, and the per-element term
-            // order matches the naive loop — results are bit-identical.
-            let n = out.len();
-            let mut i = 0;
-            while i + LANES <= n {
-                let mut acc = [0.0f32; LANES];
-                acc.copy_from_slice(&out[i..i + LANES]);
-                for (&a, x) in alphas.iter().zip(xs.iter()) {
-                    let xt = &x[i..i + LANES];
-                    for k in 0..LANES {
-                        acc[k] += a * xt[k];
-                    }
-                }
-                out[i..i + LANES].copy_from_slice(&acc);
-                i += LANES;
-            }
-            for j in i..n {
-                let mut acc = out[j];
-                for (&a, x) in alphas.iter().zip(xs.iter()) {
-                    acc += a * x[j];
-                }
-                out[j] = acc;
-            }
-        }
+    for (a, x) in alphas.chunks(TERM_BLOCK).zip(xs.chunks(TERM_BLOCK)) {
+        fused_block::<false>(a, x, out);
     }
 }
 
-/// Fused weighted sum: `out[i] = Σ_k alphas[k] · xs[k][i]` in a single
-/// pass over `out` (overwrites `out`; no zero-fill needed).
+/// Fused weighted sum: `out[i] = Σ_k alphas[k] · xs[k][i]` (overwrites
+/// `out`; no zero-fill needed) — the first term block starts each tile at
+/// `+0.0`, every later one continues from `out`, as in [`axpy_fused`].
 ///
 /// # Panics
 /// Panics if `alphas.len() != xs.len()` or any `xs[k].len() != out.len()`.
@@ -232,12 +228,29 @@ pub fn weighted_sum_into(alphas: &[f32], xs: &[&[f32]], out: &mut [f32]) {
         zero(out);
         return;
     }
-    // Same LANES-wide tiling as `axpy_fused`, starting each tile at zero.
+    let blocks = alphas.chunks(TERM_BLOCK).zip(xs.chunks(TERM_BLOCK));
+    for (b, (a, x)) in blocks.enumerate() {
+        if b == 0 {
+            fused_block::<true>(a, x, out);
+        } else {
+            fused_block::<false>(a, x, out);
+        }
+    }
+}
+
+/// One term block of the dense fold kernels: every [`LANES`]-wide tile of
+/// `out` starts from `+0.0` (`ASSIGN`) or from `out`, adds `a_k · x_k` in
+/// term order and is stored back once.
+#[inline(always)]
+fn fused_block<const ASSIGN: bool>(alphas: &[f32], xs: &[&[f32]], out: &mut [f32]) {
     let n = out.len();
     let mut i = 0;
     while i + LANES <= n {
         let mut acc = [0.0f32; LANES];
-        for (&a, x) in alphas.iter().zip(xs.iter()) {
+        if !ASSIGN {
+            acc.copy_from_slice(&out[i..i + LANES]);
+        }
+        for (&a, x) in alphas.iter().zip(xs) {
             let xt = &x[i..i + LANES];
             for k in 0..LANES {
                 acc[k] += a * xt[k];
@@ -246,12 +259,12 @@ pub fn weighted_sum_into(alphas: &[f32], xs: &[&[f32]], out: &mut [f32]) {
         out[i..i + LANES].copy_from_slice(&acc);
         i += LANES;
     }
-    for j in i..n {
-        let mut acc = 0.0f32;
-        for (&a, x) in alphas.iter().zip(xs.iter()) {
+    for (j, o) in out.iter_mut().enumerate().skip(i) {
+        let mut acc = if ASSIGN { 0.0 } else { *o };
+        for (&a, x) in alphas.iter().zip(xs) {
             acc += a * x[j];
         }
-        out[j] = acc;
+        *o = acc;
     }
 }
 
@@ -297,12 +310,10 @@ pub fn dequant_axpy(alpha: f32, min: f32, step: f32, codes: &[u16], out: &mut [f
 }
 
 /// Fused multi-message dequantize-accumulate:
-/// `out[i] += Σ_t alphas[t] · (min[t] + codes[t][i] · step[t])` in a single
-/// pass over `out` — the compressed analogue of [`axpy_fused`].
-///
-/// Each `LANES`-wide output tile is loaded once and every term streams
-/// through it; per-element term order matches the naive loop, so results
-/// are bit-identical to decoding each term and folding it scalar-wise.
+/// `out[i] += Σ_t alphas[t] · (min[t] + codes[t][i] · step[t])` — the
+/// compressed analogue of [`axpy_fused`], term-blocked the same way, so
+/// results are bit-identical to decoding each term and folding it
+/// scalar-wise.
 ///
 /// # Panics
 /// Panics if any term's `codes.len() != out.len()`.
@@ -314,32 +325,8 @@ pub fn dequant_axpy_fused(terms: &[DequantTerm<'_>], out: &mut [f32]) {
             "dequant_axpy_fused length mismatch"
         );
     }
-    match terms {
-        [] => {}
-        [t] => dequant_axpy(t.alpha, t.min, t.step, t.codes, out),
-        _ => {
-            let n = out.len();
-            let mut i = 0;
-            while i + LANES <= n {
-                let mut acc = [0.0f32; LANES];
-                acc.copy_from_slice(&out[i..i + LANES]);
-                for t in terms {
-                    let ct = &t.codes[i..i + LANES];
-                    for k in 0..LANES {
-                        acc[k] += t.alpha * (t.min + ct[k] as f32 * t.step);
-                    }
-                }
-                out[i..i + LANES].copy_from_slice(&acc);
-                i += LANES;
-            }
-            for (j, o) in out.iter_mut().enumerate().skip(i) {
-                let mut acc = *o;
-                for t in terms {
-                    acc += t.alpha * (t.min + t.codes[j] as f32 * t.step);
-                }
-                *o = acc;
-            }
-        }
+    for block in terms.chunks(TERM_BLOCK) {
+        dequant_block::<false>(block, out);
     }
 }
 
@@ -357,10 +344,25 @@ pub fn dequant_sum_into(terms: &[DequantTerm<'_>], out: &mut [f32]) {
         zero(out);
         return;
     }
+    for (b, block) in terms.chunks(TERM_BLOCK).enumerate() {
+        if b == 0 {
+            dequant_block::<true>(block, out);
+        } else {
+            dequant_block::<false>(block, out);
+        }
+    }
+}
+
+/// [`fused_block`] for coded terms.
+#[inline(always)]
+fn dequant_block<const ASSIGN: bool>(terms: &[DequantTerm<'_>], out: &mut [f32]) {
     let n = out.len();
     let mut i = 0;
     while i + LANES <= n {
         let mut acc = [0.0f32; LANES];
+        if !ASSIGN {
+            acc.copy_from_slice(&out[i..i + LANES]);
+        }
         for t in terms {
             let ct = &t.codes[i..i + LANES];
             for k in 0..LANES {
@@ -371,7 +373,7 @@ pub fn dequant_sum_into(terms: &[DequantTerm<'_>], out: &mut [f32]) {
         i += LANES;
     }
     for (j, o) in out.iter_mut().enumerate().skip(i) {
-        let mut acc = 0.0f32;
+        let mut acc = if ASSIGN { 0.0 } else { *o };
         for t in terms {
             acc += t.alpha * (t.min + t.codes[j] as f32 * t.step);
         }
@@ -725,9 +727,9 @@ mod tests {
     /// subnormals more often.
     fn salted(term: usize, i: usize, v: f32) -> f32 {
         let h = i * 31 + term * 17;
-        if h % 4099 == 0 {
+        if h.is_multiple_of(4099) {
             [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(term + i) % 3]
-        } else if h % 61 == 0 {
+        } else if h.is_multiple_of(61) {
             [-0.0, 0.0, 1e-40, -3e-42][(term + i) % 4]
         } else {
             v
