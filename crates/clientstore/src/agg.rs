@@ -1,11 +1,15 @@
 //! Hierarchical (tree) aggregation of client payloads.
 //!
 //! The engine's default server fold is a single fused pass over ℝ^d — the
-//! bit-exact legacy semantics. At million-client scale the fold itself
-//! becomes the serial bottleneck, so this module provides the opt-in
-//! alternative: payloads are grouped by the shard of their sender, each
-//! shard folds its terms into one partial `ParamVector`, and a log-depth
-//! pairwise combine reduces the partials to the round update.
+//! bit-exact legacy semantics — and it is no longer serial: the engine cuts
+//! θ into coordinate ranges and folds each as a dispatch-pool job, exactly.
+//! This module is the opt-in alternative that cuts the cohort instead:
+//! payloads are grouped by the shard of their sender, each shard
+//! folds its terms into one partial `ParamVector`, and a log-depth pairwise
+//! combine reduces the partials to the round update. What it is still for
+//! is a per-shard view of the fold (one partial and one timing per shard),
+//! at the cost of a d-sized partial per shard and a combine pass that the
+//! single pass does not make.
 //!
 //! This crate creates no threads: [`hierarchical_fold`] hands the per-shard
 //! jobs to a `run_shards` callback. The engine passes its dispatch pool;

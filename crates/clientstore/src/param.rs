@@ -121,28 +121,6 @@ impl ParamVector {
         vecops::weighted_sum_into(&alphas, &xs, &mut self.0);
     }
 
-    /// Fused dequantizing accumulation:
-    /// `self += Σ_k alpha_k · (min_k + code_k · step_k)` in a single pass —
-    /// the compressed twin of [`ParamVector::accumulate`], folding a whole
-    /// cohort of quantized wire payloads into θ without materializing any
-    /// dense decode.
-    ///
-    /// # Panics
-    /// Panics on any dimension mismatch.
-    pub fn dequant_accumulate(&mut self, terms: &[vecops::DequantTerm<'_>]) {
-        vecops::dequant_axpy_fused(terms, &mut self.0);
-    }
-
-    /// Fused dequantizing overwrite:
-    /// `self = Σ_k alpha_k · (min_k + code_k · step_k)` in a single pass —
-    /// the compressed twin of [`ParamVector::assign_weighted_sum`].
-    ///
-    /// # Panics
-    /// Panics on any dimension mismatch.
-    pub fn dequant_assign(&mut self, terms: &[vecops::DequantTerm<'_>]) {
-        vecops::dequant_sum_into(terms, &mut self.0);
-    }
-
     /// Euclidean norm ‖·‖₂.
     pub fn norm(&self) -> f32 {
         vecops::norm(&self.0)

@@ -43,8 +43,9 @@ pub use server_opt::{FedOpt, ServerOptimizer};
 use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::trainer::LocalEnv;
-use fedadmm_tensor::vecops::DequantTerm;
+use fedadmm_tensor::vecops::{self, DequantTerm, TERM_BLOCK};
 use fedadmm_tensor::TensorResult;
+use std::ops::Range;
 
 /// The message a selected client uploads to the server at the end of a
 /// round.
@@ -124,9 +125,10 @@ pub struct UpdateScratch {
 /// An algorithm whose server step is `θ ← θ + Σ_k c_k·p_k` or
 /// `θ ← Σ_k c_k·p_k` describes it once, as coefficients aligned with the
 /// message slice, in [`Algorithm::fold_plan`]. The provided
-/// [`Algorithm::server_update`] applies the plan to dense payloads; the
-/// engine applies the same plan to quantized uploads without decoding them
-/// and, under hierarchical aggregation, as per-shard partial folds.
+/// [`Algorithm::server_update`] applies the plan to dense payloads in one
+/// serial pass; the engine applies the same plan, to dense or quantized
+/// uploads (without decoding them), per coordinate range on its dispatch
+/// pool — or, under hierarchical aggregation, as per-shard partial folds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FoldPlan {
     /// `θ ← θ + Σ_k coeff_k · payload_k` (FedADMM's tracking update,
@@ -144,12 +146,34 @@ impl FoldPlan {
         }
     }
 
+    /// Whether the plan overwrites θ rather than adding to it.
+    pub(crate) fn assigns(&self) -> bool {
+        matches!(self, FoldPlan::Assign(_))
+    }
+
+    /// The coefficients, one per message. Zipping a plan of the wrong
+    /// length with the batch would silently drop the unmatched messages (or
+    /// coefficients), so the lengths must agree.
+    ///
+    /// # Panics
+    /// Panics, naming both counts, if they differ.
+    fn aligned_with(&self, messages: &[ClientMessage]) -> &[f32] {
+        let coefficients = self.coefficients();
+        assert!(
+            coefficients.len() == messages.len(),
+            "FoldPlan has {} coefficients for {} messages",
+            coefficients.len(),
+            messages.len()
+        );
+        coefficients
+    }
+
     /// One `(coefficient, first payload)` term per dense message.
     pub(crate) fn dense_terms<'m>(
         &self,
         messages: &'m [ClientMessage],
     ) -> Vec<(f32, &'m ParamVector)> {
-        let coefficients = self.coefficients().iter();
+        let coefficients = self.aligned_with(messages).iter();
         coefficients
             .zip(messages)
             .map(|(&coeff, msg)| (coeff, &msg.payload[0]))
@@ -159,7 +183,7 @@ impl FoldPlan {
     /// One term per coded single-vector message. The staleness scale folds
     /// into the coefficient, exactly as it would multiply a dense payload.
     pub(crate) fn coded_terms<'m>(&self, messages: &'m [ClientMessage]) -> Vec<DequantTerm<'m>> {
-        let coefficients = self.coefficients().iter();
+        let coefficients = self.aligned_with(messages).iter();
         coefficients
             .zip(messages)
             .map(|(&coeff, msg)| {
@@ -175,38 +199,77 @@ impl FoldPlan {
             .collect()
     }
 
-    /// Folds `terms` into `global` in one fused pass, as the plan says.
+    /// Folds `terms` into `global` as the plan says: the full-range case of
+    /// [`FoldTerm::fold`], which the engine runs per coordinate range on its
+    /// dispatch pool.
     pub(crate) fn apply<T: FoldTerm>(&self, terms: &[T], global: &mut ParamVector) {
-        match self {
-            FoldPlan::Accumulate(_) => T::accumulate(terms, global),
-            FoldPlan::Assign(_) => T::assign(terms, global),
-        }
+        T::fold(terms, self.assigns(), 0, global.as_mut_slice());
     }
 }
 
 /// One message's term of a linear fold: a dense payload or a coded one.
 pub(crate) trait FoldTerm: Sync + Sized {
-    /// `out += Σ terms` in one fused pass.
-    fn accumulate(terms: &[Self], out: &mut ParamVector);
-    /// `out = Σ terms` in one fused pass.
-    fn assign(terms: &[Self], out: &mut ParamVector);
+    /// Folds coordinates `range` of at most [`TERM_BLOCK`] terms into `out`
+    /// (`range.len()` floats): `out = Σ` when `assign`, else `out += Σ`. One
+    /// kernel call over the terms sliced to `range` — dense payloads
+    /// `[range]`, coded ones `codes[range]` — staged on the stack.
+    fn fold_block(block: &[Self], range: Range<usize>, assign: bool, out: &mut [f32]);
+
+    /// Folds coordinates `start..start + out.len()` of `terms` into `out`,
+    /// [`TERM_BLOCK`] terms per kernel call in message order: the first
+    /// block overwrites when `assign`, every later one adds. Per coordinate
+    /// that is the operation sequence of one kernel call over all the terms
+    /// (which blocks its terms the same way), so any cut of θ into ranges
+    /// gives the bits of the full-range fold.
+    fn fold(terms: &[Self], assign: bool, start: usize, out: &mut [f32]) {
+        if terms.is_empty() && assign {
+            vecops::zero(out);
+        }
+        let range = start..start + out.len();
+        for (b, block) in terms.chunks(TERM_BLOCK).enumerate() {
+            Self::fold_block(block, range.clone(), assign && b == 0, out);
+        }
+    }
 }
 
 impl FoldTerm for (f32, &ParamVector) {
-    fn accumulate(terms: &[Self], out: &mut ParamVector) {
-        out.accumulate(terms)
-    }
-    fn assign(terms: &[Self], out: &mut ParamVector) {
-        out.assign_weighted_sum(terms)
+    fn fold_block(block: &[Self], range: Range<usize>, assign: bool, out: &mut [f32]) {
+        let mut alphas = [0.0f32; TERM_BLOCK];
+        let mut xs: [&[f32]; TERM_BLOCK] = [&[]; TERM_BLOCK];
+        for ((alpha, x), &(coeff, payload)) in alphas.iter_mut().zip(&mut xs).zip(block) {
+            *alpha = coeff;
+            *x = &payload.as_slice()[range.clone()];
+        }
+        let (alphas, xs) = (&alphas[..block.len()], &xs[..block.len()]);
+        if assign {
+            vecops::weighted_sum_into(alphas, xs, out);
+        } else {
+            vecops::axpy_fused(alphas, xs, out);
+        }
     }
 }
 
 impl FoldTerm for DequantTerm<'_> {
-    fn accumulate(terms: &[Self], out: &mut ParamVector) {
-        out.dequant_accumulate(terms)
-    }
-    fn assign(terms: &[Self], out: &mut ParamVector) {
-        out.dequant_assign(terms)
+    fn fold_block(block: &[Self], range: Range<usize>, assign: bool, out: &mut [f32]) {
+        let empty = DequantTerm {
+            alpha: 0.0,
+            min: 0.0,
+            step: 0.0,
+            codes: &[],
+        };
+        let mut sliced = [empty; TERM_BLOCK];
+        for (s, t) in sliced.iter_mut().zip(block) {
+            *s = DequantTerm {
+                codes: &t.codes[range.clone()],
+                ..*t
+            };
+        }
+        let sliced = &sliced[..block.len()];
+        if assign {
+            vecops::dequant_sum_into(sliced, out);
+        } else {
+            vecops::dequant_axpy_fused(sliced, out);
+        }
     }
 }
 
@@ -452,6 +515,41 @@ mod tests {
         };
         assert_eq!(msg.upload_floats(), 20);
         assert_eq!(total_upload(&[msg.clone(), msg]), 40);
+    }
+
+    /// `n` four-float uploads, dense or coded by the wire path's quantizer.
+    fn messages(n: usize, coded: bool) -> Vec<ClientMessage> {
+        let quantizer = crate::compression::Quantizer::new(8, false);
+        (0..n)
+            .map(|c| {
+                let payload = ParamVector::from_vec(vec![c as f32; 4]);
+                ClientMessage {
+                    client_id: c,
+                    num_samples: 1,
+                    wire: coded.then(|| crate::compression::WirePayload {
+                        scale: 1.0,
+                        vectors: vec![quantizer.quantize(payload.as_slice(), 0)],
+                    }),
+                    payload: if coded { Vec::new() } else { vec![payload] },
+                    epochs_run: 1,
+                    samples_processed: 1,
+                }
+            })
+            .collect()
+    }
+
+    /// A plan one coefficient short would fold two of three messages.
+    #[test]
+    #[should_panic(expected = "FoldPlan has 2 coefficients for 3 messages")]
+    fn a_fold_plan_one_coefficient_short_panics() {
+        FoldPlan::Accumulate(vec![0.5; 2]).dense_terms(&messages(3, false));
+    }
+
+    /// A plan one coefficient long has a coefficient no message answers.
+    #[test]
+    #[should_panic(expected = "FoldPlan has 4 coefficients for 3 messages")]
+    fn a_fold_plan_one_coefficient_long_panics() {
+        FoldPlan::Assign(vec![0.5; 4]).coded_terms(&messages(3, true));
     }
 
     #[test]

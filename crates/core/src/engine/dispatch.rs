@@ -20,11 +20,13 @@
 //!   steady-state dispatch path performs no per-job allocations.
 //!
 //! The pool owns the cores: it runs client updates during a dispatch and,
-//! between dispatches, evaluation jobs and the per-shard folds of
-//! hierarchical aggregation — all submitted from the tick thread while the
-//! pool is idle. Tensor kernels and store folds are serial loops, so the
-//! worker count is the single parallelism control and a one-worker pool
-//! makes the whole run single-threaded.
+//! between dispatches, everything else that is parallel — evaluation jobs
+//! (one contiguous span of test samples per worker) and the server fold
+//! (one coordinate range of θ per worker under single-pass aggregation, one
+//! shard per job under hierarchical aggregation) — all submitted from the
+//! tick thread while the pool is idle. A job body is a serial loop (tensor
+//! kernels never fork), so the worker count is the single parallelism
+//! control and a one-worker pool makes the whole run single-threaded.
 //!
 //! Determinism: job results depend only on `(seed, round, client)`-derived
 //! RNG streams and jobs are collected in ascending client-id order, so the

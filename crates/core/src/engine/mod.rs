@@ -25,18 +25,19 @@
 //!   stragglers never serialize a partition) and reuse per-thread scratch
 //!   arenas (so steady-state dispatch allocates nothing). Between
 //!   dispatches the same workers run the forward-only evaluation jobs of
-//!   [`EngineCore::evaluate_global`] and the per-shard folds of
-//!   hierarchical aggregation; nothing else in the workspace creates a
-//!   thread. Every job's RNG stream is derived from
-//!   `(seed, round, client_id)` and chunk and shard results are reduced in
-//!   index order, so results are byte-identical across worker counts,
-//!   chunk sizes *and* the scheduler that issued the work.
-//! * **Single-pass aggregation.** Algorithms fold all payloads into θ with
-//!   one fused accumulator pass
-//!   ([`ParamVector::accumulate`](crate::param::ParamVector::accumulate))
-//!   instead of one full `axpy` sweep per message. Large cohorts can opt
-//!   into [`AggregationMode::Hierarchical`]: per-shard partial folds on
-//!   the dispatch pool plus a log-depth combine.
+//!   [`EngineCore::evaluate_global`] and the server fold (one job per
+//!   coordinate range of θ, or per shard under hierarchical aggregation);
+//!   nothing else in the workspace creates a thread. Every job's RNG stream
+//!   is derived from `(seed, round, client_id)`, every fold coordinate is
+//!   summed by one job in message order, and chunk and shard results are
+//!   reduced in index order, so results are byte-identical across worker
+//!   counts, chunk sizes *and* the scheduler that issued the work.
+//! * **Single-pass aggregation.** Algorithms with a linear server step fold
+//!   all payloads into θ in one fused pass per coordinate range, in message
+//!   order, instead of one full `axpy` sweep per message; the ranges are
+//!   pool jobs (see [`EngineCore::aggregate`]). Large cohorts can opt into
+//!   [`AggregationMode::Hierarchical`]: per-shard partial folds on the
+//!   dispatch pool plus a log-depth combine.
 //! * **Pluggable client-state storage.** Per-client state lives behind a
 //!   [`ClientStateStore`](fedadmm_clientstore::ClientStateStore): dense
 //!   in-memory (the default, byte-identical to the legacy engine), lazily

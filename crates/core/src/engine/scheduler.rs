@@ -55,8 +55,10 @@ use std::time::Instant;
 /// ulps, so it must never be silently enabled under a byte-identity pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum AggregationMode {
-    /// One sequential fused accumulator pass over all payloads (the legacy
-    /// behavior; byte-identical to the pre-store engine).
+    /// One fused accumulator pass over all payloads in message order, cut
+    /// by coordinate range into dispatch-pool jobs (the legacy behavior's
+    /// bits for every worker count; byte-identical to the pre-store
+    /// engine).
     #[default]
     SinglePass,
     /// Per-shard partial folds on the dispatch pool, then a log-depth
@@ -304,6 +306,27 @@ impl JobContext<'_> {
         }
         (result, start.map_or(0.0, |s| s.elapsed().as_secs_f64()))
     }
+}
+
+/// `d · |terms|` below which the server fold stays one range: about 40 µs
+/// of folding at the ≈ 0.16 ns per float-term a 192-message fold runs at,
+/// while an empty two-job pool batch takes 14–35 µs on a 2-vCPU host — so
+/// below it a split saves nothing.
+const FOLD_GRAIN: usize = 1 << 18;
+
+/// Fold range boundaries are multiples of this many floats (64 bytes, one
+/// cache line), so the jobs of a line-aligned θ write disjoint lines.
+const FOLD_ALIGN: usize = 16;
+
+/// Coordinates per range when a `dim`-coordinate fold of `terms` terms is
+/// cut for `workers` pool workers: all of θ below [`FOLD_GRAIN`], else
+/// `⌈dim / workers⌉` rounded up to a multiple of [`FOLD_ALIGN`] — so at most
+/// `workers` ranges, fewer when θ is short.
+fn fold_span(dim: usize, terms: usize, workers: usize) -> usize {
+    let ranges = if dim * terms < FOLD_GRAIN { 1 } else { workers };
+    dim.div_ceil(ranges.max(1))
+        .next_multiple_of(FOLD_ALIGN)
+        .max(FOLD_ALIGN)
 }
 
 /// Evaluates `global` on the first `config.eval_subset` test samples: at
@@ -605,8 +628,9 @@ impl EngineCore<'_> {
     /// The algorithm is asked for its [`FoldPlan`] once. A batch of
     /// single-vector uploads — all dense, or all coded by the wire path —
     /// with a plan is folded by [`EngineCore::apply_plan`]: one fused pass,
-    /// in the coded domain when the uploads are coded, per shard on the
-    /// dispatch pool under [`AggregationMode::Hierarchical`]. Every other
+    /// in the coded domain when the uploads are coded, one dispatch-pool job
+    /// per coordinate range of θ — or per shard under
+    /// [`AggregationMode::Hierarchical`]. Every other
     /// batch (stateful or stochastic server steps, SCAFFOLD's two-vector
     /// uploads) goes to the algorithm's own `server_update`, coded messages
     /// decoded first ([`decode_message`]) — correct, at one extra O(d)
@@ -664,11 +688,20 @@ impl EngineCore<'_> {
         outcome
     }
 
-    /// Folds one term per message into θ as `plan` says: in one fused pass,
-    /// or — under [`AggregationMode::Hierarchical`] — grouped by the
+    /// Folds one term per message into θ as `plan` says.
+    ///
+    /// [`AggregationMode::SinglePass`]: θ is cut into at most one contiguous
+    /// coordinate range per pool worker ([`fold_span`]; one range below a
+    /// fixed grain of `d · |terms|`), and every range is folded as one job
+    /// on the dispatch pool — idle between dispatches, as for evaluation.
+    /// Each coordinate's sum is computed by one job, over all the terms in
+    /// message order, so θ gets the bits of the serial [`FoldPlan::apply`]
+    /// for every worker count and schedule.
+    ///
+    /// [`AggregationMode::Hierarchical`]: the terms are grouped by the
     /// sender's shard (ascending shard order, whatever the arrival order),
-    /// every shard's group summed as a job on the dispatch pool, the
-    /// partials combined pairwise and the sum applied to θ.
+    /// every shard's group is summed as a job on the dispatch pool, the
+    /// partials are combined pairwise and the sum is applied to θ.
     fn apply_plan<T: FoldTerm>(
         &mut self,
         plan: &FoldPlan,
@@ -677,7 +710,19 @@ impl EngineCore<'_> {
         timed: bool,
     ) {
         if self.aggregation != AggregationMode::Hierarchical {
-            plan.apply(&terms, Arc::make_mut(self.global));
+            let span = fold_span(self.global.len(), terms.len(), self.pool.workers());
+            let assign = plan.assigns();
+            let global = Arc::make_mut(self.global).as_mut_slice();
+            let jobs = global.len().div_ceil(span);
+            let ranges = Mutex::new(global.chunks_mut(span).enumerate());
+            self.pool.run(jobs, false, &|_worker, _job, _scratch| {
+                let (range, out) = ranges
+                    .lock()
+                    .expect("fold range lock")
+                    .next()
+                    .expect("one range per job");
+                T::fold(&terms, assign, range * span, out);
+            });
             return;
         }
         let map = self.store.shard_map();
@@ -694,7 +739,7 @@ impl EngineCore<'_> {
             self.global.len(),
             &groups,
             timed,
-            T::assign,
+            |terms, partial| T::fold(terms, true, 0, partial.as_mut_slice()),
             |shards, fold_shard| {
                 pool.run(shards, false, &|_worker, shard, _scratch| fold_shard(shard));
             },
@@ -859,5 +904,223 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     }
     fn tick(&mut self, core: &mut EngineCore<'_>) -> TensorResult<TickReport> {
         (**self).tick(core)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algorithms::FedAvg;
+    use crate::config::DataDistribution;
+    use crate::engine::RoundEngine;
+    use fedadmm_data::synthetic::SyntheticDataset;
+    use fedadmm_nn::models::ModelSpec;
+    use fedadmm_tensor::vecops::{self, DequantTerm};
+
+    /// A scheduler whose tick lends the engine core to a closure.
+    struct WithCore<F>(F);
+
+    impl<F: FnMut(&mut EngineCore<'_>) + Send> Scheduler for WithCore<F> {
+        fn name(&self) -> &'static str {
+            "with-core"
+        }
+
+        fn tick(&mut self, core: &mut EngineCore<'_>) -> TensorResult<TickReport> {
+            (self.0)(core);
+            Ok(TickReport::default())
+        }
+    }
+
+    /// Runs `f` on the core of a two-client engine whose pool has `workers`
+    /// workers (`None`: the engine's default pool, `FEDADMM_DISPATCH_WORKERS`
+    /// or the host's core count).
+    fn on_core(workers: Option<usize>, f: impl FnMut(&mut EngineCore<'_>) + Send) {
+        let config = FedConfig {
+            num_clients: 2,
+            model: ModelSpec::Logistic {
+                input_dim: 784,
+                num_classes: 10,
+            },
+            ..FedConfig::default()
+        };
+        let (train, test) = SyntheticDataset::Mnist.generate(8, 4, 1);
+        let partition = DataDistribution::Iid.partition(&train, 2, 1);
+        let mut engine =
+            RoundEngine::new(config, train, test, partition, FedAvg::new(), WithCore(f)).unwrap();
+        if let Some(workers) = workers {
+            engine = engine.with_dispatch_workers(workers);
+        }
+        engine.step().unwrap();
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One fold case: `k` dense payloads and `k` coded ones of length `d`,
+    /// non-integer values whose sums round, so a change of summation order
+    /// shows in the bits.
+    struct Case {
+        d: usize,
+        theta: ParamVector,
+        coefficients: Vec<f32>,
+        payloads: Vec<ParamVector>,
+        codes: Vec<Vec<u16>>,
+    }
+
+    impl Case {
+        fn new(d: usize, k: usize) -> Self {
+            let value = |i: usize, j: usize| ((i * 7 + j * 13) % 101) as f32 * 0.0137 - 0.6;
+            Case {
+                d,
+                theta: ParamVector::from_vec((0..d).map(|i| value(i, 5) * 3.1).collect()),
+                coefficients: (0..k).map(|j| 0.3 + (j % 17) as f32 * 0.0193).collect(),
+                payloads: (0..k)
+                    .map(|j| ParamVector::from_vec((0..d).map(|i| value(i, j)).collect()))
+                    .collect(),
+                codes: (0..k)
+                    .map(|j| (0..d).map(|i| ((i * 31 + j * 7) % 256) as u16).collect())
+                    .collect(),
+            }
+        }
+
+        fn dense_terms(&self) -> Vec<(f32, &ParamVector)> {
+            self.coefficients
+                .iter()
+                .copied()
+                .zip(&self.payloads)
+                .collect()
+        }
+
+        fn coded_terms(&self) -> Vec<DequantTerm<'_>> {
+            self.coefficients
+                .iter()
+                .zip(&self.codes)
+                .enumerate()
+                .map(|(j, (&alpha, codes))| DequantTerm {
+                    alpha,
+                    min: -0.5 + j as f32 * 1e-3,
+                    step: (1 + j % 3) as f32 / 255.0,
+                    codes,
+                })
+                .collect()
+        }
+
+        /// θ after the serial `FoldPlan::apply` of `terms`, checked against
+        /// one kernel call over all the terms (`kernel`).
+        fn serial<T: FoldTerm>(
+            &self,
+            plan: &FoldPlan,
+            terms: &[T],
+            kernel: impl FnOnce(&mut [f32]),
+        ) -> Vec<u32> {
+            let mut folded = self.theta.clone();
+            plan.apply(terms, &mut folded);
+            let mut whole = self.theta.clone();
+            kernel(whole.as_mut_slice());
+            assert_eq!(
+                bits(folded.as_slice()),
+                bits(whole.as_slice()),
+                "d = {}",
+                self.d
+            );
+            bits(folded.as_slice())
+        }
+
+        /// θ after `apply_plan` on `core`, with a live snapshot of θ held
+        /// across the fold when `snapshot` is set.
+        fn on_pool<T: FoldTerm + Clone>(
+            &self,
+            core: &mut EngineCore<'_>,
+            plan: &FoldPlan,
+            terms: &[T],
+            snapshot: bool,
+        ) -> Vec<u32> {
+            *core.global = Arc::new(self.theta.clone());
+            let live = snapshot.then(|| core.broadcast());
+            core.apply_plan(plan, &[], terms.to_vec(), false);
+            if let Some(live) = live {
+                assert!(!Arc::ptr_eq(&live, core.global), "θ was cloned");
+                assert_eq!(bits(live.as_slice()), bits(self.theta.as_slice()));
+            }
+            bits(core.global.as_slice())
+        }
+    }
+
+    /// `apply_plan` cuts θ into coordinate ranges on the pool; for pools of
+    /// 1, 2, 3 and 8 workers and the engine's default pool (CI pins 1 and
+    /// 3), every θ length (around the 16-float range boundaries, and shorter
+    /// than 16 per worker) and plan kind, dense and coded, it must
+    /// give the bits of the serial full-range fold — below the grain (one
+    /// range, inline) and at it (one range per worker, as θ allows).
+    #[test]
+    fn range_split_fold_equals_the_serial_fold_bit_for_bit() {
+        let cases: Vec<Case> = [1usize, 15, 16, 17, 1_000, 7_850, 50_890]
+            .into_iter()
+            .flat_map(|d| [Case::new(d, 3), Case::new(d, FOLD_GRAIN.div_ceil(d))])
+            .collect();
+        let plans = |case: &Case| {
+            [
+                FoldPlan::Accumulate(case.coefficients.clone()),
+                FoldPlan::Assign(case.coefficients.clone()),
+            ]
+        };
+        // The serial references, each equal to one kernel call over every
+        // term.
+        let mut want = Vec::new();
+        for case in &cases {
+            let (dense, coded) = (case.dense_terms(), case.coded_terms());
+            for plan in plans(case) {
+                let assign = plan.assigns();
+                want.push(case.serial(&plan, &dense, |out| {
+                    let alphas = &case.coefficients;
+                    let xs: Vec<&[f32]> = case.payloads.iter().map(|p| p.as_slice()).collect();
+                    if assign {
+                        vecops::weighted_sum_into(alphas, &xs, out)
+                    } else {
+                        vecops::axpy_fused(alphas, &xs, out)
+                    }
+                }));
+                want.push(case.serial(&plan, &coded, |out| {
+                    if assign {
+                        vecops::dequant_sum_into(&coded, out)
+                    } else {
+                        vecops::dequant_axpy_fused(&coded, out)
+                    }
+                }));
+            }
+        }
+        for pool in [Some(1), Some(2), Some(3), Some(8), None] {
+            let (mut got, mut workers) = (Vec::new(), 0);
+            on_core(pool, |core| {
+                workers = core.pool.workers();
+                for case in &cases {
+                    let ranges = case
+                        .d
+                        .div_ceil(fold_span(case.d, case.payloads.len(), workers));
+                    if case.d * case.payloads.len() >= FOLD_GRAIN && case.d > 16 {
+                        assert!(ranges > 1 || workers == 1, "d = {} is cut", case.d);
+                    }
+                    assert!(ranges <= workers, "d = {}", case.d);
+                    let (dense, coded) = (case.dense_terms(), case.coded_terms());
+                    for (p, plan) in plans(case).iter().enumerate() {
+                        // One live snapshot per case: the copy-on-write clone.
+                        got.push(case.on_pool(core, plan, &dense, p == 0));
+                        got.push(case.on_pool(core, plan, &coded, false));
+                    }
+                }
+            });
+            assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                let case = &cases[i / 4];
+                assert!(
+                    g == w,
+                    "{workers} workers, d = {}, {} terms, fold {}",
+                    case.d,
+                    case.payloads.len(),
+                    i % 4
+                );
+            }
+        }
     }
 }
