@@ -786,4 +786,209 @@ mod tests {
         assert_eq!(out.dims(), &[1, 2, 1, 1]);
         assert!(conv2d_backward(&input, &weight, &out, 1, 1).is_ok());
     }
+
+    /// Deterministic non-integer f32 values over 2^-20..2^20 of either sign
+    /// (splitmix64 bits), so nearly every sum `col2im` forms rounds and a
+    /// change of its addition order shows in the bits.
+    struct Values(u64);
+
+    impl Values {
+        fn next(&mut self) -> f32 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let b = z ^ (z >> 31);
+            let mantissa = 1.0 + (b >> 40) as f32 / (1u64 << 24) as f32;
+            let sign = if b & 1 == 0 { 1.0 } else { -1.0 };
+            sign * mantissa * 2f32.powi(((b >> 8) % 41) as i32 - 20)
+        }
+
+        /// `len` values, with NaN and ±∞ at sparse positions and signed
+        /// zeros and subnormals more often.
+        fn salted(&mut self, len: usize) -> Vec<f32> {
+            (0..len)
+                .map(|i| {
+                    let v = self.next();
+                    if i % 397 == 5 {
+                        [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][i % 3]
+                    } else if i % 23 == 7 {
+                        [-0.0, 0.0, 1e-40, -3e-42][i % 4]
+                    } else {
+                        v
+                    }
+                })
+                .collect()
+        }
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}[{k}]: {g:e} ({:#010x}) != {w:e} ({:#010x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// `im2col` and `col2im` against the per-element loops in [`reference`],
+    /// by bit pattern, over every valid geometry of a grid that holds 1×1
+    /// and odd-shaped images, square and non-square kernels, strides 1–3
+    /// and padding 0–4: rows and columns that are all padding (padding ≥
+    /// kernel) and kernels that exactly cover the padded input included.
+    /// The unroll starts from a buffer of NaNs, so an element the kernel
+    /// forgets to write shows; the scatter starts from a salted non-zero
+    /// gradient, so the order in which each input pixel receives its
+    /// contributions is part of what is compared.
+    #[test]
+    fn unroll_and_scatter_match_the_per_element_reference_bit_for_bit() {
+        let mut values = Values(0xC0DE);
+        let kernels = [(1, 1), (2, 2), (3, 3), (5, 5), (3, 5)];
+        let mut cases = 0;
+        for in_c in [1usize, 3] {
+            for (h, w) in [(1usize, 1usize), (5, 5), (7, 4), (14, 14), (28, 28)] {
+                for (kh, kw) in kernels {
+                    for padding in 0..=4usize {
+                        if kh > h + 2 * padding || kw > w + 2 * padding {
+                            continue;
+                        }
+                        for stride in 1..=3usize {
+                            let out_h = conv2d_output_size(h, kh, stride, padding);
+                            let out_w = conv2d_output_size(w, kw, stride, padding);
+                            let what = format!(
+                                "in_c {in_c}, {h}x{w}, kernel {kh}x{kw}, \
+                                 stride {stride}, padding {padding}"
+                            );
+                            let col_len = in_c * kh * kw * out_h * out_w;
+                            let sample = values.salted(in_c * h * w);
+                            let mut got = vec![f32::from_bits(0x7FC0_DEAD); col_len];
+                            let mut want = got.clone();
+                            im2col(
+                                &sample, &mut got, in_c, h, w, kh, kw, stride, padding, out_h,
+                                out_w,
+                            );
+                            reference::im2col(
+                                &sample, &mut want, in_c, h, w, kh, kw, stride, padding, out_h,
+                                out_w,
+                            );
+                            assert_same_bits(&got, &want, &format!("im2col, {what}"));
+
+                            let grad_col = values.salted(col_len);
+                            let mut got = values.salted(in_c * h * w);
+                            let mut want = got.clone();
+                            col2im(
+                                &grad_col, &mut got, in_c, h, w, kh, kw, stride, padding, out_h,
+                                out_w,
+                            );
+                            reference::col2im(
+                                &grad_col, &mut want, in_c, h, w, kh, kw, stride, padding, out_h,
+                                out_w,
+                            );
+                            assert_same_bits(&got, &want, &format!("col2im, {what}"));
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cases > 500, "only {cases} geometries ran");
+    }
+}
+
+/// The per-element unroll and scatter the row kernels replaced, kept
+/// verbatim as the reference they are compared with.
+#[cfg(test)]
+mod reference {
+    /// Unrolls one padded input sample into the im2col matrix.
+    ///
+    /// The resulting matrix has shape `[in_c*kh*kw, out_h*out_w]` stored
+    /// row-major in `col`.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn im2col(
+        sample: &[f32],
+        col: &mut [f32],
+        in_c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        padding: usize,
+        out_h: usize,
+        out_w: usize,
+    ) {
+        let out_hw = out_h * out_w;
+        for c in 0..in_c {
+            let channel = &sample[c * h * w..(c + 1) * h * w];
+            for ki in 0..kh {
+                for kj in 0..kw {
+                    let row_idx = (c * kh + ki) * kw + kj;
+                    let col_row = &mut col[row_idx * out_hw..(row_idx + 1) * out_hw];
+                    for oy in 0..out_h {
+                        let iy = (oy * stride + ki) as isize - padding as isize;
+                        let base = oy * out_w;
+                        if iy < 0 || iy >= h as isize {
+                            for v in &mut col_row[base..base + out_w] {
+                                *v = 0.0;
+                            }
+                            continue;
+                        }
+                        let iy = iy as usize;
+                        for ox in 0..out_w {
+                            let ix = (ox * stride + kj) as isize - padding as isize;
+                            col_row[base + ox] = if ix < 0 || ix >= w as isize {
+                                0.0
+                            } else {
+                                channel[iy * w + ix as usize]
+                            };
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Scatters an im2col matrix back into a (padded) input gradient sample.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn col2im(
+        col: &[f32],
+        sample_grad: &mut [f32],
+        in_c: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        padding: usize,
+        out_h: usize,
+        out_w: usize,
+    ) {
+        let out_hw = out_h * out_w;
+        for c in 0..in_c {
+            let channel = &mut sample_grad[c * h * w..(c + 1) * h * w];
+            for ki in 0..kh {
+                for kj in 0..kw {
+                    let row_idx = (c * kh + ki) * kw + kj;
+                    let col_row = &col[row_idx * out_hw..(row_idx + 1) * out_hw];
+                    for oy in 0..out_h {
+                        let iy = (oy * stride + ki) as isize - padding as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let iy = iy as usize;
+                        for ox in 0..out_w {
+                            let ix = (ox * stride + kj) as isize - padding as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            channel[iy * w + ix as usize] += col_row[oy * out_w + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
