@@ -123,10 +123,22 @@ fn kernel_dims(weight: &Tensor) -> TensorResult<[usize; 4]> {
         })
 }
 
+/// The output positions `[lo, hi)` along one axis whose input position
+/// `o * stride + k - padding` lies inside `0..size`: `o * stride + k >=
+/// padding` from `lo` on, `o * stride + k < size + padding` below `hi`.
+/// Empty intervals come back as `lo == hi`.
+fn inside(size: usize, k: usize, stride: usize, padding: usize, out: usize) -> (usize, usize) {
+    let lo = padding.saturating_sub(k).div_ceil(stride).min(out);
+    let hi = (size + padding).saturating_sub(k).div_ceil(stride).min(out);
+    (lo, hi.max(lo))
+}
+
 /// Unrolls one padded input sample into the im2col matrix.
 ///
 /// The resulting matrix has shape `[in_c*kh*kw, out_h*out_w]` stored
-/// row-major in `col`.
+/// row-major in `col`, fully overwritten. Each `(c, ki, kj)` block holds
+/// one row per output row `oy`: all zeros when the input row is padding,
+/// otherwise zeros, one (strided) copy of the input row, zeros.
 #[allow(clippy::too_many_arguments)]
 fn im2col(
     sample: &[f32],
@@ -145,26 +157,30 @@ fn im2col(
     for c in 0..in_c {
         let channel = &sample[c * h * w..(c + 1) * h * w];
         for ki in 0..kh {
+            let (y_lo, y_hi) = inside(h, ki, stride, padding, out_h);
             for kj in 0..kw {
+                let (x_lo, x_hi) = inside(w, kj, stride, padding, out_w);
+                // Without an input column every row is padding.
+                let rows = if x_lo < x_hi { y_lo..y_hi } else { 0..0 };
                 let row_idx = (c * kh + ki) * kw + kj;
                 let col_row = &mut col[row_idx * out_hw..(row_idx + 1) * out_hw];
-                for oy in 0..out_h {
-                    let iy = (oy * stride + ki) as isize - padding as isize;
-                    let base = oy * out_w;
-                    if iy < 0 || iy >= h as isize {
-                        for v in &mut col_row[base..base + out_w] {
-                            *v = 0.0;
+                let (head, rest) = col_row.split_at_mut(rows.start * out_w);
+                let (body, tail) = rest.split_at_mut(rows.len() * out_w);
+                head.fill(0.0);
+                tail.fill(0.0);
+                for (oy, out_row) in rows.zip(body.chunks_exact_mut(out_w)) {
+                    let iy = oy * stride + ki - padding;
+                    let x0 = x_lo * stride + kj - padding;
+                    let in_row = &channel[iy * w + x0..(iy + 1) * w];
+                    out_row[..x_lo].fill(0.0);
+                    out_row[x_hi..].fill(0.0);
+                    let copy = &mut out_row[x_lo..x_hi];
+                    if stride == 1 {
+                        copy.copy_from_slice(&in_row[..copy.len()]);
+                    } else {
+                        for (v, x) in copy.iter_mut().zip(in_row.iter().step_by(stride)) {
+                            *v = *x;
                         }
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..out_w {
-                        let ix = (ox * stride + kj) as isize - padding as isize;
-                        col_row[base + ox] = if ix < 0 || ix >= w as isize {
-                            0.0
-                        } else {
-                            channel[iy * w + ix as usize]
-                        };
                     }
                 }
             }
@@ -172,7 +188,10 @@ fn im2col(
     }
 }
 
-/// Scatters an im2col matrix back into a (padded) input gradient sample.
+/// Scatters an im2col matrix back into a (padded) input gradient sample,
+/// adding onto what `sample_grad` holds: one row add per `(c, ki, kj, oy)`
+/// whose input row is inside the image, taken in that order, so every input
+/// pixel receives its contributions in the order of the per-element loop.
 #[allow(clippy::too_many_arguments)]
 fn col2im(
     col: &[f32],
@@ -191,21 +210,27 @@ fn col2im(
     for c in 0..in_c {
         let channel = &mut sample_grad[c * h * w..(c + 1) * h * w];
         for ki in 0..kh {
+            let (y_lo, y_hi) = inside(h, ki, stride, padding, out_h);
             for kj in 0..kw {
+                let (x_lo, x_hi) = inside(w, kj, stride, padding, out_w);
+                if x_lo == x_hi {
+                    continue;
+                }
                 let row_idx = (c * kh + ki) * kw + kj;
                 let col_row = &col[row_idx * out_hw..(row_idx + 1) * out_hw];
-                for oy in 0..out_h {
-                    let iy = (oy * stride + ki) as isize - padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let iy = iy as usize;
-                    for ox in 0..out_w {
-                        let ix = (ox * stride + kj) as isize - padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                for oy in y_lo..y_hi {
+                    let iy = oy * stride + ki - padding;
+                    let x0 = x_lo * stride + kj - padding;
+                    let grad_row = &mut channel[iy * w + x0..(iy + 1) * w];
+                    let adds = &col_row[oy * out_w + x_lo..oy * out_w + x_hi];
+                    if stride == 1 {
+                        for (g, a) in grad_row.iter_mut().zip(adds) {
+                            *g += a;
                         }
-                        channel[iy * w + ix as usize] += col_row[oy * out_w + ox];
+                    } else {
+                        for (g, a) in grad_row.iter_mut().step_by(stride).zip(adds) {
+                            *g += a;
+                        }
                     }
                 }
             }
