@@ -5,22 +5,71 @@
 //! writes raw little-endian IEEE-754 bit patterns. Sample-index lists are
 //! *not* written — they are immutable and rebuilt from the store's CSR
 //! index on load — so a spilled client costs `16 + 3·d·4` bytes.
+//!
+//! The 32-byte header (magic, version, `d`, client count, [`checksum`] of
+//! the payload) lets a load reject a file that was truncated or altered
+//! since it was written, instead of handing back different state.
 
 use crate::shard::ClientIndices;
 use crate::state::ClientState;
 use fedadmm_tensor::{TensorError, TensorResult};
 
 const MAGIC: u32 = 0x4653_5348; // "FSSH"
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
+const HEADER_LEN: usize = 32;
+
+/// A 64-bit checksum of `bytes`: four multiply-rotate lanes over 32-byte
+/// blocks (xxHash64's round), merged with the length, then the tail a word
+/// at a time and a final avalanche. Each step is a bijection of the word it
+/// takes and of the state it carries, so two payloads of one length that
+/// differ in a single 8-byte word — one flipped byte included — always get
+/// different sums.
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    let round = |acc: u64, word: u64| {
+        acc.wrapping_add(word.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    };
+    let word = |w: &[u8]| {
+        let mut le = [0u8; 8];
+        le[..w.len()].copy_from_slice(w);
+        u64::from_le_bytes(le)
+    };
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = round(*lane, word(w));
+        }
+    }
+    let mut h = (bytes.len() as u64)
+        .wrapping_add(lanes[0].rotate_left(1))
+        .wrapping_add(lanes[1].rotate_left(7))
+        .wrapping_add(lanes[2].rotate_left(12))
+        .wrapping_add(lanes[3].rotate_left(18));
+    for w in blocks.remainder().chunks(8) {
+        h = round(h, word(w));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
 
 /// Encodes the materialized entries of one shard.
 pub(crate) fn encode_shard(entries: &[Option<Box<ClientState>>], d: usize) -> Vec<u8> {
     let count = entries.iter().filter(|e| e.is_some()).count();
-    let mut buf = Vec::with_capacity(24 + count * (16 + 3 * d * 4));
+    let mut buf = Vec::with_capacity(HEADER_LEN + count * (16 + 3 * d * 4));
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&(d as u64).to_le_bytes());
     buf.extend_from_slice(&(count as u64).to_le_bytes());
+    // The checksum slot, filled in once the payload is written.
+    buf.extend_from_slice(&0u64.to_le_bytes());
     for state in entries.iter().flatten() {
         buf.extend_from_slice(&(state.id as u64).to_le_bytes());
         buf.extend_from_slice(&(state.times_selected as u64).to_le_bytes());
@@ -30,6 +79,8 @@ pub(crate) fn encode_shard(entries: &[Option<Box<ClientState>>], d: usize) -> Ve
             }
         }
     }
+    let sum = checksum(&buf[HEADER_LEN..]);
+    buf[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
     buf
 }
 
@@ -88,6 +139,18 @@ pub(crate) fn decode_shard(
         )));
     }
     let count = cur.u64()? as usize;
+    let sum = cur.u64()?;
+    let payload = bytes.len() - HEADER_LEN;
+    if checksum(&bytes[HEADER_LEN..]) != sum {
+        return Err(TensorError::InvalidArgument(format!(
+            "spill file payload ({payload} bytes) does not match its checksum"
+        )));
+    }
+    if count.checked_mul(16 + 3 * d * 4) != Some(payload) {
+        return Err(TensorError::InvalidArgument(format!(
+            "spill file holds {payload} payload bytes, not {count} clients"
+        )));
+    }
     let mut entries: Vec<Option<Box<ClientState>>> = Vec::with_capacity(shard_len);
     entries.resize_with(shard_len, || None);
     for _ in 0..count {
@@ -156,6 +219,42 @@ mod tests {
             decode_shard(&good, 0, 2, 5, &index).is_err(),
             "dimension mismatch"
         );
+    }
+
+    /// Every truncation and every single flipped bit of a two-client shard
+    /// is an error, never a decode of different state.
+    #[test]
+    fn rejects_every_truncation_and_flipped_bit() {
+        let d = 5;
+        let index = ClientIndices::from_lists(vec![vec![0], vec![1], vec![2]]);
+        let states = (1..3)
+            .map(|id| {
+                let mut s = ClientState::new(id, index.get(id).to_vec(), &ParamVector::zeros(d));
+                s.local_model = ParamVector::from_vec(vec![0.5 * id as f32; d]);
+                s.dual = ParamVector::from_vec(vec![-1.25; d]);
+                s.times_selected = id;
+                s
+            })
+            .collect();
+        let good = encode_shard(&shard_of_states(states, 3, 0), d);
+        assert_eq!(good.len(), HEADER_LEN + 2 * (16 + 3 * d * 4));
+        assert!(decode_shard(&good, 0, 3, d, &index).is_ok());
+        for len in 0..good.len() {
+            assert!(
+                decode_shard(&good[..len], 0, 3, d, &index).is_err(),
+                "truncated to {len}"
+            );
+        }
+        for byte in 0..good.len() {
+            for bit in 0..8 {
+                let mut bad = good.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(
+                    decode_shard(&bad, 0, 3, d, &index).is_err(),
+                    "bit {bit} of byte {byte} flipped"
+                );
+            }
+        }
     }
 
     proptest! {

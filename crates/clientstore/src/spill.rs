@@ -15,11 +15,13 @@
 //! Built [with a spill budget](ShardedStore::with_spill), the store also
 //! bounds *resident* state: once materialized client bytes exceed
 //! `budget_bytes`, least-recently-borrowed shards are encoded ([bit-exact
-//! binary codec](crate::codec)) and written to disk, then reloaded
-//! transparently the next time one of their clients is selected. The budget
-//! is a soft ceiling enforced **between** borrows — the cohort currently
-//! lent out can transiently overshoot it, which is the working-set minimum
-//! anyway. Shards whose every resident client is untouched are dropped
+//! binary codec](crate::codec), checksummed) and written to disk — to a
+//! `.tmp` file renamed into place — then reloaded transparently the next
+//! time one of their clients is selected. A shard file that is missing,
+//! truncated or altered fails its load with an error naming the file. The
+//! budget is a soft ceiling enforced **between** borrows — the cohort
+//! currently lent out can transiently overshoot it, which is the working-set
+//! minimum anyway. Shards whose every resident client is untouched are dropped
 //! without a write (the implicit representation is free), so a workload
 //! that merely *reads* a pristine population never touches the disk. A
 //! store built without a budget creates no directory and touches no file.
@@ -139,6 +141,8 @@ impl ShardedStore {
             }
             Slot::Spilled { path, bytes } => {
                 let (path, bytes) = (path.clone(), *bytes);
+                // A failed load leaves the slot spilled: the shard keeps
+                // failing the same way and every other shard is unaffected.
                 let raw = std::fs::read(&path).map_err(|e| io_err("read", &path, e))?;
                 let entries = decode_shard(
                     &raw,
@@ -146,7 +150,10 @@ impl ShardedStore {
                     shard_len,
                     self.initial.len(),
                     &self.index,
-                )?;
+                )
+                .map_err(|e| {
+                    TensorError::InvalidArgument(format!("spill load {}: {e}", path.display()))
+                })?;
                 let _ = std::fs::remove_file(&path);
                 self.slots[shard] = Slot::Resident { entries, bytes };
                 self.resident_bytes += bytes;
@@ -205,9 +212,13 @@ impl ShardedStore {
             .sum();
         let spill = self.spill.as_ref().expect("eviction needs a spill part");
         let path = spill.dir.join(format!("shard-{shard}.bin"));
+        let tmp = spill.dir.join(format!("shard-{shard}.bin.tmp"));
         let encoded = encode_shard(&trained, self.initial.len());
-        if let Err(e) = std::fs::write(&path, &encoded) {
-            let _ = std::fs::remove_file(&path);
+        // Written aside and renamed into place, so `path` is only ever a
+        // complete file.
+        let written = std::fs::write(&tmp, &encoded).and_then(|()| std::fs::rename(&tmp, &path));
+        if let Err(e) = written {
+            let _ = std::fs::remove_file(&tmp);
             self.slots[shard] = Slot::Resident {
                 entries: trained,
                 bytes: kept,
@@ -519,6 +530,55 @@ mod tests {
         let (dual, times_selected) = seen.expect("the borrow itself still works");
         assert_eq!(dual.as_slice(), &[0.25; 16]);
         assert_eq!(times_selected, 3);
+    }
+
+    /// A spilled shard that was truncated, had one payload byte flipped or
+    /// went missing fails its load with a `TensorError` naming its file. The
+    /// store keeps serving (and spilling) every other shard, and the damaged
+    /// one keeps failing instead of coming back as fresh clients.
+    #[test]
+    fn a_damaged_or_missing_shard_fails_its_load_by_path_and_the_store_stays_usable() {
+        for damage in ["truncated", "flipped", "missing"] {
+            let mut s = store(32, 8, Some(0));
+            s.with_states(&[1], &mut |states| {
+                states[0].dual = ParamVector::from_vec(vec![0.25; 16]);
+                Ok(())
+            })
+            .unwrap();
+            let Slot::Spilled { path, .. } = &s.slots[0] else {
+                panic!("shard 0 was not spilled")
+            };
+            let path = path.clone();
+            assert!(!path.with_extension("bin.tmp").exists());
+            let raw = std::fs::read(&path).unwrap();
+            match damage {
+                "truncated" => std::fs::write(&path, &raw[..raw.len() - 5]).unwrap(),
+                // The last byte of the last control coordinate: without the
+                // checksum this decodes to a different float.
+                "flipped" => {
+                    let mut raw = raw;
+                    *raw.last_mut().unwrap() ^= 0x40;
+                    std::fs::write(&path, raw).unwrap();
+                }
+                _ => std::fs::remove_file(&path).unwrap(),
+            }
+            for _ in 0..2 {
+                let err = s.with_states(&[1], &mut |_| Ok(())).unwrap_err();
+                let named = err.to_string().contains(&path.display().to_string());
+                assert!(named, "{damage}: {err} does not name {}", path.display());
+            }
+            s.with_states(&[20], &mut |states| {
+                states[0].times_selected = 7;
+                Ok(())
+            })
+            .unwrap();
+            s.with_states(&[20, 30], &mut |states| {
+                assert_eq!(states[0].times_selected, 7);
+                Ok(())
+            })
+            .unwrap();
+            assert!(s.stats().spill_loads >= 1, "{damage}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic synthetic class-conditional image datasets.
 //!
-//! These generators stand in for MNIST, Fashion-MNIST and CIFAR-10 (see the
-//! substitution table in `DESIGN.md`). Each class is defined by one or more
+//! These generators stand in for MNIST, Fashion-MNIST and CIFAR-10, which
+//! cannot be downloaded offline. Each class is defined by one or more
 //! smooth spatial "prototype" patterns; a sample is a randomly scaled and
 //! shifted prototype plus pixel noise. The three presets differ in the
 //! number of prototype modes per class and the noise level, which controls

@@ -113,8 +113,9 @@ impl Setting {
         };
         // Paper targets: 97% (MNIST), 80% (FMNIST), 45% (CIFAR-10). The
         // synthetic stand-ins support similar orderings but not identical
-        // ceilings, so the scaled targets are adjusted per preset and
-        // recorded in EXPERIMENTS.md.
+        // ceilings, so the scaled targets are adjusted per preset. How they
+        // were calibrated is not recorded; ROADMAP.md item 1 tracks a
+        // generated scorecard of what they produce.
         let target_accuracy = match (scale, dataset) {
             (Scale::Paper, SyntheticDataset::Mnist) => 0.97,
             (Scale::Paper, SyntheticDataset::Fmnist) => 0.80,
@@ -245,8 +246,9 @@ impl Setting {
 /// CIFAR-10. Remark 1 of the paper states that ρ should be of the order of
 /// the local loss's smoothness constant L; the synthetic stand-in datasets
 /// have larger feature magnitudes (hence larger L) than normalised image
-/// pixels, so the equivalent constant for this substrate is larger. It is
-/// calibrated **once** (ρ = 0.3) and then used unchanged in every
+/// pixels, so the equivalent constant for this substrate is larger. It was
+/// calibrated **once** (ρ = 0.3; the calibration setting is not recorded,
+/// and ROADMAP.md item 1 tracks re-checking it) and is used unchanged in every
 /// experiment, which is exactly the paper's "no per-setting tuning" claim —
 /// in contrast to FedProx, whose ρ must be re-tuned per setting (Table V).
 pub const SUBSTRATE_RHO: f32 = 0.3;
@@ -273,7 +275,8 @@ pub fn table3_suite(setting: &Setting) -> Vec<(&'static str, Box<dyn Algorithm>)
 }
 
 /// A rendered experiment artefact: a human-readable table plus the raw data
-/// as JSON for further processing (EXPERIMENTS.md, plots, regression checks).
+/// as JSON for further processing (plots, regression checks, the scorecard
+/// that ROADMAP.md item 1 asks for).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentReport {
     /// Experiment identifier ("table3", "fig6", ...).

@@ -141,9 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn fedadmm_beats_fedsgd_in_smoke_column() {
-        // The qualitative Table III shape at the smallest scale: FedADMM
-        // reaches the (modest) target in no more rounds than FedSGD.
+    fn fedadmm_needs_no_more_rounds_than_fedsgd_or_both_miss_in_smoke_column() {
+        // At the smallest scale FedADMM takes no more rounds than FedSGD to
+        // reach the (modest) target. A method that misses the target counts
+        // as budget + 1 rounds, so this also passes when both miss it.
         let setting = Setting::for_dataset(
             SyntheticDataset::Mnist,
             DataDistribution::Iid,
@@ -159,6 +160,12 @@ mod tests {
                 .and_then(|(_, r)| *r)
                 .unwrap_or(setting.max_rounds + 1)
         };
-        assert!(get("FedADMM") <= get("FedSGD"));
+        let (admm, sgd) = (get("FedADMM"), get("FedSGD"));
+        assert!(
+            admm <= sgd,
+            "FedADMM took {admm} rounds, FedSGD {sgd}; {} stands for a missed \
+             target, and both missing it ties and passes",
+            setting.max_rounds + 1
+        );
     }
 }

@@ -10,6 +10,19 @@
 //! * weight:  `[out_channels, in_channels, kernel_h, kernel_w]`
 //! * bias:    `[out_channels]`
 //! * output:  `[batch, out_channels, out_h, out_w]`
+//!
+//! The unroll works in rows, never per element. For each `(c, ki, kj)` the
+//! output positions whose input lies inside the image form one interval per
+//! axis, `[lo, hi)`, worked out once. Each `(c, ki, kj, oy)` row of the
+//! im2col matrix is then all zeros (the input row is padding) or zeros on
+//! `[0, lo)`, one copy of the input row on `[lo, hi)` — `copy_from_slice` at
+//! stride 1, a strided gather otherwise — and zeros on `[hi, out_w)`.
+//! `col2im` walks the same rows in the same `(c, ki, kj, oy)` order and adds
+//! each slice into its input-gradient row. No bit moves relative to a
+//! per-element loop: copies are exact, and every input pixel still receives
+//! its additions in `(c, ki, kj, oy, ox)` order (within one row, distinct
+//! `ox` reach distinct pixels). The tests compare both functions with those
+//! loops by bit pattern.
 
 use crate::error::{TensorError, TensorResult};
 use crate::ops::matmul::{matmul_a_bt_into, matmul_at_b_into, matmul_into};

@@ -32,7 +32,7 @@ fn main() {
     };
 
     // 2. Synthetic MNIST-like data (the offline stand-in for the real
-    //    dataset; see DESIGN.md), partitioned the paper's non-IID way:
+    //    dataset; see `fedadmm-data`), partitioned the paper's non-IID way:
     //    sorted by label, two shards per client.
     let (train, test) = SyntheticDataset::Mnist.generate(10_000, 500, config.seed);
     let partition =
@@ -45,7 +45,8 @@ fn main() {
     // 3. FedADMM (Algorithm 1): server step η = 1, warm-started local
     //    training, dual variables stored at the clients. ρ = 0.3 is the fixed
     //    substrate-calibrated constant (the paper uses 0.01 for its
-    //    CNN/real-image gradient scale; see DESIGN.md) and is used unchanged
+    //    CNN/real-image gradient scale; see `SUBSTRATE_RHO` in
+    //    `fedadmm-experiments`) and is used unchanged
     //    across every example and experiment in this repository.
     let algorithm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
     let mut sim = RoundEngine::new(config, train, test, partition, algorithm, SyncRounds)

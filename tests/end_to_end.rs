@@ -53,8 +53,9 @@ fn fedadmm_learns_iid_task_end_to_end() {
     );
 }
 
-/// The substrate-calibrated fixed ρ (see `fedadmm-experiments::common::SUBSTRATE_RHO`
-/// and the discussion in DESIGN.md / EXPERIMENTS.md).
+/// The substrate's fixed ρ (see `fedadmm-experiments::common::SUBSTRATE_RHO`).
+/// The setting it was calibrated on is not recorded; ROADMAP.md item 1
+/// tracks checking it against the paper's ρ = 0.01.
 const SUBSTRATE_RHO: f32 = 0.3;
 
 #[test]
@@ -76,10 +77,11 @@ fn fedadmm_learns_under_label_skew() {
     );
 }
 
-/// The qualitative headline of Table III at integration-test scale:
-/// under the paper's protocol (100 clients, 10% participation, label-skewed
-/// shards, variable local work) FedADMM reaches a high accuracy target and
-/// stays within a small factor of FedAvg's round count. On this synthetic
+/// Table III's setting at integration-test scale: under the paper's
+/// protocol (100 clients, 10% participation, label-skewed shards, variable
+/// local work) FedADMM reaches a high accuracy target and takes at most 1.5×
+/// FedAvg's round count. It does not check the paper's claim that FedADMM
+/// needs *fewer* rounds (ROADMAP.md item 1 tracks that). On this synthetic
 /// substrate (MLP on generated class-conditional images, vendored PRNG)
 /// FedAvg's full-model averaging converges unusually fast, so a strict
 /// "fewer rounds" ordering does not reproduce here — FedADMM's edge on the
@@ -87,7 +89,7 @@ fn fedadmm_learns_under_label_skew() {
 /// see tests/engine_parity.rs, and long-horizon non-IID accuracy).
 /// This test is deliberately larger than the other tests.
 #[test]
-fn fedadmm_outperforms_fedavg_in_rounds_to_target_non_iid() {
+fn fedadmm_reaches_target_within_1_5x_fedavg_rounds_non_iid() {
     let target = 0.9;
     let budget = 45;
     let num_clients = 100;
