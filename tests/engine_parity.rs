@@ -74,6 +74,28 @@ fn run_digest(history: &RunHistory, global: &ParamVector) -> u64 {
     h
 }
 
+/// [`run_digest`] continued over every arrival event: virtual time and
+/// weight bits, client, staleness and cumulative upload — so arrival order
+/// and the virtual clock are pinned, not only θ.
+fn event_digest(history: &RunHistory, global: &ParamVector, events: &[AsyncRecord]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = run_digest(history, global);
+    for e in events {
+        for x in [
+            e.sim_time.to_bits(),
+            u64::from(e.weight.to_bits()),
+            e.client_id as u64,
+            e.staleness as u64,
+            e.cumulative_upload_floats as u64,
+        ] {
+            for byte in x.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
+            }
+        }
+    }
+    h
+}
+
 #[test]
 fn in_memory_engine_matches_pre_refactor_golden_digest() {
     // Pinned from the engine as it stood before the client-state-store
@@ -483,6 +505,58 @@ fn semi_async_fedadmm_tolerates_stragglers_where_fedavg_degrades() {
         admm_1 > avg_1 + 0.1,
         "FedADMM ({admm_1}) should beat FedAvg ({avg_1}) under deadline scheduling"
     );
+}
+
+/// FedADMM under `SemiAsync` on `semi_async_run`'s fleet (every second
+/// client 3× slower, 3.5 s deadline), seed 42, 8 rounds. Captured before the
+/// per-scheduler device fleets became one engine-level device model.
+const GOLDEN_SEMI_ASYNC_DIGEST: u64 = 0x9251_e421_c105_60a5;
+
+/// FedADMM under `BufferedAsync` on a four-wide pool of ten clients, four
+/// of them 8× slower (clients 2, 4, 8 and 9: the seed-1 draw), 60 arrivals,
+/// at `aggregate_after` 1 and 4. Captured alongside
+/// [`GOLDEN_SEMI_ASYNC_DIGEST`].
+const GOLDEN_BUFFERED_DIGEST: [(usize, u64); 2] =
+    [(1, 0x3dfc_d4ba_de66_22eb), (4, 0xa8e8_3991_7bdf_96fd)];
+
+/// The event-driven pins' population: ten clients, seed 42, non-IID shards.
+fn event_driven_engine<S: Scheduler>(scheduler: S) -> RoundEngine<FedAdmm, S> {
+    let num_clients = 10;
+    let cfg = FedConfig {
+        participation: Participation::Fraction(0.5),
+        ..config(num_clients, 42, false)
+    };
+    let (train, test) = data(num_clients, 42);
+    let partition = DataDistribution::NonIidShards.partition(&train, num_clients, 42);
+    let algorithm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
+    RoundEngine::new(cfg, train, test, partition, algorithm, scheduler).unwrap()
+}
+
+#[test]
+fn event_driven_runs_match_their_golden_digests() {
+    let fleet = SemiAsyncConfig::two_tier(10, 1.0, 0.5, 3.0, 3.5)
+        .with_staleness(StalenessWeight::Polynomial { exponent: 0.5 });
+    let mut engine = event_driven_engine(SemiAsync::new(fleet));
+    engine.run_rounds(8).unwrap();
+    let digest = event_digest(engine.history(), engine.global_model(), engine.events());
+    assert_eq!(
+        digest, GOLDEN_SEMI_ASYNC_DIGEST,
+        "semi-async run diverged (digest {digest:#018x})"
+    );
+    for (k, golden) in GOLDEN_BUFFERED_DIGEST {
+        let pool = AsyncConfig::two_tier(10, 4, 1.0, 0.3, 8.0, 1)
+            .with_staleness(StalenessWeight::Polynomial { exponent: 0.5 })
+            .with_aggregate_after(k);
+        let mut engine = event_driven_engine(BufferedAsync::new(pool));
+        for _ in 0..60 {
+            engine.step().unwrap();
+        }
+        let digest = event_digest(engine.history(), engine.global_model(), engine.events());
+        assert_eq!(
+            digest, golden,
+            "buffered run (aggregate_after {k}) diverged (digest {digest:#018x})"
+        );
+    }
 }
 
 #[test]
