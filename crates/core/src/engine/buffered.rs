@@ -4,21 +4,28 @@
 //! through the engine's [`DispatchPool`](super::DispatchPool), whose
 //! adaptive chunk size (`jobs / (4·workers)`, clamped to ≥ 1) degrades to
 //! one job per chunk for these tiny cohorts.
+//!
+//! Each job's finish time is fixed at dispatch by the engine's
+//! [`DeviceModel`](crate::heterogeneity::DeviceModel), its upload charged at
+//! the dense size because it does not exist yet, so the schedule needs a
+//! model installed (`RoundEngine::with_devices`). On a heterogeneous fleet
+//! fast devices contribute many low-staleness updates and stragglers few,
+//! stale ones.
 
 use super::scheduler::{
-    check_seconds_per_epoch, DispatchOrder, EngineCore, RoundStats, Scheduler, StalenessWeight,
-    TickReport,
+    DispatchOrder, EngineCore, RoundStats, Scheduler, StalenessWeight, TickReport,
 };
 use crate::config::FedConfig;
 use crate::param::ParamVector;
 use fedadmm_tensor::{TensorError, TensorResult};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Configuration of a buffered asynchronous schedule.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -27,11 +34,6 @@ pub struct AsyncConfig {
     /// the server keeps busy). Plays the role of `|S_t|` in the synchronous
     /// protocol.
     pub max_concurrency: usize,
-    /// Per-client virtual seconds needed to run *one* local epoch. Length
-    /// must equal the client population; heterogeneous values make fast
-    /// devices contribute many low-staleness updates while stragglers
-    /// contribute few, stale ones.
-    pub seconds_per_epoch: Vec<f64>,
     /// Staleness weighting applied to arriving updates.
     pub staleness: StalenessWeight,
     /// Evaluate the global model every this many server aggregations
@@ -44,41 +46,11 @@ pub struct AsyncConfig {
 }
 
 impl AsyncConfig {
-    /// A homogeneous pool: every client needs `seconds_per_epoch` virtual
-    /// seconds per epoch.
-    pub fn homogeneous(num_clients: usize, concurrency: usize, seconds_per_epoch: f64) -> Self {
+    /// A pool of `concurrency` computing clients, polynomial staleness
+    /// damping (`a = 0.5`), evaluation every 10 aggregations and no buffer.
+    pub fn new(concurrency: usize) -> Self {
         AsyncConfig {
             max_concurrency: concurrency,
-            seconds_per_epoch: vec![seconds_per_epoch; num_clients],
-            staleness: StalenessWeight::Polynomial { exponent: 0.5 },
-            eval_every: 10,
-            aggregate_after: 1,
-        }
-    }
-
-    /// A two-tier pool: a `slow_fraction` of clients is `slowdown`× slower
-    /// than the rest (a simple straggler model).
-    pub fn two_tier(
-        num_clients: usize,
-        concurrency: usize,
-        base_seconds: f64,
-        slow_fraction: f64,
-        slowdown: f64,
-        seed: u64,
-    ) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let seconds = (0..num_clients)
-            .map(|_| {
-                if rng.gen_bool(slow_fraction.clamp(0.0, 1.0)) {
-                    base_seconds * slowdown
-                } else {
-                    base_seconds
-                }
-            })
-            .collect();
-        AsyncConfig {
-            max_concurrency: concurrency,
-            seconds_per_epoch: seconds,
             staleness: StalenessWeight::Polynomial { exponent: 0.5 },
             eval_every: 10,
             aggregate_after: 1,
@@ -152,6 +124,8 @@ pub struct BufferedAsync {
     buffered_samples: usize,
     version: usize,
     dispatched: usize,
+    /// When the ticks of the next round record began (wall clock).
+    window: Option<Instant>,
 }
 
 impl BufferedAsync {
@@ -167,6 +141,7 @@ impl BufferedAsync {
             buffered_samples: 0,
             version: 0,
             dispatched: 0,
+            window: None,
         }
     }
 
@@ -180,8 +155,9 @@ impl BufferedAsync {
         self.version
     }
 
-    /// Dispatches idle clients until the pool holds `max_concurrency` jobs.
-    fn fill_pool(&mut self, core: &EngineCore<'_>) {
+    /// Dispatches idle clients until the pool holds `max_concurrency` jobs,
+    /// each running the epochs the engine's work schedule draws for it.
+    fn fill_pool(&mut self, core: &EngineCore<'_>) -> TensorResult<()> {
         while self.in_flight.len() < self.config.max_concurrency {
             let idle: Vec<usize> = self
                 .busy
@@ -193,12 +169,8 @@ impl BufferedAsync {
                 break;
             }
             let &client_id = idle.choose(&mut self.rng).expect("idle list is non-empty");
-            let epochs = if core.config.system_heterogeneity && core.config.local_epochs > 1 {
-                self.rng.gen_range(1..=core.config.local_epochs)
-            } else {
-                core.config.local_epochs
-            };
-            let duration = self.config.seconds_per_epoch[client_id] * epochs.max(1) as f64;
+            let epochs = core.work_schedule.epochs_for(client_id, &mut self.rng);
+            let duration = core.dispatch_seconds(client_id, epochs)?;
             let seed = core.config.seed
                 ^ (self.dispatched as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ (client_id as u64).wrapping_mul(0x2545_F491_4F6C_DD1D);
@@ -213,6 +185,7 @@ impl BufferedAsync {
             });
             self.dispatched += 1;
         }
+        Ok(())
     }
 }
 
@@ -226,7 +199,6 @@ impl Scheduler for BufferedAsync {
     }
 
     fn init(&mut self, core: &mut EngineCore<'_>) -> TensorResult<()> {
-        check_seconds_per_epoch(&self.config.seconds_per_epoch, core.config.num_clients)?;
         if self.config.max_concurrency == 0 {
             return Err(TensorError::InvalidArgument(
                 "max_concurrency must be at least 1".to_string(),
@@ -234,11 +206,17 @@ impl Scheduler for BufferedAsync {
         }
         self.busy = vec![false; core.config.num_clients];
         self.rng = SmallRng::seed_from_u64(core.config.seed ^ 0xA517_C0DE);
-        self.fill_pool(core);
         Ok(())
     }
 
     fn tick(&mut self, core: &mut EngineCore<'_>) -> TensorResult<TickReport> {
+        let window = *self.window.get_or_insert_with(Instant::now);
+        // The pool is filled on the first tick, not in `init`: the device
+        // model and work schedule are installed after `init` runs. Nothing
+        // draws from the rng or moves θ or the clock in between.
+        if self.dispatched == 0 {
+            self.fill_pool(core)?;
+        }
         let job = self
             .in_flight
             .pop()
@@ -287,7 +265,8 @@ impl Scheduler for BufferedAsync {
         let mut report = TickReport::default();
         let mut accuracy = None;
         if aggregated && self.version.is_multiple_of(self.config.eval_every) {
-            let elapsed_ms = (core.now() * 1000.0) as u64;
+            self.window = None;
+            let elapsed_ms = window.elapsed().as_millis() as u64;
             let record = core.record_round(RoundStats {
                 num_selected: self.config.aggregate_after,
                 upload_floats: 0,
@@ -306,7 +285,7 @@ impl Scheduler for BufferedAsync {
         report
             .events
             .push(core.record_event(job.client_id, staleness, weight, accuracy));
-        self.fill_pool(core);
+        self.fill_pool(core)?;
         Ok(report)
     }
 }

@@ -12,6 +12,11 @@
 //! | [`BufferedAsync`] | apply each arrival, staleness-weighted (buffer `K ≥ 1`) | the asynchronous-ADMM trade-off of Section II |
 //! | [`SemiAsync`] | aggregate whatever arrived by the round deadline; carry stragglers forward | the straggler tolerance claim of Section I |
 //!
+//! All three share one virtual clock, driven by the
+//! [`DeviceModel`](crate::heterogeneity::DeviceModel) installed with
+//! [`RoundEngine::with_devices`] and stamped on every
+//! [`RoundRecord::virtual_seconds`].
+//!
 //! Engine-level guarantees shared by every scheduler:
 //!
 //! * **Zero-copy broadcast.** θ is handed to clients as an
@@ -92,7 +97,7 @@ pub use wire::{WireGuard, WirePath, WirePathConfig};
 use crate::algorithms::Algorithm;
 use crate::client::ClientState;
 use crate::config::FedConfig;
-use crate::heterogeneity::LocalWorkSchedule;
+use crate::heterogeneity::{DeviceModel, LocalWorkSchedule};
 use crate::metrics::{RoundRecord, RunHistory};
 use crate::param::ParamVector;
 use crate::selection::{ClientSelector, FullParticipation, UniformFraction};
@@ -119,6 +124,8 @@ pub struct RoundEngine<A: Algorithm, S: Scheduler> {
     algorithm: A,
     selector: Box<dyn ClientSelector>,
     work_schedule: LocalWorkSchedule,
+    /// The device model behind the virtual clock, if installed.
+    devices: Option<DeviceModel>,
     scheduler: S,
     history: RunHistory,
     events: Vec<AsyncRecord>,
@@ -225,6 +232,7 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
             algorithm,
             selector,
             work_schedule,
+            devices: None,
             scheduler,
             history,
             events: Vec::new(),
@@ -248,6 +256,7 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
             algorithm: &mut engine.algorithm,
             selector: &*engine.selector,
             work_schedule: &engine.work_schedule,
+            devices: engine.devices.as_ref(),
             history: &mut engine.history,
             events: &mut engine.events,
             clock: &mut engine.clock,
@@ -336,6 +345,23 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
     pub fn with_work_schedule(mut self, schedule: LocalWorkSchedule) -> Self {
         self.work_schedule = schedule;
         self
+    }
+
+    /// Installs the device model behind the virtual clock: how fast each
+    /// client's work goes (see [`DeviceModel`]). [`SyncRounds`] then
+    /// advances the clock by its slowest client's job every round, and
+    /// [`SemiAsync`] and [`BufferedAsync`] — which cannot run without a
+    /// model — time their arrivals with it. The clock is observation only
+    /// under [`SyncRounds`]: the trajectory is the one without a model.
+    ///
+    /// # Errors
+    /// [`TensorError::InvalidArgument`], naming the client, if the model
+    /// does not hold one device per client with finite, positive durations
+    /// and bandwidths and a finite, non-negative latency.
+    pub fn with_devices(mut self, devices: DeviceModel) -> TensorResult<Self> {
+        devices.check(self.config.num_clients)?;
+        self.devices = Some(devices);
+        Ok(self)
     }
 
     /// Installs observability hooks (e.g. a
@@ -435,7 +461,8 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
         self.round
     }
 
-    /// The current virtual time (0 for purely synchronous schedules).
+    /// The current virtual time in seconds, as the installed
+    /// [`DeviceModel`] times the fleet (0 without a model).
     pub fn now(&self) -> f64 {
         self.clock
     }
@@ -485,6 +512,7 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
             algorithm: &mut self.algorithm,
             selector: &*self.selector,
             work_schedule: &self.work_schedule,
+            devices: self.devices.as_ref(),
             history: &mut self.history,
             events: &mut self.events,
             clock: &mut self.clock,
@@ -632,6 +660,26 @@ mod tests {
 
     /// Per-epoch durations no virtual clock can run on.
     const BAD_SECONDS: [f64; 4] = [f64::NAN, -1.0, 0.0, f64::INFINITY];
+
+    /// Compute-only devices at 1 s per epoch, except the `slow` clients at
+    /// `slow_seconds`.
+    fn fleet(num_clients: usize, slow: &[usize], slow_seconds: f64) -> DeviceModel {
+        let seconds = (0..num_clients).map(|c| if slow.contains(&c) { slow_seconds } else { 1.0 });
+        DeviceModel::new(seconds.collect())
+    }
+
+    /// [`make_engine`] on [`fleet`]`(num_clients, slow, slow_seconds)`.
+    fn timed_engine<A: Algorithm, S: Scheduler>(
+        algorithm: A,
+        scheduler: S,
+        (num_clients, slow, slow_seconds): (usize, &[usize], f64),
+        samples: usize,
+        seed: u64,
+    ) -> RoundEngine<A, S> {
+        make_engine(algorithm, scheduler, num_clients, samples, seed)
+            .with_devices(fleet(num_clients, slow, slow_seconds))
+            .unwrap()
+    }
 
     /// A model's freshly initialised parameters: non-trivial logits.
     fn initial_params(model: ModelSpec, seed: u64) -> ParamVector {
@@ -813,18 +861,20 @@ mod tests {
     #[test]
     fn buffered_construction_validates_the_device_pool() {
         let build = |pool| try_engine(FedAvg::new(), BufferedAsync::new(pool), 4, 80, 0);
-        // Wrong seconds_per_epoch length.
-        assert!(build(AsyncConfig::homogeneous(3, 2, 1.0)).is_err());
-        // Zero concurrency.
-        let mut zero = AsyncConfig::homogeneous(4, 2, 1.0);
-        zero.max_concurrency = 0;
+        let zero = AsyncConfig {
+            max_concurrency: 0,
+            ..AsyncConfig::new(2)
+        };
         assert!(build(zero).is_err());
-        // A per-epoch duration that is not a positive number: the error
-        // names the client.
+        // A device model of the wrong size, or with a per-epoch duration
+        // that is not a positive number, is refused naming the client.
+        let engine = || build(AsyncConfig::new(2)).unwrap();
+        assert!(engine().with_devices(fleet(3, &[], 1.0)).is_err());
         for bad in BAD_SECONDS {
-            let mut pool = AsyncConfig::homogeneous(4, 2, 1.0);
-            pool.seconds_per_epoch[2] = bad;
-            let err = build(pool).err().expect("a bad duration is rejected");
+            let err = engine()
+                .with_devices(fleet(4, &[2], bad))
+                .err()
+                .expect("a bad duration is rejected");
             assert!(err.to_string().contains("client 2"), "{bad}: {err}");
         }
     }
@@ -832,15 +882,42 @@ mod tests {
     #[test]
     fn semi_async_construction_validates_the_device_pool() {
         let build = |fleet| try_engine(FedAvg::new(), SemiAsync::new(fleet), 4, 80, 0);
-        assert!(build(SemiAsyncConfig::homogeneous(4, 1.0, 2.5)).is_ok());
-        // Wrong seconds_per_epoch length.
-        assert!(build(SemiAsyncConfig::homogeneous(3, 1.0, 2.5)).is_err());
         for bad in BAD_SECONDS {
-            let mut fleet = SemiAsyncConfig::homogeneous(4, 1.0, 2.5);
-            fleet.seconds_per_epoch[1] = bad;
-            let err = build(fleet).err().expect("a bad duration is rejected");
+            assert!(build(SemiAsyncConfig::new(bad)).is_err(), "deadline {bad}");
+            let err = build(SemiAsyncConfig::new(2.5))
+                .unwrap()
+                .with_devices(fleet(4, &[1], bad))
+                .err()
+                .expect("a bad duration is rejected");
             assert!(err.to_string().contains("client 1"), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn event_driven_schedules_refuse_to_run_without_a_device_model() {
+        let needs_model = |err: TensorError| {
+            assert!(err.to_string().contains("device model"), "{err}");
+        };
+        let mut semi = make_engine(
+            FedAvg::new(),
+            SemiAsync::new(SemiAsyncConfig::new(2.5)),
+            4,
+            80,
+            0,
+        );
+        needs_model(semi.step().unwrap_err());
+        let mut buffered = make_engine(
+            FedAvg::new(),
+            BufferedAsync::new(AsyncConfig::new(2)),
+            4,
+            80,
+            0,
+        );
+        needs_model(buffered.step().unwrap_err());
+        // A synchronous run without one keeps the clock at 0.
+        let mut sync = make_engine(FedAvg::new(), SyncRounds, 4, 80, 0);
+        assert_eq!(sync.run_round().unwrap().virtual_seconds, 0.0);
+        assert_eq!(sync.now(), 0.0);
     }
 
     #[test]
@@ -937,8 +1014,8 @@ mod tests {
 
     #[test]
     fn buffered_engine_reproduces_event_driven_behavior() {
-        let pool = AsyncConfig::homogeneous(6, 3, 1.0);
-        let mut engine = make_engine(FedAvg::new(), BufferedAsync::new(pool), 6, 120, 6);
+        let pool = BufferedAsync::new(AsyncConfig::new(3));
+        let mut engine = timed_engine(FedAvg::new(), pool, (6, &[], 1.0), 120, 6);
         for _ in 0..12 {
             engine.step().unwrap();
         }
@@ -948,6 +1025,9 @@ mod tests {
             assert!(pair[1].sim_time >= pair[0].sim_time);
         }
         assert_eq!(engine.scheduler().updates_applied(), 12);
+        // The round record carries the virtual clock.
+        let record = engine.history().records.last().unwrap();
+        assert_eq!(record.virtual_seconds, engine.events()[9].sim_time);
     }
 
     #[test]
@@ -966,17 +1046,17 @@ mod tests {
     fn buffered_staleness_comes_from_concurrency() {
         // With identical devices and unit concurrency, updates are applied
         // in dispatch order and nothing is ever stale.
-        let serial = AsyncConfig::homogeneous(4, 1, 1.0);
-        let mut engine = make_engine(FedAvg::new(), BufferedAsync::new(serial), 4, 80, 1);
+        let serial = BufferedAsync::new(AsyncConfig::new(1));
+        let mut engine = timed_engine(FedAvg::new(), serial, (4, &[], 1.0), 80, 1);
         for _ in 0..8 {
             engine.step().unwrap();
         }
         assert_eq!(engine.staleness_stats(), (0.0, 0));
         // With many concurrent clients every snapshot but the first is
         // taken before the preceding updates are applied.
-        let concurrent =
-            AsyncConfig::homogeneous(8, 4, 1.0).with_staleness(StalenessWeight::Constant);
-        let mut engine = make_engine(FedAvg::new(), BufferedAsync::new(concurrent), 8, 160, 2);
+        let concurrent = AsyncConfig::new(4).with_staleness(StalenessWeight::Constant);
+        let pool = BufferedAsync::new(concurrent);
+        let mut engine = timed_engine(FedAvg::new(), pool, (8, &[], 1.0), 160, 2);
         for _ in 0..12 {
             engine.step().unwrap();
         }
@@ -986,9 +1066,10 @@ mod tests {
 
     #[test]
     fn bounded_delay_drops_stale_updates() {
-        let pool = AsyncConfig::two_tier(8, 4, 1.0, 0.5, 10.0, 3)
-            .with_staleness(StalenessWeight::BoundedDelay { max_staleness: 0 });
-        let mut engine = make_engine(FedAvg::new(), BufferedAsync::new(pool), 8, 160, 3);
+        let pool =
+            AsyncConfig::new(4).with_staleness(StalenessWeight::BoundedDelay { max_staleness: 0 });
+        let pool = BufferedAsync::new(pool);
+        let mut engine = timed_engine(FedAvg::new(), pool, (8, &[0, 5, 6], 10.0), 160, 3);
         // Run by events rather than applied updates to observe drops.
         for _ in 0..20 {
             engine.step().unwrap();
@@ -1005,13 +1086,15 @@ mod tests {
 
     #[test]
     fn buffered_engine_is_deterministic_in_seed() {
-        let pool = AsyncConfig::two_tier(6, 3, 1.0, 0.3, 3.0, 11);
-        let mut a = make_engine(FedAvg::new(), BufferedAsync::new(pool.clone()), 6, 120, 11);
-        let mut b = make_engine(FedAvg::new(), BufferedAsync::new(pool), 6, 120, 11);
-        for _ in 0..10 {
-            a.step().unwrap();
-            b.step().unwrap();
-        }
+        let run = || {
+            let pool = BufferedAsync::new(AsyncConfig::new(3));
+            let mut engine = timed_engine(FedAvg::new(), pool, (6, &[4], 3.0), 120, 11);
+            for _ in 0..10 {
+                engine.step().unwrap();
+            }
+            engine
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.global_model(), b.global_model());
         assert_eq!(
             a.scheduler().updates_applied(),
@@ -1021,8 +1104,8 @@ mod tests {
 
     #[test]
     fn buffered_engine_with_buffer_aggregates_in_batches() {
-        let pool = AsyncConfig::homogeneous(6, 3, 1.0).with_aggregate_after(4);
-        let mut engine = make_engine(FedAvg::new(), BufferedAsync::new(pool), 6, 120, 7);
+        let pool = BufferedAsync::new(AsyncConfig::new(3).with_aggregate_after(4));
+        let mut engine = timed_engine(FedAvg::new(), pool, (6, &[], 1.0), 120, 7);
         for _ in 0..8 {
             engine.step().unwrap();
         }
@@ -1031,15 +1114,70 @@ mod tests {
     }
 
     #[test]
+    fn buffered_arrivals_run_the_engine_work_schedule() {
+        // One record per arrival, so each record's epochs are one job's.
+        let pool = || {
+            let config = AsyncConfig {
+                eval_every: 1,
+                ..AsyncConfig::new(3).with_staleness(StalenessWeight::Constant)
+            };
+            BufferedAsync::new(config)
+        };
+        fn arrival_epochs<A: Algorithm>(
+            engine: &RoundEngine<A, BufferedAsync>,
+        ) -> Vec<(usize, usize)> {
+            let records = &engine.history().records;
+            assert_eq!(records.len(), engine.events().len());
+            let epochs = records.iter().map(|r| r.total_local_epochs);
+            engine
+                .events()
+                .iter()
+                .map(|e| e.client_id)
+                .zip(epochs)
+                .collect()
+        }
+        // FedAvg runs a fixed E even with heterogeneity on, as it does
+        // under the other schedulers.
+        let config = FedConfig {
+            system_heterogeneity: true,
+            ..small_config(6, 12)
+        };
+        let (train, test) = SyntheticDataset::Mnist.generate(120, 60, 12);
+        let partition = DataDistribution::Iid.partition(&train, 6, 12);
+        let mut engine = RoundEngine::new(config, train, test, partition, FedAvg::new(), pool())
+            .unwrap()
+            .with_devices(fleet(6, &[], 1.0))
+            .unwrap();
+        for _ in 0..12 {
+            engine.step().unwrap();
+        }
+        let epochs = arrival_epochs(&engine);
+        assert!(epochs.iter().all(|&(_, e)| e == 2), "{epochs:?}");
+        // A per-client schedule installed after construction is honoured.
+        let schedule = vec![1, 2, 3, 1, 2, 3];
+        let mut engine = timed_engine(FedAdmm::paper_default(), pool(), (6, &[], 1.0), 120, 13)
+            .with_work_schedule(LocalWorkSchedule::PerClient(schedule.clone()));
+        for _ in 0..12 {
+            engine.step().unwrap();
+        }
+        let epochs = arrival_epochs(&engine);
+        assert!(epochs.iter().all(|&(c, e)| e == schedule[c]), "{epochs:?}");
+    }
+
+    #[test]
     fn semi_async_rounds_progress_under_stragglers() {
         // Deadline of 2.5s on a fleet where the straggler tier needs 3s per
         // epoch (6s per two-epoch job): fast clients make every deadline,
         // stragglers arrive a couple of rounds late.
-        let fleet = SemiAsyncConfig::two_tier(8, 1.0, 0.25, 3.0, 2.5);
-        let mut engine = make_engine(FedAdmm::paper_default(), SemiAsync::new(fleet), 8, 160, 8);
+        let semi = SemiAsync::new(SemiAsyncConfig::new(2.5));
+        let mut engine = timed_engine(FedAdmm::paper_default(), semi, (8, &[3, 7], 3.0), 160, 8);
         let records = engine.run_rounds(10).unwrap();
         assert_eq!(records.len(), 10);
         assert!(engine.now() >= 10.0 * 2.5 - 1e-9);
+        // Every record closes on the clock.
+        for pair in records.windows(2) {
+            assert!(pair[1].virtual_seconds >= pair[0].virtual_seconds + 2.5 - 1e-9);
+        }
         let (_, max_staleness) = engine.staleness_stats();
         assert!(
             max_staleness > 0,
@@ -1054,18 +1192,20 @@ mod tests {
 
     #[test]
     fn semi_async_is_deterministic_in_seed() {
-        let fleet = SemiAsyncConfig::two_tier(8, 1.0, 0.25, 10.0, 2.5);
-        let mut a = make_engine(
-            FedAdmm::paper_default(),
-            SemiAsync::new(fleet.clone()),
-            8,
-            160,
-            9,
-        );
-        let mut b = make_engine(FedAdmm::paper_default(), SemiAsync::new(fleet), 8, 160, 9);
-        a.run_rounds(4).unwrap();
-        b.run_rounds(4).unwrap();
-        assert_eq!(a.history(), b.history());
+        let run = || {
+            let semi = SemiAsync::new(SemiAsyncConfig::new(2.5));
+            let mut engine =
+                timed_engine(FedAdmm::paper_default(), semi, (8, &[3, 7], 10.0), 160, 9);
+            engine.run_rounds(4).unwrap();
+            engine
+        };
+        let (a, b) = (run(), run());
+        // Histories agree on everything except wall-clock timing.
+        let (mut ha, mut hb) = (a.history().clone(), b.history().clone());
+        for r in ha.records.iter_mut().chain(hb.records.iter_mut()) {
+            r.elapsed_ms = 0;
+        }
+        assert_eq!(ha, hb);
         assert_eq!(a.global_model(), b.global_model());
     }
 

@@ -33,7 +33,7 @@ use crate::algorithms::{
 };
 use crate::client::ClientState;
 use crate::config::FedConfig;
-use crate::heterogeneity::LocalWorkSchedule;
+use crate::heterogeneity::{DeviceModel, LocalWorkSchedule};
 use crate::metrics::{RoundRecord, RunHistory};
 use crate::param::ParamVector;
 use crate::selection::ClientSelector;
@@ -106,26 +106,6 @@ impl StalenessWeight {
     }
 }
 
-/// What the event-driven schedulers require of their device model: one
-/// per-epoch duration per client, each finite and positive. A `NaN` never
-/// meets a deadline and has no place in the arrival order; a negative one
-/// runs the virtual clock backwards.
-pub(super) fn check_seconds_per_epoch(seconds: &[f64], num_clients: usize) -> TensorResult<()> {
-    if seconds.len() != num_clients {
-        return Err(TensorError::InvalidArgument(format!(
-            "seconds_per_epoch has {} entries but there are {num_clients} clients",
-            seconds.len()
-        )));
-    }
-    match seconds.iter().position(|s| !(s.is_finite() && *s > 0.0)) {
-        Some(client) => Err(TensorError::InvalidArgument(format!(
-            "seconds_per_epoch of client {client} is {}; it must be finite and positive",
-            seconds[client]
-        ))),
-        None => Ok(()),
-    }
-}
-
 /// One applied (or dropped) client arrival in an event-driven schedule.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AsyncRecord {
@@ -176,7 +156,8 @@ pub struct RoundStats {
     /// wire path is on, dense `4 · upload_floats` otherwise; 0 for
     /// event-driven schedules, which account uploads per event).
     pub wire_bytes: usize,
-    /// Wall-clock or virtual milliseconds attributed to this record.
+    /// Wall-clock milliseconds the scheduler spent producing this record
+    /// (virtual time is read from the engine's clock instead).
     pub elapsed_ms: u64,
 }
 
@@ -228,6 +209,8 @@ pub struct EngineCore<'a> {
     pub selector: &'a dyn ClientSelector,
     /// The local-work (epoch count) schedule.
     pub work_schedule: &'a LocalWorkSchedule,
+    /// The device model behind the virtual clock, if one is installed.
+    pub(super) devices: Option<&'a DeviceModel>,
     pub(super) history: &'a mut RunHistory,
     pub(super) events: &'a mut Vec<AsyncRecord>,
     pub(super) clock: &'a mut f64,
@@ -394,6 +377,24 @@ impl EngineCore<'_> {
         if to > *self.clock {
             *self.clock = to;
         }
+    }
+
+    /// Virtual seconds a job dispatched now takes on `client`'s device:
+    /// downloading θ, `epochs` of local work and the upload. The upload
+    /// does not exist yet, so it is charged at its dense size. Event-driven
+    /// schedules fix finish times this way and cannot run without a
+    /// [`DeviceModel`].
+    pub(super) fn dispatch_seconds(&self, client: usize, epochs: usize) -> TensorResult<f64> {
+        let devices = self.devices.ok_or_else(|| {
+            TensorError::InvalidArgument(
+                "an event-driven schedule needs a device model \
+                 (install one with RoundEngine::with_devices)"
+                    .to_string(),
+            )
+        })?;
+        let dim = self.global.len();
+        let upload = 4 * self.algorithm.upload_floats_per_client(dim);
+        Ok(devices.job_seconds(client, epochs, 4 * dim, upload))
     }
 
     /// Number of rounds recorded so far.
@@ -810,6 +811,7 @@ impl EngineCore<'_> {
             wire_bytes,
             dense_wire_ratio,
             elapsed_ms: stats.elapsed_ms,
+            virtual_seconds: *self.clock,
             staleness_mean,
             staleness_max,
         };

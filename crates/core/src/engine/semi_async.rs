@@ -15,8 +15,12 @@
 //!   arrive in a later round, staleness-weighted against the rounds they
 //!   missed, instead of being dropped or stalling everyone else.
 //!
-//! Deadlines govern *virtual* time; the real CPU work of each batch of
-//! arrivals still runs through the engine's work-stealing
+//! Deadlines govern *virtual* time: each job's finish time is fixed at
+//! dispatch by the engine's
+//! [`DeviceModel`](crate::heterogeneity::DeviceModel), its upload charged at
+//! the dense size because it does not exist yet, so the schedule needs a
+//! model installed (`RoundEngine::with_devices`). The real CPU work of each
+//! batch of arrivals still runs through the engine's work-stealing
 //! [`DispatchPool`](super::DispatchPool), so simulated stragglers never
 //! serialize the simulation itself.
 //!
@@ -35,8 +39,8 @@
 //! [`StalenessWeight::Constant`] to isolate the reordering effect.
 
 use super::scheduler::{
-    check_seconds_per_epoch, derive_client_seed, derive_round_seed, DispatchOrder, EngineCore,
-    RoundStats, Scheduler, StalenessWeight, TickReport,
+    derive_client_seed, derive_round_seed, DispatchOrder, EngineCore, RoundStats, Scheduler,
+    StalenessWeight, TickReport,
 };
 use crate::algorithms::ClientMessage;
 use crate::config::FedConfig;
@@ -46,13 +50,13 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+use std::time::Instant;
 
-/// Configuration of a semi-asynchronous (deadline) schedule.
+/// Configuration of a semi-asynchronous (deadline) schedule. How long each
+/// client's job takes comes from the engine's
+/// [`DeviceModel`](crate::heterogeneity::DeviceModel).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SemiAsyncConfig {
-    /// Per-client virtual seconds needed to run *one* local epoch. Length
-    /// must equal the client population.
-    pub seconds_per_epoch: Vec<f64>,
     /// The round deadline in virtual seconds: the server aggregates
     /// whatever arrived within this budget after the round started.
     pub round_deadline: f64,
@@ -62,40 +66,11 @@ pub struct SemiAsyncConfig {
 }
 
 impl SemiAsyncConfig {
-    /// A uniform-speed fleet with the given per-epoch cost and deadline.
-    pub fn homogeneous(num_clients: usize, seconds_per_epoch: f64, round_deadline: f64) -> Self {
+    /// A deadline schedule with polynomial staleness damping (`a = 0.5`).
+    /// [`StalenessWeight::BoundedDelay`] with `max_staleness: 0` turns it
+    /// into a synchronous deadline that drops its stragglers.
+    pub fn new(round_deadline: f64) -> Self {
         SemiAsyncConfig {
-            seconds_per_epoch: vec![seconds_per_epoch; num_clients],
-            round_deadline,
-            staleness: StalenessWeight::Polynomial { exponent: 0.5 },
-        }
-    }
-
-    /// A two-tier fleet: a `slow_fraction` of clients is `slowdown`× slower
-    /// (deterministic assignment: every ⌈1/slow_fraction⌉-th client is slow).
-    pub fn two_tier(
-        num_clients: usize,
-        base_seconds: f64,
-        slow_fraction: f64,
-        slowdown: f64,
-        round_deadline: f64,
-    ) -> Self {
-        let period = if slow_fraction <= 0.0 {
-            usize::MAX
-        } else {
-            (1.0 / slow_fraction).round().max(1.0) as usize
-        };
-        let seconds = (0..num_clients)
-            .map(|i| {
-                if period != usize::MAX && i % period == period - 1 {
-                    base_seconds * slowdown
-                } else {
-                    base_seconds
-                }
-            })
-            .collect();
-        SemiAsyncConfig {
-            seconds_per_epoch: seconds,
             round_deadline,
             staleness: StalenessWeight::Polynomial { exponent: 0.5 },
         }
@@ -160,7 +135,6 @@ impl Scheduler for SemiAsync {
     }
 
     fn init(&mut self, core: &mut EngineCore<'_>) -> TensorResult<()> {
-        check_seconds_per_epoch(&self.config.seconds_per_epoch, core.config.num_clients)?;
         if !self.config.round_deadline.is_finite() || self.config.round_deadline <= 0.0 {
             return Err(TensorError::InvalidArgument(
                 "round_deadline must be positive".to_string(),
@@ -171,6 +145,7 @@ impl Scheduler for SemiAsync {
     }
 
     fn tick(&mut self, core: &mut EngineCore<'_>) -> TensorResult<TickReport> {
+        let start = Instant::now();
         let round = core.round();
         let mut round_rng = SmallRng::seed_from_u64(derive_round_seed(
             core.config.seed ^ 0x5EA1_A57C,
@@ -189,7 +164,7 @@ impl Scheduler for SemiAsync {
                 continue; // still computing a previous round's job
             }
             let epochs = core.work_schedule.epochs_for(client_id, &mut round_rng);
-            let duration = self.config.seconds_per_epoch[client_id] * epochs.max(1) as f64;
+            let duration = core.dispatch_seconds(client_id, epochs)?;
             self.busy[client_id] = true;
             self.pending.push(Pending {
                 client_id,
@@ -298,7 +273,7 @@ impl Scheduler for SemiAsync {
             total_local_epochs: total_epochs,
             samples_processed: total_samples,
             wire_bytes,
-            elapsed_ms: ((core.now() - round_start) * 1000.0) as u64,
+            elapsed_ms: start.elapsed().as_millis() as u64,
         })?;
         report.record = Some(record);
         Ok(report)

@@ -24,6 +24,10 @@ use std::time::Instant;
 /// 3. the server aggregates all `|S_t|` messages in one pass and the new
 ///    model is evaluated.
 ///
+/// With a [`DeviceModel`](crate::heterogeneity::DeviceModel) installed, each
+/// round advances the virtual clock by the cohort maximum of
+/// `job_seconds(client, epochs run, 4·d, the message's wire bytes)`.
+///
 /// RNG streams (selection, per-client epoch draws, per-client local
 /// training) are derived from the run seed alone, so a seeded run produces
 /// a byte-identical [`RunHistory`](crate::metrics::RunHistory) (pinned by
@@ -73,6 +77,16 @@ impl Scheduler for SyncRounds {
         // True wire bytes: the quantized size when the wire path encoded
         // the uploads, dense 4·floats otherwise.
         let wire_bytes: usize = messages.iter().map(|m| m.wire_bytes()).sum();
+        // The round lasts as long as its slowest client's download, local
+        // work and (real, possibly quantized) upload.
+        if let Some(devices) = core.devices {
+            let download = 4 * core.global.len();
+            let slowest = messages
+                .iter()
+                .map(|m| devices.job_seconds(m.client_id, m.epochs_run, download, m.wire_bytes()))
+                .fold(0.0, f64::max);
+            core.advance_clock(core.now() + slowest);
+        }
         let total_local_epochs = messages.iter().map(|m| m.epochs_run).sum();
         let samples_processed = messages.iter().map(|m| m.samples_processed).sum();
         let outcome = core.in_span("aggregate", |core| {

@@ -14,9 +14,12 @@
 //! * [`client`] — per-client state (local model `w_i`, dual variable `y_i`,
 //!   SCAFFOLD control variate `c_i`, local data view);
 //! * [`selection`] — client-selection schemes (uniform-random fraction `C`,
-//!   fixed per-client probabilities, full participation);
-//! * [`heterogeneity`] — system-heterogeneity models (the paper draws each
-//!   client's local epoch count uniformly from `{1..E}`);
+//!   fixed per-client probabilities, bursty Markov availability, full
+//!   participation);
+//! * [`heterogeneity`] — system-heterogeneity models: how much work each
+//!   client does (the paper draws each client's local epoch count uniformly
+//!   from `{1..E}`) and how fast its device does it (the device model
+//!   behind the engine's virtual clock);
 //! * [`trainer`] — the shared local SGD solver with pluggable gradient
 //!   corrections (proximal term, dual variable, control variates), running
 //!   on a cached network and reusable buffers — the one local-update path
@@ -93,7 +96,7 @@ pub mod prelude {
         Scheduler, SemiAsync, SemiAsyncConfig, StalenessWeight, SyncEngine, SyncRounds, WireGuard,
         WirePath, WirePathConfig,
     };
-    pub use crate::heterogeneity::LocalWorkSchedule;
+    pub use crate::heterogeneity::{Device, DeviceModel, Link, LocalWorkSchedule};
     pub use crate::metrics::{RoundRecord, RunHistory};
     pub use crate::param::ParamVector;
     pub use crate::selection::ClientSelector;

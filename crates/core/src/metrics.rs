@@ -33,9 +33,14 @@ pub struct RoundRecord {
     /// 8-bit quantization; 1.0 for dense uploads and pre-wire histories).
     #[serde(default = "dense_ratio_one")]
     pub dense_wire_ratio: f64,
-    /// Wall-clock duration of the round in milliseconds (simulation time,
-    /// reported for reference only).
+    /// Wall-clock milliseconds the simulation spent on the round (reported
+    /// for reference only).
     pub elapsed_ms: u64,
+    /// The engine's virtual clock when the round closed, in seconds: the
+    /// device model's time on the simulated fleet (0 when no model is
+    /// installed, and in histories recorded before the clock existed).
+    #[serde(default)]
+    pub virtual_seconds: f64,
     /// Mean staleness τ of the arrival events folded into this round
     /// (0 for synchronous schedules, which have no stale arrivals).
     pub staleness_mean: f64,
@@ -191,6 +196,7 @@ mod tests {
             wire_bytes: 400,
             dense_wire_ratio: 1.0,
             elapsed_ms: 5,
+            virtual_seconds: 2.5 * (round + 1) as f64,
             staleness_mean: 0.5,
             staleness_max: round,
         }
@@ -207,6 +213,7 @@ mod tests {
         let r: RoundRecord = serde_json::from_str(legacy).unwrap();
         assert_eq!(r.wire_bytes, 0);
         assert_eq!(r.dense_wire_ratio, 1.0);
+        assert_eq!(r.virtual_seconds, 0.0);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! scheme that selects every client with non-zero probability (Theorem 1 /
 //! Remark 2). The experiments select a uniform-random 10% of clients each
 //! round ([`UniformFraction`]); [`FixedProbabilities`] models the more
-//! general per-client-probability scheme used in the analysis, and
+//! general per-client-probability scheme used in the analysis,
+//! [`MarkovAvailability`] bursty device availability, and
 //! [`FullParticipation`] is what FedPD requires.
 //!
 //! Every selector returns its cohort sorted ascending, which is what the
@@ -243,6 +244,72 @@ impl ClientSelector for DecayingProbabilities {
     }
 }
 
+/// Bursty availability: every client is a two-state Markov chain, stepped
+/// once per round, and every client that is online participates.
+///
+/// An online client goes offline with probability `p_fail`, an offline one
+/// comes back with probability `p_recover`, so unavailability is correlated
+/// over time — a device that lost connectivity stays away for a while —
+/// unlike the memoryless [`FixedProbabilities`]. `p_recover > 0` brings
+/// every client back infinitely often (Remark 2). All clients start online;
+/// a round in which none is online activates one drawn uniformly, so a
+/// round is never empty.
+#[derive(Debug)]
+pub struct MarkovAvailability {
+    p_fail: f64,
+    p_recover: f64,
+    online: std::sync::Mutex<Vec<bool>>,
+}
+
+impl MarkovAvailability {
+    /// Creates the availability process.
+    ///
+    /// # Panics
+    /// Panics if a probability is outside `[0, 1]` or `p_recover == 0`.
+    pub fn new(p_fail: f64, p_recover: f64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&p_fail) && (0.0..=1.0).contains(&p_recover),
+            "p_fail and p_recover must lie in [0, 1]"
+        );
+        assert!(
+            p_recover > 0.0,
+            "p_recover = 0 would let clients go offline forever, violating the \
+             infinitely-often participation requirement"
+        );
+        MarkovAvailability {
+            p_fail,
+            p_recover,
+            online: std::sync::Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl ClientSelector for MarkovAvailability {
+    fn select(&self, num_clients: usize, rng: &mut dyn rand::RngCore) -> Vec<usize> {
+        let mut online = self.online.lock().expect("availability lock");
+        online.resize(num_clients, true);
+        for state in online.iter_mut() {
+            *state = if *state {
+                !rng.gen_bool(self.p_fail)
+            } else {
+                rng.gen_bool(self.p_recover)
+            };
+        }
+        let selected: Vec<usize> = (0..num_clients).filter(|&i| online[i]).collect();
+        if selected.is_empty() && num_clients > 0 {
+            return vec![rng.gen_range(0..num_clients)];
+        }
+        selected
+    }
+
+    fn describe(&self) -> String {
+        format!(
+            "Markov availability (p_fail {}, p_recover {})",
+            self.p_fail, self.p_recover
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,6 +453,35 @@ mod tests {
     }
 
     #[test]
+    fn markov_availability_is_bursty_but_recovers() {
+        // Steady state p_recover / (p_fail + p_recover) = 0.75.
+        let sel = MarkovAvailability::new(0.1, 0.3);
+        let mut rng = SmallRng::seed_from_u64(2);
+        let mut ever_available: HashSet<usize> = HashSet::new();
+        let mut total = 0usize;
+        let rounds = 400;
+        for _ in 0..rounds {
+            let online = sel.select(50, &mut rng);
+            total += online.len();
+            ever_available.extend(online);
+        }
+        // Every client comes back eventually (infinitely-often participation).
+        assert_eq!(ever_available.len(), 50);
+        let rate = total as f64 / (rounds * 50) as f64;
+        assert!((rate - 0.75).abs() < 0.05, "empirical availability {rate}");
+        // A chain that always fails still runs one client a round.
+        let flaky = MarkovAvailability::new(1.0, 1e-9);
+        flaky.select(5, &mut rng);
+        assert_eq!(flaky.select(5, &mut rng).len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "infinitely-often")]
+    fn markov_without_recovery_is_rejected() {
+        MarkovAvailability::new(0.5, 0.0);
+    }
+
+    #[test]
     fn cohorts_group_into_shard_local_runs() {
         // 100 clients over 10 shards of 10: the grouped runs partition the
         // cohort, stay within shard bounds, and name only touched shards.
@@ -417,6 +513,7 @@ mod tests {
             Box::new(FixedProbabilities::new(vec![0.5; 20])),
             Box::new(RoundRobin::new(4)),
             Box::new(DecayingProbabilities::new(vec![0.6; 20], 50.0)),
+            Box::new(MarkovAvailability::new(0.3, 0.4)),
         ];
         for sel in &selectors {
             for _ in 0..20 {

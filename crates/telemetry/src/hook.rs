@@ -22,8 +22,8 @@ use serde_json::Value;
 pub struct RoundSummary {
     /// Round index (0-based).
     pub round: usize,
-    /// Wall-clock (synchronous schedules) or virtual (event-driven
-    /// schedules) duration of the round in seconds.
+    /// Wall-clock seconds the simulation spent on the round, under every
+    /// scheduler (virtual time is `RoundRecord::virtual_seconds`).
     pub wall_seconds: f64,
     /// Number of client updates aggregated.
     pub num_selected: usize,

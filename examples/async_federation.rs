@@ -7,7 +7,7 @@
 //! straggler problem instead. This example quantifies the trade-off on a
 //! simulated two-tier fleet (30% of devices are 8× slower) by running the
 //! same FedADMM configuration through all three schedulers of the unified
-//! `RoundEngine`:
+//! `RoundEngine`, each timed by the same `DeviceModel`:
 //!
 //! * **`SyncRounds`** — every round waits for its slowest selected client;
 //! * **`SemiAsync`** — rounds end at a fixed deadline; stragglers' updates
@@ -29,7 +29,6 @@ use fedadmm_core::engine::RoundEngine;
 const NUM_CLIENTS: usize = 20;
 const CONCURRENCY: usize = 4; // == clients per synchronous round (C = 0.2)
 const SECONDS_PER_EPOCH: f64 = 1.0;
-const SLOW_FRACTION: f64 = 0.3;
 const SLOWDOWN: f64 = 8.0;
 const SEED: u64 = 7;
 const TOTAL_CLIENT_UPDATES: usize = 120;
@@ -60,19 +59,19 @@ fn main() {
     let (train, test) = SyntheticDataset::Mnist.generate(2_000, 600, SEED);
     let partition = DataDistribution::NonIidShards.partition(&train, NUM_CLIENTS, SEED);
 
-    // The shared straggler fleet: per-client seconds per local epoch.
-    let pool = AsyncConfig::two_tier(
-        NUM_CLIENTS,
-        CONCURRENCY,
-        SECONDS_PER_EPOCH,
-        SLOW_FRACTION,
-        SLOWDOWN,
-        SEED,
-    )
-    .with_staleness(StalenessWeight::Polynomial { exponent: 0.5 });
-    let seconds_per_epoch = pool.seconds_per_epoch.clone();
+    // The shared straggler fleet: three devices in every ten run a local
+    // epoch 8× slower than the rest.
+    let seconds = (0..NUM_CLIENTS).map(|c| {
+        if c % 10 >= 7 {
+            SECONDS_PER_EPOCH * SLOWDOWN
+        } else {
+            SECONDS_PER_EPOCH
+        }
+    });
+    let devices = DeviceModel::new(seconds.collect());
 
     // --- Fully asynchronous FedADMM -------------------------------------
+    let pool = AsyncConfig::new(CONCURRENCY);
     let mut async_engine = RoundEngine::new(
         config(),
         train.clone(),
@@ -81,6 +80,7 @@ fn main() {
         algorithm(),
         BufferedAsync::new(pool),
     )
+    .and_then(|engine| engine.with_devices(devices.clone()))
     .expect("async configuration is consistent");
     while async_engine.scheduler().updates_applied() < TOTAL_CLIENT_UPDATES {
         async_engine.step().expect("async step succeeds");
@@ -93,11 +93,7 @@ fn main() {
     // Deadline set to the fast tier's round time (2 epochs × 1 s/epoch):
     // fast clients always make the deadline, the slow tier arrives rounds
     // late with staleness damping instead of stalling anyone.
-    let fleet = SemiAsyncConfig {
-        seconds_per_epoch: seconds_per_epoch.clone(),
-        round_deadline: 2.0 * SECONDS_PER_EPOCH,
-        staleness: StalenessWeight::Polynomial { exponent: 0.5 },
-    };
+    let fleet = SemiAsyncConfig::new(2.0 * SECONDS_PER_EPOCH);
     let mut semi_engine = RoundEngine::new(
         config(),
         train.clone(),
@@ -106,6 +102,7 @@ fn main() {
         algorithm(),
         SemiAsync::new(fleet),
     )
+    .and_then(|engine| engine.with_devices(devices.clone()))
     .expect("semi-async configuration is consistent");
     while semi_engine.events().len() < TOTAL_CLIENT_UPDATES {
         semi_engine.run_round().expect("semi-async round succeeds");
@@ -115,33 +112,20 @@ fn main() {
     let semi_time = semi_engine.now();
 
     // --- Synchronous FedADMM --------------------------------------------
-    // A synchronous round costs as long as its *slowest* selected client
-    // (epochs × that client's seconds per epoch). We run the same number of
-    // client updates (120 / CONCURRENCY rounds) and accumulate that cost.
+    // A synchronous round lasts as long as its *slowest* selected client;
+    // the same device model times it. We run the same number of client
+    // updates (120 / CONCURRENCY rounds).
     let mut sync_engine =
         RoundEngine::new(config(), train, test, partition, algorithm(), SyncRounds)
+            .and_then(|engine| engine.with_devices(devices))
             .expect("sync configuration is consistent");
-    let rounds = TOTAL_CLIENT_UPDATES / CONCURRENCY;
-    // A straggler estimate for the synchronous protocol: with 30% of the
-    // fleet slowed down 8× and 4 clients drawn per round, most rounds include
-    // at least one slow device, so we charge each round the 90th-percentile
-    // device speed times the local epoch count.
-    let mut speeds = seconds_per_epoch.clone();
-    speeds.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let p90_idx = ((speeds.len() as f64 * 0.9) as usize).min(speeds.len() - 1);
-    let p90 = speeds[p90_idx];
-    let mut sync_time = 0.0f64;
-    for _ in 0..rounds {
-        let record = sync_engine.run_round().expect("round succeeds");
-        let mean_epochs = record.total_local_epochs as f64 / record.num_selected.max(1) as f64;
-        sync_time += p90 * mean_epochs;
-    }
+    sync_engine
+        .run_rounds(TOTAL_CLIENT_UPDATES / CONCURRENCY)
+        .expect("rounds succeed");
+    let sync_time = sync_engine.now();
     let (_, sync_acc) = sync_engine.evaluate_global().expect("evaluation succeeds");
 
-    println!(
-        "Two-tier fleet: {NUM_CLIENTS} clients, {:.0}% of them {SLOWDOWN}× slower",
-        SLOW_FRACTION * 100.0
-    );
+    println!("Two-tier fleet: {NUM_CLIENTS} clients, 30% of them {SLOWDOWN}× slower");
     println!("All protocols run {TOTAL_CLIENT_UPDATES} client updates of the same FedADMM.");
     println!();
     println!(

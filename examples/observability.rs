@@ -51,12 +51,12 @@ fn main() {
     let (train, test) = SyntheticDataset::Mnist.generate(NUM_CLIENTS * 40, 200, SEED);
     let partition = DataDistribution::NonIidShards.partition(&train, NUM_CLIENTS, SEED);
 
-    // A third of the fleet is 3× slower than the round deadline allows, so
+    // Every second device is 3× slower than the round deadline allows, so
     // its updates recur staleness-damped — exactly what the staleness
     // histogram and the per-round `staleness_mean`/`staleness_max` history
     // fields are there to expose.
-    let fleet = SemiAsyncConfig::two_tier(NUM_CLIENTS, 1.0, 2.0 / 3.0, 3.0, 3.5)
-        .with_staleness(StalenessWeight::Polynomial { exponent: 0.5 });
+    let fleet = SemiAsyncConfig::new(3.5);
+    let seconds_per_epoch = (0..NUM_CLIENTS).map(|c| if c % 2 == 1 { 3.0 } else { 1.0 });
 
     let mut engine = RoundEngine::new(
         config,
@@ -66,6 +66,7 @@ fn main() {
         FedAdmm::new(RHO, ServerStepSize::Constant(1.0)),
         SemiAsync::new(fleet),
     )
+    .and_then(|engine| engine.with_devices(DeviceModel::new(seconds_per_epoch.collect())))
     .expect("engine builds")
     .with_telemetry(Box::new(Recorder::new()))
     .with_optimality_gap(RHO);

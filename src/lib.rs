@@ -19,10 +19,9 @@
 //! * [`clientstore`] — sharded / spill-to-disk client-state storage and
 //!   hierarchical aggregation for million-client rounds
 //!   (`fedadmm-clientstore`);
-//! * [`core`] — the algorithms and the federated simulation engine
+//! * [`core`] — the algorithms, the federated simulation engine and its
+//!   device model, which times every scheduler on one virtual clock
 //!   (`fedadmm-core`);
-//! * [`system`] — device profiles, network models and wall-clock /
-//!   straggler simulation (`fedadmm-system`);
 //! * [`privacy`] — differential privacy and secure aggregation extensions
 //!   (`fedadmm-privacy`);
 //! * [`telemetry`] — structured tracing, a metrics registry and the event
@@ -60,7 +59,6 @@ pub use fedadmm_core as core;
 pub use fedadmm_data as data;
 pub use fedadmm_nn as nn;
 pub use fedadmm_privacy as privacy;
-pub use fedadmm_system as system;
 pub use fedadmm_telemetry as telemetry;
 pub use fedadmm_tensor as tensor;
 
@@ -71,7 +69,6 @@ pub mod prelude {
     pub use fedadmm_data::Dataset;
     pub use fedadmm_nn::models::ModelSpec;
     pub use fedadmm_privacy::prelude::*;
-    pub use fedadmm_system::prelude::*;
     pub use fedadmm_tensor::Tensor;
 }
 

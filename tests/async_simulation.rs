@@ -29,15 +29,18 @@ fn config(num_clients: usize, seed: u64) -> FedConfig {
     }
 }
 
+/// A buffered engine on `num_clients` compute-only devices at 1 s per
+/// epoch, except the `slow` clients at `slow_seconds`.
 fn async_engine<A: Algorithm>(
     algorithm: A,
-    num_clients: usize,
+    (num_clients, slow, slow_seconds): (usize, &[usize], f64),
     async_config: AsyncConfig,
     seed: u64,
 ) -> RoundEngine<A, BufferedAsync> {
     let cfg = config(num_clients, seed);
     let (train, test) = SyntheticDataset::Mnist.generate(num_clients * 40, 200, seed);
     let partition = DataDistribution::NonIidShards.partition(&train, num_clients, seed);
+    let seconds = (0..num_clients).map(|c| if slow.contains(&c) { slow_seconds } else { 1.0 });
     RoundEngine::new(
         cfg,
         train,
@@ -46,6 +49,8 @@ fn async_engine<A: Algorithm>(
         algorithm,
         BufferedAsync::new(async_config),
     )
+    .unwrap()
+    .with_devices(DeviceModel::new(seconds.collect()))
     .unwrap()
 }
 
@@ -65,14 +70,9 @@ fn run_updates<A: Algorithm>(engine: &mut RoundEngine<A, BufferedAsync>, updates
 
 #[test]
 fn async_fedadmm_learns_on_a_straggler_pool() {
-    let pool = AsyncConfig::two_tier(10, 4, 1.0, 0.3, 8.0, 1)
-        .with_staleness(StalenessWeight::Polynomial { exponent: 0.5 });
-    let mut engine = async_engine(
-        FedAdmm::new(0.3, ServerStepSize::Constant(1.0)),
-        10,
-        pool,
-        1,
-    );
+    let pool = AsyncConfig::new(4);
+    let admm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
+    let mut engine = async_engine(admm, (10, &[2, 4, 8, 9], 8.0), pool, 1);
     let (_, acc0) = engine.evaluate_global().unwrap();
     run_updates(&mut engine, 60);
     let (_, acc1) = engine.evaluate_global().unwrap();
@@ -84,9 +84,8 @@ fn async_fedadmm_learns_on_a_straggler_pool() {
 
 #[test]
 fn virtual_time_is_monotone_and_stragglers_arrive_late() {
-    let pool =
-        AsyncConfig::two_tier(8, 4, 1.0, 0.5, 10.0, 2).with_staleness(StalenessWeight::Constant);
-    let mut engine = async_engine(FedAvg::new(), 8, pool, 2);
+    let pool = AsyncConfig::new(4).with_staleness(StalenessWeight::Constant);
+    let mut engine = async_engine(FedAvg::new(), (8, &[3, 4, 6], 10.0), pool, 2);
     run_updates(&mut engine, 30);
     let records = engine.events();
     for pair in records.windows(2) {
@@ -101,9 +100,8 @@ fn virtual_time_is_monotone_and_stragglers_arrive_late() {
 #[test]
 fn bounded_delay_policy_never_applies_overly_stale_updates() {
     let max_staleness = 2usize;
-    let pool = AsyncConfig::two_tier(10, 5, 1.0, 0.4, 12.0, 3)
-        .with_staleness(StalenessWeight::BoundedDelay { max_staleness });
-    let mut engine = async_engine(FedAvg::new(), 10, pool, 3);
+    let pool = AsyncConfig::new(5).with_staleness(StalenessWeight::BoundedDelay { max_staleness });
+    let mut engine = async_engine(FedAvg::new(), (10, &[0, 5, 6, 9], 12.0), pool, 3);
     for _ in 0..50 {
         engine.step().unwrap();
     }
@@ -118,9 +116,8 @@ fn bounded_delay_policy_never_applies_overly_stale_updates() {
 
 #[test]
 fn polynomial_damping_downweights_stale_updates() {
-    let pool = AsyncConfig::two_tier(10, 5, 1.0, 0.4, 12.0, 4)
-        .with_staleness(StalenessWeight::Polynomial { exponent: 1.0 });
-    let mut engine = async_engine(FedAvg::new(), 10, pool, 4);
+    let pool = AsyncConfig::new(5).with_staleness(StalenessWeight::Polynomial { exponent: 1.0 });
+    let mut engine = async_engine(FedAvg::new(), (10, &[2, 4, 9], 12.0), pool, 4);
     for _ in 0..50 {
         engine.step().unwrap();
     }
@@ -137,8 +134,7 @@ fn upload_accounting_is_cumulative_and_matches_model_dimension() {
         num_classes: 10,
     }
     .num_params();
-    let pool = AsyncConfig::homogeneous(6, 2, 1.0);
-    let mut engine = async_engine(FedAvg::new(), 6, pool, 5);
+    let mut engine = async_engine(FedAvg::new(), (6, &[], 1.0), AsyncConfig::new(2), 5);
     run_updates(&mut engine, 10);
     for (k, record) in engine.events().iter().enumerate() {
         assert_eq!(record.cumulative_upload_floats, (k + 1) * d);
@@ -147,9 +143,12 @@ fn upload_accounting_is_cumulative_and_matches_model_dimension() {
 
 #[test]
 fn history_records_accumulate_at_evaluation_points() {
-    let mut pool = AsyncConfig::homogeneous(6, 3, 1.0);
-    pool.eval_every = 5;
-    let mut engine = async_engine(FedAdmm::new(0.3, ServerStepSize::Constant(1.0)), 6, pool, 6);
+    let pool = AsyncConfig {
+        eval_every: 5,
+        ..AsyncConfig::new(3)
+    };
+    let admm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
+    let mut engine = async_engine(admm, (6, &[], 1.0), pool, 6);
     run_updates(&mut engine, 20);
     let history = engine.history();
     assert_eq!(history.algorithm, "FedADMM");
@@ -176,8 +175,8 @@ fn async_and_sync_reach_comparable_accuracy_on_homogeneous_pools() {
     // better than initialization. (Damping would break the premise: FedAvg
     // uploads full models, so down-weighting them shrinks θ.)
     let seed = 7;
-    let pool = AsyncConfig::homogeneous(8, 2, 1.0).with_staleness(StalenessWeight::Constant);
-    let mut async_run = async_engine(FedAvg::new(), 8, pool, seed);
+    let pool = AsyncConfig::new(2).with_staleness(StalenessWeight::Constant);
+    let mut async_run = async_engine(FedAvg::new(), (8, &[], 1.0), pool, seed);
     run_updates(&mut async_run, 48);
     let (_, async_acc) = async_run.evaluate_global().unwrap();
 

@@ -6,8 +6,10 @@
 //!    golden digests of its full `RunHistory` and final global model, for
 //!    FedADMM, for each of the eight baselines, for FedADMM under the
 //!    8-bit + DP wire path (flat and by-shard fold) and for FedADMM training
-//!    the paper's CNN 1, on every dispatch-pool geometry. This is every refactor's contract: selection, RNG streams
-//!    and float-op order do not move.
+//!    the paper's CNN 1, on every dispatch-pool geometry; and `SemiAsync` /
+//!    `BufferedAsync` runs reproduce digests that also fold every arrival
+//!    event (order and virtual time). This is every refactor's contract:
+//!    selection, RNG streams and float-op order do not move.
 //! 2. **Robustness** — under the `SemiAsync` deadline scheduler on a
 //!    straggler fleet, FedADMM keeps learning from staleness-damped late
 //!    arrivals (its uploads are *deltas*, so damping merely shrinks a
@@ -140,18 +142,65 @@ fn scenario_digest_with<A: Algorithm>(
     wire: WirePathConfig,
     aggregation: AggregationMode,
 ) -> u64 {
+    let mut engine = golden_engine(algorithm, store)
+        .with_dispatch(dispatch)
+        .with_wire_path(wire)
+        .with_aggregation(aggregation);
+    engine.run_rounds(4).unwrap();
+    run_digest(engine.history(), engine.global_model())
+}
+
+/// The golden scenario's engine on `store`, not yet run.
+fn golden_engine<A: Algorithm>(algorithm: A, store: &StoreConfig) -> RoundEngine<A, SyncRounds> {
     let num_clients = 9;
     let cfg = config(num_clients, 93, true);
     let (train, test) = data(num_clients, 93);
     let partition = DataDistribution::NonIidShards.partition(&train, num_clients, 93);
-    let mut engine =
-        RoundEngine::new_with_store(cfg, train, test, partition, algorithm, SyncRounds, store)
-            .unwrap()
-            .with_dispatch(dispatch)
-            .with_wire_path(wire)
-            .with_aggregation(aggregation);
-    engine.run_rounds(4).unwrap();
-    run_digest(engine.history(), engine.global_model())
+    RoundEngine::new_with_store(cfg, train, test, partition, algorithm, SyncRounds, store).unwrap()
+}
+
+#[test]
+fn the_virtual_clock_is_observation_only() {
+    // A tiered fleet with links behind the synchronous clock leaves the
+    // golden trajectory where it is, and every round closes later than the
+    // one before.
+    let device = |seconds_per_epoch, upload_mbps, download_mbps, latency_ms| Device {
+        seconds_per_epoch,
+        link: Some(Link {
+            upload_mbps,
+            download_mbps,
+            latency_ms,
+        }),
+    };
+    let tiers = [
+        (device(0.4, 30.0, 80.0, 20.0), 0.4),
+        (device(1.2, 10.0, 30.0, 40.0), 0.3),
+        (device(5.0, 2.0, 8.0, 80.0), 0.3),
+    ];
+    let devices = DeviceModel::tiered(9, &tiers, 93);
+    let mut timed = golden_engine(FedAdmm::paper_default(), &StoreConfig::InMemory)
+        .with_devices(devices)
+        .unwrap();
+    timed.run_rounds(4).unwrap();
+    let digest = run_digest(timed.history(), timed.global_model());
+    assert_eq!(digest, GOLDEN_DIGEST, "digest {digest:#018x}");
+    let clock: Vec<f64> = timed
+        .history()
+        .records
+        .iter()
+        .map(|r| r.virtual_seconds)
+        .collect();
+    assert!(clock[0] > 0.0, "{clock:?}");
+    assert!(clock.windows(2).all(|w| w[1] > w[0]), "{clock:?}");
+    assert_eq!(timed.now(), clock[3]);
+    // Without a model the clock never moves.
+    let mut plain = golden_engine(FedAdmm::paper_default(), &StoreConfig::InMemory);
+    plain.run_rounds(4).unwrap();
+    assert!(plain
+        .history()
+        .records
+        .iter()
+        .all(|r| r.virtual_seconds == 0.0));
 }
 
 #[test]
@@ -442,12 +491,21 @@ fn instrumented_run_is_byte_identical_to_uninstrumented() {
     assert!(!recorder.tracer().is_empty());
 }
 
-/// Builds a semi-async engine over a straggler fleet for `algorithm`.
-///
-/// Half the fleet is 3× slower than the round deadline allows, so its
-/// updates recur 1–3 rounds late (staleness-damped) round after round —
-/// the regime the deadline scheduler exists for.
-fn semi_async_run<A: Algorithm>(algorithm: A, rounds: usize, seed: u64) -> (f32, f32, usize) {
+/// Compute-only devices at 1 s per epoch, except the `slow` clients at
+/// `slow_seconds`.
+fn fleet(num_clients: usize, slow: &[usize], slow_seconds: f64) -> DeviceModel {
+    let seconds = (0..num_clients).map(|c| if slow.contains(&c) { slow_seconds } else { 1.0 });
+    DeviceModel::new(seconds.collect())
+}
+
+/// The event-driven population: ten clients on `devices`, half of them
+/// selected per semi-async round, non-IID shards.
+fn event_driven_engine<A: Algorithm, S: Scheduler>(
+    algorithm: A,
+    scheduler: S,
+    devices: DeviceModel,
+    seed: u64,
+) -> RoundEngine<A, S> {
     let num_clients = 10;
     let cfg = FedConfig {
         participation: Participation::Fraction(0.5),
@@ -455,17 +513,24 @@ fn semi_async_run<A: Algorithm>(algorithm: A, rounds: usize, seed: u64) -> (f32,
     };
     let (train, test) = data(num_clients, seed);
     let partition = DataDistribution::NonIidShards.partition(&train, num_clients, seed);
-    let fleet = SemiAsyncConfig::two_tier(num_clients, 1.0, 0.5, 3.0, 3.5)
-        .with_staleness(StalenessWeight::Polynomial { exponent: 0.5 });
-    let mut engine = RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        algorithm,
-        SemiAsync::new(fleet),
-    )
-    .unwrap();
+    RoundEngine::new(cfg, train, test, partition, algorithm, scheduler)
+        .unwrap()
+        .with_devices(devices)
+        .unwrap()
+}
+
+/// Every second client is 3× slower than the 3.5 s deadline allows for its
+/// three epochs, so its updates recur 1–3 rounds late (staleness-damped)
+/// round after round — the regime the deadline scheduler exists for.
+fn semi_async_engine<A: Algorithm>(algorithm: A, seed: u64) -> RoundEngine<A, SemiAsync> {
+    let semi = SemiAsync::new(SemiAsyncConfig::new(3.5));
+    event_driven_engine(algorithm, semi, fleet(10, &[1, 3, 5, 7, 9], 3.0), seed)
+}
+
+/// Runs [`semi_async_engine`] for `rounds` rounds: accuracy before and
+/// after, and the number of stale updates applied.
+fn semi_async_run<A: Algorithm>(algorithm: A, rounds: usize, seed: u64) -> (f32, f32, usize) {
+    let mut engine = semi_async_engine(algorithm, seed);
     let (_, acc0) = engine.evaluate_global().unwrap();
     engine.run_rounds(rounds).unwrap();
     let (_, acc1) = engine.evaluate_global().unwrap();
@@ -513,30 +578,16 @@ fn semi_async_fedadmm_tolerates_stragglers_where_fedavg_degrades() {
 const GOLDEN_SEMI_ASYNC_DIGEST: u64 = 0x9251_e421_c105_60a5;
 
 /// FedADMM under `BufferedAsync` on a four-wide pool of ten clients, four
-/// of them 8× slower (clients 2, 4, 8 and 9: the seed-1 draw), 60 arrivals,
-/// at `aggregate_after` 1 and 4. Captured alongside
-/// [`GOLDEN_SEMI_ASYNC_DIGEST`].
+/// of them 8× slower (clients 2, 4, 8 and 9: the seed-1 draw of the former
+/// `AsyncConfig::two_tier`), 60 arrivals, at `aggregate_after` 1 and 4.
+/// Captured alongside [`GOLDEN_SEMI_ASYNC_DIGEST`].
 const GOLDEN_BUFFERED_DIGEST: [(usize, u64); 2] =
     [(1, 0x3dfc_d4ba_de66_22eb), (4, 0xa8e8_3991_7bdf_96fd)];
 
-/// The event-driven pins' population: ten clients, seed 42, non-IID shards.
-fn event_driven_engine<S: Scheduler>(scheduler: S) -> RoundEngine<FedAdmm, S> {
-    let num_clients = 10;
-    let cfg = FedConfig {
-        participation: Participation::Fraction(0.5),
-        ..config(num_clients, 42, false)
-    };
-    let (train, test) = data(num_clients, 42);
-    let partition = DataDistribution::NonIidShards.partition(&train, num_clients, 42);
-    let algorithm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
-    RoundEngine::new(cfg, train, test, partition, algorithm, scheduler).unwrap()
-}
-
 #[test]
 fn event_driven_runs_match_their_golden_digests() {
-    let fleet = SemiAsyncConfig::two_tier(10, 1.0, 0.5, 3.0, 3.5)
-        .with_staleness(StalenessWeight::Polynomial { exponent: 0.5 });
-    let mut engine = event_driven_engine(SemiAsync::new(fleet));
+    let admm = || FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
+    let mut engine = semi_async_engine(admm(), 42);
     engine.run_rounds(8).unwrap();
     let digest = event_digest(engine.history(), engine.global_model(), engine.events());
     assert_eq!(
@@ -544,10 +595,9 @@ fn event_driven_runs_match_their_golden_digests() {
         "semi-async run diverged (digest {digest:#018x})"
     );
     for (k, golden) in GOLDEN_BUFFERED_DIGEST {
-        let pool = AsyncConfig::two_tier(10, 4, 1.0, 0.3, 8.0, 1)
-            .with_staleness(StalenessWeight::Polynomial { exponent: 0.5 })
-            .with_aggregate_after(k);
-        let mut engine = event_driven_engine(BufferedAsync::new(pool));
+        let pool = BufferedAsync::new(AsyncConfig::new(4).with_aggregate_after(k));
+        let devices = fleet(10, &[2, 4, 8, 9], 8.0);
+        let mut engine = event_driven_engine(admm(), pool, devices, 42);
         for _ in 0..60 {
             engine.step().unwrap();
         }
@@ -567,16 +617,12 @@ fn semi_async_applies_every_selected_clients_work_eventually() {
     let cfg = config(num_clients, 51, false);
     let (train, test) = data(num_clients, 51);
     let partition = DataDistribution::Iid.partition(&train, num_clients, 51);
-    let fleet = SemiAsyncConfig::two_tier(num_clients, 1.0, 0.25, 6.0, 3.0);
-    let mut engine = RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        FedAdmm::paper_default(),
-        SemiAsync::new(fleet),
-    )
-    .unwrap();
+    let semi = SemiAsync::new(SemiAsyncConfig::new(3.0));
+    let algorithm = FedAdmm::paper_default();
+    let mut engine = RoundEngine::new(cfg, train, test, partition, algorithm, semi)
+        .unwrap()
+        .with_devices(fleet(num_clients, &[3, 7], 6.0))
+        .unwrap();
     let records = engine.run_rounds(8).unwrap();
     assert_eq!(records.len(), 8);
     let arrived = engine.events().len();

@@ -12,7 +12,7 @@
 use fedadmm::core::selection::{DecayingProbabilities, FixedProbabilities, RoundRobin};
 use fedadmm::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn config(num_clients: usize, seed: u64) -> FedConfig {
     FedConfig {
@@ -121,6 +121,24 @@ fn decaying_availability_satisfies_infinitely_often_and_keeps_improving() {
     );
 }
 
+/// Mid-round failures: splits `participants` into (survivors, dropped),
+/// each client failing before its update reaches the server with
+/// probability `dropout_prob`. At least one client always survives, the
+/// never-empty guarantee the selectors give.
+fn split_dropouts(
+    participants: &[usize],
+    dropout_prob: f64,
+    rng: &mut impl Rng,
+) -> (Vec<usize>, Vec<usize>) {
+    let (mut survivors, mut dropped): (Vec<usize>, Vec<usize>) = participants
+        .iter()
+        .partition(|_| !rng.gen_bool(dropout_prob));
+    if survivors.is_empty() && !dropped.is_empty() {
+        survivors.push(dropped.remove(0));
+    }
+    (survivors, dropped)
+}
+
 #[test]
 fn mid_round_dropout_only_slows_training_down() {
     // 40% of participating clients fail to report back each round. The
@@ -140,7 +158,6 @@ fn mid_round_dropout_only_slows_training_down() {
         SyncRounds,
     )
     .unwrap();
-    let injector = DropoutInjector::new(0.4);
     let mut rng = SmallRng::seed_from_u64(99);
     let full_selection: Vec<usize> = (0..m).collect();
     let mut reached = false;
@@ -149,7 +166,7 @@ fn mid_round_dropout_only_slows_training_down() {
         // survivors are sampled first, then handed to the simulation as the
         // round's "selected" clients via a fixed-probability selector of
         // exactly those ids.
-        let (survivors, dropped) = injector.split(&full_selection, &mut rng);
+        let (survivors, dropped) = split_dropouts(&full_selection, 0.4, &mut rng);
         assert!(!survivors.is_empty());
         assert_eq!(survivors.len() + dropped.len(), m);
         let mut probs = vec![0.0f64; m];

@@ -155,71 +155,36 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // System models.
+    // Device model.
     // ------------------------------------------------------------------
 
-    /// Round time is monotone: doing more work, or uploading more, can never
-    /// make the synchronous round finish earlier.
+    /// A job's virtual time is monotone: more epochs, or more bytes either
+    /// way, can never make a client finish earlier — so neither can they
+    /// shorten a synchronous round, the cohort maximum of these times.
     #[test]
     fn round_time_is_monotone_in_work_and_payload(
-        samples in 1usize..5000,
-        extra_samples in 0usize..5000,
-        floats in 0usize..2_000_000,
-        extra_floats in 0usize..2_000_000,
+        epochs in 0usize..20,
+        extra_epochs in 0usize..20,
+        bytes in 0usize..8_000_000,
+        extra_bytes in 0usize..8_000_000,
+        seed in any::<u64>(),
     ) {
-        let devices = DevicePopulation::tiered(
-            4,
-            &[(DeviceClass::HighEnd, 0.5), (DeviceClass::LowEnd, 0.5)],
-            1,
-        );
-        let network = NetworkModel::default();
-        let work = |s: usize, f: usize| {
-            vec![
-                ClientRoundWork { client_id: 0, samples_processed: s, download_floats: f, upload_floats: f },
-                ClientRoundWork { client_id: 3, samples_processed: s, download_floats: f, upload_floats: f },
-            ]
-        };
-        let base = RoundTiming::compute(&work(samples, floats), &devices, &network, StragglerPolicy::WaitForAll);
-        let heavier = RoundTiming::compute(
-            &work(samples + extra_samples, floats + extra_floats),
-            &devices,
-            &network,
-            StragglerPolicy::WaitForAll,
-        );
-        prop_assert!(heavier.round_seconds >= base.round_seconds - 1e-12);
-    }
-
-    /// A deadline never *increases* the round time relative to waiting for
-    /// all clients, and completion plus drops always partition the round.
-    #[test]
-    fn deadline_policy_never_slows_a_round_down(
-        samples in 1usize..3000,
-        deadline in 0.5f64..500.0,
-    ) {
-        let devices = DevicePopulation::tiered(
-            6,
-            &[(DeviceClass::EdgeGateway, 0.3), (DeviceClass::MidRange, 0.4), (DeviceClass::LowEnd, 0.3)],
-            5,
-        );
-        let network = NetworkModel::default();
-        let work: Vec<ClientRoundWork> = (0..6)
-            .map(|c| ClientRoundWork {
-                client_id: c,
-                samples_processed: samples,
-                download_floats: 100_000,
-                upload_floats: 100_000,
-            })
-            .collect();
-        let wait = RoundTiming::compute(&work, &devices, &network, StragglerPolicy::WaitForAll);
-        let capped = RoundTiming::compute(
-            &work,
-            &devices,
-            &network,
-            StragglerPolicy::Deadline { seconds: deadline },
-        );
-        prop_assert!(capped.round_seconds <= wait.round_seconds + 1e-9);
-        prop_assert_eq!(capped.completed.len() + capped.dropped.len(), 6);
-        prop_assert!(capped.upload_bytes <= wait.upload_bytes);
+        let link = Link { upload_mbps: 2.0, download_mbps: 8.0, latency_ms: 80.0 };
+        let tiers = [
+            (Device { seconds_per_epoch: 0.5, link: None }, 0.5),
+            (Device { seconds_per_epoch: 6.0, link: Some(link) }, 0.5),
+        ];
+        let devices = DeviceModel::tiered(4, &tiers, seed);
+        for client in 0..4 {
+            let base = devices.job_seconds(client, epochs, bytes, bytes);
+            let heavier = devices.job_seconds(
+                client,
+                epochs + extra_epochs,
+                bytes + extra_bytes,
+                bytes + extra_bytes,
+            );
+            prop_assert!(heavier >= base);
+        }
     }
 
     // ------------------------------------------------------------------

@@ -128,24 +128,31 @@ fn recorder_observes_a_sync_run() {
     }
 }
 
+/// Compute-only devices at 1 s per epoch, except the `slow` clients at
+/// `slow_seconds`.
+fn fleet(num_clients: usize, slow: &[usize], slow_seconds: f64) -> DeviceModel {
+    let seconds = (0..num_clients).map(|c| if slow.contains(&c) { slow_seconds } else { 1.0 });
+    DeviceModel::new(seconds.collect())
+}
+
+/// A recorded semi-async run of 10 rounds: every second client of 8 is far
+/// too slow for the 3.5 s deadline (6 s for its two epochs), so arrivals
+/// recur with staleness ≥ 1.
+fn recorded_semi_async_run() -> RoundEngine<FedAdmm, SemiAsync> {
+    let (cfg, train, test, partition) = engine_parts(8, 12);
+    let semi = SemiAsync::new(SemiAsyncConfig::new(3.5));
+    let mut engine = RoundEngine::new(cfg, train, test, partition, FedAdmm::paper_default(), semi)
+        .unwrap()
+        .with_devices(fleet(8, &[1, 3, 5, 7], 3.0))
+        .unwrap()
+        .with_telemetry(Box::new(Recorder::new()));
+    engine.run_rounds(10).unwrap();
+    engine
+}
+
 #[test]
 fn recorder_observes_staleness_under_semi_async() {
-    let (cfg, train, test, partition) = engine_parts(8, 12);
-    // Half the fleet is far too slow for the deadline, so arrivals recur
-    // with staleness ≥ 1.
-    let fleet = SemiAsyncConfig::two_tier(8, 1.0, 0.5, 3.0, 3.5)
-        .with_staleness(StalenessWeight::Polynomial { exponent: 0.5 });
-    let mut engine = RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        FedAdmm::paper_default(),
-        SemiAsync::new(fleet),
-    )
-    .unwrap()
-    .with_telemetry(Box::new(Recorder::new()));
-    engine.run_rounds(10).unwrap();
+    let engine = recorded_semi_async_run();
 
     let recorder = engine
         .recorder()
@@ -179,20 +186,36 @@ fn recorder_observes_staleness_under_semi_async() {
 }
 
 #[test]
+fn semi_async_round_wall_seconds_are_wall_clock() {
+    // Each round spans at least the 3.5 s deadline of virtual time, but
+    // the simulation runs it in milliseconds: the wall-clock histogram
+    // must show the latter, the history's clock the former.
+    let engine = recorded_semi_async_run();
+    let recorder = engine.recorder().unwrap();
+    let wall = recorder
+        .metrics()
+        .histogram_by_name(names::ROUND_WALL_SECONDS)
+        .unwrap();
+    assert_eq!(wall.count(), 10);
+    let p50 = wall.quantile(0.5);
+    assert!(p50 < 1.0, "round_wall_seconds p50 is {p50}");
+    let last = engine.history().records.last().unwrap();
+    assert!(
+        last.virtual_seconds >= 10.0 * 3.5,
+        "{}",
+        last.virtual_seconds
+    );
+}
+
+#[test]
 fn recorder_observes_buffered_async_ticks() {
     let (cfg, train, test, partition) = engine_parts(10, 13);
-    let pool = AsyncConfig::two_tier(10, 4, 1.0, 0.3, 8.0, 1)
-        .with_staleness(StalenessWeight::Polynomial { exponent: 0.5 });
-    let mut engine = RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        FedAdmm::paper_default(),
-        BufferedAsync::new(pool),
-    )
-    .unwrap()
-    .with_telemetry(Box::new(Recorder::new()));
+    let pool = BufferedAsync::new(AsyncConfig::new(4));
+    let mut engine = RoundEngine::new(cfg, train, test, partition, FedAdmm::paper_default(), pool)
+        .unwrap()
+        .with_devices(fleet(10, &[2, 4, 8, 9], 8.0))
+        .unwrap()
+        .with_telemetry(Box::new(Recorder::new()));
     // Buffered ticks are arrival-driven: step until two aggregations land.
     let mut guard = 0;
     while engine.scheduler().updates_applied() < 2 {
