@@ -1,30 +1,29 @@
 //! The buffered asynchronous scheduler (event-driven, staleness-weighted).
 //!
-//! Each tick dispatches at most a handful of arrivals; they still run
-//! through the engine's [`DispatchPool`](super::DispatchPool), whose
-//! adaptive chunk size (`jobs / (4·workers)`, clamped to ≥ 1) degrades to
-//! one job per chunk for these tiny cohorts.
-//!
-//! Each job's finish time is fixed at dispatch by the engine's
-//! [`DeviceModel`](crate::heterogeneity::DeviceModel), its upload charged at
-//! the dense size because it does not exist yet, so the schedule needs a
-//! model installed (`RoundEngine::with_devices`). On a heterogeneous fleet
+//! A job's local update runs when it is dispatched, against the θ of that
+//! moment, on the engine's [`DispatchPool`](super::DispatchPool) (whose
+//! adaptive chunk size, `jobs / (4·workers)` clamped to ≥ 1, degrades to one
+//! job per chunk for these tiny batches; a one-job batch runs inline). Its
+//! message arrives at the dispatch time plus [`EngineCore::job_seconds`] —
+//! the epochs it ran and the bytes it sent, timed by the engine's
+//! [`DeviceModel`](crate::heterogeneity::DeviceModel), so the schedule needs
+//! a model installed (`RoundEngine::with_devices`). On a heterogeneous fleet
 //! fast devices contribute many low-staleness updates and stragglers few,
-//! stale ones.
+//! stale ones. Algorithms that read server state in `client_update_scratch`
+//! (SCAFFOLD's control variate) read it at dispatch, with the θ snapshot
+//! the job trains on.
 
+use super::in_flight::InFlight;
 use super::scheduler::{
     DispatchOrder, EngineCore, RoundStats, Scheduler, StalenessWeight, TickReport,
 };
+use crate::algorithms::ClientMessage;
 use crate::config::FedConfig;
-use crate::param::ParamVector;
 use fedadmm_tensor::{TensorError, TensorResult};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of a buffered asynchronous schedule.
@@ -37,7 +36,7 @@ pub struct AsyncConfig {
     /// Staleness weighting applied to arriving updates.
     pub staleness: StalenessWeight,
     /// Evaluate the global model every this many server aggregations
-    /// (evaluation is the expensive part of the simulation).
+    /// (evaluation is the expensive part of the simulation); at least 1.
     pub eval_every: usize,
     /// Aggregate once this many weighted updates have arrived. `1` (the
     /// default) applies every arrival immediately — fully asynchronous
@@ -70,56 +69,20 @@ impl AsyncConfig {
     }
 }
 
-/// A client currently computing, keyed by its completion time.
-struct InFlight {
-    finish_time: f64,
-    client_id: usize,
-    /// Server version (number of aggregations) when the snapshot was taken.
-    snapshot_version: usize,
-    /// The model snapshot the client downloaded (shared, not copied).
-    snapshot: Arc<ParamVector>,
-    /// Local epochs this dispatch will run.
-    epochs: usize,
-    /// Derived local RNG seed for this dispatch.
-    seed: u64,
-}
-
-impl PartialEq for InFlight {
-    fn eq(&self, other: &Self) -> bool {
-        self.finish_time == other.finish_time && self.client_id == other.client_id
-    }
-}
-impl Eq for InFlight {}
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest finish pops first.
-        other
-            .finish_time
-            .partial_cmp(&self.finish_time)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.client_id.cmp(&self.client_id))
-    }
-}
-
 /// Event-driven asynchronous scheduling with staleness weighting and an
 /// aggregation buffer (fully asynchronous when `aggregate_after == 1`).
 ///
 /// The schedule keeps `max_concurrency` clients computing at all times.
-/// Each tick pops the earliest completion, runs that client's local update
-/// against its (possibly stale) θ snapshot, scales the payload by the
-/// staleness weight, and flushes the buffer through the algorithm's server
-/// update once `aggregate_after` weighted updates have accumulated.
+/// Each tick tops the pool up, delivers the earliest arrival, scales its
+/// payload by the staleness weight, and flushes the buffer through the
+/// algorithm's server update once `aggregate_after` weighted updates have
+/// accumulated.
 pub struct BufferedAsync {
     config: AsyncConfig,
-    in_flight: BinaryHeap<InFlight>,
-    busy: Vec<bool>,
+    /// Jobs in flight, versioned by the server aggregation they started at.
+    in_flight: InFlight,
     rng: SmallRng,
-    buffer: Vec<crate::algorithms::ClientMessage>,
+    buffer: Vec<ClientMessage>,
     buffered_epochs: usize,
     buffered_samples: usize,
     version: usize,
@@ -133,8 +96,7 @@ impl BufferedAsync {
     pub fn new(config: AsyncConfig) -> Self {
         BufferedAsync {
             config,
-            in_flight: BinaryHeap::new(),
-            busy: Vec::new(),
+            in_flight: InFlight::default(),
             rng: SmallRng::seed_from_u64(0),
             buffer: Vec::new(),
             buffered_epochs: 0,
@@ -155,37 +117,29 @@ impl BufferedAsync {
         self.version
     }
 
-    /// Dispatches idle clients until the pool holds `max_concurrency` jobs,
-    /// each running the epochs the engine's work schedule draws for it.
-    fn fill_pool(&mut self, core: &EngineCore<'_>) -> TensorResult<()> {
-        while self.in_flight.len() < self.config.max_concurrency {
-            let idle: Vec<usize> = self
-                .busy
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &b)| (!b).then_some(i))
-                .collect();
-            if idle.is_empty() {
-                break;
-            }
+    /// Dispatches idle clients, drawn uniformly, until the pool holds
+    /// `max_concurrency` jobs, each running the epochs the engine's work
+    /// schedule draws for it.
+    fn fill_pool(&mut self, core: &mut EngineCore<'_>) -> TensorResult<()> {
+        let wanted = self.config.max_concurrency - self.in_flight.len();
+        let mut idle: Vec<usize> = (0..core.config.num_clients)
+            .filter(|&c| !self.in_flight.is_busy(c))
+            .collect();
+        let mut orders = Vec::with_capacity(wanted);
+        while orders.len() < wanted && !idle.is_empty() {
             let &client_id = idle.choose(&mut self.rng).expect("idle list is non-empty");
-            let epochs = core.work_schedule.epochs_for(client_id, &mut self.rng);
-            let duration = core.dispatch_seconds(client_id, epochs)?;
-            let seed = core.config.seed
-                ^ (self.dispatched as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (client_id as u64).wrapping_mul(0x2545_F491_4F6C_DD1D);
-            self.busy[client_id] = true;
-            self.in_flight.push(InFlight {
-                finish_time: core.now() + duration,
+            idle.retain(|&c| c != client_id);
+            orders.push(DispatchOrder {
                 client_id,
-                snapshot_version: self.version,
+                epochs: core.work_schedule.epochs_for(client_id, &mut self.rng),
                 snapshot: core.broadcast(),
-                epochs,
-                seed,
+                seed: core.config.seed
+                    ^ (self.dispatched as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    ^ (client_id as u64).wrapping_mul(0x2545_F491_4F6C_DD1D),
             });
             self.dispatched += 1;
         }
-        Ok(())
+        self.in_flight.dispatch(core, orders, self.version)
     }
 }
 
@@ -204,57 +158,36 @@ impl Scheduler for BufferedAsync {
                 "max_concurrency must be at least 1".to_string(),
             ));
         }
-        self.busy = vec![false; core.config.num_clients];
+        if self.config.eval_every == 0 {
+            return Err(TensorError::InvalidArgument(
+                "eval_every must be at least 1: the schedule records a round \
+                 every eval_every aggregations"
+                    .to_string(),
+            ));
+        }
+        self.in_flight = InFlight::new(core.config.num_clients);
         self.rng = SmallRng::seed_from_u64(core.config.seed ^ 0xA517_C0DE);
         Ok(())
     }
 
     fn tick(&mut self, core: &mut EngineCore<'_>) -> TensorResult<TickReport> {
         let window = *self.window.get_or_insert_with(Instant::now);
-        // The pool is filled on the first tick, not in `init`: the device
-        // model and work schedule are installed after `init` runs. Nothing
-        // draws from the rng or moves θ or the clock in between.
-        if self.dispatched == 0 {
-            self.fill_pool(core)?;
-        }
-        let job = self
+        // The pool is filled here, not in `init`: the device model and work
+        // schedule are installed after `init` runs.
+        self.fill_pool(core)?;
+        let mut job = self
             .in_flight
             .pop()
             .ok_or_else(|| TensorError::InvalidArgument("no client is in flight".to_string()))?;
-        core.advance_clock(job.finish_time);
-        self.busy[job.client_id] = false;
-
-        // Run the client's local update against its (possibly stale)
-        // snapshot, through the shared dispatch path.
-        let order = DispatchOrder {
-            client_id: job.client_id,
-            epochs: job.epochs,
-            snapshot: job.snapshot,
-            seed: job.seed,
-        };
-        let message = core.dispatch_one(&order)?;
-        drop(order);
-
-        let staleness = self.version - job.snapshot_version;
-        let weight = self.config.staleness.weight(staleness);
-        core.add_upload(message.upload_floats());
-        core.add_wire_bytes(message.wire_bytes());
+        core.advance_clock(job.due);
+        let client = job.message.client_id;
+        let (staleness, weight) = job.weigh(core, self.version, self.config.staleness);
 
         let mut aggregated = false;
         if weight > 0.0 {
-            // Scale the payload by the staleness weight and buffer it.
-            let mut scaled = message;
-            for p in scaled.payload.iter_mut() {
-                p.scale(weight);
-            }
-            // Wire payloads carry the damping in their scale factor; the
-            // server folds it into the per-message coefficient.
-            if let Some(wire) = &mut scaled.wire {
-                wire.scale *= weight;
-            }
-            self.buffered_epochs += scaled.epochs_run;
-            self.buffered_samples += scaled.samples_processed;
-            self.buffer.push(scaled);
+            self.buffered_epochs += job.message.epochs_run;
+            self.buffered_samples += job.message.samples_processed;
+            self.buffer.push(job.message);
             if self.buffer.len() >= self.config.aggregate_after {
                 core.aggregate(&std::mem::take(&mut self.buffer), &mut self.rng);
                 self.version += 1;
@@ -266,7 +199,6 @@ impl Scheduler for BufferedAsync {
         let mut accuracy = None;
         if aggregated && self.version.is_multiple_of(self.config.eval_every) {
             self.window = None;
-            let elapsed_ms = window.elapsed().as_millis() as u64;
             let record = core.record_round(RoundStats {
                 num_selected: self.config.aggregate_after,
                 upload_floats: 0,
@@ -274,7 +206,7 @@ impl Scheduler for BufferedAsync {
                 samples_processed: std::mem::take(&mut self.buffered_samples),
                 // Like uploads, wire bytes are accounted per event here.
                 wire_bytes: 0,
-                elapsed_ms,
+                elapsed_ms: window.elapsed().as_millis() as u64,
             })?;
             accuracy = Some(record.test_accuracy);
             report.record = Some(record);
@@ -282,10 +214,8 @@ impl Scheduler for BufferedAsync {
         // Note: this arrival is recorded *after* any round record produced
         // above, so its staleness is attributed to the next record's
         // staleness window (the record's own window closes at evaluation).
-        report
-            .events
-            .push(core.record_event(job.client_id, staleness, weight, accuracy));
-        self.fill_pool(core)?;
+        let event = core.record_event(client, staleness, weight, accuracy);
+        report.events.push(event);
         Ok(report)
     }
 }

@@ -175,7 +175,8 @@ pub struct DispatchPool {
     workers: usize,
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    /// Scratch arena for the serial inline path and `dispatch_one`.
+    /// Scratch arena for the serial inline path (one-job batches, every
+    /// batch of a one-worker pool) and [`DispatchPool::with_scratch`].
     serial_scratch: Mutex<DispatchScratch>,
 }
 
@@ -229,7 +230,7 @@ impl DispatchPool {
         self.workers
     }
 
-    /// Runs `task` on the serial scratch arena (single-order dispatches).
+    /// Runs `f` on the serial scratch arena, on the calling thread.
     pub fn with_scratch<R>(&self, f: impl FnOnce(&mut DispatchScratch) -> R) -> R {
         let mut scratch = self.serial_scratch.lock().expect("serial scratch lock");
         f(&mut scratch)

@@ -21,9 +21,10 @@
 //!
 //! * **Zero-copy broadcast.** θ is handed to clients as an
 //!   [`Arc<ParamVector>`](std::sync::Arc) snapshot; the server mutates it
-//!   copy-on-write ([`Arc::make_mut`](std::sync::Arc::make_mut)), so the
-//!   synchronous path never copies the model at all and the asynchronous
-//!   paths copy at most once per aggregation.
+//!   copy-on-write ([`Arc::make_mut`](std::sync::Arc::make_mut)). No
+//!   scheduler keeps a snapshot past the tick that dispatched it — the
+//!   event-driven ones run a job's local update at dispatch and keep only
+//!   its message in flight — so every aggregation updates θ in place.
 //! * **One threading substrate.** All local updates run through
 //!   [`EngineCore::dispatch`], backed by a persistent work-stealing
 //!   [`DispatchPool`]: workers claim job chunks from a shared cursor (so
@@ -79,6 +80,7 @@
 
 pub mod buffered;
 pub mod dispatch;
+mod in_flight;
 pub mod scheduler;
 pub mod semi_async;
 pub mod sync;
@@ -247,30 +249,37 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
             pool: DispatchPool::new(DispatchConfig::default()),
             wire: None,
         };
-        let mut core = EngineCore {
-            config: &engine.config,
-            train: &engine.train,
-            test: &engine.test,
-            store: engine.store.as_mut(),
-            global: &mut engine.global,
-            algorithm: &mut engine.algorithm,
-            selector: &*engine.selector,
-            work_schedule: &engine.work_schedule,
-            devices: engine.devices.as_ref(),
-            history: &mut engine.history,
-            events: &mut engine.events,
-            clock: &mut engine.clock,
-            cumulative_upload: &mut engine.cumulative_upload,
-            cumulative_wire_bytes: &mut engine.cumulative_wire_bytes,
-            round: &mut engine.round,
-            telemetry: engine.telemetry.as_mut(),
-            event_mark: &mut engine.event_mark,
-            aggregation: engine.aggregation,
-            pool: &engine.pool,
-            wire: engine.wire.as_ref(),
-        };
-        engine.scheduler.init(&mut core)?;
+        let (scheduler, mut core) = engine.split();
+        scheduler.init(&mut core)?;
         Ok(engine)
+    }
+
+    /// Split borrow: the scheduler, and an [`EngineCore`] over the rest of
+    /// the engine for it to drive.
+    fn split(&mut self) -> (&mut S, EngineCore<'_>) {
+        let core = EngineCore {
+            config: &self.config,
+            train: &self.train,
+            test: &self.test,
+            store: self.store.as_mut(),
+            global: &mut self.global,
+            algorithm: &mut self.algorithm,
+            selector: &*self.selector,
+            work_schedule: &self.work_schedule,
+            devices: self.devices.as_ref(),
+            history: &mut self.history,
+            events: &mut self.events,
+            clock: &mut self.clock,
+            cumulative_upload: &mut self.cumulative_upload,
+            cumulative_wire_bytes: &mut self.cumulative_wire_bytes,
+            round: &mut self.round,
+            telemetry: self.telemetry.as_mut(),
+            event_mark: &mut self.event_mark,
+            aggregation: self.aggregation,
+            pool: &self.pool,
+            wire: self.wire.as_ref(),
+        };
+        (&mut self.scheduler, core)
     }
 
     /// Selects the server aggregation strategy.
@@ -501,31 +510,8 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
         // A tick is the outermost telemetry span, named after the scheduler.
         let (name, round) = (self.scheduler.name(), self.round);
         self.telemetry.on_event(&Event::SpanStart { name, round });
-        // Split-borrow: the scheduler is taken out of the struct for the
-        // tick so the core can borrow the rest mutably.
-        let mut core = EngineCore {
-            config: &self.config,
-            train: &self.train,
-            test: &self.test,
-            store: self.store.as_mut(),
-            global: &mut self.global,
-            algorithm: &mut self.algorithm,
-            selector: &*self.selector,
-            work_schedule: &self.work_schedule,
-            devices: self.devices.as_ref(),
-            history: &mut self.history,
-            events: &mut self.events,
-            clock: &mut self.clock,
-            cumulative_upload: &mut self.cumulative_upload,
-            cumulative_wire_bytes: &mut self.cumulative_wire_bytes,
-            round: &mut self.round,
-            telemetry: self.telemetry.as_mut(),
-            event_mark: &mut self.event_mark,
-            aggregation: self.aggregation,
-            pool: &self.pool,
-            wire: self.wire.as_ref(),
-        };
-        let report = self.scheduler.tick(&mut core);
+        let (scheduler, mut core) = self.split();
+        let report = scheduler.tick(&mut core);
         self.telemetry.on_event(&Event::SpanEnd { name, round });
         let report = report?;
         if report.record.is_some() {
@@ -866,6 +852,13 @@ mod tests {
             ..AsyncConfig::new(2)
         };
         assert!(build(zero).is_err());
+        // Never evaluating would never record a round.
+        let never = AsyncConfig {
+            eval_every: 0,
+            ..AsyncConfig::new(2)
+        };
+        let err = build(never).err().expect("eval_every 0 is rejected");
+        assert!(err.to_string().contains("eval_every"), "{err}");
         // A device model of the wrong size, or with a per-epoch duration
         // that is not a positive number, is refused naming the client.
         let engine = || build(AsyncConfig::new(2)).unwrap();
@@ -1211,12 +1204,33 @@ mod tests {
 
     #[test]
     fn zero_copy_broadcast_shares_the_global_allocation() {
-        let mut engine = make_engine(FedAvg::new(), SyncRounds, 5, 100, 10);
-        let before = engine.global_model().as_slice().as_ptr();
-        engine.run_round().unwrap();
-        // With no live snapshots at aggregation time the sync path mutates
-        // θ in place — the allocation survives the round.
-        let after = engine.global_model().as_slice().as_ptr();
-        assert_eq!(before, after, "sync aggregation should not reallocate θ");
+        // No scheduler holds a θ snapshot at aggregation time — the
+        // event-driven ones keep messages in flight, not snapshots — so
+        // every path mutates θ in place and the allocation survives.
+        fn keeps_theta<A: Algorithm, S: Scheduler>(
+            mut engine: RoundEngine<A, S>,
+            ticks: usize,
+            name: &str,
+        ) {
+            let before = engine.global_model().as_slice().as_ptr();
+            for _ in 0..ticks {
+                engine.step().unwrap();
+            }
+            let after = engine.global_model().as_slice().as_ptr();
+            assert_eq!(before, after, "{name} aggregation reallocated θ");
+        }
+        keeps_theta(
+            make_engine(FedAvg::new(), SyncRounds, 5, 100, 10),
+            1,
+            "sync",
+        );
+        // Stragglers in flight across rounds.
+        let semi = SemiAsync::new(SemiAsyncConfig::new(2.5));
+        let fleet = (8, &[3, 7][..], 3.0);
+        let semi = timed_engine(FedAdmm::paper_default(), semi, fleet, 160, 8);
+        keeps_theta(semi, 6, "semi-async");
+        let pool = BufferedAsync::new(AsyncConfig::new(3));
+        let buffered = timed_engine(FedAvg::new(), pool, (6, &[4], 3.0), 120, 10);
+        keeps_theta(buffered, 20, "buffered");
     }
 }

@@ -20,8 +20,9 @@
 //!
 //! 1. **zero-copy broadcast** — clients download θ as an
 //!    [`Arc<ParamVector>`] snapshot; no per-client copy of the model is ever
-//!    made (the server clones lazily, only when it must mutate θ while
-//!    stale snapshots are still alive);
+//!    made (the server would clone θ only to mutate it while a snapshot is
+//!    alive, and every built-in scheduler drops its snapshots in the tick
+//!    that dispatched them);
 //! 2. **schedule-independent randomness** — each dispatched job derives its
 //!    RNG stream from `(seed, tick, client_id)`, so results do not depend
 //!    on thread interleaving or on which scheduler issued the work.
@@ -41,7 +42,7 @@ use crate::trainer::{eval_jobs, eval_logits_into, eval_span, mean_of_logits, Loc
 use fedadmm_clientstore::{hierarchical_fold, ClientStateStore};
 use fedadmm_data::Dataset;
 use fedadmm_telemetry::{names, DispatchSummary, Event, RoundSummary, Telemetry};
-use fedadmm_tensor::{TensorError, TensorResult};
+use fedadmm_tensor::TensorResult;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -253,9 +254,8 @@ struct JobContext<'a> {
 
 impl JobContext<'_> {
     /// Runs one client's local update on a worker's scratch arena — the
-    /// single job body behind [`EngineCore::dispatch_one`] and
-    /// [`EngineCore::dispatch`] — and returns the result with the seconds
-    /// it took (0.0 when untimed).
+    /// job body behind [`EngineCore::dispatch`] — and returns the result
+    /// with the seconds it took (0.0 when untimed).
     fn run(
         &self,
         order: &DispatchOrder,
@@ -379,22 +379,20 @@ impl EngineCore<'_> {
         }
     }
 
-    /// Virtual seconds a job dispatched now takes on `client`'s device:
-    /// downloading θ, `epochs` of local work and the upload. The upload
-    /// does not exist yet, so it is charged at its dense size. Event-driven
-    /// schedules fix finish times this way and cannot run without a
-    /// [`DeviceModel`].
-    pub(super) fn dispatch_seconds(&self, client: usize, epochs: usize) -> TensorResult<f64> {
-        let devices = self.devices.ok_or_else(|| {
-            TensorError::InvalidArgument(
-                "an event-driven schedule needs a device model \
-                 (install one with RoundEngine::with_devices)"
-                    .to_string(),
+    /// Virtual seconds the job behind `message` takes on its client's
+    /// device: downloading θ, the epochs it ran and uploading the bytes it
+    /// sent. `None` without a [`DeviceModel`]. Every scheduler times its
+    /// jobs this way.
+    pub fn job_seconds(&self, message: &ClientMessage) -> Option<f64> {
+        let download = 4 * self.global.len();
+        self.devices.map(|devices| {
+            devices.job_seconds(
+                message.client_id,
+                message.epochs_run,
+                download,
+                message.wire_bytes(),
             )
-        })?;
-        let dim = self.global.len();
-        let upload = 4 * self.algorithm.upload_floats_per_client(dim);
-        Ok(devices.job_seconds(client, epochs, 4 * dim, upload))
+        })
     }
 
     /// Number of rounds recorded so far.
@@ -447,39 +445,6 @@ impl EngineCore<'_> {
         evaluate_on_pool(self.pool, self.config, self.global, self.test)
     }
 
-    /// Runs one order synchronously on the calling thread (on the pool's
-    /// serial scratch arena, so even single-order ticks allocate nothing in
-    /// steady state).
-    pub fn dispatch_one(&mut self, order: &DispatchOrder) -> TensorResult<ClientMessage> {
-        if order.client_id >= self.store.num_clients() {
-            return Err(TensorError::InvalidArgument(format!(
-                "dispatch order for unknown client {}",
-                order.client_id
-            )));
-        }
-        let timed = self.telemetry.enabled();
-        let job = JobContext {
-            algorithm: &*self.algorithm,
-            train: self.train,
-            config: self.config,
-            wire: self.wire,
-            timed,
-        };
-        let pool = self.pool;
-        let mut out: Option<(TensorResult<ClientMessage>, f64)> = None;
-        self.store.with_states(&[order.client_id], &mut |states| {
-            out = Some(pool.with_scratch(|scratch| job.run(order, &mut *states[0], scratch)));
-            Ok(())
-        })?;
-        let (result, seconds) = out.expect("with_states runs the closure");
-        let message = result?;
-        if timed {
-            self.report_download(order);
-            self.report_update(order.client_id, seconds, &message);
-        }
-        Ok(message)
-    }
-
     /// Timed runs: `order` pulled one θ snapshot.
     fn report_download(&mut self, order: &DispatchOrder) {
         self.telemetry.on_event(&Event::Download {
@@ -506,17 +471,16 @@ impl EngineCore<'_> {
     /// [`DispatchPool`]; because each order carries its own derived seed,
     /// the outcome is independent of the thread schedule, the worker count
     /// and the chunk size. Messages are returned sorted by client id, and
-    /// the first error (in client-id order) is propagated.
+    /// the first error (in client-id order) is propagated. A one-order
+    /// batch runs inline on the pool's serial scratch arena.
     ///
     /// # Panics
-    /// Panics if two orders target the same client (a scheduler bug: a
-    /// client cannot run two local updates concurrently).
+    /// Panics if an order targets an unknown client, or two orders target
+    /// the same client (a scheduler bug: a client cannot run two local
+    /// updates concurrently).
     pub fn dispatch(&mut self, orders: &[DispatchOrder]) -> TensorResult<Vec<ClientMessage>> {
         if orders.is_empty() {
             return Ok(Vec::new());
-        }
-        if orders.len() == 1 {
-            return Ok(vec![self.dispatch_one(&orders[0])?]);
         }
         // Validate the batch before borrowing any state: every order must
         // target a known client, and no client may appear twice.
@@ -623,8 +587,8 @@ impl EngineCore<'_> {
     /// Applies a batch of messages to θ — the server step.
     ///
     /// θ is mutated copy-on-write: if client snapshots of the current θ are
-    /// still alive (in-flight stragglers), the allocation is cloned once;
-    /// otherwise the update happens in place.
+    /// still alive, the allocation is cloned once; otherwise the update
+    /// happens in place.
     ///
     /// The algorithm is asked for its [`FoldPlan`] once. A batch of
     /// single-vector uploads — all dense, or all coded by the wire path —
@@ -883,7 +847,8 @@ pub trait Scheduler: Send {
 
     /// Called once before the first tick; validates the scheduler's
     /// configuration against the engine's and primes internal state (e.g.
-    /// fills the in-flight pool).
+    /// sizes the in-flight queue). Runs inside `RoundEngine::new`, before
+    /// any builder (`with_devices`, `with_work_schedule`, …).
     fn init(&mut self, core: &mut EngineCore<'_>) -> TensorResult<()> {
         let _ = core;
         Ok(())

@@ -15,14 +15,16 @@
 //!   arrive in a later round, staleness-weighted against the rounds they
 //!   missed, instead of being dropped or stalling everyone else.
 //!
-//! Deadlines govern *virtual* time: each job's finish time is fixed at
-//! dispatch by the engine's
-//! [`DeviceModel`](crate::heterogeneity::DeviceModel), its upload charged at
-//! the dense size because it does not exist yet, so the schedule needs a
-//! model installed (`RoundEngine::with_devices`). The real CPU work of each
-//! batch of arrivals still runs through the engine's work-stealing
-//! [`DispatchPool`](super::DispatchPool), so simulated stragglers never
-//! serialize the simulation itself.
+//! A job's local update runs when it is dispatched, on the engine's
+//! work-stealing [`DispatchPool`](super::DispatchPool), so simulated
+//! stragglers never serialize the simulation itself. Deadlines govern
+//! *virtual* time: the update arrives at its dispatch time plus
+//! [`EngineCore::job_seconds`] — the epochs it ran and the bytes it sent,
+//! timed by the engine's [`DeviceModel`](crate::heterogeneity::DeviceModel),
+//! so the schedule needs a model installed (`RoundEngine::with_devices`).
+//! Algorithms that read server state in `client_update_scratch` (SCAFFOLD's
+//! control variate) read it at dispatch, with the θ snapshot the job trains
+//! on.
 //!
 //! Because FedADMM's dual variables absorb variable amounts of local work,
 //! it tolerates the resulting mix of fresh and stale updates far better
@@ -38,18 +40,16 @@
 //! itself rather than pure learning dynamics — use
 //! [`StalenessWeight::Constant`] to isolate the reordering effect.
 
+use super::in_flight::InFlight;
 use super::scheduler::{
     derive_client_seed, derive_round_seed, DispatchOrder, EngineCore, RoundStats, Scheduler,
     StalenessWeight, TickReport,
 };
-use crate::algorithms::ClientMessage;
 use crate::config::FedConfig;
-use crate::param::ParamVector;
 use fedadmm_tensor::{TensorError, TensorResult};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of a semi-asynchronous (deadline) schedule. How long each
@@ -83,22 +83,11 @@ impl SemiAsyncConfig {
     }
 }
 
-/// A dispatched job that has not arrived at the server yet.
-struct Pending {
-    client_id: usize,
-    finish_time: f64,
-    /// Round in which the job was dispatched.
-    dispatch_round: usize,
-    snapshot: Arc<ParamVector>,
-    epochs: usize,
-    seed: u64,
-}
-
 /// Deadline-driven rounds with straggler carry-over (see the module docs).
 pub struct SemiAsync {
     config: SemiAsyncConfig,
-    pending: Vec<Pending>,
-    busy: Vec<bool>,
+    /// Jobs in flight, versioned by the round that dispatched them.
+    in_flight: InFlight,
 }
 
 impl SemiAsync {
@@ -106,8 +95,7 @@ impl SemiAsync {
     pub fn new(config: SemiAsyncConfig) -> Self {
         SemiAsync {
             config,
-            pending: Vec::new(),
-            busy: Vec::new(),
+            in_flight: InFlight::default(),
         }
     }
 
@@ -118,7 +106,7 @@ impl SemiAsync {
 
     /// Number of straggler jobs still in flight.
     pub fn stragglers_in_flight(&self) -> usize {
-        self.pending.len()
+        self.in_flight.len()
     }
 }
 
@@ -140,7 +128,7 @@ impl Scheduler for SemiAsync {
                 "round_deadline must be positive".to_string(),
             ));
         }
-        self.busy = vec![false; core.config.num_clients];
+        self.in_flight = InFlight::new(core.config.num_clients);
         Ok(())
     }
 
@@ -152,130 +140,59 @@ impl Scheduler for SemiAsync {
             round as u64,
         ));
 
-        // 1. Select and dispatch fresh work to idle clients with the
-        //    *current* θ snapshot (zero-copy broadcast).
+        // 1. Select, and run fresh work on the idle selected clients against
+        //    the *current* θ snapshot (zero-copy broadcast); clients still
+        //    computing an earlier round's job sit this round out.
         let selected = core
             .selector
             .select(core.config.num_clients, &mut round_rng);
-        let snapshot = core.broadcast();
         let round_start = core.now();
-        for &client_id in &selected {
-            if self.busy[client_id] {
-                continue; // still computing a previous round's job
-            }
-            let epochs = core.work_schedule.epochs_for(client_id, &mut round_rng);
-            let duration = core.dispatch_seconds(client_id, epochs)?;
-            self.busy[client_id] = true;
-            self.pending.push(Pending {
+        let orders = selected
+            .into_iter()
+            .filter(|&client_id| !self.in_flight.is_busy(client_id))
+            .map(|client_id| DispatchOrder {
                 client_id,
-                finish_time: round_start + duration,
-                dispatch_round: round,
-                snapshot: snapshot.clone(),
-                epochs,
+                epochs: core.work_schedule.epochs_for(client_id, &mut round_rng),
+                snapshot: core.broadcast(),
                 seed: derive_client_seed(core.config.seed, round as u64, client_id),
-            });
-        }
-        drop(snapshot);
-        if self.pending.is_empty() {
-            return Err(TensorError::InvalidArgument(
-                "semi-async round has no work in flight".to_string(),
-            ));
-        }
+            })
+            .collect();
+        self.in_flight.dispatch(core, orders, round)?;
 
         // 2. The round ends at the deadline — or at the earliest arrival if
         //    the deadline would catch nothing (guaranteed progress).
-        let mut deadline = round_start + self.config.round_deadline;
-        let earliest = self
-            .pending
-            .iter()
-            .map(|p| p.finish_time)
-            .fold(f64::INFINITY, f64::min);
-        if earliest > deadline {
-            deadline = earliest;
-        }
+        let earliest = self.in_flight.earliest().ok_or_else(|| {
+            TensorError::InvalidArgument("semi-async round has no work in flight".to_string())
+        })?;
+        let deadline = (round_start + self.config.round_deadline).max(earliest);
         core.advance_clock(deadline);
 
-        // 3. Collect everything that made the deadline; stragglers stay in
-        //    `pending` and carry their stale snapshots forward.
-        let (mut arrived, still_pending): (Vec<Pending>, Vec<Pending>) = self
-            .pending
-            .drain(..)
-            .partition(|p| p.finish_time <= deadline);
-        self.pending = still_pending;
-        arrived.sort_by(|a, b| {
-            a.finish_time
-                .partial_cmp(&b.finish_time)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.client_id.cmp(&b.client_id))
-        });
-
-        // 4. Run all arrived local updates through the shared parallel
-        //    dispatch path (each against its own dispatch-time snapshot).
-        let orders: Vec<DispatchOrder> = arrived
-            .iter()
-            .map(|p| DispatchOrder {
-                client_id: p.client_id,
-                epochs: p.epochs,
-                snapshot: Arc::clone(&p.snapshot),
-                seed: p.seed,
-            })
-            .collect();
-        let mut messages = core.in_span("dispatch", |core| core.dispatch(&orders))?;
-        drop(orders);
-
-        // 5. Staleness-weight the stragglers' payloads (τ = rounds missed),
-        //    record the arrival events, and drop zero-weight updates.
+        // 3. Staleness-weight everything that made the deadline (τ = rounds
+        //    missed), record the arrivals and drop zero-weight updates;
+        //    stragglers stay in flight.
         let mut report = TickReport::default();
-        let mut kept: Vec<ClientMessage> = Vec::with_capacity(messages.len());
-        let mut total_epochs = 0usize;
-        let mut total_samples = 0usize;
-        for message in messages.drain(..) {
-            let pending = arrived
-                .iter()
-                .find(|p| p.client_id == message.client_id)
-                .expect("arrived job for every message");
-            self.busy[message.client_id] = false;
-            let staleness = round - pending.dispatch_round;
-            let weight = self.config.staleness.weight(staleness);
-            core.add_upload(message.upload_floats());
-            core.add_wire_bytes(message.wire_bytes());
-            report
-                .events
-                .push(core.record_event(message.client_id, staleness, weight, None));
+        let mut kept = Vec::new();
+        for mut job in self.in_flight.deliver(deadline) {
+            let (staleness, weight) = job.weigh(core, round, self.config.staleness);
+            let event = core.record_event(job.message.client_id, staleness, weight, None);
+            report.events.push(event);
             if weight > 0.0 {
-                total_epochs += message.epochs_run;
-                total_samples += message.samples_processed;
-                let mut scaled = message;
-                if weight != 1.0 {
-                    for p in scaled.payload.iter_mut() {
-                        p.scale(weight);
-                    }
-                    // Wire payloads carry the damping in their scale factor
-                    // (codes cannot be scaled without decoding); the server
-                    // folds it into the per-message coefficient.
-                    if let Some(wire) = &mut scaled.wire {
-                        wire.scale *= weight;
-                    }
-                }
-                kept.push(scaled);
+                kept.push(job.message);
             }
         }
 
-        // 6. Aggregate the round's arrivals in one batch and evaluate.
-        let upload_floats: usize = kept.iter().map(|m| m.upload_floats()).sum();
-        let wire_bytes: usize = kept.iter().map(|m| m.wire_bytes()).sum();
+        // 4. Aggregate the round's arrivals in one batch and evaluate.
         if !kept.is_empty() {
             core.in_span("aggregate", |core| core.aggregate(&kept, &mut round_rng));
         }
-        let record = core.record_round(RoundStats {
+        report.record = Some(core.record_round(RoundStats {
             num_selected: kept.len(),
-            upload_floats,
-            total_local_epochs: total_epochs,
-            samples_processed: total_samples,
-            wire_bytes,
+            upload_floats: kept.iter().map(|m| m.upload_floats()).sum(),
+            total_local_epochs: kept.iter().map(|m| m.epochs_run).sum(),
+            samples_processed: kept.iter().map(|m| m.samples_processed).sum(),
+            wire_bytes: kept.iter().map(|m| m.wire_bytes()).sum(),
             elapsed_ms: start.elapsed().as_millis() as u64,
-        })?;
-        report.record = Some(record);
+        })?);
         Ok(report)
     }
 }

@@ -26,7 +26,8 @@ use std::time::Instant;
 ///
 /// With a [`DeviceModel`](crate::heterogeneity::DeviceModel) installed, each
 /// round advances the virtual clock by the cohort maximum of
-/// `job_seconds(client, epochs run, 4·d, the message's wire bytes)`.
+/// [`EngineCore::job_seconds`]: download, the epochs run, the wire bytes
+/// sent.
 ///
 /// RNG streams (selection, per-client epoch draws, per-client local
 /// training) are derived from the run seed alone, so a seeded run produces
@@ -78,15 +79,13 @@ impl Scheduler for SyncRounds {
         // the uploads, dense 4·floats otherwise.
         let wire_bytes: usize = messages.iter().map(|m| m.wire_bytes()).sum();
         // The round lasts as long as its slowest client's download, local
-        // work and (real, possibly quantized) upload.
-        if let Some(devices) = core.devices {
-            let download = 4 * core.global.len();
-            let slowest = messages
-                .iter()
-                .map(|m| devices.job_seconds(m.client_id, m.epochs_run, download, m.wire_bytes()))
-                .fold(0.0, f64::max);
-            core.advance_clock(core.now() + slowest);
-        }
+        // work and (real, possibly quantized) upload; without a device
+        // model the clock stays put.
+        let slowest = messages
+            .iter()
+            .filter_map(|m| core.job_seconds(m))
+            .fold(0.0, f64::max);
+        core.advance_clock(core.now() + slowest);
         let total_local_epochs = messages.iter().map(|m| m.epochs_run).sum();
         let samples_processed = messages.iter().map(|m| m.samples_processed).sum();
         let outcome = core.in_span("aggregate", |core| {

@@ -95,6 +95,60 @@ fn sync_clock_advances_by_the_cohort_maximum_of_job_seconds() {
 }
 
 #[test]
+fn event_driven_arrivals_are_due_at_dispatch_plus_job_seconds() {
+    // The event-driven schedulers time every job like a synchronous round
+    // times its cohort: an arrival lands exactly at its dispatch time plus
+    // job_seconds(c, E_c, 4·d, the bytes it sent) — with the 8-bit wire
+    // path on, the coded size, not the dense one.
+    let schedule: Vec<usize> = (0..20).map(|c| 1 + c % 5).collect();
+    let d = MODEL.num_params();
+    let fleet = tiered_fleet(20);
+    let due = |dispatched: f64, client: usize, upload: usize| {
+        dispatched + fleet.job_seconds(client, schedule[client], 4 * d, upload)
+    };
+    for wire in [
+        WirePathConfig::disabled(),
+        WirePathConfig::enabled(Quantizer::new(8, true)),
+    ] {
+        let dense = wire.quantizer.is_none();
+        // One client at a time: each job is dispatched when the previous
+        // one arrives.
+        let mut buffered = engine(fedadmm(), BufferedAsync::new(AsyncConfig::new(1)), false, 1)
+            .with_work_schedule(LocalWorkSchedule::PerClient(schedule.clone()))
+            .with_wire_path(wire.clone());
+        let mut dispatched = 0.0f64;
+        for _ in 0..12 {
+            let sent = buffered.cumulative_wire_bytes();
+            let arrival = buffered.step().unwrap().events.remove(0);
+            let upload = buffered.cumulative_wire_bytes() - sent;
+            assert_eq!(dense, upload == 4 * d, "{upload} bytes");
+            let expected = due(dispatched, arrival.client_id, upload);
+            assert_eq!(arrival.sim_time.to_bits(), expected.to_bits());
+            dispatched = arrival.sim_time;
+        }
+        // A deadline shorter than any job closes every round at the earliest
+        // arrival, so each arrival lands at its own due time; a job missing
+        // τ rounds was dispatched when round r − τ opened.
+        let semi = SemiAsync::new(SemiAsyncConfig::new(1e-3));
+        let mut semi = engine(fedadmm(), semi, false, 1)
+            .with_work_schedule(LocalWorkSchedule::PerClient(schedule.clone()))
+            .with_wire_path(wire);
+        let mut opened = vec![0.0f64];
+        for round in 0..8 {
+            let sent = semi.cumulative_wire_bytes();
+            let report = semi.step().unwrap();
+            let upload = (semi.cumulative_wire_bytes() - sent) / report.events.len();
+            for arrival in &report.events {
+                let dispatched = opened[round - arrival.staleness];
+                let expected = due(dispatched, arrival.client_id, upload);
+                assert_eq!(arrival.sim_time.to_bits(), expected.to_bits());
+            }
+            opened.push(report.record.unwrap().virtual_seconds);
+        }
+    }
+}
+
+#[test]
 fn variable_local_work_reduces_both_computation_and_wall_clock() {
     // One seed, so both runs select the same cohorts; only the epoch
     // counts differ.
