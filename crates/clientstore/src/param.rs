@@ -142,11 +142,6 @@ impl ParamVector {
         vecops::dot(&self.0, &other.0)
     }
 
-    /// Overwrites this vector with zeros.
-    pub fn set_zero(&mut self) {
-        vecops::zero(&mut self.0);
-    }
-
     /// Copies the values of `other` into this vector.
     ///
     /// # Panics
@@ -196,8 +191,6 @@ mod tests {
         assert_eq!(c.as_slice(), &[7.0, 12.0]);
         c.scale(0.5);
         assert_eq!(c.as_slice(), &[3.5, 6.0]);
-        c.set_zero();
-        assert_eq!(c.as_slice(), &[0.0, 0.0]);
         c.copy_from(&b);
         assert_eq!(c.as_slice(), b.as_slice());
     }

@@ -15,28 +15,15 @@ use crate::param::ParamVector;
 use crate::trainer::{local_sgd_cached, LocalEnv};
 use fedadmm_tensor::TensorResult;
 
-/// The FedAvg algorithm.
+/// The FedAvg algorithm, with uniform client weights (`α_i = 1`, the
+/// paper's choice in its experiments).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FedAvg {
-    /// Whether the server weights client models by their sample counts
-    /// (`α_i = n_i/n`) instead of uniformly (`α_i = 1`). The paper uses
-    /// uniform weights in its experiments.
-    pub weighted_by_samples: bool,
-}
+pub struct FedAvg;
 
 impl FedAvg {
-    /// Creates FedAvg with uniform client weights (the paper's choice).
+    /// Creates FedAvg.
     pub fn new() -> Self {
-        FedAvg {
-            weighted_by_samples: false,
-        }
-    }
-
-    /// Creates FedAvg with sample-count-weighted aggregation.
-    pub fn weighted() -> Self {
-        FedAvg {
-            weighted_by_samples: true,
-        }
+        FedAvg
     }
 }
 
@@ -81,17 +68,11 @@ impl Algorithm for FedAvg {
         if messages.is_empty() {
             return None;
         }
-        // θ is *replaced* by the weighted average of the uploaded models.
-        let weights: Vec<f32> = if self.weighted_by_samples {
-            let total: usize = messages.iter().map(|m| m.num_samples).sum();
-            messages
-                .iter()
-                .map(|m| m.num_samples as f32 / total.max(1) as f32)
-                .collect()
-        } else {
-            vec![1.0 / messages.len() as f32; messages.len()]
-        };
-        Some(FoldPlan::Assign(weights))
+        // θ is *replaced* by the uniform average of the uploaded models.
+        Some(FoldPlan::Assign(vec![
+            1.0 / messages.len() as f32;
+            messages.len()
+        ]))
     }
 }
 
@@ -128,33 +109,6 @@ mod tests {
         let outcome = alg.server_update(&mut global, &messages, 10, &mut rng);
         assert_eq!(global.as_slice(), &[2.0, 3.0, 4.0]);
         assert_eq!(outcome.upload_floats, 6);
-    }
-
-    #[test]
-    fn weighted_aggregation_respects_sample_counts() {
-        let mut alg = FedAvg::weighted();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut global = ParamVector::zeros(1);
-        let messages = vec![
-            ClientMessage {
-                client_id: 0,
-                num_samples: 3,
-                payload: vec![ParamVector::from_vec(vec![0.0])],
-                epochs_run: 1,
-                samples_processed: 3,
-                wire: None,
-            },
-            ClientMessage {
-                client_id: 1,
-                num_samples: 1,
-                payload: vec![ParamVector::from_vec(vec![4.0])],
-                epochs_run: 1,
-                samples_processed: 1,
-                wire: None,
-            },
-        ];
-        alg.server_update(&mut global, &messages, 2, &mut rng);
-        assert_eq!(global.as_slice(), &[1.0]);
     }
 
     #[test]

@@ -108,8 +108,8 @@ fn floor_code(x: f32) -> u16 {
 
 impl Quantizer {
     /// The 32-bit "quantizer" that leaves a vector as the `f32`s it is: no
-    /// codes, no error, [`compression_ratio`](Quantizer::compression_ratio)
-    /// 1.0. The wire path's guard-only mode runs under it.
+    /// codes, no error, no compression. The wire path's guard-only mode runs
+    /// under it.
     pub(crate) const IDENTITY: Quantizer = Quantizer {
         bits: 32,
         stochastic: false,
@@ -231,11 +231,6 @@ impl Quantizer {
         } else {
             step / 2.0
         }
-    }
-
-    /// Compression ratio versus uncompressed `f32` uploads.
-    pub fn compression_ratio(&self) -> f64 {
-        32.0 / self.bits as f64
     }
 }
 
@@ -420,7 +415,7 @@ mod tests {
         let coarse = Quantizer::new(2, false);
         let fine = Quantizer::new(12, false);
         assert!(fine.max_error(1.0) < coarse.max_error(1.0));
-        assert!(coarse.compression_ratio() > fine.compression_ratio());
+        assert!(coarse.levels() < fine.levels());
         assert_eq!(coarse.levels(), 4);
         assert_eq!(Quantizer::new(16, false).levels(), 65536);
     }

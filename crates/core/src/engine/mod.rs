@@ -465,11 +465,6 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
         &self.events
     }
 
-    /// Number of history rounds recorded so far.
-    pub fn rounds_completed(&self) -> usize {
-        self.round
-    }
-
     /// The current virtual time in seconds, as the installed
     /// [`DeviceModel`] times the fleet (0 without a model).
     pub fn now(&self) -> f64 {
@@ -806,7 +801,7 @@ mod tests {
         assert!(record.test_accuracy >= 0.0 && record.test_accuracy <= 1.0);
         assert!(record.upload_floats > 0);
         assert_eq!(record.cumulative_upload_floats, record.upload_floats);
-        assert_eq!(engine.rounds_completed(), 1);
+        assert_eq!(engine.history().len(), 1);
         assert!(
             engine.events().is_empty(),
             "sync schedules record no events"
@@ -922,7 +917,7 @@ mod tests {
             assert_eq!(client.dual.norm(), 0.0);
             assert_eq!(client.control.norm(), 0.0);
         }
-        assert_eq!(engine.rounds_completed(), 0);
+        assert_eq!(engine.history().len(), 0);
         assert!(engine.history().is_empty());
     }
 
@@ -970,11 +965,11 @@ mod tests {
         let mut engine = make_engine(admm, SyncRounds, 8, 400, 10);
         let rounds = engine.run_until_accuracy(0.35, 30).unwrap();
         assert!(rounds.is_some(), "never reached 35% accuracy");
-        assert_eq!(rounds.unwrap(), engine.rounds_completed());
+        assert_eq!(rounds.unwrap(), engine.history().len());
         // An unreachable target exhausts the budget and returns None.
         let mut engine2 = make_engine(FedSgd::new(0.01), SyncRounds, 5, 100, 10);
         assert_eq!(engine2.run_until_accuracy(0.999, 2).unwrap(), None);
-        assert_eq!(engine2.rounds_completed(), 2);
+        assert_eq!(engine2.history().len(), 2);
     }
 
     #[test]

@@ -57,10 +57,7 @@ use std::sync::Arc;
 /// vector on the dispatch worker, *before* quantization.
 ///
 /// `fedadmm-privacy` implements this for its `GaussianMechanism` (ℓ₂ clip +
-/// Gaussian noise — the client-level DP recipe); pairwise-mask secure
-/// aggregation composes in the same slot as long as masks are applied in
-/// the dense domain (mask-domain fusion over the quantized codes is future
-/// work, noted on the ROADMAP).
+/// Gaussian noise — the client-level DP recipe).
 pub trait WireGuard: Send + Sync {
     /// Name used in labels and logs ("gaussian-dp", …).
     fn name(&self) -> &'static str;
@@ -365,7 +362,7 @@ mod tests {
             .with_guard(Arc::new(Negate))
             .resolve()
             .unwrap();
-        assert_eq!(guarded.quantizer.compression_ratio(), 1.0);
+        assert_eq!(guarded.quantizer, Quantizer::IDENTITY);
     }
 
     #[test]

@@ -196,16 +196,6 @@ impl LocalWorkSchedule {
             }
         }
     }
-
-    /// The maximum number of epochs this schedule can produce.
-    pub fn max_epochs(&self) -> usize {
-        match self {
-            LocalWorkSchedule::Fixed(e) | LocalWorkSchedule::UniformRandom(e) => (*e).max(1),
-            LocalWorkSchedule::PerClient(epochs) => {
-                epochs.iter().copied().max().unwrap_or(1).max(1)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +211,7 @@ mod tests {
         for c in 0..20 {
             assert_eq!(s.epochs_for(c, &mut rng), 5);
         }
-        assert_eq!(s.max_epochs(), 5);
+        assert!(matches!(s, LocalWorkSchedule::Fixed(5)));
     }
 
     #[test]
@@ -243,7 +233,7 @@ mod tests {
         assert_eq!(s.epochs_for(1, &mut rng), 2);
         assert_eq!(s.epochs_for(2, &mut rng), 3);
         assert_eq!(s.epochs_for(3, &mut rng), 1);
-        assert_eq!(s.max_epochs(), 3);
+        assert!(matches!(&s, LocalWorkSchedule::PerClient(e) if e == &[1, 2, 3]));
     }
 
     #[test]
@@ -258,7 +248,6 @@ mod tests {
             LocalWorkSchedule::PerClient(vec![]).epochs_for(0, &mut rng),
             1
         );
-        assert_eq!(LocalWorkSchedule::PerClient(vec![]).max_epochs(), 1);
     }
 
     const LINK: Link = Link {

@@ -28,15 +28,6 @@ impl BatchSize {
             BatchSize::Full => n.max(1),
         }
     }
-
-    /// Number of batches per epoch for a client holding `n` samples.
-    pub fn batches_per_epoch(&self, n: usize) -> usize {
-        if n == 0 {
-            return 0;
-        }
-        let b = self.resolve(n);
-        n.div_ceil(b)
-    }
 }
 
 /// Iterates over shuffled mini-batches of a client's sample indices for one
@@ -105,14 +96,6 @@ mod tests {
         assert_eq!(BatchSize::Size(0).resolve(4), 1);
         assert_eq!(BatchSize::Full.resolve(37), 37);
         assert_eq!(BatchSize::Full.resolve(0), 1);
-    }
-
-    #[test]
-    fn batches_per_epoch_counts() {
-        assert_eq!(BatchSize::Size(10).batches_per_epoch(100), 10);
-        assert_eq!(BatchSize::Size(10).batches_per_epoch(101), 11);
-        assert_eq!(BatchSize::Full.batches_per_epoch(1000), 1);
-        assert_eq!(BatchSize::Size(10).batches_per_epoch(0), 0);
     }
 
     #[test]

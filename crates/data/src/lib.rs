@@ -17,10 +17,7 @@
 //! * [`partition::shards_non_iid`] — data sorted by label, split into
 //!   `2·m` shards, two shards per client (the paper's non-IID setting),
 //! * [`partition::imbalanced_groups`] — the Table VI imbalanced-volume
-//!   setting (10,000 shards, clients grouped, shard count = group index),
-//! * [`partition::dirichlet`] — a Dirichlet label-skew partitioner
-//!   (extension; the other non-IID construction common in the FL
-//!   literature).
+//!   setting (10,000 shards, clients grouped, shard count = group index).
 //!
 //! [`batching::BatchIterator`] reproduces the paper's local batching
 //! (`B = 10 / 50 / 200 / ∞`).

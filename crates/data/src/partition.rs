@@ -55,11 +55,6 @@ impl Partition {
         self.clients.iter().map(|c| c.len()).collect()
     }
 
-    /// Total number of assigned samples.
-    pub fn total_samples(&self) -> usize {
-        self.clients.iter().map(|c| c.len()).sum()
-    }
-
     /// Mean and (population) standard deviation of client sizes — the
     /// statistics the paper reports in Table VI.
     pub fn size_stats(&self) -> (f64, f64) {
@@ -242,67 +237,6 @@ pub fn shards_non_iid(
             start + shard_size
         };
         clients[client].extend_from_slice(&indices[start..end]);
-    }
-    Partition::new(clients)
-}
-
-/// Dirichlet label-skew partition (extension).
-///
-/// This is the other non-IID construction commonly used in the federated
-/// learning literature (and a natural extension point for the paper's
-/// evaluation): for every class, a proportion vector over the clients is
-/// drawn from `Dirichlet(alpha)` and the class's samples are split
-/// accordingly. Small `alpha` (e.g. 0.1) produces extreme label skew similar
-/// to the paper's two-shards-per-client scheme; large `alpha` (e.g. 100)
-/// approaches the IID partition.
-///
-/// # Panics
-/// Panics if `num_clients == 0` or `alpha <= 0`.
-pub fn dirichlet(
-    dataset: &Dataset,
-    num_clients: usize,
-    alpha: f64,
-    rng: &mut impl Rng,
-) -> Partition {
-    assert!(num_clients > 0, "num_clients must be positive");
-    assert!(alpha > 0.0, "the Dirichlet concentration must be positive");
-    use rand_distr::{Distribution, Gamma};
-    let gamma = Gamma::new(alpha, 1.0).expect("valid gamma parameters");
-
-    // Group sample indices by label, shuffled within each label.
-    let mut by_label: Vec<Vec<usize>> = vec![Vec::new(); dataset.num_classes()];
-    for i in 0..dataset.len() {
-        by_label[dataset.label(i)].push(i);
-    }
-    let mut clients: Vec<Vec<usize>> = vec![Vec::new(); num_clients];
-    for indices in by_label.iter_mut() {
-        if indices.is_empty() {
-            continue;
-        }
-        indices.shuffle(rng);
-        // Dirichlet sample via normalised Gamma draws.
-        let mut weights: Vec<f64> = (0..num_clients)
-            .map(|_| gamma.sample(rng).max(1e-12))
-            .collect();
-        let total: f64 = weights.iter().sum();
-        for w in weights.iter_mut() {
-            *w /= total;
-        }
-        // Convert proportions into contiguous cut points over this label's
-        // samples so that every sample is assigned exactly once.
-        let n = indices.len();
-        let mut cursor = 0usize;
-        let mut assigned = 0usize;
-        for (client, &w) in weights.iter().enumerate() {
-            let take = if client + 1 == num_clients {
-                n - assigned
-            } else {
-                ((w * n as f64).round() as usize).min(n - assigned)
-            };
-            clients[client].extend_from_slice(&indices[cursor..cursor + take]);
-            cursor += take;
-            assigned += take;
-        }
     }
     Partition::new(clients)
 }
@@ -524,39 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn dirichlet_covers_every_sample_exactly_once() {
-        let d = toy_dataset(1000);
-        let mut rng = SmallRng::seed_from_u64(8);
-        let p = dirichlet(&d, 20, 0.5, &mut rng);
-        assert_eq!(p.num_clients(), 20);
-        assert_eq!(p.validate(d.len()).unwrap(), 1000);
-    }
-
-    #[test]
-    fn dirichlet_small_alpha_is_more_skewed_than_large_alpha() {
-        let d = toy_dataset(2000);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let skewed = dirichlet(&d, 20, 0.1, &mut rng);
-        let near_iid = dirichlet(&d, 20, 100.0, &mut rng);
-        assert!(
-            skewed.mean_distinct_labels(&d) < near_iid.mean_distinct_labels(&d),
-            "alpha=0.1 gave {} distinct labels vs {} for alpha=100",
-            skewed.mean_distinct_labels(&d),
-            near_iid.mean_distinct_labels(&d)
-        );
-        // With a large concentration every client sees (almost) every label.
-        assert!(near_iid.mean_distinct_labels(&d) > 9.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "concentration must be positive")]
-    fn dirichlet_rejects_nonpositive_alpha() {
-        let d = toy_dataset(100);
-        let mut rng = SmallRng::seed_from_u64(0);
-        dirichlet(&d, 5, 0.0, &mut rng);
-    }
-
-    #[test]
     fn validate_detects_duplicates_and_oob() {
         let p = Partition::new(vec![vec![0, 1], vec![1]]);
         assert!(p.validate(3).unwrap_err().contains("more than one"));
@@ -570,7 +471,6 @@ mod tests {
         let (mean, stdev) = p.size_stats();
         assert_eq!(mean, 2.0);
         assert_eq!(stdev, 1.0);
-        assert_eq!(p.total_samples(), 4);
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl Scale {
 
 /// A complete experimental setting: dataset, partition, population, local
 /// solver configuration, round budget and target accuracy.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Setting {
     /// Which synthetic dataset stands in for the paper's dataset.
     pub dataset: SyntheticDataset,
@@ -71,6 +71,19 @@ pub struct Setting {
     pub system_heterogeneity: bool,
     /// Base RNG seed.
     pub seed: u64,
+}
+
+/// `settings` without those equal to an earlier one. Below [`Scale::Paper`]
+/// several of the paper's populations clamp to one client count, and an
+/// experiment runs each setting once.
+pub(crate) fn distinct(settings: impl IntoIterator<Item = Setting>) -> Vec<Setting> {
+    let mut kept: Vec<Setting> = Vec::new();
+    for setting in settings {
+        if !kept.contains(&setting) {
+            kept.push(setting);
+        }
+    }
+    kept
 }
 
 impl Setting {

@@ -8,7 +8,9 @@
 //! reversed settings (FMNIST non-IID, CIFAR-10 IID) together with the
 //! reduction over the best baseline.
 
-use crate::common::{format_rounds, render_table, table3_suite, ExperimentReport, Scale, Setting};
+use crate::common::{
+    distinct, format_rounds, render_table, table3_suite, ExperimentReport, Scale, Setting,
+};
 use fedadmm_core::metrics::reduction_over_best_baseline;
 use fedadmm_core::prelude::DataDistribution;
 use fedadmm_data::synthetic::SyntheticDataset;
@@ -18,6 +20,32 @@ use serde_json::json;
 /// The client populations swept by Figures 3 and 4 (the paper's values; the
 /// scaled/smoke configurations shrink them through [`Setting::for_dataset`]).
 pub const PAPER_POPULATIONS: [usize; 3] = [100, 500, 1000];
+
+/// Figure 3's panels: FMNIST IID and CIFAR-10 non-IID.
+pub(crate) const FIG3: [(SyntheticDataset, DataDistribution); 2] = [
+    (SyntheticDataset::Fmnist, DataDistribution::Iid),
+    (SyntheticDataset::Cifar10, DataDistribution::NonIidShards),
+];
+
+/// Figure 4's reversed settings: FMNIST non-IID and CIFAR-10 IID.
+pub(crate) const FIG4: [(SyntheticDataset, DataDistribution); 2] = [
+    (SyntheticDataset::Fmnist, DataDistribution::NonIidShards),
+    (SyntheticDataset::Cifar10, DataDistribution::Iid),
+];
+
+/// One figure's settings at `scale`: `figure`'s pairs at every population
+/// of [`PAPER_POPULATIONS`], population by population. A setting the scale
+/// makes equal to an earlier one is dropped.
+pub(crate) fn population_settings(
+    figure: [(SyntheticDataset, DataDistribution); 2],
+    scale: Scale,
+) -> Vec<Setting> {
+    distinct(PAPER_POPULATIONS.into_iter().flat_map(|population| {
+        figure.map(|(dataset, distribution)| {
+            Setting::for_dataset(dataset, distribution, population, scale)
+        })
+    }))
+}
 
 /// Accuracy-per-round series for every algorithm under one setting
 /// (one panel of Figure 3).
@@ -55,56 +83,44 @@ pub fn run(scale: Scale) -> TensorResult<ExperimentReport> {
     };
     // Figure 3 panels: FMNIST IID and CIFAR-10 non-IID across populations.
     let mut panels = Vec::new();
-    for &population in &PAPER_POPULATIONS {
-        for (dataset, distribution) in [
-            (SyntheticDataset::Fmnist, DataDistribution::Iid),
-            (SyntheticDataset::Cifar10, DataDistribution::NonIidShards),
-        ] {
-            let setting = Setting::for_dataset(dataset, distribution, population, scale);
-            panels.push(run_panel(&setting, rounds)?);
-        }
+    for setting in population_settings(FIG3, scale) {
+        panels.push(run_panel(&setting, rounds)?);
     }
 
     // Figure 4: rounds-to-target for the reversed settings, plus reduction.
     let mut fig4_rows = Vec::new();
     let mut fig4_data = Vec::new();
-    for &population in &PAPER_POPULATIONS {
-        for (dataset, distribution) in [
-            (SyntheticDataset::Fmnist, DataDistribution::NonIidShards),
-            (SyntheticDataset::Cifar10, DataDistribution::Iid),
-        ] {
-            let setting = Setting::for_dataset(dataset, distribution, population, scale);
-            let mut rounds_per_alg = Vec::new();
-            for (name, algorithm) in table3_suite(&setting) {
-                let (r, _) = setting.run_to_target(algorithm)?;
-                rounds_per_alg.push((name.to_string(), r));
-            }
-            let fedadmm = rounds_per_alg
-                .iter()
-                .find(|(n, _)| n == "FedADMM")
-                .and_then(|(_, r)| *r);
-            let baselines: Vec<Option<usize>> = rounds_per_alg
-                .iter()
-                .filter(|(n, _)| n != "FedADMM" && n != "FedSGD")
-                .map(|(_, r)| *r)
-                .collect();
-            let reduction = reduction_over_best_baseline(fedadmm, &baselines);
-            let mut row = vec![setting.label()];
-            for (_, r) in &rounds_per_alg {
-                row.push(format_rounds(*r, setting.max_rounds));
-            }
-            row.push(
-                reduction
-                    .map(|p| format!("{p:.1}%"))
-                    .unwrap_or_else(|| "-".to_string()),
-            );
-            fig4_rows.push(row);
-            fig4_data.push(json!({
-                "label": setting.label(),
-                "rounds": rounds_per_alg,
-                "reduction_percent": reduction,
-            }));
+    for setting in population_settings(FIG4, scale) {
+        let mut rounds_per_alg = Vec::new();
+        for (name, algorithm) in table3_suite(&setting) {
+            let (r, _) = setting.run_to_target(algorithm)?;
+            rounds_per_alg.push((name.to_string(), r));
         }
+        let fedadmm = rounds_per_alg
+            .iter()
+            .find(|(n, _)| n == "FedADMM")
+            .and_then(|(_, r)| *r);
+        let baselines: Vec<Option<usize>> = rounds_per_alg
+            .iter()
+            .filter(|(n, _)| n != "FedADMM" && n != "FedSGD")
+            .map(|(_, r)| *r)
+            .collect();
+        let reduction = reduction_over_best_baseline(fedadmm, &baselines);
+        let mut row = vec![setting.label()];
+        for (_, r) in &rounds_per_alg {
+            row.push(format_rounds(*r, setting.max_rounds));
+        }
+        row.push(
+            reduction
+                .map(|p| format!("{p:.1}%"))
+                .unwrap_or_else(|| "-".to_string()),
+        );
+        fig4_rows.push(row);
+        fig4_data.push(json!({
+            "label": setting.label(),
+            "rounds": rounds_per_alg,
+            "reduction_percent": reduction,
+        }));
     }
 
     let mut rendered =

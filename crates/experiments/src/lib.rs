@@ -44,3 +44,44 @@ pub mod table5_fig9;
 pub mod table6_fig10;
 
 pub use common::{ExperimentReport, Scale};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Below `Paper`, several of the paper's populations clamp to one client
+    /// count; no experiment may then run (and print) one setting twice, and
+    /// at `Paper`, where every population is distinct, nothing is dropped.
+    #[test]
+    fn no_experiment_runs_a_setting_twice() {
+        for scale in [Scale::Smoke, Scale::Scaled, Scale::Paper] {
+            let lists = [
+                ("table3", table3::table3_settings(scale), 8),
+                (
+                    "fig3",
+                    fig3_fig4::population_settings(fig3_fig4::FIG3, scale),
+                    6,
+                ),
+                (
+                    "fig4",
+                    fig3_fig4::population_settings(fig3_fig4::FIG4, scale),
+                    6,
+                ),
+                ("table5", table5_fig9::table5_settings(scale), 8),
+            ];
+            for (name, list, paper_len) in lists {
+                assert!(!list.is_empty(), "{name} at {scale:?} is empty");
+                for (i, setting) in list.iter().enumerate() {
+                    assert!(
+                        !list[..i].contains(setting),
+                        "{name} at {scale:?} runs {} twice",
+                        setting.label()
+                    );
+                }
+                if scale == Scale::Paper {
+                    assert_eq!(list.len(), paper_len, "{name} at {scale:?}");
+                }
+            }
+        }
+    }
+}

@@ -8,7 +8,8 @@
 //! for FedADMM over the best baseline.
 
 use crate::common::{
-    format_rounds, format_speedup, render_table, table3_suite, ExperimentReport, Scale, Setting,
+    distinct, format_rounds, format_speedup, render_table, table3_suite, ExperimentReport, Scale,
+    Setting,
 };
 use fedadmm_core::metrics::{reduction_over_best_baseline, speedup};
 use fedadmm_core::prelude::DataDistribution;
@@ -16,15 +17,20 @@ use fedadmm_data::synthetic::SyntheticDataset;
 use fedadmm_tensor::TensorResult;
 use serde_json::json;
 
-/// The dataset / population combinations of Table III (the `usize` is the
-/// paper's client-population for that column).
-pub fn table3_settings() -> Vec<(SyntheticDataset, usize)> {
-    vec![
+/// The columns of Table III at `scale`: MNIST with the paper's 100 and
+/// 1,000 clients, FMNIST and CIFAR-10 with 1,000, each IID then non-IID.
+/// A column the scale makes equal to an earlier one is dropped.
+pub fn table3_settings(scale: Scale) -> Vec<Setting> {
+    let columns = [
         (SyntheticDataset::Mnist, 100),
         (SyntheticDataset::Mnist, 1000),
         (SyntheticDataset::Fmnist, 1000),
         (SyntheticDataset::Cifar10, 1000),
-    ]
+    ];
+    distinct(columns.into_iter().flat_map(|(dataset, paper_clients)| {
+        [DataDistribution::Iid, DataDistribution::NonIidShards]
+            .map(|distribution| Setting::for_dataset(dataset, distribution, paper_clients, scale))
+    }))
 }
 
 /// Result of one column of Table III.
@@ -64,11 +70,8 @@ pub fn run_column(setting: &Setting) -> TensorResult<ColumnResult> {
 /// Regenerates Table III at the requested scale.
 pub fn run(scale: Scale) -> TensorResult<ExperimentReport> {
     let mut columns = Vec::new();
-    for (dataset, paper_clients) in table3_settings() {
-        for distribution in [DataDistribution::Iid, DataDistribution::NonIidShards] {
-            let setting = Setting::for_dataset(dataset, distribution, paper_clients, scale);
-            columns.push((setting, run_column(&setting)?));
-        }
+    for setting in table3_settings(scale) {
+        columns.push((setting, run_column(&setting)?));
     }
 
     // Render: one row per algorithm, one column per setting, plus the

@@ -8,7 +8,9 @@
 //! a constant ρ dominates every tested FedProx instance. Figure 9 adds a
 //! dynamic ρ schedule for FedADMM (small ρ early, larger ρ later).
 
-use crate::common::{format_rounds, render_table, ExperimentReport, Scale, Setting, SUBSTRATE_RHO};
+use crate::common::{
+    distinct, format_rounds, render_table, ExperimentReport, Scale, Setting, SUBSTRATE_RHO,
+};
 use fedadmm_core::prelude::*;
 use fedadmm_data::synthetic::SyntheticDataset;
 use fedadmm_tensor::TensorResult;
@@ -40,44 +42,49 @@ pub fn run_rho_schedule(
     Ok(sim.into_history().accuracy_series())
 }
 
+/// The rows of Table V at `scale`: MNIST and FMNIST with the paper's 200
+/// and 500 clients (MNIST with 200 at `smoke`), each IID then non-IID. A
+/// row the scale makes equal to an earlier one is dropped.
+pub(crate) fn table5_settings(scale: Scale) -> Vec<Setting> {
+    let (datasets, populations): (&[SyntheticDataset], &[usize]) = match scale {
+        Scale::Smoke => (&[SyntheticDataset::Mnist], &[200]),
+        _ => (
+            &[SyntheticDataset::Mnist, SyntheticDataset::Fmnist],
+            &[200, 500],
+        ),
+    };
+    distinct(datasets.iter().flat_map(|&dataset| {
+        populations.iter().flat_map(move |&population| {
+            [DataDistribution::Iid, DataDistribution::NonIidShards]
+                .map(|distribution| Setting::for_dataset(dataset, distribution, population, scale))
+        })
+    }))
+}
+
 /// Regenerates Table V and Figure 9.
 pub fn run(scale: Scale) -> TensorResult<ExperimentReport> {
-    let populations: Vec<usize> = match scale {
-        Scale::Smoke => vec![200],
-        _ => vec![200, 500],
-    };
-    let datasets = match scale {
-        Scale::Smoke => vec![SyntheticDataset::Mnist],
-        _ => vec![SyntheticDataset::Mnist, SyntheticDataset::Fmnist],
-    };
-
     let mut rows = Vec::new();
     let mut data = Vec::new();
-    for dataset in &datasets {
-        for &population in &populations {
-            for distribution in [DataDistribution::Iid, DataDistribution::NonIidShards] {
-                let setting = Setting::for_dataset(*dataset, distribution, population, scale);
-                let budget = setting.max_rounds;
-                let admm = rounds_for(
-                    &setting,
-                    Box::new(FedAdmm::new(SUBSTRATE_RHO, ServerStepSize::Constant(1.0))),
-                )?;
-                let mut row = vec![setting.label(), format_rounds(admm, budget)];
-                let mut prox_cells = Vec::new();
-                for &rho in &PROX_RHOS {
-                    let prox = rounds_for(&setting, Box::new(FedProx::new(rho)))?;
-                    row.push(format_rounds(prox, budget));
-                    prox_cells.push(json!({ "rho": rho, "rounds": prox }));
-                }
-                rows.push(row);
-                data.push(json!({
-                    "label": setting.label(),
-                    "fedadmm_fixed_rho": SUBSTRATE_RHO,
-                    "fedadmm_rounds": admm,
-                    "fedprox": prox_cells,
-                }));
-            }
+    for setting in table5_settings(scale) {
+        let budget = setting.max_rounds;
+        let admm = rounds_for(
+            &setting,
+            Box::new(FedAdmm::new(SUBSTRATE_RHO, ServerStepSize::Constant(1.0))),
+        )?;
+        let mut row = vec![setting.label(), format_rounds(admm, budget)];
+        let mut prox_cells = Vec::new();
+        for &rho in &PROX_RHOS {
+            let prox = rounds_for(&setting, Box::new(FedProx::new(rho)))?;
+            row.push(format_rounds(prox, budget));
+            prox_cells.push(json!({ "rho": rho, "rounds": prox }));
         }
+        rows.push(row);
+        data.push(json!({
+            "label": setting.label(),
+            "fedadmm_fixed_rho": SUBSTRATE_RHO,
+            "fedadmm_rounds": admm,
+            "fedprox": prox_cells,
+        }));
     }
 
     // Figure 9: dynamic ρ for FedADMM (increase ρ mid-run).

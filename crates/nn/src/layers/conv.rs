@@ -10,7 +10,6 @@ use rand::RngCore;
 ///
 /// The paper's CNN 1 / CNN 2 use 5×5 kernels, stride 1 and 'same' padding
 /// (padding 2), but the layer is general.
-#[derive(Clone)]
 pub struct Conv2d {
     /// `[out_channels, in_channels, kernel_size, kernel_size]`.
     weight_dims: [usize; 4],
@@ -38,11 +37,6 @@ impl Conv2d {
             cached_input: None,
             scratch: ops::Conv2dScratch::default(),
         }
-    }
-
-    /// Output spatial size for a given input spatial size.
-    pub fn output_size(&self, input: usize) -> usize {
-        ops::conv2d_output_size(input, self.weight_dims[2], self.stride, self.padding)
     }
 
     /// Length of the kernel, the front part of the layer's parameters.
@@ -114,19 +108,6 @@ impl Layer for Conv2d {
         init::kaiming_uniform(weight, self.weight_dims[1..].iter().product(), &mut rng);
         bias.fill(0.0);
     }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        // The cached input and im2col scratch are transient per-step state
-        // the clone would immediately overwrite, so they start empty.
-        let [out_channels, in_channels, kernel_size, _] = self.weight_dims;
-        Box::new(Conv2d::new(
-            in_channels,
-            out_channels,
-            kernel_size,
-            self.stride,
-            self.padding,
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +132,6 @@ mod tests {
             .forward(&[0.0; 52], &Tensor::zeros(&[1, 1, 28, 28]))
             .unwrap();
         assert_eq!(out.dims(), &[1, 2, 28, 28]);
-        assert_eq!(c.output_size(28), 28);
     }
 
     #[test]

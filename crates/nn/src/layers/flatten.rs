@@ -4,7 +4,7 @@ use super::Layer;
 use fedadmm_tensor::{Tensor, TensorError, TensorResult};
 
 /// Flattens `[batch, d1, d2, ...]` into `[batch, d1*d2*...]`.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct Flatten {
     cached_dims: Option<Vec<usize>>,
 }
@@ -61,11 +61,6 @@ impl Layer for Flatten {
         grad_input.resize_in_place(dims);
         grad_input.data_mut().copy_from_slice(grad_output.data());
         Ok(())
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        // Cached input dims are per-step activation state; start them empty.
-        Box::new(Flatten::new())
     }
 }
 

@@ -14,7 +14,6 @@ use rand::RngCore;
 /// The fused variant ([`Linear::new_fused_relu`]) computes matmul, bias and
 /// activation in a single kernel pass and is bit-identical to a `Linear`
 /// followed by a separate `Relu` layer.
-#[derive(Clone)]
 pub struct Linear {
     in_features: usize,
     out_features: usize,
@@ -147,15 +146,6 @@ impl Layer for Linear {
         let (weight, bias) = params.split_at_mut(self.in_features * self.out_features);
         init::kaiming_uniform(weight, self.in_features, &mut rng);
         bias.fill(0.0);
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        // Activation caches and scratch buffers are transient per-step state
-        // the clone would immediately overwrite, so they start empty.
-        Box::new(Linear {
-            fused_relu: self.fused_relu,
-            ..Linear::new(self.in_features, self.out_features)
-        })
     }
 }
 

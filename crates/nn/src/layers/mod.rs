@@ -11,18 +11,14 @@
 //! tensor-returning `forward` / `backward` are provided by the [`Layer`]
 //! trait on top of it.
 
-mod activation;
 mod conv;
-mod dropout;
 mod flatten;
 mod linear;
 mod pool;
 mod relu;
 mod reshape;
 
-pub use activation::{Sigmoid, Tanh};
 pub use conv::Conv2d;
-pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use linear::Linear;
 pub use pool::MaxPool2d;
@@ -113,16 +109,6 @@ pub trait Layer: Send {
     /// Writes freshly initialised parameters into the layer's range of a
     /// new network's parameter vector, drawing from `rng`.
     fn init_params(&self, _params: &mut [f32], _rng: &mut dyn RngCore) {}
-
-    /// Clones the layer behind a box (its geometry is copied, caches are
-    /// not required to be preserved).
-    fn clone_layer(&self) -> Box<dyn Layer>;
-}
-
-impl Clone for Box<dyn Layer> {
-    fn clone(&self) -> Self {
-        self.clone_layer()
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,6 @@ use super::Layer;
 use fedadmm_tensor::{ops, Tensor, TensorError, TensorResult};
 
 /// 2-D max pooling. The paper's CNNs use 2×2 windows with stride 2.
-#[derive(Clone)]
 pub struct MaxPool2d {
     size: usize,
     stride: usize,
@@ -56,11 +55,6 @@ impl Layer for MaxPool2d {
             return Ok(());
         };
         ops::max_pool2d_backward_into(grad_output, argmax, dims, grad_input)
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        // Argmax bookkeeping is per-step activation state; start it empty.
-        Box::new(MaxPool2d::new(self.size, self.stride))
     }
 }
 

@@ -4,7 +4,7 @@ use super::Layer;
 use fedadmm_tensor::{Tensor, TensorError, TensorResult};
 
 /// Elementwise rectified linear unit: `y = max(x, 0)`.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct Relu {
     /// Mask of the positive inputs from the last forward pass.
     mask: Option<Vec<bool>>,
@@ -62,12 +62,6 @@ impl Layer for Relu {
             }
         }
         Ok(())
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        // The mask is per-step activation state the clone will overwrite on
-        // its first forward pass; don't copy it.
-        Box::new(Relu::new())
     }
 }
 

@@ -9,7 +9,6 @@ use super::Layer;
 use fedadmm_tensor::{Tensor, TensorError, TensorResult};
 
 /// Reshapes `[batch, prod(target)]` into `[batch, target...]`.
-#[derive(Clone)]
 pub struct Reshape {
     target: Vec<usize>,
     cached_dims: Option<Vec<usize>>,
@@ -83,11 +82,6 @@ impl Layer for Reshape {
         grad_input.resize_in_place(dims);
         grad_input.data_mut().copy_from_slice(grad_output.data());
         Ok(())
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        // Cached input dims are per-step activation state; start them empty.
-        Box::new(Reshape::new(&self.target))
     }
 }
 

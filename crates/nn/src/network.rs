@@ -15,7 +15,6 @@ use rand::Rng;
 /// / FedProx / SCAFFOLD vector arithmetic, and the SGD step itself, happens
 /// on those vectors where they lie ([`Network::params_grads_mut`]): there
 /// is no per-layer representation to copy to or from.
-#[derive(Clone)]
 pub struct Network {
     layers: Vec<Box<dyn Layer>>,
     params: Vec<f32>,
@@ -302,11 +301,16 @@ mod tests {
     }
 
     /// Asserts the arena-routed forward/backward of `net` bit-identical to
-    /// running its layers one by one through fresh tensors — where every
-    /// layer, the first included, is asked for its input gradient — and
-    /// that repeat passes reuse the arena slots.
-    fn assert_arena_matches_reference(mut net: Network, x: &Tensor, rng: &mut SmallRng) {
-        let mut reference = net.clone();
+    /// running the layers of `reference` (the same network, built from the
+    /// same seed) one by one through fresh tensors — where every layer, the
+    /// first included, is asked for its input gradient — and that repeat
+    /// passes reuse the arena slots.
+    fn assert_arena_matches_reference(
+        mut net: Network,
+        mut reference: Network,
+        x: &Tensor,
+        rng: &mut SmallRng,
+    ) {
         let y_ref = reference.forward(x).unwrap();
         let loss_grad = fedadmm_tensor::init::randn(y_ref.dims(), 0.0, 1.0, rng);
         let gx_ref = reference.backward(&loss_grad).unwrap();
@@ -343,22 +347,24 @@ mod tests {
     fn arena_path_matches_layer_by_layer_reference() {
         let mut rng = SmallRng::seed_from_u64(17);
         let x = fedadmm_tensor::init::randn(&[3, 4], 0.0, 1.0, &mut rng);
-        assert_arena_matches_reference(small_net(17), &x, &mut rng);
+        assert_arena_matches_reference(small_net(17), small_net(17), &x, &mut rng);
 
         // A convolutional stack behind an input `Reshape`: the sweep stops
         // at the first convolution and never runs the reshape's backward.
-        let layers: Vec<Box<dyn Layer>> = vec![
-            Box::new(Reshape::new(&[1, 6, 6])),
-            Box::new(Conv2d::new(1, 2, 3, 1, 1)),
-            Box::new(Relu::new()),
-            Box::new(MaxPool2d::new(2, 2)),
-            Box::new(Conv2d::new(2, 3, 3, 1, 1)),
-            Box::new(Flatten::new()),
-            Box::new(Linear::new(27, 4)),
-        ];
-        let conv_net = Network::new(layers, &mut rng);
+        let conv_net = || {
+            let layers: Vec<Box<dyn Layer>> = vec![
+                Box::new(Reshape::new(&[1, 6, 6])),
+                Box::new(Conv2d::new(1, 2, 3, 1, 1)),
+                Box::new(Relu::new()),
+                Box::new(MaxPool2d::new(2, 2)),
+                Box::new(Conv2d::new(2, 3, 3, 1, 1)),
+                Box::new(Flatten::new()),
+                Box::new(Linear::new(27, 4)),
+            ];
+            Network::new(layers, &mut SmallRng::seed_from_u64(18))
+        };
         let x = fedadmm_tensor::init::randn(&[2, 36], 0.0, 1.0, &mut rng);
-        assert_arena_matches_reference(conv_net, &x, &mut rng);
+        assert_arena_matches_reference(conv_net(), conv_net(), &x, &mut rng);
     }
 
     #[test]
@@ -369,13 +375,14 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_independent() {
+    fn same_seed_builds_an_identical_independent_network() {
         let mut net = small_net(5);
-        let clone = net.clone();
+        let twin = small_net(5);
         let p = net.params_flat();
+        assert_eq!(twin.params_flat(), p);
         let zeros = vec![0.0; net.num_params()];
         net.set_params_flat(&zeros).unwrap();
-        assert_eq!(clone.params_flat(), p);
+        assert_eq!(twin.params_flat(), p);
         assert_ne!(net.params_flat(), p);
     }
 

@@ -8,47 +8,26 @@
 use fedadmm_tensor::vecops;
 use serde::{Deserialize, Serialize};
 
-/// Plain SGD with an optional weight-decay (L2) term.
+/// Plain SGD (the paper uses no weight decay).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Sgd {
     /// Learning rate η_i (the paper selects it from {0.01, 0.1, 0.2, 0.5}).
     pub learning_rate: f32,
-    /// Optional decoupled weight decay coefficient (0 disables it).
-    pub weight_decay: f32,
 }
 
 impl Sgd {
-    /// Creates an SGD optimizer with the given learning rate and no weight
-    /// decay.
+    /// Creates an SGD optimizer with the given learning rate.
     pub fn new(learning_rate: f32) -> Self {
-        Sgd {
-            learning_rate,
-            weight_decay: 0.0,
-        }
+        Sgd { learning_rate }
     }
 
-    /// Creates an SGD optimizer with weight decay.
-    pub fn with_weight_decay(learning_rate: f32, weight_decay: f32) -> Self {
-        Sgd {
-            learning_rate,
-            weight_decay,
-        }
-    }
-
-    /// Performs one update: `params -= lr * (grads + weight_decay * params)`.
+    /// Performs one update: `params -= lr * grads`.
     ///
     /// # Panics
     /// Panics if `params.len() != grads.len()`.
     pub fn step(&self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "Sgd::step length mismatch");
-        if self.weight_decay != 0.0 {
-            let lr_wd = self.learning_rate * self.weight_decay;
-            for (p, &g) in params.iter_mut().zip(grads.iter()) {
-                *p -= self.learning_rate * g + lr_wd * *p;
-            }
-        } else {
-            vecops::axpy(-self.learning_rate, grads, params);
-        }
+        vecops::axpy(-self.learning_rate, grads, params);
     }
 }
 
@@ -62,14 +41,6 @@ mod tests {
         let mut p = vec![1.0, 2.0];
         sgd.step(&mut p, &[1.0, -1.0]);
         assert_eq!(p, vec![0.9, 2.1]);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_params() {
-        let sgd = Sgd::with_weight_decay(0.1, 0.5);
-        let mut p = vec![1.0];
-        sgd.step(&mut p, &[0.0]);
-        assert!((p[0] - 0.95).abs() < 1e-6);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! the metrics registry and the process probes are small enough to own, and
 //! owning them keeps the workspace offline-buildable. Three layers:
 //!
-//! * [`trace`] — a structured span/event tracer with a bounded ring buffer,
-//!   hierarchical parents and a [`span!`] RAII macro; exports JSONL.
+//! * [`trace`] — a structured span/event tracer with a bounded ring buffer
+//!   and hierarchical parents; exports JSONL.
 //! * [`metrics`] — a registry of counters, gauges and fixed-bucket
 //!   histograms updated through pre-registered integer handles.
 //! * [`process`] — peak/current RSS probes from `/proc/self/status`.
@@ -49,4 +49,4 @@ pub use metrics::{
     MetricsRegistry,
 };
 pub use process::{current_rss_bytes, peak_rss_bytes};
-pub use trace::{SpanGuard, SpanId, SpanRecord, Tracer, DEFAULT_TRACE_CAPACITY};
+pub use trace::{SpanId, SpanRecord, Tracer, DEFAULT_TRACE_CAPACITY};

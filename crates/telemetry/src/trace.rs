@@ -152,9 +152,9 @@ impl Tracer {
 
     /// Closes a span, committing its record to the ring.
     ///
-    /// Spans are expected to close in LIFO order (the [`span!`](crate::span)
-    /// guard enforces this); closing out of order also closes any younger
-    /// spans still open above it, attributing them the same end time.
+    /// Spans are expected to close in LIFO order; closing out of order also
+    /// closes any younger spans still open above it, attributing them the
+    /// same end time.
     pub fn end(&mut self, id: SpanId) {
         let Some(pos) = self.open.iter().rposition(|s| s.id == id.0) else {
             return; // unknown or already closed — ignore
@@ -248,79 +248,6 @@ impl Tracer {
     }
 }
 
-/// RAII guard that closes its span on drop — the return value of
-/// [`span!`](crate::span).
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    tracer: &'a mut Tracer,
-    id: SpanId,
-}
-
-impl<'a> SpanGuard<'a> {
-    /// Opens a span on `tracer` and returns the guard that closes it.
-    pub fn enter(
-        tracer: &'a mut Tracer,
-        name: &'static str,
-        round: Option<u64>,
-        client: Option<u64>,
-    ) -> Self {
-        let id = tracer.start_with(name, round, client);
-        SpanGuard { tracer, id }
-    }
-
-    /// The id of the guarded span.
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.tracer.end(self.id);
-    }
-}
-
-/// Opens a span on a [`Tracer`] and returns a guard that closes it when
-/// dropped.
-///
-/// ```
-/// use fedadmm_telemetry::{span, trace::Tracer};
-///
-/// let mut tracer = Tracer::default();
-/// {
-///     let _round = span!(tracer, "round", round = 3);
-/// } // span closes here
-/// assert_eq!(tracer.records()[0].name, "round");
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($tracer:expr, $name:expr) => {
-        $crate::trace::SpanGuard::enter(&mut $tracer, $name, None, None)
-    };
-    ($tracer:expr, $name:expr, round = $round:expr) => {
-        $crate::trace::SpanGuard::enter(&mut $tracer, $name, Some($round as u64), None)
-    };
-    ($tracer:expr, $name:expr, client = $client:expr) => {
-        $crate::trace::SpanGuard::enter(&mut $tracer, $name, None, Some($client as u64))
-    };
-    ($tracer:expr, $name:expr, round = $round:expr, client = $client:expr) => {
-        $crate::trace::SpanGuard::enter(
-            &mut $tracer,
-            $name,
-            Some($round as u64),
-            Some($client as u64),
-        )
-    };
-    ($tracer:expr, $name:expr, client = $client:expr, round = $round:expr) => {
-        $crate::trace::SpanGuard::enter(
-            &mut $tracer,
-            $name,
-            Some($round as u64),
-            Some($client as u64),
-        )
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,20 +280,6 @@ mod tests {
         assert_eq!(t.dropped(), 6);
         let rounds: Vec<u64> = t.records().iter().map(|r| r.round.unwrap()).collect();
         assert_eq!(rounds, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn guard_macro_closes_on_drop() {
-        let mut t = Tracer::new(8);
-        {
-            let _guard = span!(t, "outer", round = 1);
-        }
-        {
-            let _guard = span!(t, "with_client", client = 5, round = 2);
-        }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.records()[1].client, Some(5));
-        assert_eq!(t.records()[1].round, Some(2));
     }
 
     #[test]

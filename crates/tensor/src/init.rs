@@ -18,21 +18,6 @@ pub fn randn(dims: &[usize], mean: f32, std: f32, rng: &mut impl Rng) -> Tensor 
     t
 }
 
-/// Samples a tensor with i.i.d. `Uniform(low, high)` entries.
-pub fn rand_uniform(dims: &[usize], low: f32, high: f32, rng: &mut impl Rng) -> Tensor {
-    let mut t = Tensor::zeros(dims);
-    fill_uniform(t.data_mut(), low, high, rng);
-    t
-}
-
-fn fill_uniform(out: &mut [f32], low: f32, high: f32, rng: &mut impl Rng) {
-    assert!(low < high, "rand_uniform requires low < high");
-    let uniform = Uniform::new(low, high);
-    for x in out {
-        *x = uniform.sample(rng);
-    }
-}
-
 /// Kaiming / He uniform initialisation for layers followed by ReLU, written
 /// into a weight that lives in a caller-owned slice (a layer's range of its
 /// network's parameter vector).
@@ -42,7 +27,10 @@ fn fill_uniform(out: &mut [f32], low: f32, high: f32, rng: &mut impl Rng) {
 /// paper's PyTorch reference implementation uses implicitly.
 pub fn kaiming_uniform(weight: &mut [f32], fan_in: usize, rng: &mut impl Rng) {
     let bound = (6.0 / fan_in.max(1) as f32).sqrt();
-    fill_uniform(weight, -bound, bound, rng);
+    let uniform = Uniform::new(-bound, bound);
+    for x in weight {
+        *x = uniform.sample(rng);
+    }
 }
 
 #[cfg(test)]
@@ -59,21 +47,6 @@ mod tests {
         let var = t.map(|x| (x - mean) * (x - mean)).mean();
         assert!((mean - 1.0).abs() < 0.1, "mean was {mean}");
         assert!((var - 4.0).abs() < 0.3, "variance was {var}");
-    }
-
-    #[test]
-    fn rand_uniform_bounds() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let t = rand_uniform(&[1000], -0.5, 0.5, &mut rng);
-        assert!(t.max() <= 0.5);
-        assert!(t.min() >= -0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "low < high")]
-    fn rand_uniform_bad_range() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        rand_uniform(&[4], 1.0, 1.0, &mut rng);
     }
 
     #[test]

@@ -177,11 +177,6 @@ impl Tensor {
         self.zip_map(other, |a, b| a - b)
     }
 
-    /// In-place elementwise addition: `self += other`.
-    pub fn add_assign(&mut self, other: &Tensor) -> TensorResult<()> {
-        self.zip_assign(other, |a, b| *a += b)
-    }
-
     /// In-place `self += alpha * other` (BLAS `axpy`).
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) -> TensorResult<()> {
         self.zip_assign(other, |a, b| *a += alpha * b)
@@ -204,13 +199,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` elementwise in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

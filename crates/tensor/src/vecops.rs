@@ -287,28 +287,6 @@ pub struct DequantTerm<'a> {
     pub codes: &'a [u16],
 }
 
-/// `out[i] += alpha · (min + codes[i] · step)` — dequantize-accumulate one
-/// coded vector in a single pass, without materializing the decoded floats.
-///
-/// Elementwise, so bit-identical to decoding into a scratch vector and
-/// calling [`axpy`] on it.
-///
-/// # Panics
-/// Panics if `codes.len() != out.len()`.
-pub fn dequant_axpy(alpha: f32, min: f32, step: f32, codes: &[u16], out: &mut [f32]) {
-    assert_eq!(codes.len(), out.len(), "dequant_axpy length mismatch");
-    let mut cb = codes.chunks_exact(LANES);
-    let mut ob = out.chunks_exact_mut(LANES);
-    for (os, cs) in ob.by_ref().zip(cb.by_ref()) {
-        for k in 0..LANES {
-            os[k] += alpha * (min + cs[k] as f32 * step);
-        }
-    }
-    for (o, c) in ob.into_remainder().iter_mut().zip(cb.remainder()) {
-        *o += alpha * (min + *c as f32 * step);
-    }
-}
-
 /// Fused multi-message dequantize-accumulate:
 /// `out[i] += Σ_t alphas[t] · (min[t] + codes[t][i] · step[t])` — the
 /// compressed analogue of [`axpy_fused`], term-blocked the same way, so
@@ -581,11 +559,6 @@ mod tests {
                 *o = acc;
             }
         }
-        pub fn dequant_axpy(alpha: f32, min: f32, step: f32, codes: &[u16], out: &mut [f32]) {
-            for (o, &c) in out.iter_mut().zip(codes.iter()) {
-                *o += alpha * (min + c as f32 * step);
-            }
-        }
         pub fn dequant_axpy_fused(terms: &[super::DequantTerm<'_>], out: &mut [f32]) {
             for (i, o) in out.iter_mut().enumerate() {
                 for t in terms {
@@ -656,12 +629,6 @@ mod tests {
             let codes_a = code_ramp(n, 7, 2);
             let codes_b = code_ramp(n, 5, 9);
             let codes_c = code_ramp(n, 11, 4);
-            let mut got = z.clone();
-            let mut want = z.clone();
-            dequant_axpy(3.0, -8.0, 2.0, &codes_a, &mut got);
-            reference::dequant_axpy(3.0, -8.0, 2.0, &codes_a, &mut want);
-            assert_eq!(got, want, "dequant_axpy len {n}");
-
             let dq_terms = [
                 DequantTerm {
                     alpha: 2.0,
@@ -867,7 +834,15 @@ mod tests {
         let mut via_decode = ramp(37, 5, 1);
         let mut direct = via_decode.clone();
         axpy(alpha, &decoded, &mut via_decode);
-        dequant_axpy(alpha, min, step, &codes, &mut direct);
+        dequant_axpy_fused(
+            &[DequantTerm {
+                alpha,
+                min,
+                step,
+                codes: &codes,
+            }],
+            &mut direct,
+        );
         assert_eq!(direct, via_decode);
     }
 

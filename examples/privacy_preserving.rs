@@ -1,16 +1,11 @@
-//! Privacy-preserving FedADMM: update clipping, Gaussian noise, secure
-//! aggregation, and a zCDP privacy accountant.
+//! Differentially private FedADMM: update clipping, Gaussian noise and a
+//! zCDP privacy accountant.
 //!
 //! The paper notes (footnote 1) that standard privacy-preserving methods
-//! compose with FedADMM. This example demonstrates both ingredients on a
-//! non-IID run:
-//!
-//! 1. each client's upload is clipped and noised by [`GaussianMechanism`]
-//!    (as the wire path's guard, on the dispatch workers), and the
-//!    cumulative (ε, δ) guarantee is tracked by [`PrivacyAccountant`];
-//! 2. the uploads of one round are additionally passed through the
-//!    pairwise-mask [`SecureAggregator`], showing that the server learns
-//!    only the sum it needs for equation (5), bit-for-bit.
+//! compose with FedADMM. This example runs a non-IID federation in which
+//! each client's upload is clipped and noised by [`GaussianMechanism`] (as
+//! the wire path's guard, on the dispatch workers), and tracks the
+//! cumulative (ε, δ) guarantee with [`PrivacyAccountant`].
 //!
 //! Run with:
 //!
@@ -41,7 +36,6 @@ fn main() {
     let partition =
         DataDistribution::NonIidShards.partition(&train, config.num_clients, config.seed);
 
-    // --- 1. Differentially private FedADMM -------------------------------
     let mechanism = GaussianMechanism::new(20.0, 2e-3);
     let algorithm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
     let mut accountant = PrivacyAccountant::new(
@@ -82,47 +76,4 @@ fn main() {
             .forecast(1000)
             .epsilon
     );
-
-    // --- 2. Secure aggregation of one round's uploads --------------------
-    // Simulate five clients' update vectors and aggregate them under
-    // pairwise masking; the server's sum matches the plain sum exactly even
-    // though each individual masked upload is unintelligible.
-    let participants = [3usize, 11, 19, 27, 42];
-    let dim = 256;
-    let aggregator = SecureAggregator::new(0xFEED_5EED, &participants, dim);
-    let updates: Vec<(usize, Vec<f32>)> = participants
-        .iter()
-        .map(|&c| {
-            (
-                c,
-                (0..dim)
-                    .map(|j| ((c + j) as f32 * 0.01).sin() * 0.05)
-                    .collect(),
-            )
-        })
-        .collect();
-    let masked_sum = aggregator.masked_sum(&updates);
-    let plain_sum: Vec<f32> = (0..dim)
-        .map(|j| updates.iter().map(|(_, u)| u[j]).sum())
-        .collect();
-    let max_err = masked_sum
-        .iter()
-        .zip(plain_sum.iter())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max);
-    let mut one_masked = updates[0].1.clone();
-    aggregator.apply_mask(participants[0], &mut one_masked);
-    let distortion: f32 = one_masked
-        .iter()
-        .zip(updates[0].1.iter())
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum::<f32>()
-        .sqrt();
-
-    println!(
-        "\nsecure aggregation over {} clients, d = {dim}:",
-        participants.len()
-    );
-    println!("  max |masked sum − plain sum|   = {max_err:.2e} (masks cancel exactly)");
-    println!("  ‖masked upload − raw upload‖   = {distortion:.2} (individual uploads are hidden)");
 }

@@ -22,8 +22,8 @@
 //! * [`core`] — the algorithms, the federated simulation engine and its
 //!   device model, which times every scheduler on one virtual clock
 //!   (`fedadmm-core`);
-//! * [`privacy`] — differential privacy and secure aggregation extensions
-//!   (`fedadmm-privacy`);
+//! * [`privacy`] — differential privacy: update clipping, Gaussian noise
+//!   and a zCDP accountant (`fedadmm-privacy`);
 //! * [`telemetry`] — structured tracing, a metrics registry and the event
 //!   hook the engine reports through (`fedadmm-telemetry`).
 //!

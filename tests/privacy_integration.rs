@@ -1,9 +1,7 @@
-//! Integration tests for the privacy extensions (DP + secure aggregation)
-//! composed with the full federated simulation.
+//! Integration tests for the differential-privacy extension composed with
+//! the full federated simulation.
 
 use fedadmm::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 fn config(num_clients: usize, seed: u64) -> FedConfig {
@@ -139,87 +137,6 @@ fn wire_encode_is_privatize_then_quantize_on_their_own_seed_streams() {
     let expected = quantizer.quantize(&expected, quant_seed(env.seed, 0));
     assert!(message.payload.is_empty());
     assert_eq!(message.wire.unwrap().vectors, vec![expected]);
-}
-
-#[test]
-fn secure_aggregation_recovers_the_exact_fedadmm_server_update() {
-    // Simulate the server-side of equation (5) under pairwise masking: the
-    // sum of masked Δ_i equals the sum of raw Δ_i, so the resulting global
-    // model is bit-for-bit comparable (up to f32 rounding).
-    let participants = [0usize, 4, 7, 9, 13, 21];
-    let dim = 2_000;
-    let mut rng = SmallRng::seed_from_u64(5);
-    let deltas: Vec<(usize, Vec<f32>)> = participants
-        .iter()
-        .map(|&c| (c, (0..dim).map(|_| rng.gen_range(-0.05f32..0.05)).collect()))
-        .collect();
-
-    let eta = 1.0f32;
-    let mut theta_plain = vec![0.2f32; dim];
-    let mut raw_sum = vec![0.0f32; dim];
-    for (_, d) in &deltas {
-        for (s, v) in raw_sum.iter_mut().zip(d.iter()) {
-            *s += v;
-        }
-    }
-    for (t, s) in theta_plain.iter_mut().zip(raw_sum.iter()) {
-        *t += eta / participants.len() as f32 * s;
-    }
-
-    let aggregator = SecureAggregator::new(0xABCD, &participants, dim);
-    let masked_sum = aggregator.masked_sum(&deltas);
-    let mut theta_masked = vec![0.2f32; dim];
-    for (t, s) in theta_masked.iter_mut().zip(masked_sum.iter()) {
-        *t += eta / participants.len() as f32 * s;
-    }
-
-    let max_err = theta_plain
-        .iter()
-        .zip(theta_masked.iter())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max);
-    assert!(
-        max_err < 1e-5,
-        "secure aggregation changed the server update by {max_err}"
-    );
-}
-
-#[test]
-fn secure_aggregation_survives_dropouts_via_mask_reconstruction() {
-    let participants = [1usize, 2, 3, 4, 5, 6, 7, 8];
-    let dim = 500;
-    let aggregator = SecureAggregator::new(99, &participants, dim);
-    let mut rng = SmallRng::seed_from_u64(11);
-    let deltas: Vec<(usize, Vec<f32>)> = participants
-        .iter()
-        .map(|&c| (c, (0..dim).map(|_| rng.gen_range(-0.1f32..0.1)).collect()))
-        .collect();
-    // Three clients upload their masked messages and then disappear before
-    // the unmasking round; the server corrects with the reconstructed masks
-    // of the *dropped* clients applied to the survivors' sum.
-    let dropped = [2usize, 5, 8];
-    let survivors: Vec<(usize, Vec<f32>)> = deltas
-        .iter()
-        .filter(|(c, _)| !dropped.contains(c))
-        .cloned()
-        .collect();
-    let mut server_sum = aggregator.masked_sum(&survivors);
-    let correction = aggregator.dropout_correction(&dropped);
-    for (s, c) in server_sum.iter_mut().zip(correction.iter()) {
-        *s += c;
-    }
-    let mut expected = vec![0.0f32; dim];
-    for (_, d) in &survivors {
-        for (e, v) in expected.iter_mut().zip(d.iter()) {
-            *e += v;
-        }
-    }
-    let max_err = server_sum
-        .iter()
-        .zip(expected.iter())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max);
-    assert!(max_err < 1e-4, "dropout recovery failed, error {max_err}");
 }
 
 #[test]

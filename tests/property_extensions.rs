@@ -58,37 +58,6 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Secure aggregation.
-    // ------------------------------------------------------------------
-
-    /// For any set of participants and updates, the masks cancel in the sum.
-    #[test]
-    fn secure_aggregation_masks_always_cancel(
-        seed in any::<u64>(),
-        num_participants in 1usize..8,
-        dim in 1usize..32,
-        scale in 0.01f32..1.0,
-    ) {
-        let participants: Vec<usize> = (0..num_participants).map(|i| i * 3 + 1).collect();
-        let agg = SecureAggregator::new(seed, &participants, dim);
-        let updates: Vec<(usize, Vec<f32>)> = participants
-            .iter()
-            .map(|&c| (c, (0..dim).map(|j| scale * ((c + j) as f32).sin()).collect()))
-            .collect();
-        let masked = agg.masked_sum(&updates);
-        let mut raw = vec![0.0f32; dim];
-        for (_, u) in &updates {
-            for (r, v) in raw.iter_mut().zip(u.iter()) {
-                *r += v;
-            }
-        }
-        for (m, r) in masked.iter().zip(raw.iter()) {
-            // Masks are O(num_participants); allow generous f32 cancellation error.
-            prop_assert!((m - r).abs() < 1e-3 * (num_participants as f32).max(1.0));
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Theory module.
     // ------------------------------------------------------------------
 
