@@ -13,7 +13,7 @@
 //! (SCAFFOLD's control variate) read it at dispatch, with the θ snapshot
 //! the job trains on.
 
-use super::in_flight::InFlight;
+use super::in_flight::{require_devices, InFlight};
 use super::scheduler::{
     DispatchOrder, EngineCore, RoundStats, Scheduler, StalenessWeight, TickReport,
 };
@@ -165,12 +165,12 @@ impl Scheduler for BufferedAsync {
                     .to_string(),
             ));
         }
-        self.in_flight = InFlight::new(core.config.num_clients);
         self.rng = SmallRng::seed_from_u64(core.config.seed ^ 0xA517_C0DE);
         Ok(())
     }
 
     fn tick(&mut self, core: &mut EngineCore<'_>) -> TensorResult<TickReport> {
+        require_devices(core)?;
         let window = *self.window.get_or_insert_with(Instant::now);
         // The pool is filled here, not in `init`: the device model and work
         // schedule are installed after `init` runs.
@@ -181,7 +181,10 @@ impl Scheduler for BufferedAsync {
             .ok_or_else(|| TensorError::InvalidArgument("no client is in flight".to_string()))?;
         core.advance_clock(job.due);
         let client = job.message.client_id;
-        let (staleness, weight) = job.weigh(core, self.version, self.config.staleness);
+        // Every arrival is charged, dropped or not.
+        core.add_upload(job.message.upload_floats());
+        core.add_wire_bytes(job.message.wire_bytes());
+        let (staleness, weight) = job.weigh(self.version, self.config.staleness);
 
         let mut aggregated = false;
         if weight > 0.0 {
@@ -214,7 +217,7 @@ impl Scheduler for BufferedAsync {
         // Note: this arrival is recorded *after* any round record produced
         // above, so its staleness is attributed to the next record's
         // staleness window (the record's own window closes at evaluation).
-        let event = core.record_event(client, staleness, weight, accuracy);
+        let event = core.record_event(client, staleness, weight, 0, accuracy);
         report.events.push(event);
         Ok(report)
     }

@@ -1,18 +1,21 @@
-//! The in-flight queue of the event-driven schedulers.
+//! The in-flight queue of every scheduler.
 //!
-//! [`SemiAsync`](super::SemiAsync) and [`BufferedAsync`](super::BufferedAsync)
-//! run a job's local update as soon as they dispatch it — a device computes
-//! as soon as it has downloaded θ — and hold the resulting message here
-//! until it is due: at the dispatch time plus [`EngineCore::job_seconds`] of
-//! the message, the epochs it ran and the bytes it sent on its client's
-//! device. A client with a job in flight is busy and gets no other work
-//! until its message is delivered.
+//! [`SyncRounds`](super::SyncRounds), [`SemiAsync`](super::SemiAsync) and
+//! [`BufferedAsync`](super::BufferedAsync) run a job's local update as soon
+//! as they dispatch it — a device computes as soon as it has downloaded θ —
+//! and hold the resulting message here until it is due: at the dispatch
+//! time plus [`EngineCore::job_seconds`] of the message, the epochs it ran
+//! and the bytes it sent on its client's device, or at the dispatch time
+//! itself without a device model. A client with a job in flight is busy and
+//! gets no other work until its message is delivered. The queue holds only
+//! the jobs in flight, so a synchronous round builds a fresh one at no cost
+//! proportional to the population.
 
 use super::scheduler::{DispatchOrder, EngineCore, StalenessWeight};
 use crate::algorithms::ClientMessage;
 use fedadmm_tensor::{TensorError, TensorResult};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// A client's finished local update, waiting for its due time.
 pub(super) struct Job {
@@ -25,19 +28,12 @@ pub(super) struct Job {
 }
 
 impl Job {
-    /// Accounts the upload and damps it by `policy` for its staleness
+    /// Damps the upload by `policy` for its staleness
     /// `version − self.version`. Returns the staleness and the weight; a
     /// zero weight means the message is to be dropped.
-    pub fn weigh(
-        &mut self,
-        core: &mut EngineCore<'_>,
-        version: usize,
-        policy: StalenessWeight,
-    ) -> (usize, f32) {
+    pub fn weigh(&mut self, version: usize, policy: StalenessWeight) -> (usize, f32) {
         let staleness = version - self.version;
         let weight = policy.weight(staleness);
-        core.add_upload(self.message.upload_floats());
-        core.add_wire_bytes(self.message.wire_bytes());
         if weight > 0.0 && weight != 1.0 {
             for p in &mut self.message.payload {
                 p.scale(weight);
@@ -53,25 +49,30 @@ impl Job {
     }
 }
 
+/// Refuses to run an event-driven schedule without a device model: its
+/// deadlines and arrivals are virtual times.
+pub(super) fn require_devices(core: &EngineCore<'_>) -> TensorResult<()> {
+    if core.devices.is_none() {
+        return Err(TensorError::InvalidArgument(
+            "an event-driven schedule needs a device model \
+             (install one with RoundEngine::with_devices)"
+                .to_string(),
+        ));
+    }
+    Ok(())
+}
+
 /// The jobs in flight, earliest due first (lowest client id on a tie).
 #[derive(Default)]
 pub(super) struct InFlight {
     /// `(due time bits, client)` per job. Due times are non-negative, so
     /// their bits order as the times do.
     due: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Each client's job in flight; `Some` marks the client busy.
-    jobs: Vec<Option<Job>>,
+    /// Each busy client's job in flight.
+    jobs: BTreeMap<usize, Job>,
 }
 
 impl InFlight {
-    /// An empty queue over `num_clients` idle clients.
-    pub fn new(num_clients: usize) -> Self {
-        InFlight {
-            due: BinaryHeap::new(),
-            jobs: std::iter::repeat_with(|| None).take(num_clients).collect(),
-        }
-    }
-
     /// Number of jobs in flight.
     pub fn len(&self) -> usize {
         self.due.len()
@@ -79,7 +80,7 @@ impl InFlight {
 
     /// Whether `client` has a job in flight.
     pub fn is_busy(&self, client: usize) -> bool {
-        self.jobs[client].is_some()
+        self.jobs.contains_key(&client)
     }
 
     /// Runs `orders` on the engine's dispatch pool now, against θ at server
@@ -88,35 +89,30 @@ impl InFlight {
     /// θ snapshots, are dropped on return.
     ///
     /// # Errors
-    /// [`TensorError::InvalidArgument`] without a device model, and the
-    /// first failed update's error.
+    /// The first failed update's error.
     pub fn dispatch(
         &mut self,
         core: &mut EngineCore<'_>,
         orders: Vec<DispatchOrder>,
         version: usize,
     ) -> TensorResult<()> {
-        if core.devices.is_none() {
-            return Err(TensorError::InvalidArgument(
-                "an event-driven schedule needs a device model \
-                 (install one with RoundEngine::with_devices)"
-                    .to_string(),
-            ));
-        }
         if orders.is_empty() {
             return Ok(());
         }
         let start = core.now();
         let messages = core.in_span("dispatch", |core| core.dispatch(&orders))?;
         for message in messages {
-            let due = start + core.job_seconds(&message).expect("model checked above");
+            let due = start + core.job_seconds(&message).unwrap_or(0.0);
             let client = message.client_id;
             self.due.push(Reverse((due.to_bits(), client)));
-            self.jobs[client] = Some(Job {
-                due,
-                version,
-                message,
-            });
+            self.jobs.insert(
+                client,
+                Job {
+                    due,
+                    version,
+                    message,
+                },
+            );
         }
         Ok(())
     }
@@ -127,10 +123,16 @@ impl InFlight {
         Some(f64::from_bits(*due))
     }
 
+    /// When the last job in flight is due.
+    pub fn latest(&self) -> Option<f64> {
+        let due = self.due.iter().map(|Reverse((due, _))| *due).max()?;
+        Some(f64::from_bits(due))
+    }
+
     /// Delivers the earliest job in flight, freeing its client.
     pub fn pop(&mut self) -> Option<Job> {
         let Reverse((_, client)) = self.due.pop()?;
-        self.jobs[client].take()
+        self.jobs.remove(&client)
     }
 
     /// Delivers every job due by `until`, in client-id order.

@@ -8,23 +8,24 @@
 //!
 //! | Scheduler | Protocol | Paper connection |
 //! |-----------|----------|------------------|
-//! | [`SyncRounds`] | select → dispatch all → wait for all → aggregate | Figure 1/2, the paper's evaluation protocol |
-//! | [`BufferedAsync`] | apply each arrival, staleness-weighted (buffer `K ≥ 1`) | the asynchronous-ADMM trade-off of Section II |
+//! | [`SyncRounds`] | the deadline round with no deadline: select → dispatch all → wait for all → aggregate | Figure 1/2, the paper's evaluation protocol |
 //! | [`SemiAsync`] | aggregate whatever arrived by the round deadline; carry stragglers forward | the straggler tolerance claim of Section I |
+//! | [`BufferedAsync`] | apply each arrival, staleness-weighted (buffer `K ≥ 1`) | the asynchronous-ADMM trade-off of Section II |
 //!
-//! All three share one virtual clock, driven by the
-//! [`DeviceModel`](crate::heterogeneity::DeviceModel) installed with
-//! [`RoundEngine::with_devices`] and stamped on every
-//! [`RoundRecord::virtual_seconds`].
+//! All three dispatch through one in-flight queue and share one virtual
+//! clock, driven by the [`DeviceModel`](crate::heterogeneity::DeviceModel)
+//! installed with [`RoundEngine::with_devices`] and stamped on every
+//! [`RoundRecord::virtual_seconds`]. `SyncRounds` and `SemiAsync` run one
+//! round tick; only `SyncRounds` runs without a device model.
 //!
 //! Engine-level guarantees shared by every scheduler:
 //!
 //! * **Zero-copy broadcast.** θ is handed to clients as an
 //!   [`Arc<ParamVector>`](std::sync::Arc) snapshot; the server mutates it
 //!   copy-on-write ([`Arc::make_mut`](std::sync::Arc::make_mut)). No
-//!   scheduler keeps a snapshot past the tick that dispatched it — the
-//!   event-driven ones run a job's local update at dispatch and keep only
-//!   its message in flight — so every aggregation updates θ in place.
+//!   scheduler keeps a snapshot past the tick that dispatched it — each
+//!   runs a job's local update at dispatch and keeps only its message in
+//!   flight — so every aggregation updates θ in place.
 //! * **One threading substrate.** All local updates run through
 //!   [`EngineCore::dispatch`], backed by a persistent work-stealing
 //!   [`DispatchPool`]: workers claim job chunks from a shared cursor (so
@@ -592,7 +593,7 @@ pub type SyncEngine<A> = RoundEngine<A, SyncRounds>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{FedAdmm, FedAvg, FedProx, FedSgd, Scaffold, ServerStepSize};
+    use crate::algorithms::{FedAdmm, FedAvg, FedPd, FedProx, FedSgd, Scaffold, ServerStepSize};
     use crate::config::{DataDistribution, Participation};
     use fedadmm_data::batching::BatchSize;
     use fedadmm_data::synthetic::SyntheticDataset;
@@ -1179,6 +1180,33 @@ mod tests {
     }
 
     #[test]
+    fn semi_async_fedpd_runs_every_client_and_pays_only_for_what_it_sends() {
+        // FedPD needs every client every round, whatever the selector, and
+        // uploads only with probability p: a silent round costs nothing.
+        let (m, d) = (10, 7850);
+        let semi = SemiAsync::new(SemiAsyncConfig::new(1e9));
+        let mut engine = timed_engine(FedPd::new(0.3, 0.5), semi, (m, &[], 1.0), 200, 42)
+            .with_selector(Box::new(UniformFraction::new(5)));
+        let records = engine.run_rounds(12).unwrap();
+        let mut total = 0;
+        for r in &records {
+            assert_eq!(r.num_selected, m, "round {}", r.round);
+            assert!(
+                r.upload_floats == 0 || r.upload_floats == m * d,
+                "round {} charged {} floats",
+                r.round,
+                r.upload_floats
+            );
+            total += r.upload_floats;
+            assert_eq!(r.cumulative_upload_floats, total, "round {}", r.round);
+        }
+        assert!(
+            records.iter().any(|r| r.upload_floats == 0),
+            "no silent round in 12 at p = 0.5"
+        );
+    }
+
+    #[test]
     fn semi_async_is_deterministic_in_seed() {
         let run = || {
             let semi = SemiAsync::new(SemiAsyncConfig::new(2.5));
@@ -1199,8 +1227,8 @@ mod tests {
 
     #[test]
     fn zero_copy_broadcast_shares_the_global_allocation() {
-        // No scheduler holds a θ snapshot at aggregation time — the
-        // event-driven ones keep messages in flight, not snapshots — so
+        // No scheduler holds a θ snapshot at aggregation time — each keeps
+        // messages in flight, not snapshots — so
         // every path mutates θ in place and the allocation survives.
         fn keeps_theta<A: Algorithm, S: Scheduler>(
             mut engine: RoundEngine<A, S>,

@@ -6,7 +6,8 @@
 //! scheduling decision:
 //!
 //! * [`SyncRounds`](super::SyncRounds) — a tick is a full synchronous round
-//!   (select → dispatch all → aggregate all → evaluate);
+//!   (select → dispatch all → aggregate all → evaluate): `SemiAsync`'s
+//!   deadline round with no deadline;
 //! * [`BufferedAsync`](super::BufferedAsync) — a tick is one *arrival*: the
 //!   earliest in-flight client finishes, its update is staleness-weighted
 //!   and buffered, and the buffer is flushed to the server once it holds
@@ -146,8 +147,9 @@ pub struct DispatchOrder {
 pub struct RoundStats {
     /// Number of client updates aggregated (`|S_t|`, or the buffer size).
     pub num_selected: usize,
-    /// Floats uploaded by clients for this record (0 for event-driven
-    /// schedules, which account uploads per event instead).
+    /// Floats uploaded by clients for this record (0 for
+    /// [`BufferedAsync`](super::BufferedAsync), which accounts uploads per
+    /// event instead).
     pub upload_floats: usize,
     /// Total local epochs run across the aggregated updates.
     pub total_local_epochs: usize,
@@ -155,7 +157,7 @@ pub struct RoundStats {
     pub samples_processed: usize,
     /// True wire bytes of this record's uploads (quantized size when the
     /// wire path is on, dense `4 · upload_floats` otherwise; 0 for
-    /// event-driven schedules, which account uploads per event).
+    /// `BufferedAsync`, which accounts uploads per event).
     pub wire_bytes: usize,
     /// Wall-clock milliseconds the scheduler spent producing this record
     /// (virtual time is read from the engine's clock instead).
@@ -808,12 +810,15 @@ impl EngineCore<'_> {
     }
 
     /// Records one arrival event (event-driven schedules), filling in the
-    /// event index, current virtual time and cumulative upload count.
+    /// event index, current virtual time and cumulative upload count: the
+    /// floats charged so far plus `pending_upload`, received but charged
+    /// later (a deadline round charges its uploads when it aggregates).
     pub fn record_event(
         &mut self,
         client_id: usize,
         staleness: usize,
         weight: f32,
+        pending_upload: usize,
         test_accuracy: Option<f32>,
     ) -> AsyncRecord {
         let record = AsyncRecord {
@@ -823,7 +828,7 @@ impl EngineCore<'_> {
             staleness,
             weight,
             test_accuracy,
-            cumulative_upload_floats: *self.cumulative_upload,
+            cumulative_upload_floats: *self.cumulative_upload + pending_upload,
         };
         self.telemetry.on_event(&Event::Arrival {
             client: client_id,
@@ -847,7 +852,7 @@ pub trait Scheduler: Send {
 
     /// Called once before the first tick; validates the scheduler's
     /// configuration against the engine's and primes internal state (e.g.
-    /// sizes the in-flight queue). Runs inside `RoundEngine::new`, before
+    /// seeds an RNG). Runs inside `RoundEngine::new`, before
     /// any builder (`with_devices`, `with_work_schedule`, …).
     fn init(&mut self, core: &mut EngineCore<'_>) -> TensorResult<()> {
         let _ = core;

@@ -15,6 +15,9 @@
 //!   arrive in a later round, staleness-weighted against the rounds they
 //!   missed, instead of being dropped or stalling everyone else.
 //!
+//! [`SyncRounds`](super::SyncRounds) runs the same tick, `deadline_tick`,
+//! with no deadline: the synchronous round is the deadline nobody misses.
+//!
 //! A job's local update runs when it is dispatched, on the engine's
 //! work-stealing [`DispatchPool`](super::DispatchPool), so simulated
 //! stragglers never serialize the simulation itself. Deadlines govern
@@ -40,7 +43,7 @@
 //! itself rather than pure learning dynamics — use
 //! [`StalenessWeight::Constant`] to isolate the reordering effect.
 
-use super::in_flight::InFlight;
+use super::in_flight::{require_devices, InFlight};
 use super::scheduler::{
     derive_client_seed, derive_round_seed, DispatchOrder, EngineCore, RoundStats, Scheduler,
     StalenessWeight, TickReport,
@@ -122,77 +125,128 @@ impl Scheduler for SemiAsync {
         )
     }
 
-    fn init(&mut self, core: &mut EngineCore<'_>) -> TensorResult<()> {
+    fn init(&mut self, _core: &mut EngineCore<'_>) -> TensorResult<()> {
         if !self.config.round_deadline.is_finite() || self.config.round_deadline <= 0.0 {
             return Err(TensorError::InvalidArgument(
                 "round_deadline must be positive".to_string(),
             ));
         }
-        self.in_flight = InFlight::new(core.config.num_clients);
         Ok(())
     }
 
     fn tick(&mut self, core: &mut EngineCore<'_>) -> TensorResult<TickReport> {
-        let start = Instant::now();
-        let round = core.round();
-        let mut round_rng = SmallRng::seed_from_u64(derive_round_seed(
-            core.config.seed ^ 0x5EA1_A57C,
-            round as u64,
-        ));
-
-        // 1. Select, and run fresh work on the idle selected clients against
-        //    the *current* θ snapshot (zero-copy broadcast); clients still
-        //    computing an earlier round's job sit this round out.
-        let selected = core
-            .selector
-            .select(core.config.num_clients, &mut round_rng);
-        let round_start = core.now();
-        let orders = selected
-            .into_iter()
-            .filter(|&client_id| !self.in_flight.is_busy(client_id))
-            .map(|client_id| DispatchOrder {
-                client_id,
-                epochs: core.work_schedule.epochs_for(client_id, &mut round_rng),
-                snapshot: core.broadcast(),
-                seed: derive_client_seed(core.config.seed, round as u64, client_id),
-            })
-            .collect();
-        self.in_flight.dispatch(core, orders, round)?;
-
-        // 2. The round ends at the deadline — or at the earliest arrival if
-        //    the deadline would catch nothing (guaranteed progress).
-        let earliest = self.in_flight.earliest().ok_or_else(|| {
-            TensorError::InvalidArgument("semi-async round has no work in flight".to_string())
-        })?;
-        let deadline = (round_start + self.config.round_deadline).max(earliest);
-        core.advance_clock(deadline);
-
-        // 3. Staleness-weight everything that made the deadline (τ = rounds
-        //    missed), record the arrivals and drop zero-weight updates;
-        //    stragglers stay in flight.
-        let mut report = TickReport::default();
-        let mut kept = Vec::new();
-        for mut job in self.in_flight.deliver(deadline) {
-            let (staleness, weight) = job.weigh(core, round, self.config.staleness);
-            let event = core.record_event(job.message.client_id, staleness, weight, None);
-            report.events.push(event);
-            if weight > 0.0 {
-                kept.push(job.message);
-            }
-        }
-
-        // 4. Aggregate the round's arrivals in one batch and evaluate.
-        if !kept.is_empty() {
-            core.in_span("aggregate", |core| core.aggregate(&kept, &mut round_rng));
-        }
-        report.record = Some(core.record_round(RoundStats {
-            num_selected: kept.len(),
-            upload_floats: kept.iter().map(|m| m.upload_floats()).sum(),
-            total_local_epochs: kept.iter().map(|m| m.epochs_run).sum(),
-            samples_processed: kept.iter().map(|m| m.samples_processed).sum(),
-            wire_bytes: kept.iter().map(|m| m.wire_bytes()).sum(),
-            elapsed_ms: start.elapsed().as_millis() as u64,
-        })?);
-        Ok(report)
+        require_devices(core)?;
+        let seed = core.config.seed ^ SEMI_ASYNC_SEED_SALT;
+        deadline_tick(
+            core,
+            &mut self.in_flight,
+            Some(self.config.round_deadline),
+            self.config.staleness,
+            seed,
+        )
     }
+}
+
+/// Mixed into the run seed of [`SemiAsync`]'s round RNG (selection, epoch
+/// draws, server randomness). It exists only to hold
+/// `GOLDEN_SEMI_ASYNC_DIGEST` in `tests/engine_parity.rs`: without it a
+/// deadline round draws what the synchronous round of the same seed draws.
+const SEMI_ASYNC_SEED_SALT: u64 = 0x5EA1_A57C;
+
+/// One deadline round on `in_flight`, its RNG seeded from `seed`: the tick
+/// of [`SemiAsync`] and — with no deadline, [`StalenessWeight::Constant`]
+/// and the run seed — of [`SyncRounds`](super::SyncRounds). A round with no
+/// deadline delivers every job and records no arrival events.
+pub(super) fn deadline_tick(
+    core: &mut EngineCore<'_>,
+    in_flight: &mut InFlight,
+    deadline: Option<f64>,
+    staleness: StalenessWeight,
+    seed: u64,
+) -> TensorResult<TickReport> {
+    let start = Instant::now();
+    let round = core.round();
+    let mut round_rng = SmallRng::seed_from_u64(derive_round_seed(seed, round as u64));
+
+    // 1. Select (everyone if the algorithm requires it) and run fresh work
+    //    on the idle selected clients against the *current* θ (zero-copy
+    //    broadcast); clients still busy sit this round out.
+    let num_clients = core.config.num_clients;
+    let selected: Vec<usize> = if core.algorithm.requires_full_participation() {
+        (0..num_clients).collect()
+    } else {
+        core.selector.select(num_clients, &mut round_rng)
+    };
+    let round_start = core.now();
+    let orders = selected
+        .into_iter()
+        .filter(|&client_id| !in_flight.is_busy(client_id))
+        .map(|client_id| DispatchOrder {
+            client_id,
+            epochs: core.work_schedule.epochs_for(client_id, &mut round_rng),
+            snapshot: core.broadcast(),
+            seed: derive_client_seed(core.config.seed, round as u64, client_id),
+        })
+        .collect();
+    in_flight.dispatch(core, orders, round)?;
+
+    // 2. The round ends at the deadline — or at the earliest arrival if the
+    //    deadline would catch nothing (guaranteed progress); with no
+    //    deadline, when the last job is due.
+    let end = match deadline {
+        Some(budget) => {
+            let earliest = in_flight.earliest().ok_or_else(|| {
+                TensorError::InvalidArgument("semi-async round has no work in flight".to_string())
+            })?;
+            (round_start + budget).max(earliest)
+        }
+        None => in_flight.latest().unwrap_or(round_start),
+    };
+    core.advance_clock(end);
+
+    // 3. Staleness-weight what is due (τ = rounds missed), record a deadline
+    //    round's arrivals (counting the uploads received so far, which step
+    //    4 charges) and drop zero-weight updates; stragglers stay in flight.
+    let mut report = TickReport::default();
+    let delivered = in_flight.deliver(end);
+    let mut kept = Vec::with_capacity(delivered.len());
+    let (mut received, mut dropped, mut wire_bytes) = (0, 0, 0);
+    for mut job in delivered {
+        let (tau, weight) = job.weigh(round, staleness);
+        let floats = job.message.upload_floats();
+        received += floats;
+        wire_bytes += job.message.wire_bytes();
+        if deadline.is_some() {
+            let event = core.record_event(job.message.client_id, tau, weight, received, None);
+            report.events.push(event);
+        }
+        if weight > 0.0 {
+            kept.push(job.message);
+        } else {
+            dropped += floats;
+        }
+    }
+
+    // 4. Aggregate the kept updates in one batch, charge what the server
+    //    step reports plus the dropped uploads, free the uploads (folded
+    //    into θ) so evaluation can reuse their memory, and evaluate.
+    let upload_floats = if kept.is_empty() {
+        0
+    } else {
+        core.in_span("aggregate", |core| core.aggregate(&kept, &mut round_rng))
+            .upload_floats
+    };
+    core.add_upload(upload_floats + dropped);
+    core.add_wire_bytes(wire_bytes);
+    let stats = RoundStats {
+        num_selected: kept.len(),
+        upload_floats,
+        total_local_epochs: kept.iter().map(|m| m.epochs_run).sum(),
+        samples_processed: kept.iter().map(|m| m.samples_processed).sum(),
+        wire_bytes: kept.iter().map(|m| m.wire_bytes()).sum(),
+        elapsed_ms: start.elapsed().as_millis() as u64,
+    };
+    drop(kept);
+    report.record = Some(core.record_round(stats)?);
+    Ok(report)
 }
