@@ -8,10 +8,9 @@
 //! reads like the paper's equations.
 
 use fedadmm_tensor::vecops;
-use serde::{Deserialize, Serialize};
 
 /// A dense vector in ℝ^d (model parameters, duals, messages, ...).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamVector(Vec<f32>);
 
 impl ParamVector {
@@ -239,14 +238,6 @@ mod tests {
         assert_eq!(out.as_slice(), &[4.0, 6.0]);
         out.assign_weighted_sum(&[]);
         assert_eq!(out.as_slice(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let a = ParamVector::from_vec(vec![1.5, -2.5]);
-        let json = serde_json::to_string(&a).unwrap();
-        let back: ParamVector = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, back);
     }
 
     proptest! {

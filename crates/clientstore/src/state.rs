@@ -1,7 +1,6 @@
 //! Per-client state.
 
 use crate::param::ParamVector;
-use serde::{Deserialize, Serialize};
 
 /// The state a simulated client carries across rounds.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// selected ("ClientUpdate(i, θ): // Store wi and yi"). SCAFFOLD similarly
 /// stores a client control variate `c_i`. Primal-only methods (FedSGD,
 /// FedAvg, FedProx) ignore these fields.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClientState {
     /// Client identifier in `0..m`.
     pub id: usize,

@@ -32,10 +32,9 @@ use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::trainer::{local_sgd_cached, LocalEnv};
 use fedadmm_tensor::{TensorError, TensorResult};
-use serde::{Deserialize, Serialize};
 
 /// The server gathering step size η of equation (5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServerStepSize {
     /// A fixed η. The paper observes η = 1 gives fast training and explores
     /// η ∈ {0.5, 1.0, 1.5} in Figure 6.
@@ -64,7 +63,7 @@ impl ServerStepSize {
 }
 
 /// How a selected client initialises its local training (Figure 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalInit {
     /// Warm-start from the stored local model `w_i^t` (option I in the
     /// paper; "yields superior results in all cases" and is the default).

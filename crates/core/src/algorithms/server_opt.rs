@@ -23,10 +23,9 @@ use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::trainer::{local_sgd_cached, LocalEnv};
 use fedadmm_tensor::TensorResult;
-use serde::{Deserialize, Serialize};
 
 /// The server-side update rule applied to the averaged pseudo-gradient.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServerOptimizer {
     /// `θ ← θ + lr · Δ̄` — plain server SGD on the pseudo-gradient.
     /// `lr = 1` recovers FedAvg exactly.

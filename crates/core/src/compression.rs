@@ -17,10 +17,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Uniform `b`-bit quantizer over the range of each individual vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Quantizer {
     /// Bits per coordinate, between 1 and 16 (32 marks the identity
     /// quantizer of the wire path's guard-only mode: no codes, no error).
@@ -32,7 +31,7 @@ pub struct Quantizer {
 
 /// A quantized vector: per-vector affine parameters plus one code per
 /// coordinate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedVector {
     /// Minimum of the original vector (the value code 0 decodes to).
     pub min: f32,
@@ -69,7 +68,7 @@ impl QuantizedVector {
 /// so the schedulers multiply the scale and the server folds it into the
 /// per-message fold coefficient — the decode-scale-accumulate still happens
 /// in one pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WirePayload {
     /// Multiplier folded into the server-side fold coefficient (1.0 for a
     /// fresh arrival; staleness weights multiply into it).

@@ -6,10 +6,9 @@ use fedadmm_data::Dataset;
 use fedadmm_nn::models::ModelSpec;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// How many clients participate in a round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Participation {
     /// A fraction `C` of the population is selected uniformly at random
     /// each round (the paper uses `C = 0.1` everywhere).
@@ -33,7 +32,7 @@ impl Participation {
 
 /// How the training data is distributed across clients (Section V-A of the
 /// paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataDistribution {
     /// Evenly distributed, shuffled (the paper's IID setting).
     Iid,
@@ -82,7 +81,7 @@ impl DataDistribution {
 ///
 /// Field names follow the paper's notation: `E` (local epochs), `B` (local
 /// batch size), `C` (participation fraction), `η_i` (client learning rate).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedConfig {
     /// Total number of clients `m`.
     pub num_clients: usize,
@@ -178,13 +177,5 @@ mod tests {
         assert_eq!(a, b);
         let c = DataDistribution::NonIidShards.partition(&train, 5, 4);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn config_serde_roundtrip() {
-        let c = FedConfig::default();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: FedConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

@@ -20,10 +20,9 @@ use fedadmm_data::batching::BatchSize;
 use fedadmm_data::Dataset;
 use fedadmm_nn::models::ModelSpec;
 use fedadmm_tensor::{vecops, TensorResult};
-use serde::{Deserialize, Serialize};
 
 /// The decomposition of the optimality gap V_t (equation 7).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimalityGap {
     /// ‖∇_θ L‖² — how far the global model is from being stationary for the
     /// aggregated augmented Lagrangian. Zero whenever θ equals the mean of

@@ -23,10 +23,9 @@
 
 use crate::client::ClientState;
 use crate::param::ParamVector;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate drift statistics over all clients at a point in training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftReport {
     /// Mean over clients of `‖w_i − θ‖`.
     pub mean_model_drift: f32,

@@ -23,11 +23,10 @@ use fedadmm_tensor::{TensorError, TensorResult};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Configuration of a buffered asynchronous schedule.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsyncConfig {
     /// How many clients compute concurrently (the size of the device pool
     /// the server keeps busy). Plays the role of `|S_t|` in the synchronous
@@ -38,9 +37,10 @@ pub struct AsyncConfig {
     /// Evaluate the global model every this many server aggregations
     /// (evaluation is the expensive part of the simulation); at least 1.
     pub eval_every: usize,
-    /// Aggregate once this many weighted updates have arrived. `1` (the
-    /// default) applies every arrival immediately — fully asynchronous
-    /// aggregation; larger values give FedBuff-style buffered aggregation.
+    /// Aggregate once this many weighted updates have arrived; at least 1.
+    /// `1` (the default) applies every arrival immediately — fully
+    /// asynchronous aggregation; larger values give FedBuff-style buffered
+    /// aggregation.
     pub aggregate_after: usize,
 }
 
@@ -162,6 +162,13 @@ impl Scheduler for BufferedAsync {
             return Err(TensorError::InvalidArgument(
                 "eval_every must be at least 1: the schedule records a round \
                  every eval_every aggregations"
+                    .to_string(),
+            ));
+        }
+        if self.config.aggregate_after == 0 {
+            return Err(TensorError::InvalidArgument(
+                "aggregate_after must be at least 1: it is the number of \
+                 arrivals each server aggregation folds"
                     .to_string(),
             ));
         }

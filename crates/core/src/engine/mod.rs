@@ -855,6 +855,15 @@ mod tests {
         };
         let err = build(never).err().expect("eval_every 0 is rejected");
         assert!(err.to_string().contains("eval_every"), "{err}");
+        // `with_aggregate_after` clamps to 1, but a literal 0 must be refused
+        // too: it would fold every arrival alone under records that say
+        // `num_selected: 0`.
+        let empty = AsyncConfig {
+            aggregate_after: 0,
+            ..AsyncConfig::new(2)
+        };
+        let err = build(empty).err().expect("aggregate_after 0 is rejected");
+        assert!(err.to_string().contains("aggregate_after"), "{err}");
         // A device model of the wrong size, or with a per-epoch duration
         // that is not a positive number, is refused naming the client.
         let engine = || build(AsyncConfig::new(2)).unwrap();

@@ -44,7 +44,6 @@ use fedadmm_clientstore::{hierarchical_fold, ClientStateStore};
 use fedadmm_data::Dataset;
 use fedadmm_telemetry::{names, DispatchSummary, Event, RoundSummary, Telemetry};
 use fedadmm_tensor::TensorResult;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -55,7 +54,7 @@ use std::time::Instant;
 /// Hierarchical aggregation is opt-in because float addition is not
 /// associative: regrouping the sum by shard changes results in the last
 /// ulps, so it must never be silently enabled under a byte-identity pin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AggregationMode {
     /// One fused accumulator pass over all payloads in message order, cut
     /// by coordinate range into dispatch-pool jobs (the legacy behavior's
@@ -72,7 +71,7 @@ pub enum AggregationMode {
 
 /// How an update's weight decays with its staleness τ (the number of server
 /// aggregations since the client downloaded its model snapshot).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StalenessWeight {
     /// No damping: every update is applied at full weight (vanilla
     /// asynchronous aggregation).
@@ -109,7 +108,7 @@ impl StalenessWeight {
 }
 
 /// One applied (or dropped) client arrival in an event-driven schedule.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsyncRecord {
     /// Sequence number of the event (0-based, in application order).
     pub event: usize,

@@ -52,13 +52,12 @@ use crate::config::FedConfig;
 use fedadmm_tensor::{TensorError, TensorResult};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Configuration of a semi-asynchronous (deadline) schedule. How long each
 /// client's job takes comes from the engine's
 /// [`DeviceModel`](crate::heterogeneity::DeviceModel).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SemiAsyncConfig {
     /// The round deadline in virtual seconds: the server aggregates
     /// whatever arrived within this budget after the round started.

@@ -18,10 +18,9 @@
 use fedadmm_tensor::{TensorError, TensorResult};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A client's network link to the server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Uplink bandwidth in megabits per second.
     pub upload_mbps: f64,
@@ -39,7 +38,7 @@ impl Link {
 }
 
 /// One client device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Device {
     /// Virtual seconds the device needs for one local epoch.
     pub seconds_per_epoch: f64,
@@ -54,7 +53,7 @@ pub struct Device {
 /// as its slowest client's [`job_seconds`](Self::job_seconds), and the
 /// event-driven schedules fix each job's finish time from the same
 /// function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceModel {
     devices: Vec<Device>,
 }
@@ -155,7 +154,7 @@ impl DeviceModel {
 }
 
 /// How many local epochs a selected client runs in a given round.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LocalWorkSchedule {
     /// Every client always runs exactly `E` epochs (FedAvg / SCAFFOLD in the
     /// paper's protocol).
@@ -318,7 +317,7 @@ mod tests {
     }
 
     #[test]
-    fn tiered_fleet_is_deterministic_in_seed_and_round_trips() {
+    fn tiered_fleet_is_deterministic_in_seed() {
         let tiers = [
             (
                 Device {
@@ -338,8 +337,6 @@ mod tests {
         let a = DeviceModel::tiered(20, &tiers, 3);
         assert_eq!(a, DeviceModel::tiered(20, &tiers, 3));
         assert_ne!(a, DeviceModel::tiered(20, &tiers, 4));
-        let json = serde_json::to_string(&a).unwrap();
-        assert_eq!(serde_json::from_str::<DeviceModel>(&json).unwrap(), a);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Per-round metrics, communication accounting, and run summaries.
 
-use serde::{Deserialize, Serialize};
-
 /// Everything measured about one communication round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundRecord {
     /// Round index `t` (0-based).
     pub round: usize,
@@ -26,20 +24,17 @@ pub struct RoundRecord {
     pub samples_processed: usize,
     /// True wire bytes of this round's uploads: the quantized size when
     /// the engine's wire path encoded them, the dense `4 · upload_floats`
-    /// otherwise. (Defaults to 0 when parsing pre-wire histories.)
-    #[serde(default)]
+    /// otherwise.
     pub wire_bytes: usize,
     /// Dense-to-wire compression ratio of this round's uploads (≈4 at
-    /// 8-bit quantization; 1.0 for dense uploads and pre-wire histories).
-    #[serde(default = "dense_ratio_one")]
+    /// 8-bit quantization; 1.0 for dense uploads).
     pub dense_wire_ratio: f64,
     /// Wall-clock milliseconds the simulation spent on the round (reported
     /// for reference only).
     pub elapsed_ms: u64,
     /// The engine's virtual clock when the round closed, in seconds: the
     /// device model's time on the simulated fleet (0 when no model is
-    /// installed, and in histories recorded before the clock existed).
-    #[serde(default)]
+    /// installed).
     pub virtual_seconds: f64,
     /// Mean staleness τ of the arrival events folded into this round
     /// (0 for synchronous schedules, which have no stale arrivals).
@@ -48,14 +43,8 @@ pub struct RoundRecord {
     pub staleness_max: usize,
 }
 
-/// Serde default for [`RoundRecord::dense_wire_ratio`]: pre-wire histories
-/// were dense, so their ratio is 1.
-fn dense_ratio_one() -> f64 {
-    1.0
-}
-
 /// The full history of a federated run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunHistory {
     /// Name of the algorithm that produced this history.
     pub algorithm: String,
@@ -129,27 +118,6 @@ impl RunHistory {
     pub fn accuracy_series(&self) -> Vec<f32> {
         self.records.iter().map(|r| r.test_accuracy).collect()
     }
-
-    /// Serialises the history as JSON lines (one record per line, prefixed
-    /// by a header line describing the run).
-    ///
-    /// The header goes through the same `serde_json` serializer as the
-    /// records (not hand-formatted strings), so labels containing quotes or
-    /// backslashes stay valid JSON.
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        let header = serde_json::json!({
-            "algorithm": self.algorithm,
-            "setting": self.setting,
-        });
-        out.push_str(&serde_json::to_string(&header).expect("history header serialises"));
-        out.push('\n');
-        for r in &self.records {
-            out.push_str(&serde_json::to_string(r).expect("round records serialise"));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Relative speedup of reaching a target accuracy, `baseline / ours`
@@ -203,20 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_wire_records_parse_with_dense_defaults() {
-        // A record serialized before the wire path existed: no wire_bytes,
-        // no dense_wire_ratio.
-        let legacy = r#"{"round":0,"test_accuracy":0.5,"test_loss":0.5,
-            "num_selected":4,"upload_floats":100,"cumulative_upload_floats":100,
-            "total_local_epochs":8,"samples_processed":400,"elapsed_ms":3,
-            "staleness_mean":0.0,"staleness_max":0}"#;
-        let r: RoundRecord = serde_json::from_str(legacy).unwrap();
-        assert_eq!(r.wire_bytes, 0);
-        assert_eq!(r.dense_wire_ratio, 1.0);
-        assert_eq!(r.virtual_seconds, 0.0);
-    }
-
-    #[test]
     fn rounds_to_accuracy_finds_first_crossing() {
         let mut h = RunHistory::new("FedADMM", "test");
         for (i, acc) in [0.2, 0.5, 0.8, 0.7, 0.9].iter().enumerate() {
@@ -262,43 +216,5 @@ mod tests {
         assert!((red - 47.368).abs() < 0.01);
         assert_eq!(reduction_over_best_baseline(None, &[Some(5)]), None);
         assert_eq!(reduction_over_best_baseline(Some(5), &[None]), None);
-    }
-
-    #[test]
-    fn json_lines_output() {
-        let mut h = RunHistory::new("FedADMM", "MNIST IID");
-        h.push(record(0, 0.4));
-        let s = h.to_json_lines();
-        assert_eq!(s.lines().count(), 2);
-        assert!(s.contains("FedADMM"));
-        assert!(s.contains("test_accuracy"));
-    }
-
-    #[test]
-    fn json_lines_round_trip_through_serde() {
-        let mut h = RunHistory::new("FedADMM", "MNIST \"IID\" α=0.5 \\ 100 clients");
-        h.push(record(0, 0.4));
-        h.push(record(1, 0.6));
-        let text = h.to_json_lines();
-        // Every line — including the header with quotes and backslashes in
-        // the setting label — must be valid JSON on its own and parse back
-        // to what was written.
-        let mut lines = text.lines();
-        let header: serde_json::Value = serde_json::from_str(lines.next().unwrap()).unwrap();
-        assert_eq!(header["algorithm"].as_str(), Some(h.algorithm.as_str()));
-        assert_eq!(header["setting"].as_str(), Some(h.setting.as_str()));
-        let back: Vec<RoundRecord> = lines.map(|l| serde_json::from_str(l).unwrap()).collect();
-        assert_eq!(back, h.records);
-        // The schema surfaces the staleness fields wired in from the engine.
-        assert!(text.contains("staleness_mean"));
-        assert!(text.contains("staleness_max"));
-    }
-
-    #[test]
-    fn record_serde_roundtrip() {
-        let r = record(3, 0.77);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: RoundRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, back);
     }
 }

@@ -29,7 +29,6 @@
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 // ---------------------------------------------------------------------------
 // Small dense f64 linear algebra (row-major), local to this module.
@@ -219,7 +218,7 @@ pub struct QuadraticProblem {
 }
 
 /// Configuration for [`QuadraticProblem::random`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuadraticConfig {
     /// Number of clients `m`.
     pub num_clients: usize,
@@ -371,7 +370,7 @@ impl QuadraticProblem {
 // ---------------------------------------------------------------------------
 
 /// Per-round diagnostics of a quadratic FedADMM run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuadraticRoundRecord {
     /// Round index `t`.
     pub round: usize,

@@ -31,7 +31,6 @@
 
 use crate::trainer::{full_gradient, LocalEnv};
 use fedadmm_tensor::{vecops, TensorResult};
-use serde::{Deserialize, Serialize};
 
 /// The local augmented Lagrangian `L_i(w, y_i, θ)` of equation (3) as a
 /// value-and-gradient oracle over the flattened parameter vector.
@@ -332,7 +331,7 @@ pub fn lbfgs(
 }
 
 /// A pluggable local solver for the augmented-Lagrangian subproblem (3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LocalSolver {
     /// Full-batch gradient descent for a fixed number of steps.
     GradientDescent {

@@ -21,10 +21,8 @@
 //!   side of equation (8). The quadratic-consensus substrate
 //!   ([`crate::quadratic`]) verifies the bound empirically.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters entering the Table I round-complexity expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComplexityParams {
     /// Target stationarity accuracy ε.
     pub epsilon: f64,
@@ -62,7 +60,7 @@ impl ComplexityParams {
 }
 
 /// The methods compared in Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// FedAvg \[4\], \[9\].
     FedAvg,
@@ -145,7 +143,7 @@ pub fn table1(p: &ComplexityParams) -> Vec<(Method, Option<f64>)> {
 }
 
 /// The constants of Theorem 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TheoremConstants {
     /// `c1 = p_min (½(ρ − 2L) − 2L²/ρ)` — the per-round decrement factor.
     pub c1: f64,

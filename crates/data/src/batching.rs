@@ -9,10 +9,9 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Local batch size. `Full` reproduces the paper's `B = ∞` setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchSize {
     /// Mini-batches of the given size.
     Size(usize),

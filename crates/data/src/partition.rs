@@ -13,11 +13,10 @@
 use crate::dataset::Dataset;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A partition of a dataset across `m` clients: client `i` owns the sample
 /// indices in `clients[i]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     clients: Vec<Vec<usize>>,
 }

@@ -13,10 +13,9 @@ use crate::dataset::Dataset;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 /// Which synthetic dataset preset to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyntheticDataset {
     /// MNIST-like: 1×28×28 images (784 features), low noise, one mode per
     /// class. Easy — high accuracies are reachable quickly, as with MNIST.
@@ -103,7 +102,7 @@ impl SyntheticDataset {
 }
 
 /// Tunable parameters of the synthetic generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticConfig {
     /// Number of distinct prototype patterns per class. More modes →
     /// harder task (higher intra-class variance).

@@ -6,8 +6,7 @@ use fedadmm_data::synthetic::SyntheticDataset;
 use fedadmm_data::Dataset;
 use fedadmm_nn::models::ModelSpec;
 use fedadmm_tensor::TensorResult;
-use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde_json::{json, Value};
 
 /// How large an experiment to run.
 ///
@@ -18,7 +17,7 @@ use serde_json::Value;
 /// regenerates on a laptop CPU in minutes while preserving the comparisons
 /// the paper makes (who wins, by roughly what factor). [`Scale::Smoke`] is
 /// the few-second configuration used by integration tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds-scale configuration for CI.
     Smoke,
@@ -42,7 +41,7 @@ impl Scale {
 
 /// A complete experimental setting: dataset, partition, population, local
 /// solver configuration, round budget and target accuracy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Setting {
     /// Which synthetic dataset stands in for the paper's dataset.
     pub dataset: SyntheticDataset,
@@ -290,7 +289,7 @@ pub fn table3_suite(setting: &Setting) -> Vec<(&'static str, Box<dyn Algorithm>)
 /// A rendered experiment artefact: a human-readable table plus the raw data
 /// as JSON for further processing (plots, regression checks, the scorecard
 /// that ROADMAP.md item 1 asks for).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentReport {
     /// Experiment identifier ("table3", "fig6", ...).
     pub name: String,
@@ -303,6 +302,17 @@ pub struct ExperimentReport {
 }
 
 impl ExperimentReport {
+    /// The report as the JSON object `experiments --json` writes, keys in
+    /// field order.
+    pub fn to_json(&self) -> Value {
+        json!({
+            "name": self.name,
+            "description": self.description,
+            "rendered": self.rendered,
+            "data": self.data,
+        })
+    }
+
     /// Prints the report to stdout in the format the binary emits.
     pub fn print(&self) {
         println!("== {} — {} ==", self.name, self.description);
@@ -456,6 +466,24 @@ mod tests {
         assert!(table.contains("Method"));
         assert!(table.contains("FedADMM  10"));
         assert_eq!(table.lines().count(), 4);
+    }
+
+    #[test]
+    fn report_json_keeps_field_order_and_parses_back() {
+        let report = crate::table2::run(Scale::Smoke).unwrap();
+        let text = serde_json::to_string_pretty(&vec![report.to_json()]).unwrap();
+        let back: Value = serde_json::from_str(&text).unwrap();
+        let object = &back[0];
+        let keys: Vec<&str> = object
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["name", "description", "rendered", "data"]);
+        assert_eq!(object["name"], "table2");
+        assert_eq!(object["rendered"], report.rendered);
+        assert_eq!(object["data"], report.data);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use fedadmm_core::metrics::reduction_over_best_baseline;
 use fedadmm_core::prelude::DataDistribution;
 use fedadmm_data::synthetic::SyntheticDataset;
 use fedadmm_tensor::TensorResult;
-use serde_json::json;
+use serde_json::{json, Value};
 
 /// The client populations swept by Figures 3 and 4 (the paper's values; the
 /// scaled/smoke configurations shrink them through [`Setting::for_dataset`]).
@@ -49,7 +49,7 @@ pub(crate) fn population_settings(
 
 /// Accuracy-per-round series for every algorithm under one setting
 /// (one panel of Figure 3).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ConvergencePanel {
     /// Panel label, e.g. "Fmnist (50 clients) IID".
     pub label: String,
@@ -158,6 +158,16 @@ pub fn run(scale: Scale) -> TensorResult<ExperimentReport> {
         &fig4_rows,
     ));
 
+    let panels: Vec<Value> = panels
+        .iter()
+        .map(|p| {
+            json!({
+                "label": p.label,
+                "target_accuracy": p.target_accuracy,
+                "series": p.series,
+            })
+        })
+        .collect();
     Ok(ExperimentReport {
         name: "fig3_fig4".to_string(),
         description: "Scaling with the client population (Figures 3 and 4)".to_string(),

@@ -10,13 +10,13 @@ use crate::common::{render_table, ExperimentReport, Scale, Setting};
 use fedadmm_core::prelude::*;
 use fedadmm_data::synthetic::SyntheticDataset;
 use fedadmm_tensor::TensorResult;
-use serde_json::json;
+use serde_json::{json, Value};
 
 /// The η values swept by Figure 6.
 pub const ETAS: [f32; 3] = [0.5, 1.0, 1.5];
 
 /// One accuracy series for a fixed η (or an η schedule).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct EtaSeries {
     /// Description of the step-size rule ("eta=1.0", "eta=1.5->0.5@30"…).
     pub label: String,
@@ -85,6 +85,10 @@ pub fn run(scale: Scale) -> TensorResult<ExperimentReport> {
                 format!("{:.3}", s.accuracy.iter().copied().fold(0.0f32, f32::max)),
             ]);
         }
+        let series: Vec<Value> = series
+            .iter()
+            .map(|s| json!({ "label": s.label, "accuracy": s.accuracy }))
+            .collect();
         panels.push(json!({ "setting": setting.label(), "series": series }));
     }
     let rendered = render_table(

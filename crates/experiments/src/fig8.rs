@@ -11,10 +11,10 @@ use crate::common::{render_table, ExperimentReport, Scale, Setting};
 use fedadmm_core::prelude::*;
 use fedadmm_data::synthetic::SyntheticDataset;
 use fedadmm_tensor::TensorResult;
-use serde_json::json;
+use serde_json::{json, Value};
 
 /// One accuracy series for an initialisation / step-size combination.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct InitSeries {
     /// "I (warm start)" or "II (global model)".
     pub init: String,
@@ -77,6 +77,10 @@ pub fn run(scale: Scale) -> TensorResult<ExperimentReport> {
             series.push(s);
         }
     }
+    let series: Vec<Value> = series
+        .iter()
+        .map(|s| json!({ "init": s.init, "eta": s.eta, "accuracy": s.accuracy }))
+        .collect();
     let rendered = render_table(
         &["Initialisation", "Server step", "Final acc", "Best acc"],
         &rows,

@@ -124,7 +124,8 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = json_path {
-        let json = serde_json::to_string_pretty(&reports).expect("reports serialise");
+        let reports: Vec<_> = reports.iter().map(ExperimentReport::to_json).collect();
+        let json = serde_json::to_string_pretty(&reports).expect("a value tree always serializes");
         match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
             Ok(()) => println!("wrote JSON results to {path}"),
             Err(e) => {

@@ -15,7 +15,7 @@ use fedadmm_core::metrics::{reduction_over_best_baseline, speedup};
 use fedadmm_core::prelude::DataDistribution;
 use fedadmm_data::synthetic::SyntheticDataset;
 use fedadmm_tensor::TensorResult;
-use serde_json::json;
+use serde_json::{json, Value};
 
 /// The columns of Table III at `scale`: MNIST with the paper's 100 and
 /// 1,000 clients, FMNIST and CIFAR-10 with 1,000, each IID then non-IID.
@@ -34,7 +34,7 @@ pub fn table3_settings(scale: Scale) -> Vec<Setting> {
 }
 
 /// Result of one column of Table III.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ColumnResult {
     /// Column label, e.g. "MNIST (50 clients) IID".
     pub label: String,
@@ -122,7 +122,18 @@ pub fn run(scale: Scale) -> TensorResult<ExperimentReport> {
         name: "table3".to_string(),
         description: "Rounds to target accuracy with speedup vs FedSGD (Table III)".to_string(),
         rendered,
-        data: json!(columns.iter().map(|(_, c)| c).collect::<Vec<_>>()),
+        data: Value::Array(
+            columns
+                .iter()
+                .map(|(_, c)| {
+                    json!({
+                        "label": c.label,
+                        "rounds": c.rounds,
+                        "reduction_percent": c.reduction_percent,
+                    })
+                })
+                .collect(),
+        ),
     })
 }
 

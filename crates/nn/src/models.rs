@@ -23,7 +23,6 @@ use crate::layers::{Conv2d, Flatten, Layer, Linear, MaxPool2d, Relu, Reshape};
 // trajectories.
 use crate::network::Network;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A declarative model architecture that can be instantiated into a
 /// [`Network`] with fresh random weights.
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// Federated clients re-create networks from the spec and then overwrite the
 /// weights from flat parameter vectors, so the spec (not the network) is
 /// what experiment configurations carry around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelSpec {
     /// The paper's MNIST/FMNIST CNN: 1,663,370 parameters.
     ///
@@ -257,18 +256,6 @@ mod tests {
         assert_eq!(mlp.input_dim(), 8);
         assert_eq!(mlp.num_classes(), 3);
         assert!(mlp.name().contains("MLP"));
-    }
-
-    #[test]
-    fn spec_serde_roundtrip() {
-        let spec = ModelSpec::Mlp {
-            input_dim: 8,
-            hidden_dim: 4,
-            num_classes: 3,
-        };
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: ModelSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(spec, back);
     }
 
     #[test]

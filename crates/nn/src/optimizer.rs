@@ -6,10 +6,9 @@
 //! optimizer itself stays deliberately simple.
 
 use fedadmm_tensor::vecops;
-use serde::{Deserialize, Serialize};
 
 /// Plain SGD (the paper uses no weight decay).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sgd {
     /// Learning rate η_i (the paper selects it from {0.01, 0.1, 0.2, 0.5}).
     pub learning_rate: f32,

@@ -22,10 +22,9 @@ use fedadmm_core::engine::WireGuard;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rand_distr::StandardNormal;
-use serde::{Deserialize, Serialize};
 
 /// Clipping + Gaussian noise applied to one uploaded vector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaussianMechanism {
     /// ℓ₂ clipping norm `C`: updates longer than this are scaled down to it.
     pub clip_norm: f32,
@@ -120,7 +119,7 @@ impl WireGuard for GaussianMechanism {
 }
 
 /// The cumulative privacy guarantee of a training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivacySpent {
     /// zCDP parameter ρ accumulated so far.
     pub rho_zcdp: f64,
@@ -133,7 +132,7 @@ pub struct PrivacySpent {
 }
 
 /// Composes the per-round zCDP cost of subsampled Gaussian releases.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivacyAccountant {
     /// Noise multiplier σ used every round.
     pub noise_multiplier: f64,

@@ -19,7 +19,7 @@
 //! The buffer exports as JSON lines through the vendored `serde_json`, one
 //! record per line, ready for `jq`/pandas-style post-processing.
 
-use serde::{Deserialize, Serialize};
+use serde_json::json;
 use std::time::Instant;
 
 /// Identifier of an open span (opaque; 0 is reserved for "no span").
@@ -34,7 +34,7 @@ impl SpanId {
 }
 
 /// One completed span or event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Unique id of this span (assigned in open order, starting at 1).
     pub id: u64,
@@ -240,8 +240,17 @@ impl Tracer {
     /// Serializes the held records as JSON lines (one record per line).
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
-        for record in self.records() {
-            out.push_str(&serde_json::to_string(record).expect("span records serialize"));
+        for r in self.records() {
+            let line = json!({
+                "id": r.id,
+                "parent": r.parent,
+                "name": r.name,
+                "start_ns": r.start_ns,
+                "end_ns": r.end_ns,
+                "round": r.round,
+                "client": r.client,
+            });
+            out.push_str(&serde_json::to_string(&line).expect("a value tree always serializes"));
             out.push('\n');
         }
         out
@@ -251,6 +260,7 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     #[test]
     fn spans_nest_and_record_parents() {
@@ -300,10 +310,38 @@ mod tests {
         t.end(s);
         let lines = t.to_json_lines();
         assert_eq!(lines.lines().count(), 2);
-        for line in lines.lines() {
-            let back: SpanRecord = serde_json::from_str(line).unwrap();
-            assert!(back.id > 0);
+        let parsed: Vec<Value> = lines
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
+        for (line, record) in parsed.iter().zip(t.records()) {
+            let keys: Vec<&str> = line
+                .as_object()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.as_str())
+                .collect();
+            assert_eq!(
+                keys,
+                ["id", "parent", "name", "start_ns", "end_ns", "round", "client"]
+            );
+            assert!(line["id"].as_u64().unwrap() > 0);
+            assert_eq!(line["id"], record.id);
+            assert_eq!(line["name"], record.name);
+            assert_eq!(line["end_ns"], record.end_ns);
         }
+        // The event carries both attributes; the round span has no client,
+        // which is written as `null`.
+        assert_eq!(parsed[0]["name"], "arrival");
+        assert_eq!(parsed[0]["round"], 2u64);
+        assert_eq!(parsed[0]["client"], 7u64);
+        assert_eq!(parsed[1]["name"], "round");
+        assert!(parsed[1]["client"].is_null());
+        assert!(lines
+            .lines()
+            .nth(1)
+            .unwrap()
+            .ends_with(r#""round":2,"client":null}"#));
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Shape and stride bookkeeping for row-major tensors.
 
 use crate::error::{TensorError, TensorResult};
-use serde::{Deserialize, Serialize};
 
 /// The shape of a tensor: a list of dimension sizes, outermost first.
 ///
 /// Shapes are stored densely; tensors in this crate are always contiguous
 /// and row-major, so strides can be derived on demand via
 /// [`Shape::strides`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

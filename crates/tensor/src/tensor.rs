@@ -2,7 +2,6 @@
 
 use crate::error::{TensorError, TensorResult};
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 
 /// A dense, contiguous, row-major tensor of `f32` values.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// `Tensor`s. Flattened model parameters use plain `Vec<f32>` (see
 /// [`crate::vecops`]) because the federated algorithms treat parameters as
 /// opaque vectors in ℝ^d.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

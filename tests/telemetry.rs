@@ -6,7 +6,7 @@
 
 use fedadmm::data::partition::Partition;
 use fedadmm::prelude::*;
-use fedadmm::telemetry::{names, SpanRecord};
+use fedadmm::telemetry::names;
 use fedadmm_core::engine::RoundEngine;
 use std::sync::{Arc, Mutex};
 
@@ -113,7 +113,7 @@ fn recorder_observes_a_sync_run() {
     assert!(records.iter().any(|s| s.name == "server_fold"));
     assert!(records.iter().any(|s| s.name == "round_end"));
 
-    // Exports round-trip through the vendored serializer.
+    // Both exports parse back as JSON.
     let json = recorder.metrics_json();
     assert_eq!(
         json["counters"][names::ROUNDS_TOTAL].as_u64(),
@@ -123,8 +123,8 @@ fn recorder_observes_a_sync_run() {
         .as_f64()
         .is_some());
     for line in recorder.trace_json_lines().lines() {
-        let span: SpanRecord = serde_json::from_str(line).expect("every trace line parses");
-        assert!(span.end_ns >= span.start_ns);
+        let span: serde_json::Value = serde_json::from_str(line).expect("every trace line parses");
+        assert!(span["end_ns"].as_u64().unwrap() >= span["start_ns"].as_u64().unwrap());
     }
 }
 
