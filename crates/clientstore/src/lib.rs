@@ -1,23 +1,21 @@
 //! # fedadmm-clientstore
 //!
-//! Client-state storage backends for million-client federated rounds.
+//! Client-state storage for million-client federated rounds.
 //!
 //! FedADMM keeps a dense dual variable `y_i` plus a local model `w_i` per
 //! client (Algorithm 1: "Store wi and yi"), so with a dense layout client
 //! *count* — not compute — is the memory wall. This crate makes the layout
-//! pluggable behind [`ClientStateStore`]:
+//! pluggable behind [`ClientStateStore`], with one backend:
+//! [`ShardedStore`] keeps `S` contiguous shards materialized lazily on
+//! selection; the never-selected tail is stored implicitly (local model =
+//! initial θ, dual = control = 0) at zero bytes per client. Given a budget
+//! it is also an LRU spill-to-disk cache: resident state stays under
+//! `budget_bytes`, with evicted shards written through a bit-exact binary
+//! codec and reloaded transparently.
 //!
-//! * [`InMemoryStore`] — the legacy dense `Vec<ClientState>`, byte-identical
-//!   to the engine before the abstraction existed;
-//! * [`ShardedStore`] — `S` contiguous shards materialized lazily on
-//!   selection; the never-selected tail is stored implicitly (local model =
-//!   initial θ, dual = control = 0) at zero bytes per client. Given a
-//!   budget it is also an LRU spill-to-disk cache: resident state stays
-//!   under `budget_bytes`, with evicted shards written through a bit-exact
-//!   binary codec and reloaded transparently.
-//!
-//! [`StoreConfig`] spells the two as three variants: `InMemory`, `Sharded`
-//! (no budget) and `Spill` (budget and directory).
+//! [`StoreConfig`] spells it three ways: `InMemory` (⌈√m⌉ shards, no
+//! budget), `Sharded` (a given shard count, no budget) and `Spill` (budget
+//! and directory).
 //!
 //! The crate also owns the shared value types ([`ParamVector`],
 //! [`ClientState`] — re-exported by `fedadmm-core` at their historical
@@ -44,4 +42,4 @@ pub use param::ParamVector;
 pub use shard::{ClientIndices, ShardMap};
 pub use spill::ShardedStore;
 pub use state::ClientState;
-pub use store::{ClientStateStore, InMemoryStore, StoreConfig, StoreStats};
+pub use store::{ClientStateStore, StoreConfig, StoreStats};

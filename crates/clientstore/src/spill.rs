@@ -246,20 +246,12 @@ impl Drop for ShardedStore {
 }
 
 impl ClientStateStore for ShardedStore {
-    fn backend(&self) -> &'static str {
-        self.spill.as_ref().map_or("sharded", |_| "spill")
-    }
-
     fn num_clients(&self) -> usize {
         self.map.num_clients()
     }
 
     fn shard_map(&self) -> &ShardMap {
         &self.map
-    }
-
-    fn dense(&self) -> Option<&[ClientState]> {
-        None
     }
 
     fn with_states(
@@ -449,7 +441,6 @@ mod tests {
                 (0, 0, 0)
             );
             assert_eq!(s.spill.is_none(), budget.is_none());
-            assert_eq!(s.backend(), budget.map_or("sharded", |_| "spill"));
         }
     }
 
@@ -459,7 +450,9 @@ mod tests {
             let mut s = store(10, 2, budget);
             let noop = &mut |_: &mut [&mut ClientState]| Ok(());
             assert!(s.with_states(&[5, 2], noop).is_err());
+            assert!(s.with_states(&[2, 2], noop).is_err());
             assert!(s.with_states(&[10], noop).is_err());
+            assert!(s.with_states(&[], noop).is_ok());
         }
     }
 

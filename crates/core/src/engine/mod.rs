@@ -45,10 +45,10 @@
 //!   pool jobs (see [`EngineCore::aggregate`]). Large cohorts can opt into
 //!   [`AggregationMode::Hierarchical`]: per-shard partial folds on the
 //!   dispatch pool plus a log-depth combine.
-//! * **Pluggable client-state storage.** Per-client state lives behind a
-//!   [`ClientStateStore`](fedadmm_clientstore::ClientStateStore): dense
-//!   in-memory (the default, byte-identical to the legacy engine), lazily
-//!   sharded, or LRU spill-to-disk under a memory budget
+//! * **One client-state store.** Per-client state lives behind a
+//!   [`ClientStateStore`](fedadmm_clientstore::ClientStateStore), always the
+//!   lazily sharded store: a client costs memory only once selected, and
+//!   an optional byte budget spills least-recently-selected shards to disk
 //!   ([`RoundEngine::new_with_store`]) — which makes million-client
 //!   populations simulable on a workstation.
 //!
@@ -156,7 +156,8 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
     /// The global model is randomly initialised from `config.seed` (the
     /// paper: "We adopt random initialization for the global model in all
     /// algorithms, zero initialization for dual variables…"); every client
-    /// starts with a copy of it and zero dual/control variates. The
+    /// starts with a copy of it and zero dual/control variates, held in a
+    /// [`StoreConfig::InMemory`] store (⌈√m⌉ lazy shards, no budget). The
     /// scheduler's own configuration is validated by its
     /// [`Scheduler::init`] hook.
     pub fn new(
@@ -178,14 +179,15 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
         )
     }
 
-    /// Creates an engine whose per-client state lives in the configured
-    /// [`StoreConfig`] backend.
+    /// Creates an engine whose per-client state lives in a store built from
+    /// `store_config`.
     ///
-    /// [`StoreConfig::InMemory`] reproduces [`RoundEngine::new`] bit for
-    /// bit; [`StoreConfig::Sharded`] materializes clients lazily on first
-    /// selection; [`StoreConfig::Spill`] additionally evicts least-recently
-    /// selected shards to disk under a byte budget — the backend for
-    /// million-client populations.
+    /// Every spelling builds the same lazily sharded store, so every one
+    /// reproduces [`RoundEngine::new`] bit for bit: [`StoreConfig::InMemory`]
+    /// is [`RoundEngine::new`]'s own; [`StoreConfig::Sharded`] picks the
+    /// shard count; [`StoreConfig::Spill`] additionally evicts
+    /// least-recently selected shards to disk under a byte budget — the
+    /// configuration for million-client populations.
     pub fn new_with_store(
         config: FedConfig,
         train: Dataset,
@@ -388,7 +390,9 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
     /// [`diagnostics::optimality_gap`](crate::diagnostics::optimality_gap)
     /// with penalty `rho`) and reports it as an
     /// [`Event::Gauge`] named `"optimality_gap"`. Opt-in because the
-    /// gap is an O(total samples) computation per round.
+    /// gap is an O(total samples) computation per round, and because it
+    /// reads the states through [`clients`](Self::clients): all `m` of
+    /// them are held in memory while the gauge is computed.
     pub fn with_optimality_gap(mut self, rho: f32) -> Self {
         self.gap_rho = Some(rho);
         self
@@ -432,16 +436,19 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
         &self.global
     }
 
-    /// Immutable access to the client states (for tests and diagnostics).
-    ///
-    /// # Panics
-    /// Panics for sharded/spill backends, which never hold all `m` states
-    /// in memory at once — use [`RoundEngine::store`] and
-    /// [`ClientStateStore::for_each_state`] instead.
-    pub fn clients(&self) -> &[ClientState] {
-        self.store
-            .dense()
-            .expect("clients() requires the in-memory store; use store().for_each_state instead")
+    /// Every client's state, in id order, for tests and diagnostics, with
+    /// never-selected clients in their initial form (local model θ⁰, zero
+    /// dual and control). Holds all `m` states in memory at once;
+    /// [`ClientStateStore::for_each_state`] through
+    /// [`store_mut`](Self::store_mut) streams them instead. Fails only if
+    /// the store cannot read a state back (a damaged spill shard).
+    pub fn clients(&mut self) -> TensorResult<Vec<ClientState>> {
+        let mut states = Vec::with_capacity(self.store.num_clients());
+        self.store.for_each_state(&mut |state| {
+            states.push(state.clone());
+            Ok(())
+        })?;
+        Ok(states)
     }
 
     /// The client-state store backing this engine.
@@ -512,13 +519,9 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
         let report = report?;
         if report.record.is_some() {
             if let Some(rho) = self.gap_rho {
-                let clients = self.store.dense().ok_or_else(|| {
-                    TensorError::InvalidArgument(
-                        "optimality-gap diagnostics require the in-memory store".to_string(),
-                    )
-                })?;
+                let clients = self.clients()?;
                 let gap = crate::diagnostics::optimality_gap(
-                    clients,
+                    &clients,
                     &self.global,
                     rho,
                     self.config.model,
@@ -920,9 +923,9 @@ mod tests {
 
     #[test]
     fn initial_state_matches_paper_initialisation() {
-        let engine = make_engine(FedAdmm::paper_default(), SyncRounds, 6, 120, 3);
+        let mut engine = make_engine(FedAdmm::paper_default(), SyncRounds, 6, 120, 3);
         // Every client starts at the global model with zero dual variables.
-        for client in engine.clients() {
+        for client in engine.clients().unwrap() {
             assert_eq!(client.local_model, *engine.global_model());
             assert_eq!(client.dual.norm(), 0.0);
             assert_eq!(client.control.norm(), 0.0);

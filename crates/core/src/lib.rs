@@ -102,7 +102,7 @@ pub mod prelude {
     pub use crate::selection::ClientSelector;
     pub use crate::solver::LocalSolver;
     pub use fedadmm_clientstore::{
-        ClientStateStore, InMemoryStore, ShardMap, ShardedStore, StoreConfig, StoreStats,
+        ClientStateStore, ShardMap, ShardedStore, StoreConfig, StoreStats,
     };
     pub use fedadmm_data::batching::BatchSize;
     pub use fedadmm_telemetry::{Event, NoTelemetry, Recorder, RoundSummary, Telemetry};

@@ -48,7 +48,10 @@ fn run(distribution: DataDistribution, seed: u64) -> Vec<(usize, f32, DriftRepor
     for round in 1..=20 {
         let record = sim.run_round().expect("round succeeds");
         if round % 5 == 0 {
-            let report = DriftReport::compute(sim.clients(), sim.global_model());
+            let report = DriftReport::compute(
+                &sim.clients().expect("the store lends every state"),
+                sim.global_model(),
+            );
             snapshots.push((round, record.test_accuracy, report));
         }
     }

@@ -1,12 +1,12 @@
-//! Client-state store backend parity.
+//! Client-state store parity.
 //!
-//! The store abstraction must be invisible to the simulation semantics:
-//! under the default single-pass aggregation, a seeded run is *bit-exact*
-//! across the dense in-memory backend, the lazily-materialized sharded
-//! backend, and the spill-to-disk backend (even with a budget tiny enough
-//! to force evictions every round). Per-client state — dual variables,
-//! local models, selection counters — must survive spill round trips
-//! unchanged.
+//! The store must be invisible to the simulation semantics: under the
+//! default single-pass aggregation, a seeded run is *bit-exact* across the
+//! three `StoreConfig` spellings of the one lazily sharded store — `InMemory`
+//! (⌈√m⌉ shards), `Sharded` at any shard count, and `Spill` (even with a
+//! budget tiny enough to force evictions every round). Per-client state —
+//! dual variables, local models, selection counters — must survive spill
+//! round trips unchanged.
 //!
 //! Hierarchical aggregation is the one deliberate departure from
 //! bit-exactness (float addition is not associative), so it is compared
@@ -78,14 +78,7 @@ fn run_with_store(
         .iter()
         .map(|v| v.to_bits())
         .collect();
-    let mut states = Vec::new();
-    engine
-        .store_mut()
-        .for_each_state(&mut |state| {
-            states.push(state_bits(state));
-            Ok(())
-        })
-        .unwrap();
+    let states = engine.clients().unwrap().iter().map(state_bits).collect();
     let stats = engine.store().stats();
     let mut history = engine.into_history();
     for record in history.records.iter_mut() {
@@ -95,16 +88,27 @@ fn run_with_store(
 }
 
 #[test]
-fn sharded_store_matches_in_memory_bit_exactly() {
+fn sharded_store_is_bit_exact_across_shard_counts() {
+    // `InMemory` is ⌈√16⌉ = 4 shards; the other run uses 5.
     let (h_mem, g_mem, s_mem, _) = run_with_store(&StoreConfig::InMemory, 11, 16, 4);
     let (h_sh, g_sh, s_sh, stats) =
         run_with_store(&StoreConfig::Sharded { num_shards: 5 }, 11, 16, 4);
     assert_eq!(h_mem, h_sh);
     assert_eq!(g_mem, g_sh);
     assert_eq!(s_mem, s_sh);
-    // The sharded backend must have worked lazily, not densely.
-    assert!(stats.materializations > 0);
-    assert!((stats.materializations as usize) <= 16);
+    // The store worked lazily: the never-selected clients were never
+    // materialized, yet `clients()` returns all of them, in id order, at θ⁰
+    // with a zero dual.
+    let (_, theta0, _, _) = run_with_store(&StoreConfig::Sharded { num_shards: 5 }, 11, 16, 0);
+    let ids: Vec<usize> = s_sh.iter().map(|s| s.0).collect();
+    assert_eq!(ids, (0..16).collect::<Vec<_>>());
+    let untouched: Vec<&StateBits> = s_sh.iter().filter(|s| s.1 == 0).collect();
+    assert!(!untouched.is_empty(), "4 rounds of 4 leave someone out");
+    assert_eq!(stats.materializations as usize, 16 - untouched.len());
+    for (_, _, local_model, dual, _) in untouched {
+        assert_eq!(local_model, &theta0);
+        assert!(dual.iter().all(|&bits| bits == 0));
+    }
 }
 
 #[test]

@@ -101,10 +101,11 @@ fn event_digest(history: &RunHistory, global: &ParamVector, events: &[AsyncRecor
 #[test]
 fn in_memory_engine_matches_pre_refactor_golden_digest() {
     // Pinned from the engine as it stood before the client-state-store
-    // refactor: an `InMemoryStore`-backed run must reproduce the exact
-    // trajectory (selection, RNG streams, float-op order) of the engine
-    // that owned a dense `Vec<ClientState>`. Any reordering of the
-    // aggregation arithmetic or the dispatch seeding changes this digest.
+    // refactor: a run on the default `StoreConfig::InMemory` store (lazy
+    // shards) must reproduce the exact trajectory (selection, RNG streams,
+    // float-op order) of the engine that owned a dense `Vec<ClientState>`.
+    // Any reordering of the aggregation arithmetic or the dispatch seeding
+    // changes this digest.
     let digest = scenario_digest(FedAdmm::paper_default(), DispatchConfig::default());
     assert_eq!(
         digest, GOLDEN_DIGEST,
@@ -115,7 +116,7 @@ fn in_memory_engine_matches_pre_refactor_golden_digest() {
 const GOLDEN_DIGEST: u64 = 0xa147_b46a_ce24_2a96;
 
 /// FedADMM on the golden scenario with the 8-bit + Gaussian-DP wire path on,
-/// folded flat (in-memory store) and by shard (three shards). Captured on
+/// folded flat (`InMemory` store) and by shard (three shards). Captured on
 /// the commit before `EngineCore::aggregate` was restructured around one
 /// `FoldPlan` applier.
 const GOLDEN_WIRE_DIGEST: u64 = 0x22ab_5b29_a507_22b8;
@@ -123,7 +124,8 @@ const GOLDEN_WIRE_HIERARCHICAL_DIGEST: u64 = 0xbe34_0c59_3198_871b;
 
 /// Runs the golden-digest scenario (9 clients, seed 93, non-IID shards, 4
 /// rounds) for `algorithm` on an explicitly configured dispatch pool, with
-/// dense uploads and the in-memory store, and returns the run digest.
+/// dense uploads and the default `InMemory` store, and returns the run
+/// digest.
 fn scenario_digest<A: Algorithm>(algorithm: A, dispatch: DispatchConfig) -> u64 {
     scenario_digest_with(
         algorithm,

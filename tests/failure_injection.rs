@@ -59,7 +59,7 @@ fn round_robin_activation_still_learns() {
         .with_selector(Box::new(RoundRobin::new(4)));
     let (_, acc0) = sim.evaluate_global().unwrap();
     sim.run_rounds(25).unwrap();
-    let report = DriftReport::compute(sim.clients(), sim.global_model());
+    let report = DriftReport::compute(&sim.clients().unwrap(), sim.global_model());
     assert_eq!(
         report.clients_ever_selected, 20,
         "round robin must cover every client"
@@ -90,7 +90,7 @@ fn heavily_skewed_participation_probabilities_do_not_break_convergence() {
     );
     // The frequently selected client must not have dragged the global model
     // onto its own two classes: accuracy is measured over all ten classes.
-    let report = DriftReport::compute(sim.clients(), sim.global_model());
+    let report = DriftReport::compute(&sim.clients().unwrap(), sim.global_model());
     assert!(report.max_times_selected > 5 * report.min_times_selected.max(1));
 }
 
@@ -220,9 +220,10 @@ fn fedadmm_keeps_all_client_state_consistent_under_failures() {
     let mut sim = simulation(m, 1200, 6, DataDistribution::NonIidShards)
         .with_selector(Box::new(RoundRobin::new(2)));
     sim.run_rounds(4).unwrap(); // covers 8 of the 12 clients
-    let selected_total: usize = sim.clients().iter().map(|c| c.times_selected).sum();
+    let clients = sim.clients().unwrap();
+    let selected_total: usize = clients.iter().map(|c| c.times_selected).sum();
     assert_eq!(selected_total, 8);
-    for client in sim.clients() {
+    for client in &clients {
         assert!(client.local_model.as_slice().iter().all(|v| v.is_finite()));
         assert!(client.dual.as_slice().iter().all(|v| v.is_finite()));
         if client.times_selected == 0 {
@@ -239,6 +240,6 @@ fn fedadmm_keeps_all_client_state_consistent_under_failures() {
             );
         }
     }
-    let report = DriftReport::compute(sim.clients(), sim.global_model());
+    let report = DriftReport::compute(&clients, sim.global_model());
     assert_eq!(report.clients_ever_selected, 8);
 }

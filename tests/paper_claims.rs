@@ -194,7 +194,7 @@ fn tracking_update_conserves_the_mean_augmented_model_every_round() {
             let record = sim.run_round().unwrap();
             assert_eq!(record.num_selected, 2, "10 % of {num_clients} clients");
             let mut mean = vec![0.0f64; sim.global_model().len()];
-            for client in sim.clients() {
+            for client in sim.clients().unwrap() {
                 let (w, y) = (client.local_model.as_slice(), client.dual.as_slice());
                 for ((m, &w), &y) in mean.iter_mut().zip(w).zip(y) {
                     *m += (w as f64 + y as f64 / rho as f64) / num_clients as f64;

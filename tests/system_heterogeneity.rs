@@ -249,7 +249,7 @@ fn availability_driven_participation_composes_with_the_simulation() {
         .with_selector(Box::new(MarkovAvailability::new(0.3, 0.4)));
     let (_, acc0) = sim.evaluate_global().unwrap();
     sim.run_rounds(30).unwrap();
-    let report = DriftReport::compute(sim.clients(), sim.global_model());
+    let report = DriftReport::compute(&sim.clients().unwrap(), sim.global_model());
     assert!(
         report.clients_ever_selected >= m - 2,
         "bursty availability still covers the fleet"

@@ -241,15 +241,16 @@ fn recorder_observes_buffered_async_ticks() {
 #[test]
 fn optimality_gap_gauge_is_opt_in_and_reported_per_round() {
     let rho = 0.3;
-    let run = |gap: bool| {
+    let run = |gap: bool, store: &StoreConfig| {
         let (cfg, train, test, partition) = engine_parts(6, 14);
-        let mut engine = RoundEngine::new(
+        let mut engine = RoundEngine::new_with_store(
             cfg,
             train,
             test,
             partition,
             FedAdmm::new(rho, ServerStepSize::Constant(1.0)),
             SyncRounds,
+            store,
         )
         .unwrap()
         .with_telemetry(Box::new(Recorder::new()));
@@ -263,11 +264,23 @@ fn optimality_gap_gauge_is_opt_in_and_reported_per_round() {
         recorder.metrics().gauge_by_name("optimality_gap")
     };
 
-    let gap = run(true).expect("gap gauge registered dynamically");
+    let gap = run(true, &StoreConfig::InMemory).expect("gap gauge registered dynamically");
     assert!(gap.is_finite() && gap >= 0.0);
 
+    // Every store spelling reads the same states, so the gauge agrees to
+    // the bit.
+    let roomy_spill = StoreConfig::Spill {
+        num_shards: 2,
+        budget_bytes: u64::MAX,
+        dir: None,
+    };
+    for store in [StoreConfig::Sharded { num_shards: 4 }, roomy_spill] {
+        let other = run(true, &store).expect("gap gauge on every store");
+        assert_eq!(other.to_bits(), gap.to_bits(), "{store:?}");
+    }
+
     // Without `with_optimality_gap` the gauge never appears.
-    assert_eq!(run(false), None);
+    assert_eq!(run(false, &StoreConfig::InMemory), None);
 }
 
 /// The seam's fake: keeps the debug text of every event it is handed.
