@@ -83,6 +83,8 @@ pub struct BufferedAsync {
     in_flight: InFlight,
     rng: SmallRng,
     buffer: Vec<ClientMessage>,
+    /// Upload floats received into `buffer`, charged when it is aggregated.
+    buffered_upload: usize,
     buffered_epochs: usize,
     buffered_samples: usize,
     version: usize,
@@ -99,6 +101,7 @@ impl BufferedAsync {
             in_flight: InFlight::default(),
             rng: SmallRng::seed_from_u64(0),
             buffer: Vec::new(),
+            buffered_upload: 0,
             buffered_epochs: 0,
             buffered_samples: 0,
             version: 0,
@@ -188,21 +191,28 @@ impl Scheduler for BufferedAsync {
             .ok_or_else(|| TensorError::InvalidArgument("no client is in flight".to_string()))?;
         core.advance_clock(job.due);
         let client = job.message.client_id;
-        // Every arrival is charged, dropped or not.
-        core.add_upload(job.message.upload_floats());
+        let floats = job.message.upload_floats();
         core.add_wire_bytes(job.message.wire_bytes());
         let (staleness, weight) = job.weigh(self.version, self.config.staleness);
 
+        // Like the deadline tick: a dropped upload is charged when it
+        // arrives, a buffered one by what the aggregation that folds it
+        // reports (FedPD's silent aggregations report nothing).
         let mut aggregated = false;
         if weight > 0.0 {
+            self.buffered_upload += floats;
             self.buffered_epochs += job.message.epochs_run;
             self.buffered_samples += job.message.samples_processed;
             self.buffer.push(job.message);
             if self.buffer.len() >= self.config.aggregate_after {
-                core.aggregate(&std::mem::take(&mut self.buffer), &mut self.rng);
+                let outcome = core.aggregate(&std::mem::take(&mut self.buffer), &mut self.rng);
+                core.add_upload(outcome.upload_floats);
+                self.buffered_upload = 0;
                 self.version += 1;
                 aggregated = true;
             }
+        } else {
+            core.add_upload(floats);
         }
 
         let mut report = TickReport::default();
@@ -211,10 +221,11 @@ impl Scheduler for BufferedAsync {
             self.window = None;
             let record = core.record_round(RoundStats {
                 num_selected: self.config.aggregate_after,
+                // Uploads and wire bytes were charged as they arrived or
+                // were aggregated, not per record.
                 upload_floats: 0,
                 total_local_epochs: std::mem::take(&mut self.buffered_epochs),
                 samples_processed: std::mem::take(&mut self.buffered_samples),
-                // Like uploads, wire bytes are accounted per event here.
                 wire_bytes: 0,
                 elapsed_ms: window.elapsed().as_millis() as u64,
             })?;
@@ -224,7 +235,7 @@ impl Scheduler for BufferedAsync {
         // Note: this arrival is recorded *after* any round record produced
         // above, so its staleness is attributed to the next record's
         // staleness window (the record's own window closes at evaluation).
-        let event = core.record_event(client, staleness, weight, 0, accuracy);
+        let event = core.record_event(client, staleness, weight, self.buffered_upload, accuracy);
         report.events.push(event);
         Ok(report)
     }

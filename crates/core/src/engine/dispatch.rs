@@ -12,8 +12,8 @@
 //!   engine, not once per round);
 //! * jobs are claimed from a shared atomic **chunk cursor** — a worker that
 //!   finishes early simply claims the next chunk instead of idling behind a
-//!   straggler. The chunk size adapts to the cohort
-//!   (`clamp(jobs / (4·workers), 1, 8)`) unless pinned by configuration;
+//!   straggler. The chunk size adapts to the cohort:
+//!   `clamp(jobs / (4·workers), 1, 8)`;
 //! * each worker owns a reusable [`DispatchScratch`] arena (the per-job
 //!   `indices` copy plus the algorithm's
 //!   [`UpdateScratch`](crate::algorithms::UpdateScratch) buffers), so the
@@ -33,8 +33,7 @@
 //! outcome is byte-identical for every worker count and chunk size — pinned
 //! by the golden-digest parity tests.
 //!
-//! Configuration resolves from [`DispatchConfig`] builders first; the worker
-//! count then falls back to `FEDADMM_DISPATCH_WORKERS` — the one environment
+//! The worker count resolves from [`DispatchConfig`] first, then falls back to `FEDADMM_DISPATCH_WORKERS` — the one environment
 //! variable the workspace reads (a value that is not a positive integer
 //! panics) — then to the hardware default.
 
@@ -45,15 +44,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Dispatch-pool configuration. Unset fields fall back to defaults.
+/// Dispatch-pool configuration. An unset worker count falls back to the
+/// default.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DispatchConfig {
     /// Worker-thread count (default: `FEDADMM_DISPATCH_WORKERS`, else
     /// [`std::thread::available_parallelism`]). `1` selects the serial
     /// inline path — no threads are spawned at all.
     pub workers: Option<usize>,
-    /// Jobs claimed per cursor fetch (default: adaptive in the batch size).
-    pub chunk_size: Option<usize>,
 }
 
 const WORKERS_VAR: &str = "FEDADMM_DISPATCH_WORKERS";
@@ -83,15 +81,13 @@ impl DispatchConfig {
             })
             .max(1)
     }
+}
 
-    /// The chunk size for a batch of `num_jobs` over `workers` workers:
-    /// builder, then `clamp(jobs / (4·workers), 1, 8)` — about four claims
-    /// per worker on balanced loads, small enough to rebalance behind a
-    /// straggler.
-    pub fn resolved_chunk(&self, num_jobs: usize, workers: usize) -> usize {
-        self.chunk_size
-            .unwrap_or_else(|| (num_jobs / (workers.max(1) * 4)).clamp(1, 8))
-    }
+/// The chunk size for a batch of `num_jobs` over `workers` workers:
+/// `clamp(jobs / (4·workers), 1, 8)` — about four claims per worker on
+/// balanced loads, small enough to rebalance behind a straggler.
+fn chunk_size(num_jobs: usize, workers: usize) -> usize {
+    (num_jobs / (workers.max(1) * 4)).clamp(1, 8)
 }
 
 /// Per-worker reusable buffers, one arena per pool worker (plus one for the
@@ -171,7 +167,6 @@ struct Shared {
 
 /// A persistent self-scheduling worker pool (see [module docs](self)).
 pub struct DispatchPool {
-    config: DispatchConfig,
     workers: usize,
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -212,17 +207,11 @@ impl DispatchPool {
             Vec::new()
         };
         DispatchPool {
-            config,
             workers,
             shared,
             handles,
             serial_scratch: Mutex::new(DispatchScratch::default()),
         }
-    }
-
-    /// The configuration the pool was built from.
-    pub fn config(&self) -> DispatchConfig {
-        self.config
     }
 
     /// The resolved worker count.
@@ -256,7 +245,7 @@ impl DispatchPool {
         if self.handles.is_empty() || num_jobs == 1 {
             return self.run_serial(num_jobs, timed, task);
         }
-        let chunk = self.config.resolved_chunk(num_jobs, self.workers);
+        let chunk = chunk_size(num_jobs, self.workers);
         // SAFETY: the borrow is erased to 'static so it can sit in the
         // shared state, but `run` does not return until every worker has
         // finished the batch (`remaining == 0`), and workers never touch a
@@ -407,32 +396,36 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    fn config(workers: usize, chunk: Option<usize>) -> DispatchConfig {
+    fn config(workers: usize) -> DispatchConfig {
         DispatchConfig {
             workers: Some(workers),
-            chunk_size: chunk,
         }
     }
 
     #[test]
     fn every_job_runs_exactly_once_across_worker_and_chunk_counts() {
+        // The job counts take the derived chunk from 1 to 8 at every pooled
+        // worker count.
         for workers in [1usize, 2, 3, 8] {
-            for chunk in [None, Some(1), Some(3), Some(64)] {
-                let pool = DispatchPool::new(config(workers, chunk));
-                let jobs = 37;
+            let pool = DispatchPool::new(config(workers));
+            for jobs in [5usize, 37, 150, 400] {
                 let counts: Vec<AtomicU64> = (0..jobs).map(|_| AtomicU64::new(0)).collect();
                 let stats = pool.run(jobs, false, &|_, job, _| {
                     counts[job].fetch_add(1, Ordering::SeqCst);
                 });
+                let chunk = stats.chunk_size;
                 for (j, c) in counts.iter().enumerate() {
                     assert_eq!(
                         c.load(Ordering::SeqCst),
                         1,
-                        "job {j} with {workers} workers chunk {chunk:?}"
+                        "job {j} of {jobs} with {workers} workers chunk {chunk}"
                     );
                 }
                 assert_eq!(stats.jobs, jobs as u64);
-                assert_eq!(stats.workers, if workers > 1 { workers } else { 1 });
+                assert_eq!(stats.workers, workers);
+                if workers > 1 {
+                    assert_eq!(chunk, chunk_size(jobs, workers));
+                }
             }
         }
     }
@@ -440,7 +433,7 @@ mod tests {
     #[test]
     fn pool_survives_many_batches_and_reuses_scratch_capacity() {
         let workers = 3;
-        let pool = DispatchPool::new(config(workers, Some(2)));
+        let pool = DispatchPool::new(config(workers));
         let cold = AtomicU64::new(0);
         for _ in 0..20 {
             pool.run(11, false, &|_, _, scratch| {
@@ -462,20 +455,14 @@ mod tests {
 
     #[test]
     fn adaptive_chunk_tracks_cohort_size() {
-        let cfg = DispatchConfig::default();
-        assert_eq!(cfg.resolved_chunk(4, 8), 1); // tiny cohort → chunk 1
-        assert_eq!(cfg.resolved_chunk(64, 4), 4);
-        assert_eq!(cfg.resolved_chunk(10_000, 8), 8); // capped at 8
-        let pinned = DispatchConfig {
-            chunk_size: Some(5),
-            ..DispatchConfig::default()
-        };
-        assert_eq!(pinned.resolved_chunk(10_000, 8), 5);
+        assert_eq!(chunk_size(4, 8), 1); // tiny cohort → chunk 1
+        assert_eq!(chunk_size(64, 4), 4);
+        assert_eq!(chunk_size(10_000, 8), 8); // capped at 8
     }
 
     #[test]
     fn steals_are_counted_when_a_worker_drains_anothers_share() {
-        let pool = DispatchPool::new(config(2, Some(1)));
+        let pool = DispatchPool::new(config(2));
         // Job 0 is a straggler; the other worker must steal the rest.
         let stats = pool.run(12, true, &|_, job, _| {
             if job == 0 {
@@ -495,7 +482,7 @@ mod tests {
 
     #[test]
     fn serial_pool_spawns_no_threads_and_runs_inline() {
-        let pool = DispatchPool::new(config(1, None));
+        let pool = DispatchPool::new(config(1));
         assert!(pool.handles.is_empty());
         let hits = AtomicU64::new(0);
         let main_thread = std::thread::current().id();
@@ -511,7 +498,7 @@ mod tests {
 
     #[test]
     fn one_job_batch_runs_inline_without_waking_the_workers() {
-        let pool = DispatchPool::new(config(3, None));
+        let pool = DispatchPool::new(config(3));
         let main_thread = std::thread::current().id();
         let stats = pool.run(1, true, &|worker, job, _| {
             assert_eq!((worker, job), (0, 0));
@@ -525,7 +512,7 @@ mod tests {
 
     #[test]
     fn concurrent_callers_are_served_one_batch_at_a_time() {
-        let pool = Arc::new(DispatchPool::new(config(3, Some(1))));
+        let pool = Arc::new(DispatchPool::new(config(3)));
         let callers: Vec<JoinHandle<()>> = (0..4)
             .map(|_| {
                 let pool = Arc::clone(&pool);
@@ -567,7 +554,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dispatch worker panicked")]
     fn worker_panic_propagates_to_the_caller() {
-        let pool = DispatchPool::new(config(2, Some(1)));
+        let pool = DispatchPool::new(config(2));
         pool.run(4, false, &|_, job, _| {
             assert!(job != 2, "boom");
         });
@@ -575,7 +562,7 @@ mod tests {
 
     #[test]
     fn pool_stays_usable_after_a_panicked_batch() {
-        let pool = DispatchPool::new(config(2, Some(1)));
+        let pool = DispatchPool::new(config(2));
         let caught = catch_unwind(AssertUnwindSafe(|| {
             pool.run(4, false, &|_, _, _| panic!("boom"));
         }));

@@ -296,22 +296,15 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
         self
     }
 
-    /// Rebuilds the dispatch pool from an explicit [`DispatchConfig`]
-    /// (worker count, chunk size). The default pool takes its worker count
-    /// from `FEDADMM_DISPATCH_WORKERS`, else the hardware. Dispatch results
-    /// are byte-identical for every configuration; only the schedule (and
-    /// the wall clock) changes.
-    pub fn with_dispatch(mut self, config: DispatchConfig) -> Self {
-        self.pool = DispatchPool::new(config);
+    /// Rebuilds the dispatch pool with `workers` workers. The default pool
+    /// takes its worker count from `FEDADMM_DISPATCH_WORKERS`, else the
+    /// hardware. Dispatch results are byte-identical for every worker
+    /// count; only the schedule (and the wall clock) changes.
+    pub fn with_dispatch_workers(mut self, workers: usize) -> Self {
+        self.pool = DispatchPool::new(DispatchConfig {
+            workers: Some(workers),
+        });
         self
-    }
-
-    /// Pins the dispatch pool's worker count, keeping the rest of the
-    /// dispatch configuration as resolved.
-    pub fn with_dispatch_workers(self, workers: usize) -> Self {
-        let mut config = self.pool.config();
-        config.workers = Some(workers);
-        self.with_dispatch(config)
     }
 
     /// The dispatch pool the engine's client work runs on.
@@ -687,12 +680,7 @@ mod tests {
         // workers (CI pins 1 and 3) or the host's core count.
         let pools: Vec<DispatchPool> = [Some(1), Some(2), Some(3), None]
             .into_iter()
-            .map(|workers| {
-                DispatchPool::new(DispatchConfig {
-                    workers,
-                    chunk_size: None,
-                })
-            })
+            .map(|workers| DispatchPool::new(DispatchConfig { workers }))
             .collect();
         for &n in sizes {
             let reference = bits(evaluate_whole_chunks(model, global.as_slice(), &test, n));
@@ -744,10 +732,6 @@ mod tests {
     /// The conv / pool / im2col layers, up to the benchmark's 100-sample
     /// evaluation (two jobs, four passes).
     #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "2 300 unoptimised CNN 1 sample forwards take minutes; CI runs this in release"
-    )]
     fn cnn_evaluation_equals_the_whole_chunk_reference_for_every_shape_and_worker_count() {
         assert_evaluation_equals_the_whole_chunk_reference(ModelSpec::Cnn1, &EVAL_SIZES[..9]);
     }
@@ -783,7 +767,6 @@ mod tests {
         for workers in 1..=3 {
             let pool = DispatchPool::new(DispatchConfig {
                 workers: Some(workers),
-                chunk_size: None,
             });
             let pooled = scheduler::evaluate_on_pool(&pool, &config, &global, &test).unwrap_err();
             assert_eq!(pooled.to_string(), serial.to_string(), "{workers} workers");
@@ -1215,6 +1198,32 @@ mod tests {
         assert!(
             records.iter().any(|r| r.upload_floats == 0),
             "no silent round in 12 at p = 0.5"
+        );
+    }
+
+    #[test]
+    fn buffered_fedpd_pays_only_for_the_aggregations_that_communicate() {
+        // A buffered FedPD aggregation uploads only with probability p, like
+        // a semi-async round: the floats of a silent one are never charged.
+        let (m, d, ticks) = (10, 7850, 40);
+        let pool = BufferedAsync::new(AsyncConfig::new(4).with_aggregate_after(2));
+        let mut engine = timed_engine(FedPd::new(0.3, 0.5), pool, (m, &[], 1.0), 200, 42);
+        let events: Vec<AsyncRecord> = (0..ticks)
+            .flat_map(|_| engine.step().unwrap().events)
+            .collect();
+        let charged = engine.cumulative_upload_floats();
+        assert_eq!(charged % d, 0);
+        assert!(
+            charged > 0 && charged < ticks * d,
+            "{} of {ticks} arrivals charged",
+            charged / d
+        );
+        // The last arrival also counts the upload still in the buffer, if
+        // any (at most one of the two an aggregation takes).
+        let last = events.last().unwrap().cumulative_upload_floats;
+        assert!(
+            last == charged || last == charged + d,
+            "{last} vs {charged}"
         );
     }
 

@@ -6,8 +6,9 @@
 //!
 //! * row-major `f32` tensors with arbitrary rank ([`Tensor`]),
 //!   shape/stride bookkeeping ([`Shape`]) and checked indexing,
-//! * elementwise arithmetic, scalar ops, reductions, and in-place BLAS-1
-//!   style helpers (`axpy`, `scale`, dot products, norms),
+//! * elementwise maps, in-place scaling, sums and 2-D transposes on
+//!   [`Tensor`]; vector arithmetic on flat buffers (`axpy`, dot products,
+//!   norms, the server fold kernels) lives in [`vecops`] alone,
 //! * batched matrix multiplication ([`ops::gemm_into`] and its
 //!   transposed-operand variants),
 //! * 2-D convolution with 'same' padding via im2col

@@ -80,11 +80,6 @@ impl Shape {
         Ok(offset)
     }
 
-    /// Checks whether two shapes agree exactly.
-    pub fn same_as(&self, other: &Shape) -> bool {
-        self.dims == other.dims
-    }
-
     /// Interprets this shape as a 2-D matrix `(rows, cols)`.
     ///
     /// Rank-1 shapes are treated as a single row.

@@ -26,17 +26,18 @@
 //! This file intentionally holds a single `#[test]` so no sibling test
 //! thread pollutes the allocation counter mid-measurement.
 
+mod common;
+
+use common::{Scenario, LOGISTIC};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use fedadmm_clientstore::StoreConfig;
 use fedadmm_core::algorithms::{Algorithm, ClientMessage, FedAdmm, FedAvg, UpdateScratch};
 use fedadmm_core::client::ClientState;
 use fedadmm_core::compression::{Quantizer, WirePayload};
-use fedadmm_core::config::{DataDistribution, FedConfig};
-use fedadmm_core::engine::{
-    EngineCore, RoundEngine, Scheduler, SyncRounds, TickReport, WirePathConfig,
-};
+use fedadmm_core::engine::{EngineCore, Scheduler, TickReport, WirePathConfig};
 use fedadmm_core::param::ParamVector;
 use fedadmm_core::trainer::{evaluate, local_sgd_cached, LocalEnv, NetCache, TrainScratch};
 use fedadmm_data::batching::BatchSize;
@@ -249,7 +250,13 @@ fn steady_state_sgd_step_allocates_nothing() {
         hidden_dim: 64,
         num_classes: 10,
     };
-    let (eval_train, eval_set) = SyntheticDataset::Mnist.generate(64, 1024, 9);
+    let eval_scenario = Scenario {
+        model: eval_model,
+        train: 64,
+        test: 1024,
+        ..Scenario::new(4, 9)
+    };
+    let (_, eval_set) = eval_scenario.data();
     let params = vec![0.01f32; eval_model.num_params()];
     evaluate(eval_model, &params, &eval_set, 256).unwrap(); // warm the allocator pools
     let before_one = alloc_count();
@@ -272,22 +279,7 @@ fn steady_state_sgd_step_allocates_nothing() {
     // chunk's loss is taken over logits that several passes produced, so
     // they have to be kept somewhere) — no network, no `TrainScratch`, no
     // index list, and no more for 32 passes than for one.
-    let config = FedConfig {
-        num_clients: 4,
-        model: eval_model,
-        ..FedConfig::default()
-    };
-    let partition = DataDistribution::Iid.partition(&eval_train, 4, 9);
-    let engine = RoundEngine::new(
-        config,
-        eval_train,
-        eval_set,
-        partition,
-        FedAvg::new(),
-        SyncRounds,
-    )
-    .unwrap()
-    .with_dispatch_workers(1);
+    let engine = eval_scenario.engine(FedAvg::new()).with_dispatch_workers(1);
     let cold = engine.evaluate_global().unwrap();
     let before_warm = alloc_count();
     let warm = engine.evaluate_global().unwrap();
@@ -350,11 +342,7 @@ impl Scheduler for FoldOnly {
 /// coded)`.
 fn warm_fold_allocations() -> (u64, u64) {
     const COHORT: usize = 192;
-    let model = ModelSpec::Logistic {
-        input_dim: 784,
-        num_classes: 10,
-    };
-    let d = model.num_params();
+    let d = LOGISTIC.num_params();
     let quantizer = Quantizer::new(8, true);
     let dense: Vec<ClientMessage> = (0..COHORT)
         .map(|c| ClientMessage {
@@ -382,26 +370,17 @@ fn warm_fold_allocations() -> (u64, u64) {
         })
         .collect();
     let warm_fold = |messages: Vec<ClientMessage>| {
-        let config = FedConfig {
-            num_clients: COHORT,
-            model,
-            ..FedConfig::default()
+        let scenario = Scenario {
+            train: 2 * COHORT,
+            test: 8,
+            ..Scenario::new(COHORT, 3)
         };
-        let (train, test) = SyntheticDataset::Mnist.generate(2 * COHORT, 8, 3);
-        let partition = DataDistribution::Iid.partition(&train, COHORT, 3);
         let scheduler = FoldOnly {
             messages,
             allocations: 0,
         };
-        let mut engine = RoundEngine::new(
-            config,
-            train,
-            test,
-            partition,
-            FedAdmm::paper_default(),
-            scheduler,
-        )
-        .unwrap();
+        let admm = FedAdmm::paper_default();
+        let mut engine = scenario.engine_with(admm, scheduler, &StoreConfig::InMemory);
         engine.step().unwrap(); // warm-up
         engine.step().unwrap();
         engine.scheduler().allocations

@@ -9,49 +9,20 @@
 //! staleness policy is respected, and asynchronous FedADMM still learns on
 //! heterogeneous pools.
 
+mod common;
+
+use common::{fleet, Scenario, LOGISTIC};
 use fedadmm::prelude::*;
-use fedadmm_core::engine::RoundEngine;
 
-fn config(num_clients: usize, seed: u64) -> FedConfig {
-    FedConfig {
-        num_clients,
-        participation: Participation::Fraction(0.5),
-        local_epochs: 2,
-        system_heterogeneity: false,
-        batch_size: BatchSize::Size(16),
-        local_learning_rate: 0.1,
-        model: ModelSpec::Logistic {
-            input_dim: 784,
-            num_classes: 10,
-        },
-        seed,
-        eval_subset: usize::MAX,
+/// This file's setting: 40 label-skewed training samples per client and
+/// 200 test samples.
+const fn scenario(clients: usize, seed: u64) -> Scenario {
+    Scenario {
+        train: clients * 40,
+        test: 200,
+        distribution: DataDistribution::NonIidShards,
+        ..Scenario::new(clients, seed)
     }
-}
-
-/// A buffered engine on `num_clients` compute-only devices at 1 s per
-/// epoch, except the `slow` clients at `slow_seconds`.
-fn async_engine<A: Algorithm>(
-    algorithm: A,
-    (num_clients, slow, slow_seconds): (usize, &[usize], f64),
-    async_config: AsyncConfig,
-    seed: u64,
-) -> RoundEngine<A, BufferedAsync> {
-    let cfg = config(num_clients, seed);
-    let (train, test) = SyntheticDataset::Mnist.generate(num_clients * 40, 200, seed);
-    let partition = DataDistribution::NonIidShards.partition(&train, num_clients, seed);
-    let seconds = (0..num_clients).map(|c| if slow.contains(&c) { slow_seconds } else { 1.0 });
-    RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        algorithm,
-        BufferedAsync::new(async_config),
-    )
-    .unwrap()
-    .with_devices(DeviceModel::new(seconds.collect()))
-    .unwrap()
 }
 
 /// Steps the engine until `updates` aggregations have been applied.
@@ -72,7 +43,11 @@ fn run_updates<A: Algorithm>(engine: &mut RoundEngine<A, BufferedAsync>, updates
 fn async_fedadmm_learns_on_a_straggler_pool() {
     let pool = AsyncConfig::new(4);
     let admm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
-    let mut engine = async_engine(admm, (10, &[2, 4, 8, 9], 8.0), pool, 1);
+    let mut engine = scenario(10, 1).timed(
+        admm,
+        BufferedAsync::new(pool),
+        fleet(10, &[2, 4, 8, 9], 8.0),
+    );
     let (_, acc0) = engine.evaluate_global().unwrap();
     run_updates(&mut engine, 60);
     let (_, acc1) = engine.evaluate_global().unwrap();
@@ -85,7 +60,11 @@ fn async_fedadmm_learns_on_a_straggler_pool() {
 #[test]
 fn virtual_time_is_monotone_and_stragglers_arrive_late() {
     let pool = AsyncConfig::new(4).with_staleness(StalenessWeight::Constant);
-    let mut engine = async_engine(FedAvg::new(), (8, &[3, 4, 6], 10.0), pool, 2);
+    let mut engine = scenario(8, 2).timed(
+        FedAvg::new(),
+        BufferedAsync::new(pool),
+        fleet(8, &[3, 4, 6], 10.0),
+    );
     run_updates(&mut engine, 30);
     let records = engine.events();
     for pair in records.windows(2) {
@@ -101,7 +80,11 @@ fn virtual_time_is_monotone_and_stragglers_arrive_late() {
 fn bounded_delay_policy_never_applies_overly_stale_updates() {
     let max_staleness = 2usize;
     let pool = AsyncConfig::new(5).with_staleness(StalenessWeight::BoundedDelay { max_staleness });
-    let mut engine = async_engine(FedAvg::new(), (10, &[0, 5, 6, 9], 12.0), pool, 3);
+    let mut engine = scenario(10, 3).timed(
+        FedAvg::new(),
+        BufferedAsync::new(pool),
+        fleet(10, &[0, 5, 6, 9], 12.0),
+    );
     for _ in 0..50 {
         engine.step().unwrap();
     }
@@ -117,7 +100,11 @@ fn bounded_delay_policy_never_applies_overly_stale_updates() {
 #[test]
 fn polynomial_damping_downweights_stale_updates() {
     let pool = AsyncConfig::new(5).with_staleness(StalenessWeight::Polynomial { exponent: 1.0 });
-    let mut engine = async_engine(FedAvg::new(), (10, &[2, 4, 9], 12.0), pool, 4);
+    let mut engine = scenario(10, 4).timed(
+        FedAvg::new(),
+        BufferedAsync::new(pool),
+        fleet(10, &[2, 4, 9], 12.0),
+    );
     for _ in 0..50 {
         engine.step().unwrap();
     }
@@ -129,12 +116,12 @@ fn polynomial_damping_downweights_stale_updates() {
 
 #[test]
 fn upload_accounting_is_cumulative_and_matches_model_dimension() {
-    let d = ModelSpec::Logistic {
-        input_dim: 784,
-        num_classes: 10,
-    }
-    .num_params();
-    let mut engine = async_engine(FedAvg::new(), (6, &[], 1.0), AsyncConfig::new(2), 5);
+    let d = LOGISTIC.num_params();
+    let mut engine = scenario(6, 5).timed(
+        FedAvg::new(),
+        BufferedAsync::new(AsyncConfig::new(2)),
+        fleet(6, &[], 1.0),
+    );
     run_updates(&mut engine, 10);
     for (k, record) in engine.events().iter().enumerate() {
         assert_eq!(record.cumulative_upload_floats, (k + 1) * d);
@@ -148,7 +135,7 @@ fn history_records_accumulate_at_evaluation_points() {
         ..AsyncConfig::new(3)
     };
     let admm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
-    let mut engine = async_engine(admm, (6, &[], 1.0), pool, 6);
+    let mut engine = scenario(6, 6).timed(admm, BufferedAsync::new(pool), fleet(6, &[], 1.0));
     run_updates(&mut engine, 20);
     let history = engine.history();
     assert_eq!(history.algorithm, "FedADMM");
@@ -172,15 +159,12 @@ fn async_and_sync_reach_comparable_accuracy_on_homogeneous_pools() {
     // uploads full models, so down-weighting them shrinks θ.)
     let seed = 7;
     let pool = AsyncConfig::new(2).with_staleness(StalenessWeight::Constant);
-    let mut async_run = async_engine(FedAvg::new(), (8, &[], 1.0), pool, seed);
+    let mut async_run =
+        scenario(8, seed).timed(FedAvg::new(), BufferedAsync::new(pool), fleet(8, &[], 1.0));
     run_updates(&mut async_run, 48);
     let (_, async_acc) = async_run.evaluate_global().unwrap();
 
-    let cfg = config(8, seed);
-    let (train, test) = SyntheticDataset::Mnist.generate(8 * 40, 200, seed);
-    let partition = DataDistribution::NonIidShards.partition(&train, 8, seed);
-    let mut sync_run =
-        RoundEngine::new(cfg, train, test, partition, FedAvg::new(), SyncRounds).unwrap();
+    let mut sync_run = scenario(8, seed).engine(FedAvg::new());
     // 12 rounds × 4 selected clients = 48 client updates.
     sync_run.run_rounds(12).unwrap();
     let (_, sync_acc) = sync_run.evaluate_global().unwrap();

@@ -1,49 +1,43 @@
 //! End-to-end integration tests: data generation → partitioning → federated
 //! training → evaluation, across crates.
 
+mod common;
+
+use common::Scenario;
 use fedadmm::prelude::*;
 
-fn base_config(num_clients: usize, seed: u64) -> FedConfig {
-    FedConfig {
-        num_clients,
-        participation: Participation::Fraction(0.2),
-        local_epochs: 3,
-        system_heterogeneity: true,
-        batch_size: BatchSize::Size(16),
-        local_learning_rate: 0.1,
-        model: ModelSpec::Mlp {
-            input_dim: 784,
-            hidden_dim: 24,
-            num_classes: 10,
-        },
-        seed,
-        eval_subset: usize::MAX,
-    }
-}
+/// This file's MLP: one hidden layer of 24 units.
+const MLP: ModelSpec = ModelSpec::Mlp {
+    input_dim: 784,
+    hidden_dim: 24,
+    num_classes: 10,
+};
 
-fn build(
-    algorithm: Box<dyn Algorithm>,
-    distribution: DataDistribution,
-    num_clients: usize,
+/// This file's setting on `clients` clients sharing `samples` training
+/// samples: 20 % of them per round, E = 3 under variable local work, the
+/// MLP, 200 test samples.
+const fn scenario(
+    clients: usize,
     samples: usize,
+    distribution: DataDistribution,
     seed: u64,
-) -> SyncEngine<Box<dyn Algorithm>> {
-    let config = base_config(num_clients, seed);
-    let (train, test) = SyntheticDataset::Mnist.generate(samples, 200, seed);
-    let partition = distribution.partition(&train, num_clients, seed);
-    RoundEngine::new(config, train, test, partition, algorithm, SyncRounds)
-        .expect("valid configuration")
+) -> Scenario {
+    Scenario {
+        participation: 0.2,
+        epochs: 3,
+        heterogeneity: true,
+        model: MLP,
+        train: samples,
+        test: 200,
+        distribution,
+        ..Scenario::new(clients, seed)
+    }
 }
 
 #[test]
 fn fedadmm_learns_iid_task_end_to_end() {
-    let mut sim = build(
-        Box::new(FedAdmm::new(SUBSTRATE_RHO, ServerStepSize::Constant(1.0))),
-        DataDistribution::Iid,
-        15,
-        600,
-        1,
-    );
+    let mut sim = scenario(15, 600, DataDistribution::Iid, 1)
+        .engine(FedAdmm::new(SUBSTRATE_RHO, ServerStepSize::Constant(1.0)));
     let (_, acc_before) = sim.evaluate_global().unwrap();
     sim.run_rounds(12).unwrap();
     let best = sim.history().best_accuracy();
@@ -62,13 +56,8 @@ const SUBSTRATE_RHO: f32 = 0.3;
 fn fedadmm_learns_under_label_skew() {
     // The paper's non-IID setting: two label shards per client. FedADMM must
     // still make substantial progress (the dual variables counteract drift).
-    let mut sim = build(
-        Box::new(FedAdmm::new(SUBSTRATE_RHO, ServerStepSize::Constant(1.0))),
-        DataDistribution::NonIidShards,
-        15,
-        600,
-        2,
-    );
+    let mut sim = scenario(15, 600, DataDistribution::NonIidShards, 2)
+        .engine(FedAdmm::new(SUBSTRATE_RHO, ServerStepSize::Constant(1.0)));
     sim.run_rounds(15).unwrap();
     assert!(
         sim.history().best_accuracy() > 0.35,
@@ -92,49 +81,25 @@ fn fedadmm_learns_under_label_skew() {
 fn fedadmm_reaches_target_within_1_5x_fedavg_rounds_non_iid() {
     let target = 0.9;
     let budget = 45;
-    let num_clients = 100;
-    let samples = 100 * 100;
-    let config = FedConfig {
-        num_clients,
-        participation: Participation::Fraction(0.1),
-        local_epochs: 5,
-        system_heterogeneity: true,
-        batch_size: BatchSize::Size(16),
-        local_learning_rate: 0.1,
+    let protocol = Scenario {
+        participation: 0.1,
+        epochs: 5,
         model: ModelSpec::Mlp {
             input_dim: 784,
             hidden_dim: 32,
             num_classes: 10,
         },
-        seed: 42,
+        test: 400,
         eval_subset: 400,
+        ..scenario(100, 100 * 100, DataDistribution::NonIidShards, 42)
     };
-    let (train, test) = SyntheticDataset::Mnist.generate(samples, 400, 42);
-    let partition = DataDistribution::NonIidShards.partition(&train, num_clients, 42);
-
-    let mut admm = RoundEngine::new(
-        config,
-        train.clone(),
-        test.clone(),
-        partition.clone(),
-        Box::new(FedAdmm::new(SUBSTRATE_RHO, ServerStepSize::Constant(1.0))) as Box<dyn Algorithm>,
-        SyncRounds,
-    )
-    .unwrap();
+    let mut admm = protocol.engine(FedAdmm::new(SUBSTRATE_RHO, ServerStepSize::Constant(1.0)));
     let admm_rounds = admm
         .run_until_accuracy(target, budget)
         .unwrap()
         .unwrap_or(budget + 1);
 
-    let mut avg = RoundEngine::new(
-        config,
-        train,
-        test,
-        partition,
-        Box::new(FedAvg::new()) as Box<dyn Algorithm>,
-        SyncRounds,
-    )
-    .unwrap();
+    let mut avg = protocol.engine(FedAvg::new());
     let avg_rounds = avg
         .run_until_accuracy(target, budget)
         .unwrap()
@@ -159,7 +124,7 @@ fn all_five_algorithms_complete_a_short_non_iid_run() {
         ("SCAFFOLD", Box::new(Scaffold::new())),
     ];
     for (name, algorithm) in algorithms {
-        let mut sim = build(algorithm, DataDistribution::NonIidShards, 10, 300, 4);
+        let mut sim = scenario(10, 300, DataDistribution::NonIidShards, 4).engine(algorithm);
         let records = sim.run_rounds(3).unwrap();
         assert_eq!(records.len(), 3, "{name} did not complete 3 rounds");
         for r in &records {
@@ -177,26 +142,15 @@ fn all_five_algorithms_complete_a_short_non_iid_run() {
 fn communication_accounting_matches_algorithm_costs() {
     // FedADMM/FedAvg/FedProx upload d floats per selected client per round;
     // SCAFFOLD uploads 2d. The recorded cumulative upload must reflect that.
-    let d = ModelSpec::Mlp {
-        input_dim: 784,
-        hidden_dim: 24,
-        num_classes: 10,
-    }
-    .num_params();
+    let d = MLP.num_params();
     let rounds = 3;
-    let mut admm = build(
-        Box::new(FedAdmm::paper_default()),
-        DataDistribution::Iid,
-        10,
-        300,
-        5,
-    );
+    let mut admm = scenario(10, 300, DataDistribution::Iid, 5).engine(FedAdmm::paper_default());
     admm.run_rounds(rounds).unwrap();
     let admm_upload = admm.history().total_upload_floats();
     let selected_per_round = 2; // 20% of 10 clients
     assert_eq!(admm_upload, rounds * selected_per_round * d);
 
-    let mut scaffold = build(Box::new(Scaffold::new()), DataDistribution::Iid, 10, 300, 5);
+    let mut scaffold = scenario(10, 300, DataDistribution::Iid, 5).engine(Scaffold::new());
     scaffold.run_rounds(rounds).unwrap();
     assert_eq!(scaffold.history().total_upload_floats(), 2 * admm_upload);
 }
@@ -205,14 +159,8 @@ fn communication_accounting_matches_algorithm_costs() {
 fn fedadmm_communication_matches_fedavg_exactly() {
     // "FedADMM maintains identical communication costs per round as
     // FedAvg/Prox" — abstract of the paper.
-    let mut admm = build(
-        Box::new(FedAdmm::paper_default()),
-        DataDistribution::Iid,
-        10,
-        300,
-        6,
-    );
-    let mut avg = build(Box::new(FedAvg::new()), DataDistribution::Iid, 10, 300, 6);
+    let mut admm = scenario(10, 300, DataDistribution::Iid, 6).engine(FedAdmm::paper_default());
+    let mut avg = scenario(10, 300, DataDistribution::Iid, 6).engine(FedAvg::new());
     admm.run_rounds(4).unwrap();
     avg.run_rounds(4).unwrap();
     assert_eq!(
@@ -226,14 +174,8 @@ fn system_heterogeneity_reduces_total_computation() {
     // Variable local epochs (FedADMM/FedProx protocol) must process fewer
     // samples than the fixed-E protocol (FedAvg/SCAFFOLD) over the same
     // number of rounds — the paper's "50% less training computation" claim.
-    let mut admm = build(
-        Box::new(FedAdmm::paper_default()),
-        DataDistribution::Iid,
-        10,
-        300,
-        7,
-    );
-    let mut avg = build(Box::new(FedAvg::new()), DataDistribution::Iid, 10, 300, 7);
+    let mut admm = scenario(10, 300, DataDistribution::Iid, 7).engine(FedAdmm::paper_default());
+    let mut avg = scenario(10, 300, DataDistribution::Iid, 7).engine(FedAvg::new());
     admm.run_rounds(6).unwrap();
     avg.run_rounds(6).unwrap();
     let admm_epochs = admm.history().total_local_epochs();
@@ -246,20 +188,10 @@ fn system_heterogeneity_reduces_total_computation() {
 
 #[test]
 fn runs_are_reproducible_across_identical_simulations() {
-    let mut a = build(
-        Box::new(FedAdmm::paper_default()),
-        DataDistribution::NonIidShards,
-        12,
-        360,
-        8,
-    );
-    let mut b = build(
-        Box::new(FedAdmm::paper_default()),
-        DataDistribution::NonIidShards,
-        12,
-        360,
-        8,
-    );
+    let mut a =
+        scenario(12, 360, DataDistribution::NonIidShards, 8).engine(FedAdmm::paper_default());
+    let mut b =
+        scenario(12, 360, DataDistribution::NonIidShards, 8).engine(FedAdmm::paper_default());
     let ra = a.run_rounds(4).unwrap();
     let rb = b.run_rounds(4).unwrap();
     for (x, y) in ra.iter().zip(rb.iter()) {
@@ -270,18 +202,11 @@ fn runs_are_reproducible_across_identical_simulations() {
 
 #[test]
 fn fedpd_requires_and_uses_full_participation() {
-    let config = base_config(8, 9);
-    let (train, test) = SyntheticDataset::Mnist.generate(240, 100, 9);
-    let partition = DataDistribution::Iid.partition(&train, 8, 9);
-    let mut sim = RoundEngine::new(
-        config,
-        train,
-        test,
-        partition,
-        Box::new(FedPd::new(0.01, 0.5)) as Box<dyn Algorithm>,
-        SyncRounds,
-    )
-    .unwrap();
+    let scenario = Scenario {
+        test: 100,
+        ..scenario(8, 240, DataDistribution::Iid, 9)
+    };
+    let mut sim = scenario.engine(FedPd::new(0.01, 0.5));
     let records = sim.run_rounds(4).unwrap();
     for r in &records {
         assert_eq!(
@@ -296,26 +221,15 @@ fn fedpd_requires_and_uses_full_participation() {
 
 #[test]
 fn dual_variables_stay_zero_for_primal_methods_and_move_for_fedadmm() {
-    let mut admm = build(
-        Box::new(FedAdmm::paper_default()),
-        DataDistribution::NonIidShards,
-        10,
-        300,
-        10,
-    );
+    let mut admm =
+        scenario(10, 300, DataDistribution::NonIidShards, 10).engine(FedAdmm::paper_default());
     admm.run_rounds(3).unwrap();
     assert!(
         admm.clients().unwrap().iter().any(|c| c.dual.norm() > 0.0),
         "FedADMM never updated any dual variable"
     );
 
-    let mut avg = build(
-        Box::new(FedAvg::new()),
-        DataDistribution::NonIidShards,
-        10,
-        300,
-        10,
-    );
+    let mut avg = scenario(10, 300, DataDistribution::NonIidShards, 10).engine(FedAvg::new());
     avg.run_rounds(3).unwrap();
     assert!(
         avg.clients().unwrap().iter().all(|c| c.dual.norm() == 0.0),

@@ -2,14 +2,15 @@
 //!
 //! Two pins:
 //!
-//! 1. **Parity** — a seeded `RoundEngine` + `SyncRounds` run reproduces
-//!    golden digests of its full `RunHistory` and final global model, for
-//!    FedADMM, for each of the eight baselines, for FedADMM under the
-//!    8-bit + DP wire path (flat and by-shard fold) and for FedADMM training
-//!    the paper's CNN 1, on every dispatch-pool geometry; and `SemiAsync` /
-//!    `BufferedAsync` runs reproduce digests that also fold every arrival
-//!    event (order and virtual time). This is every refactor's contract:
-//!    selection, RNG streams and float-op order do not move.
+//! 1. **Parity** — one table walks the golden scenario over every
+//!    configuration axis that must not move a bit: FedADMM on five stores ×
+//!    two folds × four wire modes × two worker counts, under two observers,
+//!    and the eight baselines on two pools. Each cell reproduces its golden
+//!    digest or, where none is pinned, its one-worker reference cell. A CNN 1
+//!    run and the `SemiAsync` / `BufferedAsync` runs reproduce digests of
+//!    their own (the event-driven ones also fold every arrival's order and
+//!    virtual time). This is every refactor's contract: selection, RNG
+//!    streams and float-op order do not move.
 //! 2. **Robustness** — under the `SemiAsync` deadline scheduler on a
 //!    straggler fleet, FedADMM keeps learning from staleness-damped late
 //!    arrivals (its uploads are *deltas*, so damping merely shrinks a
@@ -18,259 +19,42 @@
 //!    paper's system-heterogeneity robustness claim transported to the
 //!    deadline regime.
 
+mod common;
+
+use common::{event_digest, fleet, run_digest, state_digest, Scenario};
 use fedadmm::core::trainer::evaluate;
 use fedadmm::prelude::*;
 use fedadmm::telemetry::names;
-use fedadmm_core::engine::{DispatchConfig, RoundEngine, WirePathConfig};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
-fn config(num_clients: usize, seed: u64, system_heterogeneity: bool) -> FedConfig {
-    FedConfig {
-        num_clients,
-        participation: Participation::Fraction(0.3),
-        local_epochs: 3,
-        system_heterogeneity,
-        batch_size: BatchSize::Size(16),
-        local_learning_rate: 0.1,
-        model: ModelSpec::Logistic {
-            input_dim: 784,
-            num_classes: 10,
-        },
-        seed,
-        eval_subset: usize::MAX,
+/// This file's setting on `clients` clients: 30 % of them per round, E = 3
+/// under variable local work, label-skewed shards.
+const fn parity(clients: usize, seed: u64) -> Scenario {
+    Scenario {
+        participation: 0.3,
+        epochs: 3,
+        heterogeneity: true,
+        distribution: DataDistribution::NonIidShards,
+        ..Scenario::new(clients, seed)
     }
 }
 
-fn data(num_clients: usize, seed: u64) -> (fedadmm::data::Dataset, fedadmm::data::Dataset) {
-    SyntheticDataset::Mnist.generate(num_clients * 30, 120, seed)
-}
+/// The golden scenario, run for 4 rounds.
+const GOLDEN: Scenario = parity(9, 93);
 
-/// FNV-1a digest over every schedule-independent field of a run: the full
-/// round history (modulo wall-clock timing) plus the bit pattern of the
-/// final global model.
-fn run_digest(history: &RunHistory, global: &ParamVector) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut fold = |x: u64| {
-        for byte in x.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
-        }
-    };
-    for r in &history.records {
-        fold(r.round as u64);
-        fold(u64::from(r.test_accuracy.to_bits()));
-        fold(u64::from(r.test_loss.to_bits()));
-        fold(r.num_selected as u64);
-        fold(r.upload_floats as u64);
-        fold(r.cumulative_upload_floats as u64);
-        fold(r.total_local_epochs as u64);
-        fold(r.samples_processed as u64);
-        fold(r.staleness_mean.to_bits());
-        fold(r.staleness_max as u64);
-    }
-    for &x in global.as_slice() {
-        fold(u64::from(x.to_bits()));
-    }
-    h
-}
-
-/// [`run_digest`] continued over every arrival event: virtual time and
-/// weight bits, client, staleness and cumulative upload — so arrival order
-/// and the virtual clock are pinned, not only θ.
-fn event_digest(history: &RunHistory, global: &ParamVector, events: &[AsyncRecord]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = run_digest(history, global);
-    for e in events {
-        for x in [
-            e.sim_time.to_bits(),
-            u64::from(e.weight.to_bits()),
-            e.client_id as u64,
-            e.staleness as u64,
-            e.cumulative_upload_floats as u64,
-        ] {
-            for byte in x.to_le_bytes() {
-                h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
-            }
-        }
-    }
-    h
-}
-
-#[test]
-fn in_memory_engine_matches_pre_refactor_golden_digest() {
-    // Pinned from the engine as it stood before the client-state-store
-    // refactor: a run on the default `StoreConfig::InMemory` store (lazy
-    // shards) must reproduce the exact trajectory (selection, RNG streams,
-    // float-op order) of the engine that owned a dense `Vec<ClientState>`.
-    // Any reordering of the aggregation arithmetic or the dispatch seeding
-    // changes this digest.
-    let digest = scenario_digest(FedAdmm::paper_default(), DispatchConfig::default());
-    assert_eq!(
-        digest, GOLDEN_DIGEST,
-        "seeded run diverged from the pre-refactor engine (digest {digest:#018x})"
-    );
-}
-
+/// FedADMM on [`GOLDEN`], dense and folded flat, on any store and pool and
+/// under any observer. Pinned from the engine that owned a dense
+/// `Vec<ClientState>`, before the client-state-store refactor.
 const GOLDEN_DIGEST: u64 = 0xa147_b46a_ce24_2a96;
 
 /// FedADMM on the golden scenario with the 8-bit + Gaussian-DP wire path on,
-/// folded flat (`InMemory` store) and by shard (three shards). Captured on
-/// the commit before `EngineCore::aggregate` was restructured around one
+/// folded flat (any store) and by shard (three shards). Captured on the
+/// commit before `EngineCore::aggregate` was restructured around one
 /// `FoldPlan` applier.
 const GOLDEN_WIRE_DIGEST: u64 = 0x22ab_5b29_a507_22b8;
 const GOLDEN_WIRE_HIERARCHICAL_DIGEST: u64 = 0xbe34_0c59_3198_871b;
-
-/// Runs the golden-digest scenario (9 clients, seed 93, non-IID shards, 4
-/// rounds) for `algorithm` on an explicitly configured dispatch pool, with
-/// dense uploads and the default `InMemory` store, and returns the run
-/// digest.
-fn scenario_digest<A: Algorithm>(algorithm: A, dispatch: DispatchConfig) -> u64 {
-    scenario_digest_with(
-        algorithm,
-        dispatch,
-        &StoreConfig::InMemory,
-        WirePathConfig::disabled(),
-        AggregationMode::SinglePass,
-    )
-}
-
-/// The golden scenario on the given store, wire path and fold.
-fn scenario_digest_with<A: Algorithm>(
-    algorithm: A,
-    dispatch: DispatchConfig,
-    store: &StoreConfig,
-    wire: WirePathConfig,
-    aggregation: AggregationMode,
-) -> u64 {
-    let mut engine = golden_engine(algorithm, store)
-        .with_dispatch(dispatch)
-        .with_wire_path(wire)
-        .with_aggregation(aggregation);
-    engine.run_rounds(4).unwrap();
-    run_digest(engine.history(), engine.global_model())
-}
-
-/// The golden scenario's engine on `store`, not yet run.
-fn golden_engine<A: Algorithm>(algorithm: A, store: &StoreConfig) -> RoundEngine<A, SyncRounds> {
-    let num_clients = 9;
-    let cfg = config(num_clients, 93, true);
-    let (train, test) = data(num_clients, 93);
-    let partition = DataDistribution::NonIidShards.partition(&train, num_clients, 93);
-    RoundEngine::new_with_store(cfg, train, test, partition, algorithm, SyncRounds, store).unwrap()
-}
-
-#[test]
-fn the_virtual_clock_is_observation_only() {
-    // A tiered fleet with links behind the synchronous clock leaves the
-    // golden trajectory where it is, and every round closes later than the
-    // one before.
-    let device = |seconds_per_epoch, upload_mbps, download_mbps, latency_ms| Device {
-        seconds_per_epoch,
-        link: Some(Link {
-            upload_mbps,
-            download_mbps,
-            latency_ms,
-        }),
-    };
-    let tiers = [
-        (device(0.4, 30.0, 80.0, 20.0), 0.4),
-        (device(1.2, 10.0, 30.0, 40.0), 0.3),
-        (device(5.0, 2.0, 8.0, 80.0), 0.3),
-    ];
-    let devices = DeviceModel::tiered(9, &tiers, 93);
-    let mut timed = golden_engine(FedAdmm::paper_default(), &StoreConfig::InMemory)
-        .with_devices(devices)
-        .unwrap();
-    timed.run_rounds(4).unwrap();
-    let digest = run_digest(timed.history(), timed.global_model());
-    assert_eq!(digest, GOLDEN_DIGEST, "digest {digest:#018x}");
-    let clock: Vec<f64> = timed
-        .history()
-        .records
-        .iter()
-        .map(|r| r.virtual_seconds)
-        .collect();
-    assert!(clock[0] > 0.0, "{clock:?}");
-    assert!(clock.windows(2).all(|w| w[1] > w[0]), "{clock:?}");
-    assert_eq!(timed.now(), clock[3]);
-    // Without a model the clock never moves.
-    let mut plain = golden_engine(FedAdmm::paper_default(), &StoreConfig::InMemory);
-    plain.run_rounds(4).unwrap();
-    assert!(plain
-        .history()
-        .records
-        .iter()
-        .all(|r| r.virtual_seconds == 0.0));
-}
-
-#[test]
-fn wire_on_runs_match_their_pre_restructure_golden_digests() {
-    let wire = || {
-        WirePathConfig::enabled(Quantizer::new(8, true))
-            .with_guard(Arc::new(GaussianMechanism::new(20.0, 1e-3)))
-    };
-    let pools = [
-        DispatchConfig::default(),
-        DispatchConfig {
-            workers: Some(3),
-            chunk_size: Some(1),
-        },
-    ];
-    for dispatch in pools {
-        let flat = (
-            StoreConfig::InMemory,
-            AggregationMode::SinglePass,
-            GOLDEN_WIRE_DIGEST,
-        );
-        let by_shard = (
-            StoreConfig::Sharded { num_shards: 3 },
-            AggregationMode::Hierarchical,
-            GOLDEN_WIRE_HIERARCHICAL_DIGEST,
-        );
-        for (store, aggregation, golden) in [flat, by_shard] {
-            let algorithm = FedAdmm::paper_default();
-            let digest = scenario_digest_with(algorithm, dispatch, &store, wire(), aggregation);
-            assert_eq!(
-                digest, golden,
-                "wire-on {aggregation:?} run diverged under {dispatch:?} (digest {digest:#018x})"
-            );
-        }
-    }
-}
-
-/// FedADMM training the paper's CNN 1 (the only `Conv2d` / `MaxPool2d` /
-/// im2col user): 4 clients × 5 samples, half the fleet per round, 1–2 local
-/// epochs in ragged batches of 4 + 1, 2 rounds. Captured on the commit
-/// before the `A·Bᵀ` panel kernel replaced the convolution's hand-rolled
-/// product nests.
-const GOLDEN_CNN_DIGEST: u64 = 0x1ce8_1295_2b96_3921;
-
-#[test]
-fn cnn_run_matches_its_pre_panel_kernel_golden_digest() {
-    let num_clients = 4;
-    let cfg = FedConfig {
-        participation: Participation::Fraction(0.5),
-        local_epochs: 2,
-        batch_size: BatchSize::Size(4),
-        local_learning_rate: 0.01,
-        model: ModelSpec::Cnn1,
-        ..config(num_clients, 57, true)
-    };
-    let (train, test) = SyntheticDataset::Mnist.generate(num_clients * 5, 12, 57);
-    let partition = DataDistribution::Iid.partition(&train, num_clients, 57);
-    let algorithm = FedAdmm::paper_default();
-    let mut engine = RoundEngine::new(cfg, train, test, partition, algorithm, SyncRounds)
-        .unwrap()
-        .with_wire_path(WirePathConfig::disabled());
-    engine.run_rounds(2).unwrap();
-    let digest = run_digest(engine.history(), engine.global_model());
-    assert_eq!(
-        digest, GOLDEN_CNN_DIGEST,
-        "CNN run diverged from its golden digest (digest {digest:#018x})"
-    );
-}
 
 /// The eight non-FedADMM algorithms on the golden scenario, with the digest
 /// each produced on the former per-job path (a fresh `Network` and
@@ -298,63 +82,279 @@ fn baseline_goldens() -> Vec<(Box<dyn Algorithm>, u64)> {
     ]
 }
 
-#[test]
-fn baseline_algorithms_match_their_pre_switch_golden_digests() {
-    let pools = [
-        DispatchConfig::default(),
-        DispatchConfig {
-            workers: Some(3),
-            chunk_size: Some(1),
-        },
-    ];
-    for dispatch in pools {
-        for (algorithm, golden) in baseline_goldens() {
-            let name = algorithm.name();
-            let digest = scenario_digest(algorithm, dispatch);
-            assert_eq!(
-                digest, golden,
-                "{name} diverged from its golden digest under {dispatch:?} (digest {digest:#018x})"
-            );
+/// The wire path's four modes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Wire {
+    Off,
+    EightBit,
+    EightBitGuarded,
+    GuardOnly,
+}
+
+impl Wire {
+    fn path(self) -> WirePathConfig {
+        let guard = || Arc::new(GaussianMechanism::new(20.0, 1e-3));
+        let eight_bit = || WirePathConfig::enabled(Quantizer::new(8, true));
+        match self {
+            Wire::Off => WirePathConfig::disabled(),
+            Wire::EightBit => eight_bit(),
+            Wire::EightBitGuarded => eight_bit().with_guard(guard()),
+            Wire::GuardOnly => WirePathConfig::disabled().with_guard(guard()),
         }
     }
 }
 
-#[test]
-fn dispatch_is_byte_identical_across_worker_counts_and_chunk_sizes() {
-    // The work-stealing pool may hand any job to any worker in any chunking;
-    // because every job's RNG stream is (seed, round, client)-derived and
-    // results are collected in client-id order, the digest must not move.
-    for workers in [1usize, 2, 3, 8] {
-        for chunk in [1usize, 4] {
-            let dispatch = DispatchConfig {
-                workers: Some(workers),
-                chunk_size: Some(chunk),
-            };
-            assert_eq!(
-                scenario_digest(FedAdmm::paper_default(), dispatch),
-                GOLDEN_DIGEST,
-                "digest moved with {workers} workers, chunk {chunk}"
-            );
+/// What rides along a run without being allowed to touch it.
+#[derive(Debug, Clone, Copy)]
+enum Observer {
+    None,
+    /// A tiered fleet with links behind the synchronous clock.
+    Devices,
+    Recorder,
+}
+
+/// One row of the parity table: a golden-scenario run and what it must
+/// reproduce.
+struct Cell {
+    algorithm: Box<dyn Algorithm>,
+    store: StoreConfig,
+    fold: AggregationMode,
+    wire: Wire,
+    /// `None` is the default pool.
+    workers: Option<usize>,
+    observer: Observer,
+    /// The pinned digest, or `None` to match the cell's reference: the
+    /// first one-worker cell with the same algorithm, fold, wire mode and
+    /// (under the by-shard fold) shard count.
+    golden: Option<u64>,
+}
+
+impl Cell {
+    fn fedadmm(store: StoreConfig, fold: AggregationMode, wire: Wire, workers: usize) -> Self {
+        let shards = shard_count(&store);
+        let golden = match (fold, wire) {
+            (AggregationMode::SinglePass, Wire::Off) => Some(GOLDEN_DIGEST),
+            (AggregationMode::SinglePass, Wire::EightBitGuarded) => Some(GOLDEN_WIRE_DIGEST),
+            (AggregationMode::Hierarchical, Wire::EightBitGuarded) if shards == 3 => {
+                Some(GOLDEN_WIRE_HIERARCHICAL_DIGEST)
+            }
+            _ => None,
+        };
+        Cell {
+            algorithm: Box::new(FedAdmm::paper_default()),
+            store,
+            fold,
+            wire,
+            workers: Some(workers),
+            observer: Observer::None,
+            golden,
         }
     }
+
+    /// Everything at its default: the default store, the flat fold, the
+    /// wire path off, the default pool, nobody watching.
+    fn plain(algorithm: Box<dyn Algorithm>, golden: u64) -> Self {
+        Cell {
+            algorithm,
+            store: StoreConfig::InMemory,
+            fold: AggregationMode::SinglePass,
+            wire: Wire::Off,
+            workers: None,
+            observer: Observer::None,
+            golden: Some(golden),
+        }
+    }
+
+    fn name(&self) -> String {
+        let pool = self
+            .workers
+            .map_or("default pool".into(), |w| format!("{w} workers"));
+        format!(
+            "{} on {:?}, {:?} fold, wire {:?}, {pool}, observer {:?}",
+            self.algorithm.name(),
+            self.store,
+            self.fold,
+            self.wire,
+            self.observer
+        )
+    }
+
+    /// Runs the cell's 4 golden rounds: the run digest and the digest of
+    /// every client's state.
+    fn run(self) -> (u64, u64) {
+        let mut engine = GOLDEN
+            .engine_with(self.algorithm, SyncRounds, &self.store)
+            .with_aggregation(self.fold)
+            .with_wire_path(self.wire.path());
+        if let Some(workers) = self.workers {
+            engine = engine.with_dispatch_workers(workers);
+        }
+        engine = match self.observer {
+            Observer::None => engine,
+            Observer::Devices => engine.with_devices(tiered_fleet()).unwrap(),
+            Observer::Recorder => engine.with_telemetry(Box::new(Recorder::new())),
+        };
+        engine.run_rounds(4).unwrap();
+        if matches!(self.store, StoreConfig::Spill { .. }) {
+            let stats = engine.store().stats();
+            assert!(
+                stats.evictions > 0,
+                "the budget must force evictions: {stats:?}"
+            );
+        }
+        let states = state_digest(&engine.clients().unwrap());
+        (run_digest(engine.history(), engine.global_model()), states)
+    }
+}
+
+/// The shard count `store` gives the golden scenario's 9 clients.
+fn shard_count(store: &StoreConfig) -> usize {
+    match store {
+        StoreConfig::InMemory => 3, // ⌈√9⌉
+        StoreConfig::Sharded { num_shards } | StoreConfig::Spill { num_shards, .. } => *num_shards,
+    }
+}
+
+/// The golden clients on a three-tier fleet, every device with a link.
+fn tiered_fleet() -> DeviceModel {
+    let device = |seconds_per_epoch, upload_mbps, download_mbps, latency_ms| Device {
+        seconds_per_epoch,
+        link: Some(Link {
+            upload_mbps,
+            download_mbps,
+            latency_ms,
+        }),
+    };
+    let tiers = [
+        (device(0.4, 30.0, 80.0, 20.0), 0.4),
+        (device(1.2, 10.0, 30.0, 40.0), 0.3),
+        (device(5.0, 2.0, 8.0, 80.0), 0.3),
+    ];
+    DeviceModel::tiered(GOLDEN.clients, &tiers, GOLDEN.seed)
+}
+
+/// Every row of the parity table, references first.
+fn parity_table() -> Vec<Cell> {
+    // About one client's state: every round evicts and reloads shards.
+    let spill = StoreConfig::Spill {
+        num_shards: 3,
+        budget_bytes: 64 * 1024,
+        dir: None,
+    };
+    let stores = [
+        StoreConfig::InMemory,
+        StoreConfig::Sharded { num_shards: 1 },
+        StoreConfig::Sharded { num_shards: 3 },
+        StoreConfig::Sharded { num_shards: 9 },
+        spill,
+    ];
+    let mut table = Vec::new();
+    for fold in [AggregationMode::SinglePass, AggregationMode::Hierarchical] {
+        for wire in [
+            Wire::Off,
+            Wire::EightBit,
+            Wire::EightBitGuarded,
+            Wire::GuardOnly,
+        ] {
+            for workers in [1, 3] {
+                for store in &stores {
+                    table.push(Cell::fedadmm(store.clone(), fold, wire, workers));
+                }
+            }
+        }
+    }
+    for observer in [Observer::Devices, Observer::Recorder] {
+        table.push(Cell {
+            observer,
+            ..Cell::plain(Box::new(FedAdmm::paper_default()), GOLDEN_DIGEST)
+        });
+    }
+    for workers in [None, Some(3)] {
+        for (algorithm, golden) in baseline_goldens() {
+            table.push(Cell {
+                workers,
+                ..Cell::plain(algorithm, golden)
+            });
+        }
+    }
+    table
+}
+
+#[test]
+fn every_parity_cell_reproduces_its_golden_or_reference_digest() {
+    // One reference per (algorithm, wire mode, shard count under the
+    // by-shard fold; 0 for the flat fold): the flat fold sums every
+    // coordinate in message order whatever the store, the by-shard fold in
+    // shard order.
+    let mut references: HashMap<(String, Wire, usize), (String, u64, u64)> = HashMap::new();
+    for cell in parity_table() {
+        let name = cell.name();
+        let shards = match cell.fold {
+            AggregationMode::SinglePass => 0,
+            AggregationMode::Hierarchical => shard_count(&cell.store),
+        };
+        let key = (cell.algorithm.name().to_string(), cell.wire, shards);
+        let golden = cell.golden;
+        let (digest, states) = cell.run();
+        if let Some(golden) = golden {
+            assert_eq!(digest, golden, "{name}: digest {digest:#018x}");
+        }
+        let (reference, ref_digest, ref_states) = references
+            .entry(key)
+            .or_insert_with(|| (name.clone(), digest, states));
+        assert_eq!(
+            digest, *ref_digest,
+            "{name}: digest {digest:#018x} differs from {reference}"
+        );
+        assert_eq!(
+            states, *ref_states,
+            "{name}: client states differ from {reference}"
+        );
+    }
+}
+
+/// FedADMM training the paper's CNN 1 (the only `Conv2d` / `MaxPool2d` /
+/// im2col user): 4 clients × 5 samples, half the fleet per round, 1–2 local
+/// epochs in ragged batches of 4 + 1, 2 rounds. Captured on the commit
+/// before the `A·Bᵀ` panel kernel replaced the convolution's hand-rolled
+/// product nests.
+const GOLDEN_CNN_DIGEST: u64 = 0x1ce8_1295_2b96_3921;
+
+#[test]
+fn cnn_run_matches_its_pre_panel_kernel_golden_digest() {
+    let scenario = Scenario {
+        participation: 0.5,
+        epochs: 2,
+        batch: 4,
+        learning_rate: 0.01,
+        model: ModelSpec::Cnn1,
+        train: 4 * 5,
+        test: 12,
+        distribution: DataDistribution::Iid,
+        ..parity(4, 57)
+    };
+    let mut engine = scenario.engine(FedAdmm::paper_default());
+    engine.run_rounds(2).unwrap();
+    let digest = run_digest(engine.history(), engine.global_model());
+    assert_eq!(
+        digest, GOLDEN_CNN_DIGEST,
+        "CNN run diverged from its golden digest (digest {digest:#018x})"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Byte-identity holds for *arbitrary* pool geometry, not just the
-    /// hand-picked worker/chunk pairs (few cases — each is a full seeded
-    /// training run).
+    /// Byte-identity holds for *arbitrary* pool sizes, not just the table's
+    /// one and three workers (few cases — each is a full seeded training
+    /// run).
     #[test]
-    fn dispatch_digest_is_invariant_under_arbitrary_pool_geometry(
-        workers in 1usize..=8,
-        chunk in 1usize..=9,
-    ) {
-        let dispatch = DispatchConfig {
-            workers: Some(workers),
-            chunk_size: Some(chunk),
-        };
-        prop_assert_eq!(scenario_digest(FedAdmm::paper_default(), dispatch), GOLDEN_DIGEST);
+    fn dispatch_digest_is_invariant_under_arbitrary_pool_geometry(workers in 1usize..=8) {
+        let mut engine = GOLDEN
+            .engine(FedAdmm::paper_default())
+            .with_dispatch_workers(workers);
+        engine.run_rounds(4).unwrap();
+        prop_assert_eq!(run_digest(engine.history(), engine.global_model()), GOLDEN_DIGEST);
     }
 }
 
@@ -365,31 +365,27 @@ fn evaluate_global_matches_the_serial_reference_for_every_worker_count() {
     // claim them and are summed in chunk order, so loss and accuracy must
     // carry the bits of the serial `evaluate` loop — the golden scenario's
     // 120-sample test set is a single chunk and never sums anything.
-    let model = ModelSpec::Mlp {
-        input_dim: 784,
-        hidden_dim: 64,
-        num_classes: 10,
+    let scenario = Scenario {
+        model: ModelSpec::Mlp {
+            input_dim: 784,
+            hidden_dim: 64,
+            num_classes: 10,
+        },
+        test: 700,
+        ..parity(6, 21)
     };
-    let num_clients = 6;
+    let (_, test) = scenario.data();
     for (subset, evaluated) in [(1.0, 700), (0.5, 350)] {
         let mut reference: Option<(u32, u32)> = None;
         for workers in [1usize, 2, 3, 8] {
-            let cfg = FedConfig {
-                model,
-                ..config(num_clients, 21, true)
-            };
-            let (train, test) = SyntheticDataset::Mnist.generate(num_clients * 30, 700, 21);
-            let partition = DataDistribution::NonIidShards.partition(&train, num_clients, 21);
-            let algorithm = FedAdmm::paper_default();
-            let mut engine =
-                RoundEngine::new(cfg, train, test.clone(), partition, algorithm, SyncRounds)
-                    .unwrap()
-                    .with_dispatch_workers(workers)
-                    .with_wire_path(WirePathConfig::disabled())
-                    .eval_subset(subset);
+            let mut engine = scenario
+                .engine(FedAdmm::paper_default())
+                .with_dispatch_workers(workers)
+                .eval_subset(subset);
             let record = engine.run_round().unwrap();
             let (loss, accuracy) = engine.evaluate_global().unwrap();
-            let serial = evaluate(model, engine.global_model().as_slice(), &test, evaluated);
+            let global = engine.global_model().as_slice();
+            let serial = evaluate(scenario.model, global, &test, evaluated);
             let bits = (loss.to_bits(), accuracy.to_bits());
             assert_eq!(
                 bits,
@@ -412,23 +408,9 @@ fn engine_is_deterministic_across_runs() {
     // The parallel dispatch path derives every client's RNG stream from
     // (seed, round, client), so two runs must agree bit for bit regardless
     // of thread interleaving.
-    let num_clients = 10;
-    let make = || {
-        let cfg = config(num_clients, 31, true);
-        let (train, test) = data(num_clients, 31);
-        let partition = DataDistribution::NonIidShards.partition(&train, num_clients, 31);
-        RoundEngine::new(
-            cfg,
-            train,
-            test,
-            partition,
-            FedAdmm::paper_default(),
-            SyncRounds,
-        )
-        .unwrap()
-    };
-    let mut a = make();
-    let mut b = make();
+    let scenario = parity(10, 31);
+    let mut a = scenario.engine(FedAdmm::paper_default());
+    let mut b = scenario.engine(FedAdmm::paper_default());
     a.run_rounds(4).unwrap();
     b.run_rounds(4).unwrap();
     assert_eq!(a.global_model(), b.global_model());
@@ -442,47 +424,42 @@ fn engine_is_deterministic_across_runs() {
 }
 
 #[test]
-fn instrumented_run_is_byte_identical_to_uninstrumented() {
-    // Telemetry is observation only: installing a full `Recorder` (spans,
-    // counters, histograms, per-client timings) must not perturb a single
-    // bit of the training trajectory. Timing reads are gated on
-    // `Telemetry::enabled`, so the only code that may differ between the
-    // two runs is clock reads and metric bookkeeping — never RNG draws,
-    // selection, or arithmetic.
-    let num_clients = 10;
-    let make = || {
-        let cfg = config(num_clients, 77, true);
-        let (train, test) = data(num_clients, 77);
-        let partition = DataDistribution::NonIidShards.partition(&train, num_clients, 77);
-        RoundEngine::new(
-            cfg,
-            train,
-            test,
-            partition,
-            FedAdmm::paper_default(),
-            SyncRounds,
-        )
-        .unwrap()
-    };
-    let mut plain = make();
-    let mut instrumented = make().with_telemetry(Box::new(Recorder::new()));
-    plain.run_rounds(5).unwrap();
+fn the_sync_clock_closes_every_round_later_and_stands_still_without_devices() {
+    // The table's device cell holds the trajectory to the golden digest;
+    // here the clock itself: every round closes later than the one before,
+    // and without a model it never moves.
+    let mut timed = GOLDEN
+        .engine(FedAdmm::paper_default())
+        .with_devices(tiered_fleet())
+        .unwrap();
+    timed.run_rounds(4).unwrap();
+    let clock: Vec<f64> = timed
+        .history()
+        .records
+        .iter()
+        .map(|r| r.virtual_seconds)
+        .collect();
+    assert!(clock[0] > 0.0, "{clock:?}");
+    assert!(clock.windows(2).all(|w| w[1] > w[0]), "{clock:?}");
+    assert_eq!(timed.now(), clock[3]);
+    let mut plain = GOLDEN.engine(FedAdmm::paper_default());
+    plain.run_rounds(4).unwrap();
+    assert!(plain
+        .history()
+        .records
+        .iter()
+        .all(|r| r.virtual_seconds == 0.0));
+}
+
+#[test]
+fn an_installed_recorder_observes_every_round_of_the_run() {
+    // The table's recorder cell holds the trajectory to the golden digest;
+    // here the recorder saw the run it rode along with.
+    let scenario = parity(10, 77);
+    let mut instrumented = scenario
+        .engine(FedAdmm::paper_default())
+        .with_telemetry(Box::new(Recorder::new()));
     instrumented.run_rounds(5).unwrap();
-
-    assert_eq!(
-        plain.global_model(),
-        instrumented.global_model(),
-        "recording telemetry changed the trained model"
-    );
-    // Histories agree on everything except wall-clock timing.
-    let mut hp = plain.history().clone();
-    let mut hi = instrumented.history().clone();
-    for r in hp.records.iter_mut().chain(hi.records.iter_mut()) {
-        r.elapsed_ms = 0;
-    }
-    assert_eq!(hp, hi, "recording telemetry changed the run history");
-
-    // And the recorder actually observed the run it rode along with.
     let recorder = instrumented
         .recorder()
         .expect("engine hands back the installed recorder");
@@ -493,32 +470,14 @@ fn instrumented_run_is_byte_identical_to_uninstrumented() {
     assert!(!recorder.tracer().is_empty());
 }
 
-/// Compute-only devices at 1 s per epoch, except the `slow` clients at
-/// `slow_seconds`.
-fn fleet(num_clients: usize, slow: &[usize], slow_seconds: f64) -> DeviceModel {
-    let seconds = (0..num_clients).map(|c| if slow.contains(&c) { slow_seconds } else { 1.0 });
-    DeviceModel::new(seconds.collect())
-}
-
-/// The event-driven population: ten clients on `devices`, half of them
-/// selected per semi-async round, non-IID shards.
-fn event_driven_engine<A: Algorithm, S: Scheduler>(
-    algorithm: A,
-    scheduler: S,
-    devices: DeviceModel,
-    seed: u64,
-) -> RoundEngine<A, S> {
-    let num_clients = 10;
-    let cfg = FedConfig {
-        participation: Participation::Fraction(0.5),
-        ..config(num_clients, seed, false)
-    };
-    let (train, test) = data(num_clients, seed);
-    let partition = DataDistribution::NonIidShards.partition(&train, num_clients, seed);
-    RoundEngine::new(cfg, train, test, partition, algorithm, scheduler)
-        .unwrap()
-        .with_devices(devices)
-        .unwrap()
+/// The event-driven population: ten clients, half of them selected per
+/// semi-async round, three local epochs each, non-IID shards.
+const fn event_driven(seed: u64) -> Scenario {
+    Scenario {
+        participation: 0.5,
+        heterogeneity: false,
+        ..parity(10, seed)
+    }
 }
 
 /// Every second client is 3× slower than the 3.5 s deadline allows for its
@@ -526,7 +485,7 @@ fn event_driven_engine<A: Algorithm, S: Scheduler>(
 /// round after round — the regime the deadline scheduler exists for.
 fn semi_async_engine<A: Algorithm>(algorithm: A, seed: u64) -> RoundEngine<A, SemiAsync> {
     let semi = SemiAsync::new(SemiAsyncConfig::new(3.5));
-    event_driven_engine(algorithm, semi, fleet(10, &[1, 3, 5, 7, 9], 3.0), seed)
+    event_driven(seed).timed(algorithm, semi, fleet(10, &[1, 3, 5, 7, 9], 3.0))
 }
 
 /// Runs [`semi_async_engine`] for `rounds` rounds: accuracy before and
@@ -599,7 +558,7 @@ fn event_driven_runs_match_their_golden_digests() {
     for (k, golden) in GOLDEN_BUFFERED_DIGEST {
         let pool = BufferedAsync::new(AsyncConfig::new(4).with_aggregate_after(k));
         let devices = fleet(10, &[2, 4, 8, 9], 8.0);
-        let mut engine = event_driven_engine(admm(), pool, devices, 42);
+        let mut engine = event_driven(42).timed(admm(), pool, devices);
         for _ in 0..60 {
             engine.step().unwrap();
         }
@@ -615,16 +574,13 @@ fn event_driven_runs_match_their_golden_digests() {
 fn semi_async_applies_every_selected_clients_work_eventually() {
     // No update is lost: every dispatched job eventually arrives (within
     // the horizon) or is still tracked as in flight.
-    let num_clients = 8;
-    let cfg = config(num_clients, 51, false);
-    let (train, test) = data(num_clients, 51);
-    let partition = DataDistribution::Iid.partition(&train, num_clients, 51);
+    let scenario = Scenario {
+        heterogeneity: false,
+        distribution: DataDistribution::Iid,
+        ..parity(8, 51)
+    };
     let semi = SemiAsync::new(SemiAsyncConfig::new(3.0));
-    let algorithm = FedAdmm::paper_default();
-    let mut engine = RoundEngine::new(cfg, train, test, partition, algorithm, semi)
-        .unwrap()
-        .with_devices(fleet(num_clients, &[3, 7], 6.0))
-        .unwrap();
+    let mut engine = scenario.timed(FedAdmm::paper_default(), semi, fleet(8, &[3, 7], 6.0));
     let records = engine.run_rounds(8).unwrap();
     assert_eq!(records.len(), 8);
     let arrived = engine.events().len();

@@ -7,41 +7,31 @@
 //! identical per-round upload cost, determinism under a fixed seed, and
 //! learning progress on the synthetic substrate.
 
+mod common;
+
+use common::{Scenario, LOGISTIC};
 use fedadmm::prelude::*;
 
-fn config(num_clients: usize, seed: u64) -> FedConfig {
-    FedConfig {
-        num_clients,
-        participation: Participation::Fraction(0.3),
-        local_epochs: 2,
-        system_heterogeneity: false,
-        batch_size: BatchSize::Size(16),
-        local_learning_rate: 0.1,
-        model: ModelSpec::Logistic {
-            input_dim: 784,
-            num_classes: 10,
-        },
-        seed,
-        eval_subset: usize::MAX,
-    }
-}
-
-fn simulation<A: Algorithm>(
-    algorithm: A,
-    num_clients: usize,
+/// This file's setting on `clients` clients sharing `samples` training
+/// samples: 30 % of them per round, 200 test samples.
+const fn scenario(
+    clients: usize,
     samples: usize,
     distribution: DataDistribution,
     seed: u64,
-) -> SyncEngine<A> {
-    let cfg = config(num_clients, seed);
-    let (train, test) = SyntheticDataset::Mnist.generate(samples, 200, seed);
-    let partition = distribution.partition(&train, num_clients, seed);
-    RoundEngine::new(cfg, train, test, partition, algorithm, SyncRounds).unwrap()
+) -> Scenario {
+    Scenario {
+        participation: 0.3,
+        train: samples,
+        test: 200,
+        distribution,
+        ..Scenario::new(clients, seed)
+    }
 }
 
 #[test]
 fn feddyn_learns_on_iid_data() {
-    let mut sim = simulation(FedDyn::new(0.3), 8, 400, DataDistribution::Iid, 1);
+    let mut sim = scenario(8, 400, DataDistribution::Iid, 1).engine(FedDyn::new(0.3));
     let (_, acc0) = sim.evaluate_global().unwrap();
     sim.run_rounds(10).unwrap();
     let best = sim.history().best_accuracy();
@@ -54,19 +44,10 @@ fn feddyn_learns_on_iid_data() {
 #[test]
 fn feddyn_upload_cost_matches_fedadmm() {
     // Both upload exactly one d-vector per selected client per round.
-    let d = ModelSpec::Logistic {
-        input_dim: 784,
-        num_classes: 10,
-    }
-    .num_params();
-    let mut dyn_sim = simulation(FedDyn::new(0.3), 6, 120, DataDistribution::Iid, 2);
-    let mut admm_sim = simulation(
-        FedAdmm::new(0.3, ServerStepSize::Constant(1.0)),
-        6,
-        120,
-        DataDistribution::Iid,
-        2,
-    );
+    let d = LOGISTIC.num_params();
+    let mut dyn_sim = scenario(6, 120, DataDistribution::Iid, 2).engine(FedDyn::new(0.3));
+    let mut admm_sim = scenario(6, 120, DataDistribution::Iid, 2)
+        .engine(FedAdmm::new(0.3, ServerStepSize::Constant(1.0)));
     let r_dyn = dyn_sim.run_round().unwrap();
     let r_admm = admm_sim.run_round().unwrap();
     assert_eq!(r_dyn.upload_floats, r_dyn.num_selected * d);
@@ -80,7 +61,7 @@ fn fedopt_family_learns_and_reports_correct_names() {
         (FedOpt::adam(), "FedAdam"),
         (FedOpt::yogi(), "FedYogi"),
     ] {
-        let mut sim = simulation(alg, 6, 300, DataDistribution::Iid, 3);
+        let mut sim = scenario(6, 300, DataDistribution::Iid, 3).engine(alg);
         assert_eq!(sim.history().algorithm, expected);
         let (_, acc0) = sim.evaluate_global().unwrap();
         sim.run_rounds(8).unwrap();
@@ -96,14 +77,9 @@ fn fedopt_family_learns_and_reports_correct_names() {
 fn fedopt_sgd_with_unit_lr_tracks_fedavg() {
     // FedOpt(SGD, lr = 1) is algebraically FedAvg; over a full simulated run
     // (same seeds, same selection) the two global models must coincide.
-    let mut a = simulation(
-        FedOpt::new(ServerOptimizer::Sgd { lr: 1.0 }),
-        6,
-        240,
-        DataDistribution::NonIidShards,
-        4,
-    );
-    let mut b = simulation(FedAvg::new(), 6, 240, DataDistribution::NonIidShards, 4);
+    let mut a = scenario(6, 240, DataDistribution::NonIidShards, 4)
+        .engine(FedOpt::new(ServerOptimizer::Sgd { lr: 1.0 }));
+    let mut b = scenario(6, 240, DataDistribution::NonIidShards, 4).engine(FedAvg::new());
     a.run_rounds(4).unwrap();
     b.run_rounds(4).unwrap();
     let dist = a.global_model().dist(b.global_model());
@@ -112,14 +88,14 @@ fn fedopt_sgd_with_unit_lr_tracks_fedavg() {
 
 #[test]
 fn extension_algorithms_are_deterministic_in_seed() {
-    let mut a = simulation(FedOpt::adam(), 6, 180, DataDistribution::NonIidShards, 5);
-    let mut b = simulation(FedOpt::adam(), 6, 180, DataDistribution::NonIidShards, 5);
+    let mut a = scenario(6, 180, DataDistribution::NonIidShards, 5).engine(FedOpt::adam());
+    let mut b = scenario(6, 180, DataDistribution::NonIidShards, 5).engine(FedOpt::adam());
     a.run_rounds(3).unwrap();
     b.run_rounds(3).unwrap();
     assert_eq!(a.global_model(), b.global_model());
 
-    let mut c = simulation(FedDyn::new(0.3), 6, 180, DataDistribution::NonIidShards, 6);
-    let mut d = simulation(FedDyn::new(0.3), 6, 180, DataDistribution::NonIidShards, 6);
+    let mut c = scenario(6, 180, DataDistribution::NonIidShards, 6).engine(FedDyn::new(0.3));
+    let mut d = scenario(6, 180, DataDistribution::NonIidShards, 6).engine(FedDyn::new(0.3));
     c.run_rounds(3).unwrap();
     d.run_rounds(3).unwrap();
     assert_eq!(c.global_model(), d.global_model());
@@ -136,7 +112,7 @@ fn boxed_extension_algorithms_compose_with_the_engine() {
     ];
     for alg in algorithms {
         let name = alg.name();
-        let mut sim = simulation(alg, 5, 100, DataDistribution::Iid, 7);
+        let mut sim = scenario(5, 100, DataDistribution::Iid, 7).engine(alg);
         let record = sim.run_round().unwrap();
         assert!(record.upload_floats > 0, "{name} uploaded nothing");
         assert_eq!(sim.history().algorithm, name);
@@ -152,22 +128,16 @@ fn quantity_skew_partition_drives_a_full_run() {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    let cfg = config(10, 8);
-    let (train, test) = SyntheticDataset::Mnist.generate(600, 200, 8);
+    let scenario = scenario(10, 600, DataDistribution::Iid, 8);
+    let (train, test) = scenario.data();
     let mut rng = SmallRng::seed_from_u64(8);
     let partition = partition::quantity_skew(&train, 10, 1.5, &mut rng);
     assert!(partition.volume_imbalance() > 5.0);
     assert!(partition.sizes().iter().all(|&s| s > 0));
 
-    let mut sim = RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        FedAdmm::new(0.3, ServerStepSize::Constant(1.0)),
-        SyncRounds,
-    )
-    .unwrap();
+    let admm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
+    let store = StoreConfig::InMemory;
+    let mut sim = scenario.engine_on(train, test, partition, admm, SyncRounds, &store);
     let (_, acc0) = sim.evaluate_global().unwrap();
     sim.run_rounds(10).unwrap();
     assert!(sim.history().best_accuracy() > acc0 + 0.1);

@@ -9,53 +9,42 @@
 //! training still makes progress (while FedAvg-style methods are free to
 //! degrade).
 
+mod common;
+
+use common::Scenario;
 use fedadmm::core::selection::{DecayingProbabilities, FixedProbabilities, RoundRobin};
 use fedadmm::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn config(num_clients: usize, seed: u64) -> FedConfig {
-    FedConfig {
-        num_clients,
-        participation: Participation::Fraction(0.2),
-        local_epochs: 2,
-        system_heterogeneity: true,
-        batch_size: BatchSize::Size(16),
-        local_learning_rate: 0.1,
-        model: ModelSpec::Logistic {
-            input_dim: 784,
-            num_classes: 10,
-        },
-        seed,
-        eval_subset: usize::MAX,
-    }
-}
-
-fn simulation(
-    num_clients: usize,
+/// This file's setting on `clients` clients sharing `samples` training
+/// samples: 20 % of them per round, variable local work, 200 test samples.
+const fn scenario(
+    clients: usize,
     samples: usize,
     seed: u64,
     distribution: DataDistribution,
-) -> SyncEngine<FedAdmm> {
-    let cfg = config(num_clients, seed);
-    let (train, test) = SyntheticDataset::Mnist.generate(samples, 200, seed);
-    let partition = distribution.partition(&train, num_clients, seed);
-    RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        FedAdmm::new(0.3, ServerStepSize::Constant(1.0)),
-        SyncRounds,
-    )
-    .unwrap()
+) -> Scenario {
+    Scenario {
+        participation: 0.2,
+        heterogeneity: true,
+        train: samples,
+        test: 200,
+        distribution,
+        ..Scenario::new(clients, seed)
+    }
+}
+
+fn fedadmm() -> FedAdmm {
+    FedAdmm::new(0.3, ServerStepSize::Constant(1.0))
 }
 
 #[test]
 fn round_robin_activation_still_learns() {
     // Fully deterministic activation — no randomness at all in who is
     // selected — satisfies infinitely-often participation and must converge.
-    let mut sim = simulation(20, 2000, 1, DataDistribution::NonIidShards)
+    let mut sim = scenario(20, 2000, 1, DataDistribution::NonIidShards)
+        .engine(fedadmm())
         .with_selector(Box::new(RoundRobin::new(4)));
     let (_, acc0) = sim.evaluate_global().unwrap();
     sim.run_rounds(25).unwrap();
@@ -79,7 +68,8 @@ fn heavily_skewed_participation_probabilities_do_not_break_convergence() {
     let m = 15;
     let mut probs = vec![0.05; m];
     probs[0] = 0.95;
-    let mut sim = simulation(m, 1500, 2, DataDistribution::NonIidShards)
+    let mut sim = scenario(m, 1500, 2, DataDistribution::NonIidShards)
+        .engine(fedadmm())
         .with_selector(Box::new(FixedProbabilities::new(probs)));
     let (_, acc0) = sim.evaluate_global().unwrap();
     sim.run_rounds(40).unwrap();
@@ -100,7 +90,8 @@ fn decaying_availability_satisfies_infinitely_often_and_keeps_improving() {
     // rounds carry most of the progress; later sparse rounds must not undo
     // it.
     let m = 20;
-    let mut sim = simulation(m, 2000, 3, DataDistribution::Iid)
+    let mut sim = scenario(m, 2000, 3, DataDistribution::Iid)
+        .engine(fedadmm())
         .with_selector(Box::new(DecayingProbabilities::new(vec![0.6; m], 15.0)));
     sim.run_rounds(30).unwrap();
     let best_early = sim
@@ -146,18 +137,7 @@ fn mid_round_dropout_only_slows_training_down() {
     // their stale (w_i, y_i) until they succeed — the same mechanism that
     // handles non-selection.
     let m = 20;
-    let cfg = config(m, 4);
-    let (train, test) = SyntheticDataset::Mnist.generate(2000, 200, 4);
-    let partition = DataDistribution::NonIidShards.partition(&train, m, 4);
-    let mut sim = RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        FedAdmm::new(0.3, ServerStepSize::Constant(1.0)),
-        SyncRounds,
-    )
-    .unwrap();
+    let mut sim = scenario(m, 2000, 4, DataDistribution::NonIidShards).engine(fedadmm());
     let mut rng = SmallRng::seed_from_u64(99);
     let full_selection: Vec<usize> = (0..m).collect();
     let mut reached = false;
@@ -196,7 +176,8 @@ fn single_survivor_rounds_do_not_diverge() {
     // FedADMM's strongly convex subproblems guarantee each round makes
     // bounded, non-divergent progress (Section I, contribution list).
     let m = 10;
-    let mut sim = simulation(m, 1000, 5, DataDistribution::NonIidShards)
+    let mut sim = scenario(m, 1000, 5, DataDistribution::NonIidShards)
+        .engine(fedadmm())
         .with_selector(Box::new(fedadmm::core::selection::UniformFraction::new(1)));
     sim.run_rounds(40).unwrap();
     let accuracies = sim.history().accuracy_series();
@@ -217,7 +198,8 @@ fn fedadmm_keeps_all_client_state_consistent_under_failures() {
     // their zero-initialised dual (they have not run line 20 yet), and the
     // round-robin coverage accounting matches the per-client counters.
     let m = 12;
-    let mut sim = simulation(m, 1200, 6, DataDistribution::NonIidShards)
+    let mut sim = scenario(m, 1200, 6, DataDistribution::NonIidShards)
+        .engine(fedadmm())
         .with_selector(Box::new(RoundRobin::new(2)));
     sim.run_rounds(4).unwrap(); // covers 8 of the 12 clients
     let clients = sim.clients().unwrap();

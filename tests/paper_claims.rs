@@ -2,6 +2,9 @@
 //! Sections III and IV that can be checked mechanically (as opposed to the
 //! empirical comparisons, which live in the experiments crate and benches).
 
+mod common;
+
+use common::Scenario;
 use fedadmm::core::algorithms::{Algorithm, FedAdmm, FedAvg, FedProx, Scaffold, ServerStepSize};
 use fedadmm::core::client::ClientState;
 use fedadmm::core::param::ParamVector;
@@ -162,33 +165,21 @@ fn tracking_update_equals_mean_augmented_model_under_full_participation() {
 #[test]
 fn tracking_update_conserves_the_mean_augmented_model_every_round() {
     let num_clients = 20;
-    let config = FedConfig {
-        num_clients,
-        participation: Participation::Fraction(0.1),
-        local_epochs: 3,
-        system_heterogeneity: true,
-        batch_size: BatchSize::Size(16),
-        local_learning_rate: 0.1,
+    let scenario = Scenario {
+        participation: 0.1,
+        epochs: 3,
+        heterogeneity: true,
         model: ModelSpec::Mlp {
             input_dim: 784,
             hidden_dim: 16,
             num_classes: 10,
         },
-        seed: 5,
-        eval_subset: usize::MAX,
+        test: 60,
+        distribution: DataDistribution::NonIidShards,
+        ..Scenario::new(num_clients, 5)
     };
-    let (train, test) = SyntheticDataset::Mnist.generate(num_clients * 30, 60, 5);
-    let partition = DataDistribution::NonIidShards.partition(&train, num_clients, 5);
     for rho in [0.3f32, 0.01] {
-        let mut sim = RoundEngine::new(
-            config,
-            train.clone(),
-            test.clone(),
-            partition.clone(),
-            FedAdmm::new(rho, ServerStepSize::ParticipationRatio),
-            SyncRounds,
-        )
-        .unwrap();
+        let mut sim = scenario.engine(FedAdmm::new(rho, ServerStepSize::ParticipationRatio));
         let mut worst = 0.0f64;
         for round in 1..=30 {
             let record = sim.run_round().unwrap();
@@ -222,34 +213,15 @@ fn tracking_update_conserves_the_mean_augmented_model_every_round() {
 /// global model" means.
 #[test]
 fn simulation_accuracy_matches_direct_evaluation() {
-    let config = FedConfig {
-        num_clients: 8,
-        participation: Participation::Fraction(0.25),
-        local_epochs: 2,
-        system_heterogeneity: false,
-        batch_size: BatchSize::Size(16),
-        local_learning_rate: 0.1,
-        model: ModelSpec::Logistic {
-            input_dim: 784,
-            num_classes: 10,
-        },
-        seed: 3,
-        eval_subset: usize::MAX,
+    let scenario = Scenario {
+        participation: 0.25,
+        ..Scenario::new(8, 3)
     };
-    let (train, test) = SyntheticDataset::Mnist.generate(240, 120, 3);
-    let partition = DataDistribution::Iid.partition(&train, 8, 3);
-    let mut sim = RoundEngine::new(
-        config,
-        train,
-        test.clone(),
-        partition,
-        FedAdmm::paper_default(),
-        SyncRounds,
-    )
-    .unwrap();
+    let (_, test) = scenario.data();
+    let mut sim = scenario.engine(FedAdmm::paper_default());
     let record = sim.run_round().unwrap();
     let (_, direct_acc) = evaluate(
-        config.model,
+        scenario.model,
         sim.global_model().as_slice(),
         &test,
         usize::MAX,

@@ -1,42 +1,41 @@
 //! Integration tests for the differential-privacy extension composed with
 //! the full federated simulation.
 
+mod common;
+
+use common::{Scenario, LOGISTIC};
 use fedadmm::prelude::*;
 use std::sync::Arc;
 
-fn config(num_clients: usize, seed: u64) -> FedConfig {
-    FedConfig {
-        num_clients,
-        participation: Participation::Fraction(0.25),
-        local_epochs: 2,
-        system_heterogeneity: true,
-        batch_size: BatchSize::Size(16),
-        local_learning_rate: 0.1,
-        model: ModelSpec::Logistic {
-            input_dim: 784,
-            num_classes: 10,
-        },
-        seed,
-        eval_subset: usize::MAX,
+/// Sixteen clients, a quarter of them per round, variable local work, 100
+/// label-skewed training samples each and 200 test samples.
+const fn scenario(seed: u64) -> Scenario {
+    Scenario {
+        participation: 0.25,
+        heterogeneity: true,
+        train: 1600,
+        test: 200,
+        distribution: DataDistribution::NonIidShards,
+        ..Scenario::new(16, seed)
     }
 }
 
-/// FedADMM whose uploads are clipped and noised by `mechanism` on the
-/// dispatch workers and stay dense (the wire path's guard-only mode).
-fn private_simulation(mechanism: GaussianMechanism, seed: u64) -> SyncEngine<FedAdmm> {
-    let cfg = config(16, seed);
-    let (train, test) = SyntheticDataset::Mnist.generate(1600, 200, seed);
-    let partition = DataDistribution::NonIidShards.partition(&train, 16, seed);
-    let algorithm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
-    RoundEngine::new(cfg, train, test, partition, algorithm, SyncRounds)
-        .unwrap()
-        .with_wire_path(WirePathConfig::disabled().with_guard(Arc::new(mechanism)))
+/// The wire path's guard-only mode: uploads are clipped and noised by
+/// `mechanism` on the dispatch workers and stay dense.
+fn guarded(mechanism: GaussianMechanism) -> WirePathConfig {
+    WirePathConfig::disabled().with_guard(Arc::new(mechanism))
+}
+
+fn fedadmm() -> FedAdmm {
+    FedAdmm::new(0.3, ServerStepSize::Constant(1.0))
 }
 
 #[test]
 fn dp_fedadmm_learns_under_moderate_noise_and_tracks_its_budget() {
     let mechanism = GaussianMechanism::new(20.0, 1e-3);
-    let mut sim = private_simulation(mechanism, 1);
+    let mut sim = scenario(1)
+        .engine(fedadmm())
+        .with_wire_path(guarded(mechanism));
     let mut accountant = PrivacyAccountant::new(1e-3, 0.25, 1e-5);
     let (_, acc0) = sim.evaluate_global().unwrap();
     for _ in 0..20 {
@@ -59,12 +58,16 @@ fn dp_fedadmm_learns_under_moderate_noise_and_tracks_its_budget() {
 #[test]
 fn stronger_noise_costs_accuracy_but_never_breaks_the_run() {
     let gentle = {
-        let mut sim = private_simulation(GaussianMechanism::new(20.0, 1e-3), 2);
+        let mut sim = scenario(2)
+            .engine(fedadmm())
+            .with_wire_path(guarded(GaussianMechanism::new(20.0, 1e-3)));
         sim.run_rounds(15).unwrap();
         sim.history().best_accuracy()
     };
     let harsh = {
-        let mut sim = private_simulation(GaussianMechanism::new(20.0, 5e-2), 2);
+        let mut sim = scenario(2)
+            .engine(fedadmm())
+            .with_wire_path(guarded(GaussianMechanism::new(20.0, 5e-2)));
         sim.run_rounds(15).unwrap();
         let history = sim.history();
         assert!(history.accuracy_series().iter().all(|a| a.is_finite()));
@@ -80,19 +83,10 @@ fn stronger_noise_costs_accuracy_but_never_breaks_the_run() {
 fn clipping_alone_preserves_learning_when_the_threshold_is_loose() {
     // A loose clipping norm should have virtually no effect on the
     // trajectory compared with the unguarded algorithm.
-    let cfg = config(16, 3);
-    let (train, test) = SyntheticDataset::Mnist.generate(1600, 200, 3);
-    let partition = DataDistribution::NonIidShards.partition(&train, 16, 3);
-    let mut plain = RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        FedAdmm::new(0.3, ServerStepSize::Constant(1.0)),
-        SyncRounds,
-    )
-    .unwrap();
-    let mut clipped = private_simulation(GaussianMechanism::new(1e4, 0.0), 3);
+    let mut plain = scenario(3).engine(fedadmm());
+    let mut clipped = scenario(3)
+        .engine(fedadmm())
+        .with_wire_path(guarded(GaussianMechanism::new(1e4, 0.0)));
     plain.run_rounds(8).unwrap();
     clipped.run_rounds(8).unwrap();
     assert!(plain.global_model().dist(clipped.global_model()) < 1e-4);
@@ -109,7 +103,7 @@ fn wire_encode_is_privatize_then_quantize_on_their_own_seed_streams() {
     let env = LocalEnv {
         dataset: &train,
         indices: &indices,
-        model: config(1, 17).model,
+        model: LOGISTIC,
         epochs: 2,
         batch_size: BatchSize::Size(16),
         learning_rate: 0.1,

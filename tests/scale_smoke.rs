@@ -10,9 +10,11 @@
 //! `#[ignore]`d by default — run with
 //! `cargo test --release --test scale_smoke -- --ignored`.
 
+mod common;
+
+use common::Scenario;
 use fedadmm::prelude::*;
 use fedadmm::telemetry::{names, peak_rss_bytes};
-use fedadmm_core::engine::RoundEngine;
 use fedadmm_data::partition::Partition;
 
 const NUM_CLIENTS: usize = 100_000;
@@ -39,21 +41,16 @@ fn shared_non_iid_partition(train: &Dataset, num_clients: usize) -> Partition {
 #[test]
 #[ignore = "scale smoke: ~100k clients, run in release via the scale-smoke CI job"]
 fn hundred_thousand_clients_stay_under_memory_budget() {
-    let config = FedConfig {
-        num_clients: NUM_CLIENTS,
-        participation: Participation::Fraction(0.01),
-        local_epochs: 1,
-        system_heterogeneity: false,
-        batch_size: BatchSize::Size(20),
-        local_learning_rate: 0.05,
-        model: ModelSpec::Logistic {
-            input_dim: 784,
-            num_classes: 10,
-        },
-        seed: 2024,
-        eval_subset: usize::MAX,
+    let scenario = Scenario {
+        participation: 0.01,
+        epochs: 1,
+        batch: 20,
+        learning_rate: 0.05,
+        train: 2_000,
+        test: 400,
+        ..Scenario::new(NUM_CLIENTS, 2024)
     };
-    let (train, test) = SyntheticDataset::Mnist.generate(2_000, 400, 2024);
+    let (train, test) = scenario.data();
     let partition = shared_non_iid_partition(&train, NUM_CLIENTS);
 
     let store = StoreConfig::Spill {
@@ -61,19 +58,12 @@ fn hundred_thousand_clients_stay_under_memory_budget() {
         budget_bytes: BUDGET_BYTES,
         dir: None,
     };
-    let mut engine = RoundEngine::new_with_store(
-        config,
-        train,
-        test,
-        partition,
-        FedAdmm::paper_default(),
-        SyncRounds,
-        &store,
-    )
-    .unwrap()
-    .with_aggregation(AggregationMode::Hierarchical)
-    .eval_subset(0.25)
-    .with_telemetry(Box::new(Recorder::new()));
+    let admm = FedAdmm::paper_default();
+    let mut engine = scenario
+        .engine_on(train, test, partition, admm, SyncRounds, &store)
+        .with_aggregation(AggregationMode::Hierarchical)
+        .eval_subset(0.25)
+        .with_telemetry(Box::new(Recorder::new()));
 
     let records = engine.run_rounds(2).unwrap();
     assert_eq!(records.len(), 2);

@@ -3,13 +3,11 @@
 //! every round, so variable local work, deadlines, upload size and
 //! availability show up in `virtual_seconds` next to the round counts.
 
+mod common;
+
+use common::{Scenario, LOGISTIC as MODEL};
 use fedadmm::core::selection::{FullParticipation, MarkovAvailability};
 use fedadmm::prelude::*;
-
-const MODEL: ModelSpec = ModelSpec::Logistic {
-    input_dim: 784,
-    num_classes: 10,
-};
 
 /// Three tiers, every device with a link: 30 % fast, 40 % mid-range and
 /// 30 % slow phones, the slow tier 12× slower per epoch than the fast one.
@@ -30,34 +28,20 @@ fn tiered_fleet(num_clients: usize) -> DeviceModel {
     DeviceModel::tiered(num_clients, &tiers, 17)
 }
 
-fn config(system_heterogeneity: bool, seed: u64) -> FedConfig {
-    FedConfig {
-        num_clients: 20,
-        participation: Participation::Fraction(0.25),
-        local_epochs: 5,
-        system_heterogeneity,
-        batch_size: BatchSize::Size(16),
-        local_learning_rate: 0.1,
-        model: MODEL,
-        seed,
+/// Twenty clients, a quarter of them per round, E = 5 (variable under
+/// `heterogeneity`), 100 label-skewed training samples each, 100 of the 200
+/// test samples evaluated.
+const fn scenario(heterogeneity: bool, seed: u64) -> Scenario {
+    Scenario {
+        participation: 0.25,
+        epochs: 5,
+        heterogeneity,
+        train: 2000,
+        test: 200,
         eval_subset: 100,
+        distribution: DataDistribution::NonIidShards,
+        ..Scenario::new(20, seed)
     }
-}
-
-/// An engine on 20 clients of [`tiered_fleet`], non-IID shards.
-fn engine<A: Algorithm, S: Scheduler>(
-    algorithm: A,
-    scheduler: S,
-    system_heterogeneity: bool,
-    seed: u64,
-) -> RoundEngine<A, S> {
-    let config = config(system_heterogeneity, seed);
-    let (train, test) = SyntheticDataset::Mnist.generate(2000, 200, seed);
-    let partition = DataDistribution::NonIidShards.partition(&train, 20, seed);
-    RoundEngine::new(config, train, test, partition, algorithm, scheduler)
-        .unwrap()
-        .with_devices(tiered_fleet(20))
-        .unwrap()
 }
 
 fn fedadmm() -> FedAdmm {
@@ -76,7 +60,8 @@ fn sync_clock_advances_by_the_cohort_maximum_of_job_seconds() {
         WirePathConfig::disabled(),
         WirePathConfig::enabled(Quantizer::new(8, true)),
     ] {
-        let mut engine = engine(fedadmm(), SyncRounds, false, 1)
+        let mut engine = scenario(false, 1)
+            .timed(fedadmm(), SyncRounds, tiered_fleet(20))
             .with_selector(Box::new(FullParticipation))
             .with_work_schedule(LocalWorkSchedule::PerClient(schedule.clone()))
             .with_wire_path(wire);
@@ -113,7 +98,12 @@ fn event_driven_arrivals_are_due_at_dispatch_plus_job_seconds() {
         let dense = wire.quantizer.is_none();
         // One client at a time: each job is dispatched when the previous
         // one arrives.
-        let mut buffered = engine(fedadmm(), BufferedAsync::new(AsyncConfig::new(1)), false, 1)
+        let mut buffered = scenario(false, 1)
+            .timed(
+                fedadmm(),
+                BufferedAsync::new(AsyncConfig::new(1)),
+                tiered_fleet(20),
+            )
             .with_work_schedule(LocalWorkSchedule::PerClient(schedule.clone()))
             .with_wire_path(wire.clone());
         let mut dispatched = 0.0f64;
@@ -130,7 +120,8 @@ fn event_driven_arrivals_are_due_at_dispatch_plus_job_seconds() {
         // arrival, so each arrival lands at its own due time; a job missing
         // τ rounds was dispatched when round r − τ opened.
         let semi = SemiAsync::new(SemiAsyncConfig::new(1e-3));
-        let mut semi = engine(fedadmm(), semi, false, 1)
+        let mut semi = scenario(false, 1)
+            .timed(fedadmm(), semi, tiered_fleet(20))
             .with_work_schedule(LocalWorkSchedule::PerClient(schedule.clone()))
             .with_wire_path(wire);
         let mut opened = vec![0.0f64];
@@ -152,8 +143,8 @@ fn event_driven_arrivals_are_due_at_dispatch_plus_job_seconds() {
 fn variable_local_work_reduces_both_computation_and_wall_clock() {
     // One seed, so both runs select the same cohorts; only the epoch
     // counts differ.
-    let mut fixed = engine(fedadmm(), SyncRounds, false, 1);
-    let mut variable = engine(fedadmm(), SyncRounds, true, 1);
+    let mut fixed = scenario(false, 1).timed(fedadmm(), SyncRounds, tiered_fleet(20));
+    let mut variable = scenario(true, 1).timed(fedadmm(), SyncRounds, tiered_fleet(20));
     fixed.run_rounds(10).unwrap();
     variable.run_rounds(10).unwrap();
     // The paper: FedADMM with system heterogeneity performs ~50% of the
@@ -185,13 +176,13 @@ fn deadline_policy_trades_dropped_updates_for_time() {
     // A synchronous deadline that drops its stragglers is `SemiAsync` with
     // `BoundedDelay { max_staleness: 0 }`: a late update is never applied.
     let rounds = 10;
-    let mut wait = engine(fedadmm(), SyncRounds, false, 2);
+    let mut wait = scenario(false, 2).timed(fedadmm(), SyncRounds, tiered_fleet(20));
     wait.run_rounds(rounds).unwrap();
     // Half the mean synchronous round: tight enough to cut off the slow tier.
     let deadline = wait.now() / (2.0 * rounds as f64);
     let drop_late = SemiAsyncConfig::new(deadline)
         .with_staleness(StalenessWeight::BoundedDelay { max_staleness: 0 });
-    let mut cut = engine(fedadmm(), SemiAsync::new(drop_late), false, 2);
+    let mut cut = scenario(false, 2).timed(fedadmm(), SemiAsync::new(drop_late), tiered_fleet(20));
     cut.run_rounds(rounds).unwrap();
     assert!(cut.now() < wait.now(), "{} vs {}", cut.now(), wait.now());
     let dropped = cut.events().iter().filter(|e| e.weight == 0.0).count();
@@ -206,8 +197,8 @@ fn scaffold_pays_double_upload_time_on_the_same_fleet() {
     // fixed-E FedADMM select the same cohorts and run the same epochs, but
     // SCAFFOLD uploads two d-vectors, so every round takes strictly longer
     // on the same links and carries twice the wire bytes.
-    let mut admm = engine(fedadmm(), SyncRounds, false, 3);
-    let mut scaffold = engine(Scaffold::new(), SyncRounds, false, 3);
+    let mut admm = scenario(false, 3).timed(fedadmm(), SyncRounds, tiered_fleet(20));
+    let mut scaffold = scenario(false, 3).timed(Scaffold::new(), SyncRounds, tiered_fleet(20));
     let (mut t_admm, mut t_scaffold) = (0.0, 0.0);
     for _ in 0..4 {
         let a = admm.run_round().unwrap();
@@ -231,21 +222,16 @@ fn availability_driven_participation_composes_with_the_simulation() {
     // online client participates. The run must still improve and every
     // client must eventually participate.
     let m = 16;
-    let config = FedConfig {
-        num_clients: m,
-        participation: Participation::Fraction(0.5),
-        local_epochs: 2,
-        system_heterogeneity: true,
-        batch_size: BatchSize::Size(16),
-        local_learning_rate: 0.1,
-        model: MODEL,
-        seed: 9,
-        eval_subset: usize::MAX,
+    let scenario = Scenario {
+        participation: 0.5,
+        heterogeneity: true,
+        train: 1600,
+        test: 200,
+        distribution: DataDistribution::NonIidShards,
+        ..Scenario::new(m, 9)
     };
-    let (train, test) = SyntheticDataset::Mnist.generate(1600, 200, 9);
-    let partition = DataDistribution::NonIidShards.partition(&train, m, 9);
-    let mut sim = RoundEngine::new(config, train, test, partition, fedadmm(), SyncRounds)
-        .unwrap()
+    let mut sim = scenario
+        .engine(fedadmm())
         .with_selector(Box::new(MarkovAvailability::new(0.3, 0.4)));
     let (_, acc0) = sim.evaluate_global().unwrap();
     sim.run_rounds(30).unwrap();

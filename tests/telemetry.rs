@@ -4,58 +4,19 @@
 //! vendored serializer, and the opt-in optimality-gap gauge reports the
 //! paper's `V_t` diagnostic per round.
 
-use fedadmm::data::partition::Partition;
+mod common;
+
+use common::{fleet, Scenario};
 use fedadmm::prelude::*;
 use fedadmm::telemetry::names;
-use fedadmm_core::engine::RoundEngine;
 use std::sync::{Arc, Mutex};
-
-fn config(num_clients: usize, seed: u64) -> FedConfig {
-    FedConfig {
-        num_clients,
-        participation: Participation::Fraction(0.5),
-        local_epochs: 2,
-        system_heterogeneity: false,
-        batch_size: BatchSize::Size(16),
-        local_learning_rate: 0.1,
-        model: ModelSpec::Logistic {
-            input_dim: 784,
-            num_classes: 10,
-        },
-        seed,
-        eval_subset: usize::MAX,
-    }
-}
-
-fn engine_parts(
-    num_clients: usize,
-    seed: u64,
-) -> (
-    FedConfig,
-    fedadmm::data::Dataset,
-    fedadmm::data::Dataset,
-    Partition,
-) {
-    let cfg = config(num_clients, seed);
-    let (train, test) = SyntheticDataset::Mnist.generate(num_clients * 30, 120, seed);
-    let partition = DataDistribution::Iid.partition(&train, num_clients, seed);
-    (cfg, train, test, partition)
-}
 
 #[test]
 fn recorder_observes_a_sync_run() {
-    let (cfg, train, test, partition) = engine_parts(8, 11);
     let rounds = 3;
-    let mut engine = RoundEngine::new(
-        cfg,
-        train,
-        test,
-        partition,
-        FedAdmm::paper_default(),
-        SyncRounds,
-    )
-    .unwrap()
-    .with_telemetry(Box::new(Recorder::new()));
+    let mut engine = Scenario::new(8, 11)
+        .engine(FedAdmm::paper_default())
+        .with_telemetry(Box::new(Recorder::new()));
     engine.run_rounds(rounds).unwrap();
 
     let recorder = engine
@@ -128,23 +89,13 @@ fn recorder_observes_a_sync_run() {
     }
 }
 
-/// Compute-only devices at 1 s per epoch, except the `slow` clients at
-/// `slow_seconds`.
-fn fleet(num_clients: usize, slow: &[usize], slow_seconds: f64) -> DeviceModel {
-    let seconds = (0..num_clients).map(|c| if slow.contains(&c) { slow_seconds } else { 1.0 });
-    DeviceModel::new(seconds.collect())
-}
-
 /// A recorded semi-async run of 10 rounds: every second client of 8 is far
 /// too slow for the 3.5 s deadline (6 s for its two epochs), so arrivals
 /// recur with staleness ≥ 1.
 fn recorded_semi_async_run() -> RoundEngine<FedAdmm, SemiAsync> {
-    let (cfg, train, test, partition) = engine_parts(8, 12);
     let semi = SemiAsync::new(SemiAsyncConfig::new(3.5));
-    let mut engine = RoundEngine::new(cfg, train, test, partition, FedAdmm::paper_default(), semi)
-        .unwrap()
-        .with_devices(fleet(8, &[1, 3, 5, 7], 3.0))
-        .unwrap()
+    let mut engine = Scenario::new(8, 12)
+        .timed(FedAdmm::paper_default(), semi, fleet(8, &[1, 3, 5, 7], 3.0))
         .with_telemetry(Box::new(Recorder::new()));
     engine.run_rounds(10).unwrap();
     engine
@@ -209,12 +160,13 @@ fn semi_async_round_wall_seconds_are_wall_clock() {
 
 #[test]
 fn recorder_observes_buffered_async_ticks() {
-    let (cfg, train, test, partition) = engine_parts(10, 13);
     let pool = BufferedAsync::new(AsyncConfig::new(4));
-    let mut engine = RoundEngine::new(cfg, train, test, partition, FedAdmm::paper_default(), pool)
-        .unwrap()
-        .with_devices(fleet(10, &[2, 4, 8, 9], 8.0))
-        .unwrap()
+    let mut engine = Scenario::new(10, 13)
+        .timed(
+            FedAdmm::paper_default(),
+            pool,
+            fleet(10, &[2, 4, 8, 9], 8.0),
+        )
         .with_telemetry(Box::new(Recorder::new()));
     // Buffered ticks are arrival-driven: step until two aggregations land.
     let mut guard = 0;
@@ -242,18 +194,10 @@ fn recorder_observes_buffered_async_ticks() {
 fn optimality_gap_gauge_is_opt_in_and_reported_per_round() {
     let rho = 0.3;
     let run = |gap: bool, store: &StoreConfig| {
-        let (cfg, train, test, partition) = engine_parts(6, 14);
-        let mut engine = RoundEngine::new_with_store(
-            cfg,
-            train,
-            test,
-            partition,
-            FedAdmm::new(rho, ServerStepSize::Constant(1.0)),
-            SyncRounds,
-            store,
-        )
-        .unwrap()
-        .with_telemetry(Box::new(Recorder::new()));
+        let admm = FedAdmm::new(rho, ServerStepSize::Constant(1.0));
+        let mut engine = Scenario::new(6, 14)
+            .engine_with(admm, SyncRounds, store)
+            .with_telemetry(Box::new(Recorder::new()));
         if gap {
             engine = engine.with_optimality_gap(rho);
         }
@@ -316,19 +260,11 @@ fn run_independent(event: &str) -> String {
 #[test]
 fn a_custom_hook_sees_the_same_events_at_any_worker_count() {
     let events_at = |workers: usize| {
-        let (cfg, train, test, partition) = engine_parts(8, 15);
         let log = Arc::new(Mutex::new(Vec::new()));
-        let mut engine = RoundEngine::new(
-            cfg,
-            train,
-            test,
-            partition,
-            FedAdmm::paper_default(),
-            SyncRounds,
-        )
-        .unwrap()
-        .with_dispatch_workers(workers)
-        .with_telemetry(Box::new(Collect(Arc::clone(&log))));
+        let mut engine = Scenario::new(8, 15)
+            .engine(FedAdmm::paper_default())
+            .with_dispatch_workers(workers)
+            .with_telemetry(Box::new(Collect(Arc::clone(&log))));
         engine.run_rounds(2).unwrap();
         assert!(engine.recorder().is_none(), "the fake is not a recorder");
         let events = log.lock().unwrap();

@@ -17,6 +17,9 @@
 //!    in exactly one `fuse_pass` span per aggregation; the decode fallback
 //!    emits none.
 
+mod common;
+
+use common::Scenario;
 use fedadmm::prelude::*;
 use fedadmm_core::engine::wire::decode_message;
 use fedadmm_tensor::vecops::{self, DequantTerm};
@@ -24,43 +27,6 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-fn config(num_clients: usize, seed: u64) -> FedConfig {
-    FedConfig {
-        num_clients,
-        participation: Participation::Fraction(0.5),
-        local_epochs: 2,
-        system_heterogeneity: false,
-        batch_size: BatchSize::Size(16),
-        local_learning_rate: 0.1,
-        model: ModelSpec::Logistic {
-            input_dim: 784,
-            num_classes: 10,
-        },
-        seed,
-        eval_subset: usize::MAX,
-    }
-}
-
-fn engine_with<A: Algorithm>(
-    algorithm: A,
-    seed: u64,
-    wire: WirePathConfig,
-) -> RoundEngine<A, SyncRounds> {
-    let num_clients = 8;
-    let (train, test) = SyntheticDataset::Mnist.generate(num_clients * 30, 120, seed);
-    let partition = DataDistribution::Iid.partition(&train, num_clients, seed);
-    RoundEngine::new(
-        config(num_clients, seed),
-        train,
-        test,
-        partition,
-        algorithm,
-        SyncRounds,
-    )
-    .unwrap()
-    .with_wire_path(wire)
-}
 
 fn wire_message(client_id: usize, values: Vec<f32>) -> fedadmm_core::algorithms::ClientMessage {
     fedadmm_core::algorithms::ClientMessage {
@@ -157,8 +123,12 @@ fn private_compressed_runs_are_deterministic_and_move_with_the_seed() {
         WirePathConfig::enabled(Quantizer::new(8, true))
             .with_guard(Arc::new(GaussianMechanism::new(10.0, 0.01)))
     };
-    let mut a = engine_with(FedAdmm::paper_default(), 19, wire());
-    let mut b = engine_with(FedAdmm::paper_default(), 19, wire());
+    let mut a = Scenario::new(8, 19)
+        .engine(FedAdmm::paper_default())
+        .with_wire_path(wire());
+    let mut b = Scenario::new(8, 19)
+        .engine(FedAdmm::paper_default())
+        .with_wire_path(wire());
     a.run_rounds(3).unwrap();
     b.run_rounds(3).unwrap();
     assert_eq!(
@@ -173,7 +143,9 @@ fn private_compressed_runs_are_deterministic_and_move_with_the_seed() {
     }
     assert_eq!(ha, hb);
 
-    let mut c = engine_with(FedAdmm::paper_default(), 20, wire());
+    let mut c = Scenario::new(8, 20)
+        .engine(FedAdmm::paper_default())
+        .with_wire_path(wire());
     c.run_rounds(3).unwrap();
     assert_ne!(
         a.global_model(),
@@ -184,13 +156,19 @@ fn private_compressed_runs_are_deterministic_and_move_with_the_seed() {
 
 #[test]
 fn disabled_wire_path_is_byte_identical_and_enabled_is_not() {
-    let mut off_a = engine_with(FedAdmm::paper_default(), 33, WirePathConfig::disabled());
-    let mut off_b = engine_with(FedAdmm::paper_default(), 33, WirePathConfig::disabled());
+    let mut off_a = Scenario::new(8, 33)
+        .engine(FedAdmm::paper_default())
+        .with_wire_path(WirePathConfig::disabled());
+    let mut off_b = Scenario::new(8, 33)
+        .engine(FedAdmm::paper_default())
+        .with_wire_path(WirePathConfig::disabled());
     off_a.run_rounds(4).unwrap();
     off_b.run_rounds(4).unwrap();
     assert_eq!(off_a.global_model(), off_b.global_model());
 
-    let mut default = engine_with(FedAdmm::paper_default(), 33, WirePathConfig::default());
+    let mut default = Scenario::new(8, 33)
+        .engine(FedAdmm::paper_default())
+        .with_wire_path(WirePathConfig::default());
     default.run_rounds(4).unwrap();
     assert_eq!(
         off_a.global_model(),
@@ -198,11 +176,9 @@ fn disabled_wire_path_is_byte_identical_and_enabled_is_not() {
         "wire path must be off by default"
     );
 
-    let mut on = engine_with(
-        FedAdmm::paper_default(),
-        33,
-        WirePathConfig::enabled(Quantizer::new(8, true)),
-    );
+    let mut on = Scenario::new(8, 33)
+        .engine(FedAdmm::paper_default())
+        .with_wire_path(WirePathConfig::enabled(Quantizer::new(8, true)));
     on.run_rounds(4).unwrap();
     assert_ne!(
         off_a.global_model(),
@@ -235,7 +211,9 @@ fn compressed_private_run_still_learns() {
     // Four levels per coordinate degrade the run but must not diverge it.
     let aggressive = WirePathConfig::enabled(Quantizer::new(2, true));
     for (wire, min_gain) in [(private, 0.2), (aggressive, f32::NEG_INFINITY)] {
-        let mut engine = engine_with(FedAdmm::paper_default(), 41, wire.clone());
+        let mut engine = Scenario::new(8, 41)
+            .engine(FedAdmm::paper_default())
+            .with_wire_path(wire.clone());
         let (_, acc0) = engine.evaluate_global().unwrap();
         engine.run_rounds(8).unwrap();
         let history = engine.history();
@@ -256,7 +234,10 @@ fn compressed_private_run_still_learns() {
 /// The `fuse_pass` spans of three recorded rounds (three aggregations) of
 /// `algorithm` under `wire`.
 fn fuse_passes<A: Algorithm>(algorithm: A, wire: WirePathConfig) -> usize {
-    let mut engine = engine_with(algorithm, 29, wire).with_telemetry(Box::new(Recorder::new()));
+    let mut engine = Scenario::new(8, 29)
+        .engine(algorithm)
+        .with_wire_path(wire)
+        .with_telemetry(Box::new(Recorder::new()));
     engine.run_rounds(3).unwrap();
     let recorder = engine
         .recorder()
@@ -299,11 +280,9 @@ fn multi_vector_uploads_take_the_decode_fallback_and_still_work() {
     // SCAFFOLD uploads two vectors per message; the fused single-sweep fold
     // requires single-vector wire payloads, so the engine must fall back to
     // the decode reference — correctness over speed, never a panic.
-    let mut engine = engine_with(
-        Scaffold::new(),
-        23,
-        WirePathConfig::enabled(Quantizer::new(8, true)),
-    );
+    let mut engine = Scenario::new(8, 23)
+        .engine(Scaffold::new())
+        .with_wire_path(WirePathConfig::enabled(Quantizer::new(8, true)));
     let (_, acc0) = engine.evaluate_global().unwrap();
     engine.run_rounds(6).unwrap();
     for r in &engine.history().records {
