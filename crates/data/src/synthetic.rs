@@ -220,6 +220,41 @@ mod tests {
         assert_ne!(a_train.features_of(3), c_train.features_of(3));
     }
 
+    /// FNV-1a over every feature's bits and every label of both splits,
+    /// little-endian byte by byte.
+    fn digest(train: &Dataset, test: &Dataset) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for split in [train, test] {
+            let features = (0..split.len()).flat_map(|i| split.features_of(i));
+            let words = features
+                .map(|v| u64::from(v.to_bits()))
+                .chain(split.labels().iter().map(|&l| l as u64));
+            for word in words {
+                for byte in word.to_le_bytes() {
+                    h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The three presets at sizes spanning several generation chunks, with
+    /// a ragged last chunk in both splits.
+    const PINNED: [(SyntheticDataset, u64); 3] = [
+        (SyntheticDataset::Mnist, 0xda12_a75e_e8e1_5489),
+        (SyntheticDataset::Fmnist, 0x8fec_8b9c_bd2d_621e),
+        (SyntheticDataset::Cifar10, 0xdc4f_7771_c1e7_4fee),
+    ];
+
+    #[test]
+    fn generated_bits_are_pinned() {
+        for (kind, want) in PINNED {
+            let (train, test) = kind.generate(300, 70, 5);
+            let got = digest(&train, &test);
+            assert_eq!(got, want, "{kind:?} digest {got:#018x}");
+        }
+    }
+
     #[test]
     fn labels_are_balanced() {
         let (train, _) = SyntheticDataset::Fmnist.generate(100, 10, 0);
