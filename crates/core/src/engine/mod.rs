@@ -28,17 +28,21 @@
 //!   flight — so every aggregation updates θ in place.
 //! * **One threading substrate.** All local updates run through
 //!   [`EngineCore::dispatch`], backed by a persistent work-stealing
-//!   [`DispatchPool`]: workers claim job chunks from a shared cursor (so
+//!   [`DispatchPool`] (the workspace's one pool,
+//!   [`fedadmm_tensor::dispatch`], with a [`dispatch::DispatchScratch`] per
+//!   worker): workers claim job chunks from a shared cursor (so
 //!   stragglers never serialize a partition) and reuse per-thread scratch
 //!   arenas (so steady-state dispatch allocates nothing). Between
 //!   dispatches the same workers run the forward-only evaluation jobs of
 //!   [`EngineCore::evaluate_global`] and the server fold (one job per
 //!   coordinate range of θ, or per shard under hierarchical aggregation);
-//!   nothing else in the workspace creates a thread. Every job's RNG stream
-//!   is derived from `(seed, round, client_id)`, every fold coordinate is
-//!   summed by one job in message order, and chunk and shard results are
-//!   reduced in index order, so results are byte-identical across worker
-//!   counts, chunk sizes *and* the scheduler that issued the work.
+//!   the only other user is the synthetic dataset generator, on a
+//!   short-lived pool of its own before the engine exists. Every job's RNG
+//!   stream is derived from `(seed, round, client_id)`, every fold
+//!   coordinate is summed by one job in message order, and chunk and shard
+//!   results are reduced in index order, so results are byte-identical
+//!   across worker counts, chunk sizes *and* the scheduler that issued the
+//!   work.
 //! * **Single-pass aggregation.** Algorithms with a linear server step fold
 //!   all payloads into θ in one fused pass per coordinate range, in message
 //!   order, instead of one full `axpy` sweep per message; the ranges are

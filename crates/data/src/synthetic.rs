@@ -8,11 +8,19 @@
 //! how hard the classification task is — mirroring the fact that the
 //! paper's CIFAR-10 target accuracy (45%) is much lower than its MNIST
 //! target (97%).
+//!
+//! Generation runs in chunks of samples on a short-lived
+//! [`DispatchPool`]: a serial pre-pass walks each split's generator stream
+//! to find where every chunk starts, and the chunks replay their stretches
+//! side by side, each checking that it ends where the next one starts. The
+//! same seed gives the same data, bit for bit, on every worker count.
 
 use crate::dataset::Dataset;
+use fedadmm_tensor::dispatch::{DispatchConfig, DispatchPool};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_distr::{Distribution, Normal};
+use std::sync::Mutex;
 
 /// Which synthetic dataset preset to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,8 +101,9 @@ impl SyntheticDataset {
     /// Generates `train_size` training samples and `test_size` test samples
     /// with the preset's default difficulty.
     ///
-    /// The same `seed` always yields the same data; train and test are drawn
-    /// from the same class-conditional distribution (different noise).
+    /// The same `seed` always yields the same data, whatever the worker
+    /// count; train and test are drawn from the same class-conditional
+    /// distribution (different noise).
     pub fn generate(&self, train_size: usize, test_size: usize, seed: u64) -> (Dataset, Dataset) {
         let config = self.default_config();
         generate_with_config(*self, &config, train_size, test_size, seed)
@@ -115,8 +124,61 @@ pub struct SyntheticConfig {
     pub sample_scale_jitter: f32,
 }
 
-/// Generates a train/test pair with explicit generation parameters.
+/// Samples per generation job: a few milliseconds of draws each, and
+/// enough jobs per split at the benchmark's sizes for work stealing to
+/// even out the workers.
+const CHUNK_SAMPLES: usize = 64;
+
+/// Generates a train/test pair with explicit generation parameters, on a
+/// short-lived dispatch pool of the default worker count.
 pub fn generate_with_config(
+    kind: SyntheticDataset,
+    config: &SyntheticConfig,
+    train_size: usize,
+    test_size: usize,
+    seed: u64,
+) -> (Dataset, Dataset) {
+    let pool = DispatchPool::new(DispatchConfig::default());
+    generate_on_pool(&pool, kind, config, train_size, test_size, seed)
+}
+
+/// A sample's draws before its pixel noise: the prototype mode, then the
+/// amplitude jitter.
+fn sample_head(rng: &mut SmallRng, modes: usize, jitter: f32) -> (usize, f32) {
+    let mode = rng.gen_range(0..modes);
+    let scale = 1.0 + jitter * rng.gen_range(-1.0f32..1.0);
+    (mode, scale)
+}
+
+/// The serial pre-pass: walks a split's stream as generation does, stepping
+/// over each sample's `dim` Box–Muller draws (two words each) without
+/// evaluating them. Returns the generator at the start of every chunk of
+/// [`CHUNK_SAMPLES`] samples, then the generator after the last sample.
+fn chunk_starts(
+    mut rng: SmallRng,
+    n: usize,
+    dim: usize,
+    modes: usize,
+    jitter: f32,
+) -> Vec<SmallRng> {
+    let mut starts = Vec::with_capacity(n.div_ceil(CHUNK_SAMPLES) + 1);
+    for i in 0..n {
+        if i % CHUNK_SAMPLES == 0 {
+            starts.push(rng.clone());
+        }
+        sample_head(&mut rng, modes, jitter);
+        for _ in 0..2 * dim {
+            rng.next_u64();
+        }
+    }
+    starts.push(rng);
+    starts
+}
+
+/// [`generate_with_config`] on a given pool: the bits do not depend on its
+/// worker count.
+pub(crate) fn generate_on_pool(
+    pool: &DispatchPool<()>,
     kind: SyntheticDataset,
     config: &SyntheticConfig,
     train_size: usize,
@@ -169,23 +231,40 @@ pub fn generate_with_config(
         }
     }
 
+    // Each split is one generator stream, walked serially once to find
+    // where every chunk of samples starts in it; the chunks then replay
+    // their stretch of the stream on the pool, each into its own slice of
+    // the one feature buffer.
+    let noise = Normal::new(0.0f32, config.noise_std.max(f32::EPSILON)).expect("valid std");
+    let jitter = config.sample_scale_jitter;
     let make_split = |n: usize, split_seed: u64| -> Dataset {
-        let mut rng = SmallRng::seed_from_u64(split_seed);
-        let noise = Normal::new(0.0f32, config.noise_std.max(f32::EPSILON)).expect("valid std");
-        let mut features = Vec::with_capacity(n * dim);
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
-            // Round-robin over classes keeps the class distribution balanced,
-            // matching MNIST/FMNIST/CIFAR-10 which are (nearly) balanced.
-            let class = i % classes;
-            let mode = rng.gen_range(0..modes);
-            let proto = &prototypes[class * modes + mode];
-            let scale = 1.0 + config.sample_scale_jitter * rng.gen_range(-1.0f32..1.0);
-            for &p in proto.iter() {
-                features.push(p * scale + noise.sample(&mut rng));
+        let starts = chunk_starts(SmallRng::seed_from_u64(split_seed), n, dim, modes, jitter);
+        let mut features = vec![0.0f32; n * dim];
+        let chunks: Vec<Mutex<&mut [f32]>> = features
+            .chunks_mut(CHUNK_SAMPLES * dim)
+            .map(Mutex::new)
+            .collect();
+        pool.run(chunks.len(), false, &|_worker, chunk, _scratch| {
+            let mut rows = chunks[chunk].lock().expect("feature chunk lock");
+            let mut rng = starts[chunk].clone();
+            for (k, row) in rows.chunks_mut(dim).enumerate() {
+                // Round-robin over classes keeps the class distribution
+                // balanced, matching MNIST/FMNIST/CIFAR-10 which are
+                // (nearly) balanced.
+                let class = (chunk * CHUNK_SAMPLES + k) % classes;
+                let (mode, scale) = sample_head(&mut rng, modes, jitter);
+                let proto = &prototypes[class * modes + mode];
+                for (x, &p) in row.iter_mut().zip(proto) {
+                    *x = p * scale + noise.sample(&mut rng);
+                }
             }
-            labels.push(class);
-        }
+            assert_eq!(
+                rng,
+                starts[chunk + 1],
+                "synthetic generator drifted in chunk {chunk}: the replay and the pre-pass disagree"
+            );
+        });
+        let labels = (0..n).map(|i| i % classes).collect();
         Dataset::new(features, labels, dim, classes).expect("generator produces consistent data")
     };
 
@@ -252,6 +331,21 @@ mod tests {
             let (train, test) = kind.generate(300, 70, 5);
             let got = digest(&train, &test);
             assert_eq!(got, want, "{kind:?} digest {got:#018x}");
+        }
+    }
+
+    #[test]
+    fn every_worker_count_generates_the_pinned_bits() {
+        for workers in [1, 2, 3] {
+            let pool = DispatchPool::new(DispatchConfig {
+                workers: Some(workers),
+            });
+            for (kind, want) in PINNED {
+                let config = kind.default_config();
+                let (train, test) = generate_on_pool(&pool, kind, &config, 300, 70, 5);
+                let got = digest(&train, &test);
+                assert_eq!(got, want, "{kind:?} on {workers} workers: {got:#018x}");
+            }
         }
     }
 

@@ -15,7 +15,8 @@
 //!   ([`ops::conv2d_forward_into`]) and its input/weight gradients,
 //! * 2×2 max pooling with argmax bookkeeping for the backward pass
 //!   ([`ops::max_pool2d_forward_into`]),
-//! * random initialisation helpers used by the network layers ([`init`]).
+//! * random initialisation helpers used by the network layers ([`init`]),
+//! * the workspace's one worker pool ([`dispatch::DispatchPool`]).
 //!
 //! Every compute kernel writes into caller-owned buffers that it resizes in
 //! place, so a training loop re-presenting the same shapes allocates
@@ -24,9 +25,11 @@
 //! The library intentionally avoids external BLAS so that the whole
 //! reproduction builds offline from vendored crates only; the inner matmul
 //! kernel is cache-blocked, which is plenty for the paper's CNN 1 / CNN 2
-//! models at simulation scale. Every kernel is a plain serial loop: the
-//! crate creates no threads, and callers that want more cores run whole
-//! kernels side by side on the engine's dispatch pool.
+//! models at simulation scale. Every kernel is a plain serial loop: no
+//! kernel creates or uses a thread. The crate holds the pool only because
+//! it sits below every crate that goes parallel (the round engine, the
+//! dataset generator); callers that want more cores run whole kernels side
+//! by side on it.
 //!
 //! ## Example
 //!
@@ -43,6 +46,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod dispatch;
 pub mod error;
 pub mod init;
 pub mod ops;
