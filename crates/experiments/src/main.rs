@@ -103,7 +103,8 @@ fn main() -> ExitCode {
     } else {
         vec![name.as_str()]
     };
-    // A runtime-selected kernel is part of the host fingerprint of any timing.
+    // The runtime-selected GEMM instantiation (avx512 / avx2 / baseline) is
+    // part of the host fingerprint of any timing.
     println!(
         "scale: {scale:?} | gemm kernels: {}",
         fedadmm_tensor::ops::gemm_isa()

@@ -30,18 +30,28 @@
 //! any lane width (pinned by exactness tests here and end to end by the
 //! engine-parity golden digests).
 //!
-//! **One body per kernel, two instantiations.** Each register-tile kernel
-//! is a single `#[inline(always)]` body in plain Rust. It is compiled once
-//! for the build's baseline target and, on x86-64, once more inside a
-//! `#[target_feature(enable = "avx2")]` function that contains nothing but
-//! the call to that body, so the compiler vectorises the same loops over 8
-//! lanes instead of SSE2's 4. A CPU that reports AVX2 at run time gets the
-//! second instantiation ([`gemm_isa`] names the choice); every other CPU
-//! and architecture runs the first. The one guarded call per dispatched
-//! kernel (`ab_sweep`, `a_bt_tile`) is the only `unsafe` in the crate's
-//! library code (the exactness tests call each instantiation directly,
-//! behind the same check). There is no switch to set: the selection reads
-//! the CPU, nothing else.
+//! **One body per kernel, three instantiations, tile constants per
+//! instantiation.** Each register-tile kernel is a single `#[inline(always)]`
+//! body in plain Rust, const-generic in its tile shape. It is compiled once
+//! for the build's baseline target and, on x86-64, twice more, each inside a
+//! `#[target_feature]` function that contains nothing but the call to that
+//! body with its own tile constants: `enable = "avx2"` with the tiles of
+//! `lanes8`, so the compiler vectorises the loops over 8 lanes instead of
+//! SSE2's 4, and `enable = "avx512f"` with the tiles of `lanes16`, sized
+//! for 16 lanes and 32 registers. A CPU that reports AVX-512F at run time
+//! gets the third instantiation, one that reports AVX2 the second
+//! ([`gemm_isa`] names the choice); every other CPU and architecture runs
+//! the first. The one guarded call per dispatched kernel and instruction set
+//! (`ab_sweep`, `a_bt_tile`) is the only `unsafe` in the crate's library
+//! code (the exactness tests call each instantiation directly, behind the
+//! same check). There is no switch to set: the selection reads the CPU,
+//! nothing else. Builds must not pass `-C target-cpu=native` either: the
+//! kernels already choose their instruction set at run time, and on an
+//! AVX-512 host that flag's tuning collapses the code generation of the
+//! 8-row `A·Bᵀ` tile (a batch-4 dense forward about 5× slower; before the
+//! 16-row tile existed, every training workload ran 2–2.7× slower, with the
+//! same bits). The AVX-512 instantiation sets only `target_feature` and
+//! keeps its speed under that flag too.
 //!
 //! How each product vectorises follows from which index is contiguous:
 //!
@@ -50,49 +60,86 @@
 //!   `a(i, l)` is addressed and share one sweep (`ab_sweep`): column panels
 //!   outermost, so a `k × TC` panel of `B` stays cached while every row
 //!   tile passes over it; inside, a `TR × TC` tile of accumulators lives in
-//!   registers across the whole `l` loop, each chunk of `B` serves all `TR`
-//!   rows, a zero `a(i, l)` skips its row's adds for that `l`, and every
-//!   output is stored exactly once. Ragged edges run narrower tiles of the
-//!   same body.
+//!   registers across the `l` loop, each chunk of `B` serves all `TR` rows,
+//!   a zero `a(i, l)` skips its row's adds for that `l`, and every output
+//!   is stored once per block of `KB` values of `l` (the 16-lane tiles cut
+//!   `k` into blocks so a panel's block of `B` stays in L1, and carry each
+//!   accumulator through `out` from one block to the next). Ragged edges
+//!   run narrower tiles of the same body.
 //! * `A·Bᵀ` has both operands contiguous along `l`, so lanes cannot be
 //!   `l` without reassociating the sum. `a_bt_panels` instead packs a panel
 //!   of `MR` rows of `A` transposed into a small stack buffer, so the lanes
 //!   are `MR` *output rows*, and keeps an `NR × MR` tile of accumulators in
-//!   registers while it streams `NR` rows of `B` past the pack. The dense
-//!   forward ([`linear_forward_into`]), evaluation and the convolution
+//!   registers while it streams `NR` rows of `B` past the pack. The 16-row
+//!   panel runs only on AVX-512 and only for products of at least 16 rows;
+//!   smaller ones (batch-4 logistic regression) keep the 8-row panel. The
+//!   dense forward ([`linear_forward_into`]), evaluation and the convolution
 //!   weight gradient all run through this one kernel.
 //!
-//! One set of tile constants serves every shape. Every kernel is a serial
-//! loop. Going parallel is the dispatch pool's job, one level up: it runs
-//! whole client updates and whole evaluation chunks side by side, so a
-//! kernel never forks inside a busy worker.
+//! Every kernel is a serial loop. Going parallel is the dispatch pool's
+//! job, one level up: it runs whole client updates and whole evaluation
+//! chunks side by side, so a kernel never forks inside a busy worker.
 
 use crate::error::{TensorError, TensorResult};
 use crate::tensor::Tensor;
+use std::ops::Range;
 
-/// Output rows per register tile of the `A·B` / `Aᵀ·B` sweep.
-const TR: usize = 2;
+/// Tile shapes sized for 8 lanes: the baseline and AVX2 instantiations.
+mod lanes8 {
+    /// Output rows per register tile of the `A·B` / `Aᵀ·B` sweep.
+    pub(super) const TR: usize = 2;
 
-/// Output columns per register tile of the `A·B` / `Aᵀ·B` sweep: the SIMD
-/// lanes, each an independent output. `TR × TC` accumulators are 8 AVX2
-/// registers, which leaves room for the `B` chunk and the broadcast `a`.
-const TC: usize = 32;
+    /// Output columns per register tile of the sweep: the SIMD lanes, each
+    /// an independent output. `TR × TC` accumulators are 8 AVX2 registers,
+    /// which leaves room for the `B` chunk and the broadcast `a`.
+    pub(super) const TC: usize = 32;
 
-/// Width of the narrower tile that takes the columns left of a whole `TC`
-/// panel before single columns do.
+    /// Values of `l` per block of the sweep: one block spans any `k`.
+    pub(super) const KB: usize = usize::MAX;
+
+    /// Rows of `A` per packed panel of the `A·Bᵀ` kernel: the SIMD lanes,
+    /// each an independent output row.
+    pub(super) const MR: usize = 8;
+
+    /// Rows of `B` (output columns) per register tile of the `A·Bᵀ` kernel,
+    /// so a tile holds `NR × MR` accumulators.
+    pub(super) const NR: usize = 4;
+}
+
+/// Tile shapes sized for 16 lanes and 32 registers: the AVX-512
+/// instantiation.
+mod lanes16 {
+    /// Output rows per register tile of the `A·B` / `Aᵀ·B` sweep.
+    pub(super) const TR: usize = 4;
+
+    /// Output columns per register tile of the sweep: `TR × TC`
+    /// accumulators are 12 AVX-512 registers.
+    pub(super) const TC: usize = 48;
+
+    /// Width of the one-register panel that takes the columns left of the
+    /// whole `TC` panels.
+    pub(super) const TC_MID: usize = 16;
+
+    /// Values of `l` per block of the sweep: a block of a `TC` panel of `B`
+    /// is 24 KiB, which stays in L1 while every row tile passes over it.
+    pub(super) const KB: usize = 128;
+
+    /// Rows of `A` per packed panel of the `A·Bᵀ` kernel, used only when the
+    /// product has at least this many rows.
+    pub(super) const MR: usize = 16;
+
+    /// Rows of `B` per register tile of the `A·Bᵀ` kernel: `NR × MR`
+    /// accumulators are 8 AVX-512 registers.
+    pub(super) const NR: usize = 8;
+}
+
+/// Width of the narrower tile that takes the columns left of the whole
+/// panels before single columns do, in every instantiation.
 const TC_EDGE: usize = 4;
 
-/// Rows of `A` per packed panel of the `A·Bᵀ` kernel: the SIMD lanes, each
-/// an independent output row.
-const MR: usize = 8;
-
-/// Rows of `B` (output columns) per register tile of the `A·Bᵀ` kernel, so
-/// a tile holds `NR × MR` accumulators.
-const NR: usize = 4;
-
-/// Length of the contracted axis packed per pass of the `A·Bᵀ` kernel: the
-/// on-stack pack buffer is `KC × MR` floats (16 KiB).
-const KC: usize = 512;
+/// Floats in the on-stack pack buffer of the `A·Bᵀ` kernel (16 KiB), so a
+/// pass packs `PACK / MR` values of `l`.
+const PACK: usize = 4096;
 
 /// Computes `C = A·B` for rank-2 tensors `A: (m,k)` and `B: (k,n)` into a
 /// caller-owned tensor, resizing it to `(m,n)`.
@@ -274,8 +321,8 @@ impl<'a> LeftOperand<'a> {
     }
 }
 
-/// Whether the AVX2 instantiations of the register-tile kernels run: the
-/// CPU says so (std caches the answer after the first query), never a
+/// Whether the AVX2 instantiations of the register-tile kernels may run:
+/// the CPU says so (std caches the answer after the first query), never a
 /// setting.
 #[inline]
 fn has_avx2() -> bool {
@@ -289,12 +336,28 @@ fn has_avx2() -> bool {
     }
 }
 
-/// Which instantiation of the GEMM kernels this process runs: `"avx2"` on
-/// an x86-64 CPU that reports AVX2, `"baseline"` (the build's own target
-/// features) anywhere else. The results are the same bits either way; the
-/// speed is not, so a timing is only comparable with this beside it.
+/// Whether the AVX-512 instantiations may run, read the same way.
+#[inline]
+fn has_avx512() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Which instantiation of the GEMM kernels this process runs: `"avx512"`
+/// on an x86-64 CPU that reports AVX-512F, `"avx2"` on one that reports
+/// AVX2 but not AVX-512F, `"baseline"` (the build's own target features)
+/// anywhere else. The results are the same bits every way; the speed is
+/// not, so a timing is only comparable with this beside it.
 pub fn gemm_isa() -> &'static str {
-    if has_avx2() {
+    if has_avx512() {
+        "avx512"
+    } else if has_avx2() {
         "avx2"
     } else {
         "baseline"
@@ -302,46 +365,75 @@ pub fn gemm_isa() -> &'static str {
 }
 
 /// The tiled sweep behind `A·B` and `Aᵀ·B`: `out[m×n] = a · b[k×n]`,
-/// overwriting `out`, on whichever instantiation the CPU supports.
+/// overwriting `out`, on the widest instantiation the CPU supports.
 fn ab_sweep(a: LeftOperand<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: `has_avx2` just reported that this CPU supports AVX2, the
-        // only requirement of calling a function compiled with it enabled.
-        return unsafe { ab_sweep_avx2(a, b, out, m, k, n) };
+    {
+        if has_avx512() {
+            // SAFETY: `has_avx512` just reported that this CPU supports
+            // AVX-512F, the only requirement of calling a function compiled
+            // with it enabled.
+            return unsafe { ab_sweep_avx512(a, b, out, m, k, n) };
+        }
+        if has_avx2() {
+            // SAFETY: `has_avx2` just reported that this CPU supports AVX2,
+            // the only requirement of calling a function compiled with it
+            // enabled.
+            return unsafe { ab_sweep_avx2(a, b, out, m, k, n) };
+        }
     }
     ab_sweep_baseline(a, b, out, m, k, n);
 }
 
-// The two instantiations of `ab_sweep_body`: what differs is the target
-// features they are compiled with, so nothing else belongs in them.
+// The three instantiations of `ab_sweep_body`: what differs is the target
+// features they are compiled with and the tile constants sized for them,
+// so nothing else belongs in them.
 #[inline(never)]
 fn ab_sweep_baseline(a: LeftOperand<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    ab_sweep_body(a, b, out, m, k, n);
+    use lanes8::{KB, TC, TR};
+    ab_sweep_body::<TR, TC, TC, KB>(a, b, out, m, k, n);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn ab_sweep_avx2(a: LeftOperand<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    ab_sweep_body(a, b, out, m, k, n);
+    use lanes8::{KB, TC, TR};
+    ab_sweep_body::<TR, TC, TC, KB>(a, b, out, m, k, n);
 }
 
-/// Covers the output with `TC`-column panels, then `TC_EDGE`-column ones,
-/// then single columns: the ragged edge runs narrower tiles of the same
-/// body.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn ab_sweep_avx512(a: LeftOperand<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    use lanes16::{KB, TC, TC_MID, TR};
+    ab_sweep_body::<TR, TC, TC_MID, KB>(a, b, out, m, k, n);
+}
+
+/// Covers the output with `TC`-column panels, then `TC_MID`-column ones,
+/// then `TC_EDGE`-column ones, then single columns: the ragged edge runs
+/// narrower tiles of the same body (a `TC_MID` equal to `TC` finds no
+/// columns left to take).
 #[inline(always)]
-fn ab_sweep_body(a: LeftOperand<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let j0 = ab_panels::<TC>(a, b, out, m, k, n, 0);
-    let j0 = ab_panels::<TC_EDGE>(a, b, out, m, k, n, j0);
-    ab_panels::<1>(a, b, out, m, k, n, j0);
+fn ab_sweep_body<const TR: usize, const TC: usize, const TC_MID: usize, const KB: usize>(
+    a: LeftOperand<'_>,
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let j0 = ab_panels::<TR, TC, KB>(a, b, out, m, k, n, 0);
+    let j0 = ab_panels::<TR, TC_MID, KB>(a, b, out, m, k, n, j0);
+    let j0 = ab_panels::<TR, TC_EDGE, KB>(a, b, out, m, k, n, j0);
+    ab_panels::<TR, 1, KB>(a, b, out, m, k, n, j0);
 }
 
 /// Computes every whole `C`-column panel of the output from column `j0` on
-/// and returns the first column it left. Within a panel the row tiles run
-/// top to bottom, so the panel's `k × C` slice of `b` is reused `m / TR`
-/// times while it is cached.
+/// and returns the first column it left. A panel is swept in blocks of `KB`
+/// values of `l`, and within a block the row tiles run top to bottom, so
+/// the block's `KB × C` slice of `b` is reused `m / R` times while it is
+/// cached.
 #[inline(always)]
-fn ab_panels<const C: usize>(
+fn ab_panels<const R: usize, const C: usize, const KB: usize>(
     a: LeftOperand<'_>,
     b: &[f32],
     out: &mut [f32],
@@ -351,25 +443,37 @@ fn ab_panels<const C: usize>(
     mut j0: usize,
 ) -> usize {
     while j0 + C <= n {
-        let mut i0 = 0;
-        while i0 + TR <= m {
-            ab_tile::<TR, C>(a, b, out, i0, j0, k, n);
-            i0 += TR;
-        }
-        while i0 < m {
-            ab_tile::<1, C>(a, b, out, i0, j0, k, n);
-            i0 += 1;
+        let mut l0 = 0;
+        // At least one block, even an empty one: a `k == 0` product still
+        // writes its zeros.
+        loop {
+            let ls = l0..l0 + KB.min(k - l0);
+            let mut i0 = 0;
+            while i0 + R <= m {
+                ab_tile::<R, C>(a, b, out, i0, j0, ls.clone(), n);
+                i0 += R;
+            }
+            while i0 < m {
+                ab_tile::<1, C>(a, b, out, i0, j0, ls.clone(), n);
+                i0 += 1;
+            }
+            l0 = ls.end;
+            if l0 == k {
+                break;
+            }
         }
         j0 += C;
     }
     j0
 }
 
-/// One `R × C` register tile: `out[i0+r][j0+c] = Σ_l a(i0+r, l) ·
-/// b[l][j0+c]` with one accumulator per output, from `+0.0`, in increasing
-/// `l`, skipping the `l` whose `a(i0+r, l)` is zero — exactly the naive
-/// kernels' arithmetic. The compiler vectorises over `c` (the outputs) and
-/// holds `acc` in registers across the `l` loop.
+/// One `R × C` register tile over the block `ls` of the contraction:
+/// `out[i0+r][j0+c] += Σ_{l ∈ ls} a(i0+r, l) · b[l][j0+c]` with one
+/// accumulator per output, from `+0.0` in the first block and from the
+/// value the previous block stored otherwise, in increasing `l`, skipping
+/// the `l` whose `a(i0+r, l)` is zero — exactly the naive kernels'
+/// arithmetic. The compiler vectorises over `c` (the outputs) and holds
+/// `acc` in registers across the `l` loop.
 #[inline(always)]
 fn ab_tile<const R: usize, const C: usize>(
     a: LeftOperand<'_>,
@@ -377,11 +481,16 @@ fn ab_tile<const R: usize, const C: usize>(
     out: &mut [f32],
     i0: usize,
     j0: usize,
-    k: usize,
+    ls: Range<usize>,
     n: usize,
 ) {
     let mut acc = [[0.0f32; C]; R];
-    for l in 0..k {
+    if ls.start > 0 {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            acc_r.copy_from_slice(&out[(i0 + r) * n + j0..][..C]);
+        }
+    }
+    for l in ls {
         let b_chunk: &[f32; C] = b[l * n + j0..][..C].try_into().expect("exact lane chunk");
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let a_v = a.at(i0 + r, l);
@@ -408,35 +517,72 @@ pub fn matmul_a_bt_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
 }
 
 /// The `A·Bᵀ` panel kernel: `out[m×n] = a[m×k] · bᵀ`, then `finish` on each
-/// finished panel of up to `MR` whole output rows (the fused bias / ReLU
-/// hook of [`linear_forward_into`]).
-///
-/// `MR` rows of `A` are packed transposed (`pack[l·MR + r] = a[i0+r][l]`,
-/// lanes past the last row zero), `KC` values of `l` at a time into a stack
-/// buffer, and every `NR`-row tile of `B` is streamed against the pack with
-/// `NR × MR` accumulators in registers: lane `r` of accumulator `c` is the
-/// output `(i0+r, j0+c)` and receives `a·b` in increasing `l`. Between `KC`
-/// chunks the accumulators are carried through `out`, so each output is one
-/// running sum from `+0.0` in the naive order, whatever `MR`, `NR`, `KC` or
-/// the vector width the compiler picks.
+/// finished panel of whole output rows (the fused bias / ReLU hook of
+/// [`linear_forward_into`]). Panels are 16 rows high and run the AVX-512
+/// tile when the CPU has it and the product has 16 rows to fill one; all
+/// other products run 8-row panels on the AVX2 or baseline tile.
 fn a_bt_panels(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
     k: usize,
     n: usize,
-    mut finish: impl FnMut(&mut [f32]),
+    finish: impl FnMut(&mut [f32]),
 ) {
     if n == 0 {
         return;
     }
-    let mut pack = [0.0f32; KC * MR];
+    #[cfg(target_arch = "x86_64")]
+    if out.len() >= lanes16::MR * n && has_avx512() {
+        let tile = |pack: &[f32],
+                    rows: [&[f32]; lanes16::NR],
+                    acc: &mut [[f32; lanes16::MR]; lanes16::NR]| {
+            // SAFETY: this closure exists only once `has_avx512` has
+            // reported that this CPU supports AVX-512F, the only
+            // requirement of calling a function compiled with it enabled.
+            unsafe { a_bt_tile_avx512(pack, rows, acc) }
+        };
+        return a_bt_panels_of(a, b, out, k, n, tile, finish);
+    }
+    a_bt_panels_of(a, b, out, k, n, a_bt_tile, finish);
+}
+
+/// The pack of the `A·Bᵀ` kernel, aligned so that each group of 16 lanes
+/// is one cache line.
+#[repr(align(64))]
+struct PackBuffer([f32; PACK]);
+
+/// [`a_bt_panels`] with one register tile of `NR × MR` accumulators.
+///
+/// `MR` rows of `A` are packed transposed (`pack[l·MR + r] = a[i0+r][l]`,
+/// lanes past the last row zero), `PACK / MR` values of `l` at a time into
+/// a stack buffer, and every `NR`-row tile of `B` is streamed against the
+/// pack by `tile`: lane `r` of accumulator `c` is the output `(i0+r, j0+c)`
+/// and receives `a·b` in increasing `l`. The first chunk starts every
+/// accumulator at `+0.0`; later chunks resume from the value the previous
+/// one stored in `out`, so each output is one running sum from `+0.0` in
+/// the naive order, whatever `MR`, `NR`, the chunk length or the vector
+/// width the compiler picks.
+fn a_bt_panels_of<const MR: usize, const NR: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    tile: impl Fn(&[f32], [&[f32]; NR], &mut [[f32; MR]; NR]),
+    mut finish: impl FnMut(&mut [f32]),
+) {
+    let chunk = PACK / MR;
+    let mut pack = PackBuffer([0.0f32; PACK]);
+    let pack = &mut pack.0;
     for (p, panel) in out.chunks_mut(MR * n).enumerate() {
         let mr = panel.len() / n;
         let a_rows = &a[p * MR * k..][..mr * k];
-        panel.fill(0.0);
-        for l0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - l0);
+        if k == 0 {
+            panel.fill(0.0);
+        }
+        for l0 in (0..k).step_by(chunk) {
+            let kc = chunk.min(k - l0);
             let pack = &mut pack[..kc * MR];
             if mr < MR {
                 // The lanes past the last row hold the previous panel's values.
@@ -456,12 +602,14 @@ fn a_bt_panels(
                     &b[j * k + l0..][..kc]
                 });
                 let mut acc = [[0.0f32; MR]; NR];
-                for (c, acc_c) in acc.iter_mut().enumerate().take(nr) {
-                    for (r, v) in acc_c.iter_mut().enumerate().take(mr) {
-                        *v = panel[r * n + j0 + c];
+                if l0 > 0 {
+                    for (c, acc_c) in acc.iter_mut().enumerate().take(nr) {
+                        for (r, v) in acc_c.iter_mut().enumerate().take(mr) {
+                            *v = panel[r * n + j0 + c];
+                        }
                     }
                 }
-                a_bt_tile(pack, rows, &mut acc);
+                tile(pack, rows, &mut acc);
                 for (c, acc_c) in acc.iter().enumerate().take(nr) {
                     for (r, &v) in acc_c.iter().enumerate().take(mr) {
                         panel[r * n + j0 + c] = v;
@@ -473,11 +621,11 @@ fn a_bt_panels(
     }
 }
 
-/// The register tile of [`a_bt_panels`]: `acc[c][r] += pack[l·MR + r] ·
-/// rows[c][l]` for every `l`, in increasing order, on whichever
-/// instantiation the CPU supports.
+/// The 8-row register tile of [`a_bt_panels_of`]: `acc[c][r] +=
+/// pack[l·MR + r] · rows[c][l]` for every `l`, in increasing order, on the
+/// AVX2 instantiation where the CPU has it.
 #[inline]
-fn a_bt_tile(pack: &[f32], rows: [&[f32]; NR], acc: &mut [[f32; MR]; NR]) {
+fn a_bt_tile(pack: &[f32], rows: [&[f32]; lanes8::NR], acc: &mut [[f32; lanes8::MR]; lanes8::NR]) {
     #[cfg(target_arch = "x86_64")]
     if has_avx2() {
         // SAFETY: `has_avx2` just reported that this CPU supports AVX2, the
@@ -487,26 +635,52 @@ fn a_bt_tile(pack: &[f32], rows: [&[f32]; NR], acc: &mut [[f32; MR]; NR]) {
     a_bt_tile_baseline(pack, rows, acc);
 }
 
-// Out of line so the accumulators enter and leave as whole lane groups: the
-// compiler then vectorises over `r` (the outputs) and holds the tile in
-// registers across the `l` loop.
+// The three instantiations of `a_bt_tile_body`, each at the tile shape
+// sized for its lanes. Out of line so the accumulators enter and leave as
+// whole lane groups: the compiler then vectorises over `r` (the outputs)
+// and holds the tile in registers across the `l` loop.
 #[inline(never)]
-fn a_bt_tile_baseline(pack: &[f32], rows: [&[f32]; NR], acc: &mut [[f32; MR]; NR]) {
+fn a_bt_tile_baseline(
+    pack: &[f32],
+    rows: [&[f32]; lanes8::NR],
+    acc: &mut [[f32; lanes8::MR]; lanes8::NR],
+) {
     a_bt_tile_body(pack, rows, acc);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn a_bt_tile_avx2(pack: &[f32], rows: [&[f32]; NR], acc: &mut [[f32; MR]; NR]) {
+fn a_bt_tile_avx2(
+    pack: &[f32],
+    rows: [&[f32]; lanes8::NR],
+    acc: &mut [[f32; lanes8::MR]; lanes8::NR],
+) {
+    a_bt_tile_body(pack, rows, acc);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn a_bt_tile_avx512(
+    pack: &[f32],
+    rows: [&[f32]; lanes16::NR],
+    acc: &mut [[f32; lanes16::MR]; lanes16::NR],
+) {
     a_bt_tile_body(pack, rows, acc);
 }
 
 #[inline(always)]
-fn a_bt_tile_body(pack: &[f32], rows: [&[f32]; NR], acc: &mut [[f32; MR]; NR]) {
+fn a_bt_tile_body<const MR: usize, const NR: usize>(
+    pack: &[f32],
+    rows: [&[f32]; NR],
+    acc: &mut [[f32; MR]; NR],
+) {
     let mut tile = *acc;
     let kc = pack.len() / MR;
-    let rows = rows.map(|row| &row[..kc]);
-    for (l, lanes) in pack.chunks_exact(MR).enumerate() {
+    let mut rows = rows;
+    for row in &mut rows {
+        *row = &row[..kc];
+    }
+    for (l, lanes) in (0..kc).zip(pack.chunks_exact(MR)) {
         let lanes: &[f32; MR] = lanes.try_into().expect("exact lane chunk");
         for (tile_c, row) in tile.iter_mut().zip(rows.iter()) {
             let b_v = row[l];
@@ -715,18 +889,26 @@ mod tests {
     }
 
     /// Every instantiation of the `A·B` / `Aᵀ·B` sweep this CPU can run: the
-    /// baseline one always and the AVX2 one when present, so an AVX2 host
-    /// still tests the path a pre-AVX2 host would take.
+    /// baseline one always and the AVX2 and AVX-512 ones when present, so a
+    /// host with the wider lanes still tests the paths an older CPU takes.
     type AbSweep = for<'a> fn(LeftOperand<'a>, &[f32], &mut [f32], usize, usize, usize);
 
     fn ab_instantiations() -> Vec<(&'static str, AbSweep)> {
         let mut all: Vec<(&'static str, AbSweep)> = vec![("baseline", ab_sweep_baseline)];
         #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
-            all.push(("avx2", |a, b, out, m, k, n| {
-                // SAFETY: only reached on a CPU that reports AVX2.
-                unsafe { ab_sweep_avx2(a, b, out, m, k, n) }
-            }));
+        {
+            if has_avx2() {
+                all.push(("avx2", |a, b, out, m, k, n| {
+                    // SAFETY: only reached on a CPU that reports AVX2.
+                    unsafe { ab_sweep_avx2(a, b, out, m, k, n) }
+                }));
+            }
+            if has_avx512() {
+                all.push(("avx512", |a, b, out, m, k, n| {
+                    // SAFETY: only reached on a CPU that reports AVX-512F.
+                    unsafe { ab_sweep_avx512(a, b, out, m, k, n) }
+                }));
+            }
         }
         all
     }
@@ -739,6 +921,9 @@ mod tests {
     /// `-Inf` that is *not* skipped, whose `±Inf` / `NaN` outputs must match
     /// the reference.
     fn ab_edge_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
+        if k == 0 {
+            return (Vec::new(), Vec::new());
+        }
         let mut a = pattern(m * k, 3, 1);
         let mut b = pattern(k * n, 5, 2);
         let poisoned = k / 2;
@@ -762,14 +947,17 @@ mod tests {
     ///
     /// First all three products through their entry points at adversarial
     /// shapes (around the 8-lane groups, odd primes, strongly non-square).
-    /// Then the `A·B` / `Aᵀ·B` sweep at every edge of its tiling — partial
-    /// row tiles (`m` around `TR`), whole, narrow and single-column panels
-    /// (`n` around `TC` and `TC_EDGE`), short and long contractions — on
-    /// [`ab_edge_operands`], through each instantiation directly. Pins that
-    /// a zero `a(i, l)` is skipped (the outputs it guards stay finite), that
-    /// a ragged tile writes its own columns and every one of them (`out`
-    /// starts as a sentinel), and that lane width is not part of the result:
-    /// the instantiations agree with the reference and with each other.
+    /// Then the `A·B` / `Aᵀ·B` sweep at every edge of either tiling —
+    /// partial row tiles (`m` around each `TR`), whole, middle, narrow and
+    /// single-column panels (`n` around each `TC`, past `TC_MID` and
+    /// `TC_EDGE`), contractions around the 16-lane `KB` block and an empty
+    /// one — on [`ab_edge_operands`], through each instantiation directly.
+    /// Pins that a zero `a(i, l)` is skipped (the outputs it guards stay
+    /// finite), that a ragged tile writes its own columns and every one of
+    /// them (`out` starts as a sentinel, and `k == 0` must still write its
+    /// zeros), that a running sum carried through `out` between blocks is
+    /// the naive one, and that lane width is not part of the result: the
+    /// instantiations agree with the reference and with each other.
     #[test]
     fn blocked_kernels_bit_identical_to_reference() {
         let sizes = [1usize, 7, 8, 9, 17, 33];
@@ -818,20 +1006,42 @@ mod tests {
 
         const SENTINEL: f32 = -12345.678;
         let instantiations = ab_instantiations();
-        let ms = [1usize, TR - 1, TR, TR + 1, 17];
-        let ns = [
-            1usize,
+        let (tr8, tc8) = (lanes8::TR, lanes8::TC);
+        let (tr16, tc16, mid16, kb16) = (lanes16::TR, lanes16::TC, lanes16::TC_MID, lanes16::KB);
+        let edges = |mut v: Vec<usize>| {
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let ms = edges(vec![1, tr8 - 1, tr8, tr8 + 1, tr16 - 1, tr16, tr16 + 1, 17]);
+        let ns = edges(vec![
+            1,
             3,
-            4,
-            5,
-            TC - 1,
-            TC,
-            TC + 1,
-            TC + TC_EDGE + 1,
+            TC_EDGE,
+            TC_EDGE + 1,
+            tc8 - 1,
+            tc8,
+            tc8 + 1,
+            tc8 + TC_EDGE + 1,
+            tc16 - 1,
+            tc16,
+            tc16 + 1,
+            tc16 + mid16 + TC_EDGE + 1,
             196,
             784,
-        ];
-        let ks = [1usize, 2, 16, 64, 800];
+        ]);
+        let ks = edges(vec![
+            0,
+            1,
+            2,
+            16,
+            64,
+            kb16 - 1,
+            kb16,
+            kb16 + 1,
+            2 * kb16 + 1,
+            800,
+        ]);
         for &m in &ms {
             for &n in &ns {
                 for &k in &ks {
@@ -867,20 +1077,40 @@ mod tests {
         }
     }
 
-    /// Both instantiations of the `A·Bᵀ` register tile against the naive
-    /// loop, on a pack and rows holding `NaN`, `±Inf` and `-0.0` and
-    /// accumulators that do not start at zero (a later `KC` chunk).
+    /// Every instantiation of the `A·Bᵀ` register tile this CPU can run,
+    /// each at its own tile shape, against the naive loop, on a pack and rows
+    /// holding `NaN`, `±Inf` and `-0.0` and accumulators that do not start
+    /// at zero (a later chunk of `l`).
     #[test]
     fn a_bt_tile_instantiations_match_the_naive_tile() {
-        type Tile = fn(&[f32], [&[f32]; NR], &mut [[f32; MR]; NR]);
-        let mut tiles: Vec<(&str, Tile)> = vec![("baseline", a_bt_tile_baseline)];
+        let mut lanes8_tiles: Vec<(&str, Tile<{ lanes8::MR }, { lanes8::NR }>)> =
+            vec![("baseline", a_bt_tile_baseline)];
+        #[allow(unused_mut)]
+        let mut lanes16_tiles: Vec<(&str, Tile<{ lanes16::MR }, { lanes16::NR }>)> = Vec::new();
         #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
-            tiles.push(("avx2", |pack, rows, acc| {
-                // SAFETY: only reached on a CPU that reports AVX2.
-                unsafe { a_bt_tile_avx2(pack, rows, acc) }
-            }));
+        {
+            if has_avx2() {
+                lanes8_tiles.push(("avx2", |pack, rows, acc| {
+                    // SAFETY: only reached on a CPU that reports AVX2.
+                    unsafe { a_bt_tile_avx2(pack, rows, acc) }
+                }));
+            }
+            if has_avx512() {
+                lanes16_tiles.push(("avx512", |pack, rows, acc| {
+                    // SAFETY: only reached on a CPU that reports AVX-512F.
+                    unsafe { a_bt_tile_avx512(pack, rows, acc) }
+                }));
+            }
         }
+        assert_tiles_match_the_naive_tile(&lanes8_tiles);
+        assert_tiles_match_the_naive_tile(&lanes16_tiles);
+    }
+
+    type Tile<const MR: usize, const NR: usize> = fn(&[f32], [&[f32]; NR], &mut [[f32; MR]; NR]);
+
+    fn assert_tiles_match_the_naive_tile<const MR: usize, const NR: usize>(
+        tiles: &[(&str, Tile<MR, NR>)],
+    ) {
         let kc = 37;
         let pack = special_pattern(kc, MR, 3, 1);
         let b = special_pattern(NR, kc, 11, 4);
@@ -895,28 +1125,37 @@ mod tests {
                 }
             }
         }
-        for (isa, tile) in tiles {
+        for &(isa, tile) in tiles {
             let mut acc = start;
             tile(&pack, rows, &mut acc);
             assert_eq!(
                 bits(acc.as_flattened()),
                 bits(want.as_flattened()),
-                "on {isa}"
+                "{MR}×{NR} tile on {isa}"
             );
         }
     }
 
-    /// [`gemm_isa`] reports what the dispatch does: AVX2 exactly when an
-    /// x86-64 CPU has it. Printed, so a CI log shows which instantiation
+    /// [`gemm_isa`] reports what the dispatch does: AVX-512 exactly when an
+    /// x86-64 CPU has AVX-512F, AVX2 when it has AVX2 but not AVX-512F, the
+    /// baseline otherwise. Printed, so a CI log shows which instantiation
     /// the golden digests ran on (`-- --nocapture`).
     #[test]
     fn gemm_isa_names_the_instantiation_the_cpu_selects() {
         #[cfg(target_arch = "x86_64")]
-        let avx2 = std::is_x86_feature_detected!("avx2");
+        let (avx2, avx512) = (
+            std::is_x86_feature_detected!("avx2"),
+            std::is_x86_feature_detected!("avx512f"),
+        );
         #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
+        let (avx2, avx512) = (false, false);
+        let want = match (avx512, avx2) {
+            (true, _) => "avx512",
+            (false, true) => "avx2",
+            (false, false) => "baseline",
+        };
         println!("gemm_isa: {}", gemm_isa());
-        assert_eq!(gemm_isa(), if avx2 { "avx2" } else { "baseline" });
+        assert_eq!(gemm_isa(), want);
     }
 
     /// `pattern` with IEEE special values poked into a few rows, so most
@@ -942,18 +1181,33 @@ mod tests {
     }
 
     /// The `A·Bᵀ` panel kernel against the naive reference at every edge of
-    /// its tiling — partial panels (`m` around `MR`), ragged column tiles
-    /// (`n` around `NR`), and a contracted axis straddling the pack chunk —
-    /// on operands holding `NaN`, `±Inf`, `-0.0` and exact zeros. Pins that
-    /// padding lanes never leak into an output, that no zero-skip crept in
-    /// (`0·Inf` is `NaN`) and that accumulators start from `+0.0`. The
-    /// fused dense-layer kernel must equal it plus bias plus ReLU.
+    /// either tiling — partial panels (`m` around each `MR`, and the
+    /// 16-row panel's cut at `m` = 15, 16, 17), ragged column tiles (`n`
+    /// around each `NR`), and a contracted axis straddling either pack
+    /// chunk — on operands holding `NaN`, `±Inf`, `-0.0` and exact zeros.
+    /// Through the entry point (whichever panel and tile this CPU selects)
+    /// and through both panel shapes directly on the build's own tile body,
+    /// so every host tests both. Pins that padding lanes never leak into an
+    /// output, that no zero-skip crept in (`0·Inf` is `NaN`) and that
+    /// accumulators start from `+0.0`. The fused dense-layer kernel must
+    /// equal it plus bias plus ReLU.
     #[test]
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // the kernel's own NaN-collapsing ReLU test
     fn a_bt_panel_kernel_bit_identical_to_reference_at_tile_and_chunk_edges() {
-        let ms = [1usize, 3, 4, 7, 8, 9, 15, 16, 17, 256];
-        let ns = [1usize, 3, 4, 5, 10, 64];
-        let ks = [1usize, 2, KC - 1, KC, KC + 1, 2 * KC + 3];
+        let (c8, c16) = (PACK / lanes8::MR, PACK / lanes16::MR);
+        let ms = [1usize, 3, 4, 7, 8, 9, 15, 16, 17, 33, 256];
+        let ns = [1usize, 3, 4, 5, 7, 8, 9, 10, 17, 64];
+        let ks = [
+            1usize,
+            2,
+            c16 - 1,
+            c16,
+            c16 + 1,
+            c8 - 1,
+            c8,
+            c8 + 1,
+            2 * c8 + 3,
+        ];
         for &m in &ms {
             for &n in &ns {
                 for &k in &ks {
@@ -961,9 +1215,15 @@ mod tests {
                     let b = special_pattern(n, k, 11, 4);
                     let mut got = vec![f32::NAN; m * n];
                     let mut want = vec![f32::NAN; m * n];
-                    matmul_a_bt_into(&a, &b, &mut got, m, k, n);
                     reference::matmul_a_bt_into(&a, &b, &mut want, m, k, n);
+                    matmul_a_bt_into(&a, &b, &mut got, m, k, n);
                     assert_eq!(bits(&got), bits(&want), "a_bt diverged at ({m},{k},{n})");
+                    got.fill(f32::NAN);
+                    a_bt_panels_of(&a, &b, &mut got, k, n, a_bt_tile_body::<8, 4>, |_| {});
+                    assert_eq!(bits(&got), bits(&want), "8-row panels at ({m},{k},{n})");
+                    got.fill(f32::NAN);
+                    a_bt_panels_of(&a, &b, &mut got, k, n, a_bt_tile_body::<16, 8>, |_| {});
+                    assert_eq!(bits(&got), bits(&want), "16-row panels at ({m},{k},{n})");
 
                     let bias = pattern(n, 7, 3);
                     for relu in [false, true] {
@@ -1014,7 +1274,14 @@ mod tests {
         fill: f32,
         product: impl Fn(usize, usize, usize, &mut Tensor) -> TensorResult<()>,
     ) {
-        for (m, k, n) in [(0, 3, 2), (2, 3, 0), (0, 3, 0), (2, 0, 3), (0, 0, 0)] {
+        for (m, k, n) in [
+            (0, 3, 2),
+            (2, 3, 0),
+            (0, 3, 0),
+            (2, 0, 3),
+            (17, 0, 3),
+            (0, 0, 0),
+        ] {
             let mut out = Tensor::ones(&[5]);
             product(m, k, n, &mut out).unwrap();
             assert_eq!(out.dims(), &[m, n], "at ({m},{k},{n})");
@@ -1107,18 +1374,19 @@ mod tests {
         /// `+0.0` and a cancelling sum rounds to `+0.0`. So `0.0 + x` has
         /// the bits of `x` for every output `x`, which is what lets a layer
         /// overwrite its gradient slice where it once added to a zeroed one.
+        /// `m` reaches 19, so an AVX-512 CPU runs the 16-row `A·Bᵀ` panel.
         #[test]
         fn prop_kernels_never_emit_negative_zero(
-            m in 1usize..10,
+            m in 1usize..20,
             k in 0usize..20,
             n in 1usize..40,
-            picks in proptest::collection::vec(0usize..8, 9 * 19 + 19 * 39),
+            picks in proptest::collection::vec(0usize..8, 19 * 19 + 19 * 39),
         ) {
             const PALETTE: [f32; 8] = [-0.0, 0.0, -1.0, 1.0, -1e-30, 1e-30, -2.5, 0.75];
             let operand = |from: usize, len: usize| -> Vec<f32> {
                 picks[from..from + len].iter().map(|&i| PALETTE[i]).collect()
             };
-            let (a, b) = (operand(0, m * k), operand(9 * 19, k * n));
+            let (a, b) = (operand(0, m * k), operand(19 * 19, k * n));
             let mut out = vec![-0.0f32; m * n];
             type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
             // (kernel, its three size arguments): the same buffers read as
