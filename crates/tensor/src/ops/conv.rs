@@ -392,8 +392,10 @@ pub fn conv2d_backward_into<'a>(
 /// flat store: `grad_weight` (as long as `weight`) and `grad_bias` (`out_c`
 /// long) are overwritten where the optimizer reads them.
 ///
-/// Per-sample contributions are folded into the slices in sample order
-/// from `+0.0` — the float-op order the golden digests pin.
+/// Per-sample contributions are folded into the slices in sample order —
+/// the float-op order the golden digests pin. The bias sums from `+0.0`;
+/// the weight gradient starts as sample 0's `A·Bᵀ` output itself, which has
+/// the bits of `+0.0` plus it because no kernel output is `-0.0`.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward_flat(
     input: &Tensor,
@@ -439,7 +441,9 @@ pub fn conv2d_backward_flat(
 
     resize_scratch(&mut scratch.col, col_rows * out_hw);
     resize_scratch(&mut scratch.gw_sample, out_c * col_rows);
-    grad_weight.fill(0.0);
+    if batch == 0 {
+        grad_weight.fill(0.0);
+    }
     grad_bias.fill(0.0);
 
     let mut gi_all = grad_input.map(|grad_input| {
@@ -469,17 +473,23 @@ pub fn conv2d_backward_flat(
         );
         let go = &grad_out_data[b * sample_out..(b + 1) * sample_out];
 
-        // gw_sample[out_c × col_rows] = go[out_c × out_hw] · colᵀ[out_hw × col_rows]
-        matmul_a_bt_into(
-            go,
-            &scratch.col,
-            &mut scratch.gw_sample,
-            out_c,
-            out_hw,
-            col_rows,
-        );
-        for (a, b) in grad_weight.iter_mut().zip(scratch.gw_sample.iter()) {
-            *a += b;
+        // gw[out_c × col_rows] = go[out_c × out_hw] · colᵀ[out_hw × col_rows].
+        // Sample 0 writes straight into the gradient: a kernel output is
+        // never `-0.0`, so it has the bits `0.0 + gw` would have.
+        if b == 0 {
+            matmul_a_bt_into(go, &scratch.col, grad_weight, out_c, out_hw, col_rows);
+        } else {
+            matmul_a_bt_into(
+                go,
+                &scratch.col,
+                &mut scratch.gw_sample,
+                out_c,
+                out_hw,
+                col_rows,
+            );
+            for (g, &v) in grad_weight.iter_mut().zip(scratch.gw_sample.iter()) {
+                *g += v;
+            }
         }
         for (oc, gb) in grad_bias.iter_mut().enumerate() {
             *gb += go[oc * out_hw..(oc + 1) * out_hw].iter().sum::<f32>();
