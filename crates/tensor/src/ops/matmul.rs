@@ -42,16 +42,16 @@
 //! gets the third instantiation, one that reports AVX2 the second
 //! ([`gemm_isa`] names the choice); every other CPU and architecture runs
 //! the first. The one guarded call per dispatched kernel and instruction set
-//! (`ab_sweep`, `a_bt_tile`) is the only `unsafe` in the crate's library
-//! code (the exactness tests call each instantiation directly, behind the
-//! same check). There is no switch to set: the selection reads the CPU,
+//! (in `ab_sweep`, `a_bt_panels` and `a_bt_tile`) is the only `unsafe` in
+//! the crate's library code (the exactness tests call each instantiation
+//! directly, behind the same check). There is no switch to set: the selection reads the CPU,
 //! nothing else. Builds must not pass `-C target-cpu=native` either: the
 //! kernels already choose their instruction set at run time, and on an
 //! AVX-512 host that flag's tuning collapses the code generation of the
 //! 8-row `A·Bᵀ` tile (a batch-4 dense forward about 5× slower; before the
-//! 16-row tile existed, every training workload ran 2–2.7× slower, with the
-//! same bits). The AVX-512 instantiation sets only `target_feature` and
-//! keeps its speed under that flag too.
+//! 16-row tile existed, the gated training workloads ran 1.6–2.8× slower,
+//! with the same bits). The AVX-512 instantiation sets only
+//! `target_feature` and does not collapse under that flag.
 //!
 //! How each product vectorises follows from which index is contiguous:
 //!
@@ -108,6 +108,7 @@ mod lanes8 {
 
 /// Tile shapes sized for 16 lanes and 32 registers: the AVX-512
 /// instantiation.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 mod lanes16 {
     /// Output rows per register tile of the `A·B` / `Aᵀ·B` sweep.
     pub(super) const TR: usize = 4;
