@@ -134,10 +134,7 @@ mod tests {
         // Training must move the model away from the all-zero initialisation.
         assert!(msg.payload[0].norm() > 0.0);
         assert_eq!(clients[0].times_selected, 1);
-        assert_eq!(
-            msg.upload_floats(),
-            alg.upload_floats_per_client(fixture.dim())
-        );
+        assert_eq!(msg.upload_floats(), fixture.dim());
     }
 
     #[test]

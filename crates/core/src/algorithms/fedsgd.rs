@@ -134,6 +134,5 @@ mod tests {
         let alg = FedSgd::new(0.1);
         assert_eq!(alg.name(), "FedSGD");
         assert!(!alg.supports_variable_work());
-        assert_eq!(alg.upload_floats_per_client(123), 123);
     }
 }

@@ -15,7 +15,6 @@
 //! | [`FedProx`]  | `f_i(w) + (ρ/2)‖w−θ‖²`              | `d`               | variable epochs, ρ needs tuning |
 //! | [`Scaffold`] | `f_i(w)` with control variates      | `2d`              | doubles upload cost |
 //! | [`FedAdmm`]  | `f_i(w) + y_iᵀ(w−θ) + (ρ/2)‖w−θ‖²`  | `d`               | dual variables, tracking server update |
-//! | [`FedPd`]    | augmented Lagrangian                | `d` (on comm rounds) | full participation, probabilistic communication |
 //!
 //! Table I of the paper compares their round complexities; the
 //! per-algorithm module documentation quotes the relevant row.
@@ -24,21 +23,17 @@ mod fedadmm;
 mod fedadmm_inexact;
 mod fedavg;
 mod feddyn;
-mod fedpd;
 mod fedprox;
 mod fedsgd;
 mod scaffold;
-mod server_opt;
 
 pub use fedadmm::{FedAdmm, LocalInit, ServerStepSize};
 pub use fedadmm_inexact::FedAdmmInexact;
 pub use fedavg::FedAvg;
 pub use feddyn::FedDyn;
-pub use fedpd::FedPd;
 pub use fedprox::FedProx;
 pub use fedsgd::FedSgd;
 pub use scaffold::Scaffold;
-pub use server_opt::{FedOpt, ServerOptimizer};
 
 use crate::client::ClientState;
 use crate::param::ParamVector;
@@ -93,9 +88,9 @@ impl ClientMessage {
 /// What the server did with the round's messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerOutcome {
-    /// Floats uploaded from clients to the server this round. For most
-    /// algorithms this is `Σ_i upload_floats(message_i)`; FedPD uploads
-    /// nothing on its non-communication rounds.
+    /// Floats uploaded from clients to the server this round:
+    /// `Σ_i upload_floats(message_i)` for every algorithm. Read by
+    /// `benchmark/`; no in-tree algorithm needs it; ROADMAP.md item 9 deletes it.
     pub upload_floats: usize,
 }
 
@@ -276,7 +271,7 @@ impl FoldTerm for DequantTerm<'_> {
 /// A federated optimization algorithm.
 ///
 /// The simulation engine drives each round as:
-/// 1. select `S_t` (respecting [`Algorithm::requires_full_participation`]),
+/// 1. select `S_t`,
 /// 2. call [`Algorithm::client_update_scratch`] for every selected client
 ///    (in parallel, each worker passing its own [`UpdateScratch`] — the
 ///    method takes `&self` so algorithm-global state is read-only during
@@ -292,22 +287,17 @@ pub trait Algorithm: Send + Sync {
     fn init(&mut self, _dim: usize, _num_clients: usize) {}
 
     /// Whether this algorithm requires every client to participate in every
-    /// round (true only for FedPD among the implemented methods).
+    /// round; the engine then selects everyone. Read by `benchmark/`; no
+    /// in-tree algorithm needs it; ROADMAP.md item 9 deletes it.
     fn requires_full_participation(&self) -> bool {
         false
     }
 
     /// Whether this algorithm applies system heterogeneity (variable local
     /// epochs) under the paper's protocol. FedAvg and SCAFFOLD run the fixed
-    /// maximum `E`; FedADMM, FedProx and FedPD tolerate variable work.
+    /// maximum `E`; FedADMM and FedProx tolerate variable work.
     fn supports_variable_work(&self) -> bool {
         true
-    }
-
-    /// Upload cost in floats per selected client and round, for a model of
-    /// dimension `d`.
-    fn upload_floats_per_client(&self, dim: usize) -> usize {
-        dim
     }
 
     /// Local update of one selected client: trains on the client's data
@@ -343,8 +333,9 @@ pub trait Algorithm: Send + Sync {
     ///
     /// Provided for every algorithm with a [`FoldPlan`]: the plan's
     /// coefficients go through one fused pass over ℝ^d. Only algorithms
-    /// whose server step is stateful or stochastic (SCAFFOLD, FedDyn,
-    /// FedOpt, FedPD) implement this themselves.
+    /// whose server step is stateful (SCAFFOLD, FedDyn) implement this
+    /// themselves. `rng` is passed by `benchmark/`; no in-tree server step
+    /// reads it; ROADMAP.md item 9 deletes it.
     ///
     /// # Panics
     /// The provided method panics on a non-empty batch without a plan: an
@@ -392,9 +383,6 @@ impl Algorithm for Box<dyn Algorithm> {
     }
     fn supports_variable_work(&self) -> bool {
         self.as_ref().supports_variable_work()
-    }
-    fn upload_floats_per_client(&self, dim: usize) -> usize {
-        self.as_ref().upload_floats_per_client(dim)
     }
     fn client_update_scratch(
         &self,
@@ -556,7 +544,6 @@ mod tests {
     fn boxed_algorithm_delegates() {
         let mut alg: Box<dyn Algorithm> = Box::new(FedAvg::new());
         assert_eq!(alg.name(), "FedAvg");
-        assert_eq!(alg.upload_floats_per_client(100), 100);
         assert!(!alg.requires_full_participation());
         alg.init(10, 5);
     }

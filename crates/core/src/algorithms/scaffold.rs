@@ -65,11 +65,6 @@ impl Algorithm for Scaffold {
         false
     }
 
-    fn upload_floats_per_client(&self, dim: usize) -> usize {
-        // Δw and Δc: control variates double the upload size.
-        2 * dim
-    }
-
     fn client_update_scratch(
         &self,
         client: &mut ClientState,
@@ -167,8 +162,6 @@ mod tests {
 
     #[test]
     fn upload_cost_is_doubled() {
-        let alg = Scaffold::new();
-        assert_eq!(alg.upload_floats_per_client(100), 200);
         let fixture = Fixture::new(1, 30, 0);
         let theta = ParamVector::zeros(fixture.dim());
         let mut clients = fixture.clients(&theta);

@@ -15,7 +15,7 @@ pub enum Participation {
     Fraction(f64),
     /// A fixed number of clients selected uniformly at random each round.
     Count(usize),
-    /// Every client participates every round (needed by FedPD).
+    /// Every client participates every round.
     Full,
 }
 

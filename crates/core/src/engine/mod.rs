@@ -221,6 +221,7 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
         let store = store_config.build(partition.into_client_indices(), &global)?;
 
         algorithm.init(global.len(), config.num_clients);
+        // `benchmark/`'s mirror scheduler reads the same flag.
         let selector: Box<dyn ClientSelector> = if algorithm.requires_full_participation() {
             Box::new(FullParticipation)
         } else {
@@ -593,7 +594,7 @@ pub type SyncEngine<A> = RoundEngine<A, SyncRounds>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{FedAdmm, FedAvg, FedPd, FedProx, FedSgd, Scaffold, ServerStepSize};
+    use crate::algorithms::{FedAdmm, FedAvg, FedProx, FedSgd, Scaffold, ServerStepSize};
     use crate::config::{DataDistribution, Participation};
     use fedadmm_data::batching::BatchSize;
     use fedadmm_data::synthetic::SyntheticDataset;
@@ -1178,57 +1179,70 @@ mod tests {
             .any(|e| e.staleness > 0 && e.weight > 0.0));
     }
 
-    #[test]
-    fn semi_async_fedpd_runs_every_client_and_pays_only_for_what_it_sends() {
-        // FedPD needs every client every round, whatever the selector, and
-        // uploads only with probability p: a silent round costs nothing.
-        let (m, d) = (10, 7850);
-        let semi = SemiAsync::new(SemiAsyncConfig::new(1e9));
-        let mut engine = timed_engine(FedPd::new(0.3, 0.5), semi, (m, &[], 1.0), 200, 42)
-            .with_selector(Box::new(UniformFraction::new(5)));
-        let records = engine.run_rounds(12).unwrap();
-        let mut total = 0;
-        for r in &records {
-            assert_eq!(r.num_selected, m, "round {}", r.round);
-            assert!(
-                r.upload_floats == 0 || r.upload_floats == m * d,
-                "round {} charged {} floats",
-                r.round,
-                r.upload_floats
-            );
-            total += r.upload_floats;
-            assert_eq!(r.cumulative_upload_floats, total, "round {}", r.round);
+    /// Steps `engine` `ticks` times. Every event must count every upload
+    /// delivered so far, dropped ones included, and so must every round
+    /// record; returns the records and the number of uploads kept.
+    fn charged_on_arrival<S: Scheduler>(
+        mut engine: RoundEngine<Scaffold, S>,
+        ticks: usize,
+    ) -> (Vec<RoundRecord>, usize) {
+        // SCAFFOLD uploads `Δw` and `Δc`: 2d floats per message.
+        let per_message = 2 * engine.global_model().len();
+        let (mut arrived, mut dropped, mut records) = (0, 0, Vec::new());
+        for _ in 0..ticks {
+            let report = engine.step().unwrap();
+            for event in &report.events {
+                arrived += 1;
+                dropped += usize::from(event.weight == 0.0);
+                let charged = event.cumulative_upload_floats;
+                assert_eq!(charged, arrived * per_message, "event {}", event.event);
+            }
+            if let Some(record) = report.record {
+                let charged = record.cumulative_upload_floats;
+                assert_eq!(charged, arrived * per_message, "round {}", record.round);
+                records.push(record);
+            }
         }
         assert!(
-            records.iter().any(|r| r.upload_floats == 0),
-            "no silent round in 12 at p = 0.5"
+            dropped > 0 && dropped < arrived,
+            "{dropped} of {arrived} uploads dropped"
         );
+        assert_eq!(engine.cumulative_upload_floats(), arrived * per_message);
+        (records, arrived - dropped)
     }
 
     #[test]
-    fn buffered_fedpd_pays_only_for_the_aggregations_that_communicate() {
-        // A buffered FedPD aggregation uploads only with probability p, like
-        // a semi-async round: the floats of a silent one are never charged.
-        let (m, d, ticks) = (10, 7850, 40);
-        let pool = BufferedAsync::new(AsyncConfig::new(4).with_aggregate_after(2));
-        let mut engine = timed_engine(FedPd::new(0.3, 0.5), pool, (m, &[], 1.0), 200, 42);
-        let events: Vec<AsyncRecord> = (0..ticks)
-            .flat_map(|_| engine.step().unwrap().events)
-            .collect();
-        let charged = engine.cumulative_upload_floats();
-        assert_eq!(charged % d, 0);
-        assert!(
-            charged > 0 && charged < ticks * d,
-            "{} of {ticks} arrivals charged",
-            charged / d
-        );
-        // The last arrival also counts the upload still in the buffer, if
-        // any (at most one of the two an aggregation takes).
-        let last = events.last().unwrap().cumulative_upload_floats;
-        assert!(
-            last == charged || last == charged + d,
-            "{last} vs {charged}"
-        );
+    fn every_upload_is_charged_when_it_arrives() {
+        let d = 7850;
+        // A deadline that two-epoch stragglers miss, and a bound that drops
+        // them when they land.
+        let drop_late = StalenessWeight::BoundedDelay { max_staleness: 0 };
+        let semi = SemiAsync::new(SemiAsyncConfig::new(2.5).with_staleness(drop_late));
+        let engine = timed_engine(Scaffold::new(), semi, (8, &[3, 7], 3.0), 160, 8);
+        let (records, kept) = charged_on_arrival(engine, 10);
+        // A deadline round reports the uploads of what it folded: the
+        // updates it kept.
+        for r in &records {
+            assert_eq!(r.upload_floats, r.num_selected * 2 * d, "round {}", r.round);
+        }
+        assert_eq!(records.iter().map(|r| r.num_selected).sum::<usize>(), kept);
+
+        // Buffered pairs, the stale arrivals dropped. Its records report no
+        // uploads of their own: the events carry them.
+        let config = AsyncConfig {
+            eval_every: 1,
+            ..AsyncConfig::new(4)
+                .with_aggregate_after(2)
+                .with_staleness(StalenessWeight::BoundedDelay { max_staleness: 1 })
+        };
+        let pool = BufferedAsync::new(config);
+        let engine = timed_engine(Scaffold::new(), pool, (6, &[4], 3.0), 120, 10);
+        let (records, _) = charged_on_arrival(engine, 40);
+        assert!(!records.is_empty());
+        for r in &records {
+            let reported = (r.upload_floats, r.num_selected);
+            assert_eq!(reported, (0, 2), "round {}", r.round);
+        }
     }
 
     #[test]

@@ -597,10 +597,12 @@ impl EngineCore<'_> {
     /// in the coded domain when the uploads are coded, one dispatch-pool job
     /// per coordinate range of θ — or per shard under
     /// [`AggregationMode::Hierarchical`]. Every other
-    /// batch (stateful or stochastic server steps, SCAFFOLD's two-vector
+    /// batch (stateful server steps, SCAFFOLD's two-vector
     /// uploads) goes to the algorithm's own `server_update`, coded messages
     /// decoded first ([`decode_message`]) — correct, at one extra O(d)
-    /// sweep per message.
+    /// sweep per message. `rng` goes on to `server_update`; `benchmark/`
+    /// passes it, no in-tree algorithm reads it, and ROADMAP.md item 9
+    /// deletes it.
     pub fn aggregate(
         &mut self,
         messages: &[ClientMessage],
@@ -809,15 +811,13 @@ impl EngineCore<'_> {
     }
 
     /// Records one arrival event (event-driven schedules), filling in the
-    /// event index, current virtual time and cumulative upload count: the
-    /// floats charged so far plus `pending_upload`, received but charged
-    /// later (a deadline round charges its uploads when it aggregates).
+    /// event index, current virtual time and cumulative upload count (every
+    /// upload is charged when it arrives, this one included).
     pub fn record_event(
         &mut self,
         client_id: usize,
         staleness: usize,
         weight: f32,
-        pending_upload: usize,
         test_accuracy: Option<f32>,
     ) -> AsyncRecord {
         let record = AsyncRecord {
@@ -827,7 +827,7 @@ impl EngineCore<'_> {
             staleness,
             weight,
             test_accuracy,
-            cumulative_upload_floats: *self.cumulative_upload + pending_upload,
+            cumulative_upload_floats: *self.cumulative_upload,
         };
         self.telemetry.on_event(&Event::Arrival {
             client: client_id,

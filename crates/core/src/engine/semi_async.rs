@@ -37,8 +37,8 @@
 //! staleness damping multiplies the uploaded *payload* by `s(τ)`. That is
 //! the natural semantics for delta-style uploads (FedADMM, FedProx,
 //! SCAFFOLD, FedSGD): a damped delta is simply a smaller correction. For
-//! model-upload algorithms whose server *averages* payloads (FedAvg,
-//! FedPD), a damped stale model shrinks the average's total mass, so part
+//! model-upload algorithms whose server *averages* payloads (FedAvg), a
+//! damped stale model shrinks the average's total mass, so part
 //! of FedAvg's degradation under this scheduler is the weighting scheme
 //! itself rather than pure learning dynamics — use
 //! [`StalenessWeight::Constant`] to isolate the reordering effect.
@@ -48,6 +48,7 @@ use super::scheduler::{
     derive_client_seed, derive_round_seed, DispatchOrder, EngineCore, RoundStats, Scheduler,
     StalenessWeight, TickReport,
 };
+use crate::algorithms::total_upload;
 use crate::config::FedConfig;
 use fedadmm_tensor::{TensorError, TensorResult};
 use rand::rngs::SmallRng;
@@ -167,9 +168,10 @@ pub(super) fn deadline_tick(
     let round = core.round();
     let mut round_rng = SmallRng::seed_from_u64(derive_round_seed(seed, round as u64));
 
-    // 1. Select (everyone if the algorithm requires it) and run fresh work
-    //    on the idle selected clients against the *current* θ (zero-copy
-    //    broadcast); clients still busy sit this round out.
+    // 1. Select (everyone if the algorithm requires it, as `benchmark/`'s
+    //    mirror does) and run fresh work on the idle selected clients
+    //    against the *current* θ (zero-copy broadcast); clients still busy
+    //    sit this round out.
     let num_clients = core.config.num_clients;
     let selected: Vec<usize> = if core.algorithm.requires_full_participation() {
         (0..num_clients).collect()
@@ -203,43 +205,33 @@ pub(super) fn deadline_tick(
     };
     core.advance_clock(end);
 
-    // 3. Staleness-weight what is due (τ = rounds missed), record a deadline
-    //    round's arrivals (counting the uploads received so far, which step
-    //    4 charges) and drop zero-weight updates; stragglers stay in flight.
+    // 3. Charge every upload that is due as it arrives, staleness-weight it
+    //    (τ = rounds missed), record a deadline round's arrivals and drop
+    //    zero-weight updates; stragglers stay in flight.
     let mut report = TickReport::default();
     let delivered = in_flight.deliver(end);
     let mut kept = Vec::with_capacity(delivered.len());
-    let (mut received, mut dropped, mut wire_bytes) = (0, 0, 0);
     for mut job in delivered {
         let (tau, weight) = job.weigh(round, staleness);
-        let floats = job.message.upload_floats();
-        received += floats;
-        wire_bytes += job.message.wire_bytes();
+        core.add_upload(job.message.upload_floats());
+        core.add_wire_bytes(job.message.wire_bytes());
         if deadline.is_some() {
-            let event = core.record_event(job.message.client_id, tau, weight, received, None);
+            let event = core.record_event(job.message.client_id, tau, weight, None);
             report.events.push(event);
         }
         if weight > 0.0 {
             kept.push(job.message);
-        } else {
-            dropped += floats;
         }
     }
 
-    // 4. Aggregate the kept updates in one batch, charge what the server
-    //    step reports plus the dropped uploads, free the uploads (folded
+    // 4. Aggregate the kept updates in one batch, free the uploads (folded
     //    into θ) so evaluation can reuse their memory, and evaluate.
-    let upload_floats = if kept.is_empty() {
-        0
-    } else {
-        core.in_span("aggregate", |core| core.aggregate(&kept, &mut round_rng))
-            .upload_floats
-    };
-    core.add_upload(upload_floats + dropped);
-    core.add_wire_bytes(wire_bytes);
+    if !kept.is_empty() {
+        core.in_span("aggregate", |core| core.aggregate(&kept, &mut round_rng));
+    }
     let stats = RoundStats {
         num_selected: kept.len(),
-        upload_floats,
+        upload_floats: total_upload(&kept),
         total_local_epochs: kept.iter().map(|m| m.epochs_run).sum(),
         samples_processed: kept.iter().map(|m| m.samples_processed).sum(),
         wire_bytes: kept.iter().map(|m| m.wire_bytes()).sum(),

@@ -172,15 +172,14 @@ impl WirePath {
     /// privatize each payload vector (optional), quantize it through the
     /// worker's reusable `codes` buffer, and replace the dense payload with
     /// the [`WirePayload`]. Under the identity quantizer the privatized
-    /// payload stays dense. Messages with an empty payload (e.g. FedPD's
-    /// non-communication rounds) are left untouched.
+    /// payload stays dense.
     pub fn encode(&self, message: &mut ClientMessage, order_seed: u64, codes: &mut Vec<u16>) {
         if let Some(guard) = &self.guard {
             for (k, payload) in message.payload.iter_mut().enumerate() {
                 guard.privatize(payload.as_mut_slice(), guard_seed(order_seed, k));
             }
         }
-        if message.payload.is_empty() || self.quantizer == Quantizer::IDENTITY {
+        if self.quantizer == Quantizer::IDENTITY {
             return;
         }
         let mut vectors = Vec::with_capacity(message.payload.len());
@@ -333,23 +332,6 @@ mod tests {
         {
             assert!((v - want).abs() < 1e-3, "{v} vs {want}");
         }
-    }
-
-    #[test]
-    fn empty_payload_messages_stay_dense() {
-        let path = WirePathConfig::enabled(Quantizer::new(8, false))
-            .resolve()
-            .unwrap();
-        let mut msg = ClientMessage {
-            client_id: 0,
-            num_samples: 5,
-            payload: Vec::new(),
-            epochs_run: 1,
-            samples_processed: 5,
-            wire: None,
-        };
-        path.encode(&mut msg, 0, &mut Vec::new());
-        assert!(msg.wire.is_none());
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! * [`algorithms`] — the paper's contribution, [`algorithms::FedAdmm`]
 //!   (Algorithm 1), and every baseline it is evaluated against:
 //!   [`algorithms::FedSgd`], [`algorithms::FedAvg`], [`algorithms::FedProx`],
-//!   [`algorithms::Scaffold`], plus the related full-participation
-//!   [`algorithms::FedPd`];
+//!   [`algorithms::Scaffold`];
 //! * [`client`] — per-client state (local model `w_i`, dual variable `y_i`,
 //!   SCAFFOLD control variate `c_i`, local data view);
 //! * [`selection`] — client-selection schemes (uniform-random fraction `C`,
@@ -84,8 +83,8 @@ pub mod trainer;
 /// Convenient re-exports of the types most experiments need.
 pub mod prelude {
     pub use crate::algorithms::{
-        Algorithm, FedAdmm, FedAdmmInexact, FedAvg, FedDyn, FedOpt, FedPd, FedProx, FedSgd,
-        FoldPlan, LocalInit, Scaffold, ServerOptimizer, ServerStepSize,
+        Algorithm, FedAdmm, FedAdmmInexact, FedAvg, FedDyn, FedProx, FedSgd, FoldPlan, LocalInit,
+        Scaffold, ServerStepSize,
     };
     pub use crate::client::ClientState;
     pub use crate::compression::Quantizer;

@@ -12,9 +12,9 @@ pub struct RoundRecord {
     pub test_loss: f32,
     /// Number of clients selected this round `|S_t|`.
     pub num_selected: usize,
-    /// Number of floats uploaded by clients this round (communication cost;
-    /// SCAFFOLD uploads 2d per client, FedPD only uploads on communication
-    /// rounds).
+    /// Number of floats uploaded by the clients whose messages this round
+    /// folded (communication cost; SCAFFOLD uploads 2d per client). 0 under
+    /// `BufferedAsync`, whose arrival events carry the uploads.
     pub upload_floats: usize,
     /// Cumulative uploaded floats up to and including this round.
     pub cumulative_upload_floats: usize,

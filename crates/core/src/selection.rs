@@ -6,7 +6,7 @@
 //! round ([`UniformFraction`]); [`FixedProbabilities`] models the more
 //! general per-client-probability scheme used in the analysis,
 //! [`MarkovAvailability`] bursty device availability, and
-//! [`FullParticipation`] is what FedPD requires.
+//! [`FullParticipation`] selects everyone.
 //!
 //! Every selector returns its cohort sorted ascending, which is what the
 //! engine's client-state store needs to materialize shards in O(selected):
@@ -57,8 +57,8 @@ impl ClientSelector for UniformFraction {
     }
 }
 
-/// Every client participates in every round (required by FedPD; also used
-/// to stress-test the aggregation rules).
+/// Every client participates in every round (used to stress-test the
+/// aggregation rules).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FullParticipation;
 

@@ -3,8 +3,8 @@
 //! A from-scratch Rust reproduction of **FedADMM: A Robust Federated Deep
 //! Learning Framework with Adaptivity to System Heterogeneity** (Gong, Li,
 //! Freris — ICDE 2022), including the FedADMM algorithm itself, the
-//! baselines it is evaluated against (FedSGD, FedAvg, FedProx, SCAFFOLD,
-//! FedPD), and every substrate the evaluation needs: a dense-tensor /
+//! baselines it is evaluated against (FedSGD, FedAvg, FedProx, SCAFFOLD),
+//! and every substrate the evaluation needs: a dense-tensor /
 //! neural-network training stack, synthetic federated datasets with the
 //! paper's partitioning schemes, a round-based simulation engine, and an
 //! experiment harness regenerating each table and figure.

@@ -4,7 +4,12 @@
 mod common;
 
 use common::Scenario;
+use fedadmm::core::algorithms::{ClientMessage, UpdateScratch};
+use fedadmm::core::client::ClientState;
+use fedadmm::core::selection::UniformFraction;
+use fedadmm::core::trainer::LocalEnv;
 use fedadmm::prelude::*;
+use fedadmm::tensor::TensorResult;
 
 /// This file's MLP: one hidden layer of 24 units.
 const MLP: ModelSpec = ModelSpec::Mlp {
@@ -138,21 +143,30 @@ fn all_five_algorithms_complete_a_short_non_iid_run() {
     }
 }
 
+/// The abstract's communication claim, measured on the uploads the engine
+/// charges: FedADMM, FedAvg and FedProx upload `d` floats per selected
+/// client per round, SCAFFOLD `2d`.
 #[test]
 fn communication_accounting_matches_algorithm_costs() {
-    // FedADMM/FedAvg/FedProx upload d floats per selected client per round;
-    // SCAFFOLD uploads 2d. The recorded cumulative upload must reflect that.
     let d = MLP.num_params();
-    let rounds = 3;
-    let mut admm = scenario(10, 300, DataDistribution::Iid, 5).engine(FedAdmm::paper_default());
-    admm.run_rounds(rounds).unwrap();
-    let admm_upload = admm.history().total_upload_floats();
-    let selected_per_round = 2; // 20% of 10 clients
-    assert_eq!(admm_upload, rounds * selected_per_round * d);
-
-    let mut scaffold = scenario(10, 300, DataDistribution::Iid, 5).engine(Scaffold::new());
-    scaffold.run_rounds(rounds).unwrap();
-    assert_eq!(scaffold.history().total_upload_floats(), 2 * admm_upload);
+    let (rounds, selected) = (3, 2); // 20 % of 10 clients
+    let algorithms: [(Box<dyn Algorithm>, usize); 4] = [
+        (Box::new(FedAdmm::paper_default()), d),
+        (Box::new(FedAvg::new()), d),
+        (Box::new(FedProx::new(0.1)), d),
+        (Box::new(Scaffold::new()), 2 * d),
+    ];
+    for (algorithm, per_client) in algorithms {
+        let name = algorithm.name();
+        let mut sim = scenario(10, 300, DataDistribution::Iid, 5).engine(algorithm);
+        for r in sim.run_rounds(rounds).unwrap() {
+            let round = format!("{name} round {}", r.round);
+            assert_eq!(r.num_selected, selected, "{round}");
+            assert_eq!(r.upload_floats, selected * per_client, "{round}");
+        }
+        let total = sim.history().total_upload_floats();
+        assert_eq!(total, rounds * selected * per_client, "{name}");
+    }
 }
 
 #[test]
@@ -200,23 +214,44 @@ fn runs_are_reproducible_across_identical_simulations() {
     }
 }
 
-#[test]
-fn fedpd_requires_and_uses_full_participation() {
-    let scenario = Scenario {
-        test: 100,
-        ..scenario(8, 240, DataDistribution::Iid, 9)
-    };
-    let mut sim = scenario.engine(FedPd::new(0.01, 0.5));
-    let records = sim.run_rounds(4).unwrap();
-    for r in &records {
-        assert_eq!(
-            r.num_selected, 8,
-            "FedPD must activate every client every round"
-        );
+/// FedAvg asking for every client in every round.
+struct EveryClient(FedAvg);
+
+impl Algorithm for EveryClient {
+    fn name(&self) -> &'static str {
+        "FedAvg, every client"
     }
-    // On non-communication rounds no floats are uploaded.
-    let uploads: Vec<usize> = records.iter().map(|r| r.upload_floats).collect();
-    assert!(uploads.contains(&0) || uploads.iter().all(|&u| u > 0));
+
+    fn requires_full_participation(&self) -> bool {
+        true
+    }
+
+    fn client_update_scratch(
+        &self,
+        client: &mut ClientState,
+        global: &ParamVector,
+        env: &LocalEnv<'_>,
+        scratch: &mut UpdateScratch,
+    ) -> TensorResult<ClientMessage> {
+        self.0.client_update_scratch(client, global, env, scratch)
+    }
+
+    fn fold_plan(&self, messages: &[ClientMessage], num_clients: usize) -> Option<FoldPlan> {
+        self.0.fold_plan(messages, num_clients)
+    }
+}
+
+#[test]
+fn full_participation_algorithms_run_every_client() {
+    // `benchmark/`'s mirror scheduler selects everyone for such an
+    // algorithm, whatever the selector; the engine must do the same.
+    let mut sim = scenario(8, 240, DataDistribution::Iid, 9)
+        .engine(EveryClient(FedAvg::new()))
+        .with_selector(Box::new(UniformFraction::new(2)));
+    for r in sim.run_rounds(3).unwrap() {
+        assert_eq!(r.num_selected, 8, "round {}", r.round);
+        assert_eq!(r.upload_floats, 8 * MLP.num_params(), "round {}", r.round);
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! 1. **Parity** — one table walks the golden scenario over every
 //!    configuration axis that must not move a bit: FedADMM on five stores ×
 //!    two folds × four wire modes × two worker counts, under two observers,
-//!    and the eight baselines on two pools. Each cell reproduces its golden
+//!    and the six baselines on two pools. Each cell reproduces its golden
 //!    digest or, where none is pinned, its one-worker reference cell. A CNN 1
 //!    run and the `SemiAsync` / `BufferedAsync` runs reproduce digests of
 //!    their own (the event-driven ones also fold every arrival's order and
@@ -56,11 +56,10 @@ const GOLDEN_DIGEST: u64 = 0xa147_b46a_ce24_2a96;
 const GOLDEN_WIRE_DIGEST: u64 = 0x22ab_5b29_a507_22b8;
 const GOLDEN_WIRE_HIERARCHICAL_DIGEST: u64 = 0xbe34_0c59_3198_871b;
 
-/// The eight non-FedADMM algorithms on the golden scenario, with the digest
+/// The six non-FedADMM algorithms on the golden scenario, with the digest
 /// each produced on the former per-job path (a fresh `Network` and
 /// `TrainScratch` per client update), captured before the scratch form
-/// became the only local-update implementation. FedPD runs under full
-/// participation, which the engine selects on its own.
+/// became the only local-update implementation.
 fn baseline_goldens() -> Vec<(Box<dyn Algorithm>, u64)> {
     let inexact = FedAdmmInexact::new(
         0.3,
@@ -75,8 +74,6 @@ fn baseline_goldens() -> Vec<(Box<dyn Algorithm>, u64)> {
         (Box::new(FedProx::new(0.1)), 0x93c8_c907_dbe6_bdc0),
         (Box::new(Scaffold::new()), 0xa524_780f_f1d6_30e4),
         (Box::new(FedDyn::new(0.1)), 0x69ae_eb64_4d3e_5c42),
-        (Box::new(FedPd::new(0.3, 0.5)), 0x899f_1673_69e4_406e),
-        (Box::new(FedOpt::adam()), 0x4f6a_8b16_73d3_d03b),
         (Box::new(FedSgd::new(0.5)), 0xbd4c_cbfa_c3b0_60d4),
         (Box::new(inexact), 0xeaa2_7c70_355f_1f65),
     ]

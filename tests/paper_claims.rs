@@ -5,7 +5,7 @@
 mod common;
 
 use common::Scenario;
-use fedadmm::core::algorithms::{Algorithm, FedAdmm, FedAvg, FedProx, Scaffold, ServerStepSize};
+use fedadmm::core::algorithms::{Algorithm, FedAdmm, FedAvg, FedProx, ServerStepSize};
 use fedadmm::core::client::ClientState;
 use fedadmm::core::param::ParamVector;
 use fedadmm::core::trainer::{evaluate, LocalEnv};
@@ -96,17 +96,6 @@ fn dual_variables_track_model_discrepancy() {
         expected.scale(rho);
         assert!(client.dual.dist(&expected) < 1e-4);
     }
-}
-
-/// The abstract's communication claim: FedADMM's upload per client per round
-/// equals FedAvg's and FedProx's (d floats), while SCAFFOLD uploads 2d.
-#[test]
-fn upload_costs_match_paper_table() {
-    let d = 12_345;
-    assert_eq!(FedAdmm::paper_default().upload_floats_per_client(d), d);
-    assert_eq!(FedAvg::new().upload_floats_per_client(d), d);
-    assert_eq!(FedProx::new(0.1).upload_floats_per_client(d), d);
-    assert_eq!(Scaffold::new().upload_floats_per_client(d), 2 * d);
 }
 
 /// Remark after equation (5): with η = 1 and zero-initialised duals, the
