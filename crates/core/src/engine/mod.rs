@@ -1212,7 +1212,7 @@ mod tests {
     }
 
     #[test]
-    fn every_upload_is_charged_when_it_arrives() {
+    fn semi_async_charges_every_upload_when_it_arrives() {
         let d = 7850;
         // A deadline that two-epoch stragglers miss, and a bound that drops
         // them when they land.
@@ -1226,7 +1226,10 @@ mod tests {
             assert_eq!(r.upload_floats, r.num_selected * 2 * d, "round {}", r.round);
         }
         assert_eq!(records.iter().map(|r| r.num_selected).sum::<usize>(), kept);
+    }
 
+    #[test]
+    fn buffered_charges_every_upload_when_it_arrives() {
         // Buffered pairs, the stale arrivals dropped. Its records report no
         // uploads of their own: the events carry them.
         let config = AsyncConfig {

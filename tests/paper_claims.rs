@@ -98,6 +98,34 @@ fn dual_variables_track_model_discrepancy() {
     }
 }
 
+/// The abstract's communication claim, on the message each client sends:
+/// FedADMM's upload per client per round equals FedAvg's and FedProx's
+/// (d floats), while SCAFFOLD uploads 2d.
+#[test]
+fn upload_costs_match_paper_table() {
+    let (train, _) = SyntheticDataset::Mnist.generate(32, 10, 4);
+    let model = ModelSpec::Logistic {
+        input_dim: 784,
+        num_classes: 10,
+    };
+    let d = model.num_params();
+    let theta = ParamVector::zeros(d);
+    let indices: Vec<usize> = (0..32).collect();
+    let env = tiny_env(&train, &indices, model, 1, 7);
+    let algorithms: [(Box<dyn Algorithm>, usize); 4] = [
+        (Box::new(FedAdmm::paper_default()), d),
+        (Box::new(FedAvg::new()), d),
+        (Box::new(FedProx::new(0.1)), d),
+        (Box::new(Scaffold::new()), 2 * d),
+    ];
+    for (mut algorithm, per_client) in algorithms {
+        algorithm.init(d, 1);
+        let mut client = ClientState::new(0, indices.clone(), &theta);
+        let message = algorithm.client_update(&mut client, &theta, &env).unwrap();
+        assert_eq!(message.upload_floats(), per_client, "{}", algorithm.name());
+    }
+}
+
 /// Remark after equation (5): with η = 1 and zero-initialised duals, the
 /// server state after one full-participation FedADMM round equals
 /// mean_i(w_i + y_i/ρ) — i.e. the tracking update reproduces the virtual
