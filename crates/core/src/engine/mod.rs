@@ -99,7 +99,7 @@ pub use scheduler::{
 };
 pub use semi_async::{SemiAsync, SemiAsyncConfig};
 pub use sync::SyncRounds;
-pub use wire::{WireGuard, WirePath, WirePathConfig};
+pub use wire::{WirePath, WirePathConfig};
 
 use crate::algorithms::Algorithm;
 use crate::client::ClientState;

@@ -16,8 +16,8 @@
 //! ```
 //!
 //! * **Client side** — each [`DispatchPool`](super::DispatchPool) worker
-//!   applies the optional [`WireGuard`] (DP clipping + Gaussian noise, or
-//!   any other in-place payload transform) and then quantizes the payload
+//!   applies the optional guard, a [`GaussianMechanism`] (DP clipping +
+//!   Gaussian noise, in place), and then quantizes the payload
 //!   *inside its existing dispatch scratch*: the per-worker
 //!   [`Vec<u16>`] code buffer is reused across jobs, so steady-state
 //!   encoding allocates only the exact-size code vector that rides in the
@@ -50,33 +50,9 @@
 use crate::algorithms::ClientMessage;
 use crate::compression::{QuantizedVector, Quantizer, WirePayload};
 use crate::param::ParamVector;
+use crate::privacy::GaussianMechanism;
 use fedadmm_tensor::vecops;
 use std::sync::Arc;
-
-/// An in-place privatization transform applied to every uploaded payload
-/// vector on the dispatch worker, *before* quantization.
-///
-/// `fedadmm-privacy` implements this for its `GaussianMechanism` (ℓ₂ clip +
-/// Gaussian noise — the client-level DP recipe).
-pub trait WireGuard: Send + Sync {
-    /// Name used in labels and logs ("gaussian-dp", …).
-    fn name(&self) -> &'static str;
-
-    /// Transforms one payload vector in place. `seed` is derived from the
-    /// dispatch order's `(run seed, tick, client)` stream plus a wire-path
-    /// salt, so noise is deterministic per `(seed, round, client)` and
-    /// independent of the thread schedule.
-    fn privatize(&self, update: &mut [f32], seed: u64);
-}
-
-impl<G: WireGuard + ?Sized> WireGuard for Arc<G> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn privatize(&self, update: &mut [f32], seed: u64) {
-        (**self).privatize(update, seed)
-    }
-}
 
 /// Salt separating the stochastic-rounding stream from every other
 /// consumer of the dispatch seed.
@@ -97,21 +73,12 @@ pub fn guard_seed(order_seed: u64, k: usize) -> u64 {
 
 /// Wire-path configuration: the path is on iff a quantizer or a guard is
 /// set. The default is off.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct WirePathConfig {
     /// The quantizer; `None` leaves uploads dense.
     pub quantizer: Option<Quantizer>,
     /// Optional privatization applied before quantization.
-    pub guard: Option<Arc<dyn WireGuard>>,
-}
-
-impl std::fmt::Debug for WirePathConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WirePathConfig")
-            .field("quantizer", &self.quantizer)
-            .field("guard", &self.guard.as_ref().map(|g| g.name()))
-            .finish()
-    }
+    pub guard: Option<Arc<GaussianMechanism>>,
 }
 
 impl WirePathConfig {
@@ -131,7 +98,7 @@ impl WirePathConfig {
     /// Adds a privatization guard (applied before quantization). On
     /// [`WirePathConfig::disabled`] this is the guard-only mode: uploads are
     /// privatized in place and stay dense.
-    pub fn with_guard(mut self, guard: Arc<dyn WireGuard>) -> Self {
+    pub fn with_guard(mut self, guard: Arc<GaussianMechanism>) -> Self {
         self.guard = Some(guard);
         self
     }
@@ -150,21 +117,12 @@ impl WirePathConfig {
 }
 
 /// The resolved, active wire path threaded through the engine core.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct WirePath {
     /// Per-vector uniform quantizer (32-bit identity in guard-only mode).
     pub quantizer: Quantizer,
     /// Optional pre-quantization privatization.
-    pub guard: Option<Arc<dyn WireGuard>>,
-}
-
-impl std::fmt::Debug for WirePath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WirePath")
-            .field("quantizer", &self.quantizer)
-            .field("guard", &self.guard.as_ref().map(|g| g.name()))
-            .finish()
-    }
+    pub guard: Option<Arc<GaussianMechanism>>,
 }
 
 impl WirePath {
@@ -242,18 +200,6 @@ pub fn decode_message(message: &ClientMessage) -> ClientMessage {
 mod tests {
     use super::*;
 
-    struct Negate;
-    impl WireGuard for Negate {
-        fn name(&self) -> &'static str {
-            "negate"
-        }
-        fn privatize(&self, update: &mut [f32], _seed: u64) {
-            for v in update.iter_mut() {
-                *v = -*v;
-            }
-        }
-    }
-
     fn message(values: Vec<f32>) -> ClientMessage {
         ClientMessage {
             client_id: 3,
@@ -316,48 +262,34 @@ mod tests {
     }
 
     #[test]
-    fn guard_runs_before_quantization() {
-        let path = WirePathConfig::enabled(Quantizer::new(16, false))
-            .with_guard(Arc::new(Negate))
-            .resolve()
-            .unwrap();
-        let mut msg = message(vec![1.0, 2.0, 3.0, 4.0]);
-        let mut codes = Vec::new();
-        path.encode(&mut msg, 0, &mut codes);
-        let decoded = decode_message(&msg);
-        for (v, want) in decoded.payload[0]
-            .as_slice()
-            .iter()
-            .zip([-1.0f32, -2.0, -3.0, -4.0])
-        {
-            assert!((v - want).abs() < 1e-3, "{v} vs {want}");
-        }
-    }
-
-    #[test]
     fn the_path_is_on_iff_a_quantizer_or_a_guard_is_set() {
         assert!(WirePathConfig::default().resolve().is_none());
         assert!(WirePathConfig::disabled().resolve().is_none());
         let coded = WirePathConfig::enabled(Quantizer::new(8, true)).resolve();
         assert_eq!(coded.unwrap().quantizer, Quantizer::new(8, true));
         let guarded = WirePathConfig::disabled()
-            .with_guard(Arc::new(Negate))
+            .with_guard(Arc::new(GaussianMechanism::new(1.0, 0.0)))
             .resolve()
             .unwrap();
         assert_eq!(guarded.quantizer, Quantizer::IDENTITY);
+        assert_eq!(
+            guarded.guard.as_deref(),
+            Some(&GaussianMechanism::new(1.0, 0.0))
+        );
     }
 
     #[test]
     fn guard_only_privatizes_in_place_and_stays_dense() {
+        // Clip-only: the update is scaled to unit norm, v / ‖v‖.
         let path = WirePathConfig::disabled()
-            .with_guard(Arc::new(Negate))
+            .with_guard(Arc::new(GaussianMechanism::new(1.0, 0.0)))
             .resolve()
             .unwrap();
-        let mut msg = message(vec![1.0, -2.0, 3.0]);
+        let mut msg = message(vec![3.0, -4.0, 0.0]);
         let mut codes = Vec::new();
         path.encode(&mut msg, 5, &mut codes);
         assert!(msg.wire.is_none() && codes.is_empty());
-        assert_eq!(msg.payload[0].as_slice(), &[-1.0, 2.0, -3.0]);
+        assert_eq!(msg.payload[0].as_slice(), &[0.6, -0.8, 0.0]);
         assert_eq!(msg.wire_bytes(), 12);
     }
 

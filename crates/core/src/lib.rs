@@ -27,6 +27,9 @@
 //!   drives rounds through a pluggable [`engine::Scheduler`]
 //!   ([`engine::SyncRounds`], [`engine::BufferedAsync`],
 //!   [`engine::SemiAsync`]);
+//! * [`compression`] and [`privacy`] — the upload transforms of the
+//!   engine's wire path: stochastic quantization, and update clipping +
+//!   Gaussian noise with a zCDP accountant;
 //! * [`metrics`] — per-round records, communication accounting and
 //!   rounds-to-target-accuracy summaries;
 //! * [`diagnostics`] — the V_t optimality-gap function of equation (7),
@@ -74,6 +77,7 @@ pub mod engine;
 pub mod heterogeneity;
 pub mod metrics;
 pub mod param;
+pub mod privacy;
 pub mod quadratic;
 pub mod selection;
 pub mod solver;
@@ -92,12 +96,13 @@ pub mod prelude {
     pub use crate::drift::DriftReport;
     pub use crate::engine::{
         AggregationMode, AsyncConfig, AsyncRecord, BufferedAsync, DispatchConfig, RoundEngine,
-        Scheduler, SemiAsync, SemiAsyncConfig, StalenessWeight, SyncEngine, SyncRounds, WireGuard,
-        WirePath, WirePathConfig,
+        Scheduler, SemiAsync, SemiAsyncConfig, StalenessWeight, SyncEngine, SyncRounds, WirePath,
+        WirePathConfig,
     };
     pub use crate::heterogeneity::{Device, DeviceModel, Link, LocalWorkSchedule};
     pub use crate::metrics::{RoundRecord, RunHistory};
     pub use crate::param::ParamVector;
+    pub use crate::privacy::{GaussianMechanism, PrivacyAccountant, PrivacySpent};
     pub use crate::selection::ClientSelector;
     pub use crate::solver::LocalSolver;
     pub use fedadmm_clientstore::{

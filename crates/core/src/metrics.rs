@@ -24,10 +24,13 @@ pub struct RoundRecord {
     pub samples_processed: usize,
     /// True wire bytes of this round's uploads: the quantized size when
     /// the engine's wire path encoded them, the dense `4 · upload_floats`
-    /// otherwise.
+    /// otherwise. 0 under `BufferedAsync`, whose arrival events carry the
+    /// uploads.
     pub wire_bytes: usize,
     /// Dense-to-wire compression ratio of this round's uploads (≈4 at
-    /// 8-bit quantization; 1.0 for dense uploads).
+    /// 8-bit quantization; 1.0 for dense uploads). 1.0 under
+    /// `BufferedAsync`, whose arrival events carry the uploads, whatever
+    /// the wire path did to them.
     pub dense_wire_ratio: f64,
     /// Wall-clock milliseconds the simulation spent on the round (reported
     /// for reference only).

@@ -1,4 +1,19 @@
-//! Update clipping, the Gaussian mechanism, and zCDP accounting.
+//! Differential privacy: update clipping, the Gaussian mechanism, and zCDP
+//! accounting.
+//!
+//! The paper notes (Section III, footnote 1) that "standard
+//! privacy-preserving methods, such as differential privacy and secure
+//! multi-party computation can be combined with FedADMM". This module
+//! implements the first in the form used throughout the FL literature the
+//! paper cites (\[31\]–\[33\]). Hand a [`GaussianMechanism`] to
+//! [`WirePathConfig::with_guard`](crate::engine::WirePathConfig::with_guard)
+//! and every dispatch worker clips and noises each uploaded vector before it
+//! leaves the client, for any algorithm, with or without quantization.
+//!
+//! The mechanism composes cleanly with FedADMM because the server only ever
+//! consumes the *average* of the uploaded messages; it never needs an
+//! individual client's `Δ_i` (Algorithm 1, line 10), so DP noise averages
+//! down with the number of participants.
 //!
 //! The standard recipe for client-level differential privacy in FL (\[32\]
 //! in the paper's bibliography) is:
@@ -18,7 +33,6 @@
 //! q²/(2σ²)` is used; zCDP composes additively over rounds and converts to
 //! `(ε, δ)`-DP via `ε = ρ + 2·√(ρ·ln(1/δ))`.
 
-use fedadmm_core::engine::WireGuard;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rand_distr::StandardNormal;
@@ -93,28 +107,14 @@ impl GaussianMechanism {
         StandardNormal.add_scaled(&mut SmallRng::seed_from_u64(seed), std, update);
     }
 
-    /// Clips then noises `update` in place — the full mechanism.
+    /// Clips then noises `update` in place — the full mechanism. On the
+    /// wire path `seed` is [`guard_seed`](crate::engine::wire::guard_seed)
+    /// of the dispatch order's `(run seed, tick, client)` seed, so the noise
+    /// is deterministic per `(seed, round, client)` and independent of the
+    /// thread schedule.
     pub fn privatize(&self, update: &mut [f32], seed: u64) {
         self.clip(update);
         self.add_noise(update, seed);
-    }
-}
-
-/// Plugs the Gaussian mechanism into the engine's fused wire path: each
-/// dispatch worker clips + noises the raw update in place *before*
-/// quantization, inside the same timed dispatch window, so privacy-on adds
-/// no extra pass over the cohort on the server side.
-///
-/// The seed the engine hands over is already derived per
-/// `(seed, round, client)` (see `fedadmm_core::engine::wire::guard_seed`),
-/// which keeps private wire runs exactly reproducible.
-impl WireGuard for GaussianMechanism {
-    fn name(&self) -> &'static str {
-        "gaussian-dp"
-    }
-
-    fn privatize(&self, update: &mut [f32], seed: u64) {
-        GaussianMechanism::privatize(self, update, seed);
     }
 }
 
@@ -185,14 +185,7 @@ impl PrivacyAccountant {
 
     /// The guarantee accumulated so far.
     pub fn spent(&self) -> PrivacySpent {
-        let rho = self.rho_accumulated;
-        let epsilon = rho + 2.0 * (rho * (1.0 / self.delta).ln()).sqrt();
-        PrivacySpent {
-            rho_zcdp: rho,
-            epsilon,
-            delta: self.delta,
-            rounds: self.rounds,
-        }
+        self.forecast(0)
     }
 
     /// The guarantee a run of `rounds` rounds would have (without mutating
@@ -351,18 +344,6 @@ mod tests {
     #[should_panic(expected = "noise multiplier must be finite")]
     fn non_finite_noise_multiplier_is_rejected() {
         GaussianMechanism::new(1.0, f32::INFINITY);
-    }
-
-    #[test]
-    fn wire_guard_impl_matches_privatize() {
-        let mech = GaussianMechanism::new(1.0, 0.3);
-        let base: Vec<f32> = (0..64).map(|i| (i as f32 - 32.0) * 0.25).collect();
-        let mut direct = base.clone();
-        mech.privatize(&mut direct, 99);
-        let mut via_guard = base;
-        WireGuard::privatize(&mech, &mut via_guard, 99);
-        assert_eq!(direct, via_guard);
-        assert_eq!(WireGuard::name(&mech), "gaussian-dp");
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //!   hierarchical aggregation for million-client rounds
 //!   (`fedadmm-clientstore`);
 //! * [`core`] — the algorithms, the federated simulation engine and its
-//!   device model, which times every scheduler on one virtual clock
+//!   device model, which times every scheduler on one virtual clock, and
+//!   the upload transforms of its wire path: quantization and differential
+//!   privacy (update clipping, Gaussian noise and a zCDP accountant)
 //!   (`fedadmm-core`);
-//! * [`privacy`] — differential privacy: update clipping, Gaussian noise
-//!   and a zCDP accountant (`fedadmm-privacy`);
 //! * [`telemetry`] — structured tracing, a metrics registry and the event
 //!   hook the engine reports through (`fedadmm-telemetry`).
 //!
@@ -58,7 +58,6 @@ pub use fedadmm_clientstore as clientstore;
 pub use fedadmm_core as core;
 pub use fedadmm_data as data;
 pub use fedadmm_nn as nn;
-pub use fedadmm_privacy as privacy;
 pub use fedadmm_telemetry as telemetry;
 pub use fedadmm_tensor as tensor;
 
@@ -68,7 +67,6 @@ pub mod prelude {
     pub use fedadmm_data::synthetic::{SyntheticConfig, SyntheticDataset};
     pub use fedadmm_data::Dataset;
     pub use fedadmm_nn::models::ModelSpec;
-    pub use fedadmm_privacy::prelude::*;
     pub use fedadmm_tensor::Tensor;
 }
 
@@ -86,5 +84,14 @@ mod tests {
         let t = Tensor::zeros(&[2, 2]);
         assert_eq!(t.len(), 4);
         assert_eq!(SyntheticDataset::Mnist.num_classes(), 10);
+        // The benchmark reaches the DP mechanism through this prelude.
+        let mechanism = GaussianMechanism::new(1.0, 0.0);
+        let mut update = [3.0f32, 4.0];
+        mechanism.privatize(&mut update, 0);
+        assert_eq!(update, [0.6, 0.8]);
+        let mut accountant = PrivacyAccountant::new(1.0, 1.0, 1e-5);
+        accountant.step(2);
+        assert_eq!(accountant.spent().rounds, 2);
+        assert_eq!(accountant.spent().rho_zcdp, 1.0);
     }
 }

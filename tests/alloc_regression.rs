@@ -39,11 +39,11 @@ use fedadmm_core::client::ClientState;
 use fedadmm_core::compression::{Quantizer, WirePayload};
 use fedadmm_core::engine::{EngineCore, Scheduler, TickReport, WirePathConfig};
 use fedadmm_core::param::ParamVector;
+use fedadmm_core::privacy::GaussianMechanism;
 use fedadmm_core::trainer::{evaluate, local_sgd_cached, LocalEnv, NetCache, TrainScratch};
 use fedadmm_data::batching::BatchSize;
 use fedadmm_data::synthetic::SyntheticDataset;
 use fedadmm_nn::models::ModelSpec;
-use fedadmm_privacy::dp::GaussianMechanism;
 use fedadmm_tensor::TensorResult;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

@@ -117,20 +117,38 @@ fn wire_encode_is_privatize_then_quantize_on_their_own_seed_streams() {
         .resolve()
         .unwrap();
 
-    // A real FedADMM upload, encoded as a dispatch worker would.
-    let mut client = ClientState::new(0, indices.clone(), &theta);
-    let plain = FedAdmm::new(0.3, ServerStepSize::Constant(1.0))
-        .client_update(&mut client, &theta, &env)
-        .unwrap();
-    let mut message = plain.clone();
-    path.encode(&mut message, env.seed, &mut Vec::new());
+    // Real uploads, encoded as a dispatch worker would: FedADMM sends one
+    // vector, SCAFFOLD two (Δw and Δc), vector k on guard and quantizer
+    // seeds of its own.
+    let fedadmm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
+    let mut scaffold = Scaffold::new();
+    scaffold.init(env.model.num_params(), 1);
+    for (algorithm, vectors) in [(&fedadmm as &dyn Algorithm, 1), (&scaffold, 2)] {
+        let mut client = ClientState::new(0, indices.clone(), &theta);
+        let plain = algorithm.client_update(&mut client, &theta, &env).unwrap();
+        assert_eq!(plain.payload.len(), vectors);
+        let mut message = plain.clone();
+        path.encode(&mut message, env.seed, &mut Vec::new());
 
-    // By hand: clip and noise the delta, then quantize what came out.
-    let mut expected = plain.payload[0].as_slice().to_vec();
-    mechanism.privatize(&mut expected, guard_seed(env.seed, 0));
-    let expected = quantizer.quantize(&expected, quant_seed(env.seed, 0));
-    assert!(message.payload.is_empty());
-    assert_eq!(message.wire.unwrap().vectors, vec![expected]);
+        // By hand: clip and noise each vector, then quantize what came out.
+        let expected: Vec<_> = plain
+            .payload
+            .iter()
+            .enumerate()
+            .map(|(k, vector)| {
+                let mut values = vector.as_slice().to_vec();
+                mechanism.privatize(&mut values, guard_seed(env.seed, k));
+                quantizer.quantize(&values, quant_seed(env.seed, k))
+            })
+            .collect();
+        assert!(message.payload.is_empty());
+        assert_eq!(
+            message.wire.unwrap().vectors,
+            expected,
+            "{}",
+            algorithm.name()
+        );
+    }
 }
 
 #[test]
