@@ -14,8 +14,8 @@
 //!
 //! Built [with a spill budget](ShardedStore::with_spill), the store also
 //! bounds *resident* state: once materialized client bytes exceed
-//! `budget_bytes`, least-recently-borrowed shards are encoded ([bit-exact
-//! binary codec](crate::codec), checksummed) and written to disk — to a
+//! `budget_bytes`, least-recently-borrowed shards are encoded (the crate's
+//! bit-exact binary `codec`, checksummed) and written to disk — to a
 //! `.tmp` file renamed into place — then reloaded transparently the next
 //! time one of their clients is selected. A shard file that is missing,
 //! truncated or altered fails its load with an error naming the file. The

@@ -199,7 +199,7 @@ impl Algorithm for FedAdmm {
     }
 
     /// Algorithm 1, lines 14–20 and equation (4): `E_i` epochs of SGD on
-    /// the augmented Lagrangian inside [`primal_dual_step`], on the worker's
+    /// the augmented Lagrangian inside `primal_dual_step`, on the worker's
     /// cached network and per-batch buffers. A warm job allocates what a
     /// FedAvg job does: the trained parameter vector and the payload `Vec`.
     fn client_update_scratch(

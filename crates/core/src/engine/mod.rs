@@ -13,7 +13,7 @@
 //! | [`BufferedAsync`] | apply each arrival, staleness-weighted (buffer `K ≥ 1`) | the asynchronous-ADMM trade-off of Section II |
 //!
 //! All three dispatch through one in-flight queue and share one virtual
-//! clock, driven by the [`DeviceModel`](crate::heterogeneity::DeviceModel)
+//! clock, driven by the [`DeviceModel`]
 //! installed with [`RoundEngine::with_devices`] and stamped on every
 //! [`RoundRecord::virtual_seconds`]. `SyncRounds` and `SemiAsync` run one
 //! round tick; only `SyncRounds` runs without a device model.
@@ -50,7 +50,7 @@
 //!   [`AggregationMode::Hierarchical`]: per-shard partial folds on the
 //!   dispatch pool plus a log-depth combine.
 //! * **One client-state store.** Per-client state lives behind a
-//!   [`ClientStateStore`](fedadmm_clientstore::ClientStateStore), always the
+//!   [`ClientStateStore`], always the
 //!   lazily sharded store: a client costs memory only once selected, and
 //!   an optional byte budget spills least-recently-selected shards to disk
 //!   ([`RoundEngine::new_with_store`]) — which makes million-client
@@ -375,7 +375,7 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
     }
 
     /// Installs observability hooks (e.g. a
-    /// [`Recorder`](fedadmm_telemetry::Recorder)). The default is
+    /// [`Recorder`]). The default is
     /// [`NoTelemetry`], whose `enabled() == false` keeps the hot path free
     /// of timing calls — an uninstrumented run is byte-identical.
     pub fn with_telemetry(mut self, telemetry: Box<dyn Telemetry>) -> Self {

@@ -43,7 +43,7 @@ use crate::trainer::{eval_jobs, eval_logits_into, eval_span, mean_of_logits, Loc
 use fedadmm_clientstore::{hierarchical_fold, ClientStateStore};
 use fedadmm_data::Dataset;
 use fedadmm_telemetry::{names, DispatchSummary, Event, RoundSummary, Telemetry};
-use fedadmm_tensor::TensorResult;
+use fedadmm_tensor::{TensorError, TensorResult};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -64,7 +64,7 @@ pub enum AggregationMode {
     SinglePass,
     /// Per-shard partial folds on the dispatch pool, then a log-depth
     /// pairwise combine. Requires the algorithm to expose a
-    /// [`FoldPlan`](crate::algorithms::FoldPlan); falls back to
+    /// [`FoldPlan`]; falls back to
     /// [`SinglePass`](AggregationMode::SinglePass) when it does not.
     Hierarchical,
 }
@@ -593,7 +593,7 @@ impl EngineCore<'_> {
     ///
     /// The algorithm is asked for its [`FoldPlan`] once. A batch of
     /// single-vector uploads — all dense, or all coded by the wire path —
-    /// with a plan is folded by [`EngineCore::apply_plan`]: one fused pass,
+    /// with a plan is folded by `EngineCore::apply_plan`: one fused pass,
     /// in the coded domain when the uploads are coded, one dispatch-pool job
     /// per coordinate range of θ — or per shard under
     /// [`AggregationMode::Hierarchical`]. Every other
@@ -735,7 +735,20 @@ impl EngineCore<'_> {
     /// The record also absorbs the staleness distribution of every arrival
     /// event recorded since the previous round closed (always zero for
     /// synchronous schedules, which record no events).
+    ///
+    /// # Errors
+    /// An `InvalidArgument` naming the round and the algorithm when θ holds
+    /// a NaN or an infinity; nothing is evaluated or recorded then.
     pub fn record_round(&mut self, stats: RoundStats) -> TensorResult<RoundRecord> {
+        // Exact per element: a norm would overflow on a large finite θ.
+        if let Some(i) = self.global.as_slice().iter().position(|v| !v.is_finite()) {
+            return Err(TensorError::InvalidArgument(format!(
+                "round {}: {} left a non-finite global model (θ[{i}] = {})",
+                *self.round,
+                self.algorithm.name(),
+                self.global.as_slice()[i]
+            )));
+        }
         let eval_start = self.telemetry.enabled().then(Instant::now);
         let (test_loss, test_accuracy) = self.evaluate_global()?;
         if let Some(start) = eval_start {

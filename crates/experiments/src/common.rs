@@ -1,5 +1,5 @@
-//! Shared experiment infrastructure: scales, settings, algorithm suites,
-//! run helpers and table rendering.
+//! Shared experiment infrastructure: scales, settings, the algorithm suite
+//! and table rendering.
 
 use fedadmm_core::prelude::*;
 use fedadmm_data::synthetic::SyntheticDataset;
@@ -107,27 +107,20 @@ impl Setting {
                 100,
             ),
         };
-        let model = match scale {
-            Scale::Paper => match dataset {
-                SyntheticDataset::Mnist | SyntheticDataset::Fmnist => ModelSpec::Cnn1,
-                SyntheticDataset::Cifar10 => ModelSpec::Cnn2,
-            },
-            Scale::Scaled => ModelSpec::Mlp {
+        let model = match (scale, dataset) {
+            (Scale::Paper, SyntheticDataset::Cifar10) => ModelSpec::Cnn2,
+            (Scale::Paper, _) => ModelSpec::Cnn1,
+            _ => ModelSpec::Mlp {
                 input_dim: dataset.feature_dim(),
-                hidden_dim: 32,
-                num_classes: 10,
-            },
-            Scale::Smoke => ModelSpec::Mlp {
-                input_dim: dataset.feature_dim(),
-                hidden_dim: 16,
+                hidden_dim: if scale == Scale::Scaled { 32 } else { 16 },
                 num_classes: 10,
             },
         };
         // Paper targets: 97% (MNIST), 80% (FMNIST), 45% (CIFAR-10). The
         // synthetic stand-ins support similar orderings but not identical
         // ceilings, so the scaled targets are adjusted per preset. How they
-        // were calibrated is not recorded; ROADMAP.md item 1 tracks a
-        // generated scorecard of what they produce.
+        // were calibrated is not recorded; REPRODUCTION.md (`experiments
+        // scorecard`) records the verdicts they produce.
         let target_accuracy = match (scale, dataset) {
             (Scale::Paper, SyntheticDataset::Mnist) => 0.97,
             (Scale::Paper, SyntheticDataset::Fmnist) => 0.80,
@@ -142,21 +135,11 @@ impl Setting {
         // The paper: E = 5, B = 200 for MNIST/100 clients; E = 20 with B = 10
         // (non-IID) or full batch (IID) for the 1,000-client settings. The
         // scaled settings keep the small-E/small-B shape for tractability.
+        let iid = distribution == DataDistribution::Iid;
         let (local_epochs, batch_size) = match scale {
-            Scale::Paper => {
-                if paper_clients >= 1000 {
-                    (
-                        20,
-                        if distribution == DataDistribution::Iid {
-                            BatchSize::Full
-                        } else {
-                            BatchSize::Size(10)
-                        },
-                    )
-                } else {
-                    (5, BatchSize::Size(200))
-                }
-            }
+            Scale::Paper if paper_clients >= 1000 && iid => (20, BatchSize::Full),
+            Scale::Paper if paper_clients >= 1000 => (20, BatchSize::Size(10)),
+            Scale::Paper => (5, BatchSize::Size(200)),
             Scale::Scaled => (5, BatchSize::Size(16)),
             Scale::Smoke => (2, BatchSize::Size(10)),
         };
@@ -226,29 +209,6 @@ impl Setting {
             SyncRounds,
         )
     }
-
-    /// Runs `algorithm` until the target accuracy or the round budget is
-    /// exhausted. Returns the 1-based round count (or `None`) and the full
-    /// history.
-    pub fn run_to_target(
-        &self,
-        algorithm: Box<dyn Algorithm>,
-    ) -> TensorResult<(Option<usize>, RunHistory)> {
-        let mut sim = self.build_sim(algorithm)?;
-        let rounds = sim.run_until_accuracy(self.target_accuracy, self.max_rounds)?;
-        Ok((rounds, sim.into_history()))
-    }
-
-    /// Runs `algorithm` for exactly `rounds` rounds and returns the history.
-    pub fn run_rounds(
-        &self,
-        algorithm: Box<dyn Algorithm>,
-        rounds: usize,
-    ) -> TensorResult<RunHistory> {
-        let mut sim = self.build_sim(algorithm)?;
-        sim.run_rounds(rounds)?;
-        Ok(sim.into_history())
-    }
 }
 
 /// The fixed FedADMM proximal coefficient used across *all* experiments on
@@ -259,8 +219,8 @@ impl Setting {
 /// the local loss's smoothness constant L; the synthetic stand-in datasets
 /// have larger feature magnitudes (hence larger L) than normalised image
 /// pixels, so the equivalent constant for this substrate is larger. It was
-/// calibrated **once** (ρ = 0.3; the calibration setting is not recorded,
-/// and ROADMAP.md item 1 tracks re-checking it) and is used unchanged in every
+/// calibrated **once** (ρ = 0.3; the calibration setting is not recorded;
+/// REPRODUCTION.md shows what it gives on every claim) and is used unchanged in every
 /// experiment, which is exactly the paper's "no per-setting tuning" claim —
 /// in contrast to FedProx, whose ρ must be re-tuned per setting (Table V).
 pub const SUBSTRATE_RHO: f32 = 0.3;
@@ -287,8 +247,8 @@ pub fn table3_suite(setting: &Setting) -> Vec<(&'static str, Box<dyn Algorithm>)
 }
 
 /// A rendered experiment artefact: a human-readable table plus the raw data
-/// as JSON for further processing (plots, regression checks, the scorecard
-/// that ROADMAP.md item 1 asks for).
+/// as JSON for further processing (plots, regression checks). The verdicts
+/// on the paper's claims are in REPRODUCTION.md (`experiments scorecard`).
 #[derive(Debug, Clone)]
 pub struct ExperimentReport {
     /// Experiment identifier ("table3", "fig6", ...).

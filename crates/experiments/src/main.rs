@@ -1,139 +1,123 @@
-//! The `experiments` binary: regenerates the paper's tables and figures.
+//! The `experiments` binary: regenerates the paper's tables and figures,
+//! and writes the reproduction scorecard.
 //!
 //! ```text
 //! experiments <name> [--scale smoke|scaled|paper] [--json <path>]
 //! experiments all    [--scale smoke|scaled|paper] [--json <path>]
+//! experiments scorecard
 //! experiments list
 //! ```
 
-use fedadmm_experiments::common::{ExperimentReport, Scale};
-use fedadmm_experiments::{
-    fig3_fig4, fig5, fig6, fig8, table2, table3, table4_fig7, table5_fig9, table6_fig10,
-};
-use std::io::Write;
+use fedadmm_experiments::claims::{report_named, reports};
+use fedadmm_experiments::common::Scale;
+use fedadmm_experiments::render::{run_report, scorecard, SCORECARD_PATH, TIMING_PATH};
+use fedadmm_experiments::table2;
+use fedadmm_tensor::dispatch::DispatchConfig;
 use std::process::ExitCode;
 
-const EXPERIMENTS: &[&str] = &[
-    "table2",
-    "table3",
-    "fig3_fig4",
-    "fig5",
-    "fig6",
-    "table4_fig7",
-    "fig8",
-    "table5_fig9",
-    "table6_fig10",
-];
+/// The first line of `path` that starts with `key`, after its `:` if any.
+fn first_line(path: &str, key: &str) -> String {
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    let line = text
+        .lines()
+        .find(|l| l.starts_with(key))
+        .unwrap_or("unknown");
+    line.rsplit(':').next().unwrap_or(line).trim().to_string()
+}
 
-fn run_one(name: &str, scale: Scale) -> Result<ExperimentReport, String> {
-    let result = match name {
-        "table2" => table2::run(scale),
-        "table3" => table3::run(scale),
-        "fig3_fig4" | "fig3" | "fig4" => fig3_fig4::run(scale),
-        "fig5" => fig5::run(scale),
-        "fig6" => fig6::run(scale),
-        "table4_fig7" | "table4" | "fig7" => table4_fig7::run(scale),
-        "fig8" => fig8::run(scale),
-        "table5_fig9" | "table5" | "fig9" => table5_fig9::run(scale),
-        "table6_fig10" | "table6" | "fig10" => table6_fig10::run(scale),
-        other => {
-            return Err(format!(
-                "unknown experiment '{other}'; try `experiments list`"
-            ))
-        }
-    };
-    result.map_err(|e| format!("experiment '{name}' failed: {e}"))
+/// Runs the scorecard and writes it, with its timings beside it.
+fn write_scorecard() -> Result<(), String> {
+    let git = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .output();
+    let commit = git.map_or(Vec::new(), |o| o.stdout);
+    let host = [
+        format!("host: {}", first_line("/proc/sys/kernel/hostname", "")),
+        format!("CPU: {}", first_line("/proc/cpuinfo", "model name")),
+        format!(
+            "dispatch workers: {}",
+            DispatchConfig::default().resolved_workers()
+        ),
+        format!("GEMM kernels: {}", fedadmm_tensor::ops::gemm_isa()),
+        format!("commit: {}", String::from_utf8_lossy(&commit).trim()),
+    ];
+    let header = format!(
+        "# Scorecard timings\n\nWall-clock seconds of each arm of `{SCORECARD_PATH}` from its \
+         first round to its target. They depend on the host and are not compared.\n\n- {}\n",
+        host.join("\n- ")
+    );
+    let (body, timing) = scorecard(&header).map_err(|e| format!("scorecard failed: {e}"))?;
+    for (path, text) in [(SCORECARD_PATH, body), (TIMING_PATH, timing)] {
+        std::fs::write(path, text).map_err(|e| format!("failed to write {path}: {e}"))?;
+        println!("wrote {path}");
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!(
-            "usage: experiments <name>|all|list [--scale smoke|scaled|paper] [--json <path>]"
-        );
-        return ExitCode::FAILURE;
-    }
-    let name = args[0].clone();
-    if name == "list" {
-        println!("available experiments:");
-        for e in EXPERIMENTS {
-            println!("  {e}");
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let mut scale = Scale::Scaled;
-    let mut json_path: Option<String> = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                if let Some(value) = args.get(i + 1) {
-                    match Scale::parse(value) {
-                        Some(s) => scale = s,
-                        None => {
-                            eprintln!("unknown scale '{value}' (expected smoke|scaled|paper)");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                    i += 2;
-                } else {
-                    eprintln!("--scale requires a value");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--json" => {
-                if let Some(value) = args.get(i + 1) {
-                    json_path = Some(value.clone());
-                    i += 2;
-                } else {
-                    eprintln!("--json requires a path");
-                    return ExitCode::FAILURE;
-                }
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                return ExitCode::FAILURE;
-            }
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
     }
+}
 
-    let names: Vec<&str> = if name == "all" {
-        EXPERIMENTS.to_vec()
-    } else {
-        vec![name.as_str()]
+fn run(args: &[String]) -> Result<(), String> {
+    let name = args.first().ok_or(
+        "usage: experiments <name>|all|list|scorecard [--scale smoke|scaled|paper] [--json <path>]",
+    )?;
+    match name.as_str() {
+        "list" => {
+            println!("available experiments:");
+            reports()
+                .chain(["scorecard"])
+                .for_each(|e| println!("  {e}"));
+            return Ok(());
+        }
+        "scorecard" => return write_scorecard(),
+        _ => {}
+    }
+    let (mut scale, mut json_path) = (Scale::Scaled, None);
+    let mut flags = args[1..].iter();
+    while let Some(flag) = flags.next() {
+        match (flag.as_str(), flags.next()) {
+            ("--scale", Some(value)) => {
+                let unknown = || format!("unknown scale '{value}' (expected smoke|scaled|paper)");
+                scale = Scale::parse(value).ok_or_else(unknown)?;
+            }
+            ("--json", Some(path)) => json_path = Some(path),
+            ("--scale", None) => return Err("--scale requires a value".into()),
+            ("--json", None) => return Err("--json requires a path".into()),
+            (other, _) => return Err(format!("unknown argument '{other}'")),
+        }
+    }
+    let names: Vec<&str> = match name.as_str() {
+        "all" => reports().collect(),
+        one => vec![one],
     };
     // The runtime-selected GEMM instantiation (avx512 / avx2 / baseline) is
     // part of the host fingerprint of any timing.
-    println!(
-        "scale: {scale:?} | gemm kernels: {}",
-        fedadmm_tensor::ops::gemm_isa()
-    );
-    println!();
+    let isa = fedadmm_tensor::ops::gemm_isa();
+    println!("scale: {scale:?} | gemm kernels: {isa}\n");
     let mut reports = Vec::new();
     for n in names {
-        match run_one(n, scale) {
-            Ok(report) => {
-                report.print();
-                println!();
-                reports.push(report);
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let unknown = || format!("unknown experiment '{n}'; try `experiments list`");
+        let report = match report_named(n).ok_or_else(unknown)? {
+            "table2" => table2::run(scale),
+            claims => run_report(claims, scale),
+        };
+        let report = report.map_err(|e| format!("experiment '{n}' failed: {e}"))?;
+        report.print();
+        println!();
+        reports.push(report.to_json());
     }
     if let Some(path) = json_path {
-        let reports: Vec<_> = reports.iter().map(ExperimentReport::to_json).collect();
         let json = serde_json::to_string_pretty(&reports).expect("a value tree always serializes");
-        match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-            Ok(()) => println!("wrote JSON results to {path}"),
-            Err(e) => {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        std::fs::write(path, json).map_err(|e| format!("failed to write {path}: {e}"))?;
+        println!("wrote JSON results to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

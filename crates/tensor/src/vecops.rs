@@ -6,7 +6,7 @@
 //! panic on length mismatch — length mismatches between parameter vectors
 //! are programming errors, not recoverable conditions.
 //!
-//! The hot kernels run over fixed-width [`LANES`]-element blocks
+//! The hot kernels run over fixed-width `LANES`-element blocks
 //! (`chunks_exact`, so the compiler sees a constant trip count and no bounds
 //! checks) with a scalar tail. Elementwise kernels (`axpy`, `sub_into`,
 //! `axpy_fused`, `weighted_sum_into`, …) perform exactly the same operation
@@ -23,7 +23,7 @@
 //! … — and the bits do not move; only the number of term buffers a sweep
 //! keeps live falls from the cohort size to [`TERM_BLOCK`]. The reductions
 //! (`dot`, `norm_sq`, `dist`) keep
-//! [`LANES`] independent accumulators, which *reassociates* the f32 sum:
+//! `LANES` independent accumulators, which *reassociates* the f32 sum:
 //! results are deterministic but differ from a left-to-right fold in the
 //! last ulps. Nothing on the engine's seeded training trajectory consumes
 //! these reductions, so the byte-identity pins on the engine are unaffected.
@@ -67,7 +67,7 @@ pub fn scale(alpha: f32, x: &mut [f32]) {
 
 /// Dot product `⟨x, y⟩`.
 ///
-/// Accumulates into [`LANES`] independent lanes so the loop vectorizes;
+/// Accumulates into `LANES` independent lanes so the loop vectorizes;
 /// the lane sums are folded left-to-right, then the scalar tail is added.
 ///
 /// # Panics
@@ -94,7 +94,7 @@ pub fn norm(x: &[f32]) -> f32 {
     norm_sq(x).sqrt()
 }
 
-/// Squared Euclidean norm `‖x‖₂²` ([`LANES`] independent accumulators, like
+/// Squared Euclidean norm `‖x‖₂²` (`LANES` independent accumulators, like
 /// [`dot`]).
 pub fn norm_sq(x: &[f32]) -> f32 {
     let mut lanes = [0.0f32; LANES];
@@ -111,7 +111,7 @@ pub fn norm_sq(x: &[f32]) -> f32 {
     acc
 }
 
-/// Euclidean distance `‖x − y‖₂` ([`LANES`] independent accumulators, like
+/// Euclidean distance `‖x − y‖₂` (`LANES` independent accumulators, like
 /// [`dot`]).
 ///
 /// # Panics
@@ -184,7 +184,7 @@ pub fn add_new(x: &[f32], y: &[f32]) -> Vec<f32> {
 ///
 /// The fold kernels ([`axpy_fused`], [`weighted_sum_into`],
 /// [`dequant_axpy_fused`], [`dequant_sum_into`]) walk their terms in blocks
-/// of this many, one [`LANES`]-tile sweep over `out` per block, so a sweep
+/// of this many, one `LANES`-tile sweep over `out` per block, so a sweep
 /// reads at most this many term buffers at once — few enough for the L1
 /// DTLB and the L2 prefetcher's stream table, where a 192-message cohort is
 /// not.
@@ -359,7 +359,7 @@ fn dequant_block<const ASSIGN: bool>(terms: &[DequantTerm<'_>], out: &mut [f32])
     }
 }
 
-/// Minimum and maximum of `x` in one pass ([`LANES`] independent
+/// Minimum and maximum of `x` in one pass (`LANES` independent
 /// accumulators per bound). Returns `(∞, −∞)` for an empty slice. Exact:
 /// min/max are associative, so lane order cannot change the result.
 ///

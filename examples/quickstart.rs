@@ -46,8 +46,9 @@ fn main() {
     //    training, dual variables stored at the clients. ρ = 0.3 is the fixed
     //    substrate-calibrated constant (the paper uses 0.01 for its
     //    CNN/real-image gradient scale; see `SUBSTRATE_RHO` in
-    //    `fedadmm-experiments`) and is used unchanged
-    //    across every example and experiment in this repository.
+    //    `fedadmm-experiments`, and REPRODUCTION.md for the verdicts it
+    //    gives) and is used unchanged across every example and experiment
+    //    in this repository.
     let algorithm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
     let mut sim = RoundEngine::new(config, train, test, partition, algorithm, SyncRounds)
         .expect("configuration is consistent");

@@ -53,8 +53,8 @@ fn fedadmm_learns_iid_task_end_to_end() {
 }
 
 /// The substrate's fixed ρ (see `fedadmm-experiments::common::SUBSTRATE_RHO`).
-/// The setting it was calibrated on is not recorded; ROADMAP.md item 1
-/// tracks checking it against the paper's ρ = 0.01.
+/// The setting it was calibrated on is not recorded; REPRODUCTION.md gives
+/// the verdict it produces on every claim of the paper.
 const SUBSTRATE_RHO: f32 = 0.3;
 
 #[test]
@@ -75,7 +75,7 @@ fn fedadmm_learns_under_label_skew() {
 /// protocol (100 clients, 10% participation, label-skewed shards, variable
 /// local work) FedADMM reaches a high accuracy target and takes at most 1.5×
 /// FedAvg's round count. It does not check the paper's claim that FedADMM
-/// needs *fewer* rounds (ROADMAP.md item 1 tracks that). On this synthetic
+/// needs *fewer* rounds (REPRODUCTION.md gives that verdict). On this synthetic
 /// substrate (MLP on generated class-conditional images, vendored PRNG)
 /// FedAvg's full-model averaging converges unusually fast, so a strict
 /// "fewer rounds" ordering does not reproduce here — FedADMM's edge on the
@@ -252,6 +252,41 @@ fn full_participation_algorithms_run_every_client() {
         assert_eq!(r.num_selected, 8, "round {}", r.round);
         assert_eq!(r.upload_floats, 8 * MLP.num_params(), "round {}", r.round);
     }
+}
+
+/// FedAvg whose uploads carry a NaN in their first coordinate.
+struct PoisonedUpload(FedAvg);
+
+impl Algorithm for PoisonedUpload {
+    fn name(&self) -> &'static str {
+        "FedAvg, poisoned upload"
+    }
+
+    fn client_update_scratch(
+        &self,
+        client: &mut ClientState,
+        global: &ParamVector,
+        env: &LocalEnv<'_>,
+        scratch: &mut UpdateScratch,
+    ) -> TensorResult<ClientMessage> {
+        let mut message = self.0.client_update_scratch(client, global, env, scratch)?;
+        message.payload[0].as_mut_slice()[0] = f32::NAN;
+        Ok(message)
+    }
+
+    fn fold_plan(&self, messages: &[ClientMessage], num_clients: usize) -> Option<FoldPlan> {
+        self.0.fold_plan(messages, num_clients)
+    }
+}
+
+#[test]
+fn a_non_finite_global_model_ends_the_round_with_an_error() {
+    let mut sim = scenario(8, 240, DataDistribution::Iid, 9).engine(PoisonedUpload(FedAvg::new()));
+    let error = sim.run_round().unwrap_err().to_string();
+    assert!(error.contains("round 0"), "{error}");
+    assert!(error.contains("FedAvg, poisoned upload"), "{error}");
+    assert!(error.contains("non-finite"), "{error}");
+    assert!(sim.history().is_empty(), "a non-finite round was recorded");
 }
 
 #[test]

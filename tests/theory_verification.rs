@@ -7,7 +7,9 @@
 //! Theorem 1 and the Table I complexity comparisons can be verified
 //! numerically rather than taken on faith.
 
-use fedadmm::core::quadratic::{QuadraticConfig, QuadraticFedAdmm, QuadraticProblem};
+use fedadmm::core::quadratic::{
+    QuadraticClientLoss, QuadraticConfig, QuadraticFedAdmm, QuadraticProblem,
+};
 use fedadmm::core::theory::{
     min_rho, round_complexity, table1, theorem1_bound, theorem1_constants, ComplexityParams, Method,
 };
@@ -189,5 +191,72 @@ fn admissible_rho_threshold_matches_the_golden_ratio_constant() {
         assert!((threshold / l - (1.0 + 5.0f64.sqrt())).abs() < 1e-12);
         assert!(theorem1_constants(threshold * 0.99, l, 0.5).is_none());
         assert!(theorem1_constants(threshold * 1.01, l, 0.5).is_some());
+    }
+}
+
+/// 20 clients with diagonal `A_i` (entries uniform in `[lo, hi]`) and `b_i`
+/// uniform in `[−1, 1]`, d = 6, with `H = mean_i A_i` and `g = mean_i b_i`
+/// as diagonals.
+fn diagonal_problem(lo: f64, hi: f64, seed: u64) -> (QuadraticProblem, Vec<f64>, Vec<f64>) {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    let (m, d) = (20, 6);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (mut h, mut g) = (vec![0.0; d], vec![0.0; d]);
+    let clients = (0..m)
+        .map(|_| {
+            let diag: Vec<f64> = (0..d).map(|_| rng.gen_range(lo..hi)).collect();
+            let b: Vec<f64> = (0..d).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let mut a = vec![0.0; d * d];
+            for j in 0..d {
+                a[j * d + j] = diag[j];
+                h[j] += diag[j] / m as f64;
+                g[j] += b[j] / m as f64;
+            }
+            let eig_max = diag.iter().copied().fold(0.0, f64::max);
+            QuadraticClientLoss::new(a, b, eig_max)
+        })
+        .collect();
+    (QuadraticProblem::new(clients), h, g)
+}
+
+fn distance(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y) * (x - y))
+        .sum::<f64>()
+        .sqrt()
+}
+
+#[test]
+fn a_constant_server_step_has_the_anti_proximal_fixed_point() {
+    // Two of 20 clients a round (C = 0.1), exact local solves, ρ = 0.3. The
+    // conservation law of eq. (5) puts a fixed point of η = 1 where
+    // (H − c·I)·θ_η = g with c = (1 − C/η)·ρ = 0.27: it exists when
+    // λ_min(H) > c and θ diverges when it does not. Theorem 1's η = |S|/m
+    // lands on the optimum w* = H⁻¹g in both cases.
+    let (rho, c) = (0.3, 0.27);
+    let (stable, h, g) = diagonal_problem(0.3, 1.0, 7);
+    let theta_eta: Vec<f64> = (0..6).map(|j| g[j] / (h[j] - c)).collect();
+    let mut admm = QuadraticFedAdmm::new(stable.clone(), rho).with_eta(1.0);
+    admm.run(4000, 2, 7);
+    let gap = distance(admm.theta(), &theta_eta);
+    assert!(gap < 1e-9, "η = 1: ‖θ − θ_η‖ = {gap}");
+
+    let (unstable, h_flat, _) = diagonal_problem(0.01, 0.3, 7);
+    assert!(h_flat.iter().any(|&x| x < c), "λ_min(H) must sit below c");
+    let mut admm = QuadraticFedAdmm::new(unstable.clone(), rho).with_eta(1.0);
+    admm.run(400, 2, 7);
+    let size = admm.theta().iter().map(|x| x * x).sum::<f64>().sqrt();
+    assert!(
+        !size.is_finite() || size > 1e6,
+        "η = 1 without a fixed point: ‖θ‖ = {size} by round 400"
+    );
+
+    for problem in [stable, unstable] {
+        let w_star = problem.global_optimum();
+        let mut admm = QuadraticFedAdmm::new(problem, rho);
+        admm.run(4000, 2, 7);
+        let gap = distance(admm.theta(), &w_star);
+        assert!(gap < 1e-9, "η = |S|/m: ‖θ − w*‖ = {gap}");
     }
 }
