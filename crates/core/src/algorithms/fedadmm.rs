@@ -6,10 +6,14 @@
 //! 1. downloads θ^t,
 //! 2. approximately minimises the local augmented Lagrangian
 //!    `L_i(w, y_i^t, θ^t) = f_i(w) + (y_i^t)ᵀ(w − θ^t) + (ρ/2)‖w − θ^t‖²`
-//!    by running `E_i` epochs of SGD **warm-started from its stored local
-//!    model `w_i^t`** (the paper's Figure 8 shows that warm start is
-//!    decisively better than re-starting from θ^t; both options are exposed
-//!    through [`LocalInit`]),
+//!    **warm-started from its stored local model `w_i^t`** (the paper's
+//!    Figure 8 shows that warm start is decisively better than re-starting
+//!    from θ^t; both options are exposed through [`LocalInit`]). The method
+//!    only asks for criterion (6), `‖∇_w L_i(w_i^{t+1}, y_i^t, θ^t)‖² ≤ ε_i`;
+//!    how a client gets there is the [`FedAdmm::solver`] field. Its default,
+//!    [`LocalSolver::Sgd`], is Algorithm 1's `E_i` epochs of mini-batch SGD;
+//!    full-batch gradient descent, gradient descent to a given `ε_i` and
+//!    L-BFGS are the alternatives Section III-A names,
 //! 3. updates its dual variable `y_i^{t+1} = y_i^t + ρ(w_i^{t+1} − θ^t)`
 //!    (Algorithm 1, line 20),
 //! 4. uploads the *augmented-model difference*
@@ -30,6 +34,9 @@
 use super::{Algorithm, ClientMessage, FoldPlan, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
+use crate::solver::{
+    gradient_descent, lbfgs, solve_to_tolerance, AugmentedObjective, LocalSolver, SolveResult,
+};
 use crate::trainer::{local_sgd_cached, LocalEnv};
 use fedadmm_tensor::{TensorError, TensorResult};
 
@@ -82,11 +89,14 @@ pub struct FedAdmm {
     pub server_step: ServerStepSize,
     /// Local-training initialisation (warm start by default).
     pub local_init: LocalInit,
+    /// How every client solves its subproblem (Algorithm 1's SGD epochs by
+    /// default).
+    pub solver: LocalSolver,
 }
 
 impl FedAdmm {
     /// Creates FedADMM with the given ρ and server step size, using the
-    /// paper's default warm-start initialisation.
+    /// paper's default warm-start initialisation and SGD local solver.
     pub fn new(rho: f32, server_step: ServerStepSize) -> Self {
         assert!(
             rho > 0.0,
@@ -96,6 +106,7 @@ impl FedAdmm {
             rho,
             server_step,
             local_init: LocalInit::LocalModel,
+            solver: LocalSolver::Sgd,
         }
     }
 
@@ -107,6 +118,12 @@ impl FedAdmm {
     /// Sets the local initialisation strategy (Figure 8 ablation).
     pub fn with_local_init(mut self, init: LocalInit) -> Self {
         self.local_init = init;
+        self
+    }
+
+    /// Sets the local solver (criterion (6) in place of `E_i` SGD epochs).
+    pub fn with_solver(mut self, solver: LocalSolver) -> Self {
+        self.solver = solver;
         self
     }
 
@@ -128,9 +145,8 @@ impl FedAdmm {
     }
 }
 
-/// The primal–dual bookkeeping every FedADMM variant wraps around its local
-/// solve — Algorithm 1 line 20 and equation (4), and their only
-/// implementation.
+/// The primal–dual bookkeeping FedADMM wraps around every local solver —
+/// Algorithm 1 line 20 and equation (4), and their only implementation.
 ///
 /// `solve(init, y_i)` minimises the augmented Lagrangian from `init`
 /// (`w_i^t` or θ^t, per `local_init`) and returns `w_i^{t+1}` with whatever
@@ -198,10 +214,13 @@ impl Algorithm for FedAdmm {
         "FedADMM"
     }
 
-    /// Algorithm 1, lines 14–20 and equation (4): `E_i` epochs of SGD on
-    /// the augmented Lagrangian inside `primal_dual_step`, on the worker's
-    /// cached network and per-batch buffers. A warm job allocates what a
+    /// Algorithm 1, lines 14–20 and equation (4): the solver's pass over
+    /// the augmented Lagrangian inside `primal_dual_step`. Under
+    /// [`LocalSolver::Sgd`] that is `E_i` epochs of SGD on the worker's
+    /// cached network and per-batch buffers, and a warm job allocates what a
     /// FedAvg job does: the trained parameter vector and the payload `Vec`.
+    /// The other solvers work on [`AugmentedObjective`] and count each
+    /// full-gradient evaluation as one epoch over the client's samples.
     fn client_update_scratch(
         &self,
         client: &mut ClientState,
@@ -211,27 +230,54 @@ impl Algorithm for FedAdmm {
     ) -> TensorResult<ClientMessage> {
         let rho = self.rho;
         let theta = global.as_slice();
+        let num_samples = client.num_samples();
         let UpdateScratch { net, train } = scratch;
-        let (delta, samples_processed) =
+        let (delta, (epochs_run, samples_processed)) =
             primal_dual_step(client, global, rho, self.local_init, |init, dual| {
-                // ∇_w L_i(w) = ∇f_i(w, b) + y_i + ρ(w − θ) (Alg. 1 line 17).
-                let result = local_sgd_cached(env, init, net, train, |w, g| {
-                    for (((gi, &wi), &ti), &yi) in g
-                        .iter_mut()
-                        .zip(w.iter())
-                        .zip(theta.iter())
-                        .zip(dual.iter())
-                    {
-                        *gi += yi + rho * (wi - ti);
+                // A full-gradient evaluation touches every local sample
+                // once, so it counts as one epoch.
+                let by_evals = |r: SolveResult| {
+                    let evals = r.gradient_evals;
+                    (r.params, (evals, evals * num_samples))
+                };
+                let objective = || AugmentedObjective::new(env, theta, Some(dual), rho);
+                match self.solver {
+                    LocalSolver::Sgd => {
+                        // ∇_w L_i(w) = ∇f_i(w, b) + y_i + ρ(w − θ) (Alg. 1 line 17).
+                        let result = local_sgd_cached(env, init, net, train, |w, g| {
+                            for (((gi, &wi), &ti), &yi) in g
+                                .iter_mut()
+                                .zip(w.iter())
+                                .zip(theta.iter())
+                                .zip(dual.iter())
+                            {
+                                *gi += yi + rho * (wi - ti);
+                            }
+                        })?;
+                        Ok((result.params, (env.epochs, result.samples_processed)))
                     }
-                })?;
-                Ok((result.params, result.samples_processed))
+                    LocalSolver::GradientDescent {
+                        steps,
+                        learning_rate,
+                    } => gradient_descent(&objective(), init, learning_rate, steps).map(by_evals),
+                    LocalSolver::ToTolerance {
+                        epsilon,
+                        learning_rate,
+                        max_steps,
+                    } => solve_to_tolerance(&objective(), init, learning_rate, epsilon, max_steps)
+                        .map(by_evals),
+                    LocalSolver::Lbfgs {
+                        memory,
+                        max_iters,
+                        epsilon,
+                    } => lbfgs(&objective(), init, memory, max_iters, epsilon).map(by_evals),
+                }
             })?;
         Ok(ClientMessage {
             client_id: client.id,
-            num_samples: client.num_samples(),
+            num_samples,
             payload: vec![delta],
-            epochs_run: env.epochs,
+            epochs_run,
             samples_processed,
             wire: None,
         })
@@ -268,6 +314,7 @@ mod tests {
         assert_eq!(alg.rho, 0.01);
         assert_eq!(alg.server_step, ServerStepSize::Constant(1.0));
         assert_eq!(alg.local_init, LocalInit::LocalModel);
+        assert_eq!(alg.solver, LocalSolver::Sgd);
         assert_eq!(alg.name(), "FedADMM");
         assert!(alg.supports_variable_work());
         assert!(!alg.requires_full_participation());
@@ -277,6 +324,16 @@ mod tests {
     #[should_panic(expected = "positive proximal coefficient")]
     fn zero_rho_is_rejected() {
         FedAdmm::new(0.0, ServerStepSize::Constant(1.0));
+    }
+
+    /// Backtracking gradient descent until `‖∇L_i‖² ≤ ε`, capped at 2 000
+    /// gradient evaluations.
+    fn to_tolerance(epsilon: f32, learning_rate: f32) -> LocalSolver {
+        LocalSolver::ToTolerance {
+            epsilon,
+            learning_rate,
+            max_steps: 2000,
+        }
     }
 
     #[test]
@@ -354,9 +411,7 @@ mod tests {
 
     #[test]
     fn server_tracking_update() {
-        let mut alg = FedAdmm::new(0.01, ServerStepSize::Constant(1.0));
         let mut rng = SmallRng::seed_from_u64(0);
-        let mut global = ParamVector::from_vec(vec![1.0, 1.0]);
         let messages = vec![
             ClientMessage {
                 client_id: 0,
@@ -375,16 +430,26 @@ mod tests {
                 wire: None,
             },
         ];
-        alg.server_update(&mut global, &messages, 100, &mut rng);
-        // θ ← θ + (1/2)ΣΔ = [1,1] + [1,-1] = [2,0]
-        assert_eq!(global.as_slice(), &[2.0, 0.0]);
+        // The server step does not depend on the local solver.
+        for solver in [LocalSolver::Sgd, to_tolerance(1e-2, 0.1)] {
+            let mut alg = FedAdmm::new(0.01, ServerStepSize::Constant(1.0)).with_solver(solver);
+            let mut global = ParamVector::from_vec(vec![1.0, 1.0]);
+            alg.server_update(&mut global, &messages, 100, &mut rng);
+            // θ ← θ + (1/2)ΣΔ = [1,1] + [1,-1] = [2,0]
+            assert_eq!(global.as_slice(), &[2.0, 0.0]);
 
-        // With η = |S|/m the update is scaled down by S/m.
-        let mut alg2 = FedAdmm::new(0.01, ServerStepSize::ParticipationRatio);
-        let mut global2 = ParamVector::from_vec(vec![1.0, 1.0]);
-        alg2.server_update(&mut global2, &messages, 100, &mut rng);
-        assert!((global2.as_slice()[0] - 1.02).abs() < 1e-6);
-        assert!((global2.as_slice()[1] - 0.98).abs() < 1e-6);
+            // With η = |S|/m the update is scaled down by S/m.
+            alg.set_server_step(ServerStepSize::ParticipationRatio);
+            let mut global2 = ParamVector::from_vec(vec![1.0, 1.0]);
+            alg.server_update(&mut global2, &messages, 100, &mut rng);
+            assert!((global2.as_slice()[0] - 1.02).abs() < 1e-6);
+            assert!((global2.as_slice()[1] - 0.98).abs() < 1e-6);
+
+            // An empty round uploads nothing and leaves θ alone.
+            let empty = alg.server_update(&mut global2, &[], 100, &mut rng);
+            assert_eq!(empty.upload_floats, 0);
+            assert!((global2.as_slice()[0] - 1.02).abs() < 1e-6);
+        }
     }
 
     #[test]
@@ -557,10 +622,8 @@ mod tests {
         let d = fixture.dim();
         let theta = ParamVector::zeros(d);
         let env = fixture.env(0, 1, 3);
-        let exact = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
-        let inexact = super::super::FedAdmmInexact::to_tolerance(0.3, 1e-2, 0.2);
-        let algorithms: [&dyn Algorithm; 2] = [&exact, &inexact];
-        for alg in algorithms {
+        for solver in [LocalSolver::Sgd, to_tolerance(1e-2, 0.2)] {
+            let alg = FedAdmm::new(0.3, ServerStepSize::Constant(1.0)).with_solver(solver);
             let mut client = fixture.clients(&theta).remove(0);
             alg.client_update(&mut client, &theta, &env).unwrap();
 
@@ -576,10 +639,9 @@ mod tests {
                     && text.contains(&format!("w_i has {d}"))
                     && text.contains(&format!("y_i {d}"))
                     && text.contains(&format!("θ {}", d - 1)),
-                "{}: {text}",
-                alg.name()
+                "{solver:?}: {text}"
             );
-            assert_eq!(state_bits(&client), before, "{}", alg.name());
+            assert_eq!(state_bits(&client), before, "{solver:?}");
 
             // y_i one coordinate long.
             let mut long_dual = client.dual.as_slice().to_vec();
@@ -589,34 +651,51 @@ mod tests {
             let err = alg.client_update(&mut client, &theta, &env).unwrap_err();
             assert!(
                 err.to_string().contains(&format!("y_i {}", d + 1)),
-                "{}: {err}",
-                alg.name()
+                "{solver:?}: {err}"
             );
-            assert_eq!(state_bits(&client), before, "{}", alg.name());
+            assert_eq!(state_bits(&client), before, "{solver:?}");
         }
     }
 
     #[test]
     fn failed_local_training_leaves_the_client_state_untouched() {
         // A label the model has no class for makes the loss — hence local
-        // training — fail on its first batch.
+        // training, under every solver — fail on its first batch.
         let fixture = Fixture::new(1, 20, 14);
         let (features, mut labels) = fixture.train.gather_all().unwrap();
         labels[5] = 11;
         let poisoned = fedadmm_data::Dataset::new(features.into_vec(), labels, 784, 12).unwrap();
         let theta = ParamVector::from_vec(vec![0.01; fixture.dim()]);
-        let alg = FedAdmm::new(0.3, ServerStepSize::Constant(1.0));
-        let mut client = fixture.clients(&theta).remove(0);
-        alg.client_update(&mut client, &theta, &fixture.env(0, 1, 3))
-            .unwrap();
-        let before = state_bits(&client);
-        let env = LocalEnv {
-            dataset: &poisoned,
-            ..fixture.env(0, 2, 4)
-        };
-        let err = alg.client_update(&mut client, &theta, &env).unwrap_err();
-        assert!(err.to_string().contains("label 11 out of range"), "{err}");
-        assert_eq!(state_bits(&client), before);
+        let every_solver = [
+            LocalSolver::Sgd,
+            LocalSolver::GradientDescent {
+                steps: 3,
+                learning_rate: 0.1,
+            },
+            to_tolerance(1e-2, 0.2),
+            LocalSolver::Lbfgs {
+                memory: 3,
+                max_iters: 5,
+                epsilon: 1e-3,
+            },
+        ];
+        for solver in every_solver {
+            let alg = FedAdmm::new(0.3, ServerStepSize::Constant(1.0)).with_solver(solver);
+            let mut client = fixture.clients(&theta).remove(0);
+            alg.client_update(&mut client, &theta, &fixture.env(0, 1, 3))
+                .unwrap();
+            let before = state_bits(&client);
+            let env = LocalEnv {
+                dataset: &poisoned,
+                ..fixture.env(0, 2, 4)
+            };
+            let err = alg.client_update(&mut client, &theta, &env).unwrap_err();
+            assert!(
+                err.to_string().contains("label 11 out of range"),
+                "{solver:?}: {err}"
+            );
+            assert_eq!(state_bits(&client), before, "{solver:?}");
+        }
     }
 
     #[test]

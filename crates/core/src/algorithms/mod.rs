@@ -28,7 +28,6 @@ mod fedsgd;
 mod scaffold;
 
 pub use fedadmm::{FedAdmm, LocalInit, ServerStepSize};
-pub use fedadmm_inexact::FedAdmmInexact;
 pub use fedavg::FedAvg;
 pub use feddyn::FedDyn;
 pub use fedprox::FedProx;

@@ -87,8 +87,8 @@ pub mod trainer;
 /// Convenient re-exports of the types most experiments need.
 pub mod prelude {
     pub use crate::algorithms::{
-        Algorithm, FedAdmm, FedAdmmInexact, FedAvg, FedDyn, FedProx, FedSgd, FoldPlan, LocalInit,
-        Scaffold, ServerStepSize,
+        Algorithm, FedAdmm, FedAvg, FedDyn, FedProx, FedSgd, FoldPlan, LocalInit, Scaffold,
+        ServerStepSize,
     };
     pub use crate::client::ClientState;
     pub use crate::compression::Quantizer;

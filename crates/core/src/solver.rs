@@ -23,11 +23,10 @@
 //!   `‖∇L_i‖²`;
 //! * [`lbfgs`] — limited-memory BFGS with Armijo backtracking line search.
 //!
-//! [`LocalSolver`] packages the choices so that algorithms (see
-//! [`crate::algorithms::FedAdmmInexact`]) and experiments can switch solver
-//! per client — the mechanism by which FedADMM "accommodates system
-//! heterogeneity by letting clients decide to perform different amount of
-//! work according to their local environments".
+//! [`LocalSolver`] names the choices, Algorithm 1's SGD epochs among them;
+//! it is the [`crate::algorithms::FedAdmm::solver`] field, set with
+//! [`crate::algorithms::FedAdmm::with_solver`], and every client of a run
+//! uses the one solver it names.
 
 use crate::trainer::{full_gradient, LocalEnv};
 use fedadmm_tensor::{vecops, TensorResult};
@@ -330,9 +329,12 @@ pub fn lbfgs(
     })
 }
 
-/// A pluggable local solver for the augmented-Lagrangian subproblem (3).
+/// A local solver for the augmented-Lagrangian subproblem (3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LocalSolver {
+    /// Algorithm 1: `E_i` epochs of mini-batch SGD with the run's batch size
+    /// and learning rate, on the worker's cached network.
+    Sgd,
     /// Full-batch gradient descent for a fixed number of steps.
     GradientDescent {
         /// Number of gradient steps.
@@ -359,41 +361,6 @@ pub enum LocalSolver {
         /// Stop once `‖∇L_i‖² ≤ epsilon`.
         epsilon: f32,
     },
-}
-
-impl LocalSolver {
-    /// Runs this solver on `objective` starting from `init`.
-    pub fn solve(
-        &self,
-        objective: &AugmentedObjective<'_>,
-        init: &[f32],
-    ) -> TensorResult<SolveResult> {
-        match *self {
-            LocalSolver::GradientDescent {
-                steps,
-                learning_rate,
-            } => gradient_descent(objective, init, learning_rate, steps),
-            LocalSolver::ToTolerance {
-                epsilon,
-                learning_rate,
-                max_steps,
-            } => solve_to_tolerance(objective, init, learning_rate, epsilon, max_steps),
-            LocalSolver::Lbfgs {
-                memory,
-                max_iters,
-                epsilon,
-            } => lbfgs(objective, init, memory, max_iters, epsilon),
-        }
-    }
-
-    /// Short label used in logs and experiment records.
-    pub fn label(&self) -> &'static str {
-        match self {
-            LocalSolver::GradientDescent { .. } => "GD",
-            LocalSolver::ToTolerance { .. } => "GD-to-ε",
-            LocalSolver::Lbfgs { .. } => "L-BFGS",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -544,46 +511,59 @@ mod tests {
 
     #[test]
     fn local_solver_dispatch_matches_direct_calls() {
+        use crate::algorithms::{Algorithm, FedAdmm, ServerStepSize};
+        use crate::client::ClientState;
+        use crate::param::ParamVector;
+
         let (train, indices) = fixture();
         let e = env(&train, &indices);
         let d = e.model.num_params();
-        let theta = vec![0.0f32; d];
-        let obj = AugmentedObjective::new(&e, &theta, None, 1.0);
-        let init = vec![0.0f32; d];
-        let via_enum = LocalSolver::GradientDescent {
-            steps: 5,
-            learning_rate: 0.2,
+        let (theta, dual) = (vec![0.0f32; d], vec![0.0f32; d]);
+        let rho = 1.0f32;
+        let obj = AugmentedObjective::new(&e, &theta, Some(&dual), rho);
+        let cases = [
+            (
+                LocalSolver::GradientDescent {
+                    steps: 5,
+                    learning_rate: 0.2,
+                },
+                gradient_descent(&obj, &theta, 0.2, 5).unwrap(),
+            ),
+            (
+                LocalSolver::ToTolerance {
+                    epsilon: 1e-3,
+                    learning_rate: 0.1,
+                    max_steps: 10,
+                },
+                solve_to_tolerance(&obj, &theta, 0.1, 1e-3, 10).unwrap(),
+            ),
+            (
+                LocalSolver::Lbfgs {
+                    memory: 5,
+                    max_iters: 10,
+                    epsilon: 1e-3,
+                },
+                lbfgs(&obj, &theta, 5, 10, 1e-3).unwrap(),
+            ),
+        ];
+        for (solver, direct) in cases {
+            // A fresh client (w_i = θ, y_i = 0) solves exactly `obj`.
+            let global = ParamVector::from_vec(theta.clone());
+            let mut client = ClientState::new(0, indices.clone(), &global);
+            let alg = FedAdmm::new(rho, ServerStepSize::Constant(1.0)).with_solver(solver);
+            let msg = alg.client_update(&mut client, &global, &e).unwrap();
+            assert_eq!(
+                client.local_model.as_slice(),
+                &direct.params[..],
+                "{solver:?}"
+            );
+            assert_eq!(msg.epochs_run, direct.gradient_evals, "{solver:?}");
+            assert_eq!(
+                msg.samples_processed,
+                direct.gradient_evals * indices.len(),
+                "{solver:?}"
+            );
         }
-        .solve(&obj, &init)
-        .unwrap();
-        let direct = gradient_descent(&obj, &init, 0.2, 5).unwrap();
-        assert_eq!(via_enum.params, direct.params);
-        assert_eq!(
-            LocalSolver::GradientDescent {
-                steps: 5,
-                learning_rate: 0.2
-            }
-            .label(),
-            "GD"
-        );
-        assert_eq!(
-            LocalSolver::ToTolerance {
-                epsilon: 1e-3,
-                learning_rate: 0.1,
-                max_steps: 10
-            }
-            .label(),
-            "GD-to-ε"
-        );
-        assert_eq!(
-            LocalSolver::Lbfgs {
-                memory: 5,
-                max_iters: 10,
-                epsilon: 1e-3
-            }
-            .label(),
-            "L-BFGS"
-        );
     }
 
     #[test]

@@ -191,19 +191,24 @@ impl Setting {
         }
     }
 
-    /// Builds a ready-to-run synchronous engine. A concrete algorithm type
-    /// keeps its hyperparameter setters reachable through
+    /// Builds a ready-to-run synchronous engine on `data`, this setting's
+    /// [`Setting::generate_data`] (a clone shares the samples, so one
+    /// generation serves every arm). A concrete algorithm type keeps its
+    /// hyperparameter setters reachable through
     /// [`RoundEngine::algorithm_mut`] (needed by the η / ρ mid-run
     /// adjustments of Figures 6 and 9); a `Box<dyn Algorithm>` works too.
-    pub fn build_sim<A: Algorithm>(&self, algorithm: A) -> TensorResult<SyncEngine<A>> {
-        let (train, test) = self.generate_data();
+    pub fn build_sim<A: Algorithm>(
+        &self,
+        (train, test): &(Dataset, Dataset),
+        algorithm: A,
+    ) -> TensorResult<SyncEngine<A>> {
         let partition = self
             .distribution
-            .partition(&train, self.num_clients, self.seed);
+            .partition(train, self.num_clients, self.seed);
         RoundEngine::new(
             self.fed_config(),
-            train,
-            test,
+            train.clone(),
+            test.clone(),
             partition,
             algorithm,
             SyncRounds,
@@ -393,7 +398,7 @@ mod tests {
             100,
             Scale::Smoke,
         );
-        let mut sim = s.build_sim(FedAvg::new()).unwrap();
+        let mut sim = s.build_sim(&s.generate_data(), FedAvg::new()).unwrap();
         let record = sim.run_round().unwrap();
         assert!(record.test_accuracy >= 0.0);
     }

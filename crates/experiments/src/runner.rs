@@ -3,6 +3,7 @@
 use crate::claims::{Claim, Runs};
 use crate::common::{Scale, Setting};
 use fedadmm_core::prelude::*;
+use fedadmm_data::Dataset;
 use fedadmm_tensor::TensorResult;
 use std::time::Instant;
 
@@ -62,35 +63,38 @@ pub fn run_claim(
 }
 
 /// Runs every arm of `claim` on `setting` for `setting.max_rounds`
-/// rounds, or, for a claim without fixed rounds, until the target.
+/// rounds, or, for a claim without fixed rounds, until the target. The
+/// setting's data is generated once and shared by every arm.
 pub fn run_setting(claim: &Claim, setting: Setting) -> TensorResult<SettingResult> {
     let (stop, mut arms) = (claim.rounds.is_none(), Vec::new());
+    let data = setting.generate_data();
     for arm in (claim.arms)(&setting, setting.max_rounds) {
         arms.push(match arm.runs {
-            Runs::Fixed(algorithm) => drive(arm.name, &setting, algorithm, |_, _| {}, stop)?,
+            Runs::Fixed(algorithm) => drive(arm.name, &setting, &data, algorithm, |_, _| {}, stop)?,
             Runs::Switched(fedadmm, at, switch) => {
                 let switch = |round, a: &mut FedAdmm| {
                     if round == at {
                         switch(a)
                     }
                 };
-                drive(arm.name, &setting, fedadmm, switch, stop)?
+                drive(arm.name, &setting, &data, fedadmm, switch, stop)?
             }
         });
     }
     Ok(SettingResult { setting, arms })
 }
 
-/// Runs `algorithm` on `setting` round by round, calling `switch` with
-/// each round's index first, and stopping at the target if `stop`.
+/// Runs `algorithm` on the setting's data round by round, calling `switch`
+/// with each round's index first, and stopping at the target if `stop`.
 fn drive<A: Algorithm>(
     name: String,
     setting: &Setting,
+    data: &(Dataset, Dataset),
     algorithm: A,
     switch: impl Fn(usize, &mut A),
     stop: bool,
 ) -> TensorResult<ArmResult> {
-    let mut sim = setting.build_sim(algorithm)?;
+    let mut sim = setting.build_sim(data, algorithm)?;
     let target = setting.target_accuracy;
     let start = Instant::now();
     let (mut diverged_at, mut seconds_to_target) = (None, None);

@@ -5,9 +5,9 @@
 //! comparison with baseline methods", but the method only needs each client
 //! to satisfy `‖∇L_i(w_i^{t+1})‖² ≤ ε_i` (equation 6), and Section III-A
 //! explicitly mentions gradient descent and L-BFGS as alternative local
-//! solvers. This example runs `FedAdmmInexact` with three different local
-//! solvers and compares rounds-to-accuracy and local computation (counted in
-//! full-gradient evaluations) against the standard SGD-based FedADMM.
+//! solvers. This example runs `FedAdmm` with each `LocalSolver`, set through
+//! `with_solver`, and compares rounds-to-accuracy and local computation
+//! (epochs for SGD, full-gradient evaluations for the others).
 //!
 //! Run with:
 //!
@@ -15,10 +15,9 @@
 //! cargo run --release --example inexact_solvers
 //! ```
 
-use fedadmm::core::algorithms::FedAdmmInexact;
 use fedadmm::prelude::*;
 
-fn run<A: Algorithm>(algorithm: A, label: &str, seed: u64) {
+fn run(solver: LocalSolver, label: &str, seed: u64) {
     let config = FedConfig {
         num_clients: 30,
         participation: Participation::Fraction(0.2),
@@ -35,6 +34,7 @@ fn run<A: Algorithm>(algorithm: A, label: &str, seed: u64) {
     };
     let (train, test) = SyntheticDataset::Mnist.generate(3_000, 500, seed);
     let partition = DataDistribution::NonIidShards.partition(&train, config.num_clients, seed);
+    let algorithm = FedAdmm::new(0.3, ServerStepSize::Constant(1.0)).with_solver(solver);
     let mut sim = RoundEngine::new(config, train, test, partition, algorithm, SyncRounds)
         .expect("configuration is consistent");
     let rounds = sim.run_until_accuracy(0.7, 30).expect("run succeeds");
@@ -51,63 +51,44 @@ fn run<A: Algorithm>(algorithm: A, label: &str, seed: u64) {
 }
 
 fn main() {
-    let rho = 0.3;
     println!("FedADMM local-solver comparison (non-IID, target 70% accuracy):\n");
     println!(
         "{:<28} | rounds to 70% | best accuracy | local work (epochs/evals)",
         "local solver"
     );
-
-    // The paper's Algorithm 1: E_i epochs of mini-batch SGD.
-    run(
-        FedAdmm::new(rho, ServerStepSize::Constant(1.0)),
-        "SGD epochs (Algorithm 1)",
-        5,
-    );
-
-    // Full-batch gradient descent, fixed number of steps.
-    run(
-        FedAdmmInexact::new(
-            rho,
-            ServerStepSize::Constant(1.0),
+    let solvers = [
+        // The paper's Algorithm 1: E_i epochs of mini-batch SGD.
+        (LocalSolver::Sgd, "SGD epochs (Algorithm 1)"),
+        // Full-batch gradient descent, fixed number of steps.
+        (
             LocalSolver::GradientDescent {
                 steps: 10,
                 learning_rate: 0.5,
             },
+            "gradient descent (10 steps)",
         ),
-        "gradient descent (10 steps)",
-        5,
-    );
-
-    // Gradient descent run to the inexactness criterion (6).
-    run(
-        FedAdmmInexact::new(
-            rho,
-            ServerStepSize::Constant(1.0),
+        // Gradient descent run to the inexactness criterion (6).
+        (
             LocalSolver::ToTolerance {
                 epsilon: 0.05,
                 learning_rate: 0.5,
                 max_steps: 200,
             },
+            "GD to ‖∇L‖² ≤ 0.05 (eq. 6)",
         ),
-        "GD to ‖∇L‖² ≤ 0.05 (eq. 6)",
-        5,
-    );
-
-    // L-BFGS — the quasi-Newton option the paper mentions.
-    run(
-        FedAdmmInexact::new(
-            rho,
-            ServerStepSize::Constant(1.0),
+        // L-BFGS — the quasi-Newton option the paper mentions.
+        (
             LocalSolver::Lbfgs {
                 memory: 10,
                 max_iters: 25,
                 epsilon: 0.05,
             },
+            "L-BFGS (m = 10)",
         ),
-        "L-BFGS (m = 10)",
-        5,
-    );
+    ];
+    for (solver, label) in solvers {
+        run(solver, label, 5);
+    }
 
     println!(
         "\nAll four reach the target with the same upload cost per round (one d-vector per \

@@ -56,26 +56,28 @@ const GOLDEN_DIGEST: u64 = 0xa147_b46a_ce24_2a96;
 const GOLDEN_WIRE_DIGEST: u64 = 0x22ab_5b29_a507_22b8;
 const GOLDEN_WIRE_HIERARCHICAL_DIGEST: u64 = 0xbe34_0c59_3198_871b;
 
-/// The six non-FedADMM algorithms on the golden scenario, with the digest
-/// each produced on the former per-job path (a fresh `Network` and
-/// `TrainScratch` per client update), captured before the scratch form
-/// became the only local-update implementation.
-fn baseline_goldens() -> Vec<(Box<dyn Algorithm>, u64)> {
-    let inexact = FedAdmmInexact::new(
-        0.3,
-        ServerStepSize::Constant(1.0),
-        LocalSolver::GradientDescent {
-            steps: 5,
-            learning_rate: 0.1,
-        },
-    );
+/// The five other algorithms and FedADMM with gradient-descent local solves
+/// on the golden scenario, with the digest each produced on the former
+/// per-job path (a fresh `Network` and `TrainScratch` per client update),
+/// captured before the scratch form became the only local-update
+/// implementation.
+fn baseline_goldens() -> Vec<(&'static str, Box<dyn Algorithm>, u64)> {
+    let gradient_descent = LocalSolver::GradientDescent {
+        steps: 5,
+        learning_rate: 0.1,
+    };
+    let fedadmm_gd = FedAdmm::new(0.3, ServerStepSize::Constant(1.0)).with_solver(gradient_descent);
     vec![
-        (Box::new(FedAvg::new()), 0x0b16_97d3_3777_5669),
-        (Box::new(FedProx::new(0.1)), 0x93c8_c907_dbe6_bdc0),
-        (Box::new(Scaffold::new()), 0xa524_780f_f1d6_30e4),
-        (Box::new(FedDyn::new(0.1)), 0x69ae_eb64_4d3e_5c42),
-        (Box::new(FedSgd::new(0.5)), 0xbd4c_cbfa_c3b0_60d4),
-        (Box::new(inexact), 0xeaa2_7c70_355f_1f65),
+        ("FedAvg", Box::new(FedAvg::new()), 0x0b16_97d3_3777_5669),
+        (
+            "FedProx",
+            Box::new(FedProx::new(0.1)),
+            0x93c8_c907_dbe6_bdc0,
+        ),
+        ("SCAFFOLD", Box::new(Scaffold::new()), 0xa524_780f_f1d6_30e4),
+        ("FedDyn", Box::new(FedDyn::new(0.1)), 0x69ae_eb64_4d3e_5c42),
+        ("FedSGD", Box::new(FedSgd::new(0.5)), 0xbd4c_cbfa_c3b0_60d4),
+        ("FedADMM-GD", Box::new(fedadmm_gd), 0xeaa2_7c70_355f_1f65),
     ]
 }
 
@@ -113,6 +115,9 @@ enum Observer {
 /// One row of the parity table: a golden-scenario run and what it must
 /// reproduce.
 struct Cell {
+    /// The algorithm as the table names it (`Algorithm::name` does not
+    /// name FedADMM's local solver).
+    label: &'static str,
     algorithm: Box<dyn Algorithm>,
     store: StoreConfig,
     fold: AggregationMode,
@@ -121,7 +126,7 @@ struct Cell {
     workers: Option<usize>,
     observer: Observer,
     /// The pinned digest, or `None` to match the cell's reference: the
-    /// first one-worker cell with the same algorithm, fold, wire mode and
+    /// first one-worker cell with the same label, fold, wire mode and
     /// (under the by-shard fold) shard count.
     golden: Option<u64>,
 }
@@ -138,6 +143,7 @@ impl Cell {
             _ => None,
         };
         Cell {
+            label: "FedADMM",
             algorithm: Box::new(FedAdmm::paper_default()),
             store,
             fold,
@@ -150,8 +156,9 @@ impl Cell {
 
     /// Everything at its default: the default store, the flat fold, the
     /// wire path off, the default pool, nobody watching.
-    fn plain(algorithm: Box<dyn Algorithm>, golden: u64) -> Self {
+    fn plain(label: &'static str, algorithm: Box<dyn Algorithm>, golden: u64) -> Self {
         Cell {
+            label,
             algorithm,
             store: StoreConfig::InMemory,
             fold: AggregationMode::SinglePass,
@@ -168,11 +175,7 @@ impl Cell {
             .map_or("default pool".into(), |w| format!("{w} workers"));
         format!(
             "{} on {:?}, {:?} fold, wire {:?}, {pool}, observer {:?}",
-            self.algorithm.name(),
-            self.store,
-            self.fold,
-            self.wire,
-            self.observer
+            self.label, self.store, self.fold, self.wire, self.observer
         )
     }
 
@@ -263,14 +266,14 @@ fn parity_table() -> Vec<Cell> {
     for observer in [Observer::Devices, Observer::Recorder] {
         table.push(Cell {
             observer,
-            ..Cell::plain(Box::new(FedAdmm::paper_default()), GOLDEN_DIGEST)
+            ..Cell::plain("FedADMM", Box::new(FedAdmm::paper_default()), GOLDEN_DIGEST)
         });
     }
     for workers in [None, Some(3)] {
-        for (algorithm, golden) in baseline_goldens() {
+        for (label, algorithm, golden) in baseline_goldens() {
             table.push(Cell {
                 workers,
-                ..Cell::plain(algorithm, golden)
+                ..Cell::plain(label, algorithm, golden)
             });
         }
     }
@@ -279,18 +282,18 @@ fn parity_table() -> Vec<Cell> {
 
 #[test]
 fn every_parity_cell_reproduces_its_golden_or_reference_digest() {
-    // One reference per (algorithm, wire mode, shard count under the
+    // One reference per (label, wire mode, shard count under the
     // by-shard fold; 0 for the flat fold): the flat fold sums every
     // coordinate in message order whatever the store, the by-shard fold in
     // shard order.
-    let mut references: HashMap<(String, Wire, usize), (String, u64, u64)> = HashMap::new();
+    let mut references: HashMap<(&str, Wire, usize), (String, u64, u64)> = HashMap::new();
     for cell in parity_table() {
         let name = cell.name();
         let shards = match cell.fold {
             AggregationMode::SinglePass => 0,
             AggregationMode::Hierarchical => shard_count(&cell.store),
         };
-        let key = (cell.algorithm.name().to_string(), cell.wire, shards);
+        let key = (cell.label, cell.wire, shards);
         let golden = cell.golden;
         let (digest, states) = cell.run();
         if let Some(golden) = golden {

@@ -249,17 +249,13 @@ fn fuse_passes<A: Algorithm>(algorithm: A, wire: WirePathConfig) -> usize {
 #[test]
 fn every_fold_plan_algorithm_folds_a_coded_cohort_in_one_pass() {
     let coded = || WirePathConfig::enabled(Quantizer::new(8, true));
-    let inexact = FedAdmmInexact::new(
-        0.3,
-        ServerStepSize::Constant(1.0),
-        LocalSolver::GradientDescent {
-            steps: 5,
-            learning_rate: 0.1,
-        },
-    );
+    let gradient_descent = LocalSolver::GradientDescent {
+        steps: 5,
+        learning_rate: 0.1,
+    };
     let planned: Vec<Box<dyn Algorithm>> = vec![
         Box::new(FedAdmm::paper_default()),
-        Box::new(inexact),
+        Box::new(FedAdmm::new(0.3, ServerStepSize::Constant(1.0)).with_solver(gradient_descent)),
         Box::new(FedAvg::new()),
         Box::new(FedProx::new(0.1)),
         Box::new(FedSgd::new(0.5)),
