@@ -4,7 +4,8 @@
 //! is not guaranteed bit-exact for every `f32`; the spill path therefore
 //! writes raw little-endian IEEE-754 bit patterns. Sample-index lists are
 //! *not* written — they are immutable and rebuilt from the store's CSR
-//! index on load — so a spilled client costs `16 + 3·d·4` bytes.
+//! index on load — so a spilled client costs `16 + 2·d·4` bytes: its id,
+//! its selection count, `w_i` and its correction slot.
 //!
 //! The 32-byte header (magic, version, `d`, client count, [`checksum`] of
 //! the payload) lets a load reject a file that was truncated or altered
@@ -15,8 +16,14 @@ use crate::state::ClientState;
 use fedadmm_tensor::{TensorError, TensorResult};
 
 const MAGIC: u32 = 0x4653_5348; // "FSSH"
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 const HEADER_LEN: usize = 32;
+
+/// Bytes one client takes in a shard file: id, selection count, then the
+/// local model and the correction slot as raw `f32`s.
+fn record_len(d: usize) -> usize {
+    16 + 2 * d * 4
+}
 
 /// A 64-bit checksum of `bytes`: four multiply-rotate lanes over 32-byte
 /// blocks (xxHash64's round), merged with the length, then the tail a word
@@ -63,7 +70,7 @@ pub(crate) fn checksum(bytes: &[u8]) -> u64 {
 /// Encodes the materialized entries of one shard.
 pub(crate) fn encode_shard(entries: &[Option<Box<ClientState>>], d: usize) -> Vec<u8> {
     let count = entries.iter().filter(|e| e.is_some()).count();
-    let mut buf = Vec::with_capacity(HEADER_LEN + count * (16 + 3 * d * 4));
+    let mut buf = Vec::with_capacity(HEADER_LEN + count * record_len(d));
     buf.extend_from_slice(&MAGIC.to_le_bytes());
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&(d as u64).to_le_bytes());
@@ -73,7 +80,7 @@ pub(crate) fn encode_shard(entries: &[Option<Box<ClientState>>], d: usize) -> Ve
     for state in entries.iter().flatten() {
         buf.extend_from_slice(&(state.id as u64).to_le_bytes());
         buf.extend_from_slice(&(state.times_selected as u64).to_le_bytes());
-        for vector in [&state.local_model, &state.dual, &state.control] {
+        for vector in [&state.local_model, &state.dual] {
             for &x in vector.as_slice() {
                 buf.extend_from_slice(&x.to_le_bytes());
             }
@@ -146,7 +153,7 @@ pub(crate) fn decode_shard(
             "spill file payload ({payload} bytes) does not match its checksum"
         )));
     }
-    if count.checked_mul(16 + 3 * d * 4) != Some(payload) {
+    if count.checked_mul(record_len(d)) != Some(payload) {
         return Err(TensorError::InvalidArgument(format!(
             "spill file holds {payload} payload bytes, not {count} clients"
         )));
@@ -166,13 +173,11 @@ pub(crate) fn decode_shard(
             })?;
         let local_model = cur.f32s(d)?.into();
         let dual = cur.f32s(d)?.into();
-        let control = cur.f32s(d)?.into();
         entries[slot] = Some(Box::new(ClientState {
             id,
             indices: index.get(id).to_vec(),
             local_model,
             dual,
-            control,
             times_selected,
         }));
     }
@@ -237,7 +242,7 @@ mod tests {
             })
             .collect();
         let good = encode_shard(&shard_of_states(states, 3, 0), d);
-        assert_eq!(good.len(), HEADER_LEN + 2 * (16 + 3 * d * 4));
+        assert_eq!(good.len(), HEADER_LEN + 2 * (16 + 2 * d * 4));
         assert!(decode_shard(&good, 0, 3, d, &index).is_ok());
         for len in 0..good.len() {
             assert!(
@@ -262,7 +267,7 @@ mod tests {
         /// exponents) survives the spill round trip exactly.
         #[test]
         fn prop_round_trip_is_bit_exact(
-            bits in proptest::collection::vec(any::<u32>(), 6),
+            bits in proptest::collection::vec(any::<u32>(), 4),
             times in 0usize..1000,
         ) {
             // Skip NaNs: ParamVector equality is IEEE (NaN != NaN), so
@@ -273,7 +278,6 @@ mod tests {
             let mut state = ClientState::new(1, index.get(1).to_vec(), &ParamVector::zeros(d));
             state.local_model = ParamVector::from_vec(vals[0..2].to_vec());
             state.dual = ParamVector::from_vec(vals[2..4].to_vec());
-            state.control = ParamVector::from_vec(vals[4..6].to_vec());
             state.times_selected = times;
             let entries = shard_of_states(vec![state], 2, 0);
             let bytes = encode_shard(&entries, d);
@@ -288,7 +292,6 @@ mod tests {
                 .as_slice()
                 .iter()
                 .chain(got.dual.as_slice())
-                .chain(got.control.as_slice())
                 .map(|x| x.to_bits())
                 .collect();
             prop_assert_eq!(all_bits, bits);

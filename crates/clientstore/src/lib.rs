@@ -8,7 +8,7 @@
 //! pluggable behind [`ClientStateStore`], with one backend:
 //! [`ShardedStore`] keeps `S` contiguous shards materialized lazily on
 //! selection; the never-selected tail is stored implicitly (local model =
-//! initial θ, dual = control = 0) at zero bytes per client. Given a budget
+//! initial θ, correction = 0) at zero bytes per client. Given a budget
 //! it is also an LRU spill-to-disk cache: resident state stays under
 //! `budget_bytes`, with evicted shards written through a bit-exact binary
 //! codec and reloaded transparently.

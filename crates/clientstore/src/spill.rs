@@ -5,8 +5,8 @@
 //! nothing until one of its clients is borrowed; a client allocates nothing
 //! until it is borrowed. The inactive tail — clients never selected so far
 //! — is therefore stored *implicitly*: its local model is "the initial θ"
-//! and its dual/control variates are "zero", a delta/sparse representation
-//! that costs 0 bytes per client instead of `3·d·4`. Under the paper's
+//! and its correction slot is "zero", a delta/sparse representation
+//! that costs 0 bytes per client instead of `2·d·4`. Under the paper's
 //! partial-participation regime (`C·m` clients per round, arbitrary
 //! participation is provably sound per arXiv:2203.15104) this makes
 //! resident memory proportional to the number of clients *ever touched*,
@@ -84,7 +84,7 @@ fn io_err(op: &str, path: &Path, err: std::io::Error) -> TensorError {
 impl ShardedStore {
     /// Creates a store of `indices.len()` implicit clients split into
     /// `num_shards` contiguous shards, each starting (on materialization)
-    /// from `initial` with zero dual/control. Nothing is ever evicted.
+    /// from `initial` with a zero correction. Nothing is ever evicted.
     pub fn new(indices: Vec<Vec<usize>>, initial: &ParamVector, num_shards: usize) -> Self {
         let map = ShardMap::new(indices.len(), num_shards);
         let index = ClientIndices::from_lists(indices);
@@ -546,7 +546,7 @@ mod tests {
             let raw = std::fs::read(&path).unwrap();
             match damage {
                 "truncated" => std::fs::write(&path, &raw[..raw.len() - 5]).unwrap(),
-                // The last byte of the last control coordinate: without the
+                // The last byte of the last correction coordinate: without the
                 // checksum this decodes to a different float.
                 "flipped" => {
                     let mut raw = raw;

@@ -6,9 +6,9 @@ use crate::param::ParamVector;
 ///
 /// The paper's Algorithm 1 requires each FedADMM client to *store* its local
 /// model `w_i` and dual variable `y_i` between the rounds in which it is
-/// selected ("ClientUpdate(i, θ): // Store wi and yi"). SCAFFOLD similarly
-/// stores a client control variate `c_i`. Primal-only methods (FedSGD,
-/// FedAvg, FedProx) ignore these fields.
+/// selected ("ClientUpdate(i, θ): // Store wi and yi"). Every other
+/// stateful method needs the same two vectors: a model and one correction.
+/// Primal-only methods (FedSGD, FedAvg, FedProx) ignore the correction.
 #[derive(Debug, Clone)]
 pub struct ClientState {
     /// Client identifier in `0..m`.
@@ -17,11 +17,10 @@ pub struct ClientState {
     pub indices: Vec<usize>,
     /// Local primal model `w_i` (initialised to the initial global model).
     pub local_model: ParamVector,
-    /// Dual variable `y_i` (zero-initialised, per the paper).
+    /// The algorithm's per-client correction: `y_i` (FedADMM), `h_i`
+    /// (FedDyn), `c_i` (SCAFFOLD). Zero-initialised, per the paper and as
+    /// its Section V-A states for SCAFFOLD's control variate.
     pub dual: ParamVector,
-    /// SCAFFOLD client control variate `c_i` (zero-initialised, as
-    /// recommended by the SCAFFOLD paper and stated in Section V-A).
-    pub control: ParamVector,
     /// How many times this client has been selected so far.
     pub times_selected: usize,
 }
@@ -29,7 +28,7 @@ pub struct ClientState {
 impl ClientState {
     /// Creates the initial state of client `id` owning `indices`, with all
     /// vectors of dimension `d`. The local model starts at `initial_model`
-    /// and the dual/control variates start at zero.
+    /// and the correction starts at zero.
     pub fn new(id: usize, indices: Vec<usize>, initial_model: &ParamVector) -> Self {
         let d = initial_model.len();
         ClientState {
@@ -37,7 +36,6 @@ impl ClientState {
             indices,
             local_model: initial_model.clone(),
             dual: ParamVector::zeros(d),
-            control: ParamVector::zeros(d),
             times_selected: 0,
         }
     }
@@ -55,14 +53,13 @@ impl ClientState {
     }
 
     /// Whether this state is still the initial (never-trained) state for
-    /// `initial_model`: local model at the initial θ, zero dual and control,
+    /// `initial_model`: local model at the initial θ, zero correction,
     /// never selected. Sharded stores drop such states back to their
     /// implicit representation instead of keeping them resident.
     pub fn is_pristine(&self, initial_model: &ParamVector) -> bool {
         self.times_selected == 0
             && self.local_model == *initial_model
             && self.dual.as_slice().iter().all(|&x| x == 0.0)
-            && self.control.as_slice().iter().all(|&x| x == 0.0)
     }
 }
 
@@ -78,7 +75,6 @@ mod tests {
         assert_eq!(c.num_samples(), 4);
         assert_eq!(c.local_model, theta);
         assert_eq!(c.dual, ParamVector::zeros(3));
-        assert_eq!(c.control, ParamVector::zeros(3));
         assert_eq!(c.times_selected, 0);
         assert!(c.is_pristine(&theta));
     }

@@ -1,7 +1,7 @@
 //! The [`ClientStateStore`] abstraction and the [`StoreConfig`] that builds
 //! it.
 //!
-//! The engine used to own a dense `Vec<ClientState>` — `m` clients × three
+//! The engine used to own a dense `Vec<ClientState>` — `m` clients × two
 //! ℝ^d vectors, which makes client *count* (not compute) the memory wall.
 //! The store trait inverts the relationship: the engine asks to *borrow*
 //! the states of the selected cohort for the duration of one dispatch, and
@@ -23,10 +23,11 @@ use crate::state::ClientState;
 use fedadmm_tensor::TensorResult;
 use std::path::PathBuf;
 
-/// Rough heap footprint of one materialized [`ClientState`]: three dense
-/// ℝ^d vectors, the owned index list, and struct overhead.
+/// Rough heap footprint of one materialized [`ClientState`]: two dense
+/// ℝ^d vectors (`w_i` and the correction slot), the owned index list, and
+/// struct overhead.
 pub(crate) fn state_bytes(d: usize, num_indices: usize) -> u64 {
-    (3 * d * std::mem::size_of::<f32>()
+    (2 * d * std::mem::size_of::<f32>()
         + num_indices * std::mem::size_of::<usize>()
         + std::mem::size_of::<ClientState>()) as u64
 }
@@ -52,7 +53,7 @@ pub struct StoreStats {
 ///   id, **aligned with `ids`** (which must be strictly ascending and within
 ///   `0..num_clients`). A client that has never been touched is
 ///   materialized on demand in its initial form — local model at the
-///   initial θ, zero dual/control — so borrowing is indistinguishable from
+///   initial θ, zero correction — so borrowing is indistinguishable from
 ///   the dense layout.
 /// * Mutations persist across calls: the engine's dual variables and
 ///   `times_selected` counters survive eviction and spill round trips

@@ -84,29 +84,34 @@ impl Algorithm for FedDyn {
         let theta = global.as_slice();
         // h_i is stored in the dual slot; the FedDyn gradient correction is
         //   ∇R_i(w) = ∇f_i(w, b) − h_i + α(w − θ).
-        let h = client.dual.as_slice().to_vec();
+        let h = client.dual.as_slice();
         let result = local_sgd_cached(env, theta, &mut scratch.net, &mut scratch.train, |w, g| {
-            for (((gi, &wi), &ti), &hi) in
-                g.iter_mut().zip(w.iter()).zip(theta.iter()).zip(h.iter())
-            {
+            for (((gi, &wi), &ti), &hi) in g.iter_mut().zip(w.iter()).zip(theta.iter()).zip(h) {
                 *gi += alpha * (wi - ti) - hi;
             }
         })?;
+        let new_local = result.params;
+        assert!(
+            client.dual.len() == new_local.len() && client.local_model.len() == new_local.len(),
+            "FedDyn on client {}: h_i and w_i must have the model's {} coordinates",
+            client.id,
+            new_local.len()
+        );
 
-        // Correction update: h_i ← h_i − α(w_i^{t+1} − θ^t).
-        let new_local = ParamVector::from_vec(result.params);
-        let mut new_h = client.dual.clone();
-        new_h.axpy(-alpha, &new_local);
-        new_h.axpy(alpha, global);
-
-        client.local_model = new_local.clone();
-        client.dual = new_h;
+        // One pass: the correction update h_i ← (h_i − α·w_i^{t+1}) + α·θ^t
+        // in place, and w_i^{t+1} copied into the client's local model.
+        let slots = client.dual.as_mut_slice().iter_mut();
+        let local = client.local_model.as_mut_slice().iter_mut();
+        for (((hi, slot), &w), &t) in slots.zip(local).zip(&new_local).zip(theta) {
+            *hi = (*hi + (-alpha) * w) + alpha * t;
+            *slot = w;
+        }
         client.times_selected += 1;
 
         Ok(ClientMessage {
             client_id: client.id,
             num_samples: client.num_samples(),
-            payload: vec![new_local],
+            payload: vec![ParamVector::from_vec(new_local)],
             epochs_run: env.epochs,
             samples_processed: result.samples_processed,
             wire: None,

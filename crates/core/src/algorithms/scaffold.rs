@@ -1,8 +1,9 @@
 //! SCAFFOLD (Karimireddy et al., ICML 2020).
 //!
 //! SCAFFOLD corrects client drift with *control variates*: the server keeps
-//! a global control variate `c`, every client keeps `c_i`, and the local
-//! SGD direction is `∇f_i(w, b) − c_i + c`. After local training the client
+//! a global control variate `c`, every client keeps `c_i` in its correction
+//! slot ([`ClientState::dual`]), and the local SGD direction is
+//! `∇f_i(w, b) − c_i + c`. After local training the client
 //! refreshes its control variate (option II of the SCAFFOLD paper,
 //! `c_i⁺ = c_i − c + (θ − w)/(K·η_l)`) and uploads **both** `Δw` and `Δc`,
 //! which is why its per-round upload cost is `2d` — double that of
@@ -22,7 +23,7 @@ pub struct Scaffold {
     /// Global control variate `c`, zero-initialised (as recommended and as
     /// stated in Section V-A of the paper). Concurrent `client_update`s only
     /// read it; `init` and `server_update` write it through `&mut self`.
-    control: ParamVector,
+    server_c: ParamVector,
     /// Client population size `m` (needed for the `c` update).
     num_clients: usize,
 }
@@ -32,7 +33,7 @@ impl Scaffold {
     pub fn new() -> Self {
         Scaffold {
             server_learning_rate: 1.0,
-            control: ParamVector::zeros(0),
+            server_c: ParamVector::zeros(0),
             num_clients: 0,
         }
     }
@@ -40,7 +41,7 @@ impl Scaffold {
     /// Returns a copy of the current global control variate (for tests and
     /// diagnostics).
     pub fn global_control(&self) -> ParamVector {
-        self.control.clone()
+        self.server_c.clone()
     }
 }
 
@@ -56,7 +57,7 @@ impl Algorithm for Scaffold {
     }
 
     fn init(&mut self, dim: usize, num_clients: usize) {
-        self.control = ParamVector::zeros(dim);
+        self.server_c = ParamVector::zeros(dim);
         self.num_clients = num_clients;
     }
 
@@ -72,47 +73,51 @@ impl Algorithm for Scaffold {
         env: &LocalEnv<'_>,
         scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
-        let c_global = &self.control;
-        let c_local = client.control.clone();
         let theta = global.as_slice();
+        let d = theta.len();
+        let c_global = self.server_c.as_slice();
+        assert!(
+            c_global.len() == d && client.dual.len() == d && client.local_model.len() == d,
+            "SCAFFOLD on client {}: c, c_i and w_i must have θ's {d} coordinates",
+            client.id
+        );
+        let c_local = client.dual.as_slice();
 
         // Local steps use the drift-corrected gradient g − c_i + c.
         let result =
             local_sgd_cached(env, theta, &mut scratch.net, &mut scratch.train, |_w, g| {
-                for ((gi, &cg), &cl) in g
-                    .iter_mut()
-                    .zip(c_global.as_slice().iter())
-                    .zip(c_local.as_slice().iter())
-                {
+                for ((gi, &cg), &cl) in g.iter_mut().zip(c_global).zip(c_local) {
                     *gi += cg - cl;
                 }
             })?;
-        let steps = result.steps.max(1);
-        let new_local = ParamVector::from_vec(result.params);
+        let inv = 1.0 / (result.steps.max(1) as f32 * env.learning_rate);
+        let w_new = result.params;
 
-        // Option II control-variate update: c_i⁺ = c_i − c + (θ − w)/(K·η_l).
-        let mut new_control = client.control.clone();
-        new_control.axpy(-1.0, c_global);
-        let inv = 1.0 / (steps as f32 * env.learning_rate);
-        for ((nc, &t), &w) in new_control
-            .as_mut_slice()
-            .iter_mut()
-            .zip(theta.iter())
-            .zip(new_local.as_slice().iter())
-        {
-            *nc += (t - w) * inv;
-        }
-
-        let delta_w = new_local.sub(global);
-        let delta_c = new_control.sub(&client.control);
-        client.control = new_control;
-        client.local_model = new_local;
+        // One pass: the option II control-variate update
+        // c_i⁺ = (c_i − c) + (θ − w)/(K·η_l) in place, Δc = c_i⁺ − c_i, and
+        // Δw = w − θ written over the retired w_i, whose buffer is uploaded.
+        let slots = client.dual.as_mut_slice().iter_mut();
+        let retired = client.local_model.as_mut_slice().iter_mut();
+        let delta_c: Vec<f32> = slots
+            .zip(retired)
+            .zip(c_global)
+            .zip(theta)
+            .zip(&w_new)
+            .map(|((((ci, slot), &c), &t), &w)| {
+                let nc = (*ci - c) + (t - w) * inv;
+                let dc = nc - *ci;
+                *ci = nc;
+                *slot = w - t;
+                dc
+            })
+            .collect();
+        let delta_w = std::mem::replace(&mut client.local_model, ParamVector::from_vec(w_new));
         client.times_selected += 1;
 
         Ok(ClientMessage {
             client_id: client.id,
             num_samples: client.num_samples(),
-            payload: vec![delta_w, delta_c],
+            payload: vec![delta_w, ParamVector::from_vec(delta_c)],
             epochs_run: env.epochs,
             samples_processed: result.samples_processed,
             wire: None,
@@ -139,14 +144,14 @@ impl Algorithm for Scaffold {
         global.accumulate(&model_terms);
         // c ← c + (1/m) Σ Δc — likewise fused.
         let m = num_clients.max(self.num_clients).max(1) as f32;
-        if self.control.len() != global.len() {
-            self.control = ParamVector::zeros(global.len());
+        if self.server_c.len() != global.len() {
+            self.server_c = ParamVector::zeros(global.len());
         }
         let control_terms: Vec<(f32, &ParamVector)> = messages
             .iter()
             .map(|msg| (1.0 / m, &msg.payload[1]))
             .collect();
-        self.control.accumulate(&control_terms);
+        self.server_c.accumulate(&control_terms);
         ServerOutcome {
             upload_floats: total_upload(messages),
         }
@@ -181,12 +186,12 @@ mod tests {
         let mut alg = Scaffold::new();
         alg.init(fixture.dim(), 2);
         assert_eq!(alg.global_control().norm(), 0.0);
-        assert_eq!(clients[0].control.norm(), 0.0);
+        assert_eq!(clients[0].dual.norm(), 0.0);
 
         let env = fixture.env(0, 2, 2);
         let msg = alg.client_update(&mut clients[0], &theta, &env).unwrap();
         // After real training the client's control variate is non-zero.
-        assert!(clients[0].control.norm() > 0.0);
+        assert!(clients[0].dual.norm() > 0.0);
 
         let mut rng = SmallRng::seed_from_u64(0);
         let mut global = theta.clone();
@@ -208,7 +213,7 @@ mod tests {
         let steps = 32usize.div_ceil(16); // one epoch of batches of 16
         let mut expected = theta.sub(&clients[0].local_model);
         expected.scale(1.0 / (steps as f32 * env.learning_rate));
-        assert!(clients[0].control.dist(&expected) < 1e-4);
+        assert!(clients[0].dual.dist(&expected) < 1e-4);
         // Δc equals the new control variate since the old one was zero.
         assert!(msg.payload[1].dist(&expected) < 1e-4);
     }

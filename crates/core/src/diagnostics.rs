@@ -48,8 +48,9 @@ impl OptimalityGap {
 ///
 /// `model` and `dataset` are needed because `∇_{w_i} L_i` contains the exact
 /// local data gradient `∇f_i(w_i)`; each client's gradient is evaluated over
-/// its own index set. This is an O(total samples) computation — intended for
-/// diagnostics and ablations, not for the per-round hot path.
+/// its own index set. Each client's correction slot ([`ClientState::dual`])
+/// is read as FedADMM's `y_i`. This is an O(total samples) computation —
+/// intended for diagnostics and ablations, not for the per-round hot path.
 pub fn optimality_gap(
     clients: &[ClientState],
     global: &ParamVector,

@@ -18,6 +18,10 @@
 //!   consensus problem (2), so its decrease tracks agreement,
 //! * participation coverage (how unevenly clients have been selected).
 //!
+//! The price statistics read [`ClientState::dual`], the algorithm's
+//! correction slot: they are `y_i` under FedADMM, and report SCAFFOLD's
+//! `c_i` or FedDyn's `h_i` when those run.
+//!
 //! The `dual_variables` example uses these to show the adaptation mechanism
 //! at work under IID vs non-IID partitions.
 

@@ -160,7 +160,7 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
     /// The global model is randomly initialised from `config.seed` (the
     /// paper: "We adopt random initialization for the global model in all
     /// algorithms, zero initialization for dual variables…"); every client
-    /// starts with a copy of it and zero dual/control variates, held in a
+    /// starts with a copy of it and a zero correction slot, held in a
     /// [`StoreConfig::InMemory`] store (⌈√m⌉ lazy shards, no budget). The
     /// scheduler's own configuration is validated by its
     /// [`Scheduler::init`] hook.
@@ -436,7 +436,7 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
 
     /// Every client's state, in id order, for tests and diagnostics, with
     /// never-selected clients in their initial form (local model θ⁰, zero
-    /// dual and control). Holds all `m` states in memory at once;
+    /// correction). Holds all `m` states in memory at once;
     /// [`ClientStateStore::for_each_state`] through
     /// [`store_mut`](Self::store_mut) streams them instead. Fails only if
     /// the store cannot read a state back (a damaged spill shard).
@@ -916,7 +916,6 @@ mod tests {
         for client in engine.clients().unwrap() {
             assert_eq!(client.local_model, *engine.global_model());
             assert_eq!(client.dual.norm(), 0.0);
-            assert_eq!(client.control.norm(), 0.0);
         }
         assert_eq!(engine.history().len(), 0);
         assert!(engine.history().is_empty());

@@ -10,8 +10,9 @@
 //!   (Algorithm 1), and every baseline it is evaluated against:
 //!   [`algorithms::FedSgd`], [`algorithms::FedAvg`], [`algorithms::FedProx`],
 //!   [`algorithms::Scaffold`];
-//! * [`client`] — per-client state (local model `w_i`, dual variable `y_i`,
-//!   SCAFFOLD control variate `c_i`, local data view);
+//! * [`client`] — per-client state (local model `w_i`, one correction slot
+//!   holding FedADMM's `y_i`, FedDyn's `h_i` or SCAFFOLD's `c_i`, local
+//!   data view);
 //! * [`selection`] — client-selection schemes (uniform-random fraction `C`,
 //!   fixed per-client probabilities, bursty Markov availability, full
 //!   participation);

@@ -126,20 +126,15 @@ pub fn gradient_descent(
 ) -> TensorResult<SolveResult> {
     let mut w = init.to_vec();
     let mut evals = 0usize;
-    let mut last_value = 0.0f32;
-    let mut last_gns = 0.0f32;
     for _ in 0..steps.max(1) {
-        let (value, grad) = objective.value_and_grad(&w)?;
+        let (_, grad) = objective.value_and_grad(&w)?;
         evals += 1;
-        last_value = value;
-        last_gns = vecops::norm_sq(&grad);
         vecops::axpy(-learning_rate, &grad, &mut w);
     }
     // Report the gradient norm at the *returned* iterate, one extra oracle
     // call, so the caller sees the actual achieved inexactness.
     let (value, grad) = objective.value_and_grad(&w)?;
     evals += 1;
-    let _ = (last_value, last_gns);
     Ok(SolveResult {
         params: w,
         gradient_evals: evals,

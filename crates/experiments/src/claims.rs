@@ -572,7 +572,12 @@ mod tests {
         let mut arms = vec![arm(rest); 5];
         arms[1] = arm(admm);
         let setting = table3_settings(Scale::Smoke)[0];
-        SettingResult { setting, arms }
+        SettingResult {
+            setting,
+            arms,
+            samples: 0,
+            client_sizes: (0.0, 0.0),
+        }
     }
 
     #[test]
@@ -602,6 +607,8 @@ mod tests {
         let point = |i: usize, rounds| SettingResult {
             setting: settings[i],
             arms: vec![arm(rounds)],
+            samples: 0,
+            client_sizes: (0.0, 0.0),
         };
         for (points, verdict) in [
             ([point(0, Some(9)), point(1, Some(9))], Some(Holds)),

@@ -258,14 +258,10 @@ fn render_report(report: &str, results: &[Vec<SettingResult>]) -> (String, Value
         "table6_fig10" => {
             let (mut stat_rows, mut fig10_rows, mut data) = (Vec::new(), Vec::new(), Vec::new());
             for s in first {
-                let (setting, dataset) = (&s.setting, format!("{:?}", s.setting.dataset));
+                let dataset = format!("{:?}", s.setting.dataset);
                 // Table VI: per-client volume statistics of the partition.
-                let (train, _) = setting.generate_data();
-                let (clients, samples) = (setting.num_clients, train.len());
-                let partition = setting
-                    .distribution
-                    .partition(&train, clients, setting.seed);
-                let (mean, stdev) = partition.size_stats();
+                let (clients, samples) = (s.setting.num_clients, s.samples);
+                let (mean, stdev) = s.client_sizes;
                 let (mean_cell, stdev_cell) = (format!("{mean:.1}"), format!("{stdev:.2}"));
                 let stats = [
                     clients.to_string(),

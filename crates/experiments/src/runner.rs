@@ -44,6 +44,11 @@ pub struct SettingResult {
     pub setting: Setting,
     /// One result per arm, in the claim's order.
     pub arms: Vec<ArmResult>,
+    /// Training samples the setting generated.
+    pub samples: usize,
+    /// Mean and population standard deviation of the clients' sample counts
+    /// under the setting's partition (Table VI's statistics).
+    pub client_sizes: (f64, f64),
 }
 
 /// Runs `claim` at `scale` on every one of its settings; `budget`, if
@@ -68,6 +73,11 @@ pub fn run_claim(
 pub fn run_setting(claim: &Claim, setting: Setting) -> TensorResult<SettingResult> {
     let (stop, mut arms) = (claim.rounds.is_none(), Vec::new());
     let data = setting.generate_data();
+    let samples = data.0.len();
+    let partition = setting
+        .distribution
+        .partition(&data.0, setting.num_clients, setting.seed);
+    let client_sizes = partition.size_stats();
     for arm in (claim.arms)(&setting, setting.max_rounds) {
         arms.push(match arm.runs {
             Runs::Fixed(algorithm) => drive(arm.name, &setting, &data, algorithm, |_, _| {}, stop)?,
@@ -81,7 +91,12 @@ pub fn run_setting(claim: &Claim, setting: Setting) -> TensorResult<SettingResul
             }
         });
     }
-    Ok(SettingResult { setting, arms })
+    Ok(SettingResult {
+        setting,
+        arms,
+        samples,
+        client_sizes,
+    })
 }
 
 /// Runs `algorithm` on the setting's data round by round, calling `switch`

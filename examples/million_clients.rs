@@ -3,7 +3,7 @@
 //!
 //! FedADMM keeps per-client state (the local model `w_i` and the dual
 //! variable `y_i`) between rounds, so a naive simulation allocates
-//! `m × 3 × d` floats up front — ~94 GB for a million clients of a
+//! `m × 2 × d` floats up front — ~63 GB for a million clients of a
 //! 7 850-parameter model. But with `C = 0.1%` participation only ~1 000
 //! clients are ever *active* per round. This example runs exactly that
 //! population on [`StoreConfig::Spill`]: untouched clients stay implicit
@@ -73,14 +73,14 @@ fn main() {
         seed: SEED,
         eval_subset: usize::MAX,
     };
-    let dense_bytes = NUM_CLIENTS as u64 * 3 * config.model.num_params() as u64 * 4;
+    let dense_bytes = NUM_CLIENTS as u64 * 2 * config.model.num_params() as u64 * 4;
     println!(
         "population {NUM_CLIENTS}, cohort {COHORT}/round, state budget {} MB",
         BUDGET_BYTES / (1024 * 1024)
     );
     println!(
-        "a dense Vec<ClientState> would need ~{} GB; the spill store holds {NUM_SHARDS} shards",
-        dense_bytes / (1024 * 1024 * 1024)
+        "a dense Vec<ClientState> would need ~{:.0} GB; the spill store holds {NUM_SHARDS} shards",
+        dense_bytes as f64 / 1e9
     );
 
     let (train, test) = SyntheticDataset::Mnist.generate(2_000, 400, SEED);

@@ -9,10 +9,11 @@
 //! parameters and their gradient are the cached network's own two vectors —
 //! for the dense stack, and for the paper's CNN 1 with its im2col, pooling
 //! and convolution-gradient scratch. A further check pins the
-//! per-*job* cost of FedAvg and of FedADMM on a warm worker to the payload
-//! they upload — and, with the wire path on, to that plus the coded upload
-//! that replaces it — another bounds a whole evaluation pass to O(1) allocations
-//! regardless of how many forward passes and 256-sample chunks it spans, and
+//! per-*job* cost of FedAvg, FedADMM, SCAFFOLD and FedDyn on a warm worker
+//! to the payload they upload — and, with the wire path on, to that plus
+//! the coded upload that replaces it — another bounds a whole evaluation
+//! pass to O(1) allocations regardless of how many forward passes and
+//! 256-sample chunks it spans, and
 //! another pins a warm one-worker `RoundEngine::evaluate_global` to its
 //! result-slot vector and its logits buffer, and the last bounds a warm
 //! 192-message server fold, dense and coded, on the default pool.
@@ -34,7 +35,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fedadmm_clientstore::StoreConfig;
-use fedadmm_core::algorithms::{Algorithm, ClientMessage, FedAdmm, FedAvg, UpdateScratch};
+use fedadmm_core::algorithms::{
+    Algorithm, ClientMessage, FedAdmm, FedAvg, FedDyn, Scaffold, UpdateScratch,
+};
 use fedadmm_core::client::ClientState;
 use fedadmm_core::compression::{Quantizer, WirePayload};
 use fedadmm_core::engine::{EngineCore, Scheduler, TickReport, WirePathConfig};
@@ -209,6 +212,31 @@ fn steady_state_sgd_step_allocates_nothing() {
     assert!(
         bare <= 1 && fedadmm_job <= 2,
         "a warm job grew an allocation: bare trainer → {bare}, FedADMM → {fedadmm_job}"
+    );
+
+    // SCAFFOLD and FedDyn update their correction slot (c_i, h_i) in place
+    // while the trainer reads it borrowed. FedDyn's job costs FedAvg's;
+    // SCAFFOLD's adds only its second upload, Δc, because Δw is written over
+    // the retired local model's buffer.
+    let warm_job = |algorithm: &mut dyn Algorithm, worker: &mut UpdateScratch| {
+        algorithm.init(theta.len(), 4);
+        let mut client = ClientState::new(2, indices.clone(), &theta);
+        // The first job leaves a non-zero correction in the slot.
+        algorithm
+            .client_update_scratch(&mut client, &theta, &job, worker)
+            .unwrap();
+        let before = alloc_count();
+        algorithm
+            .client_update_scratch(&mut client, &theta, &job, worker)
+            .unwrap();
+        alloc_count() - before
+    };
+    let scaffold_job = warm_job(&mut Scaffold::new(), &mut worker);
+    let feddyn_job = warm_job(&mut FedDyn::new(0.1), &mut worker);
+    assert!(
+        feddyn_job <= fedavg_job && scaffold_job <= fedavg_job + 1,
+        "a warm correction-slot job grew a d-sized temporary: FedAvg → {fedavg_job}, \
+         SCAFFOLD → {scaffold_job}, FedDyn → {feddyn_job}"
     );
 
     // The wire path's client edge adds what travels and nothing else: the

@@ -92,6 +92,33 @@ fn spill_store_round_trips_state_through_disk_under_pressure() {
 }
 
 #[test]
+fn a_materialized_client_holds_two_vectors() {
+    // After one FedADMM round the store holds the CSR index (m + 1 offsets
+    // and every sample index) and, for each client the round materialized,
+    // `w_i` and its correction slot, its owned index list and the struct.
+    let mut engine = scenario(16, 15).engine(FedAdmm::paper_default());
+    engine.run_round().unwrap();
+    let d = engine.global_model().len();
+    let states = engine.clients().unwrap();
+    let word = std::mem::size_of::<usize>();
+    let samples: usize = states.iter().map(ClientState::num_samples).sum();
+    let index_bytes = (states.len() + 1 + samples) * word;
+    let selected: Vec<&ClientState> = states.iter().filter(|s| s.times_selected > 0).collect();
+    let client_bytes: usize = selected
+        .iter()
+        .map(|s| 2 * d * 4 + s.num_samples() * word + std::mem::size_of::<ClientState>())
+        .sum();
+    assert_eq!(
+        engine.store().stats().materializations as usize,
+        selected.len()
+    );
+    assert_eq!(
+        engine.store().resident_bytes(),
+        (index_bytes + client_bytes) as u64
+    );
+}
+
+#[test]
 fn spill_store_respects_budget_between_rounds() {
     let budget = 100 * 1024;
     let spill = StoreConfig::Spill {

@@ -192,13 +192,12 @@ pub fn event_digest(history: &RunHistory, global: &ParamVector, events: &[AsyncR
 }
 
 /// FNV-1a digest over every client's persistent state — id, selection
-/// count and the bits of `w_i`, `y_i` and `c_i` — so equal digests mean
-/// bit-exact state, not merely close.
+/// count and the bits of `w_i` and of the correction slot (`y_i`, `h_i` or
+/// `c_i`) — so equal digests mean bit-exact state, not merely close.
 pub fn state_digest(states: &[ClientState]) -> u64 {
     states.iter().fold(FNV_OFFSET, |h, s| {
         let h = fnv(h, [s.id as u64, s.times_selected as u64]);
-        let h = fnv(h, bits(&s.local_model));
-        fnv(fnv(h, bits(&s.dual)), bits(&s.control))
+        fnv(fnv(h, bits(&s.local_model)), bits(&s.dual))
     })
 }
 

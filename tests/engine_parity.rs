@@ -246,7 +246,7 @@ fn parity_table() -> Vec<Cell> {
         StoreConfig::Sharded { num_shards: 1 },
         StoreConfig::Sharded { num_shards: 3 },
         StoreConfig::Sharded { num_shards: 9 },
-        spill,
+        spill.clone(),
     ];
     let mut table = Vec::new();
     for fold in [AggregationMode::SinglePass, AggregationMode::Hierarchical] {
@@ -276,6 +276,14 @@ fn parity_table() -> Vec<Cell> {
                 ..Cell::plain(label, algorithm, golden)
             });
         }
+    }
+    // Each baseline's correction slot (SCAFFOLD's c_i, FedDyn's h_i) goes
+    // through the spill codec and comes back bit for bit.
+    for (label, algorithm, golden) in baseline_goldens() {
+        table.push(Cell {
+            store: spill.clone(),
+            ..Cell::plain(label, algorithm, golden)
+        });
     }
     table
 }
