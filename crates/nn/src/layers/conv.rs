@@ -9,13 +9,21 @@ use rand::RngCore;
 /// `[out_channels]`.
 ///
 /// The paper's CNN 1 / CNN 2 use 5×5 kernels, stride 1 and 'same' padding
-/// (padding 2), but the layer is general.
+/// (padding 2), each followed by a ReLU, but the layer is general. The
+/// fused variant ([`Conv2d::new_fused_relu`]) applies the ReLU in the
+/// kernel's bias epilogue and is bit-identical to a `Conv2d` followed by a
+/// separate ReLU.
 pub struct Conv2d {
     /// `[out_channels, in_channels, kernel_size, kernel_size]`.
     weight_dims: [usize; 4],
     stride: usize,
     padding: usize,
+    fused_relu: bool,
     cached_input: Option<Tensor>,
+    /// Positive-preactivation mask of the last forward pass (fused ReLU only).
+    relu_mask: Vec<bool>,
+    /// Reusable buffer for the ReLU-masked upstream gradient.
+    masked_grad: Tensor,
     /// Reusable im2col / per-sample gradient buffers for the kernels.
     scratch: ops::Conv2dScratch,
 }
@@ -34,8 +42,26 @@ impl Conv2d {
             weight_dims: [out_channels, in_channels, kernel_size, kernel_size],
             stride,
             padding,
+            fused_relu: false,
             cached_input: None,
+            relu_mask: Vec::new(),
+            masked_grad: Tensor::zeros(&[0]),
             scratch: ops::Conv2dScratch::default(),
+        }
+    }
+
+    /// Creates a convolution layer whose forward pass applies a fused
+    /// ReLU. Initialises exactly as [`Conv2d::new`] does.
+    pub fn new_fused_relu(
+        in_channels: usize,
+        out_channels: usize,
+        kernel_size: usize,
+        stride: usize,
+        padding: usize,
+    ) -> Self {
+        Conv2d {
+            fused_relu: true,
+            ..Conv2d::new(in_channels, out_channels, kernel_size, stride, padding)
         }
     }
 
@@ -47,7 +73,11 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn name(&self) -> &'static str {
-        "Conv2d"
+        if self.fused_relu {
+            "Conv2d+ReLU"
+        } else {
+            "Conv2d"
+        }
     }
 
     fn forward_into(
@@ -66,7 +96,12 @@ impl Layer for Conv2d {
             self.padding,
             &mut self.scratch,
             out,
+            self.fused_relu,
         )?;
+        if self.fused_relu {
+            self.relu_mask.clear();
+            self.relu_mask.extend(out.data().iter().map(|&v| v > 0.0));
+        }
         let cached = self.cached_input.get_or_insert_with(|| Tensor::zeros(&[0]));
         cached.resize_in_place(input.dims());
         cached.data_mut().copy_from_slice(input.data());
@@ -83,7 +118,17 @@ impl Layer for Conv2d {
         let input = self.cached_input.as_ref().ok_or_else(|| {
             TensorError::InvalidArgument("Conv2d::backward called before forward".into())
         })?;
-        let weight_len = self.weight_len();
+        let grad_output = if self.fused_relu {
+            self.masked_grad.resize_in_place(grad_output.dims());
+            let data = self.masked_grad.data_mut();
+            for ((gv, &go), &m) in data.iter_mut().zip(grad_output.data()).zip(&self.relu_mask) {
+                *gv = if m { go } else { 0.0 };
+            }
+            &self.masked_grad
+        } else {
+            grad_output
+        };
+        let weight_len = self.weight_dims.iter().product();
         let (grad_weight, grad_bias) = grads.split_at_mut(weight_len);
         ops::conv2d_backward_flat(
             input,
@@ -184,13 +229,60 @@ mod tests {
     #[test]
     fn param_gradients_do_not_depend_on_grad_input_being_requested() {
         let mut rng = SmallRng::seed_from_u64(15);
-        let mut c = Conv2d::new(2, 3, 3, 1, 1);
-        let params = gradcheck::init_params(&c, &mut rng);
         let x = fedadmm_tensor::init::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
-        let with_input = gradcheck::grad_bits(&mut c, &params, &x, true, 1);
-        assert_eq!(
-            with_input,
-            gradcheck::grad_bits(&mut c, &params, &x, false, 1)
-        );
+        for mut c in [
+            Conv2d::new(2, 3, 3, 1, 1),
+            Conv2d::new_fused_relu(2, 3, 3, 1, 1),
+        ] {
+            let params = gradcheck::init_params(&c, &mut rng);
+            let with_input = gradcheck::grad_bits(&mut c, &params, &x, true, 1);
+            assert_eq!(
+                with_input,
+                gradcheck::grad_bits(&mut c, &params, &x, false, 1)
+            );
+        }
+    }
+
+    /// The fused Conv2d+ReLU layer must be bit-identical to a `Conv2d`
+    /// followed by a separate ReLU, forward and backward, on negative,
+    /// zero and NaN preactivations as well as positive ones.
+    #[test]
+    fn fused_relu_matches_separate_layers_exactly() {
+        use super::super::Relu;
+        let mut rng = SmallRng::seed_from_u64(31);
+        let mut fused = Conv2d::new_fused_relu(2, 3, 3, 1, 1);
+        let mut plain = Conv2d::new(2, 3, 3, 1, 1);
+        let mut relu = Relu::new();
+        let mut params = gradcheck::init_params(&fused, &mut rng);
+        let same_draws = gradcheck::init_params(&plain, &mut SmallRng::seed_from_u64(31));
+        assert_eq!(params, same_draws);
+        assert_eq!(fused.name(), "Conv2d+ReLU");
+
+        // Sample 0 is all zeros, so its preactivations are the channel
+        // biases: 0.0, NaN, and -0.0, which a kernel turns into +0.0 (no
+        // GEMM output is -0.0, and 0.0 + -0.0 = 0.0). Sample 1 is random.
+        params[54..].copy_from_slice(&[0.0, f32::NAN, -0.0]);
+        let mut x = fedadmm_tensor::init::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
+        x.data_mut()[..50].fill(0.0);
+        let pre = plain.forward(&params, &x).unwrap();
+        assert!(pre.data().iter().any(|v| v.is_nan()));
+        assert!(pre.data().iter().any(|&v| v == 0.0));
+        assert!(pre.data().iter().any(|&v| v < 0.0) && pre.data().iter().any(|&v| v > 0.0));
+
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let y_fused = fused.forward(&params, &x).unwrap();
+        let y_plain = relu.forward(&[], &pre).unwrap();
+        assert_eq!(bits(y_fused.data()), bits(y_plain.data()));
+
+        // The bias does not enter the backward pass, so the NaN channel
+        // leaves every gradient finite: a mismatch cannot hide in a NaN.
+        let go = fedadmm_tensor::init::randn(pre.dims(), 0.0, 1.0, &mut rng);
+        let (mut gf, mut gp) = (vec![f32::NAN; 57], vec![f32::NAN; 57]);
+        let gx_fused = fused.backward(&params, &mut gf, &go).unwrap();
+        let go_plain = relu.backward(&[], &mut [], &go).unwrap();
+        let gx_plain = plain.backward(&params, &mut gp, &go_plain).unwrap();
+        assert!(gf.iter().chain(gx_fused.data()).all(|g| g.is_finite()));
+        assert_eq!(bits(gx_fused.data()), bits(gx_plain.data()));
+        assert_eq!(bits(&gf), bits(&gp));
     }
 }

@@ -255,7 +255,7 @@ fn col2im(
 ///
 /// `out` is resized (reusing capacity) to `[batch, out_c, out_h, out_w]`
 /// and fully overwritten. The im2col matrix lives in `scratch` and is
-/// reused across samples and calls.
+/// reused across samples and calls. No activation is applied.
 pub fn conv2d_forward_into(
     input: &Tensor,
     weight: &Tensor,
@@ -275,12 +275,15 @@ pub fn conv2d_forward_into(
         padding,
         scratch,
         out,
+        false,
     )
 }
 
 /// [`conv2d_forward_into`] on parameters that live in a flat store:
 /// `weight` is the row-major `weight_dims = [out_c, in_c, kh, kw]` kernel
-/// as a slice, `bias` its `out_c` offsets.
+/// as a slice, `bias` its `out_c` offsets. With `relu`, every output goes
+/// through ReLU in the per-channel bias epilogue, the rule
+/// [`linear_forward_flat`](crate::ops::linear_forward_flat) applies.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_forward_flat(
     input: &Tensor,
@@ -291,6 +294,7 @@ pub fn conv2d_forward_flat(
     padding: usize,
     scratch: &mut Conv2dScratch,
     out: &mut Tensor,
+    relu: bool,
 ) -> TensorResult<()> {
     let Geometry {
         batch,
@@ -338,8 +342,18 @@ pub fn conv2d_forward_flat(
         matmul_into(weight, &scratch.col, out_sample, out_c, col_rows, out_hw);
         for oc in 0..out_c {
             let bias_v = bias[oc];
-            for v in &mut out_sample[oc * out_hw..(oc + 1) * out_hw] {
+            let channel = &mut out_sample[oc * out_hw..(oc + 1) * out_hw];
+            for v in channel.iter_mut() {
                 *v += bias_v;
+            }
+            if relu {
+                // `!(v > 0.0)`, as the dense kernel does: NaN goes to 0.0.
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                for v in channel.iter_mut() {
+                    if !(*v > 0.0) {
+                        *v = 0.0;
+                    }
+                }
             }
         }
     }
