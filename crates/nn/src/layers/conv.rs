@@ -1,7 +1,7 @@
 //! 2-D convolution layer (wraps the im2col kernels from `fedadmm-tensor`).
 
-use super::Layer;
-use fedadmm_tensor::{init, ops, Tensor, TensorError, TensorResult};
+use super::{relu_grad, Layer};
+use fedadmm_tensor::{init, ops, Tensor, TensorResult};
 use rand::RngCore;
 
 /// A 2-D convolution layer with bias: the parameters are the kernel
@@ -19,9 +19,6 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     fused_relu: bool,
-    cached_input: Option<Tensor>,
-    /// Positive-preactivation mask of the last forward pass (fused ReLU only).
-    relu_mask: Vec<bool>,
     /// Reusable buffer for the ReLU-masked upstream gradient.
     masked_grad: Tensor,
     /// Reusable im2col / per-sample gradient buffers for the kernels.
@@ -43,8 +40,6 @@ impl Conv2d {
             stride,
             padding,
             fused_relu: false,
-            cached_input: None,
-            relu_mask: Vec::new(),
             masked_grad: Tensor::zeros(&[0]),
             scratch: ops::Conv2dScratch::default(),
         }
@@ -97,38 +92,24 @@ impl Layer for Conv2d {
             &mut self.scratch,
             out,
             self.fused_relu,
-        )?;
-        if self.fused_relu {
-            self.relu_mask.clear();
-            self.relu_mask.extend(out.data().iter().map(|&v| v > 0.0));
-        }
-        let cached = self.cached_input.get_or_insert_with(|| Tensor::zeros(&[0]));
-        cached.resize_in_place(input.dims());
-        cached.data_mut().copy_from_slice(input.data());
-        Ok(())
+        )
     }
 
     fn backward_into(
         &mut self,
         params: &[f32],
         grads: &mut [f32],
+        input: &Tensor,
+        output: &Tensor,
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
-        let input = self.cached_input.as_ref().ok_or_else(|| {
-            TensorError::InvalidArgument("Conv2d::backward called before forward".into())
-        })?;
+        let weight_len = self.weight_len();
         let grad_output = if self.fused_relu {
-            self.masked_grad.resize_in_place(grad_output.dims());
-            let data = self.masked_grad.data_mut();
-            for ((gv, &go), &m) in data.iter_mut().zip(grad_output.data()).zip(&self.relu_mask) {
-                *gv = if m { go } else { 0.0 };
-            }
-            &self.masked_grad
+            relu_grad(grad_output, output, &mut self.masked_grad)?
         } else {
             grad_output
         };
-        let weight_len = self.weight_dims.iter().product();
         let (grad_weight, grad_bias) = grads.split_at_mut(weight_len);
         ops::conv2d_backward_flat(
             input,
@@ -184,14 +165,6 @@ mod tests {
         let mut c = Conv2d::new(3, 2, 3, 1, 1);
         assert!(c
             .forward(&[0.0; 56], &Tensor::zeros(&[1, 1, 8, 8]))
-            .is_err());
-    }
-
-    #[test]
-    fn backward_before_forward_errors() {
-        let mut c = Conv2d::new(1, 1, 3, 1, 1);
-        assert!(c
-            .backward(&[0.0; 10], &mut [0.0; 10], &Tensor::zeros(&[1, 1, 4, 4]))
             .is_err());
     }
 
@@ -278,9 +251,11 @@ mod tests {
         // leaves every gradient finite: a mismatch cannot hide in a NaN.
         let go = fedadmm_tensor::init::randn(pre.dims(), 0.0, 1.0, &mut rng);
         let (mut gf, mut gp) = (vec![f32::NAN; 57], vec![f32::NAN; 57]);
-        let gx_fused = fused.backward(&params, &mut gf, &go).unwrap();
-        let go_plain = relu.backward(&[], &mut [], &go).unwrap();
-        let gx_plain = plain.backward(&params, &mut gp, &go_plain).unwrap();
+        let gx_fused = fused.backward(&params, &mut gf, &x, &y_fused, &go).unwrap();
+        let go_plain = relu.backward(&[], &mut [], &pre, &y_plain, &go).unwrap();
+        let gx_plain = plain
+            .backward(&params, &mut gp, &x, &pre, &go_plain)
+            .unwrap();
         assert!(gf.iter().chain(gx_fused.data()).all(|g| g.is_finite()));
         assert_eq!(bits(gx_fused.data()), bits(gx_plain.data()));
         assert_eq!(bits(&gf), bits(&gp));

@@ -42,6 +42,8 @@ impl Layer for Flatten {
         &mut self,
         _: &[f32],
         _: &mut [f32],
+        _: &Tensor,
+        _: &Tensor,
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
@@ -74,7 +76,15 @@ mod tests {
         let x = Tensor::zeros(&[2, 3, 4, 4]);
         let y = f.forward(&[], &x).unwrap();
         assert_eq!(y.dims(), &[2, 48]);
-        let gx = f.backward(&[], &mut [], &Tensor::ones(&[2, 48])).unwrap();
+        let gx = f
+            .backward(
+                &[],
+                &mut [],
+                &Tensor::zeros(&[0]),
+                &Tensor::zeros(&[0]),
+                &Tensor::ones(&[2, 48]),
+            )
+            .unwrap();
         assert_eq!(gx.dims(), &[2, 3, 4, 4]);
     }
 
@@ -87,6 +97,14 @@ mod tests {
     #[test]
     fn backward_before_forward_errors() {
         let mut f = Flatten::new();
-        assert!(f.backward(&[], &mut [], &Tensor::zeros(&[2, 2])).is_err());
+        assert!(f
+            .backward(
+                &[],
+                &mut [],
+                &Tensor::zeros(&[0]),
+                &Tensor::zeros(&[0]),
+                &Tensor::zeros(&[2, 2])
+            )
+            .is_err());
     }
 }

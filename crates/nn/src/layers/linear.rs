@@ -1,26 +1,24 @@
 //! Fully connected (dense) layer.
 
-use super::Layer;
+use super::{relu_grad, Layer};
 use fedadmm_tensor::{init, ops, Tensor, TensorError, TensorResult};
 use rand::RngCore;
 
 /// A fully connected layer: `y = x·Wᵀ + b`, optionally fused with a
 /// trailing ReLU (`y = max(x·Wᵀ + b, 0)`).
 ///
-/// * input:  `[batch, in_features]`
+/// * input:  `[batch, …]`, read as `batch × in_features` (the features
+///   flattened in row-major order, so a convolution's `[batch, c, h, w]`
+///   output feeds it directly)
 /// * params: weight `[out_features, in_features]`, then bias `[out_features]`
 /// * output: `[batch, out_features]`
 ///
 /// The fused variant ([`Linear::new_fused_relu`]) computes matmul, bias and
-/// activation in a single kernel pass and is bit-identical to a `Linear`
-/// followed by a separate `Relu` layer.
+/// activation in a single kernel pass.
 pub struct Linear {
     in_features: usize,
     out_features: usize,
     fused_relu: bool,
-    cached_input: Option<Tensor>,
-    /// Positive-preactivation mask of the last forward pass (fused ReLU only).
-    relu_mask: Vec<bool>,
     /// Reusable buffer for the ReLU-masked upstream gradient.
     masked_grad: Tensor,
 }
@@ -33,17 +31,12 @@ impl Linear {
             in_features,
             out_features,
             fused_relu: false,
-            cached_input: None,
-            relu_mask: Vec::new(),
             masked_grad: Tensor::zeros(&[0]),
         }
     }
 
     /// Creates a linear layer whose forward pass applies a fused ReLU.
-    ///
-    /// Initialises exactly as [`Linear::new`] does (a `Relu` layer draws
-    /// nothing), so swapping a `Linear + Relu` pair for this fused layer
-    /// leaves model initialisation bit-identical.
+    /// Initialises exactly as [`Linear::new`] does.
     pub fn new_fused_relu(in_features: usize, out_features: usize) -> Self {
         Linear {
             fused_relu: true,
@@ -67,7 +60,7 @@ impl Layer for Linear {
         input: &Tensor,
         out: &mut Tensor,
     ) -> TensorResult<()> {
-        if input.rank() != 2 || input.dims()[1] != self.in_features {
+        if input.rank() < 2 || input.dims()[1..].iter().product::<usize>() != self.in_features {
             return Err(TensorError::ShapeMismatch {
                 left: input.dims().to_vec(),
                 right: vec![0, self.in_features],
@@ -76,47 +69,31 @@ impl Layer for Linear {
         // y[batch, out] = x[batch, in] · Wᵀ[in, out] + b (fused bias, and
         // fused ReLU when enabled).
         let (weight, bias) = params.split_at(self.in_features * self.out_features);
-        ops::linear_forward_flat(input, weight, bias, out, self.fused_relu)?;
-        if self.fused_relu {
-            // ReLU fixes every non-positive preactivation to exactly 0.0 and
-            // keeps positives unchanged, so the positive-preactivation mask
-            // can be read back off the activation itself.
-            self.relu_mask.clear();
-            self.relu_mask.extend(out.data().iter().map(|&v| v > 0.0));
-        }
-        let cached = self.cached_input.get_or_insert_with(|| Tensor::zeros(&[0]));
-        cached.resize_in_place(input.dims());
-        cached.data_mut().copy_from_slice(input.data());
-        Ok(())
+        ops::linear_forward_flat(input, weight, bias, out, self.fused_relu)
     }
 
     fn backward_into(
         &mut self,
         params: &[f32],
         grads: &mut [f32],
+        input: &Tensor,
+        output: &Tensor,
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
-        let input = self.cached_input.as_ref().ok_or_else(|| {
-            TensorError::InvalidArgument("Linear::backward called before forward".into())
-        })?;
         let (batch, n_in, n_out) = (input.dims()[0], self.in_features, self.out_features);
-        if grad_output.dims() != [batch, n_out] {
+        if grad_output.dims() != [batch, n_out] || input.len() != batch * n_in {
             return Err(TensorError::ShapeMismatch {
-                left: vec![batch, n_out],
+                left: vec![batch, n_in, n_out],
                 right: grad_output.dims().to_vec(),
             });
         }
-        let g: &[f32] = if self.fused_relu {
-            self.masked_grad.resize_in_place(grad_output.dims());
-            let data = self.masked_grad.data_mut();
-            for ((gv, &go), &m) in data.iter_mut().zip(grad_output.data()).zip(&self.relu_mask) {
-                *gv = if m { go } else { 0.0 };
-            }
-            data
+        let g = if self.fused_relu {
+            relu_grad(grad_output, output, &mut self.masked_grad)?
         } else {
-            grad_output.data()
-        };
+            grad_output
+        }
+        .data();
         let weight = &params[..n_in * n_out];
         let (grad_weight, grad_bias) = grads.split_at_mut(weight.len());
         // dW[out, in] = gᵀ[out, batch] · x[batch, in], written where the
@@ -178,12 +155,25 @@ mod tests {
         assert!(l.forward(&[0.0; 8], &Tensor::zeros(&[6])).is_err());
     }
 
+    /// A `[batch, c, h, w]` input is read as `batch × c·h·w`, bit for bit
+    /// what the same values shaped `[batch, c·h·w]` give, and its gradient
+    /// comes back in the input's own shape.
     #[test]
-    fn backward_before_forward_errors() {
-        let mut l = Linear::new(3, 2);
-        assert!(l
-            .backward(&[0.0; 8], &mut [0.0; 8], &Tensor::zeros(&[1, 2]))
-            .is_err());
+    fn reads_image_batches_as_rows_and_returns_their_shape() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut l = Linear::new_fused_relu(12, 4);
+        let params = gradcheck::init_params(&l, &mut rng);
+        let image = fedadmm_tensor::init::randn(&[2, 3, 2, 2], 0.0, 1.0, &mut rng);
+        let rows = Tensor::from_vec(image.data().to_vec(), &[2, 12]).unwrap();
+        let y = l.forward(&params, &image).unwrap();
+        assert_eq!(y, l.forward(&params, &rows).unwrap());
+        let go = fedadmm_tensor::init::randn(&[2, 4], 0.0, 1.0, &mut rng);
+        let (mut g_image, mut g_rows) = (vec![0.0; 52], vec![0.0; 52]);
+        let gx_image = l.backward(&params, &mut g_image, &image, &y, &go).unwrap();
+        let gx_rows = l.backward(&params, &mut g_rows, &rows, &y, &go).unwrap();
+        assert_eq!(gx_image.dims(), &[2, 3, 2, 2]);
+        assert_eq!(gx_image.data(), gx_rows.data());
+        assert_eq!(g_image, g_rows);
     }
 
     /// The layer holds no parameter of its own: initialisation fills its
@@ -263,18 +253,19 @@ mod tests {
 
         let x = fedadmm_tensor::init::randn(&[4, 6], 0.0, 1.0, &mut rng);
         let y_fused = fused.forward(&params, &x).unwrap();
-        let y_plain = relu
-            .forward(&[], &plain.forward(&params, &x).unwrap())
-            .unwrap();
+        let pre = plain.forward(&params, &x).unwrap();
+        let y_plain = relu.forward(&[], &pre).unwrap();
         for (a, b) in y_fused.data().iter().zip(y_plain.data().iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 
         let go = fedadmm_tensor::init::randn(&[4, 5], 0.0, 1.0, &mut rng);
         let (mut gf, mut gp) = (vec![f32::NAN; 35], vec![f32::NAN; 35]);
-        let gx_fused = fused.backward(&params, &mut gf, &go).unwrap();
-        let go_plain = relu.backward(&[], &mut [], &go).unwrap();
-        let gx_plain = plain.backward(&params, &mut gp, &go_plain).unwrap();
+        let gx_fused = fused.backward(&params, &mut gf, &x, &y_fused, &go).unwrap();
+        let go_plain = relu.backward(&[], &mut [], &pre, &y_plain, &go).unwrap();
+        let gx_plain = plain
+            .backward(&params, &mut gp, &x, &pre, &go_plain)
+            .unwrap();
         for (a, b) in gx_fused.data().iter().zip(gx_plain.data().iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -296,11 +287,11 @@ mod tests {
         let mut gi = Tensor::ones(&[7]);
         let mut grads_into = vec![9.9f32; 15];
         l.forward_into(&params, &x, &mut out).unwrap();
-        l.backward_into(&params, &mut grads_into, &go, Some(&mut gi))
+        l.backward_into(&params, &mut grads_into, &x, &out, &go, Some(&mut gi))
             .unwrap();
         let y = l.forward(&params, &x).unwrap();
         let mut grads_fresh = vec![0.0f32; 15];
-        let gx = l.backward(&params, &mut grads_fresh, &go).unwrap();
+        let gx = l.backward(&params, &mut grads_fresh, &x, &y, &go).unwrap();
         assert_eq!(out.data(), y.data());
         assert_eq!(gi.data(), gx.data());
         assert_eq!(grads_into, grads_fresh);

@@ -5,11 +5,15 @@
 //! on such vectors), and a layer is handed its range of it on every pass —
 //! `&[f32]` parameters, and on the way back a `&mut [f32]` gradient slice
 //! that it **overwrites**, so the optimizer reads the gradient where the
-//! kernel wrote it. A layer owns its geometry and the activations its
-//! backward pass needs, and implements each pass exactly once, in the
-//! buffer-reusing `_into` form the training arena drives; the
-//! tensor-returning `forward` / `backward` are provided by the [`Layer`]
-//! trait on top of it.
+//! kernel wrote it. Nor does a layer keep its activations: the backward
+//! pass is handed the input and output of the forward pass, which the
+//! [`ActivationArena`](crate::ActivationArena) holds. A layer owns its
+//! geometry, reusable scratch and, for max pooling, the argmax indices, and
+//! implements each pass exactly once, in the buffer-reusing `_into` form
+//! the training arena drives; the tensor-returning `forward` / `backward`
+//! are provided by the [`Layer`] trait on top of it. A ReLU is a flag of
+//! the layer it follows ([`Linear::new_fused_relu`],
+//! [`Conv2d::new_fused_relu`]), not a layer.
 
 mod conv;
 mod flatten;
@@ -25,20 +29,20 @@ pub use pool::MaxPool2d;
 pub use relu::Relu;
 pub use reshape::Reshape;
 
-use fedadmm_tensor::{Tensor, TensorResult};
+use fedadmm_tensor::{Tensor, TensorError, TensorResult};
 use rand::RngCore;
 
 /// A differentiable layer.
 ///
 /// The contract mirrors classic layer-based backprop:
-/// 1. `forward_into` consumes a batch and caches what the backward pass
-///    needs;
-/// 2. `backward_into` consumes the gradient of the loss with respect to the
-///    layer's output, *overwrites* `grads` with this batch's gradient for
-///    the layer's own parameters (nothing zeroes the slice first; two
-///    passes in a row leave the bits of one), and writes the gradient with
-///    respect to the input — when the caller asks for it. `grad_input` is
-///    `None` when nobody reads `dL/d(input)`: [`Network::backward_arena`](crate::Network::backward_arena)
+/// 1. `forward_into` maps a batch `input` to `out`;
+/// 2. `backward_into` is handed that same `input` and `output` with the
+///    gradient of the loss with respect to the output, *overwrites* `grads`
+///    with this batch's gradient for the layer's own parameters (nothing
+///    zeroes the slice first; two passes in a row leave the bits of one),
+///    and writes the gradient with respect to the input — when the caller
+///    asks for it. `grad_input` is `None` when nobody reads
+///    `dL/d(input)`: [`Network::backward_arena`](crate::Network::backward_arena)
 ///    passes `None` to the first layer that has parameters (the gradient
 ///    with respect to the data is never used by training) and does not run
 ///    the parameter-free layers below it at all. A layer given `None`
@@ -49,9 +53,10 @@ use rand::RngCore;
 /// vectors, [`Layer::num_params`] long (a layer may panic otherwise),
 /// weight then bias.
 ///
-/// `backward_into` must be called after `forward_into` on the same batch.
-/// Both write into caller-owned tensors that they resize in place, so a
-/// training loop that re-presents the same batch shape (see
+/// `backward_into` must follow `forward_into` on the same batch (max
+/// pooling reads the argmax its forward pass recorded). Both write into
+/// caller-owned tensors that they resize in place, so a training loop that
+/// re-presents the same batch shape (see
 /// [`Network::forward_arena`](crate::Network::forward_arena)) performs no
 /// allocation. These two are the only pass implementations a layer
 /// provides; [`Layer::forward`] / [`Layer::backward`] are derived from them
@@ -70,14 +75,18 @@ pub trait Layer: Send {
         out: &mut Tensor,
     ) -> TensorResult<()>;
 
-    /// Backward pass: overwrites `grads` with the parameter gradients and,
-    /// given `Some(grad_input)`, writes `dL/d(input)` into it, resized in
-    /// place and fully overwritten. With `None` the input gradient is not
-    /// computed; the parameter gradients are bit-identical either way.
+    /// Backward pass given the `input` and `output` of the forward pass:
+    /// overwrites `grads` with the parameter gradients and, given
+    /// `Some(grad_input)`, writes `dL/d(input)` into it, resized in place
+    /// to `input`'s dims and fully overwritten. With `None` the input
+    /// gradient is not computed; the parameter gradients are bit-identical
+    /// either way.
     fn backward_into(
         &mut self,
         params: &[f32],
         grads: &mut [f32],
+        input: &Tensor,
+        output: &Tensor,
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()>;
@@ -94,10 +103,19 @@ pub trait Layer: Send {
         &mut self,
         params: &[f32],
         grads: &mut [f32],
+        input: &Tensor,
+        output: &Tensor,
         grad_output: &Tensor,
     ) -> TensorResult<Tensor> {
         let mut grad_input = Tensor::zeros(&[0]);
-        self.backward_into(params, grads, grad_output, Some(&mut grad_input))?;
+        self.backward_into(
+            params,
+            grads,
+            input,
+            output,
+            grad_output,
+            Some(&mut grad_input),
+        )?;
         Ok(grad_input)
     }
 
@@ -109,6 +127,34 @@ pub trait Layer: Send {
     /// Writes freshly initialised parameters into the layer's range of a
     /// new network's parameter vector, drawing from `rng`.
     fn init_params(&self, _params: &mut [f32], _rng: &mut dyn RngCore) {}
+}
+
+/// `grad_output` through the derivative of a fused ReLU, written into the
+/// reused `masked`: zero wherever the layer's `output` is not positive. A
+/// ReLU output is positive exactly where its preactivation was (it fixes
+/// every other preactivation, NaN included, to `0.0`), so the output is
+/// the mask.
+fn relu_grad<'a>(
+    grad_output: &Tensor,
+    output: &Tensor,
+    masked: &'a mut Tensor,
+) -> TensorResult<&'a Tensor> {
+    if grad_output.dims() != output.dims() {
+        return Err(TensorError::ShapeMismatch {
+            left: output.dims().to_vec(),
+            right: grad_output.dims().to_vec(),
+        });
+    }
+    masked.resize_in_place(grad_output.dims());
+    for ((m, &g), &y) in masked
+        .data_mut()
+        .iter_mut()
+        .zip(grad_output.data())
+        .zip(output.data())
+    {
+        *m = if y > 0.0 { g } else { 0.0 };
+    }
+    Ok(masked)
 }
 
 #[cfg(test)]
@@ -161,7 +207,7 @@ pub(crate) mod gradcheck {
         let out = layer.forward(params, input).unwrap();
         let mut grads = vec![f32::NAN; params.len()];
         let grad_in = layer
-            .backward(params, &mut grads, &Tensor::ones(out.dims()))
+            .backward(params, &mut grads, input, &out, &Tensor::ones(out.dims()))
             .unwrap();
         for &idx in param_indices {
             let loss = |p: &[f32]| layer.forward(p, input).unwrap().sum();
@@ -194,7 +240,7 @@ pub(crate) mod gradcheck {
         for _ in 0..passes {
             let grad_input = with_input.then_some(&mut grad_input);
             layer
-                .backward_into(params, &mut grads, &grad_out, grad_input)
+                .backward_into(params, &mut grads, input, &out, &grad_out, grad_input)
                 .unwrap();
         }
         assert!(grads.iter().any(|&g| g != 0.0));

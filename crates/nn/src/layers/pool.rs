@@ -1,14 +1,15 @@
 //! Max pooling layer (wraps the pooling kernels from `fedadmm-tensor`).
 
 use super::Layer;
-use fedadmm_tensor::{ops, Tensor, TensorError, TensorResult};
+use fedadmm_tensor::{ops, Tensor, TensorResult};
 
 /// 2-D max pooling. The paper's CNNs use 2×2 windows with stride 2.
 pub struct MaxPool2d {
     size: usize,
     stride: usize,
-    cached_argmax: Option<Vec<usize>>,
-    cached_input_dims: Option<Vec<usize>>,
+    /// Flat input index of each output's maximum, from the last forward
+    /// pass: where the backward pass routes each output's gradient.
+    argmax: Vec<usize>,
 }
 
 impl MaxPool2d {
@@ -17,8 +18,7 @@ impl MaxPool2d {
         MaxPool2d {
             size,
             stride,
-            cached_argmax: None,
-            cached_input_dims: None,
+            argmax: Vec::new(),
         }
     }
 }
@@ -29,32 +29,22 @@ impl Layer for MaxPool2d {
     }
 
     fn forward_into(&mut self, _: &[f32], input: &Tensor, out: &mut Tensor) -> TensorResult<()> {
-        let argmax = self.cached_argmax.get_or_insert_with(Vec::new);
-        ops::max_pool2d_forward_into(input, self.size, self.stride, out, argmax)?;
-        let dims = self.cached_input_dims.get_or_insert_with(Vec::new);
-        dims.clear();
-        dims.extend_from_slice(input.dims());
-        Ok(())
+        ops::max_pool2d_forward_into(input, self.size, self.stride, out, &mut self.argmax)
     }
 
     fn backward_into(
         &mut self,
         _: &[f32],
         _: &mut [f32],
+        input: &Tensor,
+        _: &Tensor,
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
-        let argmax = self.cached_argmax.as_ref().ok_or_else(|| {
-            TensorError::InvalidArgument("MaxPool2d::backward called before forward".into())
-        })?;
-        let dims = self
-            .cached_input_dims
-            .as_ref()
-            .expect("dims cached with argmax");
         let Some(grad_input) = grad_input else {
             return Ok(());
         };
-        ops::max_pool2d_backward_into(grad_output, argmax, dims, grad_input)
+        ops::max_pool2d_backward_into(grad_output, &self.argmax, input.dims(), grad_input)
     }
 }
 
@@ -69,7 +59,7 @@ mod tests {
         let y = p.forward(&[], &x).unwrap();
         assert_eq!(y.dims(), &[1, 1, 2, 2]);
         let g = Tensor::ones(&[1, 1, 2, 2]);
-        let gx = p.backward(&[], &mut [], &g).unwrap();
+        let gx = p.backward(&[], &mut [], &x, &y, &g).unwrap();
         assert_eq!(gx.dims(), &[1, 1, 4, 4]);
         assert_eq!(gx.sum(), 4.0);
     }
@@ -77,9 +67,8 @@ mod tests {
     #[test]
     fn backward_before_forward_errors() {
         let mut p = MaxPool2d::new(2, 2);
-        assert!(p
-            .backward(&[], &mut [], &Tensor::zeros(&[1, 1, 2, 2]))
-            .is_err());
+        let (x, y) = (Tensor::zeros(&[1, 1, 4, 4]), Tensor::zeros(&[1, 1, 2, 2]));
+        assert!(p.backward(&[], &mut [], &x, &y, &y).is_err());
     }
 
     #[test]

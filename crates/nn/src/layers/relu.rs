@@ -37,6 +37,8 @@ impl Layer for Relu {
         &mut self,
         _: &[f32],
         _: &mut [f32],
+        _: &Tensor,
+        _: &Tensor,
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
@@ -83,21 +85,39 @@ mod tests {
         let x = Tensor::from_vec(vec![-1.0, 0.5, 2.0, -3.0], &[4]).unwrap();
         r.forward(&[], &x).unwrap();
         let g = Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], &[4]).unwrap();
-        let gx = r.backward(&[], &mut [], &g).unwrap();
+        let gx = r
+            .backward(&[], &mut [], &Tensor::zeros(&[0]), &Tensor::zeros(&[0]), &g)
+            .unwrap();
         assert_eq!(gx.data(), &[0.0, 1.0, 1.0, 0.0]);
     }
 
     #[test]
     fn backward_before_forward_errors() {
         let mut r = Relu::new();
-        assert!(r.backward(&[], &mut [], &Tensor::zeros(&[2])).is_err());
+        assert!(r
+            .backward(
+                &[],
+                &mut [],
+                &Tensor::zeros(&[0]),
+                &Tensor::zeros(&[0]),
+                &Tensor::zeros(&[2])
+            )
+            .is_err());
     }
 
     #[test]
     fn backward_rejects_mismatched_shape() {
         let mut r = Relu::new();
         r.forward(&[], &Tensor::zeros(&[4])).unwrap();
-        assert!(r.backward(&[], &mut [], &Tensor::zeros(&[5])).is_err());
+        assert!(r
+            .backward(
+                &[],
+                &mut [],
+                &Tensor::zeros(&[0]),
+                &Tensor::zeros(&[0]),
+                &Tensor::zeros(&[5])
+            )
+            .is_err());
     }
 
     #[test]

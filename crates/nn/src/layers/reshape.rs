@@ -11,7 +11,6 @@ use fedadmm_tensor::{Tensor, TensorError, TensorResult};
 /// Reshapes `[batch, prod(target)]` into `[batch, target...]`.
 pub struct Reshape {
     target: Vec<usize>,
-    cached_dims: Option<Vec<usize>>,
     /// Reusable `[batch, target...]` dimension buffer.
     full_dims: Vec<usize>,
 }
@@ -21,7 +20,6 @@ impl Reshape {
     pub fn new(target: &[usize]) -> Self {
         Reshape {
             target: target.to_vec(),
-            cached_dims: None,
             full_dims: Vec::new(),
         }
     }
@@ -48,9 +46,6 @@ impl Layer for Reshape {
                 to: expected,
             });
         }
-        let cached = self.cached_dims.get_or_insert_with(Vec::new);
-        cached.clear();
-        cached.extend_from_slice(input.dims());
         self.full_dims.clear();
         self.full_dims.push(batch);
         self.full_dims.extend_from_slice(&self.target);
@@ -63,23 +58,21 @@ impl Layer for Reshape {
         &mut self,
         _: &[f32],
         _: &mut [f32],
+        input: &Tensor,
+        _: &Tensor,
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
-        let dims = self.cached_dims.as_ref().ok_or_else(|| {
-            TensorError::InvalidArgument("Reshape::backward called before forward".into())
-        })?;
-        let expected: usize = dims.iter().product();
-        if expected != grad_output.len() {
+        if input.len() != grad_output.len() {
             return Err(TensorError::InvalidReshape {
                 from: grad_output.len(),
-                to: expected,
+                to: input.len(),
             });
         }
         let Some(grad_input) = grad_input else {
             return Ok(());
         };
-        grad_input.resize_in_place(dims);
+        grad_input.resize_in_place(input.dims());
         grad_input.data_mut().copy_from_slice(grad_output.data());
         Ok(())
     }
@@ -96,7 +89,7 @@ mod tests {
         let y = r.forward(&[], &x).unwrap();
         assert_eq!(y.dims(), &[4, 1, 28, 28]);
         let gx = r
-            .backward(&[], &mut [], &Tensor::ones(&[4, 1, 28, 28]))
+            .backward(&[], &mut [], &x, &y, &Tensor::ones(&[4, 1, 28, 28]))
             .unwrap();
         assert_eq!(gx.dims(), &[4, 784]);
     }
@@ -105,13 +98,5 @@ mod tests {
     fn rejects_wrong_element_count() {
         let mut r = Reshape::new(&[3, 32, 32]);
         assert!(r.forward(&[], &Tensor::zeros(&[2, 784])).is_err());
-    }
-
-    #[test]
-    fn backward_before_forward_errors() {
-        let mut r = Reshape::new(&[1, 2, 2]);
-        assert!(r
-            .backward(&[], &mut [], &Tensor::zeros(&[1, 1, 2, 2]))
-            .is_err());
     }
 }

@@ -15,12 +15,15 @@
 //! [`ModelSpec::Logistic`] variants are lighter models used by fast tests
 //! and scaled-down benchmark configurations.
 
-use crate::layers::{Conv2d, Flatten, Layer, Linear, MaxPool2d, Relu, Reshape};
-// Dense hidden layers use `Linear::new_fused_relu`, which computes
-// matmul+bias+ReLU in one kernel pass; it draws the same RNG values and
-// produces bit-identical outputs to the unfused `Linear` + `Relu` pair it
-// replaces, so swapping it in changes neither initialisation nor training
-// trajectories.
+use crate::layers::{Conv2d, Layer, Linear, MaxPool2d, Reshape};
+// Every ReLU is the flag of the layer it follows (`Conv2d::new_fused_relu`,
+// `Linear::new_fused_relu`), applied in the kernel's bias epilogue, and the
+// dense layers read the pooled `[batch, c, h, w]` maps as rows, so a CNN is
+// seven layers and each layer's output is the arena slot the next reads:
+// the backward pass gets every input and output from the arena, the
+// network input from the arena's own copy. Neither change draws a random
+// number, so θ⁰ is what the ten-layer stack with separate ReLU and Flatten
+// layers drew.
 use crate::network::Network;
 use rand::Rng;
 
@@ -34,13 +37,13 @@ use rand::Rng;
 pub enum ModelSpec {
     /// The paper's MNIST/FMNIST CNN: 1,663,370 parameters.
     ///
-    /// `reshape(1×28×28) → conv5×5(1→32) → relu → pool2×2 → conv5×5(32→64)
-    /// → relu → pool2×2 → flatten(3136) → fc(3136→512) → relu → fc(512→10)`.
+    /// `reshape(1×28×28) → conv5×5(1→32)+relu → pool2×2 → conv5×5(32→64)+relu
+    /// → pool2×2 → fc(3136→512)+relu → fc(512→10)`.
     Cnn1,
     /// The paper's CIFAR-10 CNN: 1,105,098 parameters.
     ///
-    /// `reshape(3×32×32) → conv5×5(3→32) → relu → pool2×2 → conv5×5(32→64)
-    /// → relu → pool2×2 → flatten(4096) → fc(4096→256) → relu → fc(256→10)`.
+    /// `reshape(3×32×32) → conv5×5(3→32)+relu → pool2×2 → conv5×5(32→64)+relu
+    /// → pool2×2 → fc(4096→256)+relu → fc(256→10)`.
     Cnn2,
     /// A single-hidden-layer MLP on flattened inputs. Used for fast
     /// configurations where the full CNNs would dominate simulation time.
@@ -67,25 +70,19 @@ impl ModelSpec {
         let layers: Vec<Box<dyn Layer>> = match *self {
             ModelSpec::Cnn1 => vec![
                 Box::new(Reshape::new(&[1, 28, 28])),
-                Box::new(Conv2d::new(1, 32, 5, 1, 2)),
-                Box::new(Relu::new()),
+                Box::new(Conv2d::new_fused_relu(1, 32, 5, 1, 2)),
                 Box::new(MaxPool2d::new(2, 2)),
-                Box::new(Conv2d::new(32, 64, 5, 1, 2)),
-                Box::new(Relu::new()),
+                Box::new(Conv2d::new_fused_relu(32, 64, 5, 1, 2)),
                 Box::new(MaxPool2d::new(2, 2)),
-                Box::new(Flatten::new()),
                 Box::new(Linear::new_fused_relu(64 * 7 * 7, 512)),
                 Box::new(Linear::new(512, 10)),
             ],
             ModelSpec::Cnn2 => vec![
                 Box::new(Reshape::new(&[3, 32, 32])),
-                Box::new(Conv2d::new(3, 32, 5, 1, 2)),
-                Box::new(Relu::new()),
+                Box::new(Conv2d::new_fused_relu(3, 32, 5, 1, 2)),
                 Box::new(MaxPool2d::new(2, 2)),
-                Box::new(Conv2d::new(32, 64, 5, 1, 2)),
-                Box::new(Relu::new()),
+                Box::new(Conv2d::new_fused_relu(32, 64, 5, 1, 2)),
                 Box::new(MaxPool2d::new(2, 2)),
-                Box::new(Flatten::new()),
                 Box::new(Linear::new_fused_relu(64 * 8 * 8, 256)),
                 Box::new(Linear::new(256, 10)),
             ],
@@ -279,7 +276,7 @@ mod tests {
         for _ in 0..30 {
             let logits = net.forward(&x).unwrap();
             let (loss, grad) = softmax_cross_entropy(&logits, &labels).unwrap();
-            net.backward(&grad).unwrap();
+            net.backward(&x, &grad).unwrap();
             let (params, grads) = net.params_grads_mut();
             sgd.step(params, grads);
             first_loss.get_or_insert(loss);

@@ -74,22 +74,41 @@ impl Network {
     }
 
     /// Layer-by-layer backward pass (in reverse) through fresh tensors,
-    /// writing parameter gradients; returns the gradient with respect to
-    /// the network input. Test reference for [`Network::backward_arena`].
+    /// after a forward pass over `input` that keeps every layer's input and
+    /// output, writing parameter gradients; returns the gradient with
+    /// respect to `input`. Test reference for [`Network::backward_arena`].
     #[cfg(test)]
-    pub(crate) fn backward(&mut self, grad_output: &Tensor) -> TensorResult<Tensor> {
+    pub(crate) fn backward(
+        &mut self,
+        input: &Tensor,
+        grad_output: &Tensor,
+    ) -> TensorResult<Tensor> {
+        let mut acts = vec![input.clone()];
+        let mut rest = self.params.as_slice();
+        for layer in &mut self.layers {
+            let (own, tail) = rest.split_at(layer.num_params());
+            acts.push(layer.forward(own, &acts[acts.len() - 1])?);
+            rest = tail;
+        }
         let mut g = grad_output.clone();
         let mut end = self.params.len();
-        for layer in self.layers.iter_mut().rev() {
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             let own = end - layer.num_params()..end;
-            g = layer.backward(&self.params[own.clone()], &mut self.grads[own.clone()], &g)?;
+            g = layer.backward(
+                &self.params[own.clone()],
+                &mut self.grads[own.clone()],
+                &acts[i],
+                &acts[i + 1],
+                &g,
+            )?;
             end = own.start;
         }
         Ok(g)
     }
 
     /// Forward pass through all layers, routing every layer's output
-    /// through `arena` slots.
+    /// through `arena` slots, after one copy of `input` into the arena
+    /// (what the backward pass hands the first layer).
     ///
     /// The output lands in [`ActivationArena::output`]. After the first
     /// call at a given batch shape, repeated calls allocate nothing.
@@ -104,12 +123,14 @@ impl Network {
             ));
         }
         arena.ensure_layers(self.layers.len());
+        arena.input.resize_in_place(input.dims());
+        arena.input.data_mut().copy_from_slice(input.data());
         let mut rest = self.params.as_slice();
         for (i, layer) in self.layers.iter_mut().enumerate() {
             let (own, tail) = rest.split_at(layer.num_params());
             rest = tail;
             let (prev, out) = arena.acts.split_at_mut(i);
-            let src: &Tensor = if i == 0 { input } else { &prev[i - 1] };
+            let src = if i == 0 { &arena.input } else { &prev[i - 1] };
             layer.forward_into(own, src, &mut out[0])?;
         }
         Ok(())
@@ -118,13 +139,14 @@ impl Network {
     /// Backward pass through all layers (in reverse), seeded from
     /// [`ActivationArena`]'s loss-gradient slot (fill it via
     /// `loss::softmax_cross_entropy_into` after the forward pass). Every
-    /// layer overwrites its range of the gradient vector, so afterwards
+    /// layer is handed the input and output of its forward pass from the
+    /// arena and overwrites its range of the gradient vector, so afterwards
     /// [`Network::grads`] is this batch's gradient whatever it held before.
     ///
     /// The sweep ends at the first layer that has parameters, which is
     /// given no `grad_input`: training never reads the gradient with
     /// respect to the data, so that product and every parameter-free layer
-    /// below it (an input `Reshape`) are skipped.
+    /// below it are skipped.
     pub fn backward_arena(&mut self, arena: &mut ActivationArena) -> TensorResult<()> {
         let n = self.layers.len();
         if arena.acts.len() < n || n == 0 {
@@ -147,11 +169,18 @@ impl Network {
                 &tail[0]
             };
             let grad_input = (i > first).then_some(&mut head[i]);
+            let input = if i == 0 {
+                &arena.input
+            } else {
+                &arena.acts[i - 1]
+            };
             let own = end - self.layers[i].num_params()..end;
             end = own.start;
             self.layers[i].backward_into(
                 &self.params[own.clone()],
                 &mut self.grads[own],
+                input,
+                &arena.acts[i],
                 g_src,
                 grad_input,
             )?;
@@ -220,14 +249,13 @@ impl std::fmt::Debug for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{gradcheck, Conv2d, Flatten, Linear, MaxPool2d, Relu, Reshape};
+    use crate::layers::{gradcheck, Conv2d, Linear, MaxPool2d, Reshape};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn small_net(seed: u64) -> Network {
         let layers: Vec<Box<dyn Layer>> = vec![
-            Box::new(Linear::new(4, 8)),
-            Box::new(Relu::new()),
+            Box::new(Linear::new_fused_relu(4, 8)),
             Box::new(Linear::new(8, 3)),
         ];
         Network::new(layers, &mut SmallRng::seed_from_u64(seed))
@@ -237,7 +265,7 @@ mod tests {
     fn num_params_sums_layers() {
         let net = small_net(0);
         assert_eq!(net.num_params(), 4 * 8 + 8 + 8 * 3 + 3);
-        assert_eq!(net.num_layers(), 3);
+        assert_eq!(net.num_layers(), 2);
     }
 
     #[test]
@@ -270,7 +298,7 @@ mod tests {
         let x = Tensor::ones(&[5, 4]);
         let y = net.forward(&x).unwrap();
         assert_eq!(y.dims(), &[5, 3]);
-        let gx = net.backward(&Tensor::ones(&[5, 3])).unwrap();
+        let gx = net.backward(&x, &Tensor::ones(&[5, 3])).unwrap();
         assert_eq!(gx.dims(), &[5, 4]);
         assert_eq!(net.grads().len(), net.num_params());
     }
@@ -280,7 +308,7 @@ mod tests {
         let mut net = small_net(6);
         let x = Tensor::ones(&[2, 4]);
         let y = net.forward(&x).unwrap();
-        net.backward(&Tensor::ones(y.dims())).unwrap();
+        net.backward(&x, &Tensor::ones(y.dims())).unwrap();
         let mut buf = vec![9.9f32; 3]; // stale contents must be discarded
         net.grads_flat_into(&mut buf);
         assert_eq!(buf, net.grads());
@@ -294,7 +322,7 @@ mod tests {
         let mut net = small_net(4);
         let x = Tensor::ones(&[2, 4]);
         let y = net.forward(&x).unwrap();
-        net.backward(&Tensor::ones(y.dims())).unwrap();
+        net.backward(&x, &Tensor::ones(y.dims())).unwrap();
         assert!(net.grads().iter().any(|&g| g != 0.0));
         net.zero_grads();
         assert!(net.grads().iter().all(|&g| g == 0.0));
@@ -313,7 +341,7 @@ mod tests {
     ) {
         let y_ref = reference.forward(x).unwrap();
         let loss_grad = fedadmm_tensor::init::randn(y_ref.dims(), 0.0, 1.0, rng);
-        let gx_ref = reference.backward(&loss_grad).unwrap();
+        let gx_ref = reference.backward(x, &loss_grad).unwrap();
         assert_eq!(gx_ref.dims(), x.dims());
 
         let mut arena = ActivationArena::new();
@@ -349,17 +377,19 @@ mod tests {
         let x = fedadmm_tensor::init::randn(&[3, 4], 0.0, 1.0, &mut rng);
         assert_arena_matches_reference(small_net(17), small_net(17), &x, &mut rng);
 
-        // A convolutional stack behind an input `Reshape`: the sweep stops
-        // at the first convolution and never runs the reshape's backward.
+        // CNN 1's seven-layer shape in miniature, behind an input
+        // `Reshape`: the sweep stops at the first convolution and never
+        // runs the reshape's backward, and the dense layers read the pooled
+        // images as rows.
         let conv_net = || {
             let layers: Vec<Box<dyn Layer>> = vec![
                 Box::new(Reshape::new(&[1, 6, 6])),
-                Box::new(Conv2d::new(1, 2, 3, 1, 1)),
-                Box::new(Relu::new()),
+                Box::new(Conv2d::new_fused_relu(1, 2, 3, 1, 1)),
                 Box::new(MaxPool2d::new(2, 2)),
-                Box::new(Conv2d::new(2, 3, 3, 1, 1)),
-                Box::new(Flatten::new()),
-                Box::new(Linear::new(27, 4)),
+                Box::new(Conv2d::new_fused_relu(2, 3, 3, 1, 1)),
+                Box::new(MaxPool2d::new(3, 3)),
+                Box::new(Linear::new_fused_relu(3, 5)),
+                Box::new(Linear::new(5, 4)),
             ];
             Network::new(layers, &mut SmallRng::seed_from_u64(18))
         };
@@ -394,7 +424,7 @@ mod tests {
         let mut net = small_net(11);
         let x = fedadmm_tensor::init::randn(&[3, 4], 0.0, 1.0, &mut rng);
         let y = net.forward(&x).unwrap();
-        net.backward(&Tensor::ones(y.dims())).unwrap();
+        net.backward(&x, &Tensor::ones(y.dims())).unwrap();
         let (params, grads) = (net.params_flat(), net.grads().to_vec());
         for idx in [0usize, 10, 20, 40, 50] {
             let loss = |p: &[f32]| {

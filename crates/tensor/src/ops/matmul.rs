@@ -227,7 +227,9 @@ pub fn linear_forward_into(
 
 /// [`linear_forward_into`] on parameters that live in a flat store:
 /// `weight` is the row-major `(n,k)` matrix as a slice and `bias` its `n`
-/// offsets, with `n = bias.len()` and `k` the width of `input`.
+/// offsets, with `n = bias.len()`. An `input` of dims `[m, …]` is read as
+/// `m` rows of `k` = the product of the rest (a vector is one row), so a
+/// dense layer takes a batch of feature maps as it lies.
 pub fn linear_forward_flat(
     input: &Tensor,
     weight: &[f32],
@@ -235,7 +237,16 @@ pub fn linear_forward_flat(
     out: &mut Tensor,
     relu: bool,
 ) -> TensorResult<()> {
-    let (m, k) = input.shape().as_matrix()?;
+    let (m, k) = match input.dims() {
+        [] => {
+            return Err(TensorError::RankMismatch {
+                expected: 2,
+                actual: 0,
+            })
+        }
+        [k] => (1, *k),
+        [m, rest @ ..] => (*m, rest.iter().product()),
+    };
     let n = bias.len();
     if weight.len() != n * k {
         return Err(TensorError::ShapeMismatch {
@@ -251,7 +262,8 @@ pub fn linear_forward_flat(
             }
             if relu {
                 // `!(v > 0.0)` (not `v <= 0.0`): NaN must also collapse to
-                // 0.0, exactly as the standalone ReLU layer's mask test does.
+                // 0.0, so that `v > 0.0` on the output is the layer's
+                // backward mask.
                 #[allow(clippy::neg_cmp_op_on_partial_ord)]
                 for o in out_row.iter_mut() {
                     if !(*o > 0.0) {
