@@ -217,15 +217,13 @@ mod tests {
     }
 
     /// The fused Conv2d+ReLU layer must be bit-identical to a `Conv2d`
-    /// followed by a separate ReLU, forward and backward, on negative,
+    /// followed by a separate ReLU map, forward and backward, on negative,
     /// zero and NaN preactivations as well as positive ones.
     #[test]
     fn fused_relu_matches_separate_layers_exactly() {
-        use super::super::Relu;
         let mut rng = SmallRng::seed_from_u64(31);
         let mut fused = Conv2d::new_fused_relu(2, 3, 3, 1, 1);
         let mut plain = Conv2d::new(2, 3, 3, 1, 1);
-        let mut relu = Relu::new();
         let mut params = gradcheck::init_params(&fused, &mut rng);
         let same_draws = gradcheck::init_params(&plain, &mut SmallRng::seed_from_u64(31));
         assert_eq!(params, same_draws);
@@ -243,16 +241,15 @@ mod tests {
         assert!(pre.data().iter().any(|&v| v < 0.0) && pre.data().iter().any(|&v| v > 0.0));
 
         let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let go = fedadmm_tensor::init::randn(pre.dims(), 0.0, 1.0, &mut rng);
+        let (y_plain, go_plain) = gradcheck::reference_relu(&pre, &go);
         let y_fused = fused.forward(&params, &x).unwrap();
-        let y_plain = relu.forward(&[], &pre).unwrap();
         assert_eq!(bits(y_fused.data()), bits(y_plain.data()));
 
         // The bias does not enter the backward pass, so the NaN channel
         // leaves every gradient finite: a mismatch cannot hide in a NaN.
-        let go = fedadmm_tensor::init::randn(pre.dims(), 0.0, 1.0, &mut rng);
         let (mut gf, mut gp) = (vec![f32::NAN; 57], vec![f32::NAN; 57]);
         let gx_fused = fused.backward(&params, &mut gf, &x, &y_fused, &go).unwrap();
-        let go_plain = relu.backward(&[], &mut [], &pre, &y_plain, &go).unwrap();
         let gx_plain = plain
             .backward(&params, &mut gp, &x, &pre, &go_plain)
             .unwrap();

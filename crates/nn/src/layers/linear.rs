@@ -238,31 +238,28 @@ mod tests {
     }
 
     /// The fused Linear+ReLU layer must be bit-identical to a `Linear`
-    /// followed by a separate `Relu`, forward and backward.
+    /// followed by a separate ReLU map, forward and backward.
     #[test]
     fn fused_relu_matches_separate_layers_exactly() {
-        use super::super::Relu;
         let mut rng = SmallRng::seed_from_u64(21);
         let mut fused = Linear::new_fused_relu(6, 5);
         let mut plain = Linear::new(6, 5);
-        let mut relu = Relu::new();
         let params = gradcheck::init_params(&fused, &mut rng);
         let same_draws = gradcheck::init_params(&plain, &mut SmallRng::seed_from_u64(21));
         assert_eq!(params, same_draws);
         assert_eq!(fused.name(), "Linear+ReLU");
 
         let x = fedadmm_tensor::init::randn(&[4, 6], 0.0, 1.0, &mut rng);
+        let go = fedadmm_tensor::init::randn(&[4, 5], 0.0, 1.0, &mut rng);
         let y_fused = fused.forward(&params, &x).unwrap();
         let pre = plain.forward(&params, &x).unwrap();
-        let y_plain = relu.forward(&[], &pre).unwrap();
+        let (y_plain, go_plain) = gradcheck::reference_relu(&pre, &go);
         for (a, b) in y_fused.data().iter().zip(y_plain.data().iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 
-        let go = fedadmm_tensor::init::randn(&[4, 5], 0.0, 1.0, &mut rng);
         let (mut gf, mut gp) = (vec![f32::NAN; 35], vec![f32::NAN; 35]);
         let gx_fused = fused.backward(&params, &mut gf, &x, &y_fused, &go).unwrap();
-        let go_plain = relu.backward(&[], &mut [], &pre, &y_plain, &go).unwrap();
         let gx_plain = plain
             .backward(&params, &mut gp, &x, &pre, &go_plain)
             .unwrap();

@@ -16,17 +16,13 @@
 //! [`Conv2d::new_fused_relu`]), not a layer.
 
 mod conv;
-mod flatten;
 mod linear;
 mod pool;
-mod relu;
 mod reshape;
 
 pub use conv::Conv2d;
-pub use flatten::Flatten;
 pub use linear::Linear;
 pub use pool::MaxPool2d;
-pub use relu::Relu;
 pub use reshape::Reshape;
 
 use fedadmm_tensor::{Tensor, TensorError, TensorResult};
@@ -220,6 +216,18 @@ pub(crate) mod gradcheck {
             };
             assert_central_difference(loss, input.data(), idx, grad_in.data()[idx], tol);
         }
+    }
+
+    /// The reference a fused ReLU is pinned against, applied as a separate
+    /// map: `relu(pre)` forward, and on the way back `grad_output` where
+    /// the preactivation `pre` was positive, zero elsewhere.
+    pub fn reference_relu(pre: &Tensor, grad_output: &Tensor) -> (Tensor, Tensor) {
+        let y = pre.map(|x| if x > 0.0 { x } else { 0.0 });
+        let mut g = grad_output.clone();
+        for (g, &x) in g.data_mut().iter_mut().zip(pre.data()) {
+            *g = if x > 0.0 { *g } else { 0.0 };
+        }
+        (y, g)
     }
 
     /// Parameter-gradient bits after `passes` backward passes in a row onto
