@@ -122,6 +122,11 @@ impl FedAdmm {
     }
 
     /// Sets the local solver (criterion (6) in place of `E_i` SGD epochs).
+    ///
+    /// Every solver but [`LocalSolver::Sgd`] ignores the job's `E_i` while
+    /// [`Algorithm::supports_variable_work`] stays true, and its gradient
+    /// evaluations are charged to the virtual clock as epochs (see
+    /// [`LocalSolver`]); ROADMAP item 6 step 3 is the fix.
     pub fn with_solver(mut self, solver: LocalSolver) -> Self {
         self.solver = solver;
         self

@@ -325,12 +325,21 @@ pub fn lbfgs(
 }
 
 /// A local solver for the augmented-Lagrangian subproblem (3).
+///
+/// Only [`LocalSolver::Sgd`] reads the job's `E_i`. The other three run to
+/// their own step count or tolerance whatever `E_i` the work schedule drew,
+/// although [`FedAdmm`](crate::algorithms::FedAdmm) still reports
+/// `supports_variable_work()`; each reports its full-gradient evaluations
+/// as `epochs_run`, so the virtual clock charges every evaluation as one
+/// epoch. ROADMAP item 6 step 3 (fitting ε_i to the device) is what would
+/// give them a per-client amount of work.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LocalSolver {
     /// Algorithm 1: `E_i` epochs of mini-batch SGD with the run's batch size
     /// and learning rate, on the worker's cached network.
     Sgd,
-    /// Full-batch gradient descent for a fixed number of steps.
+    /// Full-batch gradient descent for a fixed number of steps. Ignores
+    /// `E_i`; each step is charged as one epoch.
     GradientDescent {
         /// Number of gradient steps.
         steps: usize,
@@ -338,7 +347,8 @@ pub enum LocalSolver {
         learning_rate: f32,
     },
     /// Gradient descent until the inexactness criterion (6) holds:
-    /// `‖∇L_i‖² ≤ epsilon`.
+    /// `‖∇L_i‖² ≤ epsilon`. Ignores `E_i`; each gradient evaluation is
+    /// charged as one epoch.
     ToTolerance {
         /// Target inexactness `ε_i`.
         epsilon: f32,
@@ -348,6 +358,8 @@ pub enum LocalSolver {
         max_steps: usize,
     },
     /// Limited-memory BFGS (quasi-Newton) with Armijo backtracking.
+    /// Ignores `E_i`; each gradient evaluation, line-search ones included,
+    /// is charged as one epoch.
     Lbfgs {
         /// Number of curvature pairs to keep.
         memory: usize,

@@ -189,7 +189,7 @@ artefact_tests! {
             let setting = (crate::claim("fig10").settings)(crate::Scale::Smoke)[0];
             let (train, _) = setting.generate_data();
             let clients = setting.num_clients;
-            let partition = setting.distribution.partition(&train, clients, setting.seed);
+            let partition = setting.partition(&train);
             let (mean, stdev) = partition.size_stats();
             assert!(mean > 0.0);
             assert!(stdev > 0.2 * mean, "stdev {stdev} not imbalanced for mean {mean}");

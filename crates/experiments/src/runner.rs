@@ -3,6 +3,7 @@
 use crate::claims::{Claim, Runs};
 use crate::common::{Scale, Setting};
 use fedadmm_core::prelude::*;
+use fedadmm_data::partition::Partition;
 use fedadmm_data::Dataset;
 use fedadmm_tensor::TensorResult;
 use std::time::Instant;
@@ -69,25 +70,25 @@ pub fn run_claim(
 
 /// Runs every arm of `claim` on `setting` for `setting.max_rounds`
 /// rounds, or, for a claim without fixed rounds, until the target. The
-/// setting's data is generated once and shared by every arm.
+/// setting's data is generated and partitioned once and shared by every
+/// arm.
 pub fn run_setting(claim: &Claim, setting: Setting) -> TensorResult<SettingResult> {
     let (stop, mut arms) = (claim.rounds.is_none(), Vec::new());
     let data = setting.generate_data();
     let samples = data.0.len();
-    let partition = setting
-        .distribution
-        .partition(&data.0, setting.num_clients, setting.seed);
+    let partition = setting.partition(&data.0);
     let client_sizes = partition.size_stats();
+    let split = (&data, &partition);
     for arm in (claim.arms)(&setting, setting.max_rounds) {
         arms.push(match arm.runs {
-            Runs::Fixed(algorithm) => drive(arm.name, &setting, &data, algorithm, |_, _| {}, stop)?,
+            Runs::Fixed(algorithm) => drive(arm.name, &setting, split, algorithm, |_, _| {}, stop)?,
             Runs::Switched(fedadmm, at, switch) => {
                 let switch = |round, a: &mut FedAdmm| {
                     if round == at {
                         switch(a)
                     }
                 };
-                drive(arm.name, &setting, &data, fedadmm, switch, stop)?
+                drive(arm.name, &setting, split, fedadmm, switch, stop)?
             }
         });
     }
@@ -99,17 +100,18 @@ pub fn run_setting(claim: &Claim, setting: Setting) -> TensorResult<SettingResul
     })
 }
 
-/// Runs `algorithm` on the setting's data round by round, calling `switch`
-/// with each round's index first, and stopping at the target if `stop`.
+/// Runs `algorithm` on the setting's data and partition round by round,
+/// calling `switch` with each round's index first, and stopping at the
+/// target if `stop`.
 fn drive<A: Algorithm>(
     name: String,
     setting: &Setting,
-    data: &(Dataset, Dataset),
+    (data, partition): (&(Dataset, Dataset), &Partition),
     algorithm: A,
     switch: impl Fn(usize, &mut A),
     stop: bool,
 ) -> TensorResult<ArmResult> {
-    let mut sim = setting.build_sim(data, algorithm)?;
+    let mut sim = setting.build_sim(data, partition.clone(), algorithm)?;
     let target = setting.target_accuracy;
     let start = Instant::now();
     let (mut diverged_at, mut seconds_to_target) = (None, None);

@@ -271,6 +271,18 @@ mod tests {
         }
     }
 
+    /// The fused ReLU's backward pass masks by the forward output, so an
+    /// output that does not match the upstream gradient is an error.
+    #[test]
+    fn fused_relu_backward_rejects_mismatched_output() {
+        let mut l = Linear::new_fused_relu(3, 2);
+        let (x, go) = (Tensor::zeros(&[4, 3]), Tensor::zeros(&[4, 2]));
+        let params = [0.0; 8];
+        assert!(l.backward(&params, &mut [0.0; 8], &x, &go, &go).is_ok());
+        let short = Tensor::zeros(&[3, 2]);
+        assert!(l.backward(&params, &mut [0.0; 8], &x, &short, &go).is_err());
+    }
+
     /// `forward_into`/`backward_into` into reused caller buffers (wrong
     /// shape, stale contents) match the fresh-tensor wrappers.
     #[test]
