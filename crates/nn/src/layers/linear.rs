@@ -84,7 +84,7 @@ impl Layer for Linear {
         let (batch, n_in, n_out) = (input.dims()[0], self.in_features, self.out_features);
         if grad_output.dims() != [batch, n_out] || input.len() != batch * n_in {
             return Err(TensorError::ShapeMismatch {
-                left: vec![batch, n_in, n_out],
+                left: input.dims().to_vec(),
                 right: grad_output.dims().to_vec(),
             });
         }

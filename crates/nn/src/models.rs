@@ -18,12 +18,11 @@
 use crate::layers::{Conv2d, Layer, Linear, MaxPool2d, Reshape};
 // Every ReLU is the flag of the layer it follows (`Conv2d::new_fused_relu`,
 // `Linear::new_fused_relu`), applied in the kernel's bias epilogue, and the
-// dense layers read the pooled `[batch, c, h, w]` maps as rows, so a CNN is
-// seven layers and each layer's output is the arena slot the next reads:
-// the backward pass gets every input and output from the arena, the
-// network input from the arena's own copy. Neither change draws a random
-// number, so θ⁰ is what the ten-layer stack with separate ReLU and Flatten
-// layers drew.
+// dense layers read the pooled `[batch, c, h, w]` maps as rows. Each
+// layer's output is the `ActivationArena` slot the next layer reads, and
+// the network input is the arena's one copy of the batch; `backward_into`
+// reads its input and output from those slots. Only the four parametrised
+// layers draw random numbers, so θ⁰ is their draws in layer order.
 use crate::network::Network;
 use rand::Rng;
 
