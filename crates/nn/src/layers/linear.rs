@@ -14,7 +14,8 @@ use rand::RngCore;
 /// * output: `[batch, out_features]`
 ///
 /// The fused variant ([`Linear::new_fused_relu`]) computes matmul, bias and
-/// activation in a single kernel pass.
+/// activation in a single kernel pass and is bit-identical to a `Linear`
+/// followed by a separate ReLU.
 pub struct Linear {
     in_features: usize,
     out_features: usize,
