@@ -1,6 +1,6 @@
 //! 2-D convolution layer (wraps the im2col kernels from `fedadmm-tensor`).
 
-use super::{relu_grad, Layer};
+use super::{relu, Layer};
 use fedadmm_tensor::{init, ops, Tensor, TensorResult};
 use rand::RngCore;
 
@@ -106,7 +106,7 @@ impl Layer for Conv2d {
     ) -> TensorResult<()> {
         let weight_len = self.weight_len();
         let grad_output = if self.fused_relu {
-            relu_grad(grad_output, output, &mut self.masked_grad)?
+            relu::grad(grad_output, output, &mut self.masked_grad)?
         } else {
             grad_output
         };
@@ -149,6 +149,27 @@ mod tests {
         assert_eq!(Conv2d::new(1, 32, 5, 1, 2).num_params(), 832);
         // Paper CNN 1 second conv: 32 -> 64 channels, 5x5 -> 51,264 parameters.
         assert_eq!(Conv2d::new(32, 64, 5, 1, 2).num_params(), 51_264);
+    }
+
+    /// Backward handed the slots of an arena no forward pass has filled
+    /// (empty tensors) errors, with or without the fused ReLU.
+    #[test]
+    fn backward_before_forward_errors() {
+        let unfilled = Tensor::zeros(&[0]);
+        for mut c in [
+            Conv2d::new(1, 1, 3, 1, 1),
+            Conv2d::new_fused_relu(1, 1, 3, 1, 1),
+        ] {
+            assert!(c
+                .backward(
+                    &[0.0; 10],
+                    &mut [0.0; 10],
+                    &unfilled,
+                    &unfilled,
+                    &Tensor::zeros(&[1, 1, 4, 4])
+                )
+                .is_err());
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fully connected (dense) layer.
 
-use super::{relu_grad, Layer};
+use super::{flatten, relu, Layer};
 use fedadmm_tensor::{init, ops, Tensor, TensorError, TensorResult};
 use rand::RngCore;
 
@@ -61,12 +61,7 @@ impl Layer for Linear {
         input: &Tensor,
         out: &mut Tensor,
     ) -> TensorResult<()> {
-        if input.rank() < 2 || input.dims()[1..].iter().product::<usize>() != self.in_features {
-            return Err(TensorError::ShapeMismatch {
-                left: input.dims().to_vec(),
-                right: vec![0, self.in_features],
-            });
-        }
+        flatten::rows(input, self.in_features)?;
         // y[batch, out] = x[batch, in] · Wᵀ[in, out] + b (fused bias, and
         // fused ReLU when enabled).
         let (weight, bias) = params.split_at(self.in_features * self.out_features);
@@ -82,15 +77,16 @@ impl Layer for Linear {
         grad_output: &Tensor,
         grad_input: Option<&mut Tensor>,
     ) -> TensorResult<()> {
-        let (batch, n_in, n_out) = (input.dims()[0], self.in_features, self.out_features);
-        if grad_output.dims() != [batch, n_out] || input.len() != batch * n_in {
+        let (n_in, n_out) = (self.in_features, self.out_features);
+        let batch = flatten::rows(input, n_in)?;
+        if grad_output.dims() != [batch, n_out] {
             return Err(TensorError::ShapeMismatch {
                 left: input.dims().to_vec(),
                 right: grad_output.dims().to_vec(),
             });
         }
         let g = if self.fused_relu {
-            relu_grad(grad_output, output, &mut self.masked_grad)?
+            relu::grad(grad_output, output, &mut self.masked_grad)?
         } else {
             grad_output
         }
@@ -154,6 +150,24 @@ mod tests {
         let mut l = Linear::new(3, 2);
         assert!(l.forward(&[0.0; 8], &Tensor::zeros(&[2, 4])).is_err());
         assert!(l.forward(&[0.0; 8], &Tensor::zeros(&[6])).is_err());
+    }
+
+    /// Backward handed the slots of an arena no forward pass has filled
+    /// (empty tensors) errors, with or without the fused ReLU.
+    #[test]
+    fn backward_before_forward_errors() {
+        let unfilled = Tensor::zeros(&[0]);
+        for mut l in [Linear::new(3, 2), Linear::new_fused_relu(3, 2)] {
+            assert!(l
+                .backward(
+                    &[0.0; 8],
+                    &mut [0.0; 8],
+                    &unfilled,
+                    &unfilled,
+                    &Tensor::zeros(&[1, 2])
+                )
+                .is_err());
+        }
     }
 
     /// A `[batch, c, h, w]` input is read as `batch × c·h·w`, bit for bit

@@ -25,7 +25,7 @@ pub use linear::Linear;
 pub use pool::MaxPool2d;
 pub use reshape::Reshape;
 
-use fedadmm_tensor::{Tensor, TensorError, TensorResult};
+use fedadmm_tensor::{Tensor, TensorResult};
 use rand::RngCore;
 
 /// A differentiable layer.
@@ -125,32 +125,115 @@ pub trait Layer: Send {
     fn init_params(&self, _params: &mut [f32], _rng: &mut dyn RngCore) {}
 }
 
-/// `grad_output` through the derivative of a fused ReLU, written into the
-/// reused `masked`: zero wherever the layer's `output` is not positive. A
-/// ReLU output is positive exactly where its preactivation was (it fixes
-/// every other preactivation, NaN included, to `0.0`), so the output is
-/// the mask.
-fn relu_grad<'a>(
-    grad_output: &Tensor,
-    output: &Tensor,
-    masked: &'a mut Tensor,
-) -> TensorResult<&'a Tensor> {
-    if grad_output.dims() != output.dims() {
-        return Err(TensorError::ShapeMismatch {
-            left: output.dims().to_vec(),
-            right: grad_output.dims().to_vec(),
-        });
+/// The fused ReLU of `Linear` and `Conv2d`: their kernels clamp on the way
+/// forward, and [`relu::grad`] masks on the way back.
+mod relu {
+    use fedadmm_tensor::{Tensor, TensorError, TensorResult};
+
+    /// `grad_output` through the derivative of a fused ReLU, written into
+    /// the reused `masked`: zero wherever the layer's `output` is not
+    /// positive. A ReLU output is positive exactly where its preactivation
+    /// was (it fixes every other preactivation, NaN included, to `0.0`), so
+    /// the output is the mask.
+    pub(super) fn grad<'a>(
+        grad_output: &Tensor,
+        output: &Tensor,
+        masked: &'a mut Tensor,
+    ) -> TensorResult<&'a Tensor> {
+        if grad_output.dims() != output.dims() {
+            return Err(TensorError::ShapeMismatch {
+                left: output.dims().to_vec(),
+                right: grad_output.dims().to_vec(),
+            });
+        }
+        masked.resize_in_place(grad_output.dims());
+        for ((m, &g), &y) in masked
+            .data_mut()
+            .iter_mut()
+            .zip(grad_output.data())
+            .zip(output.data())
+        {
+            *m = if y > 0.0 { g } else { 0.0 };
+        }
+        Ok(masked)
     }
-    masked.resize_in_place(grad_output.dims());
-    for ((m, &g), &y) in masked
-        .data_mut()
-        .iter_mut()
-        .zip(grad_output.data())
-        .zip(output.data())
-    {
-        *m = if y > 0.0 { g } else { 0.0 };
+
+    #[cfg(test)]
+    mod tests {
+        use super::super::{Conv2d, Layer, Linear};
+        use super::*;
+
+        /// Negative, zero and NaN preactivations go to `0.0` in both fused
+        /// layers (unit weight, zero bias).
+        #[test]
+        fn forward_clamps_negatives() {
+            let pre = vec![-1.0, 0.0, 2.0, -3.0, f32::NAN];
+            let rows = Tensor::from_vec(pre.clone(), &[5, 1]).unwrap();
+            let image = Tensor::from_vec(pre, &[1, 1, 1, 5]).unwrap();
+            let mut linear = Linear::new_fused_relu(1, 1);
+            let mut conv = Conv2d::new_fused_relu(1, 1, 1, 1, 0);
+            for y in [
+                linear.forward(&[1.0, 0.0], &rows),
+                conv.forward(&[1.0, 0.0], &image),
+            ] {
+                assert_eq!(y.unwrap().data(), &[0.0, 0.0, 2.0, 0.0, 0.0]);
+            }
+        }
+
+        #[test]
+        fn backward_masks_gradient() {
+            let output = Tensor::from_vec(vec![0.0, 0.5, 2.0, 0.0], &[4]).unwrap();
+            let mut masked = Tensor::ones(&[7]);
+            let gx = grad(&Tensor::ones(&[4]), &output, &mut masked).unwrap();
+            assert_eq!(gx.data(), &[0.0, 1.0, 1.0, 0.0]);
+        }
+
+        /// The mask is the forward output, so an output slot no forward
+        /// pass has filled (an empty tensor) is an error.
+        #[test]
+        fn backward_before_forward_errors() {
+            let mut masked = Tensor::zeros(&[0]);
+            assert!(grad(&Tensor::zeros(&[2]), &Tensor::zeros(&[0]), &mut masked).is_err());
+        }
     }
-    Ok(masked)
+}
+
+/// How `Linear` reads its input: `[batch, …]` as `batch` rows of the
+/// remaining dimensions, flattened in row-major order.
+mod flatten {
+    use fedadmm_tensor::{Tensor, TensorError, TensorResult};
+
+    /// The batch of `input` read as `batch × features`; an error unless
+    /// `input` has a batch dimension and `features` values per row.
+    pub(super) fn rows(input: &Tensor, features: usize) -> TensorResult<usize> {
+        let dims = input.dims();
+        if dims.len() < 2 || dims[1..].iter().product::<usize>() != features {
+            return Err(TensorError::ShapeMismatch {
+                left: dims.to_vec(),
+                right: vec![0, features],
+            });
+        }
+        Ok(dims[0])
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn rejects_rank1_input() {
+            assert!(rows(&Tensor::zeros(&[5]), 5).is_err());
+            assert_eq!(rows(&Tensor::zeros(&[2, 3, 4, 4]), 48).unwrap(), 2);
+        }
+
+        /// An input slot no forward pass has filled is an empty rank-1
+        /// tensor, not an empty batch.
+        #[test]
+        fn backward_before_forward_errors() {
+            assert!(rows(&Tensor::zeros(&[0]), 4).is_err());
+            assert_eq!(rows(&Tensor::zeros(&[0, 4]), 4).unwrap(), 0);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -94,6 +94,23 @@ mod tests {
         assert_eq!(gx.dims(), &[4, 784]);
     }
 
+    /// Backward handed an input slot no forward pass has filled (an empty
+    /// tensor) errors instead of returning an empty gradient.
+    #[test]
+    fn backward_before_forward_errors() {
+        let mut r = Reshape::new(&[1, 2, 2]);
+        let unfilled = Tensor::zeros(&[0]);
+        assert!(r
+            .backward(
+                &[],
+                &mut [],
+                &unfilled,
+                &unfilled,
+                &Tensor::zeros(&[1, 1, 2, 2])
+            )
+            .is_err());
+    }
+
     #[test]
     fn rejects_wrong_element_count() {
         let mut r = Reshape::new(&[3, 32, 32]);
