@@ -66,9 +66,10 @@ mod tests {
         // here since the client was fresh) and verify criterion (6).
         let zero_dual = vec![0.0f32; fixture.dim()];
         let objective = AugmentedObjective::new(&env, theta.as_slice(), Some(&zero_dual), rho);
-        let gns = objective
-            .grad_norm_sq(clients[0].local_model.as_slice())
+        let (_, grad) = objective
+            .value_and_grad(clients[0].local_model.as_slice())
             .unwrap();
+        let gns = fedadmm_tensor::vecops::norm_sq(&grad);
         assert!(
             gns <= epsilon * 1.01,
             "criterion (6) violated: {gns} > {epsilon}"

@@ -79,7 +79,6 @@ pub mod heterogeneity;
 pub mod metrics;
 pub mod param;
 pub mod privacy;
-pub mod quadratic;
 pub mod selection;
 pub mod solver;
 pub mod theory;

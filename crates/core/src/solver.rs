@@ -93,13 +93,6 @@ impl<'a> AugmentedObjective<'a> {
         }
         Ok((value, grad))
     }
-
-    /// Evaluates the squared gradient norm `‖∇L_i(w)‖²` — the left-hand side
-    /// of criterion (6).
-    pub fn grad_norm_sq(&self, w: &[f32]) -> TensorResult<f32> {
-        let (_, g) = self.value_and_grad(w)?;
-        Ok(vecops::norm_sq(&g))
-    }
 }
 
 /// Result of an alternative local solve.

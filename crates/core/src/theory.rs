@@ -18,8 +18,9 @@
 //!   `L`, and the minimum participation probability `p_min`.
 //!   [`TheoremConstants`] computes them, [`min_rho`] gives the admissible
 //!   range `ρ > (1 + √5)L`, and [`theorem1_bound`] evaluates the right-hand
-//!   side of equation (8). The quadratic-consensus substrate
-//!   ([`crate::quadratic`]) verifies the bound empirically.
+//!   side of equation (8). The quadratic-consensus substrate of the
+//!   integration tests, `tests/common/quadratic.rs`, verifies the bound
+//!   empirically.
 
 /// Parameters entering the Table I round-complexity expressions.
 #[derive(Debug, Clone, Copy, PartialEq)]

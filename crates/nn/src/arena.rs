@@ -1,16 +1,18 @@
 //! Reusable activation/gradient storage for allocation-free training steps.
 //!
-//! A [`ActivationArena`] owns a copy of the network input, one output
-//! tensor and one input-gradient tensor per layer, plus the loss-gradient
-//! seed for the backward pass. It is the only place a forward pass's
-//! activations live: [`crate::Network::forward_arena`] copies the input in
-//! once and threads every layer's `forward_into` through these slots, and
-//! [`crate::Network::backward_arena`] hands every layer's `backward_into`
-//! the input and output it read and wrote, `input` or `acts[i - 1]` and
-//! `acts[i]`. No layer keeps a copy of either. After the first step at a
-//! given batch shape the whole forward/backward sweep touches only
-//! pre-grown buffers — the SGD hot loop performs zero allocations in
-//! steady state.
+//! A [`ActivationArena`] owns one output tensor and one input-gradient
+//! tensor per layer, the loss-gradient seed for the backward pass and,
+//! when the first layer has parameters, a copy of the network input. It is
+//! the only place a forward pass's activations live:
+//! [`crate::Network::forward_arena`] threads every layer's `forward_into`
+//! through these slots, and [`crate::Network::backward_arena`] hands every
+//! layer's `backward_into` the input and output it read and wrote, `input`
+//! or `acts[i - 1]` and `acts[i]`. No layer keeps a copy of either. Only a
+//! first layer with parameters is handed the network input on the way
+//! back, so only then is the input copied; CNN 1 and CNN 2 open with a
+//! `Reshape`, which leaves that slot empty. After the first step at a given
+//! batch shape the whole forward/backward sweep touches only pre-grown
+//! buffers — the SGD hot loop performs zero allocations in steady state.
 //!
 //! ```text
 //!        input ──▶ [layer 0] ──▶ acts[0] ──▶ [layer 1] ──▶ acts[1] ... acts[n-1]
@@ -29,8 +31,8 @@ use fedadmm_tensor::Tensor;
 /// place on every pass, which is free once capacity has grown).
 #[derive(Debug, Clone)]
 pub struct ActivationArena {
-    /// A copy of the last forward pass's network input: layer 0's input
-    /// on the way back.
+    /// A copy of the last forward pass's network input, made only when
+    /// layer 0 has parameters: its input on the way back.
     pub(crate) input: Tensor,
     /// `acts[i]` holds the output of layer `i` from the last forward pass.
     pub(crate) acts: Vec<Tensor>,

@@ -199,7 +199,7 @@ mod tests {
         let params = gradcheck::init_params(&c, &mut rng);
         assert!(params[..54].iter().all(|&w| w != 0.0));
         assert_eq!(params[54..], [0.0; 3]);
-        let x = fedadmm_tensor::init::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
+        let x = gradcheck::gaussian(&[2, 2, 5, 5], 1.0, &mut rng);
         let y = c.forward(&params, &x).unwrap();
         assert_eq!(Conv2d::new(2, 3, 3, 1, 1).forward(&params, &x).unwrap(), y);
     }
@@ -209,7 +209,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let mut c = Conv2d::new(2, 3, 3, 1, 1);
         let params = gradcheck::init_params(&c, &mut rng);
-        let x = fedadmm_tensor::init::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
+        let x = gradcheck::gaussian(&[2, 2, 5, 5], 1.0, &mut rng);
         gradcheck::check_gradients(
             &mut c,
             &params,
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn param_gradients_do_not_depend_on_grad_input_being_requested() {
         let mut rng = SmallRng::seed_from_u64(15);
-        let x = fedadmm_tensor::init::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
+        let x = gradcheck::gaussian(&[2, 2, 5, 5], 1.0, &mut rng);
         for mut c in [
             Conv2d::new(2, 3, 3, 1, 1),
             Conv2d::new_fused_relu(2, 3, 3, 1, 1),
@@ -254,7 +254,7 @@ mod tests {
         // biases: 0.0, NaN, and -0.0, which a kernel turns into +0.0 (no
         // GEMM output is -0.0, and 0.0 + -0.0 = 0.0). Sample 1 is random.
         params[54..].copy_from_slice(&[0.0, f32::NAN, -0.0]);
-        let mut x = fedadmm_tensor::init::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
+        let mut x = gradcheck::gaussian(&[2, 2, 5, 5], 1.0, &mut rng);
         x.data_mut()[..50].fill(0.0);
         let pre = plain.forward(&params, &x).unwrap();
         assert!(pre.data().iter().any(|v| v.is_nan()));
@@ -262,7 +262,7 @@ mod tests {
         assert!(pre.data().iter().any(|&v| v < 0.0) && pre.data().iter().any(|&v| v > 0.0));
 
         let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let go = fedadmm_tensor::init::randn(pre.dims(), 0.0, 1.0, &mut rng);
+        let go = gradcheck::gaussian(pre.dims(), 1.0, &mut rng);
         let (y_plain, go_plain) = gradcheck::reference_relu(&pre, &go);
         let y_fused = fused.forward(&params, &x).unwrap();
         assert_eq!(bits(y_fused.data()), bits(y_plain.data()));

@@ -178,11 +178,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut l = Linear::new_fused_relu(12, 4);
         let params = gradcheck::init_params(&l, &mut rng);
-        let image = fedadmm_tensor::init::randn(&[2, 3, 2, 2], 0.0, 1.0, &mut rng);
+        let image = gradcheck::gaussian(&[2, 3, 2, 2], 1.0, &mut rng);
         let rows = Tensor::from_vec(image.data().to_vec(), &[2, 12]).unwrap();
         let y = l.forward(&params, &image).unwrap();
         assert_eq!(y, l.forward(&params, &rows).unwrap());
-        let go = fedadmm_tensor::init::randn(&[2, 4], 0.0, 1.0, &mut rng);
+        let go = gradcheck::gaussian(&[2, 4], 1.0, &mut rng);
         let (mut g_image, mut g_rows) = (vec![0.0; 52], vec![0.0; 52]);
         let gx_image = l.backward(&params, &mut g_image, &image, &y, &go).unwrap();
         let gx_rows = l.backward(&params, &mut g_rows, &rows, &y, &go).unwrap();
@@ -201,7 +201,7 @@ mod tests {
         let params = gradcheck::init_params(&l, &mut rng);
         assert!(params[..15].iter().all(|&w| w != 0.0));
         assert_eq!(params[15..], [0.0; 3]);
-        let x = fedadmm_tensor::init::randn(&[2, 5], 0.0, 1.0, &mut rng);
+        let x = gradcheck::gaussian(&[2, 5], 1.0, &mut rng);
         let y = l.forward(&params, &x).unwrap();
         assert_eq!(Linear::new(5, 3).forward(&params, &x).unwrap(), y);
     }
@@ -211,14 +211,14 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let mut l = Linear::new(6, 4);
         let params = gradcheck::init_params(&l, &mut rng);
-        let x = fedadmm_tensor::init::randn(&[3, 6], 0.0, 1.0, &mut rng);
+        let x = gradcheck::gaussian(&[3, 6], 1.0, &mut rng);
         gradcheck::check_gradients(&mut l, &params, &x, &[0, 5, 13, 27], &[0, 4, 11, 17], 5e-2);
     }
 
     #[test]
     fn param_gradients_do_not_depend_on_grad_input_being_requested() {
         let mut rng = SmallRng::seed_from_u64(13);
-        let x = fedadmm_tensor::init::randn(&[5, 6], 0.0, 1.0, &mut rng);
+        let x = gradcheck::gaussian(&[5, 6], 1.0, &mut rng);
         for mut layer in [Linear::new(6, 4), Linear::new_fused_relu(6, 4)] {
             let params = gradcheck::init_params(&layer, &mut rng);
             let with_input = gradcheck::grad_bits(&mut layer, &params, &x, true, 1);
@@ -235,8 +235,8 @@ mod tests {
     #[test]
     fn two_backward_passes_without_zeroing_leave_the_gradient_of_one() {
         let mut rng = SmallRng::seed_from_u64(23);
-        let dense = fedadmm_tensor::init::randn(&[5, 6], 0.0, 1.0, &mut rng);
-        let image = fedadmm_tensor::init::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
+        let dense = gradcheck::gaussian(&[5, 6], 1.0, &mut rng);
+        let image = gradcheck::gaussian(&[2, 2, 5, 5], 1.0, &mut rng);
         let layers: [(Box<dyn Layer>, &Tensor); 3] = [
             (Box::new(Linear::new(6, 4)), &dense),
             (Box::new(Linear::new_fused_relu(6, 4)), &dense),
@@ -264,8 +264,8 @@ mod tests {
         assert_eq!(params, same_draws);
         assert_eq!(fused.name(), "Linear+ReLU");
 
-        let x = fedadmm_tensor::init::randn(&[4, 6], 0.0, 1.0, &mut rng);
-        let go = fedadmm_tensor::init::randn(&[4, 5], 0.0, 1.0, &mut rng);
+        let x = gradcheck::gaussian(&[4, 6], 1.0, &mut rng);
+        let go = gradcheck::gaussian(&[4, 5], 1.0, &mut rng);
         let y_fused = fused.forward(&params, &x).unwrap();
         let pre = plain.forward(&params, &x).unwrap();
         let (y_plain, go_plain) = gradcheck::reference_relu(&pre, &go);
@@ -305,8 +305,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let mut l = Linear::new(4, 3);
         let params = gradcheck::init_params(&l, &mut rng);
-        let x = fedadmm_tensor::init::randn(&[2, 4], 0.0, 1.0, &mut rng);
-        let go = fedadmm_tensor::init::randn(&[2, 3], 0.0, 1.0, &mut rng);
+        let x = gradcheck::gaussian(&[2, 4], 1.0, &mut rng);
+        let go = gradcheck::gaussian(&[2, 3], 1.0, &mut rng);
         let mut out = Tensor::ones(&[5, 5]);
         let mut gi = Tensor::ones(&[7]);
         let mut grads_into = vec![9.9f32; 15];

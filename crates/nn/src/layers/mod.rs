@@ -238,11 +238,23 @@ mod flatten {
 
 #[cfg(test)]
 pub(crate) mod gradcheck {
-    //! Shared finite-difference gradient-check helper used by layer tests.
+    //! Shared test helpers: random inputs and the finite-difference gradient
+    //! check used by layer and network tests.
 
     use super::Layer;
     use fedadmm_tensor::Tensor;
-    use rand::RngCore;
+    use rand::{Rng, RngCore};
+    use rand_distr::{Distribution, Normal};
+
+    /// A tensor of i.i.d. `N(0, std²)` entries.
+    pub fn gaussian(dims: &[usize], std: f32, rng: &mut impl Rng) -> Tensor {
+        let normal = Normal::new(0.0, std).expect("valid normal parameters");
+        let mut t = Tensor::zeros(dims);
+        for x in t.data_mut() {
+            *x = normal.sample(rng);
+        }
+        t
+    }
 
     /// Freshly initialised parameters for `layer`.
     pub fn init_params(layer: &dyn Layer, rng: &mut dyn RngCore) -> Vec<f32> {

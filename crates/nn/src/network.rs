@@ -107,8 +107,9 @@ impl Network {
     }
 
     /// Forward pass through all layers, routing every layer's output
-    /// through `arena` slots, after one copy of `input` into the arena
-    /// (what the backward pass hands the first layer).
+    /// through `arena` slots. Layer 0 reads `input` where it lies; the arena
+    /// keeps a copy of it only when layer 0 has parameters, because only
+    /// then does the backward pass hand it to layer 0 again.
     ///
     /// The output lands in [`ActivationArena::output`]. After the first
     /// call at a given batch shape, repeated calls allocate nothing.
@@ -123,14 +124,16 @@ impl Network {
             ));
         }
         arena.ensure_layers(self.layers.len());
-        arena.input.resize_in_place(input.dims());
-        arena.input.data_mut().copy_from_slice(input.data());
+        if self.layers[0].num_params() > 0 {
+            arena.input.resize_in_place(input.dims());
+            arena.input.data_mut().copy_from_slice(input.data());
+        }
         let mut rest = self.params.as_slice();
         for (i, layer) in self.layers.iter_mut().enumerate() {
             let (own, tail) = rest.split_at(layer.num_params());
             rest = tail;
             let (prev, out) = arena.acts.split_at_mut(i);
-            let src = if i == 0 { &arena.input } else { &prev[i - 1] };
+            let src = if i == 0 { input } else { &prev[i - 1] };
             layer.forward_into(own, src, &mut out[0])?;
         }
         Ok(())
@@ -340,7 +343,7 @@ mod tests {
         rng: &mut SmallRng,
     ) {
         let y_ref = reference.forward(x).unwrap();
-        let loss_grad = fedadmm_tensor::init::randn(y_ref.dims(), 0.0, 1.0, rng);
+        let loss_grad = gradcheck::gaussian(y_ref.dims(), 1.0, rng);
         let gx_ref = reference.backward(x, &loss_grad).unwrap();
         assert_eq!(gx_ref.dims(), x.dims());
 
@@ -374,7 +377,7 @@ mod tests {
     #[test]
     fn arena_path_matches_layer_by_layer_reference() {
         let mut rng = SmallRng::seed_from_u64(17);
-        let x = fedadmm_tensor::init::randn(&[3, 4], 0.0, 1.0, &mut rng);
+        let x = gradcheck::gaussian(&[3, 4], 1.0, &mut rng);
         assert_arena_matches_reference(small_net(17), small_net(17), &x, &mut rng);
 
         // CNN 1's seven-layer shape in miniature, behind an input
@@ -393,7 +396,7 @@ mod tests {
             ];
             Network::new(layers, &mut SmallRng::seed_from_u64(18))
         };
-        let x = fedadmm_tensor::init::randn(&[2, 36], 0.0, 1.0, &mut rng);
+        let x = gradcheck::gaussian(&[2, 36], 1.0, &mut rng);
         assert_arena_matches_reference(conv_net(), conv_net(), &x, &mut rng);
     }
 
@@ -422,7 +425,7 @@ mod tests {
     fn network_gradients_match_finite_difference() {
         let mut rng = SmallRng::seed_from_u64(11);
         let mut net = small_net(11);
-        let x = fedadmm_tensor::init::randn(&[3, 4], 0.0, 1.0, &mut rng);
+        let x = gradcheck::gaussian(&[3, 4], 1.0, &mut rng);
         let y = net.forward(&x).unwrap();
         net.backward(&x, &Tensor::ones(y.dims())).unwrap();
         let (params, grads) = (net.params_flat(), net.grads().to_vec());

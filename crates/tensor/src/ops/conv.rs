@@ -533,6 +533,17 @@ pub fn conv2d_backward_flat(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand_distr::{Distribution, Normal};
+
+    /// A tensor of i.i.d. `N(0, std²)` entries.
+    fn gaussian(dims: &[usize], std: f32, rng: &mut impl rand::Rng) -> Tensor {
+        let normal = Normal::new(0.0, std).expect("valid normal parameters");
+        let mut t = Tensor::zeros(dims);
+        for x in t.data_mut() {
+            *x = normal.sample(rng);
+        }
+        t
+    }
 
     /// Gradients of one backward pass.
     struct Grads {
@@ -668,9 +679,9 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(42);
-        let input = crate::init::randn(&[2, 2, 5, 5], 0.0, 1.0, &mut rng);
-        let mut weight = crate::init::randn(&[3, 2, 3, 3], 0.0, 0.5, &mut rng);
-        let bias = crate::init::randn(&[3], 0.0, 0.5, &mut rng);
+        let input = gaussian(&[2, 2, 5, 5], 1.0, &mut rng);
+        let mut weight = gaussian(&[3, 2, 3, 3], 0.5, &mut rng);
+        let bias = gaussian(&[3], 0.5, &mut rng);
 
         // Scalar objective: sum of outputs.
         let loss = |w: &Tensor| -> f32 { conv2d_forward(&input, w, &bias, 1, 1).unwrap().sum() };
@@ -701,8 +712,8 @@ mod tests {
         use rand::rngs::SmallRng;
         use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(11);
-        let mut input = crate::init::randn(&[1, 2, 4, 4], 0.0, 1.0, &mut rng);
-        let weight = crate::init::randn(&[2, 2, 3, 3], 0.0, 0.5, &mut rng);
+        let mut input = gaussian(&[1, 2, 4, 4], 1.0, &mut rng);
+        let weight = gaussian(&[2, 2, 3, 3], 0.5, &mut rng);
         let bias = Tensor::zeros(&[2]);
 
         let loss = |x: &Tensor| -> f32 { conv2d_forward(x, &weight, &bias, 1, 1).unwrap().sum() };
@@ -744,9 +755,9 @@ mod tests {
             (3, 2, 8, 4, 5, 1, 2),
             (2, 3, 6, 2, 3, 2, 1),
         ] {
-            let input = crate::init::randn(&[batch, in_c, hw, hw], 0.0, 1.0, &mut rng);
-            let weight = crate::init::randn(&[out_c, in_c, k, k], 0.0, 0.5, &mut rng);
-            let bias = crate::init::randn(&[out_c], 0.0, 0.5, &mut rng);
+            let input = gaussian(&[batch, in_c, hw, hw], 1.0, &mut rng);
+            let weight = gaussian(&[out_c, in_c, k, k], 0.5, &mut rng);
+            let bias = gaussian(&[out_c], 0.5, &mut rng);
 
             let expected = conv2d_forward(&input, &weight, &bias, stride, padding).unwrap();
             conv2d_forward_into(
@@ -764,11 +775,11 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
 
-            let grad_out = crate::init::randn(expected.dims(), 0.0, 1.0, &mut rng);
+            let grad_out = gaussian(expected.dims(), 1.0, &mut rng);
             let grads = conv2d_backward(&input, &weight, &grad_out, stride, padding).unwrap();
             // Stale contents, then two passes in a row.
-            let mut gw = crate::init::randn(weight.dims(), 0.0, 0.1, &mut rng);
-            let mut gb = crate::init::randn(&[out_c], 0.0, 0.1, &mut rng);
+            let mut gw = gaussian(weight.dims(), 0.1, &mut rng);
+            let mut gb = gaussian(&[out_c], 0.1, &mut rng);
             for _ in 0..2 {
                 conv2d_backward_into(
                     &input,

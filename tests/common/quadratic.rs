@@ -21,10 +21,11 @@
 //!   without any optimisation error.
 //!
 //! [`QuadraticFedAdmm`] runs Algorithm 1 on such a problem with arbitrary
-//! participation, records `V_t`, the Lagrangian, the consensus violation and
-//! the KKT residual `‖Σ_i y_i‖`, and is used by the integration tests to
-//! verify Lemma 3, Theorem 1 and the stationarity conditions of Section
-//! III-A.
+//! participation and server rule, records `V_t`, the Lagrangian and the KKT
+//! residual `‖Σ_i y_i‖`, and is the independent f64 oracle against which
+//! `tests/theory_verification.rs`, the one test binary that includes this
+//! file, verifies Lemma 3, Theorem 1 and the stationarity conditions of
+//! Section III-A. It shares no code with the f32 engine.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -105,7 +106,7 @@ fn dot(x: &[f64], y: &[f64]) -> f64 {
 
 /// Builds a random `d × d` orthogonal matrix by modified Gram–Schmidt on a
 /// random Gaussian matrix.
-fn random_orthogonal(d: usize, rng: &mut SmallRng) -> Vec<f64> {
+pub fn random_orthogonal(d: usize, rng: &mut SmallRng) -> Vec<f64> {
     let mut q: Vec<Vec<f64>> = Vec::with_capacity(d);
     for _ in 0..d {
         let mut v: Vec<f64> = (0..d).map(|_| standard_normal(rng)).collect();
@@ -136,7 +137,8 @@ fn random_orthogonal(d: usize, rng: &mut SmallRng) -> Vec<f64> {
     flat
 }
 
-fn standard_normal(rng: &mut SmallRng) -> f64 {
+/// One standard normal draw.
+pub fn standard_normal(rng: &mut SmallRng) -> f64 {
     // Box–Muller; good enough for generating test problems.
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
@@ -200,13 +202,6 @@ impl QuadraticClientLoss {
     pub fn lipschitz(&self) -> f64 {
         self.eig_max
     }
-
-    /// Unconstrained local minimiser `A_i^{-1} b_i` (each client's own
-    /// optimum — the point local training drifts towards without the
-    /// proximal/dual safeguards).
-    pub fn local_optimum(&self) -> Vec<f64> {
-        solve(&self.a, &self.b, self.dim)
-    }
 }
 
 /// A federated quadratic consensus problem: `m` clients, each with its own
@@ -231,18 +226,6 @@ pub struct QuadraticConfig {
     /// Scale of the spread of the clients' linear terms `b_i`; larger values
     /// put the local optima further apart (statistical heterogeneity).
     pub heterogeneity: f64,
-}
-
-impl Default for QuadraticConfig {
-    fn default() -> Self {
-        QuadraticConfig {
-            num_clients: 20,
-            dim: 10,
-            eig_min: 0.5,
-            eig_max: 2.0,
-            heterogeneity: 1.0,
-        }
-    }
 }
 
 impl QuadraticProblem {
@@ -378,16 +361,24 @@ pub struct QuadraticRoundRecord {
     pub optimality_gap: f64,
     /// The aggregated augmented Lagrangian `L(w^t, y^t, θ^t)`.
     pub lagrangian: f64,
-    /// Σ_i ‖w_i − θ‖² — the consensus violation.
-    pub consensus_sq: f64,
     /// ‖Σ_i y_i‖ — the KKT residual (zero at a stationary point of (2)).
     pub dual_sum_norm: f64,
     /// ‖θ − w*‖ — distance of the global model to the true optimum.
     pub dist_to_optimum: f64,
-    /// ‖Σ_i ∇f_i(θ)‖ — the stationarity residual of the original problem (1).
-    pub stationarity: f64,
-    /// Number of clients selected this round.
-    pub num_selected: usize,
+}
+
+/// How the server moves θ once the round's cohort has solved and updated
+/// its duals.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ServerRule {
+    /// Equation (5) with η = |S_t|/m, the step Theorem 1 analyses.
+    ParticipationRatio,
+    /// Equation (5) with a constant server step η.
+    Constant(f64),
+    /// FedDyn's server rule (Acar et al., ICLR 2021), the cohort-primal
+    /// rule: θ ← mean_{i∈S} w_i + ȳ/ρ, with ȳ = (1/m)·Σ_{i=1..m} y_i taken
+    /// after the round's dual updates.
+    CohortPrimal,
 }
 
 /// FedADMM (Algorithm 1) specialised to the quadratic substrate, with exact
@@ -396,13 +387,12 @@ pub struct QuadraticRoundRecord {
 pub struct QuadraticFedAdmm {
     problem: QuadraticProblem,
     /// Proximal coefficient ρ.
-    pub rho: f64,
-    /// Server step size η; `None` means the analysed choice η = |S_t|/m.
-    pub eta: Option<f64>,
+    rho: f64,
+    server_rule: ServerRule,
     /// Per-client inexactness `ε_i`: when positive, the exact minimiser is
     /// perturbed so that `‖∇L_i‖² ≈ ε_i` (used to probe the ε_max floor of
     /// Theorem 1). Zero gives exact solves.
-    pub epsilon: f64,
+    epsilon: f64,
     locals: Vec<Vec<f64>>,
     duals: Vec<Vec<f64>>,
     theta: Vec<f64>,
@@ -411,7 +401,7 @@ pub struct QuadraticFedAdmm {
 
 impl QuadraticFedAdmm {
     /// Initialises Algorithm 1 on `problem` with `w_i^0 = θ^0 = 0` and
-    /// `y_i^0 = 0` (the paper's initialisation).
+    /// `y_i^0 = 0` (the paper's initialisation), under η = |S_t|/m.
     pub fn new(problem: QuadraticProblem, rho: f64) -> Self {
         assert!(
             rho > 0.0,
@@ -422,7 +412,7 @@ impl QuadraticFedAdmm {
         QuadraticFedAdmm {
             problem,
             rho,
-            eta: None,
+            server_rule: ServerRule::ParticipationRatio,
             epsilon: 0.0,
             locals: vec![vec![0.0; d]; m],
             duals: vec![vec![0.0; d]; m],
@@ -431,10 +421,12 @@ impl QuadraticFedAdmm {
         }
     }
 
-    /// Uses a constant server step size instead of η = |S_t|/m.
-    pub fn with_eta(mut self, eta: f64) -> Self {
-        assert!(eta > 0.0);
-        self.eta = Some(eta);
+    /// Replaces the server rule.
+    pub fn with_server_rule(mut self, rule: ServerRule) -> Self {
+        if let ServerRule::Constant(eta) = rule {
+            assert!(eta > 0.0);
+        }
+        self.server_rule = rule;
         self
     }
 
@@ -549,14 +541,34 @@ impl QuadraticFedAdmm {
                 *acc += (w + y / self.rho) - old;
             }
         }
-        // Server tracking update (equation 5).
-        let eta = self.eta.unwrap_or(selected.len() as f64 / m as f64);
-        let scale = eta / selected.len() as f64;
-        for (t, &acc) in self.theta.iter_mut().zip(delta_sum.iter()) {
-            *t += scale * acc;
+        let eta = match self.server_rule {
+            ServerRule::ParticipationRatio => Some(selected.len() as f64 / m as f64),
+            ServerRule::Constant(eta) => Some(eta),
+            ServerRule::CohortPrimal => None,
+        };
+        if let Some(eta) = eta {
+            // Server tracking update (equation 5).
+            let scale = eta / selected.len() as f64;
+            for (t, &acc) in self.theta.iter_mut().zip(delta_sum.iter()) {
+                *t += scale * acc;
+            }
+        } else {
+            // θ ← mean_{i∈S} w_i + ȳ/ρ.
+            let (k, scale) = (selected.len() as f64, 1.0 / (m as f64 * self.rho));
+            self.theta = vec![0.0; d];
+            for &i in selected {
+                for (t, &w) in self.theta.iter_mut().zip(self.locals[i].iter()) {
+                    *t += w / k;
+                }
+            }
+            for y in &self.duals {
+                for (t, &v) in self.theta.iter_mut().zip(y.iter()) {
+                    *t += scale * v;
+                }
+            }
         }
 
-        let record = self.record(selected.len());
+        let record = self.record();
         self.round += 1;
         record
     }
@@ -585,7 +597,7 @@ impl QuadraticFedAdmm {
             .collect()
     }
 
-    fn record(&self, num_selected: usize) -> QuadraticRoundRecord {
+    fn record(&self) -> QuadraticRoundRecord {
         let w_star = self.problem.global_optimum();
         let dist: f64 = self
             .theta
@@ -595,263 +607,17 @@ impl QuadraticFedAdmm {
             .sum::<f64>()
             .sqrt();
         let mut dual_sum = vec![0.0; self.problem.dim()];
-        let mut consensus = 0.0;
-        for i in 0..self.problem.num_clients() {
-            for ((acc, (&y, &w)), &t) in dual_sum
-                .iter_mut()
-                .zip(self.duals[i].iter().zip(self.locals[i].iter()))
-                .zip(self.theta.iter())
-            {
-                *acc += y;
-                let diff = w - t;
-                consensus += diff * diff;
+        for y in &self.duals {
+            for (acc, &v) in dual_sum.iter_mut().zip(y.iter()) {
+                *acc += v;
             }
         }
         QuadraticRoundRecord {
             round: self.round,
             optimality_gap: self.optimality_gap(),
             lagrangian: self.lagrangian(),
-            consensus_sq: consensus,
             dual_sum_norm: norm(&dual_sum),
             dist_to_optimum: dist,
-            stationarity: self.problem.stationarity_residual(&self.theta),
-            num_selected,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn small_problem(seed: u64) -> QuadraticProblem {
-        QuadraticProblem::random(
-            QuadraticConfig {
-                num_clients: 8,
-                dim: 6,
-                eig_min: 0.5,
-                eig_max: 2.0,
-                heterogeneity: 1.0,
-            },
-            seed,
-        )
-    }
-
-    #[test]
-    fn generated_matrices_are_spd_with_prescribed_spectrum() {
-        let p = small_problem(0);
-        for c in p.clients() {
-            // Rayleigh quotients of random vectors must lie in [eig_min, eig_max].
-            let mut rng = SmallRng::seed_from_u64(1);
-            for _ in 0..20 {
-                let v: Vec<f64> = (0..p.dim()).map(|_| standard_normal(&mut rng)).collect();
-                let av = matvec(&c.a, &v, p.dim());
-                let rayleigh = dot(&v, &av) / norm_sq(&v);
-                assert!(
-                    (0.5 - 1e-6..=2.0 + 1e-6).contains(&rayleigh),
-                    "rayleigh {rayleigh}"
-                );
-            }
-        }
-        assert!((p.lipschitz() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn global_optimum_is_stationary_for_the_sum() {
-        let p = small_problem(1);
-        let w_star = p.global_optimum();
-        assert!(p.stationarity_residual(&w_star) < 1e-8);
-        // And it minimises the sum: any perturbation increases the objective.
-        let f_star = p.objective(&w_star);
-        let mut perturbed = w_star.clone();
-        perturbed[0] += 0.1;
-        assert!(p.objective(&perturbed) > f_star);
-    }
-
-    #[test]
-    fn admm_minimizer_is_stationary_for_the_augmented_lagrangian() {
-        let p = small_problem(2);
-        let c = &p.clients()[0];
-        let theta = vec![0.3; p.dim()];
-        let dual = vec![-0.2; p.dim()];
-        let rho = 1.5;
-        let w = c.admm_minimizer(&dual, &theta, rho);
-        // ∇L_i(w) = A w − b + y + ρ(w − θ) must vanish.
-        let mut g = c.grad(&w);
-        for j in 0..p.dim() {
-            g[j] += dual[j] + rho * (w[j] - theta[j]);
-        }
-        assert!(norm(&g) < 1e-8, "gradient norm {}", norm(&g));
-    }
-
-    #[test]
-    fn local_optimum_differs_from_global_under_heterogeneity() {
-        let p = small_problem(3);
-        let w_star = p.global_optimum();
-        let local = p.clients()[0].local_optimum();
-        let dist: f64 = w_star
-            .iter()
-            .zip(local.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
-        assert!(
-            dist > 1e-3,
-            "heterogeneous clients must have distinct optima"
-        );
-    }
-
-    #[test]
-    fn full_participation_exact_solves_converge_to_the_optimum() {
-        let p = small_problem(4);
-        let m = p.num_clients();
-        let rho = crate::theory::min_rho(p.lipschitz()) * 1.5;
-        let mut admm = QuadraticFedAdmm::new(p, rho);
-        let records = admm.run(200, m, 7);
-        let last = records.last().unwrap();
-        assert!(
-            last.dist_to_optimum < 1e-4,
-            "distance {}",
-            last.dist_to_optimum
-        );
-        assert!(last.optimality_gap < 1e-6, "V_t = {}", last.optimality_gap);
-        assert!(
-            last.dual_sum_norm < 1e-4,
-            "KKT residual {}",
-            last.dual_sum_norm
-        );
-    }
-
-    #[test]
-    fn partial_participation_also_converges() {
-        let p = small_problem(5);
-        let rho = crate::theory::min_rho(p.lipschitz()) * 1.5;
-        let mut admm = QuadraticFedAdmm::new(p, rho);
-        // 25% participation — the regime the paper targets.
-        let records = admm.run(600, 2, 11);
-        let last = records.last().unwrap();
-        assert!(
-            last.dist_to_optimum < 1e-2,
-            "distance after partial-participation run: {}",
-            last.dist_to_optimum
-        );
-        assert!(last.optimality_gap < records[0].optimality_gap);
-    }
-
-    #[test]
-    fn lagrangian_decreases_monotonically_under_full_participation() {
-        // Inequality (31) of the proof: with exact solves and full
-        // participation the expected (here: deterministic) decrement is
-        // non-negative once ρ > (1 + √5)L.
-        let p = small_problem(6);
-        let m = p.num_clients();
-        let rho = crate::theory::min_rho(p.lipschitz()) * 1.2;
-        let mut admm = QuadraticFedAdmm::new(p, rho);
-        let records = admm.run(50, m, 13);
-        for pair in records.windows(2) {
-            assert!(
-                pair[1].lagrangian <= pair[0].lagrangian + 1e-9,
-                "Lagrangian increased: {} -> {}",
-                pair[0].lagrangian,
-                pair[1].lagrangian
-            );
-        }
-    }
-
-    #[test]
-    fn lagrangian_is_lower_bounded_by_lemma_3() {
-        let p = small_problem(7);
-        let f_star = p.f_star();
-        let m = p.num_clients();
-        let rho = 2.0 * p.lipschitz() + 0.5; // ρ ≥ 2L as required by Lemma 3.
-        let mut admm = QuadraticFedAdmm::new(p, rho);
-        let records = admm.run(100, m / 2, 17);
-        for r in &records {
-            assert!(
-                r.lagrangian >= f_star - 1e-9,
-                "Lemma 3 violated: L = {} < f* = {}",
-                r.lagrangian,
-                f_star
-            );
-        }
-    }
-
-    #[test]
-    fn theorem1_bound_holds_for_exact_full_participation_runs() {
-        let p = small_problem(8);
-        let m = p.num_clients();
-        let l = p.lipschitz();
-        let rho = crate::theory::min_rho(l) * 1.5;
-        let f_star = p.f_star();
-        let constants = crate::theory::theorem1_constants(rho, l, 1.0).unwrap();
-
-        let mut admm = QuadraticFedAdmm::new(p, rho).with_eta(1.0);
-        // L⁰ with w = θ = 0 and y = 0 is Σ f_i(0) = 0.
-        let l0 = admm.lagrangian();
-        let t = 100;
-        let records = admm.run(t, m, 19);
-        // The bound is on the average of V_t over t = 0..T−1, i.e. the gap
-        // *before* each round; V_0 uses the initial state.
-        let mut vts = vec![QuadraticFedAdmm::new(small_problem(8), rho).optimality_gap()];
-        vts.extend(records.iter().take(t - 1).map(|r| r.optimality_gap));
-        let average: f64 = vts.iter().sum::<f64>() / (m as f64 * t as f64);
-        let bound = crate::theory::theorem1_bound(&constants, l0 - f_star, 0.0, l, m, t);
-        assert!(
-            average <= bound,
-            "Theorem 1 violated: measured {average}, bound {bound}"
-        );
-    }
-
-    #[test]
-    fn inexact_solves_leave_a_floor_proportional_to_epsilon() {
-        let p = small_problem(9);
-        let m = p.num_clients();
-        let rho = crate::theory::min_rho(p.lipschitz()) * 1.5;
-        let exact = QuadraticFedAdmm::new(p.clone(), rho).run(150, m, 23);
-        let inexact = QuadraticFedAdmm::new(p, rho)
-            .with_epsilon(1e-2)
-            .run(150, m, 23);
-        let exact_v = exact.last().unwrap().optimality_gap;
-        let inexact_v = inexact.last().unwrap().optimality_gap;
-        assert!(exact_v < 1e-6);
-        assert!(
-            inexact_v > exact_v,
-            "inexact solves must not reach the exact fixed point"
-        );
-        // …but the run still converges to a neighbourhood (Theorem 1 floor).
-        assert!(inexact.last().unwrap().dist_to_optimum < 0.5);
-    }
-
-    #[test]
-    fn solver_rejects_degenerate_inputs() {
-        let p = small_problem(10);
-        let mut admm = QuadraticFedAdmm::new(p, 1.0);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            admm.run_round_with(&[]);
-        }));
-        assert!(result.is_err(), "empty selection must be rejected");
-    }
-
-    #[test]
-    fn gaussian_elimination_solves_known_system() {
-        // [[2, 1], [1, 3]] x = [3, 5]  →  x = [0.8, 1.4]
-        let a = vec![2.0, 1.0, 1.0, 3.0];
-        let x = solve(&a, &[3.0, 5.0], 2);
-        assert!((x[0] - 0.8).abs() < 1e-12);
-        assert!((x[1] - 1.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn orthogonal_matrix_has_orthonormal_rows() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let d = 7;
-        let q = random_orthogonal(d, &mut rng);
-        for i in 0..d {
-            for j in 0..d {
-                let rij = dot(&q[i * d..(i + 1) * d], &q[j * d..(j + 1) * d]);
-                let expected = if i == j { 1.0 } else { 0.0 };
-                assert!((rij - expected).abs() < 1e-9, "row {i}·row {j} = {rij}");
-            }
         }
     }
 }

@@ -2,7 +2,6 @@
 //! core modules: invariants that must hold for *arbitrary* inputs, not just
 //! the hand-picked cases of the unit tests.
 
-use fedadmm::core::quadratic::{QuadraticConfig, QuadraticProblem};
 use fedadmm::core::theory::{min_rho, theorem1_constants};
 use fedadmm::prelude::*;
 use proptest::prelude::*;
@@ -76,51 +75,6 @@ proptest! {
         prop_assert!(c.c1 > 0.0 && c.c2 > 0.0 && c.c3 > 0.0);
         let larger = theorem1_constants(rho, l, (p_min * 1.5).min(1.0)).unwrap();
         prop_assert!(larger.c1 >= c.c1);
-    }
-
-    // ------------------------------------------------------------------
-    // Quadratic substrate.
-    // ------------------------------------------------------------------
-
-    /// The closed-form ADMM minimiser really is a stationary point of the
-    /// augmented Lagrangian, for arbitrary duals, anchors and ρ.
-    #[test]
-    fn quadratic_admm_minimizer_is_stationary(
-        seed in any::<u64>(),
-        rho in 0.1f64..10.0,
-        anchor in -2.0f64..2.0,
-        dual_scale in -1.0f64..1.0,
-    ) {
-        let p = QuadraticProblem::random(
-            QuadraticConfig { num_clients: 1, dim: 4, eig_min: 0.5, eig_max: 2.0, heterogeneity: 1.0 },
-            seed,
-        );
-        let c = &p.clients()[0];
-        let theta = vec![anchor; 4];
-        let dual = vec![dual_scale; 4];
-        let w = c.admm_minimizer(&dual, &theta, rho);
-        let mut g = c.grad(&w);
-        for j in 0..4 {
-            g[j] += dual[j] + rho * (w[j] - theta[j]);
-        }
-        let gnorm: f64 = g.iter().map(|v| v * v).sum::<f64>().sqrt();
-        prop_assert!(gnorm < 1e-7, "residual {}", gnorm);
-    }
-
-    /// The global optimum of a random quadratic problem is stationary for
-    /// the sum of the client losses.
-    #[test]
-    fn quadratic_global_optimum_is_stationary(
-        seed in any::<u64>(),
-        clients in 2usize..10,
-        heterogeneity in 0.1f64..3.0,
-    ) {
-        let p = QuadraticProblem::random(
-            QuadraticConfig { num_clients: clients, dim: 5, eig_min: 0.5, eig_max: 2.0, heterogeneity },
-            seed,
-        );
-        let w_star = p.global_optimum();
-        prop_assert!(p.stationarity_residual(&w_star) < 1e-7);
     }
 
     // ------------------------------------------------------------------
