@@ -224,8 +224,9 @@ impl Algorithm for FedAdmm {
     /// [`LocalSolver::Sgd`] that is `E_i` epochs of SGD on the worker's
     /// cached network and per-batch buffers, and a warm job allocates what a
     /// FedAvg job does: the trained parameter vector and the payload `Vec`.
-    /// The other solvers work on [`AugmentedObjective`] and count each
-    /// full-gradient evaluation as one epoch over the client's samples.
+    /// The other solvers work on [`AugmentedObjective`], on the same network
+    /// and buffers, and count each full-gradient evaluation as one epoch
+    /// over the client's samples.
     fn client_update_scratch(
         &self,
         client: &mut ClientState,
@@ -236,7 +237,6 @@ impl Algorithm for FedAdmm {
         let rho = self.rho;
         let theta = global.as_slice();
         let num_samples = client.num_samples();
-        let UpdateScratch { net, train } = scratch;
         let (delta, (epochs_run, samples_processed)) =
             primal_dual_step(client, global, rho, self.local_init, |init, dual| {
                 // A full-gradient evaluation touches every local sample
@@ -245,10 +245,12 @@ impl Algorithm for FedAdmm {
                     let evals = r.gradient_evals;
                     (r.params, (evals, evals * num_samples))
                 };
-                let objective = || AugmentedObjective::new(env, theta, Some(dual), rho);
+                // Borrows `scratch` on the arms that read it, not on SGD's.
+                let objective = &mut AugmentedObjective::new(env, theta, Some(dual), rho, scratch);
                 match self.solver {
                     LocalSolver::Sgd => {
                         // ∇_w L_i(w) = ∇f_i(w, b) + y_i + ρ(w − θ) (Alg. 1 line 17).
+                        let UpdateScratch { net, train } = scratch;
                         let result = local_sgd_cached(env, init, net, train, |w, g| {
                             for (((gi, &wi), &ti), &yi) in g
                                 .iter_mut()
@@ -264,18 +266,18 @@ impl Algorithm for FedAdmm {
                     LocalSolver::GradientDescent {
                         steps,
                         learning_rate,
-                    } => gradient_descent(&objective(), init, learning_rate, steps).map(by_evals),
+                    } => gradient_descent(objective, init, learning_rate, steps).map(by_evals),
                     LocalSolver::ToTolerance {
                         epsilon,
                         learning_rate,
                         max_steps,
-                    } => solve_to_tolerance(&objective(), init, learning_rate, epsilon, max_steps)
+                    } => solve_to_tolerance(objective, init, learning_rate, epsilon, max_steps)
                         .map(by_evals),
                     LocalSolver::Lbfgs {
                         memory,
                         max_iters,
                         epsilon,
-                    } => lbfgs(&objective(), init, memory, max_iters, epsilon).map(by_evals),
+                    } => lbfgs(objective, init, memory, max_iters, epsilon).map(by_evals),
                 }
             })?;
         Ok(ClientMessage {
@@ -734,5 +736,94 @@ mod tests {
         warm.client_update(&mut c_warm[0], &theta2, &env2).unwrap();
         cold.client_update(&mut c_cold[0], &theta2, &env2).unwrap();
         assert!(c_warm[0].local_model.dist(&c_cold[0].local_model) > 1e-6);
+    }
+
+    /// Runs one client update of `alg` and checks the dual update of line 20
+    /// and the update message of equation (4).
+    fn assert_algorithm_1(alg: &FedAdmm) {
+        let fixture = Fixture::new(1, 40, 21);
+        let theta = ParamVector::zeros(fixture.dim());
+        let mut clients = fixture.clients(&theta);
+        let rho = alg.rho;
+        let env = fixture.env(0, 1, 5);
+        let u_before = clients[0].augmented_model(rho);
+        let old_dual = clients[0].dual.clone();
+        let msg = alg.client_update(&mut clients[0], &theta, &env).unwrap();
+
+        // Dual update of line 20.
+        let mut expected_dual = old_dual;
+        expected_dual.axpy(rho, &clients[0].local_model);
+        expected_dual.axpy(-rho, &theta);
+        assert!(expected_dual.dist(&clients[0].dual) < 1e-5);
+
+        // Update message of equation (4).
+        let expected_delta = clients[0].augmented_model(rho).sub(&u_before);
+        assert!(msg.payload[0].dist(&expected_delta) < 1e-5);
+        assert_eq!(msg.upload_floats(), fixture.dim());
+    }
+
+    #[test]
+    fn dual_update_and_message_match_algorithm_1() {
+        let alg = FedAdmm::new(0.5, ServerStepSize::Constant(1.0));
+        assert_algorithm_1(&alg.with_solver(to_tolerance(1e-2, 0.2)));
+    }
+
+    #[test]
+    fn inexact_solve_actually_meets_the_requested_tolerance() {
+        let fixture = Fixture::new(1, 60, 22);
+        let theta = ParamVector::zeros(fixture.dim());
+        let mut clients = fixture.clients(&theta);
+        let rho = 5.0f32;
+        let epsilon = 1e-2f32;
+        let alg = FedAdmm::new(rho, ServerStepSize::Constant(1.0))
+            .with_solver(to_tolerance(epsilon, 0.5));
+        let env = fixture.env(0, 1, 6);
+        alg.client_update(&mut clients[0], &theta, &env).unwrap();
+        // Recompute ‖∇L_i(w^{t+1}, y^t, θ^t)‖² with the *old* dual (zero
+        // here since the client was fresh) and verify criterion (6).
+        let zero_dual = vec![0.0f32; fixture.dim()];
+        let mut scratch = UpdateScratch::default();
+        let mut objective =
+            AugmentedObjective::new(&env, theta.as_slice(), Some(&zero_dual), rho, &mut scratch);
+        let (_, grad) = objective
+            .value_and_grad(clients[0].local_model.as_slice())
+            .unwrap();
+        let gns = fedadmm_tensor::vecops::norm_sq(&grad);
+        assert!(
+            gns <= epsilon * 1.01,
+            "criterion (6) violated: {gns} > {epsilon}"
+        );
+    }
+
+    #[test]
+    fn lbfgs_solver_variant_runs_and_uploads_one_vector() {
+        let fixture = Fixture::new(2, 30, 23);
+        let theta = ParamVector::zeros(fixture.dim());
+        let mut clients = fixture.clients(&theta);
+        let alg =
+            FedAdmm::new(0.5, ServerStepSize::Constant(1.0)).with_solver(LocalSolver::Lbfgs {
+                memory: 5,
+                max_iters: 30,
+                epsilon: 1e-3,
+            });
+        let env = fixture.env(0, 1, 7);
+        let msg = alg.client_update(&mut clients[0], &theta, &env).unwrap();
+        assert_eq!(msg.payload.len(), 1);
+        assert!(msg.epochs_run >= 1);
+        assert_eq!(
+            msg.samples_processed,
+            msg.epochs_run * clients[0].num_samples()
+        );
+        assert_eq!(alg.name(), "FedADMM");
+    }
+
+    #[test]
+    fn global_init_and_warm_start_are_both_supported() {
+        let alg = FedAdmm::new(0.5, ServerStepSize::Constant(1.0))
+            .with_solver(to_tolerance(1e-2, 0.2))
+            .with_local_init(LocalInit::GlobalModel);
+        assert_eq!(alg.local_init, LocalInit::GlobalModel);
+        assert_algorithm_1(&alg);
+        assert_algorithm_1(&alg.with_local_init(LocalInit::LocalModel));
     }
 }

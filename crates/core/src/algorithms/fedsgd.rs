@@ -46,9 +46,10 @@ impl Algorithm for FedSgd {
         client: &mut ClientState,
         global: &ParamVector,
         env: &LocalEnv<'_>,
-        _scratch: &mut UpdateScratch,
+        scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
-        let (grad, _loss) = full_gradient(env, global.as_slice())?;
+        let (grad, _loss) =
+            full_gradient(env, global.as_slice(), &mut scratch.net, &mut scratch.train)?;
         client.times_selected += 1;
         let samples = client.num_samples();
         Ok(ClientMessage {

@@ -3,9 +3,10 @@
 //! [`FedAdmm`] is the paper's contribution (Algorithm 1). The baselines it
 //! is evaluated against are implemented with the same interface so that the
 //! simulation engine and experiment harness can treat them uniformly — and
-//! on the same local solver: an algorithm has exactly one local-update
-//! method, [`Algorithm::client_update_scratch`], so every method trains
-//! through the worker's cached network and reusable buffers and wall-clock
+//! on the same trainer: an algorithm has exactly one local-update method,
+//! [`Algorithm::client_update_scratch`], and every gradient it takes — SGD
+//! step, FedSGD's exact gradient or an objective solver's oracle call —
+//! runs on the worker's cached network and reusable buffers, so wall-clock
 //! comparisons between them are like for like:
 //!
 //! | Algorithm    | Local objective                     | Upload per client | Notes |
@@ -20,7 +21,6 @@
 //! per-algorithm module documentation quotes the relevant row.
 
 mod fedadmm;
-mod fedadmm_inexact;
 mod fedavg;
 mod feddyn;
 mod fedprox;
@@ -107,8 +107,8 @@ pub struct UpdateScratch {
     /// Cached local-training network, rebuilt only when the model spec
     /// changes (see [`crate::trainer::NetCache`]).
     pub net: crate::trainer::NetCache,
-    /// Per-batch SGD temporaries (flat gradient, gathered mini-batch),
-    /// reused across steps and jobs (see [`crate::trainer::TrainScratch`]).
+    /// Per-batch temporaries of every gradient and evaluation pass, reused
+    /// across steps and jobs (see [`crate::trainer::TrainScratch`]).
     pub train: crate::trainer::TrainScratch,
 }
 

@@ -13,6 +13,7 @@
 //! analysis does — useful both as a debugging aid and for comparing how
 //! quickly different configurations drive `V_t` down.
 
+use crate::algorithms::UpdateScratch;
 use crate::client::ClientState;
 use crate::param::ParamVector;
 use crate::trainer::{full_gradient, LocalEnv};
@@ -48,23 +49,42 @@ impl OptimalityGap {
 ///
 /// `model` and `dataset` are needed because `∇_{w_i} L_i` contains the exact
 /// local data gradient `∇f_i(w_i)`; each client's gradient is evaluated over
-/// its own index set. Each client's correction slot ([`ClientState::dual`])
-/// is read as FedADMM's `y_i`. This is an O(total samples) computation —
-/// intended for diagnostics and ablations, not for the per-round hot path.
+/// its own index set, on `scratch`'s cached network and buffers. Each
+/// client's correction slot ([`ClientState::dual`]) is read as FedADMM's
+/// `y_i`. This is an O(total samples) computation — intended for
+/// diagnostics and ablations, not for the per-round hot path.
 pub fn optimality_gap(
     clients: &[ClientState],
     global: &ParamVector,
     rho: f32,
     model: ModelSpec,
     dataset: &Dataset,
+    scratch: &mut UpdateScratch,
+) -> TensorResult<OptimalityGap> {
+    let stream = |visit: &mut dyn FnMut(&ClientState) -> _| clients.iter().try_for_each(visit);
+    streamed_optimality_gap(stream, global, rho, model, dataset, scratch)
+}
+
+/// [`optimality_gap`] over the states `stream` passes to its visitor, in
+/// order — how the engine reads them straight from its client store
+/// ([`ClientStateStore::for_each_state`](fedadmm_clientstore::ClientStateStore::for_each_state))
+/// without holding all `m` at once.
+pub(crate) fn streamed_optimality_gap(
+    stream: impl FnOnce(&mut dyn FnMut(&ClientState) -> TensorResult<()>) -> TensorResult<()>,
+    global: &ParamVector,
+    rho: f32,
+    model: ModelSpec,
+    dataset: &Dataset,
+    scratch: &mut UpdateScratch,
 ) -> TensorResult<OptimalityGap> {
     let d = global.len();
     let theta = global.as_slice();
     let mut grad_theta = vec![0.0f32; d];
     let mut sum_grad_w_sq = 0.0f32;
     let mut sum_consensus_sq = 0.0f32;
+    let mut num_clients = 0usize;
 
-    for client in clients {
+    stream(&mut |client| {
         let w = client.local_model.as_slice();
         let y = client.dual.as_slice();
         // ∇f_i(w_i): exact local gradient at the client's current model.
@@ -77,7 +97,7 @@ pub fn optimality_gap(
             learning_rate: 0.0,
             seed: 0,
         };
-        let (grad_f, _) = full_gradient(&env, w)?;
+        let (grad_f, _) = full_gradient(&env, w, &mut scratch.net, &mut scratch.train)?;
 
         let mut grad_w_sq = 0.0f32;
         let mut consensus_sq = 0.0f32;
@@ -92,13 +112,15 @@ pub fn optimality_gap(
         }
         sum_grad_w_sq += grad_w_sq;
         sum_consensus_sq += consensus_sq;
-    }
+        num_clients += 1;
+        Ok(())
+    })?;
 
     Ok(OptimalityGap {
         grad_theta_sq: vecops::norm_sq(&grad_theta),
         sum_grad_w_sq,
         sum_consensus_sq,
-        num_clients: clients.len(),
+        num_clients,
     })
 }
 
@@ -133,7 +155,15 @@ mod tests {
             .enumerate()
             .map(|(i, idx)| ClientState::new(i, idx.clone(), &theta))
             .collect();
-        let gap = optimality_gap(&clients, &theta, 0.3, model, &train).unwrap();
+        let gap = optimality_gap(
+            &clients,
+            &theta,
+            0.3,
+            model,
+            &train,
+            &mut UpdateScratch::default(),
+        )
+        .unwrap();
         assert_eq!(gap.num_clients, 3);
         assert!(gap.grad_theta_sq < 1e-10);
         assert!(gap.sum_consensus_sq < 1e-10);
@@ -164,7 +194,15 @@ mod tests {
             };
             algorithm.client_update(client, &theta, &env).unwrap();
         }
-        let gap = optimality_gap(&clients, &theta, rho, model, &train).unwrap();
+        let gap = optimality_gap(
+            &clients,
+            &theta,
+            rho,
+            model,
+            &train,
+            &mut UpdateScratch::default(),
+        )
+        .unwrap();
         assert!(gap.grad_theta_sq >= 0.0);
         assert!(gap.sum_grad_w_sq >= 0.0);
         assert!(gap.sum_consensus_sq > 0.0, "clients moved away from θ");
@@ -187,7 +225,15 @@ mod tests {
             .collect();
         let rho = 0.3;
         let mut algorithm = FedAdmm::new(rho, ServerStepSize::Constant(1.0));
-        let initial = optimality_gap(&clients, &theta0, rho, model, &train).unwrap();
+        let initial = optimality_gap(
+            &clients,
+            &theta0,
+            rho,
+            model,
+            &train,
+            &mut UpdateScratch::default(),
+        )
+        .unwrap();
 
         let mut theta = theta0.clone();
         let mut rng = StepRng::new(0, 1);
@@ -207,7 +253,15 @@ mod tests {
             }
             algorithm.server_update(&mut theta, &messages, clients.len(), &mut rng);
         }
-        let final_gap = optimality_gap(&clients, &theta, rho, model, &train).unwrap();
+        let final_gap = optimality_gap(
+            &clients,
+            &theta,
+            rho,
+            model,
+            &train,
+            &mut UpdateScratch::default(),
+        )
+        .unwrap();
         assert!(
             final_gap.total() < initial.total(),
             "V_t did not decrease: {} -> {}",

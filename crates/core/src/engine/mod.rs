@@ -388,9 +388,9 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
     /// [`diagnostics::optimality_gap`](crate::diagnostics::optimality_gap)
     /// with penalty `rho`) and reports it as an
     /// [`Event::Gauge`] named `"optimality_gap"`. Opt-in because the
-    /// gap is an O(total samples) computation per round, and because it
-    /// reads the states through [`clients`](Self::clients): all `m` of
-    /// them are held in memory while the gauge is computed.
+    /// gap is an O(total samples) computation per round. It streams the
+    /// states through [`ClientStateStore::for_each_state`], one at a time,
+    /// and evaluates every gradient on the dispatch pool's serial scratch.
     pub fn with_optimality_gap(mut self, rho: f32) -> Self {
         self.gap_rho = Some(rho);
         self
@@ -517,14 +517,16 @@ impl<A: Algorithm, S: Scheduler> RoundEngine<A, S> {
         let report = report?;
         if report.record.is_some() {
             if let Some(rho) = self.gap_rho {
-                let clients = self.clients()?;
-                let gap = crate::diagnostics::optimality_gap(
-                    &clients,
-                    &self.global,
-                    rho,
-                    self.config.model,
-                    &self.train,
-                )?;
+                let gap = self.pool.with_scratch(|scratch| {
+                    crate::diagnostics::streamed_optimality_gap(
+                        |visit| self.store.for_each_state(visit),
+                        &self.global,
+                        rho,
+                        self.config.model,
+                        &self.train,
+                        &mut scratch.update,
+                    )
+                })?;
                 self.telemetry.on_event(&Event::Gauge {
                     name: "optimality_gap",
                     value: gap.total() as f64,

@@ -21,9 +21,9 @@
 //!   from `{1..E}`) and how fast its device does it (the device model
 //!   behind the engine's virtual clock);
 //! * [`trainer`] — the shared local SGD solver with pluggable gradient
-//!   corrections (proximal term, dual variable, control variates), running
-//!   on a cached network and reusable buffers — the one local-update path
-//!   every algorithm takes;
+//!   corrections (proximal term, dual variable, control variates) and the
+//!   exact local gradient, both running on a cached network and reusable
+//!   buffers — the one path every gradient takes;
 //! * [`engine`] — the unified simulation engine: one [`engine::RoundEngine`]
 //!   drives rounds through a pluggable [`engine::Scheduler`]
 //!   ([`engine::SyncRounds`], [`engine::BufferedAsync`],

@@ -28,23 +28,33 @@
 //! [`crate::algorithms::FedAdmm::with_solver`], and every client of a run
 //! uses the one solver it names.
 
+use crate::algorithms::UpdateScratch;
 use crate::trainer::{full_gradient, LocalEnv};
 use fedadmm_tensor::{vecops, TensorResult};
 
 /// The local augmented Lagrangian `L_i(w, y_i, θ)` of equation (3) as a
-/// value-and-gradient oracle over the flattened parameter vector.
+/// value-and-gradient oracle over the flattened parameter vector. It
+/// borrows the job's [`UpdateScratch`]: every gradient runs on the worker's
+/// cached network and buffers, where the SGD solver's do.
 pub struct AugmentedObjective<'a> {
     env: &'a LocalEnv<'a>,
     theta: &'a [f32],
     dual: Option<&'a [f32]>,
     rho: f32,
+    scratch: &'a mut UpdateScratch,
 }
 
 impl<'a> AugmentedObjective<'a> {
     /// Builds the oracle. `dual = None` together with `rho > 0` gives the
     /// FedProx local objective; `dual = None, rho = 0` gives the plain local
     /// loss `f_i` (FedAvg's local objective).
-    pub fn new(env: &'a LocalEnv<'a>, theta: &'a [f32], dual: Option<&'a [f32]>, rho: f32) -> Self {
+    pub fn new(
+        env: &'a LocalEnv<'a>,
+        theta: &'a [f32],
+        dual: Option<&'a [f32]>,
+        rho: f32,
+        scratch: &'a mut UpdateScratch,
+    ) -> Self {
         assert!(rho >= 0.0, "the proximal coefficient ρ cannot be negative");
         if let Some(y) = dual {
             assert_eq!(
@@ -58,20 +68,17 @@ impl<'a> AugmentedObjective<'a> {
             theta,
             dual,
             rho,
+            scratch,
         }
-    }
-
-    /// Model dimension `d`.
-    pub fn dim(&self) -> usize {
-        self.theta.len()
     }
 
     /// Evaluates `L_i(w)` and `∇L_i(w)` at `w`.
     ///
     /// The value is `f_i(w) + yᵀ(w − θ) + (ρ/2)‖w − θ‖²` and the gradient is
     /// `∇f_i(w) + y + ρ(w − θ)` — exactly the terms of Algorithm 1, line 17.
-    pub fn value_and_grad(&self, w: &[f32]) -> TensorResult<(f32, Vec<f32>)> {
-        let (mut grad, loss) = full_gradient(self.env, w)?;
+    pub fn value_and_grad(&mut self, w: &[f32]) -> TensorResult<(f32, Vec<f32>)> {
+        let scratch = &mut *self.scratch;
+        let (mut grad, loss) = full_gradient(self.env, w, &mut scratch.net, &mut scratch.train)?;
         let mut value = loss;
         if self.rho > 0.0 || self.dual.is_some() {
             let mut quad = 0.0f32;
@@ -112,7 +119,7 @@ pub struct SolveResult {
 /// Runs `steps` iterations of full-batch gradient descent
 /// `w ← w − lr · ∇L_i(w)` starting from `init`.
 pub fn gradient_descent(
-    objective: &AugmentedObjective<'_>,
+    objective: &mut AugmentedObjective<'_>,
     init: &[f32],
     learning_rate: f32,
     steps: usize,
@@ -147,7 +154,7 @@ pub fn gradient_descent(
 /// the Armijo sufficient-decrease condition holds. The step budget guards
 /// against pathological objectives.
 pub fn solve_to_tolerance(
-    objective: &AugmentedObjective<'_>,
+    objective: &mut AugmentedObjective<'_>,
     init: &[f32],
     learning_rate: f32,
     epsilon: f32,
@@ -215,7 +222,7 @@ pub fn solve_to_tolerance(
 /// `memory` is the number of curvature pairs kept for the two-loop
 /// recursion (10 is a standard choice).
 pub fn lbfgs(
-    objective: &AugmentedObjective<'_>,
+    objective: &mut AugmentedObjective<'_>,
     init: &[f32],
     memory: usize,
     max_iters: usize,
@@ -398,10 +405,12 @@ mod tests {
         let e = env(&train, &indices);
         let d = e.model.num_params();
         let theta = vec![0.0f32; d];
-        let obj = AugmentedObjective::new(&e, &theta, None, 0.0);
+        let mut scratch = UpdateScratch::default();
+        let mut obj = AugmentedObjective::new(&e, &theta, None, 0.0, &mut scratch);
         let w = vec![0.01f32; d];
         let (value, grad) = obj.value_and_grad(&w).unwrap();
-        let (plain_grad, plain_loss) = full_gradient(&e, &w).unwrap();
+        let (plain_grad, plain_loss) =
+            full_gradient(&e, &w, &mut scratch.net, &mut scratch.train).unwrap();
         assert!((value - plain_loss).abs() < 1e-6);
         assert_eq!(grad, plain_grad);
     }
@@ -414,10 +423,12 @@ mod tests {
         let theta = vec![0.1f32; d];
         let dual = vec![0.05f32; d];
         let rho = 2.0f32;
-        let obj = AugmentedObjective::new(&e, &theta, Some(&dual), rho);
+        let mut scratch = UpdateScratch::default();
+        let mut obj = AugmentedObjective::new(&e, &theta, Some(&dual), rho, &mut scratch);
         let w = vec![0.3f32; d];
         let (value, grad) = obj.value_and_grad(&w).unwrap();
-        let (plain_grad, plain_loss) = full_gradient(&e, &w).unwrap();
+        let (plain_grad, plain_loss) =
+            full_gradient(&e, &w, &mut scratch.net, &mut scratch.train).unwrap();
         // value = f + yᵀ(w−θ) + ρ/2‖w−θ‖²  with w−θ = 0.2 everywhere.
         let diff = 0.2f32;
         let expected = plain_loss + (0.05 * diff) * d as f32 + 0.5 * rho * diff * diff * d as f32;
@@ -433,10 +444,11 @@ mod tests {
         let e = env(&train, &indices);
         let d = e.model.num_params();
         let theta = vec![0.0f32; d];
-        let obj = AugmentedObjective::new(&e, &theta, None, 0.5);
+        let mut scratch = UpdateScratch::default();
+        let mut obj = AugmentedObjective::new(&e, &theta, None, 0.5, &mut scratch);
         let init = vec![0.0f32; d];
         let (v0, _) = obj.value_and_grad(&init).unwrap();
-        let result = gradient_descent(&obj, &init, 0.5, 10).unwrap();
+        let result = gradient_descent(&mut obj, &init, 0.5, 10).unwrap();
         assert!(result.final_value < v0);
         assert_eq!(result.gradient_evals, 11);
     }
@@ -448,10 +460,11 @@ mod tests {
         let d = e.model.num_params();
         let theta = vec![0.0f32; d];
         // ρ large → strongly convex local problem → GD converges fast.
-        let obj = AugmentedObjective::new(&e, &theta, None, 10.0);
+        let mut scratch = UpdateScratch::default();
+        let mut obj = AugmentedObjective::new(&e, &theta, None, 10.0, &mut scratch);
         let init = vec![0.0f32; d];
         let epsilon = 1e-2f32;
-        let result = solve_to_tolerance(&obj, &init, 0.5, epsilon, 2000).unwrap();
+        let result = solve_to_tolerance(&mut obj, &init, 0.5, epsilon, 2000).unwrap();
         assert!(
             result.final_grad_norm_sq <= epsilon,
             "criterion (6) not met: {} > {}",
@@ -467,10 +480,11 @@ mod tests {
         let e = env(&train, &indices);
         let d = e.model.num_params();
         let theta = vec![0.0f32; d];
-        let obj = AugmentedObjective::new(&e, &theta, None, 10.0);
+        let mut scratch = UpdateScratch::default();
+        let mut obj = AugmentedObjective::new(&e, &theta, None, 10.0, &mut scratch);
         let init = vec![0.0f32; d];
-        let loose = solve_to_tolerance(&obj, &init, 0.5, 1e-1, 2000).unwrap();
-        let tight = solve_to_tolerance(&obj, &init, 0.5, 1e-3, 2000).unwrap();
+        let loose = solve_to_tolerance(&mut obj, &init, 0.5, 1e-1, 2000).unwrap();
+        let tight = solve_to_tolerance(&mut obj, &init, 0.5, 1e-3, 2000).unwrap();
         assert!(tight.gradient_evals >= loose.gradient_evals);
         assert!(tight.final_grad_norm_sq <= loose.final_grad_norm_sq);
     }
@@ -481,17 +495,18 @@ mod tests {
         let e = env(&train, &indices);
         let d = e.model.num_params();
         let theta = vec![0.0f32; d];
-        let obj = AugmentedObjective::new(&e, &theta, None, 1.0);
+        let mut scratch = UpdateScratch::default();
+        let mut obj = AugmentedObjective::new(&e, &theta, None, 1.0, &mut scratch);
         let init = vec![0.0f32; d];
         // A tight tolerance, where curvature information starts to matter.
         let epsilon = 1e-5f32;
-        let quasi = lbfgs(&obj, &init, 10, 500, epsilon).unwrap();
+        let quasi = lbfgs(&mut obj, &init, 10, 500, epsilon).unwrap();
         assert!(
             quasi.final_grad_norm_sq <= epsilon,
             "{}",
             quasi.final_grad_norm_sq
         );
-        let gd = solve_to_tolerance(&obj, &init, 0.3, epsilon, 5000).unwrap();
+        let gd = solve_to_tolerance(&mut obj, &init, 0.3, epsilon, 5000).unwrap();
         assert!(
             gd.final_grad_norm_sq <= epsilon,
             "{}",
@@ -520,14 +535,15 @@ mod tests {
         let d = e.model.num_params();
         let (theta, dual) = (vec![0.0f32; d], vec![0.0f32; d]);
         let rho = 1.0f32;
-        let obj = AugmentedObjective::new(&e, &theta, Some(&dual), rho);
+        let mut scratch = UpdateScratch::default();
+        let mut obj = AugmentedObjective::new(&e, &theta, Some(&dual), rho, &mut scratch);
         let cases = [
             (
                 LocalSolver::GradientDescent {
                     steps: 5,
                     learning_rate: 0.2,
                 },
-                gradient_descent(&obj, &theta, 0.2, 5).unwrap(),
+                gradient_descent(&mut obj, &theta, 0.2, 5).unwrap(),
             ),
             (
                 LocalSolver::ToTolerance {
@@ -535,7 +551,7 @@ mod tests {
                     learning_rate: 0.1,
                     max_steps: 10,
                 },
-                solve_to_tolerance(&obj, &theta, 0.1, 1e-3, 10).unwrap(),
+                solve_to_tolerance(&mut obj, &theta, 0.1, 1e-3, 10).unwrap(),
             ),
             (
                 LocalSolver::Lbfgs {
@@ -543,7 +559,7 @@ mod tests {
                     max_iters: 10,
                     epsilon: 1e-3,
                 },
-                lbfgs(&obj, &theta, 5, 10, 1e-3).unwrap(),
+                lbfgs(&mut obj, &theta, 5, 10, 1e-3).unwrap(),
             ),
         ];
         for (solver, direct) in cases {
@@ -572,6 +588,6 @@ mod tests {
         let (train, indices) = fixture();
         let e = env(&train, &indices);
         let theta = vec![0.0f32; e.model.num_params()];
-        AugmentedObjective::new(&e, &theta, None, -1.0);
+        AugmentedObjective::new(&e, &theta, None, -1.0, &mut UpdateScratch::default());
     }
 }

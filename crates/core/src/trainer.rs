@@ -11,13 +11,15 @@
 //!
 //! [`local_sgd_cached`] implements the common loop and takes the correction
 //! as a closure over the current parameters, so each algorithm contributes
-//! only its own term. It is the only SGD entry point: the network comes
-//! from a [`NetCache`] and every per-batch temporary from a
+//! only its own term; it is the only SGD entry point. [`full_gradient`]
+//! computes the exact local gradient: FedSGD's upload, every oracle call of
+//! the criterion-(6) solvers and every client of the V_t gauge. Both push
+//! every batch through one private step (gather, forward, loss, backward)
+//! on a network from a [`NetCache`] and the per-batch temporaries of a
 //! [`TrainScratch`], both held by the caller (the dispatch pool keeps one
 //! pair per worker inside its
-//! [`UpdateScratch`](crate::algorithms::UpdateScratch)), so a baseline and
-//! FedADMM pay exactly the same trainer cost. [`full_gradient`] computes the
-//! exact local gradient (FedSGD).
+//! [`UpdateScratch`](crate::algorithms::UpdateScratch)), so every gradient
+//! pays the same trainer cost, whichever method or solver asks for it.
 //!
 //! Evaluation uses the same buffers, forward-only: an [`eval_logits_into`]
 //! job pushes a contiguous span of samples through a [`NetCache`] network
@@ -72,7 +74,7 @@ pub struct LocalSgdResult {
     pub final_epoch_loss: f32,
 }
 
-/// Reusable buffers for the per-batch temporaries of the SGD loop: the
+/// Reusable buffers for the per-batch temporaries of every batch step: the
 /// gathered mini-batch (features + labels), the epoch shuffle order, the
 /// input tensor, and the activation arena that the forward/backward sweep
 /// writes through. The parameters and their gradient are the cached
@@ -91,9 +93,9 @@ pub struct TrainScratch {
     pub batch_data: Vec<f32>,
     /// Gathered mini-batch labels.
     pub batch_labels: Vec<usize>,
-    /// Shuffled sample order for the current epoch; batches are consecutive
-    /// `chunks(B)` of this permutation. Evaluation fills it with a forward
-    /// pass's sample range instead.
+    /// The samples a pass walks in consecutive batches: SGD's shuffled order
+    /// for the current epoch, the client's indices for the exact gradient,
+    /// an evaluation job's span.
     pub perm: Vec<usize>,
     /// The forward pass's input tensor; its storage swaps with `batch_data`
     /// every step via [`Tensor::replace_data`].
@@ -120,11 +122,11 @@ impl Default for TrainScratch {
 /// Local training overwrites *every* parameter from `init` before touching
 /// the network, so building one per job (a full `d` draws from the model
 /// RNG) would be pure waste. The dispatch pool keeps one cache per worker
-/// inside its `UpdateScratch`, and [`local_sgd_cached`] reuses the network
-/// across jobs — bit-identical to building fresh, because a job loads all
-/// parameters before its first pass, every backward pass overwrites the
-/// whole gradient vector (no layer adds to what it finds there), and
-/// activation caches are overwritten by each forward pass.
+/// inside its `UpdateScratch`, and every training, gradient and evaluation
+/// job reuses the network — bit-identical to building fresh, because a job
+/// loads all parameters before its first pass, every backward pass
+/// overwrites the whole gradient vector (no layer adds to what it finds
+/// there), and activation caches are overwritten by each forward pass.
 #[derive(Debug, Default)]
 pub struct NetCache {
     slot: Option<(ModelSpec, Network)>,
@@ -166,19 +168,11 @@ pub fn local_sgd_cached(
     mut correction: impl FnMut(&[f32], &mut [f32]),
 ) -> TensorResult<LocalSgdResult> {
     let net = cache.get(env.model);
-    let TrainScratch {
-        batch_data,
-        batch_labels,
-        perm,
-        input,
-        arena,
-    } = scratch;
     net.set_params_flat(init)?;
     let sgd = Sgd::new(env.learning_rate);
 
     let mut batch_rng = SmallRng::seed_from_u64(env.seed);
     let batch_len = env.batch_size.resolve(env.indices.len());
-    let feature_dim = env.dataset.feature_dim();
     let mut steps = 0usize;
     let mut samples = 0usize;
     let mut final_epoch_loss = 0.0f32;
@@ -187,24 +181,14 @@ pub fn local_sgd_cached(
         let mut epoch_batches = 0usize;
         // Same RNG consumption (and therefore the same batch order) as
         // `BatchIterator`.
-        shuffle_epoch_into(env.indices, &mut batch_rng, perm);
-        for batch in perm.chunks(batch_len) {
-            env.dataset.gather_into(batch, batch_data, batch_labels)?;
-            // Ping-pong the gathered feature block with the input tensor's
-            // storage so both allocations survive across steps.
-            *batch_data =
-                input.replace_data(std::mem::take(batch_data), &[batch.len(), feature_dim])?;
-            net.forward_arena(input, arena)?;
-            let loss = {
-                let (logits, loss_grad) = arena.output_and_loss_grad();
-                softmax_cross_entropy_into(logits, batch_labels, loss_grad)?
-            };
-            net.backward_arena(arena)?;
+        shuffle_epoch_into(env.indices, &mut batch_rng, &mut scratch.perm);
+        for batch in batches(env.indices.len(), batch_len) {
+            samples += batch.len();
+            let loss = gradient_batch(net, env.dataset, batch, scratch)?;
             let (params, grads) = net.params_grads_mut();
             correction(params, grads);
             sgd.step(params, grads);
             steps += 1;
-            samples += batch.len();
             epoch_loss += loss;
             epoch_batches += 1;
         }
@@ -220,50 +204,82 @@ pub fn local_sgd_cached(
     })
 }
 
-/// Computes the exact (full-batch) local gradient `∇f_i(θ)` and loss at a
-/// fixed parameter vector — the quantity FedSGD uploads.
-pub fn full_gradient(env: &LocalEnv<'_>, at: &[f32]) -> TensorResult<(Vec<f32>, f32)> {
-    let mut model_rng = SmallRng::seed_from_u64(env.seed ^ 0xA5A5_5A5A);
-    let mut net = env.model.build(&mut model_rng);
+/// Computes the exact (full-batch) local gradient `∇f_i(w)` and loss at
+/// `at`, on the caller's cached network and buffers like
+/// [`local_sgd_cached`]: a warm call allocates only the returned gradient.
+pub fn full_gradient(
+    env: &LocalEnv<'_>,
+    at: &[f32],
+    cache: &mut NetCache,
+    scratch: &mut TrainScratch,
+) -> TensorResult<(Vec<f32>, f32)> {
+    let net = cache.get(env.model);
     net.set_params_flat(at)?;
-    let d = net.num_params();
+    let mut grad_acc = vec![0.0f32; net.num_params()];
     if env.indices.is_empty() {
-        return Ok((vec![0.0; d], 0.0));
+        return Ok((grad_acc, 0.0));
     }
     // Accumulate over chunks so that CNN activations for large local
     // datasets do not blow up memory; the gradient of the mean loss is the
     // sample-count-weighted mean of the chunk gradients.
-    let chunk = 256usize;
-    let mut grad_acc = vec![0.0f32; d];
     let mut loss_acc = 0.0f32;
-    let mut total = 0usize;
-    let mut scratch = TrainScratch::default();
-    let feature_dim = env.dataset.feature_dim();
-    for batch in env.indices.chunks(chunk) {
-        env.dataset
-            .gather_into(batch, &mut scratch.batch_data, &mut scratch.batch_labels)?;
-        scratch.batch_data = scratch.input.replace_data(
-            std::mem::take(&mut scratch.batch_data),
-            &[batch.len(), feature_dim],
-        )?;
-        net.forward_arena(&scratch.input, &mut scratch.arena)?;
-        let loss = {
-            let (logits, loss_grad) = scratch.arena.output_and_loss_grad();
-            softmax_cross_entropy_into(logits, &scratch.batch_labels, loss_grad)?
-        };
-        net.backward_arena(&mut scratch.arena)?;
+    scratch.perm.clear();
+    scratch.perm.extend_from_slice(env.indices);
+    for batch in batches(env.indices.len(), 256) {
         let w = batch.len() as f32;
+        let loss = gradient_batch(net, env.dataset, batch, scratch)?;
         for (acc, gi) in grad_acc.iter_mut().zip(net.grads()) {
             *acc += gi * w;
         }
         loss_acc += loss * w;
-        total += batch.len();
     }
-    let inv = 1.0 / total as f32;
+    let inv = 1.0 / env.indices.len() as f32;
     for g in grad_acc.iter_mut() {
         *g *= inv;
     }
     Ok((grad_acc, loss_acc * inv))
+}
+
+/// Consecutive `len`-sample ranges of `0..n`, the last one ragged.
+fn batches(n: usize, len: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    (0..n)
+        .step_by(len)
+        .map(move |start| start..(start + len).min(n))
+}
+
+/// The one batch step of this module: gathers the samples that
+/// `scratch.perm[batch]` names and runs one forward pass over them; the
+/// logits land in `scratch.arena`.
+fn forward_batch(
+    net: &mut Network,
+    dataset: &Dataset,
+    batch: std::ops::Range<usize>,
+    scratch: &mut TrainScratch,
+) -> TensorResult<()> {
+    let shape = [batch.len(), dataset.feature_dim()];
+    let labels = &mut scratch.batch_labels;
+    dataset.gather_into(&scratch.perm[batch], &mut scratch.batch_data, labels)?;
+    // Ping-pong the gathered feature block with the input tensor's storage
+    // so both allocations survive across steps.
+    let data = std::mem::take(&mut scratch.batch_data);
+    scratch.batch_data = scratch.input.replace_data(data, &shape)?;
+    net.forward_arena(&scratch.input, &mut scratch.arena)
+}
+
+/// [`forward_batch`], then the softmax cross-entropy and the backward pass:
+/// leaves `∇f(w, batch)` in the network's gradient vector and returns the
+/// batch's mean loss.
+fn gradient_batch(
+    net: &mut Network,
+    dataset: &Dataset,
+    batch: std::ops::Range<usize>,
+    scratch: &mut TrainScratch,
+) -> TensorResult<f32> {
+    forward_batch(net, dataset, batch, scratch)?;
+    let (logits, loss_grad) = scratch.arena.output_and_loss_grad();
+    let loss = softmax_cross_entropy_into(logits, &scratch.batch_labels, loss_grad)?;
+    net.backward_arena(&mut scratch.arena)?;
+    Ok(loss)
 }
 
 /// Samples per evaluation chunk: the unit the loss and the accuracy are
@@ -328,37 +344,14 @@ pub fn eval_logits_into(
     }
     let net = cache.get(model);
     net.set_params_flat(params)?;
-    let passes = out.chunks_mut((EVAL_BATCH * classes).max(1));
-    for (pass, rows) in passes.enumerate() {
-        let start = span.start + pass * EVAL_BATCH;
-        let end = (start + EVAL_BATCH).min(span.end);
-        forward_range(net, dataset, start..end, scratch)?;
+    scratch.perm.clear();
+    scratch.perm.extend(span.clone());
+    let passes = batches(span.len(), EVAL_BATCH).zip(out.chunks_mut((EVAL_BATCH * classes).max(1)));
+    for (pass, rows) in passes {
+        forward_batch(net, dataset, pass, scratch)?;
         rows.copy_from_slice(scratch.arena.output().data());
     }
     Ok(())
-}
-
-/// Gathers the samples in `range` and runs one forward pass over them; the
-/// logits land in `scratch.arena`.
-fn forward_range(
-    net: &mut Network,
-    dataset: &Dataset,
-    range: std::ops::Range<usize>,
-    scratch: &mut TrainScratch,
-) -> TensorResult<()> {
-    let len = range.len();
-    scratch.perm.clear();
-    scratch.perm.extend(range);
-    dataset.gather_into(
-        &scratch.perm,
-        &mut scratch.batch_data,
-        &mut scratch.batch_labels,
-    )?;
-    scratch.batch_data = scratch.input.replace_data(
-        std::mem::take(&mut scratch.batch_data),
-        &[len, dataset.feature_dim()],
-    )?;
-    net.forward_arena(&scratch.input, &mut scratch.arena)
 }
 
 /// Mean loss and accuracy of the samples whose logits rows are `logits`
@@ -445,11 +438,12 @@ pub(crate) fn evaluate_whole_chunks(
     let (mut cache, mut scratch) = (NetCache::default(), TrainScratch::default());
     let net = cache.get(model);
     net.set_params_flat(params)?;
+    scratch.perm.extend(0..n);
     let (mut loss_acc, mut correct_acc) = (0.0f32, 0.0f32);
     for chunk in 0..n.div_ceil(EVAL_CHUNK) {
         let range = eval_chunk(chunk, n);
         let len = range.len();
-        forward_range(net, dataset, range, &mut scratch)?;
+        forward_batch(net, dataset, range, &mut scratch)?;
         let (logits, loss_grad) = scratch.arena.output_and_loss_grad();
         let loss = softmax_cross_entropy_into(logits, &scratch.batch_labels, loss_grad)?;
         let acc = accuracy(logits, &scratch.batch_labels)?;
@@ -475,6 +469,12 @@ mod tests {
         local_sgd_cached(env, init, &mut cache, &mut scratch, correction)
     }
 
+    /// [`full_gradient`] on a cold worker.
+    fn cold_gradient(env: &LocalEnv<'_>, at: &[f32]) -> TensorResult<(Vec<f32>, f32)> {
+        let (mut cache, mut scratch) = (NetCache::default(), TrainScratch::default());
+        full_gradient(env, at, &mut cache, &mut scratch)
+    }
+
     fn small_env<'a>(dataset: &'a Dataset, indices: &'a [usize]) -> LocalEnv<'a> {
         LocalEnv {
             dataset,
@@ -497,9 +497,9 @@ mod tests {
         let env = small_env(&train, &indices);
         let d = env.model.num_params();
         let init = vec![0.0f32; d];
-        let (_, loss_before) = full_gradient(&env, &init).unwrap();
+        let (_, loss_before) = cold_gradient(&env, &init).unwrap();
         let result = cold_sgd(&env, &init, |_, _| {}).unwrap();
-        let (_, loss_after) = full_gradient(&env, &result.params).unwrap();
+        let (_, loss_after) = cold_gradient(&env, &result.params).unwrap();
         assert!(loss_after < loss_before, "{loss_after} !< {loss_before}");
         assert_eq!(result.steps, 3 * (120usize.div_ceil(16)));
         assert_eq!(result.samples_processed, 3 * 120);
@@ -596,11 +596,43 @@ mod tests {
         let indices: Vec<usize> = (0..60).collect();
         let env = small_env(&train, &indices);
         let init = vec![0.0f32; env.model.num_params()];
-        let (g, loss0) = full_gradient(&env, &init).unwrap();
+        let (g, loss0) = cold_gradient(&env, &init).unwrap();
         let mut stepped = init.clone();
         vecops::axpy(-0.5, &g, &mut stepped);
-        let (_, loss1) = full_gradient(&env, &stepped).unwrap();
+        let (_, loss1) = cold_gradient(&env, &stepped).unwrap();
         assert!(loss1 < loss0);
+    }
+
+    /// The exact gradient on a worker that just ran another client's SGD
+    /// job, and on the same worker again, has the bits of a cold call: more
+    /// than one 256-sample chunk, on a two-layer model.
+    #[test]
+    fn full_gradient_on_a_warm_worker_matches_a_cold_one() {
+        let (train, _) = SyntheticDataset::Mnist.generate(400, 10, 9);
+        let (a_idx, b_idx): (Vec<usize>, Vec<usize>) = ((0..60).collect(), (60..400).collect());
+        let mut a = small_env(&train, &a_idx);
+        a.model = ModelSpec::Mlp {
+            input_dim: train.feature_dim(),
+            hidden_dim: 12,
+            num_classes: 10,
+        };
+        let b = LocalEnv {
+            indices: &b_idx,
+            ..a
+        };
+        let at: Vec<f32> = (0..a.model.num_params())
+            .map(|i| (i % 5) as f32 * 0.01)
+            .collect();
+        let (cold, cold_loss) = cold_gradient(&b, &at).unwrap();
+
+        let (mut cache, mut scratch) = (NetCache::default(), TrainScratch::default());
+        local_sgd_cached(&a, &at, &mut cache, &mut scratch, |_, _| {}).unwrap();
+        for _ in 0..2 {
+            let (warm, warm_loss) = full_gradient(&b, &at, &mut cache, &mut scratch).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&warm), bits(&cold));
+            assert_eq!(warm_loss.to_bits(), cold_loss.to_bits());
+        }
     }
 
     #[test]
@@ -608,7 +640,7 @@ mod tests {
         let (train, _) = SyntheticDataset::Mnist.generate(20, 10, 4);
         let env = small_env(&train, &[]);
         let init = vec![0.1f32; env.model.num_params()];
-        let (g, loss) = full_gradient(&env, &init).unwrap();
+        let (g, loss) = cold_gradient(&env, &init).unwrap();
         assert!(g.iter().all(|&v| v == 0.0));
         assert_eq!(loss, 0.0);
     }

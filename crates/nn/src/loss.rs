@@ -1,16 +1,18 @@
 //! Classification loss and metrics.
 //!
 //! The paper trains ten-class image classifiers with the standard softmax
-//! cross-entropy loss; [`softmax_cross_entropy`] returns both the mean loss
-//! over the batch and the gradient with respect to the logits;
-//! [`softmax_cross_entropy_into`] writes that gradient straight into the
-//! arena slot [`crate::Network::backward_arena`] starts from.
+//! cross-entropy loss; [`softmax_cross_entropy_into`] returns the mean loss
+//! over the batch and writes its gradient with respect to the logits
+//! straight into the arena slot [`crate::Network::backward_arena`] starts
+//! from. The allocating `softmax` and `softmax_cross_entropy` it replaced
+//! are kept as its test reference.
 
 use fedadmm_tensor::{Tensor, TensorError, TensorResult};
 
 /// Numerically stable softmax over the last dimension of a `[batch, classes]`
 /// tensor.
-pub fn softmax(logits: &Tensor) -> TensorResult<Tensor> {
+#[cfg(test)]
+pub(crate) fn softmax(logits: &Tensor) -> TensorResult<Tensor> {
     if logits.rank() != 2 {
         return Err(TensorError::RankMismatch {
             expected: 2,
@@ -35,27 +37,26 @@ pub fn softmax(logits: &Tensor) -> TensorResult<Tensor> {
     Ok(out)
 }
 
-/// Mean softmax cross-entropy loss and its gradient with respect to the
-/// logits.
-///
-/// * `logits`: `[batch, classes]`
-/// * `labels`: `batch` class indices in `0..classes`
-///
-/// Returns `(mean_loss, grad_logits)` where `grad_logits` has the same shape
-/// as `logits` and is already divided by the batch size (so the network's
-/// accumulated gradients are the gradient of the *mean* loss).
-pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> TensorResult<(f32, Tensor)> {
+/// [`softmax_cross_entropy_into`] returning the gradient as a new tensor.
+#[cfg(test)]
+pub(crate) fn softmax_cross_entropy(
+    logits: &Tensor,
+    labels: &[usize],
+) -> TensorResult<(f32, Tensor)> {
     let mut grad = Tensor::zeros(&[0]);
     let loss = softmax_cross_entropy_into(logits, labels, &mut grad)?;
     Ok((loss, grad))
 }
 
-/// [`softmax_cross_entropy`] writing the gradient into a caller-owned
-/// tensor — the scratch-friendly twin for per-step hot loops.
+/// Mean softmax cross-entropy loss, writing its gradient with respect to the
+/// logits into a caller-owned tensor.
+///
+/// * `logits`: `[batch, classes]`
+/// * `labels`: `batch` class indices in `0..classes`
 ///
 /// `grad` is resized to the logits shape (reusing capacity) and fully
-/// overwritten; the returned loss and the gradient are bit-identical to the
-/// allocating variant.
+/// overwritten with the gradient, already divided by the batch size (so the
+/// network's gradients are the gradient of the *mean* loss).
 pub fn softmax_cross_entropy_into(
     logits: &Tensor,
     labels: &[usize],
@@ -83,7 +84,7 @@ pub fn softmax_cross_entropy_into(
     grad.resize_in_place(logits.dims());
     grad.data_mut().copy_from_slice(logits.data());
     // Numerically stable softmax in place, row by row (same arithmetic as
-    // [`softmax`], so the result is bit-identical).
+    // the test reference `softmax`, so the result is bit-identical).
     for b in 0..batch {
         let row = &mut grad.data_mut()[b * classes..(b + 1) * classes];
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);

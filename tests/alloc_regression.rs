@@ -9,9 +9,11 @@
 //! parameters and their gradient are the cached network's own two vectors —
 //! for the dense stack, and for the paper's CNN 1 with its im2col, pooling
 //! and convolution-gradient scratch. A further check pins the
-//! per-*job* cost of FedAvg, FedADMM, SCAFFOLD and FedDyn on a warm worker
-//! to the payload they upload — and, with the wire path on, to that plus
-//! the coded upload that replaces it — another bounds a whole evaluation
+//! per-*job* cost of FedAvg, FedADMM, SCAFFOLD, FedDyn and FedSGD on a warm
+//! worker to the payload they upload — and, with the wire path on, to that
+//! plus the coded upload that replaces it — another bounds each extra
+//! gradient-descent step of FedADMM's objective solver to the gradient it
+//! returns, another bounds a whole evaluation
 //! pass to O(1) allocations regardless of how many forward passes and
 //! 256-sample chunks it spans, and
 //! another pins a warm one-worker `RoundEngine::evaluate_global` to its
@@ -36,13 +38,14 @@ use std::sync::Arc;
 
 use fedadmm_clientstore::StoreConfig;
 use fedadmm_core::algorithms::{
-    Algorithm, ClientMessage, FedAdmm, FedAvg, FedDyn, Scaffold, UpdateScratch,
+    Algorithm, ClientMessage, FedAdmm, FedAvg, FedDyn, FedSgd, Scaffold, UpdateScratch,
 };
 use fedadmm_core::client::ClientState;
 use fedadmm_core::compression::{Quantizer, WirePayload};
 use fedadmm_core::engine::{EngineCore, Scheduler, TickReport, WirePathConfig};
 use fedadmm_core::param::ParamVector;
 use fedadmm_core::privacy::GaussianMechanism;
+use fedadmm_core::solver::LocalSolver;
 use fedadmm_core::trainer::{evaluate, local_sgd_cached, LocalEnv, NetCache, TrainScratch};
 use fedadmm_data::batching::BatchSize;
 use fedadmm_data::synthetic::SyntheticDataset;
@@ -237,6 +240,37 @@ fn steady_state_sgd_step_allocates_nothing() {
         feddyn_job <= fedavg_job && scaffold_job <= fedavg_job + 1,
         "a warm correction-slot job grew a d-sized temporary: FedAvg → {fedavg_job}, \
          SCAFFOLD → {scaffold_job}, FedDyn → {feddyn_job}"
+    );
+
+    // FedSGD's exact gradient runs on the worker's cached network too: a
+    // warm job allocates the gradient it uploads and the payload list, no
+    // network and no per-batch buffer of its own. Its one 96-sample batch
+    // grows each half of the ping-ponged input buffer once, so the worker is
+    // warm after two jobs.
+    warm_job(&mut FedSgd::new(0.1), &mut worker);
+    let fedsgd_job = warm_job(&mut FedSgd::new(0.1), &mut worker);
+    assert!(
+        fedsgd_job <= fedavg_job,
+        "a warm FedSGD job must allocate no more than the FedAvg job beside it: \
+         FedAvg → {fedavg_job}, FedSGD → {fedsgd_job}"
+    );
+
+    // So do the criterion-(6) solvers' oracle calls: five more gradient
+    // descent steps add at most the gradient `Vec` each call returns.
+    let gd = |steps: usize| {
+        FedAdmm::paper_default().with_solver(LocalSolver::GradientDescent {
+            steps,
+            learning_rate: 0.1,
+        })
+    };
+    let (gd_short, gd_long) = (
+        warm_job(&mut gd(5), &mut worker),
+        warm_job(&mut gd(10), &mut worker),
+    );
+    assert!(
+        gd_long <= gd_short + 5,
+        "a warm gradient-descent step allocates more than its gradient: \
+         5 steps → {gd_short}, 10 steps → {gd_long}"
     );
 
     // The wire path's client edge adds what travels and nothing else: the

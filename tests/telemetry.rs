@@ -7,6 +7,8 @@
 mod common;
 
 use common::{fleet, Scenario};
+use fedadmm::core::algorithms::UpdateScratch;
+use fedadmm::core::diagnostics::optimality_gap;
 use fedadmm::prelude::*;
 use fedadmm::telemetry::names;
 use std::sync::{Arc, Mutex};
@@ -193,19 +195,42 @@ fn recorder_observes_buffered_async_ticks() {
 #[test]
 fn optimality_gap_gauge_is_opt_in_and_reported_per_round() {
     let rho = 0.3;
+    let scenario = Scenario::new(6, 14);
+    let (train, _) = scenario.data();
     let run = |gap: bool, store: &StoreConfig| {
         let admm = FedAdmm::new(rho, ServerStepSize::Constant(1.0));
-        let mut engine = Scenario::new(6, 14)
+        let mut engine = scenario
             .engine_with(admm, SyncRounds, store)
             .with_telemetry(Box::new(Recorder::new()));
         if gap {
             engine = engine.with_optimality_gap(rho);
         }
         engine.run_rounds(2).unwrap();
-        let recorder = engine
+        let gauge = engine
             .recorder()
-            .expect("installed telemetry is the recorder");
-        recorder.metrics().gauge_by_name("optimality_gap")
+            .expect("installed telemetry is the recorder")
+            .metrics()
+            .gauge_by_name("optimality_gap");
+        if let Some(gauge) = gauge {
+            // The gauge streams the states out of the store; it has the bits
+            // of V_t on the collected states, computed on a fresh scratch.
+            let states = engine.clients().unwrap();
+            let model = engine.config().model;
+            let mut scratch = UpdateScratch::default();
+            let collected = optimality_gap(
+                &states,
+                engine.global_model(),
+                rho,
+                model,
+                &train,
+                &mut scratch,
+            );
+            assert_eq!(
+                gauge.to_bits(),
+                (collected.unwrap().total() as f64).to_bits()
+            );
+        }
+        gauge
     };
 
     let gap = run(true, &StoreConfig::InMemory).expect("gap gauge registered dynamically");
