@@ -95,7 +95,7 @@ pub struct TrainScratch {
     pub batch_labels: Vec<usize>,
     /// The samples a pass walks in consecutive batches: SGD's shuffled order
     /// for the current epoch, the client's indices for the exact gradient,
-    /// an evaluation job's span.
+    /// one evaluation pass's sample range.
     pub perm: Vec<usize>,
     /// The forward pass's input tensor; its storage swaps with `batch_data`
     /// every step via [`Tensor::replace_data`].
@@ -344,11 +344,13 @@ pub fn eval_logits_into(
     }
     let net = cache.get(model);
     net.set_params_flat(params)?;
-    scratch.perm.clear();
-    scratch.perm.extend(span.clone());
-    let passes = batches(span.len(), EVAL_BATCH).zip(out.chunks_mut((EVAL_BATCH * classes).max(1)));
-    for (pass, rows) in passes {
-        forward_batch(net, dataset, pass, scratch)?;
+    let passes = span.clone().step_by(EVAL_BATCH);
+    for (start, rows) in passes.zip(out.chunks_mut((EVAL_BATCH * classes).max(1))) {
+        // One pass's samples at a time, so `perm` stays training-sized too.
+        let end = (start + EVAL_BATCH).min(span.end);
+        scratch.perm.clear();
+        scratch.perm.extend(start..end);
+        forward_batch(net, dataset, 0..scratch.perm.len(), scratch)?;
         rows.copy_from_slice(scratch.arena.output().data());
     }
     Ok(())
