@@ -333,6 +333,17 @@ mod tests {
         FedAdmm::new(0.0, ServerStepSize::Constant(1.0));
     }
 
+    #[test]
+    #[should_panic(expected = "positive proximal coefficient")]
+    fn zero_rho_with_an_inexact_solver_is_rejected() {
+        FedAdmm::new(0.0, ServerStepSize::Constant(1.0)).with_solver(
+            LocalSolver::GradientDescent {
+                steps: 1,
+                learning_rate: 0.1,
+            },
+        );
+    }
+
     /// Backtracking gradient descent until `‖∇L_i‖² ≤ ε`, capped at 2 000
     /// gradient evaluations.
     fn to_tolerance(epsilon: f32, learning_rate: f32) -> LocalSolver {
@@ -457,6 +468,26 @@ mod tests {
             assert_eq!(empty.upload_floats, 0);
             assert!((global2.as_slice()[0] - 1.02).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn inexact_server_update_matches_tracking_rule() {
+        let mut alg =
+            FedAdmm::new(0.1, ServerStepSize::Constant(1.0)).with_solver(to_tolerance(1e-2, 0.1));
+        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+        let mut global = ParamVector::from_vec(vec![0.0, 0.0]);
+        let messages = vec![ClientMessage {
+            client_id: 0,
+            num_samples: 1,
+            payload: vec![ParamVector::from_vec(vec![1.0, -1.0])],
+            epochs_run: 1,
+            samples_processed: 1,
+            wire: None,
+        }];
+        alg.server_update(&mut global, &messages, 10, &mut rng);
+        assert_eq!(global.as_slice(), &[1.0, -1.0]);
+        let empty = alg.server_update(&mut global, &[], 10, &mut rng);
+        assert_eq!(empty.upload_floats, 0);
     }
 
     #[test]
