@@ -37,7 +37,7 @@ use crate::param::ParamVector;
 use crate::solver::{
     gradient_descent, lbfgs, solve_to_tolerance, AugmentedObjective, LocalSolver, SolveResult,
 };
-use crate::trainer::{local_sgd_cached, LocalEnv};
+use crate::trainer::{local_sgd_with_step, LocalEnv};
 use fedadmm_tensor::{TensorError, TensorResult};
 
 /// The server gathering step size η of equation (5).
@@ -154,24 +154,27 @@ impl FedAdmm {
 /// Algorithm 1 line 20 and equation (4), and their only implementation.
 ///
 /// `solve(init, y_i)` minimises the augmented Lagrangian from `init`
-/// (`w_i^t` or θ^t, per `local_init`) and returns `w_i^{t+1}` with whatever
-/// accounting the caller wants back. Both arguments are borrowed straight
-/// from the client's state, which is only read until `solve` returns; when
-/// it returns `Err` the state is untouched. Then one pass over
-/// `(w_i^t, y_i, w_i^{t+1}, θ)` computes, per coordinate and in this order,
+/// (`w_i^t` or θ^t, per `local_init`) and returns `w_i^{t+1}` in a buffer
+/// of its own, with whatever accounting the caller wants back. Both
+/// arguments are borrowed straight from the client's state, which is only
+/// read until `solve` returns; when it returns `Err` the state is
+/// untouched. Then one pass over `(w_i, y_i, w_i^{t+1}, θ)` computes, per
+/// coordinate and in this order,
 ///
 /// ```text
 /// u   = w_i^t + (1/ρ)·y_i
 /// y_i ← (y_i + ρ·w_i^{t+1}) + (−ρ)·θ            (line 20)
 /// Δ_i = (w_i^{t+1} + (1/ρ)·y_i) − u             (eq. 4)
+/// w_i ← w_i^{t+1}
 /// ```
 ///
 /// — the multiply/add/subtract sequence of
 /// [`ClientState::augmented_model`], two [`ParamVector::axpy`] calls and
 /// [`ParamVector::sub`], so the result carries their bits (pinned by the
-/// engine-parity golden digests). `y_i` is updated in place and Δ is written
-/// over the retired `w_i^t`, whose buffer is returned as the upload while
-/// `w_i^{t+1}` becomes the client's local model: no d-sized temporary.
+/// engine-parity golden digests). Client buffers never change hands: `w_i`
+/// and `y_i` are written in place, in the allocations they already had, and
+/// Δ is written over `w_i^{t+1}` in the solver's buffer, which is returned
+/// as the upload. No d-sized temporary.
 ///
 /// # Errors
 /// [`TensorError::InvalidArgument`] naming the three lengths when `w_i`,
@@ -198,20 +201,21 @@ pub(super) fn primal_dual_step<T>(
         LocalInit::LocalModel => client.local_model.as_slice(),
         LocalInit::GlobalModel => theta,
     };
-    let (w_new, extra) = solve(init, client.dual.as_slice())?;
-    assert_eq!(w_new.len(), d, "the local solve changed the model size");
+    let (mut upload, extra) = solve(init, client.dual.as_slice())?;
+    assert_eq!(upload.len(), d, "the local solve changed the model size");
 
     let inv_rho = 1.0 / rho;
-    let w_old = client.local_model.as_mut_slice();
+    let local = client.local_model.as_mut_slice();
     let dual = client.dual.as_mut_slice();
-    for (((slot, y), &w), &t) in w_old.iter_mut().zip(dual).zip(&w_new).zip(theta) {
-        let old_augmented = *slot + inv_rho * *y;
+    for (((w_i, y), slot), &t) in local.iter_mut().zip(dual).zip(&mut upload).zip(theta) {
+        let w = *slot;
+        let old_augmented = *w_i + inv_rho * *y;
         *y = (*y + rho * w) + (-rho) * t;
         *slot = (w + inv_rho * *y) - old_augmented;
+        *w_i = w;
     }
-    let delta = std::mem::replace(&mut client.local_model, ParamVector::from_vec(w_new));
     client.times_selected += 1;
-    Ok((delta, extra))
+    Ok((ParamVector::from_vec(upload), extra))
 }
 
 impl Algorithm for FedAdmm {
@@ -222,8 +226,10 @@ impl Algorithm for FedAdmm {
     /// Algorithm 1, lines 14–20 and equation (4): the solver's pass over
     /// the augmented Lagrangian inside `primal_dual_step`. Under
     /// [`LocalSolver::Sgd`] that is `E_i` epochs of SGD on the worker's
-    /// cached network and per-batch buffers, and a warm job allocates what a
-    /// FedAvg job does: the trained parameter vector and the payload `Vec`.
+    /// cached network and per-batch buffers, each step's correction
+    /// `y_i + ρ(w − θ)` fused into the SGD update, and a warm job allocates
+    /// what a FedAvg job does: the trained parameter vector (the upload's
+    /// buffer) and the payload `Vec`.
     /// The other solvers work on [`AugmentedObjective`], on the same network
     /// and buffers, and count each full-gradient evaluation as one epoch
     /// over the client's samples.
@@ -251,14 +257,11 @@ impl Algorithm for FedAdmm {
                     LocalSolver::Sgd => {
                         // ∇_w L_i(w) = ∇f_i(w, b) + y_i + ρ(w − θ) (Alg. 1 line 17).
                         let UpdateScratch { net, train } = scratch;
-                        let result = local_sgd_cached(env, init, net, train, |w, g| {
-                            for (((gi, &wi), &ti), &yi) in g
-                                .iter_mut()
-                                .zip(w.iter())
-                                .zip(theta.iter())
-                                .zip(dual.iter())
+                        let result = local_sgd_with_step(env, init, net, train, |neg_lr, w, g| {
+                            for (((wi, &gi), &ti), &yi) in
+                                w.iter_mut().zip(&*g).zip(theta).zip(dual)
                             {
-                                *gi += yi + rho * (wi - ti);
+                                *wi += neg_lr * (gi + (yi + rho * (*wi - ti)));
                             }
                         })?;
                         Ok((result.params, (env.epochs, result.samples_processed)))
@@ -620,26 +623,52 @@ mod tests {
     }
 
     #[test]
-    fn payload_reuses_the_retired_local_model_allocation() {
-        // Δ is written over w_i^t: the upload's buffer is the allocation the
-        // old local model lived in, not a fresh d-sized vector.
+    fn client_state_stays_in_its_own_allocation() {
+        // A job writes w_i and y_i where they lie, with the bits of line 20
+        // and eq. (4) written out per element, and uploads Δ in the solver's
+        // buffer: neither client buffer changes hands.
         let fixture = Fixture::new(1, 20, 12);
-        let theta = ParamVector::zeros(fixture.dim());
-        for local_init in [LocalInit::LocalModel, LocalInit::GlobalModel] {
-            let alg = FedAdmm::new(0.3, ServerStepSize::Constant(1.0)).with_local_init(local_init);
-            let mut clients = fixture.clients(&theta);
-            let env = fixture.env(0, 1, 3);
-            for _ in 0..2 {
-                let retired = clients[0].local_model.as_slice().as_ptr();
-                let dual = clients[0].dual.as_slice().as_ptr();
-                let msg = alg.client_update(&mut clients[0], &theta, &env).unwrap();
-                assert_eq!(msg.payload[0].as_slice().as_ptr(), retired);
-                assert_eq!(
-                    clients[0].dual.as_slice().as_ptr(),
-                    dual,
-                    "y_i updates in place"
-                );
-                assert_ne!(clients[0].local_model.as_slice().as_ptr(), retired);
+        let theta = ParamVector::from_vec(vec![0.01; fixture.dim()]);
+        let rho = 0.3f32;
+        let inv_rho = 1.0 / rho;
+        let gradient_descent = LocalSolver::GradientDescent {
+            steps: 2,
+            learning_rate: 0.1,
+        };
+        for solver in [LocalSolver::Sgd, gradient_descent] {
+            for local_init in [LocalInit::LocalModel, LocalInit::GlobalModel] {
+                let alg = FedAdmm::new(rho, ServerStepSize::Constant(1.0))
+                    .with_solver(solver)
+                    .with_local_init(local_init);
+                let mut client = fixture.clients(&theta).remove(0);
+                for round in 0..2 {
+                    let what = format!("{solver:?}, {local_init:?}, round {round}");
+                    let before = client.clone();
+                    let w_at = client.local_model.as_slice().as_ptr();
+                    let y_at = client.dual.as_slice().as_ptr();
+                    let msg = alg
+                        .client_update(&mut client, &theta, &fixture.env(0, 1, 3 + round))
+                        .unwrap();
+                    assert_eq!(client.local_model.as_slice().as_ptr(), w_at, "w_i ({what})");
+                    assert_eq!(client.dual.as_slice().as_ptr(), y_at, "y_i ({what})");
+                    let delta = msg.payload[0].as_slice();
+                    assert!(
+                        delta.as_ptr() != w_at && delta.as_ptr() != y_at,
+                        "Δ ({what})"
+                    );
+
+                    let (mut y_next, mut delta_next) = (Vec::new(), Vec::new());
+                    for (k, &w) in client.local_model.as_slice().iter().enumerate() {
+                        let (w_old, y) =
+                            (before.local_model.as_slice()[k], before.dual.as_slice()[k]);
+                        let y_new = (y + rho * w) + (-rho) * theta.as_slice()[k];
+                        y_next.push(y_new);
+                        delta_next.push((w + inv_rho * y_new) - (w_old + inv_rho * y));
+                    }
+                    assert_same_bits(client.dual.as_slice(), &y_next, &format!("y ({what})"));
+                    assert_same_bits(delta, &delta_next, &format!("Δ ({what})"));
+                    assert_ne!(before.local_model, client.local_model, "{what}");
+                }
             }
         }
     }
@@ -698,7 +727,8 @@ mod tests {
     #[test]
     fn failed_local_training_leaves_the_client_state_untouched() {
         // A label the model has no class for makes the loss — hence local
-        // training, under every solver — fail on its first batch.
+        // training, under every solver and under SCAFFOLD — fail on its
+        // first batch. The state keeps its bits and its allocations.
         let fixture = Fixture::new(1, 20, 14);
         let (features, mut labels) = fixture.train.gather_all().unwrap();
         labels[5] = 11;
@@ -717,12 +747,27 @@ mod tests {
                 epsilon: 1e-3,
             },
         ];
-        for solver in every_solver {
-            let alg = FedAdmm::new(0.3, ServerStepSize::Constant(1.0)).with_solver(solver);
+        let mut algorithms: Vec<(String, Box<dyn Algorithm>)> = every_solver
+            .into_iter()
+            .map(|solver| {
+                let alg = FedAdmm::new(0.3, ServerStepSize::Constant(1.0)).with_solver(solver);
+                (format!("{solver:?}"), Box::new(alg) as Box<dyn Algorithm>)
+            })
+            .collect();
+        algorithms.push(("SCAFFOLD".into(), Box::new(super::super::Scaffold::new())));
+        for (what, mut alg) in algorithms {
+            alg.init(fixture.dim(), 1);
             let mut client = fixture.clients(&theta).remove(0);
             alg.client_update(&mut client, &theta, &fixture.env(0, 1, 3))
                 .unwrap();
             let before = state_bits(&client);
+            let at = |c: &ClientState| {
+                (
+                    c.local_model.as_slice().as_ptr(),
+                    c.dual.as_slice().as_ptr(),
+                )
+            };
+            let buffers = at(&client);
             let env = LocalEnv {
                 dataset: &poisoned,
                 ..fixture.env(0, 2, 4)
@@ -730,9 +775,10 @@ mod tests {
             let err = alg.client_update(&mut client, &theta, &env).unwrap_err();
             assert!(
                 err.to_string().contains("label 11 out of range"),
-                "{solver:?}: {err}"
+                "{what}: {err}"
             );
-            assert_eq!(state_bits(&client), before, "{solver:?}");
+            assert_eq!(state_bits(&client), before, "{what}");
+            assert_eq!(at(&client), buffers, "{what}");
         }
     }
 
@@ -816,8 +862,9 @@ mod tests {
         let mut scratch = UpdateScratch::default();
         let mut objective =
             AugmentedObjective::new(&env, theta.as_slice(), Some(&zero_dual), rho, &mut scratch);
-        let (_, grad) = objective
-            .value_and_grad(clients[0].local_model.as_slice())
+        let mut grad = vec![0.0f32; fixture.dim()];
+        objective
+            .value_and_grad(clients[0].local_model.as_slice(), &mut grad)
             .unwrap();
         let gns = fedadmm_tensor::vecops::norm_sq(&grad);
         assert!(

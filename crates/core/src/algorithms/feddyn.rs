@@ -26,7 +26,7 @@
 use super::{total_upload, Algorithm, ClientMessage, ServerOutcome, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
-use crate::trainer::{local_sgd_cached, LocalEnv};
+use crate::trainer::{local_sgd_with_step, LocalEnv};
 use fedadmm_tensor::TensorResult;
 
 /// The FedDyn algorithm.
@@ -85,9 +85,10 @@ impl Algorithm for FedDyn {
         // h_i is stored in the dual slot; the FedDyn gradient correction is
         //   ∇R_i(w) = ∇f_i(w, b) − h_i + α(w − θ).
         let h = client.dual.as_slice();
-        let result = local_sgd_cached(env, theta, &mut scratch.net, &mut scratch.train, |w, g| {
-            for (((gi, &wi), &ti), &hi) in g.iter_mut().zip(w.iter()).zip(theta.iter()).zip(h) {
-                *gi += alpha * (wi - ti) - hi;
+        let UpdateScratch { net, train } = scratch;
+        let result = local_sgd_with_step(env, theta, net, train, |neg_lr, w, g| {
+            for (((wi, &gi), &ti), &hi) in w.iter_mut().zip(&*g).zip(theta).zip(h) {
+                *wi += neg_lr * (gi + (alpha * (*wi - ti) - hi));
             }
         })?;
         let new_local = result.params;

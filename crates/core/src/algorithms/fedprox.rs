@@ -12,7 +12,7 @@
 use super::{Algorithm, ClientMessage, FoldPlan, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
-use crate::trainer::{local_sgd_cached, LocalEnv};
+use crate::trainer::{local_sgd_with_step, LocalEnv};
 use fedadmm_tensor::TensorResult;
 
 /// The FedProx algorithm.
@@ -49,10 +49,11 @@ impl Algorithm for FedProx {
     ) -> TensorResult<ClientMessage> {
         let rho = self.rho;
         let theta = global.as_slice();
-        let result = local_sgd_cached(env, theta, &mut scratch.net, &mut scratch.train, |w, g| {
+        let UpdateScratch { net, train } = scratch;
+        let result = local_sgd_with_step(env, theta, net, train, |neg_lr, w, g| {
             // ∇ of the proximal term (ρ/2)‖w − θ‖² is ρ(w − θ).
-            for ((gi, &wi), &ti) in g.iter_mut().zip(w.iter()).zip(theta.iter()) {
-                *gi += rho * (wi - ti);
+            for ((wi, &gi), &ti) in w.iter_mut().zip(&*g).zip(theta) {
+                *wi += neg_lr * (gi + rho * (*wi - ti));
             }
         })?;
         client.times_selected += 1;

@@ -48,8 +48,14 @@ impl Algorithm for FedSgd {
         env: &LocalEnv<'_>,
         scratch: &mut UpdateScratch,
     ) -> TensorResult<ClientMessage> {
-        let (grad, _loss) =
-            full_gradient(env, global.as_slice(), &mut scratch.net, &mut scratch.train)?;
+        let mut grad = vec![0.0f32; global.len()];
+        full_gradient(
+            env,
+            global.as_slice(),
+            &mut scratch.net,
+            &mut scratch.train,
+            &mut grad,
+        )?;
         client.times_selected += 1;
         let samples = client.num_samples();
         Ok(ClientMessage {

@@ -99,7 +99,8 @@ pub struct ServerOutcome {
 /// every job the worker runs, so the local-training network and the
 /// per-batch SGD buffers are allocated once per worker instead of once per
 /// job. No algorithm needs a d-sized temporary of its own: FedADMM's
-/// primal–dual bookkeeping runs in place on the client's state. Buffers
+/// primal–dual bookkeeping and SCAFFOLD's control-variate update run in
+/// place on the client's state. Buffers
 /// carry arbitrary leftover contents between jobs and are overwritten
 /// before they are read.
 #[derive(Debug, Default)]
@@ -305,9 +306,12 @@ pub trait Algorithm: Send + Sync {
     ///
     /// This is the only local-update method an algorithm implements, and
     /// the only one the engine calls. SGD-based algorithms pass
-    /// `scratch.net` / `scratch.train` to
-    /// [`local_sgd_cached`](crate::trainer::local_sgd_cached); the result
-    /// must not depend on what earlier jobs left in `scratch`.
+    /// `scratch.net` / `scratch.train` and their SGD step to
+    /// [`local_sgd_with_step`](crate::trainer::local_sgd_with_step); the
+    /// result must not depend on what earlier jobs left in `scratch`. The
+    /// in-tree algorithms write the client's state in place, in the
+    /// allocations it already has, and upload the trainer's buffer; when
+    /// training fails they return the error with the state untouched.
     fn client_update_scratch(
         &self,
         client: &mut ClientState,

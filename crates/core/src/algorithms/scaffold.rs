@@ -12,7 +12,7 @@
 use super::{total_upload, Algorithm, ClientMessage, ServerOutcome, UpdateScratch};
 use crate::client::ClientState;
 use crate::param::ParamVector;
-use crate::trainer::{local_sgd_cached, LocalEnv};
+use crate::trainer::{local_sgd_with_step, LocalEnv};
 use fedadmm_tensor::TensorResult;
 
 /// The SCAFFOLD algorithm.
@@ -84,40 +84,45 @@ impl Algorithm for Scaffold {
         let c_local = client.dual.as_slice();
 
         // Local steps use the drift-corrected gradient g − c_i + c.
-        let result =
-            local_sgd_cached(env, theta, &mut scratch.net, &mut scratch.train, |_w, g| {
-                for ((gi, &cg), &cl) in g.iter_mut().zip(c_global).zip(c_local) {
-                    *gi += cg - cl;
-                }
-            })?;
+        let UpdateScratch { net, train } = scratch;
+        let result = local_sgd_with_step(env, theta, net, train, |neg_lr, w, g| {
+            for (((wi, &gi), &cg), &cl) in w.iter_mut().zip(&*g).zip(c_global).zip(c_local) {
+                *wi += neg_lr * (gi + (cg - cl));
+            }
+        })?;
         let inv = 1.0 / (result.steps.max(1) as f32 * env.learning_rate);
-        let w_new = result.params;
+        let mut delta_w = result.params;
 
         // One pass: the option II control-variate update
-        // c_i⁺ = (c_i − c) + (θ − w)/(K·η_l) in place, Δc = c_i⁺ − c_i, and
-        // Δw = w − θ written over the retired w_i, whose buffer is uploaded.
+        // c_i⁺ = (c_i − c) + (θ − w)/(K·η_l) and w_i ← w, both in place in
+        // the client's own buffers; Δc = c_i⁺ − c_i; and Δw = w − θ written
+        // over the trained vector, whose buffer is uploaded.
         let slots = client.dual.as_mut_slice().iter_mut();
-        let retired = client.local_model.as_mut_slice().iter_mut();
+        let local = client.local_model.as_mut_slice().iter_mut();
         let delta_c: Vec<f32> = slots
-            .zip(retired)
+            .zip(local)
             .zip(c_global)
             .zip(theta)
-            .zip(&w_new)
-            .map(|((((ci, slot), &c), &t), &w)| {
+            .zip(&mut delta_w)
+            .map(|((((ci, w_i), &c), &t), slot)| {
+                let w = *slot;
                 let nc = (*ci - c) + (t - w) * inv;
                 let dc = nc - *ci;
                 *ci = nc;
+                *w_i = w;
                 *slot = w - t;
                 dc
             })
             .collect();
-        let delta_w = std::mem::replace(&mut client.local_model, ParamVector::from_vec(w_new));
         client.times_selected += 1;
 
         Ok(ClientMessage {
             client_id: client.id,
             num_samples: client.num_samples(),
-            payload: vec![delta_w, ParamVector::from_vec(delta_c)],
+            payload: vec![
+                ParamVector::from_vec(delta_w),
+                ParamVector::from_vec(delta_c),
+            ],
             epochs_run: env.epochs,
             samples_processed: result.samples_processed,
             wire: None,
@@ -216,6 +221,67 @@ mod tests {
         assert!(clients[0].dual.dist(&expected) < 1e-4);
         // Δc equals the new control variate since the old one was zero.
         assert!(msg.payload[1].dist(&expected) < 1e-4);
+    }
+
+    #[test]
+    fn client_state_stays_in_its_own_allocation() {
+        // A job writes w_i and c_i where they lie, with the bits of the
+        // option II update written out per element, and uploads Δw in the
+        // trainer's buffer: neither client buffer changes hands.
+        let fixture = Fixture::new(2, 32, 7);
+        let theta = ParamVector::from_vec(vec![0.01; fixture.dim()]);
+        let mut clients = fixture.clients(&theta);
+        let mut alg = Scaffold::new();
+        alg.init(fixture.dim(), 2);
+        // Client 1's round gives the server a non-zero c.
+        let msg = alg
+            .client_update(&mut clients[1], &theta, &fixture.env(1, 1, 5))
+            .unwrap();
+        alg.server_update(
+            &mut theta.clone(),
+            &[msg],
+            2,
+            &mut SmallRng::seed_from_u64(0),
+        );
+        let c = alg.global_control();
+        assert!(c.norm() > 0.0);
+        // One epoch of two batches of 16: K = 2 steps of η_l = 0.1.
+        let inv = 1.0 / (2.0 * 0.1f32);
+        let client = &mut clients[0];
+        for round in 0..2 {
+            let before = client.clone();
+            let w_at = client.local_model.as_slice().as_ptr();
+            let c_at = client.dual.as_slice().as_ptr();
+            let msg = alg
+                .client_update(client, &theta, &fixture.env(0, 1, round))
+                .unwrap();
+            assert_eq!(
+                client.local_model.as_slice().as_ptr(),
+                w_at,
+                "w_i, round {round}"
+            );
+            assert_eq!(client.dual.as_slice().as_ptr(), c_at, "c_i, round {round}");
+            let (delta_w, delta_c) = (msg.payload[0].as_slice(), msg.payload[1].as_slice());
+            assert!(delta_w.as_ptr() != w_at && delta_w.as_ptr() != c_at);
+
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (mut c_next, mut dw, mut dc) = (Vec::new(), Vec::new(), Vec::new());
+            for (k, &w) in client.local_model.as_slice().iter().enumerate() {
+                let (c_i, t) = (before.dual.as_slice()[k], theta.as_slice()[k]);
+                let c_new = (c_i - c.as_slice()[k]) + (t - w) * inv;
+                c_next.push(c_new);
+                dc.push(c_new - c_i);
+                dw.push(w - t);
+            }
+            assert_eq!(
+                bits(client.dual.as_slice()),
+                bits(&c_next),
+                "c_i, round {round}"
+            );
+            assert_eq!(bits(delta_c), bits(&dc), "Δc, round {round}");
+            assert_eq!(bits(delta_w), bits(&dw), "Δw, round {round}");
+            assert_ne!(before.local_model, client.local_model);
+        }
     }
 
     #[test]

@@ -80,6 +80,7 @@ pub(crate) fn streamed_optimality_gap(
     let d = global.len();
     let theta = global.as_slice();
     let mut grad_theta = vec![0.0f32; d];
+    let mut grad_f = vec![0.0f32; d];
     let mut sum_grad_w_sq = 0.0f32;
     let mut sum_consensus_sq = 0.0f32;
     let mut num_clients = 0usize;
@@ -97,7 +98,7 @@ pub(crate) fn streamed_optimality_gap(
             learning_rate: 0.0,
             seed: 0,
         };
-        let (grad_f, _) = full_gradient(&env, w, &mut scratch.net, &mut scratch.train)?;
+        full_gradient(&env, w, &mut scratch.net, &mut scratch.train, &mut grad_f)?;
 
         let mut grad_w_sq = 0.0f32;
         let mut consensus_sq = 0.0f32;

@@ -72,13 +72,16 @@ impl<'a> AugmentedObjective<'a> {
         }
     }
 
-    /// Evaluates `L_i(w)` and `∇L_i(w)` at `w`.
+    /// Evaluates `L_i(w)`, returned, and `∇L_i(w)`, written into `grad`.
     ///
     /// The value is `f_i(w) + yᵀ(w − θ) + (ρ/2)‖w − θ‖²` and the gradient is
     /// `∇f_i(w) + y + ρ(w − θ)` — exactly the terms of Algorithm 1, line 17.
-    pub fn value_and_grad(&mut self, w: &[f32]) -> TensorResult<(f32, Vec<f32>)> {
+    ///
+    /// # Panics
+    /// Panics if `grad` and `w` differ in length.
+    pub fn value_and_grad(&mut self, w: &[f32], grad: &mut [f32]) -> TensorResult<f32> {
         let scratch = &mut *self.scratch;
-        let (mut grad, loss) = full_gradient(self.env, w, &mut scratch.net, &mut scratch.train)?;
+        let loss = full_gradient(self.env, w, &mut scratch.net, &mut scratch.train, grad)?;
         let mut value = loss;
         if self.rho > 0.0 || self.dual.is_some() {
             let mut quad = 0.0f32;
@@ -98,7 +101,7 @@ impl<'a> AugmentedObjective<'a> {
             }
             value += lin + 0.5 * self.rho * quad;
         }
-        Ok((value, grad))
+        Ok(value)
     }
 }
 
@@ -125,15 +128,16 @@ pub fn gradient_descent(
     steps: usize,
 ) -> TensorResult<SolveResult> {
     let mut w = init.to_vec();
+    let mut grad = vec![0.0f32; w.len()];
     let mut evals = 0usize;
     for _ in 0..steps.max(1) {
-        let (_, grad) = objective.value_and_grad(&w)?;
+        objective.value_and_grad(&w, &mut grad)?;
         evals += 1;
         vecops::axpy(-learning_rate, &grad, &mut w);
     }
     // Report the gradient norm at the *returned* iterate, one extra oracle
     // call, so the caller sees the actual achieved inexactness.
-    let (value, grad) = objective.value_and_grad(&w)?;
+    let value = objective.value_and_grad(&w, &mut grad)?;
     evals += 1;
     Ok(SolveResult {
         params: w,
@@ -152,7 +156,9 @@ pub fn gradient_descent(
 /// `ε_i > 0`; `learning_rate` is only the *initial* trial step of each
 /// iteration, so a generous value is safe — the line search shrinks it until
 /// the Armijo sufficient-decrease condition holds. The step budget guards
-/// against pathological objectives.
+/// against pathological objectives. A solve allocates its iterate, its
+/// gradient and one line-search candidate with its gradient, whatever the
+/// number of candidates.
 pub fn solve_to_tolerance(
     objective: &mut AugmentedObjective<'_>,
     init: &[f32],
@@ -167,7 +173,9 @@ pub fn solve_to_tolerance(
     assert!(learning_rate > 0.0, "the trial step size must be positive");
     let armijo = 1e-4f32;
     let mut w = init.to_vec();
-    let (mut value, mut grad) = objective.value_and_grad(&w)?;
+    let mut grad = vec![0.0f32; w.len()];
+    let mut value = objective.value_and_grad(&w, &mut grad)?;
+    let (mut candidate, mut cand_grad) = (vec![0.0f32; w.len()], vec![0.0f32; w.len()]);
     let mut evals = 1usize;
     let mut trial_step = learning_rate;
     loop {
@@ -186,14 +194,14 @@ pub fn solve_to_tolerance(
         let mut step = learning_rate.min(trial_step);
         let mut advanced = false;
         for _ in 0..30 {
-            let mut candidate = w.clone();
+            candidate.copy_from_slice(&w);
             vecops::axpy(-step, &grad, &mut candidate);
-            let (cand_value, cand_grad) = objective.value_and_grad(&candidate)?;
+            let cand_value = objective.value_and_grad(&candidate, &mut cand_grad)?;
             evals += 1;
             if cand_value <= value - armijo * step * gns {
-                w = candidate;
+                std::mem::swap(&mut w, &mut candidate);
+                std::mem::swap(&mut grad, &mut cand_grad);
                 value = cand_value;
-                grad = cand_grad;
                 trial_step = step * 2.0;
                 advanced = true;
                 break;
@@ -220,7 +228,10 @@ pub fn solve_to_tolerance(
 ///
 /// Stops when `‖∇L_i(w)‖² ≤ epsilon` or after `max_iters` iterations.
 /// `memory` is the number of curvature pairs kept for the two-loop
-/// recursion (10 is a standard choice).
+/// recursion (10 is a standard choice). A solve allocates its iterate, its
+/// gradient, one line-search candidate with its gradient, the search
+/// direction and at most `memory + 1` curvature pairs, whatever the number
+/// of iterations and candidates.
 pub fn lbfgs(
     objective: &mut AugmentedObjective<'_>,
     init: &[f32],
@@ -229,13 +240,20 @@ pub fn lbfgs(
     epsilon: f32,
 ) -> TensorResult<SolveResult> {
     let m = memory.max(1);
+    let d = init.len();
     let mut w = init.to_vec();
-    let (mut value, mut grad) = objective.value_and_grad(&w)?;
+    let mut grad = vec![0.0f32; d];
+    let mut value = objective.value_and_grad(&w, &mut grad)?;
+    let (mut candidate, mut cand_grad) = (vec![0.0f32; d], vec![0.0f32; d]);
     let mut evals = 1usize;
-    // Curvature pairs (s_k, y_k) and their ρ_k = 1 / (y_kᵀ s_k).
+    // Curvature pairs (s_k, y_k), oldest first, and their ρ_k = 1 / (y_kᵀ s_k);
+    // `s` and `y` are the next pair's buffers.
     let mut s_hist: Vec<Vec<f32>> = Vec::with_capacity(m);
     let mut y_hist: Vec<Vec<f32>> = Vec::with_capacity(m);
     let mut rho_hist: Vec<f32> = Vec::with_capacity(m);
+    let (mut s, mut y) = (vec![0.0f32; d], vec![0.0f32; d]);
+    let mut q = vec![0.0f32; d];
+    let mut alphas = Vec::with_capacity(m);
 
     for _ in 0..max_iters {
         let gns = vecops::norm_sq(&grad);
@@ -244,8 +262,8 @@ pub fn lbfgs(
         }
 
         // Two-loop recursion: direction = -H_k ∇L.
-        let mut q = grad.clone();
-        let mut alphas = Vec::with_capacity(s_hist.len());
+        q.copy_from_slice(&grad);
+        alphas.clear();
         for i in (0..s_hist.len()).rev() {
             let alpha = rho_hist[i] * vecops::dot(&s_hist[i], &q);
             vecops::axpy(-alpha, &y_hist[i], &mut q);
@@ -265,55 +283,55 @@ pub fn lbfgs(
             vecops::axpy(alphas[i] - beta, &s_hist[i], &mut q);
         }
         // q now approximates H∇L; the step direction is -q.
-        let mut direction = q;
-        vecops::scale(-1.0, &mut direction);
+        let direction = &mut q;
+        vecops::scale(-1.0, direction);
 
         // Armijo backtracking along the direction; fall back to steepest
         // descent if the L-BFGS direction is not a descent direction.
-        let mut dir_dot_grad = vecops::dot(&direction, &grad);
+        let mut dir_dot_grad = vecops::dot(direction, &grad);
         if dir_dot_grad >= 0.0 {
-            direction = grad.clone();
-            vecops::scale(-1.0, &mut direction);
+            direction.copy_from_slice(&grad);
+            vecops::scale(-1.0, direction);
             dir_dot_grad = -vecops::norm_sq(&grad);
         }
         let mut step = 1.0f32;
         let c1 = 1e-4f32;
         let mut accepted = None;
         for _ in 0..30 {
-            let mut candidate = w.clone();
-            vecops::axpy(step, &direction, &mut candidate);
-            let (cand_value, cand_grad) = objective.value_and_grad(&candidate)?;
+            candidate.copy_from_slice(&w);
+            vecops::axpy(step, direction, &mut candidate);
+            let cand_value = objective.value_and_grad(&candidate, &mut cand_grad)?;
             evals += 1;
             if cand_value <= value + c1 * step * dir_dot_grad {
-                accepted = Some((candidate, cand_value, cand_grad));
+                accepted = Some(cand_value);
                 break;
             }
             step *= 0.5;
         }
-        let Some((new_w, new_value, new_grad)) = accepted else {
+        let Some(new_value) = accepted else {
             // Line search failed (e.g. at a numerically flat point): stop.
             break;
         };
 
-        // Update curvature history.
-        let mut s = vec![0.0f32; w.len()];
-        vecops::sub_into(&new_w, &w, &mut s);
-        let mut y = vec![0.0f32; w.len()];
-        vecops::sub_into(&new_grad, &grad, &mut y);
+        // Update curvature history; an evicted pair's buffers hold the
+        // next pair.
+        vecops::sub_into(&candidate, &w, &mut s);
+        vecops::sub_into(&cand_grad, &grad, &mut y);
         let ys = vecops::dot(&y, &s);
         if ys > 1e-10 {
-            if s_hist.len() == m {
-                s_hist.remove(0);
-                y_hist.remove(0);
+            let (next_s, next_y) = if s_hist.len() == m {
                 rho_hist.remove(0);
-            }
+                (s_hist.remove(0), y_hist.remove(0))
+            } else {
+                (vec![0.0f32; d], vec![0.0f32; d])
+            };
             rho_hist.push(1.0 / ys);
-            s_hist.push(s);
-            y_hist.push(y);
+            s_hist.push(std::mem::replace(&mut s, next_s));
+            y_hist.push(std::mem::replace(&mut y, next_y));
         }
-        w = new_w;
+        std::mem::swap(&mut w, &mut candidate);
+        std::mem::swap(&mut grad, &mut cand_grad);
         value = new_value;
-        grad = new_grad;
     }
 
     Ok(SolveResult {
@@ -408,9 +426,17 @@ mod tests {
         let mut scratch = UpdateScratch::default();
         let mut obj = AugmentedObjective::new(&e, &theta, None, 0.0, &mut scratch);
         let w = vec![0.01f32; d];
-        let (value, grad) = obj.value_and_grad(&w).unwrap();
-        let (plain_grad, plain_loss) =
-            full_gradient(&e, &w, &mut scratch.net, &mut scratch.train).unwrap();
+        let mut grad = vec![0.0f32; d];
+        let value = obj.value_and_grad(&w, &mut grad).unwrap();
+        let mut plain_grad = vec![0.0f32; d];
+        let plain_loss = full_gradient(
+            &e,
+            &w,
+            &mut scratch.net,
+            &mut scratch.train,
+            &mut plain_grad,
+        )
+        .unwrap();
         assert!((value - plain_loss).abs() < 1e-6);
         assert_eq!(grad, plain_grad);
     }
@@ -426,9 +452,17 @@ mod tests {
         let mut scratch = UpdateScratch::default();
         let mut obj = AugmentedObjective::new(&e, &theta, Some(&dual), rho, &mut scratch);
         let w = vec![0.3f32; d];
-        let (value, grad) = obj.value_and_grad(&w).unwrap();
-        let (plain_grad, plain_loss) =
-            full_gradient(&e, &w, &mut scratch.net, &mut scratch.train).unwrap();
+        let mut grad = vec![0.0f32; d];
+        let value = obj.value_and_grad(&w, &mut grad).unwrap();
+        let mut plain_grad = vec![0.0f32; d];
+        let plain_loss = full_gradient(
+            &e,
+            &w,
+            &mut scratch.net,
+            &mut scratch.train,
+            &mut plain_grad,
+        )
+        .unwrap();
         // value = f + yᵀ(w−θ) + ρ/2‖w−θ‖²  with w−θ = 0.2 everywhere.
         let diff = 0.2f32;
         let expected = plain_loss + (0.05 * diff) * d as f32 + 0.5 * rho * diff * diff * d as f32;
@@ -447,7 +481,7 @@ mod tests {
         let mut scratch = UpdateScratch::default();
         let mut obj = AugmentedObjective::new(&e, &theta, None, 0.5, &mut scratch);
         let init = vec![0.0f32; d];
-        let (v0, _) = obj.value_and_grad(&init).unwrap();
+        let v0 = obj.value_and_grad(&init, &mut vec![0.0f32; d]).unwrap();
         let result = gradient_descent(&mut obj, &init, 0.5, 10).unwrap();
         assert!(result.final_value < v0);
         assert_eq!(result.gradient_evals, 11);

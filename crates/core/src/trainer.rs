@@ -9,11 +9,13 @@
 //! * FedADMM:  `∇f_i(w, b) + y_i + ρ(w − θ)`  (Algorithm 1, line 17)
 //! * SCAFFOLD: `∇f_i(w, b) − c_i + c`
 //!
-//! [`local_sgd_cached`] implements the common loop and takes the correction
-//! as a closure over the current parameters, so each algorithm contributes
-//! only its own term; it is the only SGD entry point. [`full_gradient`]
-//! computes the exact local gradient: FedSGD's upload, every oracle call of
-//! the criterion-(6) solvers and every client of the V_t gauge. Both push
+//! [`local_sgd_with_step`] implements the common loop and takes the
+//! parameter update of one step as a closure, so each algorithm contributes
+//! only its own correction, fused into the step's one pass over `d`;
+//! [`local_sgd_cached`] is the same loop for a correction closure followed
+//! by the plain SGD step. [`full_gradient`] computes the exact local
+//! gradient: FedSGD's upload, every oracle call of the criterion-(6) solvers
+//! and every client of the V_t gauge. Both push
 //! every batch through one private step (gather, forward, loss, backward)
 //! on a network from a [`NetCache`] and the per-batch temporaries of a
 //! [`TrainScratch`], both held by the caller (the dispatch pool keeps one
@@ -36,9 +38,8 @@ use fedadmm_data::Dataset;
 use fedadmm_nn::loss::{accuracy, softmax_cross_entropy_into};
 use fedadmm_nn::models::ModelSpec;
 use fedadmm_nn::network::Network;
-use fedadmm_nn::optimizer::Sgd;
 use fedadmm_nn::ActivationArena;
-use fedadmm_tensor::{Tensor, TensorResult};
+use fedadmm_tensor::{vecops, Tensor, TensorResult};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -120,8 +121,9 @@ impl Default for TrainScratch {
 /// A reusable [`Network`] instance keyed by the [`ModelSpec`] that built it.
 ///
 /// Local training overwrites *every* parameter from `init` before touching
-/// the network, so building one per job (a full `d` draws from the model
-/// RNG) would be pure waste. The dispatch pool keeps one cache per worker
+/// the network, so building one per job would be pure waste, and the cached
+/// one is built with zero parameters and no random draw
+/// ([`ModelSpec::build_zeroed`]). The dispatch pool keeps one cache per worker
 /// inside its `UpdateScratch`, and every training, gradient and evaluation
 /// job reuses the network — bit-identical to building fresh, because a job
 /// loads all parameters before its first pass, every backward pass
@@ -134,32 +136,24 @@ pub struct NetCache {
 
 impl NetCache {
     /// Returns the cached network for `spec`, building one on first use or
-    /// when the spec changed. The build seed is irrelevant: every caller
+    /// when the spec changed. Its parameters start at zero: every caller
     /// overwrites the full parameter vector before reading it.
     pub fn get(&mut self, spec: ModelSpec) -> &mut Network {
         let hit = matches!(&self.slot, Some((cached, _)) if *cached == spec);
         if !hit {
-            let mut rng = SmallRng::seed_from_u64(0);
-            self.slot = Some((spec, spec.build(&mut rng)));
+            self.slot = Some((spec, spec.build_zeroed()));
         }
         &mut self.slot.as_mut().expect("slot filled above").1
     }
 }
 
-/// Runs `env.epochs` epochs of mini-batch SGD starting from `init`, on the
-/// cached network (see [`NetCache`]) and the reusable per-batch buffers
-/// (see [`TrainScratch`]).
-///
-/// For every batch `b` the update is
-/// `w ← w − η_i · (∇f_i(w, b) + correction(w))`, where `correction`
-/// receives the current parameters and *adds* its terms into the gradient
-/// (second argument). Passing a no-op closure recovers FedAvg's local
-/// problem. `init` is loaded into the network once; from then on `w` and
-/// its gradient are the network's own vectors, so a step passes over `d`
-/// only where the algorithm does — the backward pass writes the gradient,
-/// `correction` amends it, the SGD step applies it in place. Every
-/// parameter, the whole gradient and every `scratch` buffer is overwritten
-/// before it is read, so leftover state from earlier jobs never leaks in.
+/// [`local_sgd_with_step`] with the step "correct, then plain SGD": for
+/// every batch `b` the update is `w ← w + (−η_i)·(∇f_i(w, b) + c(w))`, where
+/// `correction` receives the current parameters and *adds* `c(w)` into the
+/// gradient (second argument), and [`vecops::axpy`] then applies it. A
+/// no-op closure is FedAvg's local problem. The in-tree algorithms with a
+/// correction fuse it into the step instead, which has the same bits and
+/// one pass over `d` fewer.
 pub fn local_sgd_cached(
     env: &LocalEnv<'_>,
     init: &[f32],
@@ -167,9 +161,38 @@ pub fn local_sgd_cached(
     scratch: &mut TrainScratch,
     mut correction: impl FnMut(&[f32], &mut [f32]),
 ) -> TensorResult<LocalSgdResult> {
+    local_sgd_with_step(env, init, cache, scratch, |neg_lr, w, g| {
+        correction(w, g);
+        vecops::axpy(neg_lr, g, w);
+    })
+}
+
+/// Runs `env.epochs` epochs of mini-batch SGD starting from `init`, on the
+/// cached network (see [`NetCache`]) and the reusable per-batch buffers
+/// (see [`TrainScratch`]).
+///
+/// `init` is loaded into the network once; from then on `w` and its
+/// gradient `g` are the network's own vectors. Per batch the backward pass
+/// writes `g = ∇f_i(w, b)` and `step(−η_i, w, g)` updates `w` in place. The
+/// step's contract: leave `w + (−η_i)·(g + c(w))` in every coordinate of
+/// `w`, where `c` is the algorithm's gradient correction (zero for plain
+/// SGD), computed in that order with no fused multiply-add, so that a fused
+/// step has the bits of adding `c(w)` into `g` and then running
+/// [`vecops::axpy`]. The step may overwrite `g`: the next backward pass
+/// overwrites all of it. A step therefore passes over `d` once, and only
+/// where the algorithm does. Every parameter, the whole gradient and every
+/// `scratch` buffer is overwritten before it is read, so leftover state
+/// from earlier jobs never leaks in.
+pub fn local_sgd_with_step(
+    env: &LocalEnv<'_>,
+    init: &[f32],
+    cache: &mut NetCache,
+    scratch: &mut TrainScratch,
+    mut step: impl FnMut(f32, &mut [f32], &mut [f32]),
+) -> TensorResult<LocalSgdResult> {
     let net = cache.get(env.model);
     net.set_params_flat(init)?;
-    let sgd = Sgd::new(env.learning_rate);
+    let neg_lr = -env.learning_rate;
 
     let mut batch_rng = SmallRng::seed_from_u64(env.seed);
     let batch_len = env.batch_size.resolve(env.indices.len());
@@ -186,8 +209,7 @@ pub fn local_sgd_cached(
             samples += batch.len();
             let loss = gradient_batch(net, env.dataset, batch, scratch)?;
             let (params, grads) = net.params_grads_mut();
-            correction(params, grads);
-            sgd.step(params, grads);
+            step(neg_lr, params, grads);
             steps += 1;
             epoch_loss += loss;
             epoch_batches += 1;
@@ -204,20 +226,25 @@ pub fn local_sgd_cached(
     })
 }
 
-/// Computes the exact (full-batch) local gradient `∇f_i(w)` and loss at
-/// `at`, on the caller's cached network and buffers like
-/// [`local_sgd_cached`]: a warm call allocates only the returned gradient.
+/// Computes the exact (full-batch) local gradient `∇f_i(w)` at `at` into
+/// `grad` and returns the loss, on the caller's cached network and buffers
+/// like [`local_sgd_cached`]: a warm call allocates nothing.
+///
+/// # Panics
+/// Panics if `grad` and `at` differ in length.
 pub fn full_gradient(
     env: &LocalEnv<'_>,
     at: &[f32],
     cache: &mut NetCache,
     scratch: &mut TrainScratch,
-) -> TensorResult<(Vec<f32>, f32)> {
+    grad: &mut [f32],
+) -> TensorResult<f32> {
     let net = cache.get(env.model);
     net.set_params_flat(at)?;
-    let mut grad_acc = vec![0.0f32; net.num_params()];
+    assert_eq!(grad.len(), at.len(), "gradient buffer does not match w");
+    grad.fill(0.0);
     if env.indices.is_empty() {
-        return Ok((grad_acc, 0.0));
+        return Ok(0.0);
     }
     // Accumulate over chunks so that CNN activations for large local
     // datasets do not blow up memory; the gradient of the mean loss is the
@@ -228,16 +255,16 @@ pub fn full_gradient(
     for batch in batches(env.indices.len(), 256) {
         let w = batch.len() as f32;
         let loss = gradient_batch(net, env.dataset, batch, scratch)?;
-        for (acc, gi) in grad_acc.iter_mut().zip(net.grads()) {
+        for (acc, gi) in grad.iter_mut().zip(net.grads()) {
             *acc += gi * w;
         }
         loss_acc += loss * w;
     }
     let inv = 1.0 / env.indices.len() as f32;
-    for g in grad_acc.iter_mut() {
+    for g in grad.iter_mut() {
         *g *= inv;
     }
-    Ok((grad_acc, loss_acc * inv))
+    Ok(loss_acc * inv)
 }
 
 /// Consecutive `len`-sample ranges of `0..n`, the last one ragged.
@@ -474,7 +501,9 @@ mod tests {
     /// [`full_gradient`] on a cold worker.
     fn cold_gradient(env: &LocalEnv<'_>, at: &[f32]) -> TensorResult<(Vec<f32>, f32)> {
         let (mut cache, mut scratch) = (NetCache::default(), TrainScratch::default());
-        full_gradient(env, at, &mut cache, &mut scratch)
+        let mut grad = vec![f32::NAN; at.len()];
+        let loss = full_gradient(env, at, &mut cache, &mut scratch, &mut grad)?;
+        Ok((grad, loss))
     }
 
     fn small_env<'a>(dataset: &'a Dataset, indices: &'a [usize]) -> LocalEnv<'a> {
@@ -567,6 +596,45 @@ mod tests {
         assert_eq!(scratch.batch_labels.capacity(), labels_cap);
     }
 
+    /// A step that fuses its correction into the update has the bits of the
+    /// same correction added into the gradient and applied by `axpy`.
+    #[test]
+    fn a_fused_step_has_the_bits_of_correction_then_axpy() {
+        let (train, _) = SyntheticDataset::Mnist.generate(70, 10, 12);
+        let indices: Vec<usize> = (0..70).collect();
+        let mut env = small_env(&train, &indices);
+        env.model = ModelSpec::Mlp {
+            input_dim: train.feature_dim(),
+            hidden_dim: 12,
+            num_classes: 10,
+        };
+        let d = env.model.num_params();
+        let init: Vec<f32> = (0..d).map(|i| (i % 11) as f32 * 0.01 - 0.05).collect();
+        let anchor: Vec<f32> = (0..d).map(|i| (i % 3) as f32 * 0.02).collect();
+        let rho = 0.7f32;
+        let corrected = cold_sgd(&env, &init, |w, g| {
+            for ((gi, &wi), &ti) in g.iter_mut().zip(w).zip(&anchor) {
+                *gi += rho * (wi - ti);
+            }
+        })
+        .unwrap();
+        let (mut cache, mut scratch) = (NetCache::default(), TrainScratch::default());
+        let fused = local_sgd_with_step(&env, &init, &mut cache, &mut scratch, |neg_lr, w, g| {
+            for ((wi, &gi), &ti) in w.iter_mut().zip(&*g).zip(&anchor) {
+                *wi += neg_lr * (gi + rho * (*wi - ti));
+            }
+        })
+        .unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fused.params), bits(&corrected.params));
+        assert_eq!(fused.steps, corrected.steps);
+        assert_eq!(
+            fused.final_epoch_loss.to_bits(),
+            corrected.final_epoch_loss.to_bits()
+        );
+        assert_ne!(fused.params, init);
+    }
+
     #[test]
     fn proximal_correction_keeps_iterates_closer_to_anchor() {
         // With a strong proximal term the solution must stay closer to θ
@@ -629,8 +697,9 @@ mod tests {
 
         let (mut cache, mut scratch) = (NetCache::default(), TrainScratch::default());
         local_sgd_cached(&a, &at, &mut cache, &mut scratch, |_, _| {}).unwrap();
+        let mut warm = vec![f32::NAN; at.len()];
         for _ in 0..2 {
-            let (warm, warm_loss) = full_gradient(&b, &at, &mut cache, &mut scratch).unwrap();
+            let warm_loss = full_gradient(&b, &at, &mut cache, &mut scratch, &mut warm).unwrap();
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&warm), bits(&cold));
             assert_eq!(warm_loss.to_bits(), cold_loss.to_bits());

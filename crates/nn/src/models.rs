@@ -66,7 +66,19 @@ pub enum ModelSpec {
 impl ModelSpec {
     /// Instantiates the architecture with freshly initialised weights.
     pub fn build(&self, rng: &mut impl Rng) -> Network {
-        let layers: Vec<Box<dyn Layer>> = match *self {
+        Network::new(self.layers(), rng)
+    }
+
+    /// Instantiates the architecture with every parameter zero and no
+    /// random draw ([`Network::zeroed`]): for a network whose parameters the
+    /// caller overwrites before reading them.
+    pub fn build_zeroed(&self) -> Network {
+        Network::zeroed(self.layers())
+    }
+
+    /// The architecture's layers, in order.
+    fn layers(&self) -> Vec<Box<dyn Layer>> {
+        match *self {
             ModelSpec::Cnn1 => vec![
                 Box::new(Reshape::new(&[1, 28, 28])),
                 Box::new(Conv2d::new_fused_relu(1, 32, 5, 1, 2)),
@@ -97,8 +109,7 @@ impl ModelSpec {
                 input_dim,
                 num_classes,
             } => vec![Box::new(Linear::new(input_dim, num_classes))],
-        };
-        Network::new(layers, rng)
+        }
     }
 
     /// Flattened input dimension expected by the model.
@@ -219,6 +230,17 @@ mod tests {
         let x = Tensor::zeros(&[2, 3072]);
         let y = net.forward(&x).unwrap();
         assert_eq!(y.dims(), &[2, 10]);
+    }
+
+    #[test]
+    fn a_zeroed_build_has_the_layers_of_a_drawn_one() {
+        let mut rng = SmallRng::seed_from_u64(0);
+        for spec in [ModelSpec::Cnn1, ModelSpec::Cnn2] {
+            let (zeroed, drawn) = (spec.build_zeroed(), spec.build(&mut rng));
+            assert_eq!(zeroed.summary(), drawn.summary());
+            assert_eq!(zeroed.num_params(), spec.num_params());
+            assert!(zeroed.params().iter().all(|&p| p.to_bits() == 0));
+        }
     }
 
     #[test]

@@ -25,17 +25,24 @@ impl Network {
     /// Creates a network from an ordered list of layers, initialising each
     /// layer's parameters from `rng` in layer order.
     pub fn new(layers: Vec<Box<dyn Layer>>, rng: &mut impl Rng) -> Self {
-        let d = layers.iter().map(|l| l.num_params()).sum();
-        let mut params = vec![0.0; d];
-        let mut rest = params.as_mut_slice();
-        for layer in &layers {
+        let mut net = Network::zeroed(layers);
+        let mut rest = net.params.as_mut_slice();
+        for layer in &net.layers {
             let (own, tail) = rest.split_at_mut(layer.num_params());
             layer.init_params(own, rng);
             rest = tail;
         }
+        net
+    }
+
+    /// Creates a network from an ordered list of layers with every
+    /// parameter zero and no random draw: for callers that load all `d`
+    /// parameters before the first pass.
+    pub fn zeroed(layers: Vec<Box<dyn Layer>>) -> Self {
+        let d = layers.iter().map(|l| l.num_params()).sum();
         Network {
             layers,
-            params,
+            params: vec![0.0; d],
             grads: vec![0.0; d],
         }
     }

@@ -1,9 +1,9 @@
 //! Plain stochastic gradient descent on flat parameter vectors.
 //!
 //! The paper uses SGD as the local solver for every algorithm ("SGD was
-//! chosen as the local solver in all cases"). The federated algorithms add
-//! their own proximal / dual correction terms *before* the SGD step, so the
-//! optimizer itself stays deliberately simple.
+//! chosen as the local solver in all cases"). This is the plain step; the
+//! federated algorithms' local trainer fuses each algorithm's proximal /
+//! dual correction term into a step of its own, with this step's bits.
 
 use fedadmm_tensor::vecops;
 

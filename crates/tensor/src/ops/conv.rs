@@ -347,12 +347,9 @@ pub fn conv2d_forward_flat(
                 *v += bias_v;
             }
             if relu {
-                // `!(v > 0.0)`, as the dense kernel does: NaN goes to 0.0.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                // A select, as the dense kernel does: NaN and −0.0 go to +0.0.
                 for v in channel.iter_mut() {
-                    if !(*v > 0.0) {
-                        *v = 0.0;
-                    }
+                    *v = if *v > 0.0 { *v } else { 0.0 };
                 }
             }
         }

@@ -261,14 +261,12 @@ pub fn linear_forward_flat(
                 *o += bias_v;
             }
             if relu {
-                // `!(v > 0.0)` (not `v <= 0.0`): NaN must also collapse to
-                // 0.0, so that `v > 0.0` on the output is the layer's
-                // backward mask.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                // Keep `v` only where `v > 0.0` (not zero it where
+                // `v <= 0.0`): NaN and −0.0 must also become +0.0, so that
+                // `v > 0.0` on the output is the layer's backward mask. A
+                // select, not a sign-dependent branch.
                 for o in out_row.iter_mut() {
-                    if !(*o > 0.0) {
-                        *o = 0.0;
-                    }
+                    *o = if *o > 0.0 { *o } else { 0.0 };
                 }
             }
         }

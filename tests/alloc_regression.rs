@@ -13,7 +13,8 @@
 //! worker to the payload they upload — and, with the wire path on, to that
 //! plus the coded upload that replaces it — another bounds each extra
 //! gradient-descent step of FedADMM's objective solver to the gradient it
-//! returns, another bounds a whole evaluation
+//! returns, another holds a line-search solver job's count fixed however
+//! many candidates it tries, another bounds a whole evaluation
 //! pass to O(1) allocations regardless of how many forward passes and
 //! 256-sample chunks it spans, and
 //! another pins a warm one-worker `RoundEngine::evaluate_global` to its
@@ -193,7 +194,7 @@ fn steady_state_sgd_step_allocates_nothing() {
     );
 
     // FedADMM is held to the same bound: its primal–dual bookkeeping runs
-    // in place on `(w_i, y_i)` and the upload is the retired local model's
+    // in place on `(w_i, y_i)` and the upload is the trained vector's
     // buffer, so a warm job allocates no d-sized temporary of its own.
     let admm = FedAdmm::paper_default();
     let mut admm_client = ClientState::new(1, indices.clone(), &theta);
@@ -209,7 +210,7 @@ fn steady_state_sgd_step_allocates_nothing() {
          it: FedAvg → {fedavg_job}, FedADMM → {fedadmm_job}"
     );
     // In absolute terms: the trained parameters copied out of the network
-    // (they become `w_i`) and the message's one-element payload list — what
+    // (their buffer carries Δ) and the message's one-element payload list — what
     // the job cost when the trainer cloned `init` into a working vector of
     // its own, so the flat store added nothing.
     assert!(
@@ -220,7 +221,7 @@ fn steady_state_sgd_step_allocates_nothing() {
     // SCAFFOLD and FedDyn update their correction slot (c_i, h_i) in place
     // while the trainer reads it borrowed. FedDyn's job costs FedAvg's;
     // SCAFFOLD's adds only its second upload, Δc, because Δw is written over
-    // the retired local model's buffer.
+    // the trained vector's buffer.
     let warm_job = |algorithm: &mut dyn Algorithm, worker: &mut UpdateScratch| {
         algorithm.init(theta.len(), 4);
         let mut client = ClientState::new(2, indices.clone(), &theta);
@@ -271,6 +272,39 @@ fn steady_state_sgd_step_allocates_nothing() {
         gd_long <= gd_short + 5,
         "a warm gradient-descent step allocates more than its gradient: \
          5 steps → {gd_short}, 10 steps → {gd_long}"
+    );
+
+    // The line-search solvers try each candidate in one reused buffer, its
+    // gradient in another, and L-BFGS keeps its direction and curvature
+    // pairs per solve: a warm job's count does not grow with the number of
+    // candidates. ε = 0 is never met, so every job spends its whole budget;
+    // L-BFGS's one-pair memory is full after its first iteration.
+    let to_tolerance = |max_steps: usize| {
+        FedAdmm::paper_default().with_solver(LocalSolver::ToTolerance {
+            epsilon: 0.0,
+            learning_rate: 0.1,
+            max_steps,
+        })
+    };
+    let lbfgs = |max_iters: usize| {
+        FedAdmm::paper_default().with_solver(LocalSolver::Lbfgs {
+            memory: 1,
+            max_iters,
+            epsilon: 0.0,
+        })
+    };
+    let (tt_short, tt_long) = (
+        warm_job(&mut to_tolerance(4), &mut worker),
+        warm_job(&mut to_tolerance(16), &mut worker),
+    );
+    let (lbfgs_short, lbfgs_long) = (
+        warm_job(&mut lbfgs(3), &mut worker),
+        warm_job(&mut lbfgs(12), &mut worker),
+    );
+    assert!(
+        tt_long == tt_short && lbfgs_long == lbfgs_short,
+        "a warm line-search job allocates per candidate: to tolerance 4 → {tt_short}, \
+         16 → {tt_long} evaluations; L-BFGS 3 → {lbfgs_short}, 12 → {lbfgs_long} iterations"
     );
 
     // The wire path's client edge adds what travels and nothing else: the
